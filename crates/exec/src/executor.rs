@@ -13,6 +13,10 @@
 //!   keeps PR 3's phases (decode fully, then replay) — it is the
 //!   apples-to-apples replay-throughput measurement and the shape the
 //!   microbenches time.
+//! - **Resident threads.** A run's decode shards, workers and watchdog
+//!   are *roles* handed to a crew of process-lifetime threads
+//!   (`runtime.rs`, DESIGN.md §15) and awaited; no thread is spawned or
+//!   joined per run.
 //! - **Lock-free scheduling.** Per-worker [`ChaseLev`] deques (owner
 //!   LIFO, thief FIFO, batch stealing takes half) replace the mutexed
 //!   ring; the one lock left on the task hot path is gone.
@@ -69,6 +73,7 @@ use crate::fault::{
 };
 use crate::payload::{build_arena, PayloadMode, PayloadScratch};
 use crate::renamer::{merge_window, RenameStats, Renamer, ShardState, TaskGraph};
+use crate::runtime::{self, Role};
 use crate::sched::{
     CostAwarePolicy, FifoPolicy, LifoPolicy, LocalityPolicy, SchedKind, SchedPolicy,
 };
@@ -152,10 +157,12 @@ impl Default for ExecConfig {
 /// (DESIGN.md §14.3) arms one per accepted graph so a drain deadline
 /// can stop a run that is already executing; anything else that embeds
 /// the executor can do the same. The token is polled by the watchdog
-/// thread (same 200 µs cadence as the deadlines), never on the task
-/// hot path, so an armed-but-unfired token costs one extra load per
-/// poll tick and nothing per task. Cancellation latency is therefore
-/// bounded by one poll tick plus the longest in-flight payload.
+/// role (same 200 µs tick as the deadlines), never on the task hot
+/// path, so an armed-but-unfired token costs one extra load per tick
+/// and nothing per task. The tick bounds *cancellation* latency only —
+/// one tick plus the longest in-flight payload — never completion
+/// latency: the watchdog's wait is interrupted the moment the run
+/// stops (DESIGN.md §11.3).
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken(std::sync::Arc<AtomicU32>);
 
@@ -178,7 +185,7 @@ impl CancelToken {
 
 /// Per-worker counters. Each worker accumulates its own copy on its own
 /// stack (the strongest form of false-sharing avoidance — nothing is
-/// shared until the join) and hands it back when the scope ends.
+/// shared until the run's roles are done) and hands it back then.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WorkerStats {
     /// Tasks this worker executed.
@@ -624,7 +631,53 @@ impl WatchSlot {
     }
 }
 
-/// Shared replay state (borrowed by every worker via a scoped spawn).
+/// The watchdog's poll period: the bound on how late a deadline or a
+/// fired [`CancelToken`] is noticed (DESIGN.md §11.3).
+const WATCHDOG_TICK: Duration = Duration::from_micros(200);
+
+/// The watchdog's interruptible tick: a timed condvar wait that the end
+/// of the run interrupts. The tick therefore bounds how late an expiry
+/// or cancellation is noticed, never how long a finished run waits for
+/// its watchdog role.
+struct WatchGate {
+    lock: Mutex<()>,
+    cv: Condvar,
+}
+
+impl WatchGate {
+    fn new() -> Self {
+        WatchGate { lock: Mutex::new(()), cv: Condvar::new() }
+    }
+
+    /// Waits out one `tick`, or less if interrupted. Returns whether
+    /// `stopped` holds (checked before the wait, so a run that is
+    /// already over costs no tick, and again after it).
+    fn tick(&self, tick: Duration, stopped: impl Fn() -> bool) -> bool {
+        {
+            let gate = self.lock.lock().expect("watchdog gate poisoned");
+            if stopped() {
+                return true;
+            }
+            // The check above and this wait share one hold of the
+            // gate, so an `interrupt` cannot fall between them.
+            let _woken = self.cv.wait_timeout(gate, tick).expect("watchdog gate poisoned");
+        }
+        stopped()
+    }
+
+    /// Ends the current tick early. The caller has already stored the
+    /// state that makes `stopped` true; taking the gate orders this
+    /// notify against a watchdog that has checked `stopped` but not
+    /// yet entered its wait (it holds the gate across that window), so
+    /// the notify is either seen by the check or wakes the wait —
+    /// never lost (model: `model_watchdog_stop_is_never_lost`).
+    fn interrupt(&self) {
+        let _gate = self.lock.lock().expect("watchdog gate poisoned");
+        self.cv.notify_one();
+    }
+}
+
+/// Shared replay state (borrowed by every role of the run's crew).
 struct Shared<'a, R: ReleaseSuccs, P: SchedPolicy> {
     mode: R,
     /// The scheduling policy (DESIGN.md §13): statically dispatched,
@@ -686,6 +739,9 @@ struct Shared<'a, R: ReleaseSuccs, P: SchedPolicy> {
     cancel: Option<CancelToken>,
     /// Set by the watchdog when the cancel token fired.
     cancel_hit: AtomicU32,
+    /// The watchdog's interruptible tick; whatever stops the run cuts
+    /// it short ([`Shared::wake_watchdog`]).
+    watch_gate: WatchGate,
     /// Final failure records, in completion order.
     failures: Mutex<Vec<FailedTask>>,
     /// First infrastructure (non-payload) panic message.
@@ -759,6 +815,7 @@ impl<R: ReleaseSuccs, P: SchedPolicy> Shared<'_, R, P> {
             run_deadline_hit: AtomicU32::new(0),
             cancel: cfg.cancel.clone(),
             cancel_hit: AtomicU32::new(0),
+            watch_gate: WatchGate::new(),
             failures: Mutex::new(Vec::new()),
             infra_panic: Mutex::new(None),
             retry_hist: (0..max_attempts as usize).map(|_| AtomicU64::new(0)).collect(),
@@ -787,10 +844,20 @@ impl<R: ReleaseSuccs, P: SchedPolicy> Shared<'_, R, P> {
     fn request_abort(&self) {
         self.abort.store(1, Ordering::Release);
         self.parker.wake_all();
+        self.wake_watchdog();
+    }
+
+    /// Cuts the watchdog's tick short, so a finished run never waits
+    /// one out. Call *after* the state `stopping()` reads has been
+    /// stored (final ticket taken, or abort raised).
+    fn wake_watchdog(&self) {
+        if self.watchdog_armed() {
+            self.watch_gate.interrupt();
+        }
     }
 
     /// Records a non-payload panic (an executor bug, caught at the
-    /// thread boundary so the run still joins cleanly) and aborts.
+    /// role boundary so the run still finishes cleanly) and aborts.
     fn note_infra_panic(&self, message: String) {
         let mut slot = self.infra_panic.lock().expect("infra panic slot poisoned");
         slot.get_or_insert(message);
@@ -798,7 +865,7 @@ impl<R: ReleaseSuccs, P: SchedPolicy> Shared<'_, R, P> {
         self.request_abort();
     }
 
-    /// Whether the watchdog thread is needed.
+    /// Whether the run needs a watchdog role.
     #[inline]
     fn watchdog_armed(&self) -> bool {
         !self.watch.is_empty() || self.cancel.is_some()
@@ -862,8 +929,9 @@ fn complete<R: ReleaseSuccs, P: SchedPolicy>(
     }
     if ticket + 1 == shared.n {
         // Final completion: unconditionally flush every parked worker
-        // into their done() check.
+        // into their done() check, and the watchdog out of its tick.
         shared.parker.wake_all();
+        shared.wake_watchdog();
         wobs.wake(&shared.obs);
     } else if routed > 0 {
         // Routed tasks are invisible to the deque/injector scans: only
@@ -1145,12 +1213,12 @@ fn resolve_failure<R: ReleaseSuccs, P: SchedPolicy>(
     }
 }
 
-/// How a worker thread left the run. Either way it hands back its
-/// counters and its observability sink (drained after the join).
+/// How a worker role left the run. Either way it hands back its
+/// counters and its observability sink (drained once the crew is done).
 enum WorkerExit {
     /// Normal exit: ran until termination (or abort).
     Finished(WorkerStats, WorkerObs),
-    /// Injected worker kill: the thread left mid-run with work possibly
+    /// Injected worker kill: the role returned mid-run with work possibly
     /// still in its deque — the survivors adopt it via the thief
     /// protocol (the Chase-Lev top end needs no owner).
     Killed(WorkerStats, WorkerObs),
@@ -1274,17 +1342,18 @@ fn worker_loop<R: ReleaseSuccs, P: SchedPolicy>(
     WorkerExit::Finished(stats, wobs)
 }
 
-/// The deadline watchdog: a polling thread (the facade condvar has no
-/// `wait_timeout`, and 200 µs polls are noise against ms-scale
-/// deadlines) that cancels expired attempts and aborts the run past its
-/// deadline. Spawned only when a deadline is armed; exits as soon as
-/// the run stops.
+/// The deadline watchdog: a crew role that cancels expired attempts and
+/// aborts the run past its deadline or on a fired token, polling once
+/// per [`WATCHDOG_TICK`] (noise against ms-scale deadlines). Part of
+/// the run only when a deadline or token is armed; returns as soon as
+/// the run stops ([`WatchGate`]).
 fn watchdog_loop<R: ReleaseSuccs, P: SchedPolicy>(shared: &Shared<'_, R, P>) {
     loop {
-        if shared.stopping() {
+        // The gate is released before the poll: `request_abort` below
+        // takes it again to interrupt (by then nobody's) tick.
+        if shared.watch_gate.tick(WATCHDOG_TICK, || shared.stopping()) {
             return;
         }
-        std::thread::sleep(Duration::from_micros(200));
         let now = shared.t0.elapsed().as_nanos() as u64;
         for slot in &shared.watch {
             let dl = slot.deadline_ns.load(Ordering::Acquire);
@@ -1581,7 +1650,6 @@ impl Executor {
 
     fn run_inner<P: SchedPolicy>(&self, trace: &TaskTrace) -> Result<ExecReport, ExecError> {
         let n = trace.len();
-        let threads = self.config.threads;
         let shards = self.config.decode_shards;
         let total_ops: usize = trace.iter().map(|t| t.operands.len()).sum();
         // Pre-dedup pair bound: ≤ 1 RaW per read + 1 WaW per write +
@@ -1596,73 +1664,33 @@ impl Executor {
         let dec = DecodeShared::new(trace, self.config.window, shards);
 
         let t0 = dec.started;
-        let mut workers = vec![WorkerStats::default(); threads];
-        let mut worker_obs: Vec<WorkerObs> = (0..threads).map(|_| WorkerObs::new()).collect();
+        let mut decoded: Vec<Option<(RenameStats, WorkerObs)>> =
+            (0..shards).map(|_| None).collect();
+        let decoders = decoded
+            .iter_mut()
+            .enumerate()
+            .map(|(sh, out)| {
+                let (dec, shared) = (&dec, &shared);
+                let renaming = self.config.renaming;
+                Box::new(move || {
+                    // Role-boundary containment: a decoder panic (an
+                    // executor bug) aborts the run with a structured
+                    // error instead of unwinding into the crew.
+                    *out =
+                        catch_unwind(AssertUnwindSafe(|| decode_loop(sh, renaming, dec, shared)))
+                            .map_err(|p| shared.note_infra_panic(panic_message(&*p)))
+                            .ok();
+                }) as Role<'_>
+            })
+            .collect();
+        let crew = self.run_crew(&shared, &arena, decoders);
         let mut decode_obs: Vec<WorkerObs> = Vec::with_capacity(shards);
         let mut rename = RenameStats::default();
-        let mut workers_lost = 0usize;
-        if n > 0 {
-            std::thread::scope(|scope| {
-                if shared.watchdog_armed() {
-                    let shared = &shared;
-                    scope.spawn(move || watchdog_loop(shared));
-                }
-                let decoders: Vec<_> = (0..shards)
-                    .map(|sh| {
-                        let dec = &dec;
-                        let shared = &shared;
-                        let renaming = self.config.renaming;
-                        scope.spawn(move || {
-                            // Thread-boundary containment: a decoder
-                            // panic (an executor bug) aborts the run
-                            // with a structured error instead of a
-                            // process abort at join time.
-                            catch_unwind(AssertUnwindSafe(|| {
-                                decode_loop(sh, renaming, dec, shared)
-                            }))
-                            .unwrap_or_else(|p| {
-                                shared.note_infra_panic(panic_message(&*p));
-                                (RenameStats::default(), WorkerObs::new())
-                            })
-                        })
-                    })
-                    .collect();
-                let handles: Vec<_> = (0..threads)
-                    .map(|w| {
-                        let shared = &shared;
-                        let arena = &arena[..];
-                        let seed = self.config.seed;
-                        scope.spawn(move || {
-                            catch_unwind(AssertUnwindSafe(|| worker_loop(w, shared, arena, seed)))
-                                .map_err(|p| shared.note_infra_panic(panic_message(&*p)))
-                        })
-                    })
-                    .collect();
-                for d in decoders {
-                    if let Ok((stats, dobs)) = d.join() {
-                        rename.objects += stats.objects;
-                        rename.tracked_operands += stats.tracked_operands;
-                        rename.removed_by_renaming += stats.removed_by_renaming;
-                        decode_obs.push(dobs);
-                    }
-                }
-                for (w, h) in handles.into_iter().enumerate() {
-                    match h.join() {
-                        Ok(Ok(WorkerExit::Finished(stats, wobs))) => {
-                            workers[w] = stats;
-                            worker_obs[w] = wobs;
-                        }
-                        Ok(Ok(WorkerExit::Killed(stats, wobs))) => {
-                            workers[w] = stats;
-                            worker_obs[w] = wobs;
-                            workers_lost += 1;
-                        }
-                        // The closure caught the panic already (and
-                        // noted it); a dead worker is a lost worker.
-                        Ok(Err(())) | Err(_) => workers_lost += 1,
-                    }
-                }
-            });
+        for (stats, dobs) in decoded.into_iter().flatten() {
+            rename.objects += stats.objects;
+            rename.tracked_operands += stats.tracked_operands;
+            rename.removed_by_renaming += stats.removed_by_renaming;
+            decode_obs.push(dobs);
         }
         let exec_wall = t0.elapsed();
         rename.enforced_edges = dec.commit.lock().expect("commit state poisoned").edges;
@@ -1672,16 +1700,8 @@ impl Executor {
         } else {
             0.0
         };
-        let extras = FinishExtras {
-            decode_wall,
-            exec_wall,
-            overlap,
-            streaming: true,
-            workers_lost,
-            worker_obs,
-            decode_obs,
-        };
-        self.finish(trace, shared, extras, workers, rename)
+        let extras = FinishExtras { decode_wall, exec_wall, overlap, streaming: true, decode_obs };
+        self.finish(trace, shared, extras, crew, rename)
     }
 
     /// PR 3's two-phase shape: decode the whole trace first (timed as a
@@ -1727,55 +1747,19 @@ impl Executor {
         decode_wall: Duration,
     ) -> Result<ExecReport, ExecError> {
         assert_eq!(graph.len(), trace.len(), "graph decoded from a different trace");
-        let threads = self.config.threads;
         let shared: Shared<'_, _, P> =
             Shared::new_for(trace, PrebuiltRelease::new(graph), &self.config);
         for r in graph.roots() {
             shared.injector.push(r as u32);
-            // No Spawn events for roots: they are pushed from the main
-            // thread before any worker (and its ring) exists, so their
+            // No Spawn events for roots: they are pushed by the submitter
+            // before any worker role (and its ring) exists, so their
             // queue wait goes unmeasured — sampling loss, not bias
             // (DESIGN.md §12.3).
         }
         let arena = self.arena();
 
         let t0 = Stamp::now();
-        let mut workers = vec![WorkerStats::default(); threads];
-        let mut worker_obs: Vec<WorkerObs> = (0..threads).map(|_| WorkerObs::new()).collect();
-        let mut workers_lost = 0usize;
-        if !graph.is_empty() {
-            std::thread::scope(|scope| {
-                if shared.watchdog_armed() {
-                    let shared = &shared;
-                    scope.spawn(move || watchdog_loop(shared));
-                }
-                let handles: Vec<_> = (0..threads)
-                    .map(|w| {
-                        let shared = &shared;
-                        let arena = &arena[..];
-                        let seed = self.config.seed;
-                        scope.spawn(move || {
-                            catch_unwind(AssertUnwindSafe(|| worker_loop(w, shared, arena, seed)))
-                                .map_err(|p| shared.note_infra_panic(panic_message(&*p)))
-                        })
-                    })
-                    .collect();
-                for (w, h) in handles.into_iter().enumerate() {
-                    match h.join() {
-                        Ok(Ok(WorkerExit::Finished(stats, wobs))) => {
-                            workers[w] = stats;
-                            worker_obs[w] = wobs;
-                        }
-                        Ok(Ok(WorkerExit::Killed(stats, wobs))) => {
-                            workers[w] = stats;
-                            worker_obs[w] = wobs;
-                            workers_lost += 1;
-                        }
-                        Ok(Err(())) | Err(_) => workers_lost += 1,
-                    }
-                }
-            });
-        }
+        let crew = self.run_crew(&shared, &arena, Vec::new());
         let exec_wall = t0.elapsed();
         let rename = *graph.stats();
         let extras = FinishExtras {
@@ -1783,11 +1767,60 @@ impl Executor {
             exec_wall,
             overlap: 0.0,
             streaming: false,
-            workers_lost,
-            worker_obs,
             decode_obs: Vec::new(),
         };
-        self.finish(trace, shared, extras, workers, rename)
+        self.finish(trace, shared, extras, crew, rename)
+    }
+
+    /// Runs one graph's roles on a crew leased from the resident
+    /// runtime (DESIGN.md §15) and returns once all of them have:
+    /// `front` (the streaming mode's decode shards) on the first
+    /// members, then one worker per configured thread, then — only when
+    /// a deadline or cancel token is armed — the watchdog, last so that
+    /// arming it does not move any other role to a different resident
+    /// thread. An empty graph has nothing to run and leases nothing.
+    fn run_crew<'r, R: ReleaseSuccs, P: SchedPolicy>(
+        &self,
+        shared: &'r Shared<'_, R, P>,
+        arena: &'r [u8],
+        front: Vec<Role<'r>>,
+    ) -> CrewOut {
+        let threads = self.config.threads;
+        let mut exits: Vec<Option<WorkerExit>> = (0..threads).map(|_| None).collect();
+        if shared.n > 0 {
+            let mut roles: Vec<Role<'_>> = front;
+            roles.reserve(threads + 1);
+            let seed = self.config.seed;
+            for (w, exit) in exits.iter_mut().enumerate() {
+                roles.push(Box::new(move || {
+                    *exit = catch_unwind(AssertUnwindSafe(|| worker_loop(w, shared, arena, seed)))
+                        .map_err(|p| shared.note_infra_panic(panic_message(&*p)))
+                        .ok();
+                }));
+            }
+            if shared.watchdog_armed() {
+                roles.push(Box::new(move || watchdog_loop(shared)));
+            }
+            runtime::global().run(roles);
+        }
+        let mut crew = CrewOut {
+            workers: Vec::with_capacity(threads),
+            worker_obs: Vec::with_capacity(threads),
+            workers_lost: 0,
+        };
+        for exit in exits {
+            // An empty slot after a run is a worker whose role died of
+            // an (already noted) infrastructure panic.
+            let (stats, wobs, lost) = match exit {
+                Some(WorkerExit::Finished(stats, wobs)) => (stats, wobs, false),
+                Some(WorkerExit::Killed(stats, wobs)) => (stats, wobs, true),
+                None => (WorkerStats::default(), WorkerObs::new(), shared.n > 0),
+            };
+            crew.workers.push(stats);
+            crew.worker_obs.push(wobs);
+            crew.workers_lost += usize::from(lost);
+        }
+        crew
     }
 
     /// Only memcpy (and mixed, whose memory class memcpys) reads the
@@ -1805,18 +1838,11 @@ impl Executor {
         trace: &TaskTrace,
         shared: Shared<'_, R, P>,
         extras: FinishExtras,
-        workers: Vec<WorkerStats>,
+        crew: CrewOut,
         rename: RenameStats,
     ) -> Result<ExecReport, ExecError> {
-        let FinishExtras {
-            decode_wall,
-            exec_wall,
-            overlap,
-            streaming,
-            workers_lost,
-            worker_obs,
-            decode_obs,
-        } = extras;
+        let FinishExtras { decode_wall, exec_wall, overlap, streaming, decode_obs } = extras;
+        let CrewOut { workers, worker_obs, workers_lost } = crew;
         // Error resolution order: infrastructure death first (nothing
         // else is trustworthy after an executor-bug panic), then the
         // run deadline, then a fail-fast task failure.
@@ -1903,11 +1929,18 @@ struct FinishExtras {
     exec_wall: Duration,
     overlap: f64,
     streaming: bool,
-    workers_lost: usize,
-    /// Per-worker observability sinks, in worker order.
-    worker_obs: Vec<WorkerObs>,
     /// Per-decode-shard sinks (empty for one-shot replays).
     decode_obs: Vec<WorkerObs>,
+}
+
+/// What a run's worker roles handed back (`Executor::run_crew`).
+struct CrewOut {
+    /// Per-worker counters, in worker order.
+    workers: Vec<WorkerStats>,
+    /// Per-worker observability sinks, in worker order.
+    worker_obs: Vec<WorkerObs>,
+    /// Workers killed by injection or dead of an infrastructure panic.
+    workers_lost: usize,
 }
 
 /// Convenience: stream with defaults, returning the report.
@@ -2397,6 +2430,37 @@ mod model_tests {
                 w.join().unwrap();
             }
         });
+    }
+
+    /// Watchdog stop (§11.3): the run's end — stop state stored, then
+    /// `interrupt` — racing the watchdog's tick. With the tick disabled
+    /// (`Duration::MAX` never times out in the model) the watchdog can
+    /// only leave through the stop check or the notify, so an interrupt
+    /// lost between its check and its wait would be a model deadlock:
+    /// in every interleaving it exits without waiting a tick out. With
+    /// a real tick the timeout may additionally fire at any point, and
+    /// the loop still always terminates.
+    #[test]
+    fn model_watchdog_stop_is_never_lost() {
+        for tick in [Duration::MAX, WATCHDOG_TICK] {
+            let report = shuttle::check_exhaustive(300_000, move || {
+                let gate = Arc::new(WatchGate::new());
+                let stop = Arc::new(AtomicU32::new(0));
+                let (g2, s2) = (gate.clone(), stop.clone());
+                // watchdog_loop's shape, minus the poll body.
+                let dog =
+                    thread::spawn(
+                        move || {
+                            while !g2.tick(tick, || s2.load(Ordering::Acquire) != 0) {}
+                        },
+                    );
+                // The final `complete` / `request_abort` shape.
+                stop.store(1, Ordering::Release);
+                gate.interrupt();
+                dog.join().unwrap();
+            });
+            assert!(report.complete, "budget too small: {} schedules", report.schedules);
+        }
     }
 
     /// The §11 poison-publish handshake: a failing producer stores its

@@ -59,6 +59,7 @@ pub mod executor;
 pub mod fault;
 pub mod payload;
 pub mod renamer;
+mod runtime;
 pub mod sched;
 pub mod sync;
 

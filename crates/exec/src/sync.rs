@@ -21,6 +21,12 @@
 //! all come from `crate::sync::atomic`, so the POISONED-sentinel
 //! publish/observe protocol is model-checked with the same fidelity as
 //! the deque and parker.
+//!
+//! The resident runtime (DESIGN.md §15) adds two things: its timed
+//! watchdog tick needs `Condvar::wait_timeout` (in the model a timeout
+//! is a scheduler choice, see `vendor/shuttle`), and its crew threads
+//! are spawned through [`thread`], so a model run owns — and can
+//! interleave — the resident threads as well.
 
 #[cfg(not(tss_model_check))]
 pub use std::sync::atomic;
@@ -31,3 +37,34 @@ pub use std::sync::{Condvar, Mutex, MutexGuard};
 pub use shuttle::sync::atomic;
 #[cfg(tss_model_check)]
 pub use shuttle::sync::{Condvar, Mutex, MutexGuard};
+
+/// Thread spawning for the resident runtime: named `std` threads
+/// normally, scheduler-registered model threads under
+/// `tss_model_check` (the double has no names to give).
+pub mod thread {
+    #[cfg(tss_model_check)]
+    pub use shuttle::thread::JoinHandle;
+    #[cfg(not(tss_model_check))]
+    pub use std::thread::JoinHandle;
+
+    /// Spawns `f` on a new thread called `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the OS refuses the thread, as `std::thread::spawn`
+    /// (and the scoped spawn this replaces) does.
+    pub fn spawn_named<F>(name: String, f: F) -> JoinHandle<()>
+    where
+        F: FnOnce() + Send + 'static,
+    {
+        #[cfg(not(tss_model_check))]
+        {
+            std::thread::Builder::new().name(name).spawn(f).expect("spawn a resident thread")
+        }
+        #[cfg(tss_model_check)]
+        {
+            let _ = name;
+            shuttle::thread::spawn(f)
+        }
+    }
+}

@@ -1,0 +1,194 @@
+//! Behaviour of runs on the resident runtime (DESIGN.md §15): the
+//! crews are shared by everything in the process, so what one run does
+//! to its crew — lose a worker, fail fast, blow a deadline, get
+//! cancelled — must not be visible to the next one, concurrent callers
+//! must not get in each other's way, and an armed watchdog must no
+//! longer put a floor under a run's latency.
+
+use std::sync::{Barrier, Mutex};
+use std::time::{Duration, Instant};
+
+use tss_exec::fault::install_quiet_hook;
+use tss_exec::{
+    CancelToken, ExecConfig, ExecError, ExecReport, Executor, FailurePolicy, PayloadMode,
+    TaskGraphBuilder,
+};
+use tss_trace::TaskTrace;
+use tss_workloads::{Benchmark, Scale};
+
+/// The tests below reason about "the crew the previous run used" and
+/// about latency; both need the process-wide runtime to themselves.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// `n` independent tasks of `cycles` simulated cycles each.
+fn independent(n: usize, cycles: u64) -> TaskTrace {
+    let mut b = TaskGraphBuilder::new("independent");
+    let k = b.kernel("k");
+    for i in 0..n as u64 {
+        b.task(k).runtime_cycles(cycles).output(0x1000 + i * 64, 64).spawn();
+    }
+    b.build()
+}
+
+fn assert_clean(report: &ExecReport, trace: &TaskTrace, after: &str) {
+    assert!(report.validated, "run after {after} was not validated");
+    assert_eq!(report.completed(), trace.len(), "run after {after} lost tasks");
+    assert!(!report.fault.any(), "run after {after} inherited failure state");
+    assert!(report.accounting_reconciles(), "run after {after} does not reconcile");
+}
+
+#[test]
+fn concurrent_callers_all_get_validated_reports() {
+    let _serial = serial();
+    let benches =
+        [Benchmark::Cholesky, Benchmark::H264, Benchmark::Knn, Benchmark::Fft, Benchmark::Stap];
+    let traces: Vec<TaskTrace> = benches.iter().map(|b| b.trace(Scale::Small, 5)).collect();
+    let start = Barrier::new(traces.len());
+    std::thread::scope(|s| {
+        for (i, trace) in traces.iter().enumerate() {
+            let start = &start;
+            s.spawn(move || {
+                let cfg = ExecConfig { threads: 2, seed: i as u64, ..ExecConfig::default() };
+                let exec = Executor::new(cfg);
+                start.wait();
+                for round in 0..20 {
+                    let report =
+                        if round % 2 == 0 { exec.run(trace) } else { exec.run_oneshot(trace) }
+                            .expect("concurrent run failed");
+                    assert_eq!(report.benchmark, trace.name());
+                    assert_clean(&report, trace, "a concurrent neighbour");
+                }
+            });
+        }
+    });
+}
+
+/// Each way a run can leave through the containment boundary, followed
+/// by a clean run on the crew it just used (the tests are serialized
+/// and the free list is LIFO, so it is the same resident threads): no
+/// abort flag, deque content, watch slot or dead thread may leak.
+#[test]
+fn the_crew_survives_every_way_a_run_can_end() {
+    let _serial = serial();
+    install_quiet_hook();
+    let healthy = Benchmark::Cholesky.trace(Scale::Small, 9);
+    let base = ExecConfig { threads: 2, ..ExecConfig::default() };
+    let next_run_is_clean = |after: &str| {
+        for streaming in [true, false] {
+            let exec = Executor::new(base.clone());
+            let report = if streaming { exec.run(&healthy) } else { exec.run_oneshot(&healthy) }
+                .unwrap_or_else(|e| panic!("run after {after} failed: {e}"));
+            assert_clean(&report, &healthy, after);
+        }
+    };
+
+    // A worker role that leaves mid-run (its resident thread lives on).
+    let spin_1us = independent(400, 3_200);
+    let killed = ExecConfig {
+        kill_worker: Some(1),
+        payload: PayloadMode::Spin { time_scale: 1.0 },
+        ..base.clone()
+    };
+    let mut fired = false;
+    for _ in 0..16 {
+        let report = Executor::new(killed.clone()).run(&spin_1us).expect("degraded run failed");
+        assert_eq!(report.completed(), 400);
+        next_run_is_clean("a lost worker");
+        fired |= report.fault.workers_lost == 1;
+    }
+    assert!(fired, "the injected kill never fired in 16 runs");
+
+    // Fail-fast: the run aborts with tasks still queued in its deques.
+    let faulty = ExecConfig {
+        payload: PayloadMode::Faulty { rate_ppm: 200_000, seed: 11 },
+        policy: FailurePolicy::FailFast,
+        ..base.clone()
+    };
+    match Executor::new(faulty).run(&healthy) {
+        Err(ExecError::TaskFailed(f)) => assert!(f.task < healthy.len() as u32),
+        other => panic!("expected TaskFailed, got {other:?}"),
+    }
+    next_run_is_clean("a fail-fast abort");
+
+    // Run deadline: the watchdog role aborts the run mid-payload.
+    let one_second_each = independent(64, 3_200_000_000);
+    let spin = PayloadMode::Spin { time_scale: 1.0 };
+    let deadline =
+        ExecConfig { payload: spin, run_deadline: Some(Duration::from_millis(20)), ..base.clone() };
+    match Executor::new(deadline).run(&one_second_each) {
+        Err(ExecError::RunDeadline { completed, tasks, .. }) => {
+            assert_eq!(tasks, 64);
+            assert!(completed < 64);
+        }
+        other => panic!("expected RunDeadline, got {other:?}"),
+    }
+    next_run_is_clean("a run-deadline abort");
+
+    // A fired cancel token: same abort path, different cause.
+    let token = CancelToken::new();
+    let cancelled = ExecConfig { payload: spin, cancel: Some(token.clone()), ..base.clone() };
+    let canceller = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(20));
+        token.cancel();
+    });
+    match Executor::new(cancelled).run(&one_second_each) {
+        Err(ExecError::Cancelled { completed, tasks }) => {
+            assert_eq!(tasks, 64);
+            assert!(completed < 64);
+        }
+        other => panic!("expected Cancelled, got {other:?}"),
+    }
+    canceller.join().expect("canceller thread");
+    next_run_is_clean("a cancellation");
+}
+
+/// The watchdog's 200 µs tick bounds cancellation latency, not
+/// completion latency: a one-task run with an armed, unfired token is
+/// over in well under one tick, and costs barely more than the same
+/// run without a watchdog. At the parent commit the scope join waited
+/// out the watchdog's unconditional sleep, so the armed median sat a
+/// full tick above the unarmed one, over 200 µs by construction.
+#[test]
+fn an_armed_watchdog_is_not_a_latency_floor() {
+    let _serial = serial();
+    let one = independent(1, 10);
+    let median_us = |cancel: Option<CancelToken>| {
+        let cfg = ExecConfig {
+            threads: 2,
+            policy: FailurePolicy::Quarantine,
+            cancel,
+            ..ExecConfig::default()
+        };
+        let exec = Executor::new(cfg);
+        for _ in 0..50 {
+            exec.run(&one).expect("warm-up run failed");
+        }
+        let mut us: Vec<f64> = (0..200)
+            .map(|_| {
+                let t = Instant::now();
+                let report = exec.run(&one).expect("one-task run failed");
+                let spent = t.elapsed();
+                assert!(report.validated && report.tasks == 1);
+                spent.as_secs_f64() * 1e6
+            })
+            .collect();
+        us.sort_by(f64::total_cmp);
+        us[us.len() / 2]
+    };
+    let unarmed = median_us(None);
+    let armed = median_us(Some(CancelToken::new()));
+    assert!(
+        armed - unarmed < 100.0,
+        "arming the watchdog added {:.0} µs to a one-task run ({unarmed:.0} → {armed:.0} µs)",
+        armed - unarmed
+    );
+    // The absolute figure only means something without the RingSink's
+    // per-run ring allocation, which dwarfs a one-task graph.
+    if !tss_exec::obs_enabled() {
+        assert!(armed < 200.0, "median armed one-task run took {armed:.0} µs (≥ one tick)");
+    }
+}

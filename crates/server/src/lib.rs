@@ -29,7 +29,7 @@ mod pool;
 mod session;
 mod writer;
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -105,6 +105,42 @@ pub struct GraphRecord {
     pub delivered: bool,
 }
 
+/// How many of the newest [`GraphRecord`]s the server retains for
+/// [`DrainSummary::outcomes`]. The per-outcome *counts* are exact
+/// whatever this is; it only bounds what a resident server keeps per
+/// graph it has ever completed.
+pub const OUTCOMES_KEPT: usize = 4096;
+
+/// The outcome ledger: an exact count per terminal outcome plus the
+/// newest [`OUTCOMES_KEPT`] records. The reconciliation invariant
+/// (accepted = completed + cancelled + deadline-expired + failed) is
+/// on the counts, so nothing needs to be retained to check it.
+#[derive(Debug, Default)]
+pub(crate) struct Ledger {
+    completed: u64,
+    cancelled: u64,
+    deadline_expired: u64,
+    failed: u64,
+    recent: VecDeque<GraphRecord>,
+}
+
+impl Ledger {
+    /// Counts `record`'s outcome and keeps it, evicting the oldest
+    /// record once [`OUTCOMES_KEPT`] are held.
+    pub(crate) fn record(&mut self, record: GraphRecord) {
+        *match record.outcome {
+            GraphOutcome::Completed { .. } => &mut self.completed,
+            GraphOutcome::Cancelled { .. } => &mut self.cancelled,
+            GraphOutcome::DeadlineExpired { .. } => &mut self.deadline_expired,
+            GraphOutcome::Failed { .. } => &mut self.failed,
+        } += 1;
+        if self.recent.len() == OUTCOMES_KEPT {
+            self.recent.pop_front();
+        }
+        self.recent.push_back(record);
+    }
+}
+
 /// Monotonic service counters (all sessions, whole lifetime).
 #[derive(Debug, Default)]
 pub(crate) struct Counters {
@@ -122,10 +158,13 @@ pub(crate) struct Counters {
     pub undelivered_done: AtomicU64,
 }
 
-/// What drain hands back: the full outcome ledger plus counters.
+/// What drain hands back: the outcome ledger plus counters.
 #[derive(Debug)]
 pub struct DrainSummary {
-    /// Every accepted graph's terminal record, in completion order.
+    /// The newest [`OUTCOMES_KEPT`] accepted graphs' terminal records,
+    /// in completion order — every one of them on a server that
+    /// accepted no more than that. The four outcome counts below are
+    /// exact over the whole lifetime regardless.
     pub outcomes: Vec<GraphRecord>,
     /// Graphs admitted over the server's lifetime.
     pub accepted: u64,
@@ -209,7 +248,7 @@ impl DrainHandle {
 /// requested and collect the final [`DrainSummary`].
 pub struct Server {
     shared: Arc<ServerShared>,
-    outcomes: Arc<Mutex<Vec<GraphRecord>>>,
+    ledger: Arc<Mutex<Ledger>>,
     local: SocketAddr,
     accept: Option<JoinHandle<()>>,
     pool: Pool,
@@ -227,11 +266,11 @@ impl Server {
         let gate =
             Arc::new(Gate::new(cfg.max_queued_graphs, cfg.max_queued_tasks, cfg.retry_after_ms));
         let counters = Arc::new(Counters::default());
-        let outcomes = Arc::new(Mutex::new(Vec::new()));
+        let ledger = Arc::new(Mutex::new(Ledger::default()));
         let ctx = Arc::new(RunCtx {
             gate: Arc::clone(&gate),
             counters: Arc::clone(&counters),
-            outcomes: Arc::clone(&outcomes),
+            ledger: Arc::clone(&ledger),
             exec_threads: cfg.exec_threads.max(1),
             payload: cfg.payload,
             seed: cfg.seed,
@@ -253,7 +292,7 @@ impl Server {
             .name("tss-accept".into())
             .spawn(move || accept_loop(listener, accept_shared))?;
 
-        Ok(Server { shared, outcomes, local, accept: Some(accept), pool })
+        Ok(Server { shared, ledger, local, accept: Some(accept), pool })
     }
 
     /// The bound address (port resolved when binding `:0`).
@@ -301,9 +340,10 @@ impl Server {
         let deadline_hit = !self.pool.wait_idle(self.shared.cfg.drain_deadline);
         if deadline_hit {
             self.pool.cancel_all();
-            // Cancellation latency is bounded (one watchdog tick plus
-            // one in-flight payload), so this second wait is a
-            // formality with a generous cap, not a second deadline.
+            // Cancellation latency is bounded (one watchdog tick to
+            // notice the token plus one in-flight payload), so this
+            // second wait is a formality with a generous cap, not a
+            // second deadline.
             let _ = self.pool.wait_idle(Duration::from_secs(60));
         }
         self.pool.join();
@@ -324,15 +364,15 @@ impl Server {
             let _ = h.join();
         }
 
-        let outcomes = self.outcomes.lock().expect("outcomes poisoned").clone();
-        let tally = |tag: &str| outcomes.iter().filter(|r| r.outcome.tag() == tag).count() as u64;
+        // Every runner and session is joined: the ledger is final.
+        let ledger = std::mem::take(&mut *self.ledger.lock().expect("outcome ledger poisoned"));
         let c = &self.shared.counters;
         DrainSummary {
             accepted: c.accepted.load(Ordering::Acquire),
-            completed: tally("completed"),
-            cancelled: tally("cancelled"),
-            deadline_expired: tally("deadline"),
-            failed: tally("failed"),
+            completed: ledger.completed,
+            cancelled: ledger.cancelled,
+            deadline_expired: ledger.deadline_expired,
+            failed: ledger.failed,
             rejected_overloaded: c.rejected_overloaded.load(Ordering::Acquire),
             rejected_quota: c.rejected_quota.load(Ordering::Acquire),
             rejected_malformed: c.rejected_malformed.load(Ordering::Acquire),
@@ -343,7 +383,7 @@ impl Server {
             undelivered_done: c.undelivered_done.load(Ordering::Acquire),
             drain_wall: t0.elapsed(),
             drain_deadline_hit: deadline_hit,
-            outcomes,
+            outcomes: ledger.recent.into(),
         }
     }
 }

@@ -17,9 +17,10 @@
 //!    (e.g. an oracle violation assert) becomes a structured
 //!    [`GraphOutcome::Failed`] instead of a dead runner.
 //!
-//! Whatever happens, exactly one [`GraphRecord`] is appended and one
-//! `Done` frame is attempted per admitted graph — the no-silent-loss
-//! invariant the shutdown regression test pins.
+//! Whatever happens, exactly one [`GraphRecord`] is entered in the
+//! outcome [`Ledger`] and one `Done` frame is attempted per admitted
+//! graph — the no-silent-loss invariant the shutdown regression test
+//! pins.
 
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
@@ -34,7 +35,7 @@ use tss_trace::TaskTrace;
 
 use crate::gate::Gate;
 use crate::writer::SharedWriter;
-use crate::{Counters, GraphRecord};
+use crate::{Counters, GraphRecord, Ledger};
 
 /// One admitted graph, queued for execution.
 pub(crate) struct Job {
@@ -55,7 +56,7 @@ pub(crate) struct Job {
 pub(crate) struct RunCtx {
     pub gate: Arc<Gate>,
     pub counters: Arc<Counters>,
-    pub outcomes: Arc<Mutex<Vec<GraphRecord>>>,
+    pub ledger: Arc<Mutex<Ledger>>,
     pub exec_threads: usize,
     pub payload: PayloadMode,
     pub seed: u64,
@@ -165,7 +166,9 @@ impl Pool {
     /// Drain-deadline escalation (DESIGN.md §14.4): every queued job is
     /// reported `Cancelled{0, tasks}` without running, and every
     /// in-flight run's cancel token fires. Cancellation latency from
-    /// here is one watchdog tick plus one in-flight payload.
+    /// here is one watchdog tick plus one in-flight payload (the tick
+    /// bounds how late the token is noticed, not how long a run that
+    /// finishes on its own takes).
     pub(crate) fn cancel_all(&self) {
         let (stranded, tokens) = {
             let mut st = self.shared.state.lock().expect("pool state poisoned");
@@ -220,7 +223,7 @@ fn runner_loop(shared: Arc<PoolShared>, ctx: Arc<RunCtx>) {
             let mut st = shared.state.lock().expect("pool state poisoned");
             if st.cancel_all {
                 // Drain already escalated; this run starts cancelled
-                // and aborts at the first watchdog tick.
+                // and aborts at its watchdog's first poll, one tick in.
                 cancel.cancel();
             }
             st.active.push((job.session, job.graph, cancel.clone()));
@@ -311,7 +314,7 @@ fn deliver(job: &Job, outcome: GraphOutcome, ctx: &RunCtx) {
     if !delivered {
         ctx.counters.undelivered_done.fetch_add(1, Ordering::AcqRel);
     }
-    ctx.outcomes.lock().expect("outcomes poisoned").push(GraphRecord {
+    ctx.ledger.lock().expect("outcome ledger poisoned").record(GraphRecord {
         session: job.session,
         graph: job.graph,
         outcome,
