@@ -156,13 +156,21 @@ impl Default for ExecConfig {
 /// A cloneable external-cancellation handle. The serve layer
 /// (DESIGN.md §14.3) arms one per accepted graph so a drain deadline
 /// can stop a run that is already executing; anything else that embeds
-/// the executor can do the same. The token is polled by the watchdog
-/// role (same 200 µs tick as the deadlines), never on the task hot
-/// path, so an armed-but-unfired token costs one extra load per tick
-/// and nothing per task. The tick bounds *cancellation* latency only —
-/// one tick plus the longest in-flight payload — never completion
-/// latency: the watchdog's wait is interrupted the moment the run
-/// stops (DESIGN.md §11.3).
+/// the executor can do the same. The token itself is polled by the
+/// watchdog role (same 200 µs tick as the deadlines), never on the task
+/// hot path: one extra load per tick. Arming it does put every task on
+/// the guarded lane — a firing must be able to stop payloads in flight,
+/// so each attempt runs under its worker's watch slot — and that lane
+/// is not free: measured on Cholesky-paper (30,856 no-op tasks, one
+/// CPU) an armed, unfired token costs +6…14 ns/task over the
+/// 126–150 ns/task unarmed run. It cost +43…48 ns/task (a third more)
+/// while the lane also read the clock, armed the deadline slot and
+/// bumped a shared retry-histogram counter per task whether or not a
+/// task deadline or a Retry policy was there to use them (DESIGN.md
+/// §11.4). The tick bounds *cancellation* latency only — one tick plus
+/// the longest in-flight payload — never completion latency: the
+/// watchdog's wait is interrupted the moment the run stops (DESIGN.md
+/// §11.3).
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken(std::sync::Arc<AtomicU32>);
 
@@ -746,8 +754,10 @@ struct Shared<'a, R: ReleaseSuccs, P: SchedPolicy> {
     failures: Mutex<Vec<FailedTask>>,
     /// First infrastructure (non-payload) panic message.
     infra_panic: Mutex<Option<String>>,
-    /// `retry_hist[k]`: outcomes that consumed k+1 attempts (only
-    /// maintained under a Retry policy).
+    /// `retry_hist[k]`: outcomes that consumed k+1 attempts. Empty
+    /// unless the policy grants more than one attempt: it is only ever
+    /// reported then, and bumping `[0]` per task on one line all workers
+    /// share was part of what an armed token used to cost (§11.4).
     retry_hist: Vec<AtomicU64>,
     /// Tasks that failed an attempt but eventually completed.
     retried_ok: CachePadded<AtomicUsize>,
@@ -818,7 +828,11 @@ impl<R: ReleaseSuccs, P: SchedPolicy> Shared<'_, R, P> {
             watch_gate: WatchGate::new(),
             failures: Mutex::new(Vec::new()),
             infra_panic: Mutex::new(None),
-            retry_hist: (0..max_attempts as usize).map(|_| AtomicU64::new(0)).collect(),
+            retry_hist: if max_attempts > 1 {
+                (0..max_attempts).map(|_| AtomicU64::new(0)).collect()
+            } else {
+                Vec::new()
+            },
             retried_ok: CachePadded::new(AtomicUsize::new(0)),
         }
     }
@@ -1107,12 +1121,16 @@ fn attempt_payload<R: ReleaseSuccs, P: SchedPolicy>(
         if shared.aborted() {
             return Err(AttemptError::Aborted);
         }
-        let started = Stamp::now();
         slot.cancel.store(0, Ordering::Relaxed);
-        if let Some(dl) = shared.task_deadline {
+        // Only a task deadline needs the clock and the deadline slot: a
+        // run deadline or a cancel token stops payloads through
+        // `slot.cancel` alone and pays neither (§11.4).
+        let timed = shared.task_deadline.map(|dl| {
+            let started = Stamp::now();
             let abs = shared.t0.elapsed() + dl;
             slot.deadline_ns.store((abs.as_nanos() as u64).max(1), Ordering::Release);
-        }
+            (started, dl)
+        });
         let outcome = match injected {
             Some(InjectedFault::Delay) => {
                 // Stall until the watchdog cancels (only reachable with
@@ -1126,14 +1144,16 @@ fn attempt_payload<R: ReleaseSuccs, P: SchedPolicy>(
                 cancelled
             })),
         };
-        slot.deadline_ns.store(0, Ordering::Release);
+        if timed.is_some() {
+            slot.deadline_ns.store(0, Ordering::Release);
+        }
         match outcome {
             Ok(false) => return Ok(()),
             Ok(true) => {
                 if shared.run_deadline_hit.load(Ordering::Acquire) != 0 || shared.aborted() {
                     return Err(AttemptError::Aborted);
                 }
-                if shared.task_deadline.is_some_and(|dl| started.elapsed() >= dl) {
+                if timed.is_some_and(|(started, dl)| started.elapsed() >= dl) {
                     return Err(AttemptError::Failed(TaskFailure::Deadline));
                 }
                 // Stale cancel from the previous task's expiry racing
@@ -1890,13 +1910,11 @@ impl Executor {
         let poisoned: Vec<u32> = (0..shared.n as u32)
             .filter(|&t| shared.status[t as usize].load(Ordering::Relaxed) == POISONED)
             .collect();
-        let retry_hist: Vec<u64> =
-            shared.retry_hist.iter().map(|h| h.load(Ordering::Relaxed)).collect();
         let fault = FaultReport {
             failed,
             poisoned,
             retried_ok: shared.retried_ok.load(Ordering::Relaxed),
-            retry_hist: if retry_hist.len() > 1 { retry_hist } else { Vec::new() },
+            retry_hist: shared.retry_hist.iter().map(|h| h.load(Ordering::Relaxed)).collect(),
             workers_lost,
         };
         // Drain the per-worker sinks into the report (None in NoopSink
@@ -1952,10 +1970,18 @@ pub fn run_trace(trace: &TaskTrace, threads: usize) -> Result<ExecReport, ExecEr
     Executor::new(ExecConfig { threads, ..ExecConfig::default() }).run(trace)
 }
 
-/// Re-exported for harness use: classifies a completion log against an
-/// oracle without panicking.
+/// Checks a completion log against the dependency oracle without
+/// panicking and without building it for the occasion
+/// ([`TaskTrace::check_order`]). This is how the owner of a single-use
+/// trace validates a run made with `validate: false` — the server does
+/// exactly that for every graph it answers `Completed` (DESIGN.md
+/// §14.3).
+///
+/// # Errors
+///
+/// The first [`OrderViolation`] found.
 pub fn check_order(trace: &TaskTrace, order: &[TaskId]) -> Result<(), OrderViolation> {
-    trace.dep_graph().validate_order(order)
+    trace.check_order(order)
 }
 
 #[cfg(test)]

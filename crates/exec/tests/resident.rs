@@ -2,16 +2,17 @@
 //! crews are shared by everything in the process, so what one run does
 //! to its crew — lose a worker, fail fast, blow a deadline, get
 //! cancelled — must not be visible to the next one, concurrent callers
-//! must not get in each other's way, and an armed watchdog must no
-//! longer put a floor under a run's latency.
+//! must not get in each other's way, an armed watchdog must no longer
+//! put a floor under a run's latency, and an armed-but-unfired token
+//! must cost next to nothing per task while still cancelling promptly.
 
 use std::sync::{Barrier, Mutex};
 use std::time::{Duration, Instant};
 
-use tss_exec::fault::install_quiet_hook;
+use tss_exec::fault::{install_quiet_hook, FaultPlan};
 use tss_exec::{
-    CancelToken, ExecConfig, ExecError, ExecReport, Executor, FailurePolicy, PayloadMode,
-    TaskGraphBuilder,
+    CancelToken, ExecConfig, ExecError, ExecReport, Executor, FailurePolicy, InjectedFault,
+    PayloadMode, TaskFailure, TaskGraphBuilder,
 };
 use tss_trace::TaskTrace;
 use tss_workloads::{Benchmark, Scale};
@@ -128,21 +129,30 @@ fn the_crew_survives_every_way_a_run_can_end() {
     }
     next_run_is_clean("a run-deadline abort");
 
-    // A fired cancel token: same abort path, different cause.
+    // A fired cancel token: same abort path, different cause. The
+    // token-only guarded lane arms no deadline slot (DESIGN.md §11.4)
+    // but must still stop payloads in flight: the run is back long
+    // before a one-second payload could have finished on its own, well
+    // inside the documented bound of one tick plus one payload.
     let token = CancelToken::new();
     let cancelled = ExecConfig { payload: spin, cancel: Some(token.clone()), ..base.clone() };
     let canceller = std::thread::spawn(move || {
         std::thread::sleep(Duration::from_millis(20));
         token.cancel();
+        Instant::now()
     });
-    match Executor::new(cancelled).run(&one_second_each) {
+    let result = Executor::new(cancelled).run(&one_second_each);
+    let returned = Instant::now();
+    match result {
         Err(ExecError::Cancelled { completed, tasks }) => {
             assert_eq!(tasks, 64);
             assert!(completed < 64);
         }
         other => panic!("expected Cancelled, got {other:?}"),
     }
-    canceller.join().expect("canceller thread");
+    let fired = canceller.join().expect("canceller thread");
+    let latency = returned.saturating_duration_since(fired);
+    assert!(latency < Duration::from_millis(500), "cancellation took {latency:?}");
     next_run_is_clean("a cancellation");
 }
 
@@ -191,4 +201,93 @@ fn an_armed_watchdog_is_not_a_latency_floor() {
     if !tss_exec::obs_enabled() {
         assert!(armed < 200.0, "median armed one-task run took {armed:.0} µs (≥ one tick)");
     }
+}
+
+/// An armed, unfired token puts every task on the guarded lane; with no
+/// task deadline that lane reads no clock, touches no deadline slot and
+/// keeps no retry histogram, so a no-op Cholesky-paper run (30,856
+/// tasks, nothing but scheduling) costs about 10% more than unarmed. At
+/// the parent commit the lane did all three per task and the ratio was
+/// 1.33–1.40 (DESIGN.md §11.4). Optimized builds only: an unoptimized
+/// task costs ~1.3 µs, which buries the ~50 ns in question (3–17% on
+/// either commit).
+#[test]
+fn an_armed_token_costs_next_to_nothing_per_task() {
+    let _serial = serial();
+    let trace = Benchmark::Cholesky.trace(Scale::Paper, 3);
+    let executor = |cancel: Option<CancelToken>| {
+        let policy = FailurePolicy::Quarantine;
+        Executor::new(ExecConfig { threads: 2, policy, cancel, ..ExecConfig::default() })
+    };
+    let pair = [executor(None), executor(Some(CancelToken::new()))];
+    let timed = |exec: &Executor| {
+        let t = Instant::now();
+        let report = exec.run(&trace).expect("no-op run failed");
+        let spent = t.elapsed().as_secs_f64();
+        assert_clean(&report, &trace, "nothing");
+        spent
+    };
+    for exec in &pair {
+        timed(exec); // builds the memoized oracle, grows the crew
+    }
+    let mut secs = [Vec::new(), Vec::new()];
+    for round in 0..30 {
+        // Alternate which side goes first, so drift hits both alike.
+        for side in [round % 2, 1 - round % 2] {
+            secs[side].push(timed(&pair[side]));
+        }
+    }
+    let [unarmed, armed] = secs.map(|mut v| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    });
+    if cfg!(debug_assertions) {
+        return;
+    }
+    assert!(
+        armed / unarmed <= 1.20,
+        "an armed token costs {:.0}% per task ({:.2} → {:.2} ms per run)",
+        (armed / unarmed - 1.0) * 100.0,
+        unarmed * 1e3,
+        armed * 1e3,
+    );
+}
+
+/// A task deadline next to an armed token still takes the timed lane:
+/// an injected `Delay` stalls until the watchdog cancels it and is
+/// reported as a deadline failure, an injected panic as a panic, and
+/// nothing else fails.
+#[test]
+fn a_task_deadline_beside_a_token_still_times_out_injected_delays() {
+    let _serial = serial();
+    install_quiet_hook();
+    let trace = independent(200, 10);
+    let (rate_ppm, seed) = (200_000, 17);
+    let cfg = ExecConfig {
+        threads: 2,
+        payload: PayloadMode::Faulty { rate_ppm, seed },
+        policy: FailurePolicy::Quarantine,
+        task_deadline: Some(Duration::from_millis(5)),
+        cancel: Some(CancelToken::new()),
+        ..ExecConfig::default()
+    };
+    let report = Executor::new(cfg).run(&trace).expect("quarantine run aborted");
+    let plan = FaultPlan { rate_ppm, seed, kill_worker: None };
+    let injected = |t: u32| plan.effective(t, 1, true);
+    let expected: Vec<u32> = (0..200).filter(|&t| injected(t).is_some()).collect();
+    let failed: Vec<u32> = report.fault.failed.iter().map(|f| f.task).collect();
+    assert_eq!(failed, expected);
+    let mut delays = 0;
+    for f in &report.fault.failed {
+        match injected(f.task) {
+            Some(InjectedFault::Delay) => {
+                assert_eq!(f.failure, TaskFailure::Deadline, "task {}", f.task);
+                delays += 1;
+            }
+            _ => assert!(matches!(f.failure, TaskFailure::Panicked { .. }), "task {}", f.task),
+        }
+    }
+    assert!(delays > 0, "seed {seed} injects no delay; pick another");
+    assert!(report.fault.retry_hist.is_empty(), "no Retry policy, no histogram");
+    assert!(report.accounting_reconciles());
 }

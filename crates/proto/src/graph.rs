@@ -126,6 +126,7 @@ impl GraphAssembler {
         if grown > self.limits.max_tasks {
             return Err(AssembleError::TooManyTasks { tasks: grown, limit: self.limits.max_tasks });
         }
+        self.trace.reserve(tasks.len());
         for t in tasks {
             if t.kernel.0 as usize >= self.kernels {
                 return Err(AssembleError::KernelOutOfRange {

@@ -444,7 +444,18 @@ fn put_outcome(out: &mut Vec<u8>, o: &GraphOutcome) {
 
 /// Encodes `frame` as one length-prefixed wire frame.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let mut out = vec![0u8; 4]; // length backpatched below
+    // A `Tasks` frame is the only big one (~12 KB at the default batch)
+    // and its size is known exactly: 4 length + 1 kind + 8 graph + 4
+    // count, then 11 bytes per task and 13 per operand. Reserving it
+    // replaces ~10 doublings of a 4-byte `Vec`.
+    let exact = match frame {
+        Frame::Tasks { tasks, .. } => {
+            17 + tasks.iter().map(|t| 11 + 13 * t.operands.len()).sum::<usize>()
+        }
+        _ => 4,
+    };
+    let mut out = Vec::with_capacity(exact);
+    out.extend_from_slice(&[0u8; 4]); // length backpatched below
     match frame {
         Frame::Hello { version } => {
             out.push(K_HELLO);
@@ -506,6 +517,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
         }
         Frame::ShutdownAck => out.push(K_SHUTDOWN_ACK),
     }
+    debug_assert!(exact == 4 || out.len() == exact, "Tasks frame size formula is off");
     let len = (out.len() - 4) as u32;
     debug_assert!(len <= MAX_FRAME, "encoded frame exceeds MAX_FRAME");
     out[..4].copy_from_slice(&len.to_le_bytes());

@@ -13,9 +13,15 @@
 //!    waiting in this queue.
 //! 3. Every run is armed with a [`CancelToken`] so drain
 //!    (DESIGN.md §14.4) can stop it after the drain deadline.
-//! 4. `catch_unwind` around the whole run: an executor-internal panic
-//!    (e.g. an oracle violation assert) becomes a structured
-//!    [`GraphOutcome::Failed`] instead of a dead runner.
+//! 4. `catch_unwind` around the whole run *and* the oracle check that
+//!    follows it: an executor-internal panic becomes a structured
+//!    [`GraphOutcome::Failed`] instead of a dead runner, and so does a
+//!    completion log the oracle rejects. The runner performs that check
+//!    itself, after the run ([`check_log`]), because a served trace is
+//!    single-use: the executor's own validation would build the
+//!    memoized `DepGraph` for one `validate_order` call and drop it,
+//!    which costs twice what checking the log against a streamed replay
+//!    does (DESIGN.md §14.3). No graph is answered `Completed` unchecked.
 //!
 //! Whatever happens, exactly one [`GraphRecord`] is entered in the
 //! outcome [`Ledger`] and one `Done` frame is attempted per admitted
@@ -29,7 +35,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use tss_exec::{CancelToken, ExecConfig, ExecError, Executor, FailurePolicy, PayloadMode};
+use tss_exec::executor::check_order;
+use tss_exec::{
+    CancelToken, ExecConfig, ExecError, ExecReport, Executor, FailurePolicy, PayloadMode,
+};
 use tss_proto::{Frame, GraphOutcome};
 use tss_trace::TaskTrace;
 
@@ -267,9 +276,34 @@ fn run_job(job: &Job, cancel: &CancelToken, ctx: &RunCtx) -> GraphOutcome {
         policy: FailurePolicy::Quarantine,
         run_deadline,
         cancel: Some(cancel.clone()),
+        // Checked below instead, without the memoized oracle.
+        validate: false,
         ..ExecConfig::default()
     };
-    let result = std::panic::catch_unwind(AssertUnwindSafe(|| Executor::new(cfg).run(&job.trace)));
+    let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        Executor::new(cfg).run(&job.trace).and_then(|report| check_log(&job.trace, report))
+    }));
+    outcome_of(total, result)
+}
+
+/// The oracle check every served graph gets before it may be reported
+/// `Completed`: the run's full completion log — failed and poisoned
+/// tasks included — must linearize the trace's enforced dependencies.
+/// Same predicate and same error as `Executor::run` with
+/// `validate: true`, minus the `DepGraph` build.
+fn check_log(trace: &TaskTrace, report: ExecReport) -> Result<ExecReport, ExecError> {
+    match check_order(trace, &report.order) {
+        Ok(()) => Ok(report),
+        Err(v) => Err(ExecError::OracleViolation { detail: v.to_string() }),
+    }
+}
+
+/// Maps what the contained run (and its check) produced onto the wire
+/// outcome for a graph of `total` tasks.
+fn outcome_of(
+    total: u64,
+    result: std::thread::Result<Result<ExecReport, ExecError>>,
+) -> GraphOutcome {
     match result {
         Ok(Ok(report)) => GraphOutcome::Completed {
             tasks: total,
@@ -320,4 +354,61 @@ fn deliver(job: &Job, outcome: GraphOutcome, ctx: &RunCtx) {
         outcome,
         delivered,
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tss_trace::OperandDesc;
+
+    /// 0 writes A; 1 reads A and writes B; 2 reads B.
+    fn chain() -> TaskTrace {
+        let mut tr = TaskTrace::new("chain");
+        let k = tr.add_kernel("k");
+        tr.push_task(k, 10, vec![OperandDesc::output(0xA0, 64)]);
+        tr.push_task(k, 10, vec![OperandDesc::input(0xA0, 64), OperandDesc::output(0xB0, 64)]);
+        tr.push_task(k, 10, vec![OperandDesc::input(0xB0, 64)]);
+        tr
+    }
+
+    fn unvalidated_run(trace: &TaskTrace) -> ExecReport {
+        let cfg = ExecConfig { threads: 2, validate: false, ..ExecConfig::default() };
+        let report = Executor::new(cfg).run(trace).expect("clean run");
+        assert!(!report.validated, "the runner, not the executor, checks a served graph");
+        report
+    }
+
+    #[test]
+    fn an_honest_log_is_completed() {
+        let trace = chain();
+        let result = check_log(&trace, unvalidated_run(&trace));
+        let outcome = outcome_of(3, Ok(result));
+        assert!(matches!(outcome, GraphOutcome::Completed { tasks: 3, failed: 0, .. }));
+    }
+
+    #[test]
+    fn a_doctored_log_fails_naming_the_inverted_dependency() {
+        let trace = chain();
+        let mut report = unvalidated_run(&trace);
+        assert_eq!(report.order, vec![0, 1, 2]);
+        report.order.swap(1, 2); // consumer 2 now "completes" before its producer 1
+        let outcome = outcome_of(3, Ok(check_log(&trace, report)));
+        let GraphOutcome::Failed { detail } = outcome else {
+            panic!("a log the oracle rejects must not be Completed: {outcome:?}");
+        };
+        assert!(detail.contains("oracle violation") && detail.contains("1 -> 2"), "{detail}");
+    }
+
+    #[test]
+    fn a_short_or_padded_log_fails_too() {
+        let trace = chain();
+        let mut short = unvalidated_run(&trace);
+        short.order.pop();
+        let mut padded = unvalidated_run(&trace);
+        padded.order[2] = 0;
+        for report in [short, padded] {
+            let outcome = outcome_of(3, Ok(check_log(&trace, report)));
+            assert!(matches!(outcome, GraphOutcome::Failed { .. }), "{outcome:?}");
+        }
+    }
 }

@@ -227,11 +227,143 @@ fn build_csr(n: usize, pairs: impl Iterator<Item = (u32, u32)> + Clone) -> (Vec<
     (off, dat)
 }
 
+/// The replay's working set: one [`ObjectState`] per distinct base
+/// address. The caller of [`for_each_edge`] allocates it and decides
+/// when it dies — `from_trace` keeps it alive across the CSR build on
+/// purpose (freeing ~10 MB of table early moves glibc's dynamic mmap
+/// threshold, after which the CSR arrays come from the heap and stay
+/// resident: +3 MB peak RSS over the paper traces in ten runs of ten,
+/// EXPERIMENTS.md "PR 15").
+pub(crate) struct ObjectTable {
+    // Declared (hence dropped) states-first but allocated index-first:
+    // the paper traces' peak RSS is sensitive to both orders (above).
+    states: Vec<ObjectState>,
+    /// Object states live in the dense vector above; the hash map only
+    /// interns addresses to indices. Keeping the map entries at 12
+    /// bytes (vs. a ~100-byte inline state) keeps the whole probe table
+    /// cache-resident for big traces.
+    index: AddrMap<u32>,
+}
+
+impl ObjectTable {
+    /// Sized for the common case of roughly one distinct object per
+    /// task (Table-I traces all fit); a wider-fan-in trace may still
+    /// rehash once or twice.
+    pub(crate) fn for_trace(trace: &TaskTrace) -> Self {
+        let n = trace.len().max(16);
+        let index = AddrMap::with_capacity_and_hasher(n, BuildHasherDefault::default());
+        ObjectTable { states: Vec::with_capacity(n), index }
+    }
+}
+
+/// The dependence rules, stated once: replays `trace` in program order
+/// over `table` and yields every classified edge `from → to` (`from`
+/// earlier in program order) in discovery order, duplicates included.
+/// [`DepGraph::from_trace`] collects the edges; the streaming
+/// [`check_order`] tests each enforced one against a completion order
+/// and keeps nothing.
+#[inline]
+pub(crate) fn for_each_edge(
+    trace: &TaskTrace,
+    table: &mut ObjectTable,
+    mut edge: impl FnMut(u32, u32, DepKind),
+) {
+    let ObjectTable { states, index } = table;
+    for (tid, task) in trace.iter().enumerate() {
+        for op in task.operands.iter().filter(|o| o.is_tracked()) {
+            let id = *index.entry(op.addr).or_insert_with(|| {
+                states.push(ObjectState::default());
+                (states.len() - 1) as u32
+            });
+            let st = &mut states[id as usize];
+            if op.dir.reads() {
+                // RaW from the in-flight producer, if any.
+                if let Some(w) = st.last_writer {
+                    if w != tid {
+                        edge(w as u32, tid as u32, DepKind::RaW);
+                    }
+                }
+            }
+            if op.dir.writes() {
+                let inout = op.dir.reads();
+                // Ordering against the previous version's readers.
+                for r in st.readers() {
+                    if r != tid {
+                        let kind = if inout { DepKind::InoutAnti } else { DepKind::WaR };
+                        edge(r as u32, tid as u32, kind);
+                    }
+                }
+                // Ordering against the previous writer.
+                if let Some(w) = st.last_writer {
+                    if w != tid && !inout {
+                        // (for inout the RaW edge above already covers it)
+                        edge(w as u32, tid as u32, DepKind::WaW);
+                    }
+                }
+                st.last_writer = Some(tid);
+                st.clear_readers();
+            }
+            if op.dir.reads() {
+                st.push_reader(tid);
+            }
+        }
+    }
+}
+
+/// `position[t]` = index of `t` in `order`, after checking that `order`
+/// names each of the `n` tasks exactly once.
+fn positions(n: usize, order: &[TaskId]) -> Result<Vec<u32>, OrderViolation> {
+    const UNSEEN: u32 = u32::MAX;
+    let mut position = vec![UNSEEN; n];
+    for (i, &t) in order.iter().enumerate() {
+        if t >= n {
+            return Err(OrderViolation::UnknownTask(t));
+        }
+        if position[t] != UNSEEN {
+            return Err(OrderViolation::DuplicateTask(t));
+        }
+        position[t] = i as u32;
+    }
+    if let Some(t) = position.iter().position(|&p| p == UNSEEN) {
+        return Err(OrderViolation::MissingTask(t));
+    }
+    Ok(position)
+}
+
+/// [`DepGraph::validate_order`]'s predicate without the graph: replays
+/// `trace` once and tests every enforced edge against `order` as
+/// [`for_each_edge`] yields it — no edge list, no CSR, nothing
+/// memoized. [`TaskTrace::check_order`] is the only caller and says
+/// when this beats building the oracle.
+///
+/// Accepts and rejects exactly the orders `validate_order` does, with
+/// the same violation kind; when several dependencies are inverted it
+/// names the first in program order where `validate_order` names the
+/// first in completion order.
+pub(crate) fn check_order(trace: &TaskTrace, order: &[TaskId]) -> Result<(), OrderViolation> {
+    let position = positions(trace.len(), order)?;
+    let mut table = ObjectTable::for_trace(trace);
+    let mut first = None;
+    for_each_edge(trace, &mut table, |from, to, kind| {
+        if kind.enforced() && position[from as usize] > position[to as usize] && first.is_none() {
+            first = Some(OrderViolation::ProducerAfterConsumer {
+                producer: from as TaskId,
+                consumer: to as TaskId,
+            });
+        }
+    });
+    first.map_or(Ok(()), Err)
+}
+
 impl DepGraph {
     /// Builds the graph by exact replay of `trace` in program order.
     ///
-    /// Prefer [`TaskTrace::dep_graph`] when the trace is shared (sweeps,
-    /// repeated validation): it memoizes one `Arc<DepGraph>` per trace.
+    /// Which entry point to use: [`TaskTrace::dep_graph`] when the trace
+    /// is shared or checked more than once (sweeps, repeated
+    /// validation, the simulators) — it memoizes one `Arc<DepGraph>`
+    /// per trace; [`TaskTrace::check_order`] to check one completion
+    /// order of a trace nobody will check again; `from_trace` directly
+    /// only for a private, unshared graph.
     pub fn from_trace(trace: &TaskTrace) -> Self {
         let n = trace.len();
         // Rough upper-bound reservation: one RaW per read plus ordering
@@ -240,63 +372,10 @@ impl DepGraph {
         // was measurable in the software-runtime build.
         let total_ops: usize = trace.iter().map(|t| t.operands.len()).sum();
         let mut edges = Vec::with_capacity(2 * total_ops);
-        // Object states live in a dense vector; the hash map only
-        // interns addresses to indices. Keeping the map entries at 12
-        // bytes (vs. a ~100-byte inline state) keeps the whole probe
-        // table cache-resident for big traces. Sized for the common
-        // case of roughly one distinct object per task (Table-I traces
-        // all fit); a wider-fan-in trace may still rehash once or twice.
-        let mut object_index: AddrMap<u32> =
-            AddrMap::with_capacity_and_hasher(n.max(16), BuildHasherDefault::default());
-        let mut states: Vec<ObjectState> = Vec::with_capacity(n.max(16));
-
-        for (tid, task) in trace.iter().enumerate() {
-            for op in task.operands.iter().filter(|o| o.is_tracked()) {
-                let id = *object_index.entry(op.addr).or_insert_with(|| {
-                    states.push(ObjectState::default());
-                    (states.len() - 1) as u32
-                });
-                let st = &mut states[id as usize];
-                if op.dir.reads() {
-                    // RaW from the in-flight producer, if any.
-                    if let Some(w) = st.last_writer {
-                        if w != tid {
-                            edges.push(DepEdge {
-                                from: w as u32,
-                                to: tid as u32,
-                                kind: DepKind::RaW,
-                            });
-                        }
-                    }
-                }
-                if op.dir.writes() {
-                    let inout = op.dir.reads();
-                    // Ordering against the previous version's readers.
-                    for r in st.readers() {
-                        if r != tid {
-                            let kind = if inout { DepKind::InoutAnti } else { DepKind::WaR };
-                            edges.push(DepEdge { from: r as u32, to: tid as u32, kind });
-                        }
-                    }
-                    // Ordering against the previous writer.
-                    if let Some(w) = st.last_writer {
-                        if w != tid && !inout {
-                            // (for inout the RaW edge above already covers it)
-                            edges.push(DepEdge {
-                                from: w as u32,
-                                to: tid as u32,
-                                kind: DepKind::WaW,
-                            });
-                        }
-                    }
-                    st.last_writer = Some(tid);
-                    st.clear_readers();
-                }
-                if op.dir.reads() {
-                    st.push_reader(tid);
-                }
-            }
-        }
+        // Allocated after `edges` and dropped when this function
+        // returns, not before the CSR build (see `ObjectTable`).
+        let mut table = ObjectTable::for_trace(trace);
+        for_each_edge(trace, &mut table, |from, to, kind| edges.push(DepEdge { from, to, kind }));
 
         let removed = edges.iter().filter(|e| !e.kind.enforced()).count();
         let enforced: Vec<(u32, u32)> =
@@ -363,21 +442,7 @@ impl DepGraph {
     ///
     /// Returns the first [`OrderViolation`] found.
     pub fn validate_order(&self, order: &[TaskId]) -> Result<(), OrderViolation> {
-        // position[t] = index of t in `order`.
-        const UNSEEN: u32 = u32::MAX;
-        let mut position = vec![UNSEEN; self.n];
-        for (i, &t) in order.iter().enumerate() {
-            if t >= self.n {
-                return Err(OrderViolation::UnknownTask(t));
-            }
-            if position[t] != UNSEEN {
-                return Err(OrderViolation::DuplicateTask(t));
-            }
-            position[t] = i as u32;
-        }
-        if let Some(t) = (0..self.n).find(|&t| position[t] == UNSEEN) {
-            return Err(OrderViolation::MissingTask(t));
-        }
+        let position = positions(self.n, order)?;
         for (i, &t) in order.iter().enumerate() {
             for &p in self.preds(t) {
                 if position[p] > i as u32 {
@@ -579,6 +644,40 @@ mod tests {
         assert_eq!(g.validate_order(&[0, 7]), Err(OrderViolation::UnknownTask(7)));
         let msg = OrderViolation::ProducerAfterConsumer { producer: 3, consumer: 9 }.to_string();
         assert!(msg.contains("3 -> 9"));
+    }
+
+    /// The streaming check (`TaskTrace::check_order` on a trace that
+    /// never built its graph) against each edge kind.
+    #[test]
+    fn streaming_check_enforces_raw_and_inout_anti_only() {
+        let tr = trace_of(vec![
+            vec![OperandDesc::output(0x100, 64)], // 0: writes v0
+            vec![OperandDesc::input(0x100, 64)],  // 1: reads v0        (RaW 0→1)
+            vec![OperandDesc::inout(0x100, 64)],  // 2: v0 → v1 in place (RaW 0→2, InoutAnti 1→2)
+            vec![OperandDesc::input(0x100, 64)],  // 3: reads v1        (RaW 2→3)
+            vec![OperandDesc::output(0x100, 64)], // 4: renamed v2      (WaR 3→4, WaW 2→4)
+        ]);
+        assert_eq!(tr.check_order(&[0, 1, 2, 3, 4]), Ok(()));
+        // Only the renamed WaR/WaW edges inverted: task 4 may run first.
+        assert_eq!(tr.check_order(&[4, 0, 1, 2, 3]), Ok(()));
+        assert_eq!(
+            tr.check_order(&[1, 0, 2, 3, 4]),
+            Err(OrderViolation::ProducerAfterConsumer { producer: 0, consumer: 1 }),
+            "inverted RaW"
+        );
+        assert_eq!(
+            tr.check_order(&[0, 2, 1, 3, 4]),
+            Err(OrderViolation::ProducerAfterConsumer { producer: 1, consumer: 2 }),
+            "inverted InoutAnti"
+        );
+        assert_eq!(tr.check_order(&[0, 1, 2, 3, 3]), Err(OrderViolation::DuplicateTask(3)));
+        assert_eq!(tr.check_order(&[0, 1, 2, 3]), Err(OrderViolation::MissingTask(4)));
+        assert_eq!(tr.check_order(&[0, 1, 2, 3, 9]), Err(OrderViolation::UnknownTask(9)));
+        // Every verdict above agrees with the graph oracle's.
+        let g = DepGraph::from_trace(&tr);
+        for order in [[0, 1, 2, 3, 4], [4, 0, 1, 2, 3], [1, 0, 2, 3, 4], [0, 2, 1, 3, 4]] {
+            assert_eq!(tr.check_order(&order), g.validate_order(&order), "{order:?}");
+        }
     }
 
     #[test]

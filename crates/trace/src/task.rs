@@ -210,13 +210,47 @@ impl TaskTrace {
         self.tasks.len() - 1
     }
 
+    /// Reserves room for `additional` more tasks (a batch arriving off
+    /// the wire pushes its tasks one by one).
+    pub fn reserve(&mut self, additional: usize) {
+        self.tasks.reserve(additional);
+    }
+
     /// The memoized dependency oracle of this trace (built on first use
     /// by [`crate::graph::DepGraph::from_trace`]; shared by clones,
-    /// invalidated by [`TaskTrace::push`]).
+    /// invalidated by [`TaskTrace::push`]). The right call for a trace
+    /// that is run, simulated or validated more than once: the build
+    /// (80–150 ns/task across the Table-I traces) is paid once and
+    /// every later use is an `Arc` clone. For a trace checked exactly
+    /// once, see [`TaskTrace::check_order`].
     pub fn dep_graph(&self) -> std::sync::Arc<crate::graph::DepGraph> {
         self.graph_cache
             .get_or_init(|| std::sync::Arc::new(crate::graph::DepGraph::from_trace(self)))
             .clone()
+    }
+
+    /// Checks a completion order against the enforced dependencies —
+    /// the predicate of [`DepGraph::validate_order`](crate::graph::DepGraph::validate_order)
+    /// — without building the oracle for it: a trace that already has
+    /// its memoized graph uses it, any other is replayed once with each
+    /// enforced edge tested as it is found (about half the cost of the
+    /// build), and nothing is memoized. Meant for the owner of a
+    /// single-use trace (the server checks each served graph this way,
+    /// DESIGN.md §14.3); a caller that will check or run the trace
+    /// again should take [`TaskTrace::dep_graph`] instead — streaming
+    /// twice costs more than building once.
+    ///
+    /// # Errors
+    ///
+    /// An [`OrderViolation`](crate::graph::OrderViolation): the same
+    /// accept/reject decision and violation kind as `validate_order`;
+    /// of several inverted dependencies the streaming path names the
+    /// first in program order.
+    pub fn check_order(&self, order: &[TaskId]) -> Result<(), crate::graph::OrderViolation> {
+        match self.graph_cache.get() {
+            Some(graph) => graph.validate_order(order),
+            None => crate::graph::check_order(self, order),
+        }
     }
 
     /// Convenience: create and append a task.
@@ -381,6 +415,34 @@ mod tests {
         assert!((tr.avg_runtime() - 200.0).abs() < 1e-12);
         assert!((tr.avg_data_bytes() - (64.0 + 64.0 + 128.0) / 3.0).abs() < 1e-12);
         assert_eq!(tr.kernel_name(k), "k");
+    }
+
+    #[test]
+    fn check_order_memoizes_nothing_and_uses_a_graph_that_is_there() {
+        use crate::graph::OrderViolation::ProducerAfterConsumer;
+        let mut tr = TaskTrace::new("two-pairs");
+        let k = tr.add_kernel("k");
+        tr.push_task(k, 1, vec![OperandDesc::output(0xA0, 64)]);
+        tr.push_task(k, 1, vec![OperandDesc::input(0xA0, 64)]);
+        tr.push_task(k, 1, vec![OperandDesc::output(0xB0, 64)]);
+        tr.push_task(k, 1, vec![OperandDesc::input(0xB0, 64)]);
+        // Both dependencies inverted. The streaming path meets 0→1 first
+        // (program order), the graph path 2→3 (completion order): which
+        // one is named tells the two paths apart.
+        let backwards = [3, 2, 1, 0];
+        assert_eq!(tr.check_order(&[0, 1, 2, 3]), Ok(()));
+        assert_eq!(
+            tr.check_order(&backwards),
+            Err(ProducerAfterConsumer { producer: 0, consumer: 1 })
+        );
+        assert!(tr.graph_cache.get().is_none(), "a streamed check must not memoize");
+        let graph = tr.dep_graph();
+        assert_eq!(tr.check_order(&[0, 1, 2, 3]), Ok(()));
+        assert_eq!(
+            tr.check_order(&backwards),
+            Err(ProducerAfterConsumer { producer: 2, consumer: 3 })
+        );
+        assert_eq!(tr.check_order(&backwards), graph.validate_order(&backwards));
     }
 
     #[test]

@@ -1,6 +1,9 @@
 //! Property-based tests (proptest) on the core invariants:
 //!
 //! - the dependency oracle matches a brute-force O(n²) recomputation;
+//! - the streaming order check (`TaskTrace::check_order` on a trace with
+//!   no memoized graph) and `DepGraph::validate_order` give the same
+//!   verdict on valid, perturbed and malformed completion orders;
 //! - every hardware-pipeline schedule satisfies the oracle and drains
 //!   all frontend state, for arbitrary traces and (tiny) configurations;
 //! - the TRS block allocator never double-allocates and always restores
@@ -16,7 +19,7 @@ use task_superscalar::pipeline::blocks::{blocks_for_operands, BlockStore};
 use task_superscalar::pipeline::{FrontendConfig, Msg};
 use task_superscalar::sim::Simulation;
 use task_superscalar::trace::{
-    validate_schedule, DepGraph, DepKind, Direction, OperandDesc, TaskTrace,
+    validate_schedule, DepGraph, DepKind, Direction, OperandDesc, OrderViolation, TaskTrace,
 };
 
 // ---------------------------------------------------------------------
@@ -108,6 +111,124 @@ fn brute_force_preds(tr: &TaskTrace) -> Vec<Vec<usize>> {
         p.dedup();
     }
     preds
+}
+
+// ---------------------------------------------------------------------
+// Streaming order check vs the graph oracle
+// ---------------------------------------------------------------------
+
+/// Unlike [`trace_from_specs`]: scalars mixed in (`dir` 3) and an object
+/// may appear in several operands of one task.
+fn loose_trace(specs: &[Vec<OpSpec>]) -> TaskTrace {
+    let mut tr = TaskTrace::new("loose");
+    let k = tr.add_kernel("k");
+    for ops in specs {
+        let operands = ops
+            .iter()
+            .map(|op| {
+                let addr = 0x10_0000 + op.obj as u64 * 0x1_0000;
+                match op.dir {
+                    0 => OperandDesc::input(addr, 256),
+                    1 => OperandDesc::output(addr, 256),
+                    2 => OperandDesc::inout(addr, 256),
+                    _ => OperandDesc::scalar(8),
+                }
+            })
+            .collect();
+        tr.push_task(k, 100, operands);
+    }
+    tr
+}
+
+/// A linearization of `g` chosen by `picks` (Kahn's algorithm, taking
+/// the `picks[i] % ready`-th ready task at step i).
+fn linearize(g: &DepGraph, picks: &[usize]) -> Vec<usize> {
+    let mut waiting: Vec<usize> = (0..g.len()).map(|t| g.preds(t).len()).collect();
+    let mut ready: Vec<usize> = g.roots().collect();
+    let mut order = Vec::with_capacity(g.len());
+    while !ready.is_empty() {
+        let t = ready.swap_remove(picks[order.len()] % ready.len());
+        order.push(t);
+        for &s in g.succs(t) {
+            waiting[s] -= 1;
+            if waiting[s] == 0 {
+                ready.push(s);
+            }
+        }
+    }
+    order
+}
+
+fn index_of(order: &[usize], t: usize) -> usize {
+    order.iter().position(|&x| x == t).expect("order names the task")
+}
+
+/// Task specs, Kahn picks, random swaps, and `(malformation, index)`.
+type OrderCase = (Vec<Vec<OpSpec>>, Vec<usize>, Vec<(usize, usize)>, (u8, usize));
+
+fn arb_order_case() -> impl Strategy<Value = OrderCase> {
+    let op = (0u8..6, 0u8..4).prop_map(|(obj, dir)| OpSpec { obj, dir });
+    let task = prop::collection::vec(op, 1..5);
+    (2usize..40).prop_flat_map(move |n| {
+        (
+            prop::collection::vec(task.clone(), n..=n),
+            prop::collection::vec(0usize..1 << 16, n..=n),
+            prop::collection::vec((0usize..n, 0usize..n), 0..4),
+            (0u8..5, 0usize..n),
+        )
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn streaming_order_check_matches_the_graph_oracle(
+        (specs, picks, swaps, (malform, at)) in arb_order_case(),
+    ) {
+        let tr = loose_trace(&specs);
+        let g = DepGraph::from_trace(&tr); // a private graph: `tr` memoizes nothing
+        let mut order = linearize(&g, &picks);
+        prop_assert_eq!(g.validate_order(&order), Ok(()));
+        prop_assert_eq!(tr.check_order(&order), Ok(()), "valid linearization rejected");
+        for &(a, b) in &swaps {
+            order.swap(a, b);
+        }
+        match malform {
+            0 => order[at] = order[(at + 1) % order.len()], // a duplicated id (and a missing one)
+            1 => drop(order.remove(at)),                    // a dropped id
+            2 => order[at] = tr.len() + at,                 // an out-of-range id
+            3 if !g.edges().is_empty() => {
+                // One classified edge inverted, whatever its kind: a
+                // renamed WaR/WaW may pass, a RaW/InoutAnti may not.
+                let e = g.edges()[picks[at] % g.edges().len()];
+                let (from, to) = (index_of(&order, e.from_id()), index_of(&order, e.to_id()));
+                order.swap(from, to);
+            }
+            _ => {} // the random swaps only
+        }
+        let streamed = tr.check_order(&order);
+        let oracle = g.validate_order(&order);
+        match (streamed, oracle) {
+            (Ok(()), Ok(())) => {}
+            // With several inverted dependencies the two name different
+            // ones (first in program order vs first in completion
+            // order); both must name a real enforced edge that `order`
+            // inverts.
+            (
+                Err(OrderViolation::ProducerAfterConsumer { producer, consumer }),
+                Err(OrderViolation::ProducerAfterConsumer { .. }),
+            ) => {
+                prop_assert!(g.preds(consumer).contains(&producer), "not an enforced edge");
+                prop_assert!(
+                    index_of(&order, producer) > index_of(&order, consumer),
+                    "edge is not inverted"
+                );
+            }
+            // Unknown / duplicate / missing: identical, down to the id.
+            (s, o) => prop_assert_eq!(s, o, "verdicts differ on {:?}", order),
+        }
+    }
 }
 
 proptest! {
