@@ -695,8 +695,8 @@ struct Shared<'a, R: ReleaseSuccs, P: SchedPolicy> {
     trace: &'a TaskTrace,
     /// Traced runtimes as a dense SoA column (only populated for spin
     /// payloads): the readiness/dispatch hot path must not drag each
-    /// task's whole `TaskDesc` (operand `Vec` header included) through
-    /// the cache for one u64.
+    /// task's whole 72-byte `TaskDesc` (inline operand slots included)
+    /// through the cache for one u64.
     runtimes: Vec<Cycle>,
     n: usize,
     /// Completion tickets: `order[k]` is the k-th task to complete.

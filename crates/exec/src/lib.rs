@@ -86,7 +86,7 @@ pub const fn obs_enabled() -> bool {
 }
 
 use tss_sim::us_to_cycles;
-use tss_trace::{KernelId, OperandDesc, TaskDesc, TaskId, TaskTrace};
+use tss_trace::{KernelId, OperandBuf, OperandDesc, TaskDesc, TaskId, TaskTrace};
 
 /// Builds a task graph through spawn calls instead of a pre-recorded
 /// trace — the programming-model face of the executor (what a StarSs
@@ -113,7 +113,7 @@ impl TaskGraphBuilder {
     /// Starts spawning one task of `kernel`; finish with
     /// [`TaskSpawner::spawn`].
     pub fn task(&mut self, kernel: KernelId) -> TaskSpawner<'_> {
-        TaskSpawner { builder: self, kernel, runtime: 1, operands: Vec::new() }
+        TaskSpawner { builder: self, kernel, runtime: 1, operands: OperandBuf::new() }
     }
 
     /// Tasks spawned so far.
@@ -139,7 +139,7 @@ pub struct TaskSpawner<'a> {
     builder: &'a mut TaskGraphBuilder,
     kernel: KernelId,
     runtime: tss_sim::Cycle,
-    operands: Vec<OperandDesc>,
+    operands: OperandBuf,
 }
 
 impl TaskSpawner<'_> {
@@ -185,7 +185,8 @@ impl TaskSpawner<'_> {
     /// Panics if the operand count exceeds `tss_trace::MAX_OPERANDS`
     /// (the TRS inode limit the hardware shares).
     pub fn spawn(self) -> TaskId {
-        self.builder.trace.push(TaskDesc::new(self.kernel, self.runtime, self.operands))
+        let operands = self.operands.finish().unwrap_or_else(|e| panic!("{e}"));
+        self.builder.trace.push(TaskDesc::new(self.kernel, self.runtime, operands))
     }
 }
 

@@ -22,9 +22,12 @@ pub struct AssemblerLimits {
 
 impl Default for AssemblerLimits {
     fn default() -> Self {
-        // 1M tasks ≈ tens of MB of operand descriptors: far above any
-        // benchmark trace, low enough that one hostile graph cannot
-        // take the host down.
+        // 1M tasks pin 72 MB of task records (`size_of::<TaskDesc>()` =
+        // 72, DESIGN.md §16) plus 16 B per operand of every task with
+        // more than three — at most ~380 MB with every task at
+        // `MAX_OPERANDS`, which takes 258 MB of wire to ask for: far
+        // above any benchmark trace, low enough that one hostile graph
+        // cannot take the host down.
         AssemblerLimits { max_tasks: 1 << 20 }
     }
 }
@@ -120,24 +123,23 @@ impl GraphAssembler {
         self.tasks
     }
 
-    /// Appends one `Tasks` batch.
+    /// Appends one `Tasks` batch: its kernel ids are checked first, then
+    /// the whole `Vec` goes into the trace at once. A refused batch
+    /// appends nothing.
     pub fn push_tasks(&mut self, tasks: Vec<TaskDesc>) -> Result<(), AssembleError> {
         let grown = self.tasks + tasks.len() as u64;
         if grown > self.limits.max_tasks {
             return Err(AssembleError::TooManyTasks { tasks: grown, limit: self.limits.max_tasks });
         }
-        self.trace.reserve(tasks.len());
-        for t in tasks {
-            if t.kernel.0 as usize >= self.kernels {
-                return Err(AssembleError::KernelOutOfRange {
-                    task: self.tasks,
-                    kernel: t.kernel.0,
-                    kernels: self.kernels,
-                });
-            }
-            self.trace.push(t);
-            self.tasks += 1;
+        if let Some(at) = tasks.iter().position(|t| t.kernel.0 as usize >= self.kernels) {
+            return Err(AssembleError::KernelOutOfRange {
+                task: self.tasks + at as u64,
+                kernel: tasks[at].kernel.0,
+                kernels: self.kernels,
+            });
         }
+        self.tasks = grown;
+        self.trace.extend_tasks(tasks);
         Ok(())
     }
 
@@ -158,6 +160,8 @@ impl GraphAssembler {
 
 /// Client-side inverse: chunks `trace` into the frame sequence that
 /// reassembles it (`OpenGraph`, `Tasks` batches of `chunk`, `Seal`).
+/// Each batch is one allocation plus one more per task whose operands
+/// spill (DESIGN.md §16).
 pub fn graph_frames(graph: u64, deadline_ms: u32, trace: &TaskTrace, chunk: usize) -> Vec<Frame> {
     let chunk = chunk.max(1);
     let kernels: Vec<String> = (0..trace.kernel_count())
@@ -230,6 +234,18 @@ mod tests {
         let err =
             asm.push_tasks(vec![TaskDesc::new(KernelId(5), 1, vec![])]).expect_err("must reject");
         assert_eq!(err, AssembleError::KernelOutOfRange { task: 0, kernel: 5, kernels: 1 });
+    }
+
+    #[test]
+    fn kernel_out_of_range_names_the_task_by_its_index_in_the_graph() {
+        let mut asm = GraphAssembler::open("g", &["k".into()], 0, AssemblerLimits::default());
+        let good = || TaskDesc::new(KernelId(0), 1, []);
+        asm.push_tasks(vec![good(), good(), good()]).expect("a valid batch");
+        let err = asm
+            .push_tasks(vec![good(), TaskDesc::new(KernelId(9), 1, []), good()])
+            .expect_err("must reject");
+        assert_eq!(err, AssembleError::KernelOutOfRange { task: 4, kernel: 9, kernels: 1 });
+        assert_eq!(asm.tasks(), 3, "a refused batch appends nothing");
     }
 
     #[test]

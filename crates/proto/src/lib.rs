@@ -7,9 +7,9 @@
 //! 1. **Decode never panics and never hangs.** Every frame arrives
 //!    from an untrusted peer. All parsing is bounds-checked through
 //!    [`wire::Cur`], every length field is capped *before* any
-//!    allocation sizes off it, and the semantic invariants that
-//!    [`tss_trace::TaskDesc::new`] enforces by panicking (operand
-//!    count, scalar directionality) are re-checked here first so a
+//!    allocation sizes off it, and the two operand rules (count,
+//!    scalar directionality) are invariants of [`tss_trace::Operands`]
+//!    whose fallible constructor the decoder goes through, so a
 //!    hostile frame becomes a [`DecodeError`], never an abort. The
 //!    fuzz suite (`tests/fuzz.rs`) pins this: arbitrary truncation or
 //!    corruption of valid frames must yield `Err`, never a panic.

@@ -8,7 +8,10 @@
 
 use crate::{MAGIC, MAX_FRAME, MAX_KERNELS, MAX_NAME};
 use std::io::{Read, Write};
-use tss_trace::{Direction, KernelId, OperandDesc, OperandKind, TaskDesc, MAX_OPERANDS};
+use tss_trace::{
+    Direction, KernelId, OperandBuf, OperandDesc, OperandKind, OperandsError, TaskDesc,
+    MAX_OPERANDS,
+};
 
 /// Why a server refused a graph (DESIGN.md §14.2). Every variant is a
 /// protocol-level answer, not a transport failure: the session stays
@@ -325,6 +328,15 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+impl From<OperandsError> for DecodeError {
+    fn from(e: OperandsError) -> Self {
+        match e {
+            OperandsError::TooMany { count } => DecodeError::TooManyOperands { count },
+            OperandsError::ScalarNotInput => DecodeError::ScalarNotInput,
+        }
+    }
+}
+
 /// Transport-level failure reading a frame off a stream.
 #[derive(Debug)]
 pub enum WireError {
@@ -603,8 +615,7 @@ fn get_operand(c: &mut Cur<'_>) -> Result<OperandDesc, DecodeError> {
     if flags >> 3 != 0 {
         return Err(DecodeError::BadEnum { field: "operand flags", got: flags });
     }
-    if kind == OperandKind::Scalar && dir != Direction::In {
-        // `TaskDesc::new` panics on this; refuse it structurally.
+    if !OperandDesc::allows(kind, dir) {
         return Err(DecodeError::ScalarNotInput);
     }
     let addr = c.u64("operand addr")?;
@@ -612,20 +623,23 @@ fn get_operand(c: &mut Cur<'_>) -> Result<OperandDesc, DecodeError> {
     Ok(OperandDesc { addr, size, dir, kind })
 }
 
-fn get_task(c: &mut Cur<'_>) -> Result<TaskDesc, DecodeError> {
+/// Decodes one task through `operands`, the frame's stack buffer: a
+/// task whose operands fit inline costs no allocation (DESIGN.md §16).
+fn get_task(c: &mut Cur<'_>, operands: &mut OperandBuf) -> Result<TaskDesc, DecodeError> {
     let kernel = KernelId(c.u16("task kernel")?);
     let runtime = c.u64("task runtime")?; // Cycle = u64 on the wire
     let nops = c.u8("operand count")? as usize;
+    // `Operands` would refuse this count and a writing scalar by
+    // itself; checking each where its byte is read reports the declared
+    // count and names the first broken field of a doubly broken frame.
     if nops > MAX_OPERANDS {
         return Err(DecodeError::TooManyOperands { count: nops });
     }
-    let mut operands = Vec::with_capacity(nops);
+    operands.clear();
     for _ in 0..nops {
         operands.push(get_operand(c)?);
     }
-    // Both `TaskDesc::new` panic conditions were checked above, so this
-    // cannot abort on hostile input.
-    Ok(TaskDesc::new(kernel, runtime, operands))
+    Ok(TaskDesc { kernel, runtime, operands: operands.finish()? })
 }
 
 /// Decodes one frame from `kind` + `body` (the bytes after the length
@@ -664,11 +678,14 @@ pub fn decode_frame(kind: u8, body: &[u8]) -> Result<Frame, DecodeError> {
         K_TASKS => {
             let graph = c.u64("tasks graph id")?;
             let count = c.u32("task count")? as usize;
-            // Minimum encoded task is 11 bytes; never allocate past
-            // what the body can hold.
+            // Minimum encoded task is 11 bytes, so the body bounds the
+            // reservation whatever `count` claims — at
+            // `size_of::<TaskDesc>()` = 72 resident bytes per 11 wire
+            // bytes, up to ~6.5x the frame (27 MB at `MAX_FRAME`).
             let mut tasks = Vec::with_capacity(count.min(c.remaining() / 11 + 1));
+            let mut operands = OperandBuf::new();
             for _ in 0..count {
-                tasks.push(get_task(&mut c)?);
+                tasks.push(get_task(&mut c, &mut operands)?);
             }
             Frame::Tasks { graph, tasks }
         }
@@ -862,6 +879,27 @@ mod tests {
             detail: "truncated at task kernel".into(),
         });
         roundtrip(Frame::ShutdownAck);
+    }
+
+    #[test]
+    fn every_operand_count_round_trips() {
+        // 0..=19: inline, the inline/spill boundary, and the TRS limit.
+        let operand = |i: usize| match i % 4 {
+            0 => OperandDesc::input(0x1000 * i as u64, 64),
+            1 => OperandDesc::output(0x1000 * i as u64, 128),
+            2 => OperandDesc::inout(0x1000 * i as u64, 8),
+            _ => OperandDesc::scalar(4),
+        };
+        let tasks: Vec<TaskDesc> = (0..=MAX_OPERANDS)
+            .map(|n| {
+                TaskDesc::new(KernelId(n as u16), n as u64, (0..n).map(operand).collect::<Vec<_>>())
+            })
+            .collect();
+        for (n, t) in tasks.iter().enumerate() {
+            assert_eq!(t.operands.len(), n);
+            roundtrip(Frame::Tasks { graph: 1, tasks: vec![t.clone()] });
+        }
+        roundtrip(Frame::Tasks { graph: 1, tasks });
     }
 
     #[test]

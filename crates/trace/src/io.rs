@@ -15,6 +15,7 @@
 //! Addresses and sizes are hexadecimal/decimal as shown; one `task` line
 //! per task in program order.
 
+use crate::operands::OperandBuf;
 use crate::task::{Direction, KernelId, OperandDesc, OperandKind, TaskDesc, TaskTrace};
 
 /// Why parsing failed.
@@ -132,7 +133,7 @@ pub fn from_text(text: &str) -> Result<TaskTrace, ParseTraceError> {
                     .ok_or_else(|| err(lineno, "task needs a runtime".into()))?
                     .parse()
                     .map_err(|e| err(lineno, format!("bad runtime: {e}")))?;
-                let mut operands = Vec::new();
+                let mut operands = OperandBuf::new();
                 for op in parts {
                     let fields: Vec<&str> = op.split(':').collect();
                     let operand = match fields.as_slice() {
@@ -159,9 +160,7 @@ pub fn from_text(text: &str) -> Result<TaskTrace, ParseTraceError> {
                     };
                     operands.push(operand);
                 }
-                if operands.len() > crate::task::MAX_OPERANDS {
-                    return Err(err(lineno, format!("{} operands exceed 19", operands.len())));
-                }
+                let operands = operands.finish().map_err(|e| err(lineno, e.to_string()))?;
                 trace.push(TaskDesc::new(KernelId(kid), runtime, operands));
             }
             Some(other) => return Err(err(lineno, format!("unknown directive '{other}'"))),

@@ -20,12 +20,14 @@
 pub mod analytics;
 pub mod graph;
 pub mod io;
+pub mod operands;
 pub mod schedule;
 pub mod task;
 
 pub use analytics::{dataflow_bound, parallelism_profile, ParallelismProfile};
 pub use graph::{DepGraph, DepKind, OrderViolation};
 pub use io::{from_text, to_text, ParseTraceError};
+pub use operands::{OperandBuf, Operands, OperandsError, INLINE_OPERANDS};
 pub use schedule::{validate_schedule, ScheduleError, ScheduleRecord};
 pub use task::{
     Direction, KernelId, OperandDesc, OperandKind, TaskDesc, TaskId, TaskTrace, MAX_OPERANDS,

@@ -6,11 +6,12 @@
 //! explicit directionality, or scalar values (inputs only) — Section
 //! III.A.
 
+use crate::operands::Operands;
 use tss_sim::Cycle;
 
 /// Maximum operands per task supported by the TRS inode layout: one main
 /// block holds 4 operands, up to three indirect blocks hold 5 each
-/// (paper, Figure 11).
+/// (paper, Figure 11). [`Operands`] holds every list to it.
 pub const MAX_OPERANDS: usize = 19;
 
 /// Index of a task within its [`TaskTrace`] (program/creation order).
@@ -100,8 +101,15 @@ impl OperandDesc {
 
     /// A scalar (immediate) operand; scalars are always inputs
     /// (Section III.A).
-    pub fn scalar(size: u32) -> Self {
+    pub const fn scalar(size: u32) -> Self {
         OperandDesc { addr: 0, size, dir: Direction::In, kind: OperandKind::Scalar }
+    }
+
+    /// Whether the programming model has an operand of this kind and
+    /// direction: scalars are always inputs (Section III.A). The fields
+    /// are public, so this is a rule of [`Operands`], not of this type.
+    pub fn allows(kind: OperandKind, dir: Direction) -> bool {
+        kind == OperandKind::Memory || dir == Direction::In
     }
 
     /// Whether this operand participates in dependency tracking.
@@ -111,6 +119,8 @@ impl OperandDesc {
 }
 
 /// One task: a kernel instance with a measured runtime and its operands.
+/// A 72-byte record that owns no heap while its operands fit inline
+/// (DESIGN.md §16).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskDesc {
     /// Which kernel this task executes.
@@ -118,27 +128,19 @@ pub struct TaskDesc {
     /// Core-occupancy time when executed (trace-driven, like TaskSim).
     pub runtime: Cycle,
     /// The task's operands, in kernel-signature order.
-    pub operands: Vec<OperandDesc>,
+    pub operands: Operands,
 }
 
 impl TaskDesc {
-    /// Creates a task.
+    /// Creates a task. `operands` is an array, a slice, a `Vec` or an
+    /// already-built [`Operands`].
     ///
     /// # Panics
     ///
     /// Panics if `operands` exceeds [`MAX_OPERANDS`] (the TRS inode
     /// layout limit) or if a scalar operand is not an input.
-    pub fn new(kernel: KernelId, runtime: Cycle, operands: Vec<OperandDesc>) -> Self {
-        assert!(
-            operands.len() <= MAX_OPERANDS,
-            "task has {} operands; the TRS layout supports at most {MAX_OPERANDS}",
-            operands.len()
-        );
-        assert!(
-            operands.iter().all(|o| o.kind == OperandKind::Memory || o.dir == Direction::In),
-            "scalar operands can only be inputs"
-        );
-        TaskDesc { kernel, runtime, operands }
+    pub fn new(kernel: KernelId, runtime: Cycle, operands: impl Into<Operands>) -> Self {
+        TaskDesc { kernel, runtime, operands: operands.into() }
     }
 
     /// Total bytes of memory operands (the "data size" of Table I).
@@ -210,10 +212,16 @@ impl TaskTrace {
         self.tasks.len() - 1
     }
 
-    /// Reserves room for `additional` more tasks (a batch arriving off
-    /// the wire pushes its tasks one by one).
-    pub fn reserve(&mut self, additional: usize) {
-        self.tasks.reserve(additional);
+    /// Appends a batch of tasks (program order) — a `Tasks` frame off
+    /// the wire. The first batch of an empty trace is adopted as is;
+    /// later ones are one flat copy each, no per-task work.
+    pub fn extend_tasks(&mut self, mut tasks: Vec<TaskDesc>) {
+        self.graph_cache.take(); // deps changed: drop the memoized graph
+        if self.tasks.is_empty() {
+            self.tasks = tasks;
+        } else {
+            self.tasks.append(&mut tasks);
+        }
     }
 
     /// The memoized dependency oracle of this trace (built on first use
@@ -258,7 +266,7 @@ impl TaskTrace {
         &mut self,
         kernel: KernelId,
         runtime: Cycle,
-        operands: Vec<OperandDesc>,
+        operands: impl Into<Operands>,
     ) -> TaskId {
         self.push(TaskDesc::new(kernel, runtime, operands))
     }

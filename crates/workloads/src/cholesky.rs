@@ -69,7 +69,7 @@ impl TraceGenerator for CholeskyGen {
                     trace.push_task(
                         sgemm,
                         r,
-                        vec![
+                        [
                             OperandDesc::input(blocks[i][k], b),
                             OperandDesc::input(blocks[j][k], b),
                             OperandDesc::inout(blocks[i][j], b),
@@ -82,17 +82,17 @@ impl TraceGenerator for CholeskyGen {
                 trace.push_task(
                     ssyrk,
                     r,
-                    vec![OperandDesc::input(blocks[j][i], b), OperandDesc::inout(blocks[j][j], b)],
+                    [OperandDesc::input(blocks[j][i], b), OperandDesc::inout(blocks[j][j], b)],
                 );
             }
             let r = rt(16.5, &mut rng);
-            trace.push_task(spotrf, r, vec![OperandDesc::inout(blocks[j][j], b)]);
+            trace.push_task(spotrf, r, [OperandDesc::inout(blocks[j][j], b)]);
             for i in (j + 1)..n {
                 let r = rt(28.0, &mut rng);
                 trace.push_task(
                     strsm,
                     r,
-                    vec![OperandDesc::input(blocks[j][j], b), OperandDesc::inout(blocks[i][j], b)],
+                    [OperandDesc::input(blocks[j][j], b), OperandDesc::inout(blocks[i][j], b)],
                 );
             }
         }

@@ -8,7 +8,7 @@
 
 use crate::common::Layout;
 use tss_sim::{Rng, RuntimeDist};
-use tss_trace::{OperandDesc, TaskTrace, TraceGenerator};
+use tss_trace::{OperandDesc, Operands, TaskTrace, TraceGenerator};
 
 /// Trace generator for the 2D FFT.
 #[derive(Debug, Clone)]
@@ -67,7 +67,7 @@ impl TraceGenerator for FftGen {
                 trace.push_task(
                     fft_row,
                     dist.sample(&mut rng),
-                    vec![
+                    [
                         OperandDesc::inout(row, row_bytes as u32),
                         OperandDesc::input(twiddle, 2 << 10),
                     ],
@@ -78,7 +78,7 @@ impl TraceGenerator for FftGen {
                     trace.push_task(
                         transpose,
                         dist.sample(&mut rng),
-                        vec![
+                        [
                             OperandDesc::input(row, row_bytes as u32),
                             OperandDesc::output(tile, tile_bytes as u32),
                         ],
@@ -86,9 +86,10 @@ impl TraceGenerator for FftGen {
                 }
             }
             for (j, &col) in cols.iter().enumerate() {
-                let mut ops: Vec<OperandDesc> =
-                    (0..p).map(|i| OperandDesc::input(tiles[i][j], tile_bytes as u32)).collect();
-                ops.push(OperandDesc::output(col, row_bytes as u32));
+                let ops: Operands = (0..p)
+                    .map(|i| OperandDesc::input(tiles[i][j], tile_bytes as u32))
+                    .chain([OperandDesc::output(col, row_bytes as u32)])
+                    .collect();
                 trace.push_task(fft_col, dist.sample(&mut rng), ops);
             }
         }

@@ -67,10 +67,12 @@ impl TraceGenerator for H264Gen {
         let mb: Vec<Vec<u64>> = (0..self.frames).map(|_| layout.objects(w * h, mb_bytes)).collect();
         let at = |f: usize, x: usize, y: usize| mb[f][y * w + x];
 
+        // One scratch list for every task: `push_task` copies it out.
+        let mut ops = Vec::with_capacity(9);
         for f in 0..self.frames {
             for y in 0..h {
                 for x in 0..w {
-                    let mut ops = Vec::with_capacity(8);
+                    ops.clear();
                     // Intra-frame wavefront: W, NW, N, NE.
                     if x > 0 {
                         ops.push(OperandDesc::input(at(f, x - 1, y), mb_bytes as u32));
@@ -104,7 +106,7 @@ impl TraceGenerator for H264Gen {
                     // The decoded macroblock itself + bitstream scalar.
                     ops.push(OperandDesc::output(at(f, x, y), mb_bytes as u32));
                     ops.push(OperandDesc::scalar(16));
-                    trace.push_task(decode_mb, dist.sample(&mut rng), ops);
+                    trace.push_task(decode_mb, dist.sample(&mut rng), &ops[..]);
                 }
             }
         }

@@ -9,7 +9,7 @@
 
 use crate::common::Layout;
 use tss_sim::{Rng, RuntimeDist};
-use tss_trace::{OperandDesc, TaskTrace, TraceGenerator};
+use tss_trace::{OperandDesc, Operands, TaskTrace, TraceGenerator};
 
 /// Fan-in of the reduction tree (16 inputs + 1 output fits the
 /// 19-operand TRS limit).
@@ -75,7 +75,7 @@ impl TraceGenerator for KMeansGen {
                 trace.push_task(
                     assign,
                     dist.sample(&mut rng),
-                    vec![
+                    [
                         OperandDesc::input(p, point_bytes as u32),
                         OperandDesc::input(centroids, centroid_bytes as u32),
                         OperandDesc::output(partial, partial_bytes as u32),
@@ -88,11 +88,11 @@ impl TraceGenerator for KMeansGen {
                 let mut next: Vec<u64> = Vec::with_capacity(layer.len().div_ceil(FAN_IN));
                 for chunk in layer.chunks(FAN_IN) {
                     let merged = layout.object(partial_bytes);
-                    let mut ops: Vec<OperandDesc> = chunk
+                    let ops: Operands = chunk
                         .iter()
                         .map(|&a| OperandDesc::input(a, partial_bytes as u32))
+                        .chain([OperandDesc::output(merged, partial_bytes as u32)])
                         .collect();
-                    ops.push(OperandDesc::output(merged, partial_bytes as u32));
                     trace.push_task(reduce, dist.sample(&mut rng), ops);
                     next.push(merged);
                 }
@@ -103,7 +103,7 @@ impl TraceGenerator for KMeansGen {
             trace.push_task(
                 update,
                 dist.sample(&mut rng),
-                vec![
+                [
                     OperandDesc::input(layer[0], partial_bytes as u32),
                     OperandDesc::output(centroids, centroid_bytes as u32),
                 ],

@@ -9,7 +9,7 @@
 
 use crate::common::{Layout, PiecewiseUs};
 use tss_sim::Rng;
-use tss_trace::{OperandDesc, TaskTrace, TraceGenerator};
+use tss_trace::{OperandDesc, Operands, TaskTrace, TraceGenerator};
 
 /// Distance blocks merged per merge task.
 const MERGE_FAN: usize = 8;
@@ -62,7 +62,7 @@ impl TraceGenerator for KnnGen {
                 trace.push_task(
                     distances,
                     dist.sample(&mut rng),
-                    vec![
+                    [
                         OperandDesc::input(t, train_bytes as u32),
                         OperandDesc::input(query, query_bytes as u32),
                         OperandDesc::output(o, out_bytes as u32),
@@ -73,9 +73,11 @@ impl TraceGenerator for KnnGen {
             // Merge chain: a running top-k accumulator per query.
             let topk = layout.object(out_bytes);
             for chunk in outs.chunks(MERGE_FAN) {
-                let mut ops: Vec<OperandDesc> =
-                    chunk.iter().map(|&o| OperandDesc::input(o, out_bytes as u32)).collect();
-                ops.push(OperandDesc::inout(topk, out_bytes as u32));
+                let ops: Operands = chunk
+                    .iter()
+                    .map(|&o| OperandDesc::input(o, out_bytes as u32))
+                    .chain([OperandDesc::inout(topk, out_bytes as u32)])
+                    .collect();
                 trace.push_task(merge, dist.sample(&mut rng), ops);
             }
         }

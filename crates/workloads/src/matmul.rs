@@ -56,7 +56,7 @@ impl TraceGenerator for MatMulGen {
                     trace.push_task(
                         sgemm,
                         rt,
-                        vec![
+                        [
                             OperandDesc::input(a[i][k], b),
                             OperandDesc::input(bm[k][j], b),
                             OperandDesc::inout(c[i][j], b),

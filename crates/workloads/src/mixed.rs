@@ -81,7 +81,7 @@ impl TraceGenerator for MixedGen {
                 trace.push_task(
                     stream,
                     stream_dist.sample(&mut rng),
-                    vec![
+                    [
                         OperandDesc::input(*block, STREAM_BLOCK_BYTES as u32),
                         OperandDesc::output(next, STREAM_BLOCK_BYTES as u32),
                         OperandDesc::output(digest, DIGEST_BYTES as u32),
@@ -91,7 +91,7 @@ impl TraceGenerator for MixedGen {
                 trace.push_task(
                     crunch,
                     crunch_dist.sample(&mut rng),
-                    vec![
+                    [
                         OperandDesc::input(digest, DIGEST_BYTES as u32),
                         OperandDesc::output(result, 1 << 10),
                     ],

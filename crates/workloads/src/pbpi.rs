@@ -10,7 +10,7 @@
 
 use crate::common::Layout;
 use tss_sim::{Rng, RuntimeDist};
-use tss_trace::{OperandDesc, TaskTrace, TraceGenerator};
+use tss_trace::{OperandDesc, Operands, TaskTrace, TraceGenerator};
 
 /// Fan-in of the likelihood reduction.
 const FAN_IN: usize = 16;
@@ -73,7 +73,7 @@ impl TraceGenerator for PbpiGen {
                 trace.push_task(
                     likelihood,
                     dist.sample(&mut rng),
-                    vec![
+                    [
                         OperandDesc::input(s, site_bytes as u32),
                         OperandDesc::input(tree, tree_bytes as u32),
                         OperandDesc::output(lik, lik_bytes as u32),
@@ -85,9 +85,11 @@ impl TraceGenerator for PbpiGen {
                 let mut next = Vec::with_capacity(layer.len().div_ceil(FAN_IN));
                 for chunk in layer.chunks(FAN_IN) {
                     let merged = layout.object(lik_bytes);
-                    let mut ops: Vec<OperandDesc> =
-                        chunk.iter().map(|&a| OperandDesc::input(a, lik_bytes as u32)).collect();
-                    ops.push(OperandDesc::output(merged, lik_bytes as u32));
+                    let ops: Operands = chunk
+                        .iter()
+                        .map(|&a| OperandDesc::input(a, lik_bytes as u32))
+                        .chain([OperandDesc::output(merged, lik_bytes as u32)])
+                        .collect();
                     trace.push_task(reduce, dist.sample(&mut rng), ops);
                     next.push(merged);
                 }
@@ -96,7 +98,7 @@ impl TraceGenerator for PbpiGen {
             trace.push_task(
                 mutate,
                 dist.sample(&mut rng),
-                vec![
+                [
                     OperandDesc::input(layer[0], lik_bytes as u32),
                     OperandDesc::inout(tree, tree_bytes as u32),
                 ],

@@ -54,12 +54,15 @@ impl TraceGenerator for SpecfemGen {
         let halos: Vec<Vec<u64>> = (0..2).map(|_| layout.objects(g * g, halo_bytes)).collect();
         let at = |x: usize, y: usize| y * g + x;
 
+        // One scratch list for every task: `push_task` copies it out.
+        let mut ops = Vec::with_capacity(6);
         for t in 0..self.steps {
             let read_parity = (t + 1) % 2; // step t reads what t-1 wrote
             let write_parity = t % 2;
             for y in 0..g {
                 for x in 0..g {
-                    let mut ops = vec![OperandDesc::inout(cells[at(x, y)], cell_bytes as u32)];
+                    ops.clear();
+                    ops.push(OperandDesc::inout(cells[at(x, y)], cell_bytes as u32));
                     if t > 0 {
                         // Neighbour halos from the previous step.
                         if x > 0 {
@@ -88,7 +91,7 @@ impl TraceGenerator for SpecfemGen {
                         }
                     }
                     ops.push(OperandDesc::output(halos[write_parity][at(x, y)], halo_bytes as u32));
-                    trace.push_task(step_kernel, dist.sample(&mut rng), ops);
+                    trace.push_task(step_kernel, dist.sample(&mut rng), &ops[..]);
                 }
             }
         }

@@ -10,7 +10,7 @@
 
 use crate::common::Layout;
 use tss_sim::{Rng, RuntimeDist};
-use tss_trace::{OperandDesc, TaskTrace, TraceGenerator};
+use tss_trace::{OperandDesc, Operands, TaskTrace, TraceGenerator};
 
 /// Doppler outputs gathered per covariance task.
 const COV_FAN: usize = 4;
@@ -73,7 +73,7 @@ impl TraceGenerator for StapGen {
                 trace.push_task(
                     doppler_k,
                     dist.sample(&mut rng),
-                    vec![
+                    [
                         OperandDesc::input(e, echo_bytes as u32),
                         OperandDesc::output(d, dop_bytes as u32),
                     ],
@@ -83,9 +83,11 @@ impl TraceGenerator for StapGen {
             let mut covs: Vec<u64> = Vec::with_capacity(self.cov_tasks());
             for chunk in dops.chunks(COV_FAN) {
                 let c = layout.object(cov_bytes);
-                let mut ops: Vec<OperandDesc> =
-                    chunk.iter().map(|&d| OperandDesc::input(d, dop_bytes as u32)).collect();
-                ops.push(OperandDesc::output(c, cov_bytes as u32));
+                let ops: Operands = chunk
+                    .iter()
+                    .map(|&d| OperandDesc::input(d, dop_bytes as u32))
+                    .chain([OperandDesc::output(c, cov_bytes as u32)])
+                    .collect();
                 trace.push_task(cov_k, dist.sample(&mut rng), ops);
                 covs.push(c);
             }
@@ -94,11 +96,13 @@ impl TraceGenerator for StapGen {
                 // updates its weights (chaining CPIs).
                 let c0 = covs[b % covs.len()];
                 let c1 = covs[(b + 1) % covs.len()];
-                let mut ops = vec![OperandDesc::input(c0, cov_bytes as u32)];
-                if c1 != c0 {
-                    ops.push(OperandDesc::input(c1, cov_bytes as u32));
-                }
-                ops.push(OperandDesc::inout(w, w_bytes as u32));
+                let ops = [
+                    OperandDesc::input(c0, cov_bytes as u32),
+                    OperandDesc::input(c1, cov_bytes as u32),
+                    OperandDesc::inout(w, w_bytes as u32),
+                ];
+                // One covariance estimate is read once.
+                let ops = if c1 != c0 { &ops[..] } else { &ops[1..] };
                 trace.push_task(weight_k, dist.sample(&mut rng), ops);
             }
         }

@@ -4,6 +4,9 @@
 //! - the streaming order check (`TaskTrace::check_order` on a trace with
 //!   no memoized graph) and `DepGraph::validate_order` give the same
 //!   verdict on valid, perturbed and malformed completion orders;
+//! - `Operands` (inline slots, spilling past `INLINE_OPERANDS`) is
+//!   indistinguishable from the `Vec<OperandDesc>` it was built from, at
+//!   every length the TRS layout allows;
 //! - every hardware-pipeline schedule satisfies the oracle and drains
 //!   all frontend state, for arbitrary traces and (tiny) configurations;
 //! - the TRS block allocator never double-allocates and always restores
@@ -19,7 +22,8 @@ use task_superscalar::pipeline::blocks::{blocks_for_operands, BlockStore};
 use task_superscalar::pipeline::{FrontendConfig, Msg};
 use task_superscalar::sim::Simulation;
 use task_superscalar::trace::{
-    validate_schedule, DepGraph, DepKind, Direction, OperandDesc, OrderViolation, TaskTrace,
+    validate_schedule, DepGraph, DepKind, Direction, KernelId, OperandDesc, Operands,
+    OrderViolation, TaskDesc, TaskTrace, MAX_OPERANDS,
 };
 
 // ---------------------------------------------------------------------
@@ -123,7 +127,7 @@ fn loose_trace(specs: &[Vec<OpSpec>]) -> TaskTrace {
     let mut tr = TaskTrace::new("loose");
     let k = tr.add_kernel("k");
     for ops in specs {
-        let operands = ops
+        let operands: Operands = ops
             .iter()
             .map(|op| {
                 let addr = 0x10_0000 + op.obj as u64 * 0x1_0000;
@@ -227,6 +231,80 @@ proptest! {
             }
             // Unknown / duplicate / missing: identical, down to the id.
             (s, o) => prop_assert_eq!(s, o, "verdicts differ on {:?}", order),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Inline operand storage vs a `Vec` model
+// ---------------------------------------------------------------------
+
+fn arb_operand() -> impl Strategy<Value = OperandDesc> {
+    (0u8..4, 0usize..1 << 40, 0u32..1 << 20).prop_map(|(dir, addr, size)| {
+        let addr = addr as u64;
+        match dir {
+            0 => OperandDesc::input(addr, size),
+            1 => OperandDesc::output(addr, size),
+            2 => OperandDesc::inout(addr, size),
+            _ => OperandDesc::scalar(size),
+        }
+    })
+}
+
+/// `Operands::from` an array of exactly `model.len()` operands.
+fn from_array(model: &[OperandDesc]) -> Operands {
+    macro_rules! by_len {
+        ($($n:literal)*) => {
+            match model.len() {
+                $($n => Operands::from(<[OperandDesc; $n]>::try_from(model).expect("length matched")),)*
+                n => unreachable!("{n} operands"),
+            }
+        };
+    }
+    by_len!(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn operands_are_the_vec_they_were_built_from(
+        pool in prop::collection::vec(arb_operand(), MAX_OPERANDS..=MAX_OPERANDS),
+        other in arb_operand(),
+        at in 0usize..MAX_OPERANDS,
+    ) {
+        // Every length on both sides of the inline/spill boundary.
+        for n in 0..=MAX_OPERANDS {
+            let model: Vec<OperandDesc> = pool[..n].to_vec();
+            let built = [
+                Operands::from(model.clone()),
+                Operands::from(&model[..]),
+                from_array(&model),
+                model.iter().copied().collect::<Operands>(),
+                Operands::try_from_slice(&model).expect("within both operand rules"),
+            ];
+            for ops in &built {
+                prop_assert_eq!(&ops[..], &model[..], "deref, {} operands", n);
+                prop_assert_eq!(ops.len(), n);
+                prop_assert_eq!(ops.iter().collect::<Vec<_>>(), model.iter().collect::<Vec<_>>());
+                prop_assert_eq!(ops, &built[0], "constructors disagree at {} operands", n);
+                prop_assert_eq!(&ops.clone(), ops);
+                prop_assert_eq!(format!("{ops:?}"), format!("{model:?}"));
+            }
+            // `==` is the model's: a changed operand, a shorter list.
+            let mut changed = model.clone();
+            if let Some(slot) = changed.get_mut(at % n.max(1)) {
+                *slot = other;
+            }
+            prop_assert_eq!(Operands::from(&changed[..]) == built[0], changed == model);
+            if n > 0 {
+                prop_assert!(Operands::from(&model[..n - 1]) != built[0]);
+            }
+            // The task record inherits all of it.
+            let task = TaskDesc::new(KernelId(3), 77, &model[..]);
+            prop_assert_eq!(&task.clone(), &task);
+            prop_assert_eq!(&task.operands[..], &model[..]);
+            prop_assert_eq!(task == TaskDesc::new(KernelId(3), 77, changed.clone()), changed == model);
         }
     }
 }
