@@ -59,6 +59,8 @@ fn contention(c: &mut Criterion) {
                         let stop = &stop;
                         scope.spawn(move || {
                             let mine = ChaseLev::with_capacity(64);
+                            // relaxed: bench stop flag; harness control,
+                            // not protocol
                             while !stop.load(Ordering::Relaxed) {
                                 let got =
                                     if batch { d.steal_batch_into(&mine, 32) } else { d.steal() };
@@ -69,6 +71,8 @@ fn contention(c: &mut Criterion) {
                                         std::hint::black_box(w);
                                         n += 1;
                                     }
+                                    // relaxed: bench progress counter; values
+                                    // flow through the deque itself
                                     consumed.fetch_add(n, Ordering::Relaxed);
                                 }
                             }
@@ -83,10 +87,16 @@ fn contention(c: &mut Criterion) {
                         std::hint::black_box(v);
                         n += 1;
                     }
+                    // relaxed: bench progress counter; values flow through
+                    // the deque itself
                     consumed.fetch_add(n, Ordering::Relaxed);
+                    // relaxed: bench progress poll; termination only, no
+                    // data read through it
                     while consumed.load(Ordering::Relaxed) < ITEMS {
                         std::thread::yield_now();
                     }
+                    // relaxed: bench stop flag; harness control, not
+                    // protocol
                     stop.store(true, Ordering::Relaxed);
                 });
             })

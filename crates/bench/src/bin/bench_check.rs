@@ -1,60 +1,45 @@
-//! Baseline gate for the bench-harness JSON artifacts (ISSUE 4
-//! satellite): compare a fresh `BENCH_exec.json` / `BENCH_pipeline.json`
-//! run against the committed snapshot under `ci/baselines/`, so the
-//! bench trajectory is tracked *in-repo* instead of only as uploaded CI
-//! artifacts.
+//! Baseline gate for the bench-harness JSON artifacts: compare a fresh
+//! `BENCH_*.json` against the committed snapshot under `ci/baselines/`
+//! on what a shared CI host can reproduce — counts and shape — and on
+//! nothing else.
 //!
-//! Three layers of checks:
+//! Result rows are matched positionally and must agree on
+//! `benchmark`/`engine`. Each row pair, and the `totals` pair when the
+//! baseline has one, gets two checks:
 //!
-//! The `totals` object (when the baseline has one) is gated too:
-//! `events` exactly, `wall_ms`/`suite_wall_ms` under the wall
-//! tolerance, and structural fields (`suite_wall_ms`, `jobs` — the
-//! ISSUE 5 sweep-fabric additions — and `hw_threads`, the ISSUE 9
-//! honest-scaling stamp) must at least be *present* in the fresh
-//! artifact whenever the baseline carries them, so a regression that
-//! silently drops them fails the gate.
+//! - **Exact**: the [`EXACT_FIELDS`] a pair shares must be *equal* —
+//!   they are deterministic at a fixed scale/seed, so any drift is a
+//!   model change that must be re-baselined deliberately.
+//! - **Presence**: every key the baseline object carries must exist in
+//!   the fresh one, so a change that silently drops a field — or a
+//!   gated run that lost `--features obs` and with it the latency
+//!   quantiles — fails. Extra keys in the fresh artifact are fine.
 //!
-//! Two kinds of checks per result row (rows are matched positionally
-//! and must agree on `benchmark`/`engine`):
+//! Timing fields (`*_wall_ms`, `*_per_sec`, the sampled quantiles) are
+//! emitted for people to read and are *not* compared: they swing by 2×
+//! from run to run on a shared host, and a gate loose enough to pass
+//! that catches nothing. The stack benchmark (`BENCHMARK.json`,
+//! `benchmark/`) is the one place a speed is bounded.
 //!
-//! - **Exact**: structural fields (`tasks`, `events`, `enforced_edges`,
-//!   `makespan_cycles`) must be *equal* — these are deterministic at a
-//!   fixed scale/seed, so any drift is a model change that must be
-//!   re-baselined deliberately.
-//! - **Tolerance**: wall-time fields (`wall_ms`, `exec_wall_ms`,
-//!   `stream_wall_ms`) must satisfy `fresh <= max(baseline *
-//!   tolerance, baseline + min_ms)` (defaults 2.0 and 2.5 ms —
-//!   generous on purpose: CI hosts are slower and noisier than the
-//!   dev box, and sub-millisecond small-scale walls are pure jitter;
-//!   the gate catches order-of-magnitude regressions, not noise).
-//!   Faster-than-baseline is always fine.
-//! - **Latency** (ISSUE 8): the sampled-quantile fields an obs build
-//!   emits (`latency_p50/p99/p999_ns`, `queue_p50/p99/p999_ns`) are
-//!   *presence-gated* — if the baseline carries one and the fresh
-//!   artifact doesn't, the obs feature was dropped from the gated run
-//!   and the gate fails. Values get their own generous tolerance
-//!   (quantiles of a sampled distribution are far noisier than suite
-//!   walls): `fresh <= max(baseline * 10, baseline + 500 µs)`.
+//! The parser is a string- and depth-aware splitter, not a JSON
+//! library: the workspace is offline (vendor/README.md) and every
+//! artifact is emitted by a binary in this same crate, so the format is
+//! under our control and pinned by this very gate.
 //!
-//! The parser is a minimal depth-aware scanner, not a JSON library: the
-//! workspace is offline (vendor/README.md) and both artifacts are
-//! emitted by binaries in this same crate, so the format is under our
-//! control and pinned by this very gate.
-//!
-//! Usage: `bench_check --baseline PATH --fresh PATH [--tolerance F]
-//! [--min-ms F]`. Exit codes: 0 ok, 1 regression/mismatch, 2 usage or
-//! I/O error.
+//! Usage: `bench_check --baseline PATH --fresh PATH`. Exit codes: 0 ok,
+//! 1 mismatch, 2 usage or I/O error.
 
-/// Exact-match row fields. All presence-gated (only checked when both
-/// artifacts carry them, so old baselines keep working). The failure
-/// accounting (`failed`, `poisoned`, `retried_ok`, `workers_lost` —
-/// DESIGN.md §11) is exact because injection is a pure function of
-/// `(fault seed, task, attempt)`: at a fixed seed/rate/scale the
-/// failure sets are identical across hosts and thread counts.
-/// The serve-artifact counters (`BENCH_serve.json`, DESIGN.md §14.5)
-/// are exact for the same reason: the wire-chaos plan is a pure
-/// function of `(chaos seed, client, graph)`, so given admission
-/// headroom every completion/kill/vanish count is reproducible.
+use tss_bench::cli::{fail, Flags, Parsed};
+
+/// Fields that must match exactly wherever both sides carry them. The
+/// failure accounting (`failed`, `poisoned`, `retried_ok`,
+/// `workers_lost` — DESIGN.md §11) is exact because injection is a pure
+/// function of `(fault seed, task, attempt)`: at a fixed
+/// seed/rate/scale the failure sets are identical across hosts and
+/// thread counts. The serve-artifact counters (DESIGN.md §14.5) are
+/// exact for the same reason: the wire-chaos plan is a pure function
+/// of `(chaos seed, client, graph)`, so given admission headroom every
+/// completion/kill/vanish count is reproducible.
 const EXACT_FIELDS: [&str; 16] = [
     "tasks",
     "events",
@@ -73,315 +58,169 @@ const EXACT_FIELDS: [&str; 16] = [
     "rejected_quota",
     "rejected_malformed",
 ];
-const WALL_FIELDS: [&str; 3] = ["wall_ms", "exec_wall_ms", "stream_wall_ms"];
-/// Sampled latency quantiles (ns) from obs builds — presence-gated with
-/// their own tolerance (see the module docs). Checked on rows *and* on
-/// `totals`.
-const LATENCY_FIELDS: [&str; 6] = [
-    "latency_p50_ns",
-    "latency_p99_ns",
-    "latency_p999_ns",
-    "queue_p50_ns",
-    "queue_p99_ns",
-    "queue_p999_ns",
-];
-/// Latency ratio tolerance: p999 of ~30 samples per small-scale row
-/// jumps an order of magnitude on a noisy host without meaning anything.
-const LAT_TOLERANCE: f64 = 10.0;
-/// Latency absolute floor: 500 µs. Sub-floor quantiles are scheduler
-/// jitter; the gate exists to catch a latency path going seconds-slow.
-const LAT_FLOOR_NS: f64 = 500_000.0;
 const LABEL_FIELDS: [&str; 2] = ["benchmark", "engine"];
-/// Totals-object checks: exact, wall-tolerance, and must-exist-if-the-
-/// baseline-has-it (host-dependent values like `jobs` are only gated
-/// for presence).
-const TOTAL_EXACT_FIELDS: [&str; 13] = [
-    "events",
-    "failed",
-    "poisoned",
-    "retried_ok",
-    "workers_lost",
-    "graphs",
-    "completed",
-    "slow_ok",
-    "killed",
-    "vanished",
-    "rejected_overloaded",
-    "rejected_quota",
-    "rejected_malformed",
-];
-const TOTAL_WALL_FIELDS: [&str; 2] = ["wall_ms", "suite_wall_ms"];
-const TOTAL_PRESENT_FIELDS: [&str; 3] = ["suite_wall_ms", "jobs", "hw_threads"];
 
-fn fail(msg: impl std::fmt::Display) -> ! {
-    eprintln!("bench_check: error: {msg}");
-    std::process::exit(2);
-}
-
-/// Extracts the `"totals": { ... }` object substring, if present.
-fn totals_body(doc: &str) -> Option<&str> {
-    let key = "\"totals\":";
-    let start = doc.find(key)?;
-    let open = doc[start..].find('{')? + start;
-    let mut depth = 0usize;
-    for (i, c) in doc[open..].char_indices() {
-        match c {
-            '{' | '[' => depth += 1,
-            '}' | ']' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&doc[open..=open + i]);
-                }
-            }
-            _ => {}
-        }
+/// Splits the inside of one JSON container (`{…}` or `[…]`) at its
+/// top-level commas.
+fn items(container: &str) -> Vec<&str> {
+    let c = container.trim();
+    let closed =
+        (c.starts_with('{') && c.ends_with('}')) || (c.starts_with('[') && c.ends_with(']'));
+    if c.len() < 2 || !closed {
+        fail(format!("malformed JSON container: {c:.40}"));
     }
-    None
-}
-
-/// Extracts the `"results": [ ... ]` array body (depth-aware).
-fn results_body(doc: &str) -> &str {
-    let key = "\"results\":";
-    let start = doc.find(key).unwrap_or_else(|| fail("no \"results\" array in document"));
-    let open = doc[start..].find('[').unwrap_or_else(|| fail("malformed results array")) + start;
-    let mut depth = 0usize;
-    for (i, c) in doc[open..].char_indices() {
-        match c {
-            '[' | '{' => depth += 1,
-            ']' | '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return &doc[open + 1..open + i];
-                }
-            }
-            _ => {}
-        }
-    }
-    fail("unterminated results array")
-}
-
-/// Splits the array body into top-level `{...}` object substrings.
-fn split_objects(body: &str) -> Vec<&str> {
+    let inner = &c[1..c.len() - 1];
     let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut start = None;
-    for (i, c) in body.char_indices() {
-        match c {
-            '{' | '[' => {
-                if depth == 0 {
-                    start = Some(i);
-                }
-                depth += 1;
-            }
-            '}' | ']' => {
-                depth -= 1;
-                if depth == 0 {
-                    out.push(&body[start.expect("object start")..=i]);
-                }
+    let (mut depth, mut in_string, mut escaped, mut start) = (0usize, false, false, 0);
+    for (i, ch) in inner.char_indices() {
+        match ch {
+            _ if escaped => escaped = false,
+            '\\' if in_string => escaped = true,
+            '"' => in_string = !in_string,
+            _ if in_string => {}
+            '{' | '[' => depth += 1,
+            '}' | ']' => depth = depth.saturating_sub(1),
+            ',' if depth == 0 => {
+                out.push(inner[start..i].trim());
+                start = i + 1;
             }
             _ => {}
         }
+    }
+    let last = inner[start..].trim();
+    if !last.is_empty() {
+        out.push(last);
     }
     out
 }
 
-/// Value of `"key":` inside `obj` as a raw token (string values keep
-/// their quotes stripped), or `None` if absent at the top level.
-fn field(obj: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":");
-    let at = obj.find(&pat)?;
-    let rest = obj[at + pat.len()..].trim_start();
-    if let Some(stripped) = rest.strip_prefix('"') {
-        let end = stripped.find('"')?;
-        return Some(stripped[..end].to_string());
-    }
-    let end = rest
-        .find(|c: char| c == ',' || c == '}' || c == ']' || c.is_whitespace())
-        .unwrap_or(rest.len());
-    Some(rest[..end].to_string())
+/// The `"key": value` pairs of one JSON object, in document order.
+/// Values are raw text: strings lose their quotes, nested containers
+/// come back whole.
+type Object<'a> = Vec<(&'a str, &'a str)>;
+
+/// Parses one `{…}` into its [`Object`].
+fn fields(obj: &str) -> Object<'_> {
+    items(obj)
+        .into_iter()
+        .filter_map(|item| item.split_once(':'))
+        .map(|(k, v)| (k.trim().trim_matches('"'), v.trim().trim_matches('"')))
+        .collect()
 }
 
-fn label(obj: &str) -> String {
-    LABEL_FIELDS.iter().filter_map(|k| field(obj, k)).collect::<Vec<_>>().join("/")
+fn get<'a>(obj: &Object<'a>, key: &str) -> Option<&'a str> {
+    obj.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
 }
 
-/// The latency layer for one object pair (a results row or `totals`):
-/// presence-gated, then value-checked under the latency tolerance.
-fn check_latency(who: &str, b: &str, f: &str, problems: &mut Vec<String>, checked: &mut usize) {
-    for key in LATENCY_FIELDS {
-        match (field(b, key), field(f, key)) {
-            (Some(bv), Some(fv)) => {
-                let (bv, fv): (f64, f64) = (
-                    bv.parse().unwrap_or_else(|_| fail(format!("{who}: bad {key} '{bv}'"))),
-                    fv.parse().unwrap_or_else(|_| fail(format!("{who}: bad {key} '{fv}'"))),
-                );
-                *checked += 1;
-                if fv > (bv * LAT_TOLERANCE).max(bv + LAT_FLOOR_NS) {
-                    problems.push(format!(
-                        "{who}: {key} regressed {bv:.0} -> {fv:.0} ns \
-                         (> {LAT_TOLERANCE}x tolerance, +{LAT_FLOOR_NS:.0} ns floor)"
-                    ));
+fn label(row: &Object) -> String {
+    LABEL_FIELDS.iter().filter_map(|k| get(row, k)).collect::<Vec<_>>().join("/")
+}
+
+/// The rows of a document's `results` array.
+fn rows<'a>(doc: &Object<'a>, path: &str) -> Vec<Object<'a>> {
+    let results =
+        get(doc, "results").unwrap_or_else(|| fail(format!("no \"results\" array in {path}")));
+    items(results).into_iter().map(fields).collect()
+}
+
+/// What one run of the gate found: mismatches, and how much it looked
+/// at (a gate that compared nothing was pointed at the wrong file).
+#[derive(Default)]
+struct Findings {
+    problems: Vec<String>,
+    exact_checked: usize,
+    keys_checked: usize,
+}
+
+impl Findings {
+    /// Both checks for one object pair (`who` names it in messages).
+    fn compare(&mut self, who: &str, baseline: &Object, fresh: &Object) {
+        for &(key, bv) in baseline {
+            self.keys_checked += 1;
+            let Some(fv) = get(fresh, key) else {
+                self.problems.push(format!(
+                    "{who}: key '{key}' present in baseline but missing in fresh (a schema \
+                     change — or was the obs feature dropped from the gated run?)"
+                ));
+                continue;
+            };
+            if EXACT_FIELDS.contains(&key) {
+                self.exact_checked += 1;
+                if bv != fv {
+                    self.problems
+                        .push(format!("{who}: {key} changed {bv} -> {fv} (must match exactly)"));
                 }
             }
-            (Some(_), None) => problems.push(format!(
-                "{who}: latency field '{key}' present in baseline but missing in fresh \
-                 (was the obs feature dropped from the gated run?)"
-            )),
-            _ => {}
         }
     }
+}
+
+fn parse_args() -> Parsed<(String, String)> {
+    let (mut baseline, mut fresh) = (None, None);
+    let mut flags = Flags::from_env("bench_check --baseline PATH --fresh PATH");
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--baseline" => baseline = Some(flags.value()?),
+            "--fresh" => fresh = Some(flags.value()?),
+            _ => return Err(flags.unknown()),
+        }
+    }
+    Ok((baseline.ok_or("--baseline is required")?, fresh.ok_or("--fresh is required")?))
 }
 
 fn main() {
-    let mut baseline_path = None;
-    let mut fresh_path = None;
-    let mut tolerance = 2.0f64;
-    let mut min_ms = 2.5f64;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--baseline" => baseline_path = args.next(),
-            "--fresh" => fresh_path = args.next(),
-            "--tolerance" => {
-                let v = args.next().unwrap_or_else(|| fail("--tolerance needs a value"));
-                tolerance = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(format!("--tolerance must be a number, got '{v}'")));
-            }
-            "--min-ms" => {
-                let v = args.next().unwrap_or_else(|| fail("--min-ms needs a value"));
-                min_ms = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(format!("--min-ms must be a number, got '{v}'")));
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: bench_check --baseline PATH --fresh PATH [--tolerance F] [--min-ms F]"
-                );
-                std::process::exit(0);
-            }
-            other => fail(format!("unknown flag '{other}'")),
-        }
-    }
-    let baseline_path = baseline_path.unwrap_or_else(|| fail("--baseline is required"));
-    let fresh_path = fresh_path.unwrap_or_else(|| fail("--fresh is required"));
-    let baseline = std::fs::read_to_string(&baseline_path)
-        .unwrap_or_else(|e| fail(format!("cannot read {baseline_path}: {e}")));
-    let fresh = std::fs::read_to_string(&fresh_path)
-        .unwrap_or_else(|e| fail(format!("cannot read {fresh_path}: {e}")));
+    let (baseline_path, fresh_path) = parse_args().unwrap_or_else(|e| fail(e));
+    let read = |path: &str| {
+        std::fs::read_to_string(path).unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")))
+    };
+    let (baseline, fresh) = (read(&baseline_path), read(&fresh_path));
+    let (base_doc, fresh_doc) = (fields(&baseline), fields(&fresh));
+    let (base_rows, fresh_rows) = (rows(&base_doc, &baseline_path), rows(&fresh_doc, &fresh_path));
 
-    let base_rows = split_objects(results_body(&baseline));
-    let fresh_rows = split_objects(results_body(&fresh));
-    let mut problems = Vec::new();
+    let mut found = Findings::default();
     if base_rows.len() != fresh_rows.len() {
-        problems.push(format!(
+        found.problems.push(format!(
             "row count: baseline has {}, fresh has {}",
             base_rows.len(),
             fresh_rows.len()
         ));
     }
-    let mut walls_checked = 0usize;
-    let mut lats_checked = 0usize;
-    for (b, f) in base_rows.iter().zip(fresh_rows.iter()) {
+    for (b, f) in base_rows.iter().zip(&fresh_rows) {
         let who = label(b);
         if label(f) != who {
-            problems.push(format!("row order: baseline '{}' vs fresh '{}'", who, label(f)));
+            found.problems.push(format!("row order: baseline '{who}' vs fresh '{}'", label(f)));
             continue;
         }
-        for key in EXACT_FIELDS {
-            if let (Some(bv), Some(fv)) = (field(b, key), field(f, key)) {
-                if bv != fv {
-                    problems
-                        .push(format!("{who}: {key} changed {bv} -> {fv} (must match exactly)"));
-                }
-            }
-        }
-        for key in WALL_FIELDS {
-            if let (Some(bv), Some(fv)) = (field(b, key), field(f, key)) {
-                let (bv, fv): (f64, f64) = (
-                    bv.parse().unwrap_or_else(|_| fail(format!("{who}: bad {key} '{bv}'"))),
-                    fv.parse().unwrap_or_else(|_| fail(format!("{who}: bad {key} '{fv}'"))),
-                );
-                walls_checked += 1;
-                // Ratio gate with an absolute noise floor: a 0.1 ms
-                // small-scale wall doubling is host jitter, not a
-                // regression.
-                if fv > (bv * tolerance).max(bv + min_ms) {
-                    problems.push(format!(
-                        "{who}: {key} regressed {bv:.3} -> {fv:.3} ms \
-                         (> {tolerance}x tolerance, +{min_ms} ms floor)"
-                    ));
-                }
-            }
-        }
-        check_latency(&who, b, f, &mut problems, &mut lats_checked);
+        found.compare(&who, b, f);
     }
-    if walls_checked == 0 {
-        problems.push("no wall-time fields found to compare (wrong artifact?)".to_string());
+    if found.exact_checked == 0 {
+        found.problems.push("no exact fields found to compare (wrong artifact?)".to_string());
     }
-    // Totals layer: only active when the baseline carries a totals
-    // object (both artifacts do today; this keeps the gate usable on
-    // older snapshots). A fresh artifact with no totals at all is one
-    // defect, reported once.
-    if let (Some(bt), ft) = (totals_body(&baseline), totals_body(&fresh)) {
-        let Some(ft) = ft else {
-            problems.push("totals: baseline has a totals object, fresh does not".into());
-            fail_with(problems, &baseline_path);
-        };
-        for key in TOTAL_EXACT_FIELDS {
-            if let (Some(bv), Some(fv)) = (field(bt, key), field(ft, key)) {
-                if bv != fv {
-                    problems
-                        .push(format!("totals: {key} changed {bv} -> {fv} (must match exactly)"));
-                }
+    // Totals: only when the baseline carries the object.
+    if let Some(bt) = get(&base_doc, "totals") {
+        match get(&fresh_doc, "totals") {
+            Some(ft) => found.compare("totals", &fields(bt), &fields(ft)),
+            None => {
+                found.problems.push("totals: baseline has a totals object, fresh does not".into())
             }
         }
-        for key in TOTAL_WALL_FIELDS {
-            if let (Some(bv), Some(fv)) = (field(bt, key), field(ft, key)) {
-                let (bv, fv): (f64, f64) = (
-                    bv.parse().unwrap_or_else(|_| fail(format!("totals: bad {key} '{bv}'"))),
-                    fv.parse().unwrap_or_else(|_| fail(format!("totals: bad {key} '{fv}'"))),
-                );
-                walls_checked += 1;
-                if fv > (bv * tolerance).max(bv + min_ms) {
-                    problems.push(format!(
-                        "totals: {key} regressed {bv:.3} -> {fv:.3} ms \
-                         (> {tolerance}x tolerance, +{min_ms} ms floor)"
-                    ));
-                }
-            }
-        }
-        for key in TOTAL_PRESENT_FIELDS {
-            if field(bt, key).is_some() && field(ft, key).is_none() {
-                problems.push(format!(
-                    "totals: structural field '{key}' present in baseline but missing in fresh"
-                ));
-            }
-        }
-        check_latency("totals", bt, ft, &mut problems, &mut lats_checked);
     }
-    if problems.is_empty() {
+    if found.problems.is_empty() {
         println!(
-            "bench_check: {} rows ok vs {} ({} wall fields within {tolerance}x, \
-             {lats_checked} latency fields within {LAT_TOLERANCE}x)",
+            "bench_check: {} rows ok vs {baseline_path} ({} exact fields equal, {} keys present)",
             fresh_rows.len(),
-            baseline_path,
-            walls_checked,
+            found.exact_checked,
+            found.keys_checked,
         );
-    } else {
-        fail_with(problems, &baseline_path);
+        return;
     }
-}
-
-/// Prints every problem and exits 1 (regression/mismatch).
-fn fail_with(problems: Vec<String>, baseline_path: &str) -> ! {
-    for p in &problems {
+    for p in &found.problems {
         eprintln!("bench_check: FAIL: {p}");
     }
     eprintln!(
         "bench_check: {} problem(s) vs {baseline_path}; if the model legitimately \
          changed, regenerate the snapshot under ci/baselines/ in the same PR",
-        problems.len()
+        found.problems.len()
     );
     std::process::exit(1);
 }

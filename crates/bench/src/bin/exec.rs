@@ -48,6 +48,8 @@
 
 use std::time::{Duration, Instant};
 
+use tss_bench::cli::{fail, locality_only, Flags, Parsed};
+use tss_bench::{hw_threads, json};
 use tss_core::report::{fmt_count_pct, fmt_f};
 use tss_core::Table;
 use tss_exec::fault::install_quiet_hook;
@@ -67,64 +69,27 @@ const DECODE_REPS: usize = 3;
 
 struct Args {
     scale: Scale,
-    threads: usize,
-    payload: PayloadMode,
-    sched: SchedKind,
-    classes: usize,
-    domains: usize,
-    seed: u64,
-    window: usize,
-    decode_shards: usize,
-    renaming: bool,
+    /// What every run of the session executes under. `validate` is off:
+    /// the harness checks each log itself, outside the timed runs, so
+    /// it can exit with a clear per-benchmark message.
+    cfg: ExecConfig,
     json: bool,
     out: String,
-    // --- failure domain (DESIGN.md §11) ---
-    policy: FailurePolicy,
     fault_rate_ppm: u32,
     fault_seed: u64,
-    task_deadline: Option<Duration>,
-    run_deadline: Option<Duration>,
-    kill_worker: Option<usize>,
     // --- observability (DESIGN.md §12) ---
     trace_out: Option<String>,
     histogram: bool,
 }
 
-/// CLI contract: bad input is a user error, not a bug — report it
-/// plainly and exit nonzero (the CLI-error tests pin this).
-fn fail(msg: impl std::fmt::Display) -> ! {
-    eprintln!("error: {msg} (try --help)");
-    std::process::exit(2);
-}
-
-fn want(value: Option<String>, flag: &str) -> String {
-    value.unwrap_or_else(|| fail(format!("{flag} needs a value")))
-}
-
-fn parse_num<T: std::str::FromStr>(raw: &str, what: &str) -> T {
-    raw.parse().unwrap_or_else(|_| fail(format!("{what} must be a number, got '{raw}'")))
-}
-
-fn parse_args() -> Args {
+fn parse_args() -> Parsed<Args> {
     let mut out = Args {
         scale: Scale::Small,
-        threads: 4,
-        payload: PayloadMode::Noop,
-        sched: SchedKind::Lifo,
-        classes: 2,
-        domains: 1,
-        seed: 42,
-        window: 1024,
-        decode_shards: 1,
-        renaming: true,
+        cfg: ExecConfig { seed: 42, validate: false, ..ExecConfig::default() },
         json: false,
         out: "BENCH_exec.json".into(),
-        policy: FailurePolicy::FailFast,
         fault_rate_ppm: 0,
         fault_seed: 7,
-        task_deadline: None,
-        run_deadline: None,
-        kill_worker: None,
         trace_out: None,
         histogram: false,
     };
@@ -136,206 +101,143 @@ fn parse_args() -> Args {
     let mut policy_name: Option<String> = None;
     let mut retry_max: Option<u32> = None;
     let mut retry_backoff_ms = 1.0f64;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--scale" => {
-                let v = want(args.next(), "--scale");
-                out.scale = Scale::parse(&v)
-                    .unwrap_or_else(|| fail(format!("unknown scale '{v}' (small|paper|large)")));
-            }
-            "--threads" => {
-                out.threads = parse_num(&want(args.next(), "--threads"), "--threads");
-                if out.threads == 0 {
-                    fail("--threads must be at least 1");
-                }
-            }
-            "--window" => {
-                out.window = parse_num(&want(args.next(), "--window"), "--window");
-                if out.window == 0 {
-                    fail("--window must be at least 1 task");
-                }
-            }
-            "--decode-shards" => {
-                out.decode_shards =
-                    parse_num(&want(args.next(), "--decode-shards"), "--decode-shards");
-                if out.decode_shards == 0 {
-                    fail("--decode-shards must be at least 1");
-                }
-            }
-            "--payload" => payload_name = want(args.next(), "--payload"),
+    let mut flags = Flags::from_env(format!(
+        "exec [--scale small|paper|large] [--threads N] \
+         [--payload noop|spin|memcpy|faulty|mixed] [--spin-scale F] [--seed N] \
+         [--policy {SCHED_MENU}] [--classes N --domains N (locality only)] \
+         [--window N] [--decode-shards N] [--no-renaming] [--json] [--out PATH] \
+         [--fault-rate F --failure-policy fail-fast|retry|quarantine] \
+         [--fault-seed N] [--retry-max N] [--retry-backoff-ms F] \
+         [--task-deadline-ms N] [--run-deadline-ms N] [--kill-worker W] \
+         [--trace-out PATH] [--histogram]"
+    ));
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--scale" => out.scale = flags.scale()?,
+            "--threads" => out.cfg.threads = flags.positive()?,
+            "--window" => out.cfg.window = flags.positive()?,
+            "--decode-shards" => out.cfg.decode_shards = flags.positive()?,
+            "--payload" => payload_name = flags.value()?,
             "--policy" => {
-                let v = want(args.next(), "--policy");
-                out.sched = SchedKind::parse(&v)
-                    .unwrap_or_else(|| fail(format!("unknown policy '{v}' ({SCHED_MENU})")));
+                let v = flags.value()?;
+                out.cfg.sched = SchedKind::parse(&v)
+                    .ok_or_else(|| format!("unknown policy '{v}' ({SCHED_MENU})"))?;
             }
-            "--classes" => {
-                let n: usize = parse_num(&want(args.next(), "--classes"), "--classes");
-                if n == 0 {
-                    fail("--classes must be at least 1");
-                }
-                classes_flag = Some(n);
-            }
-            "--domains" => {
-                let n: usize = parse_num(&want(args.next(), "--domains"), "--domains");
-                if n == 0 {
-                    fail("--domains must be at least 1");
-                }
-                domains_flag = Some(n);
-            }
-            "--spin-scale" => {
-                spin_scale = parse_num(&want(args.next(), "--spin-scale"), "--spin-scale");
-            }
-            "--seed" => out.seed = parse_num(&want(args.next(), "--seed"), "--seed"),
-            "--no-renaming" => out.renaming = false,
+            "--classes" => classes_flag = Some(flags.positive()?),
+            "--domains" => domains_flag = Some(flags.positive()?),
+            "--spin-scale" => spin_scale = flags.num()?,
+            "--seed" => out.cfg.seed = flags.num()?,
+            "--no-renaming" => out.cfg.renaming = false,
             "--json" => out.json = true,
-            "--out" => out.out = want(args.next(), "--out"),
+            "--out" => out.out = flags.value()?,
             "--fault-rate" => {
-                let f: f64 = parse_num(&want(args.next(), "--fault-rate"), "--fault-rate");
+                let f: f64 = flags.num()?;
                 if !(0.0..=1.0).contains(&f) {
-                    fail("--fault-rate must be a probability in 0..=1");
+                    return Err("--fault-rate must be a probability in 0..=1".into());
                 }
                 fault_rate = Some(f);
             }
-            "--fault-seed" => {
-                out.fault_seed = parse_num(&want(args.next(), "--fault-seed"), "--fault-seed");
-            }
-            "--failure-policy" => policy_name = Some(want(args.next(), "--failure-policy")),
-            "--retry-max" => {
-                let n: u32 = parse_num(&want(args.next(), "--retry-max"), "--retry-max");
-                if n == 0 {
-                    fail("--retry-max must be at least 1 attempt");
-                }
-                retry_max = Some(n);
-            }
+            "--fault-seed" => out.fault_seed = flags.num()?,
+            "--failure-policy" => policy_name = Some(flags.value()?),
+            "--retry-max" => retry_max = Some(flags.positive()?),
             "--retry-backoff-ms" => {
-                retry_backoff_ms =
-                    parse_num(&want(args.next(), "--retry-backoff-ms"), "--retry-backoff-ms");
+                retry_backoff_ms = flags.num()?;
                 if retry_backoff_ms < 0.0 {
-                    fail("--retry-backoff-ms must be non-negative");
+                    return Err("--retry-backoff-ms must be non-negative".into());
                 }
             }
-            "--task-deadline-ms" => {
-                let ms: u64 =
-                    parse_num(&want(args.next(), "--task-deadline-ms"), "--task-deadline-ms");
-                if ms == 0 {
-                    fail("--task-deadline-ms must be at least 1 ms (0 would fail every task)");
-                }
-                out.task_deadline = Some(Duration::from_millis(ms));
-            }
-            "--run-deadline-ms" => {
-                let ms: u64 =
-                    parse_num(&want(args.next(), "--run-deadline-ms"), "--run-deadline-ms");
-                if ms == 0 {
-                    fail("--run-deadline-ms must be at least 1 ms (0 would fail every run)");
-                }
-                out.run_deadline = Some(Duration::from_millis(ms));
-            }
-            "--kill-worker" => {
-                out.kill_worker =
-                    Some(parse_num(&want(args.next(), "--kill-worker"), "--kill-worker"));
-            }
-            "--trace-out" => out.trace_out = Some(want(args.next(), "--trace-out")),
+            "--task-deadline-ms" => out.cfg.task_deadline = Some(flags.millis()?),
+            "--run-deadline-ms" => out.cfg.run_deadline = Some(flags.millis()?),
+            "--kill-worker" => out.cfg.kill_worker = Some(flags.num()?),
+            "--trace-out" => out.trace_out = Some(flags.value()?),
             "--histogram" => out.histogram = true,
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: exec [--scale small|paper|large] [--threads N] \
-                     [--payload noop|spin|memcpy|faulty|mixed] [--spin-scale F] [--seed N] \
-                     [--policy {SCHED_MENU}] [--classes N --domains N (locality only)] \
-                     [--window N] [--decode-shards N] [--no-renaming] [--json] [--out PATH] \
-                     [--fault-rate F --failure-policy fail-fast|retry|quarantine] \
-                     [--fault-seed N] [--retry-max N] [--retry-backoff-ms F] \
-                     [--task-deadline-ms N] [--run-deadline-ms N] [--kill-worker W] \
-                     [--trace-out PATH] [--histogram]"
-                );
-                std::process::exit(0);
-            }
-            other => fail(format!("unknown flag '{other}'")),
+            _ => return Err(flags.unknown()),
         }
     }
-    out.payload = PayloadMode::parse(&payload_name, spin_scale).unwrap_or_else(|| {
-        fail(format!("unknown payload '{payload_name}' (noop|spin|memcpy|faulty|mixed)"))
-    });
+    out.cfg.payload = PayloadMode::parse(&payload_name, spin_scale).ok_or_else(|| {
+        format!("unknown payload '{payload_name}' (noop|spin|memcpy|faulty|mixed)")
+    })?;
 
-    // Worker-class / affinity-domain shaping only means anything to the
-    // locality policy; silently ignoring the flags elsewhere would make
-    // an ablation sweep lie about what it ran.
-    if !matches!(out.sched, SchedKind::Locality) {
-        if let Some(n) = classes_flag {
-            fail(format!(
-                "--classes {n} only applies to --policy locality, not --policy {}",
-                out.sched.name()
-            ));
-        }
-        if let Some(n) = domains_flag {
-            fail(format!(
-                "--domains {n} only applies to --policy locality, not --policy {}",
-                out.sched.name()
-            ));
-        }
-    }
+    locality_only(out.cfg.sched, classes_flag, domains_flag)?;
     if let Some(n) = domains_flag {
-        if n > out.threads {
-            fail(format!("--domains {n} cannot exceed --threads {}", out.threads));
+        if n > out.cfg.threads {
+            return Err(format!("--domains {n} cannot exceed --threads {}", out.cfg.threads));
         }
     }
-    out.classes = classes_flag.unwrap_or(out.classes);
-    out.domains = domains_flag.unwrap_or(out.domains);
+    out.cfg.classes = classes_flag.unwrap_or(out.cfg.classes);
+    out.cfg.domains = domains_flag.unwrap_or(out.cfg.domains);
 
     // Flag-combination validation (all errors name the flags involved;
     // the CLI tests pin these). Injection must be paired with an
     // explicit policy: silently defaulting to fail-fast would turn a
     // chaos run into a guaranteed exit-2.
-    let injecting =
-        fault_rate.is_some_and(|f| f > 0.0) || matches!(out.payload, PayloadMode::Faulty { .. });
+    let injecting = fault_rate.is_some_and(|f| f > 0.0)
+        || matches!(out.cfg.payload, PayloadMode::Faulty { .. });
     if fault_rate.is_some()
-        && !matches!(out.payload, PayloadMode::Noop | PayloadMode::Faulty { .. })
+        && !matches!(out.cfg.payload, PayloadMode::Noop | PayloadMode::Faulty { .. })
     {
-        fail(format!("--fault-rate needs --payload noop or faulty, not {}", out.payload.name()));
+        return Err(format!(
+            "--fault-rate needs --payload noop or faulty, not {}",
+            out.cfg.payload.name()
+        ));
     }
     if injecting && policy_name.is_none() {
-        fail("--fault-rate / --payload faulty needs --failure-policy fail-fast|retry|quarantine");
+        return Err(
+            "--fault-rate / --payload faulty needs --failure-policy fail-fast|retry|quarantine"
+                .into(),
+        );
     }
     if let Some(name) = &policy_name {
         let backoff = Duration::from_secs_f64(retry_backoff_ms / 1e3);
-        out.policy =
-            FailurePolicy::parse(name, retry_max.unwrap_or(3), backoff).unwrap_or_else(|| {
-                fail(format!("unknown --failure-policy '{name}' (fail-fast|retry|quarantine)"))
-            });
-        if retry_max.is_some() && !matches!(out.policy, FailurePolicy::Retry { .. }) {
-            fail(format!("--retry-max only applies to --failure-policy retry, not {name}"));
+        out.cfg.policy =
+            FailurePolicy::parse(name, retry_max.unwrap_or(3), backoff).ok_or_else(|| {
+                format!("unknown --failure-policy '{name}' (fail-fast|retry|quarantine)")
+            })?;
+        if retry_max.is_some() && !matches!(out.cfg.policy, FailurePolicy::Retry { .. }) {
+            return Err(format!("--retry-max only applies to --failure-policy retry, not {name}"));
         }
     } else if retry_max.is_some() {
-        fail("--retry-max needs --failure-policy retry");
+        return Err("--retry-max needs --failure-policy retry".into());
     }
-    if let Some(k) = out.kill_worker {
-        if out.threads < 2 {
-            fail("--kill-worker needs --threads of at least 2 (a lone dead worker cannot finish)");
+    if let Some(k) = out.cfg.kill_worker {
+        if out.cfg.threads < 2 {
+            return Err(
+                "--kill-worker needs --threads of at least 2 (a lone dead worker cannot finish)"
+                    .into(),
+            );
         }
-        if k >= out.threads {
-            fail(format!("--kill-worker {k} is out of range for --threads {}", out.threads));
+        if k >= out.cfg.threads {
+            return Err(format!(
+                "--kill-worker {k} is out of range for --threads {}",
+                out.cfg.threads
+            ));
         }
     }
     if let Some(rate) = fault_rate {
         out.fault_rate_ppm = (rate * 1e6).round() as u32;
-    } else if let PayloadMode::Faulty { rate_ppm, .. } = out.payload {
+    } else if let PayloadMode::Faulty { rate_ppm, .. } = out.cfg.payload {
         out.fault_rate_ppm = rate_ppm;
     }
     if out.fault_rate_ppm > 0 {
-        out.payload = PayloadMode::Faulty { rate_ppm: out.fault_rate_ppm, seed: out.fault_seed };
+        out.cfg.payload =
+            PayloadMode::Faulty { rate_ppm: out.fault_rate_ppm, seed: out.fault_seed };
     }
     // Observability flags need a recording build: in the default
     // NoopSink build there is nothing to export, so failing up front
     // beats writing an empty trace file (the CLI tests pin exit 2).
     if !tss_exec::obs_enabled() {
         if out.trace_out.is_some() {
-            fail("--trace-out needs a build with the obs feature (cargo ... --features obs)");
+            return Err(
+                "--trace-out needs a build with the obs feature (cargo ... --features obs)".into(),
+            );
         }
         if out.histogram {
-            fail("--histogram needs a build with the obs feature (cargo ... --features obs)");
+            return Err(
+                "--histogram needs a build with the obs feature (cargo ... --features obs)".into(),
+            );
         }
     }
-    out
+    Ok(out)
 }
 
 struct Point {
@@ -364,35 +266,13 @@ impl Point {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Hardware threads actually available to this process. Stamped into
-/// every artifact (top level *and* totals) so nobody reads a
-/// `--threads 32` sweep row from a 1-core CI container as a scaling
-/// result again (EXPERIMENTS.md carries the full mea culpa).
-fn hw_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
 /// The six latency fields for one report's obs data, ready to splice
-/// into a JSON object — empty in a NoopSink build (`bench_check`'s
-/// latency layer is presence-gated on exactly this).
+/// into a JSON object — empty in a NoopSink build (`bench_check`
+/// presence-gates exactly this).
 fn latency_json(obs: Option<&tss_exec::obs::ObsReport>) -> String {
-    match obs {
-        Some(o) => format!(
-            "\"latency_p50_ns\": {}, \"latency_p99_ns\": {}, \"latency_p999_ns\": {}, \
-             \"queue_p50_ns\": {}, \"queue_p99_ns\": {}, \"queue_p999_ns\": {}, ",
-            o.exec_latency.p50(),
-            o.exec_latency.p99(),
-            o.exec_latency.p999(),
-            o.queue_wait.p50(),
-            o.queue_wait.p99(),
-            o.queue_wait.p999(),
-        ),
-        None => String::new(),
-    }
+    obs.map_or_else(String::new, |o| {
+        json::quantiles("latency", &o.exec_latency) + &json::quantiles("queue", &o.queue_wait)
+    })
 }
 
 /// Merges every replay run's sampled histograms for the totals row.
@@ -451,17 +331,17 @@ fn to_json(args: &Args, points: &[Point]) -> String {
     s.push_str("{\n");
     s.push_str("  \"schema\": \"tss-bench-exec/v5\",\n");
     s.push_str(&format!("  \"scale\": \"{}\",\n", args.scale.name()));
-    s.push_str(&format!("  \"threads\": {},\n", args.threads));
+    s.push_str(&format!("  \"threads\": {},\n", args.cfg.threads));
     s.push_str(&format!("  \"hw_threads\": {},\n", hw_threads()));
-    s.push_str(&format!("  \"payload\": \"{}\",\n", args.payload.name()));
-    s.push_str(&format!("  \"policy\": \"{}\",\n", args.sched.name()));
-    s.push_str(&format!("  \"classes\": {},\n", args.classes));
-    s.push_str(&format!("  \"domains\": {},\n", args.domains));
-    s.push_str(&format!("  \"seed\": {},\n", args.seed));
-    s.push_str(&format!("  \"window\": {},\n", args.window));
-    s.push_str(&format!("  \"decode_shards\": {},\n", args.decode_shards));
-    s.push_str(&format!("  \"renaming\": {},\n", args.renaming));
-    s.push_str(&format!("  \"failure_policy\": \"{}\",\n", args.policy.name()));
+    s.push_str(&format!("  \"payload\": \"{}\",\n", args.cfg.payload.name()));
+    s.push_str(&format!("  \"policy\": \"{}\",\n", args.cfg.sched.name()));
+    s.push_str(&format!("  \"classes\": {},\n", args.cfg.classes));
+    s.push_str(&format!("  \"domains\": {},\n", args.cfg.domains));
+    s.push_str(&format!("  \"seed\": {},\n", args.cfg.seed));
+    s.push_str(&format!("  \"window\": {},\n", args.cfg.window));
+    s.push_str(&format!("  \"decode_shards\": {},\n", args.cfg.decode_shards));
+    s.push_str(&format!("  \"renaming\": {},\n", args.cfg.renaming));
+    s.push_str(&format!("  \"failure_policy\": \"{}\",\n", args.cfg.policy.name()));
     s.push_str(&format!("  \"fault_rate_ppm\": {},\n", args.fault_rate_ppm));
     s.push_str(&format!("  \"fault_seed\": {},\n", args.fault_seed));
     s.push_str(&format!("  \"paper_software_decoder_ns_per_task\": {PAPER_SOFTWARE_DECODE_NS},\n"));
@@ -479,7 +359,7 @@ fn to_json(args: &Args, points: &[Point]) -> String {
             })
             .collect();
         s.push_str(&format!(
-            "    {{\"benchmark\": \"{}\", \"tasks\": {}, \"enforced_edges\": {}, \
+            "    {{\"benchmark\": {}, \"tasks\": {}, \"enforced_edges\": {}, \
              \"decode_ns_per_task\": {:.1}, \"decode_tasks_per_sec\": {:.0}, \
              \"exec_wall_ms\": {:.3}, \"exec_tasks_per_sec\": {:.0}, \"steals\": {}, \
              \"cross_steals\": {}, \
@@ -487,7 +367,7 @@ fn to_json(args: &Args, points: &[Point]) -> String {
              \"decode_overlap_pct\": {:.1}, {}\
              \"failed\": {}, \"poisoned\": {}, \"retried_ok\": {}, \"workers_lost\": {}, \
              \"validated\": {}, \"workers\": [{}]}}{}\n",
-            json_escape(&r.benchmark),
+            json::string(&r.benchmark),
             r.tasks,
             r.rename.enforced_edges,
             p.decode_ns_per_task(),
@@ -623,8 +503,8 @@ fn run_checked(
 }
 
 fn main() {
-    let args = parse_args();
-    let chaos = args.fault_rate_ppm > 0 || args.kill_worker.is_some();
+    let args = parse_args().unwrap_or_else(|e| fail(e));
+    let chaos = args.fault_rate_ppm > 0 || args.cfg.kill_worker.is_some();
     if chaos {
         // Injected panics are expected traffic at a 5% rate; keep the
         // default hook's backtraces for *real* panics only.
@@ -632,11 +512,11 @@ fn main() {
     }
     let mut points = Vec::with_capacity(9);
     for bench in Benchmark::all() {
-        let trace = bench.trace(args.scale, args.seed);
+        let trace = bench.trace(args.scale, args.cfg.seed);
         let oracle = DepGraph::from_trace(&trace);
 
         // Decode microbench: the renamer alone, single pass, best of N.
-        let renamer = Renamer::new().renaming(args.renaming);
+        let renamer = Renamer::new().renaming(args.cfg.renaming);
         let mut decode_best = Duration::MAX;
         for _ in 0..DECODE_REPS {
             let t0 = Instant::now();
@@ -646,26 +526,7 @@ fn main() {
             decode_best = decode_best.min(dt);
         }
 
-        // Validation happens below, outside the timed runs, so the
-        // harness exits with a clear per-benchmark message.
-        let cfg = ExecConfig {
-            threads: args.threads,
-            payload: args.payload,
-            sched: args.sched,
-            classes: args.classes,
-            domains: args.domains,
-            renaming: args.renaming,
-            seed: args.seed,
-            window: args.window,
-            decode_shards: args.decode_shards,
-            validate: false,
-            policy: args.policy,
-            task_deadline: args.task_deadline,
-            run_deadline: args.run_deadline,
-            kill_worker: args.kill_worker,
-            cancel: None,
-        };
-        let exec = Executor::new(cfg);
+        let exec = Executor::new(args.cfg.clone());
         // Two-phase replay: the scheduler-only, PR-comparable number.
         let replay = run_checked(bench, exec.run_oneshot(&trace), &oracle);
         // Pipelined streaming run: decode overlapped with execution.
@@ -730,12 +591,12 @@ fn main() {
             format!(
                 "Native executor ({} scale, {} threads, {} payload, {} policy, seed {}, window {}, {} decode shards)",
                 args.scale.name(),
-                args.threads,
-                args.payload.name(),
-                args.sched.name(),
-                args.seed,
-                args.window,
-                args.decode_shards,
+                args.cfg.threads,
+                args.cfg.payload.name(),
+                args.cfg.sched.name(),
+                args.cfg.seed,
+                args.cfg.window,
+                args.cfg.decode_shards,
             ),
             &[
                 "Benchmark",
@@ -794,7 +655,7 @@ fn main() {
             println!(
                 "Chaos ({} @ {} ppm, fault seed {}): failed {}, poisoned {}, \
                  retried-ok {} — accounting reconciled, replay/stream failure sets agree.",
-                args.policy.name(),
+                args.cfg.policy.name(),
                 args.fault_rate_ppm,
                 args.fault_seed,
                 fmt_count_pct(failed, total),

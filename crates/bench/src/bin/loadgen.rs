@@ -26,6 +26,8 @@
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
+use tss_bench::cli::{fail, Flags, Parsed};
+use tss_bench::{hw_threads, json};
 use tss_client::chaos::{plan, run_graph, ChaosMode, ChaosOutcome};
 use tss_client::{Client, Submission};
 use tss_core::report::fmt_f;
@@ -34,20 +36,6 @@ use tss_obs::hist::Histogram;
 use tss_proto::{GraphOutcome, RejectReason};
 use tss_trace::TaskTrace;
 use tss_workloads::{Benchmark, Scale};
-
-/// CLI contract: bad input is a user error, not a bug (exit 2).
-fn fail(msg: impl std::fmt::Display) -> ! {
-    eprintln!("error: {msg} (try --help)");
-    std::process::exit(2);
-}
-
-fn want(value: Option<String>, flag: &str) -> String {
-    value.unwrap_or_else(|| fail(format!("{flag} needs a value")))
-}
-
-fn parse_num<T: std::str::FromStr>(raw: &str, what: &str) -> T {
-    raw.parse().unwrap_or_else(|_| fail(format!("{what} must be a number, got '{raw}'")))
-}
 
 struct Args {
     addr: SocketAddr,
@@ -65,7 +53,7 @@ struct Args {
     out: String,
 }
 
-fn parse_args() -> Args {
+fn parse_args() -> Parsed<Args> {
     let mut addr: Option<String> = None;
     let mut out = Args {
         addr: "127.0.0.1:0".parse().expect("literal addr"),
@@ -83,80 +71,48 @@ fn parse_args() -> Args {
         out: "BENCH_serve.json".into(),
     };
     let mut retry_max_flag: Option<u32> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--addr" => addr = Some(want(args.next(), "--addr")),
-            "--clients" => {
-                out.clients = parse_num(&want(args.next(), "--clients"), "--clients");
-                if out.clients == 0 {
-                    fail("--clients must be at least 1");
-                }
-            }
-            "--graphs" => {
-                out.graphs = parse_num(&want(args.next(), "--graphs"), "--graphs");
-                if out.graphs == 0 {
-                    fail("--graphs must be at least 1 per client");
-                }
-            }
+    let mut flags = Flags::from_env(
+        "loadgen --addr HOST:PORT [--clients N] [--graphs N] \
+         [--bench NAME] [--scale small|paper|large] [--seed N] [--chunk N] \
+         [--deadline-ms N] [--retry-max N] [--chaos-seed N] [--shutdown] \
+         [--json] [--out PATH]",
+    );
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--addr" => addr = Some(flags.value()?),
+            "--clients" => out.clients = flags.positive()?,
+            "--graphs" => out.graphs = flags.positive()?,
             "--bench" => {
-                let v = want(args.next(), "--bench");
-                out.bench = Benchmark::parse(&v).unwrap_or_else(|| {
+                let v = flags.value()?;
+                out.bench = Benchmark::parse(&v).ok_or_else(|| {
                     let menu: Vec<&str> = Benchmark::all().iter().map(|b| b.name()).collect();
-                    fail(format!("unknown benchmark '{v}' ({})", menu.join("|")))
-                });
+                    format!("unknown benchmark '{v}' ({})", menu.join("|"))
+                })?;
             }
-            "--scale" => {
-                let v = want(args.next(), "--scale");
-                out.scale = Scale::parse(&v)
-                    .unwrap_or_else(|| fail(format!("unknown scale '{v}' (small|paper|large)")));
-            }
-            "--seed" => out.seed = parse_num(&want(args.next(), "--seed"), "--seed"),
-            "--chunk" => {
-                out.chunk = parse_num(&want(args.next(), "--chunk"), "--chunk");
-                if out.chunk == 0 {
-                    fail("--chunk must be at least 1 task per frame");
-                }
-            }
-            "--deadline-ms" => {
-                out.deadline_ms = parse_num(&want(args.next(), "--deadline-ms"), "--deadline-ms");
-            }
-            "--retry-max" => {
-                let n: u32 = parse_num(&want(args.next(), "--retry-max"), "--retry-max");
-                if n == 0 {
-                    fail("--retry-max must be at least 1 attempt");
-                }
-                retry_max_flag = Some(n);
-            }
-            "--chaos-seed" => {
-                out.chaos_seed =
-                    Some(parse_num(&want(args.next(), "--chaos-seed"), "--chaos-seed"));
-            }
+            "--scale" => out.scale = flags.scale()?,
+            "--seed" => out.seed = flags.num()?,
+            "--chunk" => out.chunk = flags.positive()?,
+            "--deadline-ms" => out.deadline_ms = flags.num()?,
+            "--retry-max" => retry_max_flag = Some(flags.positive()?),
+            "--chaos-seed" => out.chaos_seed = Some(flags.num()?),
             "--shutdown" => out.shutdown = true,
             "--json" => out.json = true,
-            "--out" => out.out = want(args.next(), "--out"),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: loadgen --addr HOST:PORT [--clients N] [--graphs N] \
-                     [--bench NAME] [--scale small|paper|large] [--seed N] [--chunk N] \
-                     [--deadline-ms N] [--retry-max N] [--chaos-seed N] [--shutdown] \
-                     [--json] [--out PATH]"
-                );
-                std::process::exit(0);
-            }
-            other => fail(format!("unknown flag '{other}'")),
+            "--out" => out.out = flags.value()?,
+            _ => return Err(flags.unknown()),
         }
     }
     // Chaos outcomes are plan-determined; a resubmit loop underneath
     // them would make the "exact" baseline a lie.
     if retry_max_flag.is_some() && out.chaos_seed.is_some() {
-        fail("--retry-max is the closed-loop resubmit bound; it does not apply with --chaos-seed");
+        return Err(
+            "--retry-max is the closed-loop resubmit bound; it does not apply with --chaos-seed"
+                .into(),
+        );
     }
     out.retry_max = retry_max_flag.unwrap_or(out.retry_max);
-    let addr = addr.unwrap_or_else(|| fail("--addr is required (serve --port-file emits it)"));
-    out.addr =
-        addr.parse().unwrap_or_else(|_| fail(format!("--addr must be HOST:PORT, got '{addr}'")));
-    out
+    let addr = addr.ok_or("--addr is required (serve --port-file emits it)")?;
+    out.addr = addr.parse().map_err(|_| format!("--addr must be HOST:PORT, got '{addr}'"))?;
+    Ok(out)
 }
 
 /// What one client thread needs to run its loop (a `Send + Clone`
@@ -310,31 +266,15 @@ fn run_chaotic(load: &Load, client_idx: u64, trace: &TaskTrace) -> Result<Row, S
     Ok(row)
 }
 
-fn hw_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// The three completion-latency quantile fields, ready to splice into
-/// a JSON object (same shape `bench_check`'s latency layer gates).
-fn latency_json(h: &Histogram) -> String {
+/// The fields a client row and `totals` share: the exact counts, the
+/// completion-latency quantiles, and the (noisy) wall time and rate.
+fn row_fields(r: &Row) -> String {
+    let wall = r.wall.as_secs_f64();
     format!(
-        "\"latency_p50_ns\": {}, \"latency_p99_ns\": {}, \"latency_p999_ns\": {}, ",
-        h.p50(),
-        h.p99(),
-        h.p999()
-    )
-}
-
-fn row_json(bench: &str, engine: &str, r: &Row) -> String {
-    let wall = r.wall.as_secs_f64() * 1e3;
-    let per_sec =
-        if r.wall.as_secs_f64() > 0.0 { r.completed as f64 / r.wall.as_secs_f64() } else { 0.0 };
-    format!(
-        "{{\"benchmark\": \"{bench}\", \"engine\": \"{engine}\", \"graphs\": {}, \
-         \"tasks\": {}, \"completed\": {}, \"slow_ok\": {}, \"killed\": {}, \
+        "\"graphs\": {}, \"tasks\": {}, \"completed\": {}, \"slow_ok\": {}, \"killed\": {}, \
          \"vanished\": {}, \"cancelled\": {}, \"deadline_expired\": {}, \"failed\": {}, \
          \"rejected_overloaded\": {}, \"rejected_quota\": {}, \"rejected_malformed\": {}, \
-         {}\"wall_ms\": {:.3}, \"graphs_per_sec\": {:.1}}}",
+         {}\"wall_ms\": {:.3}, \"graphs_per_sec\": {:.1}",
         r.graphs,
         r.tasks,
         r.completed,
@@ -347,9 +287,9 @@ fn row_json(bench: &str, engine: &str, r: &Row) -> String {
         r.rejected_overloaded,
         r.rejected_quota,
         r.rejected_malformed,
-        latency_json(&r.latency),
-        wall,
-        per_sec,
+        json::quantiles("latency", &r.latency),
+        wall * 1e3,
+        if wall > 0.0 { r.completed as f64 / wall } else { 0.0 },
     )
 }
 
@@ -371,14 +311,14 @@ fn to_json(args: &Args, tasks_per_graph: usize, rows: &[Row]) -> String {
     }
     s.push_str(&format!("  \"hw_threads\": {},\n", hw_threads()));
     s.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str("    ");
-        s.push_str(&row_json(args.bench.name(), &format!("client-{i}"), r));
-        s.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
-    }
-    s.push_str("  ],\n");
     let mut total = Row::default();
-    for r in rows {
+    for (i, r) in rows.iter().enumerate() {
+        s.push_str(&format!(
+            "    {{\"benchmark\": \"{}\", \"engine\": \"client-{i}\", {}}}{}\n",
+            args.bench.name(),
+            row_fields(r),
+            if i + 1 == rows.len() { "" } else { "," }
+        ));
         total.graphs += r.graphs;
         total.tasks += r.tasks;
         total.completed += r.completed;
@@ -394,40 +334,18 @@ fn to_json(args: &Args, tasks_per_graph: usize, rows: &[Row]) -> String {
         total.wall = total.wall.max(r.wall);
         total.latency.merge(&r.latency);
     }
-    let per_sec = if total.wall.as_secs_f64() > 0.0 {
-        total.completed as f64 / total.wall.as_secs_f64()
-    } else {
-        0.0
-    };
+    s.push_str("  ],\n");
     s.push_str(&format!(
-        "  \"totals\": {{\"graphs\": {}, \"tasks\": {}, \"completed\": {}, \"slow_ok\": {}, \
-         \"killed\": {}, \"vanished\": {}, \"cancelled\": {}, \"deadline_expired\": {}, \
-         \"failed\": {}, \"rejected_overloaded\": {}, \"rejected_quota\": {}, \
-         \"rejected_malformed\": {}, {}\"wall_ms\": {:.3}, \"graphs_per_sec\": {:.1}, \
-         \"hw_threads\": {}}}\n",
-        total.graphs,
-        total.tasks,
-        total.completed,
-        total.slow_ok,
-        total.killed,
-        total.vanished,
-        total.cancelled,
-        total.deadline_expired,
-        total.failed,
-        total.rejected_overloaded,
-        total.rejected_quota,
-        total.rejected_malformed,
-        latency_json(&total.latency),
-        total.wall.as_secs_f64() * 1e3,
-        per_sec,
-        hw_threads(),
+        "  \"totals\": {{{}, \"hw_threads\": {}}}\n",
+        row_fields(&total),
+        hw_threads()
     ));
     s.push_str("}\n");
     s
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|e| fail(e));
     let trace = args.bench.trace(args.scale, args.seed);
     let tasks_per_graph = trace.len();
     eprintln!(

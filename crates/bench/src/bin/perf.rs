@@ -15,10 +15,12 @@
 //! `--jobs N` fans the benchmarks across the sweep fabric. Per-row wall
 //! times are each run's own span, so with `--jobs > 1` concurrent runs
 //! share the host and per-row `events_per_sec` is *not* comparable to a
-//! serial session — use `--jobs 1` (what CI's baseline gate runs) for
-//! per-row throughput numbers. `suite_wall_ms` in `totals` is the
-//! end-to-end suite span, the figure the fabric is meant to shrink; the
-//! `jobs` field records what produced the artifact.
+//! serial session — use `--jobs 1` for per-row throughput numbers.
+//! `suite_wall_ms` in `totals` is the end-to-end suite span, the figure
+//! the fabric is meant to shrink; the `jobs` field records what
+//! produced the artifact. The timing fields are for people to read:
+//! CI's baseline gate compares `events` and `makespan_cycles` only
+//! (the stack benchmark is where a speed is bounded).
 //!
 //! Flags: `--scale small|paper|large`, `--seed N`, `--jobs N`, `--json`
 //! (print the JSON document to stdout instead of the aligned table),
@@ -28,6 +30,8 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use tss_bench::cli::{fail, Flags, Parsed};
+use tss_bench::json;
 use tss_core::report::fmt_f;
 use tss_core::{fabric, RunReport, SystemBuilder, Table};
 use tss_workloads::{Benchmark, Scale};
@@ -40,7 +44,7 @@ struct PerfArgs {
     out: String,
 }
 
-fn parse_args() -> PerfArgs {
+fn parse_args() -> Parsed<PerfArgs> {
     let mut out = PerfArgs {
         scale: Scale::Paper,
         seed: 42,
@@ -48,42 +52,20 @@ fn parse_args() -> PerfArgs {
         json: false,
         out: "BENCH_pipeline.json".into(),
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--scale" => {
-                let v = args.next().expect("--scale needs a value");
-                out.scale = Scale::parse(&v)
-                    .unwrap_or_else(|| panic!("unknown scale '{v}' (small|paper|large)"));
-            }
-            "--seed" => {
-                out.seed = args
-                    .next()
-                    .expect("--seed needs a value")
-                    .parse()
-                    .expect("--seed must be an integer");
-            }
-            "--jobs" => {
-                out.jobs = args
-                    .next()
-                    .expect("--jobs needs a value")
-                    .parse()
-                    .expect("--jobs must be a positive integer");
-                assert!(out.jobs >= 1, "--jobs must be >= 1");
-            }
+    let mut flags = Flags::from_env(
+        "perf [--scale small|paper|large] [--seed N] [--jobs N] [--json] [--out PATH]",
+    );
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--scale" => out.scale = flags.scale()?,
+            "--seed" => out.seed = flags.num()?,
+            "--jobs" => out.jobs = flags.positive()?,
             "--json" => out.json = true,
-            "--out" => out.out = args.next().expect("--out needs a path"),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: perf [--scale small|paper|large] [--seed N] [--jobs N] [--json] \
-                     [--out PATH]"
-                );
-                std::process::exit(0);
-            }
-            other => panic!("unknown flag '{other}' (try --help)"),
+            "--out" => out.out = flags.value()?,
+            _ => return Err(flags.unknown()),
         }
     }
-    out
+    Ok(out)
 }
 
 struct PerfPoint {
@@ -118,10 +100,6 @@ fn measure(report: RunReport, engine: &'static str, wall_s: f64) -> PerfPoint {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn to_json(args: &PerfArgs, points: &[PerfPoint], suite_wall_s: f64) -> String {
     let mut s = String::new();
     s.push_str("{\n");
@@ -133,10 +111,10 @@ fn to_json(args: &PerfArgs, points: &[PerfPoint], suite_wall_s: f64) -> String {
     s.push_str("  \"results\": [\n");
     for (i, p) in points.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"benchmark\": \"{}\", \"engine\": \"{}\", \"tasks\": {}, \
+            "    {{\"benchmark\": {}, \"engine\": \"{}\", \"tasks\": {}, \
              \"makespan_cycles\": {}, \"events\": {}, \"peak_event_queue\": {}, \
              \"wall_ms\": {:.3}, \"events_per_sec\": {:.0}}}{}\n",
-            json_escape(p.benchmark),
+            json::string(p.benchmark),
             p.engine,
             p.tasks,
             p.makespan,
@@ -163,7 +141,7 @@ fn to_json(args: &PerfArgs, points: &[PerfPoint], suite_wall_s: f64) -> String {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|e| fail(e));
     let suite_t0 = Instant::now();
     // One fabric point per benchmark (hardware + software measured
     // back-to-back inside the point); rows come back in catalog order.
@@ -185,7 +163,8 @@ fn main() {
     let suite_wall_s = suite_t0.elapsed().as_secs_f64();
 
     let json = to_json(&args, &points, suite_wall_s);
-    std::fs::write(&args.out, &json).expect("write BENCH_pipeline.json");
+    std::fs::write(&args.out, &json)
+        .unwrap_or_else(|e| fail(format!("cannot write {}: {e}", args.out)));
 
     if args.json {
         print!("{json}");

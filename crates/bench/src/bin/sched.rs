@@ -25,6 +25,8 @@
 
 use std::time::Instant;
 
+use tss_bench::cli::{fail, locality_only, Flags, Parsed};
+use tss_bench::{hw_threads, json};
 use tss_core::fabric;
 use tss_core::report::fmt_f;
 use tss_core::Table;
@@ -45,24 +47,7 @@ struct Args {
     out: String,
 }
 
-fn fail(msg: impl std::fmt::Display) -> ! {
-    eprintln!("error: {msg} (try --help)");
-    std::process::exit(2);
-}
-
-fn want(value: Option<String>, flag: &str) -> String {
-    value.unwrap_or_else(|| fail(format!("{flag} needs a value")))
-}
-
-fn parse_num<T: std::str::FromStr>(raw: &str, what: &str) -> T {
-    raw.parse().unwrap_or_else(|_| fail(format!("{what} must be a number, got '{raw}'")))
-}
-
-fn hw_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-fn parse_args() -> Args {
+fn parse_args() -> Parsed<Args> {
     let mut out = Args {
         scale: Scale::Small,
         policies: SchedKind::all().to_vec(),
@@ -78,96 +63,51 @@ fn parse_args() -> Args {
     let mut policy_name = String::from("all");
     let mut classes_flag: Option<usize> = None;
     let mut domains_flag: Option<usize> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--scale" => {
-                let v = want(args.next(), "--scale");
-                out.scale = Scale::parse(&v)
-                    .unwrap_or_else(|| fail(format!("unknown scale '{v}' (small|paper|large)")));
-            }
-            "--policy" => policy_name = want(args.next(), "--policy"),
+    let mut flags = Flags::from_env(format!(
+        "sched [--scale small|paper|large] [--policy all|{SCHED_MENU}] \
+         [--workers N,N,...] [--classes N] [--domains N] [--spin-scale F] \
+         [--seed N] [--jobs N] [--json] [--out PATH]"
+    ));
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--scale" => out.scale = flags.scale()?,
+            "--policy" => policy_name = flags.value()?,
             "--workers" => {
-                let v = want(args.next(), "--workers");
-                out.workers = v
+                let list = flags.value()?;
+                out.workers = list
                     .split(',')
-                    .map(|w| {
-                        let n: usize = parse_num(w.trim(), "--workers entries");
-                        if n == 0 {
-                            fail("--workers entries must be at least 1");
-                        }
-                        n
+                    .map(|w| match w.trim().parse() {
+                        Ok(n) if n >= 1 => Ok(n),
+                        _ => Err(format!(
+                            "--workers entries must be counts of at least 1, got '{w}'"
+                        )),
                     })
-                    .collect();
-                if out.workers.is_empty() {
-                    fail("--workers needs at least one worker count");
-                }
+                    .collect::<Parsed<_>>()?;
             }
-            "--classes" => {
-                let n: usize = parse_num(&want(args.next(), "--classes"), "--classes");
-                if n == 0 {
-                    fail("--classes must be at least 1");
-                }
-                classes_flag = Some(n);
-            }
-            "--domains" => {
-                let n: usize = parse_num(&want(args.next(), "--domains"), "--domains");
-                if n == 0 {
-                    fail("--domains must be at least 1");
-                }
-                domains_flag = Some(n);
-            }
-            "--spin-scale" => {
-                out.spin_scale = parse_num(&want(args.next(), "--spin-scale"), "--spin-scale");
-            }
-            "--seed" => out.seed = parse_num(&want(args.next(), "--seed"), "--seed"),
-            "--jobs" => {
-                out.jobs = parse_num(&want(args.next(), "--jobs"), "--jobs");
-                if out.jobs == 0 {
-                    fail("--jobs must be at least 1");
-                }
-            }
+            "--classes" => classes_flag = Some(flags.positive()?),
+            "--domains" => domains_flag = Some(flags.positive()?),
+            "--spin-scale" => out.spin_scale = flags.num()?,
+            "--seed" => out.seed = flags.num()?,
+            "--jobs" => out.jobs = flags.positive()?,
             "--json" => out.json = true,
-            "--out" => out.out = want(args.next(), "--out"),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: sched [--scale small|paper|large] [--policy all|{SCHED_MENU}] \
-                     [--workers N,N,...] [--classes N] [--domains N] [--spin-scale F] \
-                     [--seed N] [--jobs N] [--json] [--out PATH]"
-                );
-                std::process::exit(0);
-            }
-            other => fail(format!("unknown flag '{other}'")),
+            "--out" => out.out = flags.value()?,
+            _ => return Err(flags.unknown()),
         }
     }
     if policy_name != "all" {
         let kind = SchedKind::parse(&policy_name)
-            .unwrap_or_else(|| fail(format!("unknown policy '{policy_name}' (all|{SCHED_MENU})")));
+            .ok_or_else(|| format!("unknown policy '{policy_name}' (all|{SCHED_MENU})"))?;
         out.policies = vec![kind];
-        // Same contract as the exec harness: class/domain shaping only
-        // means anything to locality, and an ablation artifact must not
-        // pretend otherwise.
-        if !matches!(kind, SchedKind::Locality) {
-            if let Some(n) = classes_flag {
-                fail(format!(
-                    "--classes {n} only applies to --policy locality, not --policy {policy_name}"
-                ));
-            }
-            if let Some(n) = domains_flag {
-                fail(format!(
-                    "--domains {n} only applies to --policy locality, not --policy {policy_name}"
-                ));
-            }
-        }
+        locality_only(kind, classes_flag, domains_flag)?;
     }
     out.classes = classes_flag.unwrap_or(out.classes);
     out.domains = domains_flag.unwrap_or(out.domains);
     if let Some(d) = domains_flag {
         if let Some(&w) = out.workers.iter().find(|&&w| w < d) {
-            fail(format!("--domains {d} cannot exceed the smallest --workers entry {w}"));
+            return Err(format!("--domains {d} cannot exceed the smallest --workers entry {w}"));
         }
     }
-    out
+    Ok(out)
 }
 
 /// One grid point: `(benchmark index, policy, worker count)`.
@@ -223,17 +163,6 @@ fn policy_totals(rows: &[Row], policy: SchedKind) -> (usize, f64, u64, u64) {
     (tasks, if wall > 0.0 { tasks as f64 / wall } else { 0.0 }, steals, cross)
 }
 
-fn latency_json(obs: Option<&tss_exec::obs::ObsReport>) -> String {
-    match obs {
-        Some(o) => format!(
-            "\"latency_p50_ns\": {}, \"latency_p99_ns\": {}, ",
-            o.exec_latency.p50(),
-            o.exec_latency.p99(),
-        ),
-        None => String::new(),
-    }
-}
-
 fn to_json(args: &Args, rows: &[Row], suite_wall_ms: f64) -> String {
     let hw = hw_threads();
     let mut s = String::new();
@@ -257,11 +186,11 @@ fn to_json(args: &Args, rows: &[Row], suite_wall_ms: f64) -> String {
     for (i, row) in rows.iter().enumerate() {
         let r = &row.report;
         s.push_str(&format!(
-            "    {{\"benchmark\": \"{}\", \"policy\": \"{}\", \"workers\": {}, \
+            "    {{\"benchmark\": {}, \"policy\": \"{}\", \"workers\": {}, \
              \"hw_threads\": {hw}, \"tasks\": {}, \"exec_wall_ms\": {:.3}, \
              \"exec_tasks_per_sec\": {:.0}, \"steals\": {}, \"cross_steals\": {}, {}\
              \"validated\": {}}}{}\n",
-            row.benchmark,
+            json::string(&row.benchmark),
             row.policy.name(),
             row.workers,
             r.tasks,
@@ -269,7 +198,9 @@ fn to_json(args: &Args, rows: &[Row], suite_wall_ms: f64) -> String {
             r.tasks_per_sec(),
             r.total_steals(),
             r.total_cross_steals(),
-            latency_json(r.obs.as_ref()),
+            r.obs
+                .as_ref()
+                .map_or_else(String::new, |o| json::quantiles("latency", &o.exec_latency)),
             r.validated,
             if i + 1 == rows.len() { "" } else { "," }
         ));
@@ -296,7 +227,7 @@ fn to_json(args: &Args, rows: &[Row], suite_wall_ms: f64) -> String {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|e| fail(e));
 
     // Generate each benchmark trace once and share it across the whole
     // policy x workers grid (the grid re-runs the *executor*, not the

@@ -21,6 +21,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
+use tss_bench::cli::{fail, Flags, Parsed};
 use tss_exec::PayloadMode;
 use tss_server::{Server, ServerConfig};
 
@@ -42,20 +43,6 @@ extern "C" {
     fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
 }
 
-/// CLI contract: bad input is a user error, not a bug (exit 2).
-fn fail(msg: impl std::fmt::Display) -> ! {
-    eprintln!("error: {msg} (try --help)");
-    std::process::exit(2);
-}
-
-fn want(value: Option<String>, flag: &str) -> String {
-    value.unwrap_or_else(|| fail(format!("{flag} needs a value")))
-}
-
-fn parse_num<T: std::str::FromStr>(raw: &str, what: &str) -> T {
-    raw.parse().unwrap_or_else(|_| fail(format!("{what} must be a number, got '{raw}'")))
-}
-
 struct Args {
     host: String,
     port: u16,
@@ -63,116 +50,59 @@ struct Args {
     cfg: ServerConfig,
 }
 
-fn parse_args() -> Args {
+fn parse_args() -> Parsed<Args> {
     let mut out =
         Args { host: "127.0.0.1".into(), port: 0, port_file: None, cfg: ServerConfig::default() };
     let mut payload_name = String::from("noop");
     let mut spin_scale: Option<f64> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--host" => out.host = want(args.next(), "--host"),
-            "--port" => out.port = parse_num(&want(args.next(), "--port"), "--port"),
-            "--port-file" => out.port_file = Some(want(args.next(), "--port-file")),
-            "--exec-threads" => {
-                out.cfg.exec_threads =
-                    parse_num(&want(args.next(), "--exec-threads"), "--exec-threads");
-                if out.cfg.exec_threads == 0 {
-                    fail("--exec-threads must be at least 1");
-                }
-            }
-            "--runners" => {
-                out.cfg.runners = parse_num(&want(args.next(), "--runners"), "--runners");
-                if out.cfg.runners == 0 {
-                    fail("--runners must be at least 1");
-                }
-            }
-            "--quota" => {
-                out.cfg.quota = parse_num(&want(args.next(), "--quota"), "--quota");
-                if out.cfg.quota == 0 {
-                    fail("--quota must be at least 1 graph per session");
-                }
-            }
-            "--max-queued-graphs" => {
-                out.cfg.max_queued_graphs =
-                    parse_num(&want(args.next(), "--max-queued-graphs"), "--max-queued-graphs");
-                if out.cfg.max_queued_graphs == 0 {
-                    fail("--max-queued-graphs must be at least 1");
-                }
-            }
-            "--max-queued-tasks" => {
-                out.cfg.max_queued_tasks =
-                    parse_num(&want(args.next(), "--max-queued-tasks"), "--max-queued-tasks");
-                if out.cfg.max_queued_tasks == 0 {
-                    fail("--max-queued-tasks must be at least 1");
-                }
-            }
-            "--max-graph-tasks" => {
-                out.cfg.max_graph_tasks =
-                    parse_num(&want(args.next(), "--max-graph-tasks"), "--max-graph-tasks");
-                if out.cfg.max_graph_tasks == 0 {
-                    fail("--max-graph-tasks must be at least 1");
-                }
-            }
-            "--retry-after-ms" => {
-                out.cfg.retry_after_ms =
-                    parse_num(&want(args.next(), "--retry-after-ms"), "--retry-after-ms");
-            }
-            "--drain-deadline-ms" => {
-                let ms: u64 =
-                    parse_num(&want(args.next(), "--drain-deadline-ms"), "--drain-deadline-ms");
-                if ms == 0 {
-                    fail("--drain-deadline-ms must be at least 1 ms (0 would cancel every drain)");
-                }
-                out.cfg.drain_deadline = Duration::from_millis(ms);
-            }
-            "--read-timeout-ms" => {
-                let ms: u64 =
-                    parse_num(&want(args.next(), "--read-timeout-ms"), "--read-timeout-ms");
-                if ms == 0 {
-                    fail("--read-timeout-ms must be at least 1 ms (0 would time every read out)");
-                }
-                out.cfg.read_timeout = Duration::from_millis(ms);
-            }
-            "--payload" => payload_name = want(args.next(), "--payload"),
-            "--spin-scale" => {
-                spin_scale = Some(parse_num(&want(args.next(), "--spin-scale"), "--spin-scale"));
-            }
-            "--seed" => out.cfg.seed = parse_num(&want(args.next(), "--seed"), "--seed"),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: serve [--host H] [--port N] [--port-file PATH] \
-                     [--exec-threads N] [--runners N] [--quota N] \
-                     [--max-queued-graphs N] [--max-queued-tasks N] [--max-graph-tasks N] \
-                     [--retry-after-ms N] [--drain-deadline-ms N] [--read-timeout-ms N] \
-                     [--payload noop|spin|memcpy|mixed] [--spin-scale F] [--seed N]"
-                );
-                std::process::exit(0);
-            }
-            other => fail(format!("unknown flag '{other}'")),
+    let mut flags = Flags::from_env(
+        "serve [--host H] [--port N] [--port-file PATH] \
+         [--exec-threads N] [--runners N] [--quota N] \
+         [--max-queued-graphs N] [--max-queued-tasks N] [--max-graph-tasks N] \
+         [--retry-after-ms N] [--drain-deadline-ms N] [--read-timeout-ms N] \
+         [--payload noop|spin|memcpy|mixed] [--spin-scale F] [--seed N]",
+    );
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--host" => out.host = flags.value()?,
+            "--port" => out.port = flags.num()?,
+            "--port-file" => out.port_file = Some(flags.value()?),
+            "--exec-threads" => out.cfg.exec_threads = flags.positive()?,
+            "--runners" => out.cfg.runners = flags.positive()?,
+            "--quota" => out.cfg.quota = flags.positive()?,
+            "--max-queued-graphs" => out.cfg.max_queued_graphs = flags.positive()?,
+            "--max-queued-tasks" => out.cfg.max_queued_tasks = flags.positive()?,
+            "--max-graph-tasks" => out.cfg.max_graph_tasks = flags.positive()?,
+            "--retry-after-ms" => out.cfg.retry_after_ms = flags.num()?,
+            "--drain-deadline-ms" => out.cfg.drain_deadline = flags.millis()?,
+            "--read-timeout-ms" => out.cfg.read_timeout = flags.millis()?,
+            "--payload" => payload_name = flags.value()?,
+            "--spin-scale" => spin_scale = Some(flags.num()?),
+            "--seed" => out.cfg.seed = flags.num()?,
+            _ => return Err(flags.unknown()),
         }
     }
     // Fault injection is a client-side chaos concern; the server side
     // already runs every graph under quarantine (DESIGN.md §14.3).
     if payload_name == "faulty" {
-        fail("--payload faulty is not servable; pick noop|spin|memcpy|mixed");
+        return Err("--payload faulty is not servable; pick noop|spin|memcpy|mixed".into());
     }
-    out.cfg.payload =
-        PayloadMode::parse(&payload_name, spin_scale.unwrap_or(1.0)).unwrap_or_else(|| {
-            fail(format!("unknown payload '{payload_name}' (noop|spin|memcpy|mixed)"))
-        });
+    out.cfg.payload = PayloadMode::parse(&payload_name, spin_scale.unwrap_or(1.0))
+        .ok_or_else(|| format!("unknown payload '{payload_name}' (noop|spin|memcpy|mixed)"))?;
     // A spin scale on an untimed payload would be silently ignored —
     // name the combination instead of lying about what ran.
     if spin_scale.is_some()
         && !matches!(out.cfg.payload, PayloadMode::Spin { .. } | PayloadMode::Mixed { .. })
     {
-        fail(format!("--spin-scale only applies to --payload spin or mixed, not {payload_name}"));
+        return Err(format!(
+            "--spin-scale only applies to --payload spin or mixed, not {payload_name}"
+        ));
     }
-    out
+    Ok(out)
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|e| fail(e));
     // SAFETY: signal(2) with a handler that only stores to an
     // AtomicBool — async-signal-safe (no allocation, locking, or
     // panicking in signal context), and the fn pointer has the exact

@@ -11,12 +11,26 @@
 //!   collected in deterministic order, so any `--jobs` value produces
 //!   byte-identical stdout (gated in CI; DESIGN.md §9.3).
 //!
+//! Bad flags and bad values exit 2 with one `error:` line — the
+//! contract [`cli`] states once for all 17 binaries.
+//!
 //! See `DESIGN.md` §4 for the experiment-to-binary index and
 //! `EXPERIMENTS.md` for recorded paper-vs-measured results.
 
 #![forbid(unsafe_code)]
 
+pub mod cli;
+pub mod json;
+
 use tss_workloads::Scale;
+
+/// Hardware threads actually available to this process. Stamped into
+/// every artifact (top level *and* totals) so nobody reads a
+/// `--threads 32` sweep row from a 1-core CI container as a scaling
+/// result again (EXPERIMENTS.md carries the full mea culpa).
+pub fn hw_threads() -> usize {
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+}
 
 /// Parsed common command-line options.
 #[derive(Debug, Clone)]
@@ -43,45 +57,27 @@ impl Default for HarnessArgs {
 }
 
 impl HarnessArgs {
-    /// Parses `std::env::args`.
-    ///
-    /// # Panics
-    ///
-    /// Panics (with a usage message) on unknown flags or bad values.
+    /// Parses `std::env::args`; a bad flag or value exits 2
+    /// ([`cli::fail`]).
     pub fn parse() -> Self {
+        Self::parse_from(cli::Flags::from_env(
+            "[--scale small|paper|large] [--csv] [--seed N] [--jobs N]",
+        ))
+        .unwrap_or_else(|e| cli::fail(e))
+    }
+
+    fn parse_from(mut flags: cli::Flags) -> cli::Parsed<Self> {
         let mut out = HarnessArgs::default();
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--scale" => {
-                    let v = args.next().expect("--scale needs a value");
-                    out.scale = Scale::parse(&v)
-                        .unwrap_or_else(|| panic!("unknown scale '{v}' (small|paper|large)"));
-                }
+        while let Some(flag) = flags.next_flag() {
+            match flag.as_str() {
+                "--scale" => out.scale = flags.scale()?,
                 "--csv" => out.csv = true,
-                "--seed" => {
-                    out.seed = args
-                        .next()
-                        .expect("--seed needs a value")
-                        .parse()
-                        .expect("--seed must be an integer");
-                }
-                "--jobs" => {
-                    out.jobs = args
-                        .next()
-                        .expect("--jobs needs a value")
-                        .parse()
-                        .expect("--jobs must be a positive integer");
-                    assert!(out.jobs >= 1, "--jobs must be >= 1");
-                }
-                "--help" | "-h" => {
-                    eprintln!("usage: [--scale small|paper|large] [--csv] [--seed N] [--jobs N]");
-                    std::process::exit(0);
-                }
-                other => panic!("unknown flag '{other}' (try --help)"),
+                "--seed" => out.seed = flags.num()?,
+                "--jobs" => out.jobs = flags.positive()?,
+                _ => return Err(flags.unknown()),
             }
         }
-        out
+        Ok(out)
     }
 
     /// Prints a table per the `--csv` flag.

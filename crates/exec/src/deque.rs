@@ -81,6 +81,8 @@ pub const BATCH_MAX: usize = 32;
 #[cfg(not(tss_bug_publish_relaxed))]
 const BUF_PUBLISH: Ordering = Ordering::Release;
 #[cfg(tss_bug_publish_relaxed)]
+// relaxed: deliberately-weak seeded-bug arm, compiled only under --cfg
+// tss_bug_publish_relaxed; model_steal_batch_vs_grow fails when active
 const BUF_PUBLISH: Ordering = Ordering::Relaxed;
 
 /// The growable circular cell array. Capacity is always a power of two;
@@ -106,11 +108,15 @@ impl Buffer {
 
     #[inline]
     fn read(&self, i: isize) -> u32 {
+        // relaxed: cell read; a stolen value is used only after winning the
+        // SeqCst top CAS, an owner pop is validated against top
         self.cells[i as usize & self.mask].load(Ordering::Relaxed)
     }
 
     #[inline]
     fn write(&self, i: isize, v: u32) {
+        // relaxed: cell write; published to thieves by push's Release store
+        // of bottom
         self.cells[i as usize & self.mask].store(v, Ordering::Relaxed);
     }
 }
@@ -181,7 +187,11 @@ impl ChaseLev {
     /// A snapshot of the queue length (exact when quiescent; a hint
     /// under concurrency). Used by wake heuristics, never correctness.
     pub fn len(&self) -> usize {
+        // relaxed: len() snapshot; advisory size estimate, never a
+        // correctness input
         let b = self.bottom.load(Ordering::Relaxed);
+        // relaxed: len() snapshot; advisory size estimate, never a
+        // correctness input
         let t = self.top.load(Ordering::Relaxed);
         b.saturating_sub(t).max(0) as usize
     }
@@ -201,8 +211,12 @@ impl ChaseLev {
 
     /// Owner push (bottom / LIFO end).
     pub fn push(&self, task: u32) {
+        // relaxed: push: bottom is owner-private between its own Release
+        // stores
         let b = self.bottom.load(Ordering::Relaxed);
         let t = self.top.load(Ordering::Acquire);
+        // relaxed: push: owner is the only buffer mutator; grow happens on
+        // this thread
         let mut buf = self.buffer(Ordering::Relaxed);
         if b - t >= buf.cap() as isize {
             buf = self.grow(t, b);
@@ -215,23 +229,36 @@ impl ChaseLev {
 
     /// Owner pop (bottom): newest task first.
     pub fn pop(&self) -> Option<u32> {
+        // relaxed: pop: owner-private bottom read; the SeqCst fence below
+        // orders the speculation
         let b = self.bottom.load(Ordering::Relaxed) - 1;
+        // relaxed: pop: owner reads its own buffer; grow is owner-only
         let buf = self.buffer(Ordering::Relaxed);
+        // relaxed: pop: speculative bottom store ordered by the SeqCst
+        // fence below (model: pop_vs_steal_last_element)
         self.bottom.store(b, Ordering::Relaxed);
         // Pairs with the fence in `steal`: one of the two sides must
         // see the other's index write (Dekker store-load).
         fence(Ordering::SeqCst);
+        // relaxed: pop: top read ordered by the preceding SeqCst fence (the
+        // Dekker edge, DESIGN.md §8.1)
         let t = self.top.load(Ordering::Relaxed);
         if t > b {
             // Empty: undo the reservation.
+            // relaxed: pop: bottom restore on empty; owner-private,
+            // republished by next push
             self.bottom.store(b + 1, Ordering::Relaxed);
             return None;
         }
         let v = buf.read(b);
         if t == b {
             // Last item: arbitrate with thieves via the top CAS.
+            // relaxed: CAS failure ordering; nothing is read from a lost
+            // final-element race
             let won =
                 self.top.compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed).is_ok();
+            // relaxed: pop: bottom reset after contested final element;
+            // owner-private
             self.bottom.store(b + 1, Ordering::Relaxed);
             return won.then_some(v);
         }
@@ -250,6 +277,8 @@ impl ChaseLev {
             }
             let v = self.buffer(Ordering::Acquire).read(t);
             // The cell was copied above; on success the slot is ours.
+            // relaxed: steal CAS failure ordering; the thief retries from
+            // fresh loads, no data depends on failure
             if self.top.compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed).is_ok() {
                 return Some(v);
             }
@@ -313,6 +342,8 @@ impl ChaseLev {
     /// Cold path: double the buffer, copy live cells, publish, retire.
     #[cold]
     fn grow(&self, t: isize, b: isize) -> &Buffer {
+        // relaxed: grow: old buffer pointer read by the owner, the only buf
+        // writer
         let old_ptr = self.buf.load(Ordering::Relaxed);
         // SAFETY: same lifetime argument as `buffer`.
         let old = unsafe { &*old_ptr };
@@ -357,6 +388,7 @@ impl Drop for ChaseLev {
         // SAFETY: `&mut self` guarantees no thread still reads these;
         // every pointer came from `Box::into_raw` exactly once.
         unsafe {
+            // relaxed: Drop has &mut self; no concurrent access remains
             drop(Box::from_raw(self.buf.load(Ordering::Relaxed)));
             for p in self.graveyard.get_mut().expect("deque graveyard poisoned").drain(..) {
                 drop(Box::from_raw(p));
@@ -367,6 +399,7 @@ impl Drop for ChaseLev {
 
 impl std::fmt::Debug for ChaseLev {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // relaxed: Debug snapshot; diagnostic only
         f.debug_struct("ChaseLev")
             .field("len", &self.len())
             .field("cap", &self.buffer(Ordering::Relaxed).cap())
@@ -795,6 +828,7 @@ mod model_tests {
             let mut all = thief.join().unwrap();
             // The thief can take at most 3, so ≥ 14 were live at push
             // time and the 8→16 grow is unavoidable in every schedule.
+            // relaxed: test reads a quiesced deque after all threads joined
             assert!(q.buffer(Ordering::Relaxed).cap() >= 16, "expected at least one grow");
             while let Some(v) = q.pop() {
                 all.push(v);

@@ -366,6 +366,8 @@ impl Parker {
     /// work — the producer itself still holds the tasks).
     #[inline]
     fn has_idle(&self) -> bool {
+        // relaxed: idle-count hint for wake elision; the SeqCst parker
+        // epoch is the real sleep/wake edge
         self.idle.load(Ordering::Relaxed) > 0
     }
 
@@ -423,6 +425,9 @@ const FAILED: u8 = 2;
 #[cfg(not(tss_bug_poison_relaxed))]
 const POISON_PUBLISH: Ordering = Ordering::AcqRel;
 #[cfg(tss_bug_poison_relaxed)]
+// relaxed: deliberately-weak seeded-bug arm, compiled only under --cfg
+// tss_bug_poison_relaxed; model_poison_publish_reaches_the_committer fails
+// when active (DESIGN.md §11.2)
 const POISON_PUBLISH: Ordering = Ordering::Relaxed;
 
 /// Marks a task poisoned. Plain store: the countdown RMW chain (or the
@@ -430,6 +435,8 @@ const POISON_PUBLISH: Ordering = Ordering::Relaxed;
 /// the byte to whoever pops it.
 #[inline]
 fn mark_poisoned(status: &AtomicU8) {
+    // relaxed: poison byte store; carried to the consumer by the countdown
+    // AcqRel RMW chain or the pending-close publish (DESIGN.md §11.2)
     status.store(POISONED, Ordering::Relaxed);
 }
 
@@ -543,12 +550,17 @@ impl StreamRelease {
                 // head load synchronizes with the closing swap, so `p`'s
                 // status byte (stored before the close) is visible —
                 // unless the seeded §10.3 bug weakened the close.
+                // relaxed: status byte read after the Acquire head load
+                // observed PENDING_CLOSED; ordered by the AcqRel close
+                // (DESIGN.md §11.2)
                 return if status[p as usize].load(Ordering::Relaxed) == HEALTHY {
                     EdgeFate::SatisfiedHealthy
                 } else {
                     EdgeFate::SatisfiedPoisoned
                 };
             }
+            // relaxed: node payload write; published to the drainer by the
+            // AcqRel head CAS that links it
             self.nodes[node_idx as usize]
                 .store(((head as u64) << 32) | s as u64, Ordering::Relaxed);
             if self.pending[p as usize]
@@ -586,6 +598,8 @@ impl ReleaseSuccs for StreamRelease {
         let mut head = self.pending[t as usize].swap(PENDING_CLOSED, Ordering::AcqRel);
         let mut drained = 0u64;
         while head != PENDING_NIL {
+            // relaxed: node read after winning the AcqRel swap of the
+            // pending head; the swap orders the list
             let node = self.nodes[head as usize].load(Ordering::Relaxed);
             self.countdown(node as u32, ready);
             drained += 1;
@@ -606,6 +620,8 @@ impl ReleaseSuccs for StreamRelease {
         // (the §10.3 seeded bug weakens exactly this edge).
         let mut head = self.pending[t as usize].swap(PENDING_CLOSED, POISON_PUBLISH);
         while head != PENDING_NIL {
+            // relaxed: node read after winning the POISON_PUBLISH swap of
+            // the pending head; the swap orders the list
             let node = self.nodes[head as usize].load(Ordering::Relaxed);
             let s = node as u32;
             mark_poisoned(&status[s as usize]);
@@ -910,6 +926,8 @@ fn complete<R: ReleaseSuccs, P: SchedPolicy>(
     // producer-before-successor follows from the release/acquire edge
     // on the readiness counter (§8).
     let ticket = shared.next_ticket.fetch_add(1, Ordering::AcqRel);
+    // relaxed: order slot uniquely claimed by the AcqRel ticket fetch_add;
+    // read only after all workers joined
     shared.order[ticket].store(t, Ordering::Relaxed);
 
     ready.clear();
@@ -974,6 +992,8 @@ fn run_task<R: ReleaseSuccs, P: SchedPolicy>(
     ready: &mut Vec<u32>,
     wobs: &mut WorkerObs,
 ) {
+    // relaxed: tainted poll; a poisoned task's delivery carries the flag
+    // via the countdown/deque happens-before (DESIGN.md §11.4)
     if shared.guarded || shared.tainted.load(Ordering::Relaxed) != 0 {
         // Chaos, deadlines, or an earlier failure: the guarded lane
         // owns poison checks and the containment state machine.
@@ -1015,6 +1035,8 @@ fn run_task<R: ReleaseSuccs, P: SchedPolicy>(
         Err(payload) => {
             // First failure of the run: taint (diverting everyone to
             // the guarded lane) and hand this task to the policy.
+            // relaxed: tainted set on first failure; the failing task's
+            // release edges publish it with the poison (DESIGN.md §11.4)
             shared.tainted.store(1, Ordering::Relaxed);
             let failure = TaskFailure::Panicked { message: panic_message(&*payload) };
             resolve_failure(t, w, shared, scratch, stats, ready, wobs, 1, failure);
@@ -1046,12 +1068,16 @@ fn run_task_guarded<R: ReleaseSuccs, P: SchedPolicy>(
         Ok(()) => {
             stats.executed += 1;
             if !shared.retry_hist.is_empty() {
+                // relaxed: retry histogram counter; aggregated after all
+                // workers joined
                 shared.retry_hist[0].fetch_add(1, Ordering::Relaxed);
             }
             complete(t, w, shared, ready, wobs, false);
             wobs.task_end(t, tb, &shared.obs);
         }
         Err(AttemptError::Failed(failure)) => {
+            // relaxed: tainted set on first failure; the failing task's
+            // release edges publish it with the poison (DESIGN.md §11.4)
             shared.tainted.store(1, Ordering::Relaxed);
             resolve_failure(t, w, shared, scratch, stats, ready, wobs, 1, failure);
         }
@@ -1121,6 +1147,10 @@ fn attempt_payload<R: ReleaseSuccs, P: SchedPolicy>(
         if shared.aborted() {
             return Err(AttemptError::Aborted);
         }
+        // relaxed: cancel reset while the slot is disarmed; under a task
+        // deadline the Release deadline_ns arm store publishes it to the
+        // watchdog, otherwise the watchdog only raises it together with the
+        // abort flag
         slot.cancel.store(0, Ordering::Relaxed);
         // Only a task deadline needs the clock and the deadline slot: a
         // run deadline or a cancel token stops payloads through
@@ -1194,8 +1224,12 @@ fn resolve_failure<R: ReleaseSuccs, P: SchedPolicy>(
         match attempt_payload(t, attempt, w, shared, scratch) {
             Ok(()) => {
                 stats.executed += 1;
+                // relaxed: retried-ok counter; aggregated after all workers
+                // joined
                 shared.retried_ok.fetch_add(1, Ordering::Relaxed);
                 if !shared.retry_hist.is_empty() {
+                    // relaxed: retry histogram counter; aggregated after
+                    // all workers joined
                     shared.retry_hist[(attempt - 1) as usize].fetch_add(1, Ordering::Relaxed);
                 }
                 complete(t, w, shared, ready, wobs, false);
@@ -1214,6 +1248,8 @@ fn resolve_failure<R: ReleaseSuccs, P: SchedPolicy>(
         failures.push(FailedTask { task: t, attempts: attempt, failure });
     }
     if !shared.retry_hist.is_empty() {
+        // relaxed: retry histogram counter; aggregated after all workers
+        // joined
         shared.retry_hist[(attempt - 1) as usize].fetch_add(1, Ordering::Relaxed);
     }
     match shared.policy {
@@ -1226,6 +1262,9 @@ fn resolve_failure<R: ReleaseSuccs, P: SchedPolicy>(
             // FAILED is stored before `complete`'s poison_release
             // closes the pending list, so the §11 publish hands the
             // byte to any later window commit.
+            // relaxed: FAILED byte store; published by the subsequent
+            // POISON_PUBLISH pending-close or countdown chain
+            // (DESIGN.md §11.2)
             shared.status[t as usize].store(FAILED, Ordering::Relaxed);
             complete(t, w, shared, ready, wobs, true);
             wobs.task_poisoned(t, &shared.obs);
@@ -1550,6 +1589,9 @@ impl<'a> DecodeShared<'a> {
             // block folds away in NoopSink builds.
             if tss_obs::ENABLED {
                 dobs.commit(w as u32, &shared.obs);
+                // relaxed: commit-lag gauge sample of the ticket counter;
+                // advisory observability snapshot, never a correctness
+                // input (DESIGN.md §12.3)
                 let lag = hi.saturating_sub(shared.next_ticket.load(Ordering::Relaxed));
                 shared.obs.note_commit_lag(lag as u64);
             }
@@ -1558,6 +1600,8 @@ impl<'a> DecodeShared<'a> {
         drop(st);
         if finished {
             let ns = self.started.elapsed().as_nanos() as u64;
+            // relaxed: decode-span metric fetch_max; diagnostic timing
+            // only, never a correctness input
             self.decode_span_ns.fetch_max(ns, Ordering::Relaxed);
         }
         if pushed_roots {
@@ -1714,6 +1758,7 @@ impl Executor {
         }
         let exec_wall = t0.elapsed();
         rename.enforced_edges = dec.commit.lock().expect("commit state poisoned").edges;
+        // relaxed: decode-span metric read after decode threads joined
         let decode_wall = Duration::from_nanos(dec.decode_span_ns.load(Ordering::Relaxed));
         let overlap = if exec_wall.as_secs_f64() > 0.0 {
             100.0 * decode_wall.as_secs_f64().min(exec_wall.as_secs_f64()) / exec_wall.as_secs_f64()
@@ -1893,6 +1938,7 @@ impl Executor {
             // than fabricating a report.
             return Err(ExecError::WorkerPanic { message: "run aborted without a cause".into() });
         }
+        // relaxed: order slots read after all workers joined
         let order: Vec<TaskId> =
             shared.order.iter().map(|s| s.load(Ordering::Relaxed) as TaskId).collect();
         assert_eq!(order.len(), trace.len(), "executor lost tasks");
@@ -1907,13 +1953,16 @@ impl Executor {
                 return Err(ExecError::OracleViolation { detail: v.to_string() });
             }
         }
+        // relaxed: final status-array scan after all workers joined
         let poisoned: Vec<u32> = (0..shared.n as u32)
             .filter(|&t| shared.status[t as usize].load(Ordering::Relaxed) == POISONED)
             .collect();
         let fault = FaultReport {
             failed,
             poisoned,
+            // relaxed: retried-ok read after all workers joined
             retried_ok: shared.retried_ok.load(Ordering::Relaxed),
+            // relaxed: retry histogram read after all workers joined
             retry_hist: shared.retry_hist.iter().map(|h| h.load(Ordering::Relaxed)).collect(),
             workers_lost,
         };
@@ -2513,6 +2562,8 @@ mod model_tests {
             let (sr2, st2) = (sr.clone(), status.clone());
             let producer = thread::spawn(move || {
                 // The resolve_failure shape: FAILED first, close second.
+                // relaxed: model test: producer-side plain store; the
+                // poison_release close under test provides the publish edge
                 st2[0].store(FAILED, Ordering::Relaxed);
                 let mut ready = Vec::new();
                 sr2.poison_release(0, &st2, &mut ready);
@@ -2523,6 +2574,8 @@ mod model_tests {
                 EdgeFate::Registered => {
                     // The drain owned the edge: it must have poisoned
                     // the successor on its way through.
+                    // relaxed: model test: assertion read after the
+                    // producer joined
                     assert_eq!(
                         status[1].load(Ordering::Relaxed),
                         POISONED,

@@ -25,15 +25,18 @@
 //! tracked operand — the native analog of the paper's ~700 ns/task
 //! software decoder measurement (Section II).
 //!
-//! The replay loop deliberately does **not** share code with
-//! `DepGraph::from_trace`, although the two walk traces the same way:
-//! the oracle check (every completion log validated against `DepGraph`)
-//! is only evidence of correctness because the two decoders are
+//! The rename rules are stated once in this crate — `ShardState::scan`;
+//! [`Renamer::decode`] is a single unsharded window of it — and that
+//! loop deliberately does **not** share code with `tss-trace`'s
+//! `for_each_edge`, although the two walk traces the same way: the
+//! oracle check (every completion log validated against `DepGraph`) is
+//! only evidence of correctness because the two decoders are
 //! independent implementations. Folding them into one shared helper
 //! would let a single decode bug pass the parity test and every
 //! validated run. A semantic change to dependency rules must be made
-//! in both — `renamer_matches_the_oracle_on_every_benchmark` (and the
-//! unit parity test below) fails loudly if they drift.
+//! in both — `tests/determinism.rs` pins both renaming settings to the
+//! oracle on every benchmark (and the unit parity test below) and fails
+//! loudly if they drift.
 
 use tss_trace::graph::AddrMap;
 use tss_trace::{TaskId, TaskTrace};
@@ -177,61 +180,19 @@ impl Renamer {
         self
     }
 
-    /// Decodes `trace` into a [`TaskGraph`] by one in-order pass.
+    /// Decodes `trace` into a [`TaskGraph`] by one in-order pass: the
+    /// whole trace as a single window of the one unsharded
+    /// `ShardState`, so the rename rules are stated once.
     pub fn decode(&self, trace: &TaskTrace) -> TaskGraph {
         let n = trace.len();
         let total_ops: usize = trace.iter().map(|t| t.operands.len()).sum();
-        // (from, to) producer→consumer pairs; ~2 per operand upper bound
-        // in the Table-I traces.
+        // ~2 pairs per operand upper bound in the Table-I traces.
         let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(2 * total_ops);
-        let mut removed = 0usize;
-        let mut tracked = 0usize;
-        let mut object_index: AddrMap<u32> =
-            AddrMap::with_capacity_and_hasher(n.max(16), Default::default());
-        let mut versions: Vec<ObjectVersion> = Vec::with_capacity(n.max(16));
-
-        for (tid, task) in trace.iter().enumerate() {
-            for op in task.operands.iter().filter(|o| o.is_tracked()) {
-                tracked += 1;
-                let id = *object_index.entry(op.addr).or_insert_with(|| {
-                    versions.push(ObjectVersion::default());
-                    (versions.len() - 1) as u32
-                });
-                let st = &mut versions[id as usize];
-                if op.dir.reads() {
-                    if let Some(w) = st.last_writer {
-                        if w != tid {
-                            pairs.push((w as u32, tid as u32)); // RaW
-                        }
-                    }
-                }
-                if op.dir.writes() {
-                    let inout = op.dir.reads();
-                    for r in st.readers() {
-                        if r != tid {
-                            if inout || !self.renaming {
-                                pairs.push((r as u32, tid as u32)); // anti / WaR
-                            } else {
-                                removed += 1; // WaR: a fresh OVT version
-                            }
-                        }
-                    }
-                    if let Some(w) = st.last_writer {
-                        if w != tid && !inout {
-                            if self.renaming {
-                                removed += 1; // WaW: renamed away
-                            } else {
-                                pairs.push((w as u32, tid as u32));
-                            }
-                        }
-                    }
-                    st.last_writer = Some(tid);
-                    st.clear_readers();
-                }
-                if op.dir.reads() {
-                    st.push_reader(tid);
-                }
-            }
+        let mut state = ShardState::new(self.renaming, 0, 1);
+        state.scan(trace, 0, n, &mut pairs);
+        // The scan emits (consumer, producer); the CSR wants successors.
+        for pair in &mut pairs {
+            *pair = (pair.1, pair.0);
         }
 
         let (succ_off, succ_dat) = build_csr(n, &mut pairs);
@@ -239,12 +200,7 @@ impl Renamer {
         for &s in &succ_dat {
             pred_count[s as usize] += 1;
         }
-        let stats = RenameStats {
-            objects: versions.len(),
-            tracked_operands: tracked,
-            enforced_edges: succ_dat.len(),
-            removed_by_renaming: removed,
-        };
+        let stats = RenameStats { enforced_edges: succ_dat.len(), ..*state.stats() };
         TaskGraph { n, succ_off, succ_dat, pred_count, stats }
     }
 }

@@ -385,6 +385,9 @@ mod model_tests {
     fn counting_role(hits: &Arc<AtomicU32>) -> Role<'static> {
         let hits = Arc::clone(hits);
         Box::new(move || {
+            // relaxed: model-test role effect; deliberately Relaxed so only
+            // the crew latch can order it before the submitter's read
+            // (DESIGN.md §15.3)
             hits.fetch_add(1, Ordering::Relaxed);
         })
     }
@@ -402,6 +405,9 @@ mod model_tests {
             let rt = Runtime::new();
             let hits = Arc::default();
             rt.run(vec![counting_role(&hits)]);
+            // relaxed: model-test read after Runtime::run; Relaxed on
+            // purpose: it must see the role's store through the latch's
+            // happens-before edge alone (DESIGN.md §15.3)
             assert_eq!(hits.load(Ordering::Relaxed), 1, "run returned before its role finished");
         });
         assert!(report.complete, "budget too small: {} schedules", report.schedules);
@@ -418,9 +424,13 @@ mod model_tests {
             let hits: Vec<Arc<AtomicU32>> = (0..2).map(|_| Arc::default()).collect();
             rt.run(hits.iter().map(counting_role).collect());
             for h in &hits {
+                // relaxed: model-test read after Runtime::run; ordered by
+                // the crew latch (DESIGN.md §15.3)
                 assert_eq!(h.load(Ordering::Relaxed), 1, "run returned before a role finished");
             }
             rt.run(vec![counting_role(&hits[0])]);
+            // relaxed: model-test read after the second Runtime::run;
+            // ordered by the crew latch (DESIGN.md §15.3)
             assert_eq!(hits[0].load(Ordering::Relaxed), 2);
             assert_eq!(rt.parked_threads(), 2, "the second run did not reuse the crew");
         };
@@ -446,6 +456,9 @@ mod model_tests {
             rt.run(vec![counting_role(&hits[1])]);
             other.join().unwrap();
             for (k, h) in hits.iter().enumerate() {
+                // relaxed: model-test read after both submitters returned
+                // and joined; ordered by the crew latches and the join
+                // (DESIGN.md §15.3)
                 assert_eq!(h.load(Ordering::Relaxed), 1, "role {k} ran a wrong number of times");
             }
             assert!(rt.parked_threads() <= 2, "a sequential submitter grew its own crew");

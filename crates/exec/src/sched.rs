@@ -363,6 +363,9 @@ impl SchedPolicy for CostAwarePolicy {
         // Advisory gauge (see the type docs): Relaxed is sufficient
         // because no decision reading the gauge needs to observe any
         // other memory this write publishes.
+        // relaxed: cost-aware load gauge fetch_add; advisory
+        // victim-ordering bias only, clamped at read, never a correctness
+        // input (DESIGN.md §13.2)
         self.load[w].fetch_add(self.cost[s as usize] as isize, Ordering::Relaxed);
         me.push(s);
         true
@@ -379,11 +382,16 @@ impl SchedPolicy for CostAwarePolicy {
         // victim is scanned first, ties keep the rotation.
         let r = splitmix(rng);
         rotate_victims(w, self.threads, r, buf);
+        // relaxed: cost-aware load gauge read for the victim sort; a stale
+        // or torn-ordered value only reorders the scan, every steal is
+        // still CAS-arbitrated (DESIGN.md §13.2)
         buf.sort_by_key(|&v| -self.load[v].load(Ordering::Relaxed).max(0));
     }
 
     #[inline]
     fn note_executed(&self, w: usize, t: u32) {
+        // relaxed: cost-aware load gauge fetch_sub decay; advisory only,
+        // negative transients clamped at read (DESIGN.md §13.2)
         self.load[w].fetch_sub(self.cost[t as usize] as isize, Ordering::Relaxed);
     }
 }
@@ -752,6 +760,9 @@ mod model_tests {
             let (d0, c0) = (deques.clone(), claims.clone());
             handles.push(thread::spawn(move || {
                 if d0[0].pop().is_some() {
+                    // relaxed: model test claim counter; fetch_add RMW
+                    // atomicity suffices, total asserted after all shuttle
+                    // threads joined
                     c0.fetch_add(1, Ordering::Relaxed);
                 }
             }));
@@ -766,6 +777,9 @@ mod model_tests {
                     p2.victims(w, &mut rng, &mut buf);
                     for v in buf {
                         if d2[v].steal_batch_into(&d2[w], 4).is_some() {
+                            // relaxed: model test claim counter; fetch_add
+                            // RMW atomicity suffices, total asserted after
+                            // all shuttle threads joined
                             c2.fetch_add(1, Ordering::Relaxed);
                             break;
                         }
@@ -775,6 +789,8 @@ mod model_tests {
             for h in handles {
                 h.join().unwrap();
             }
+            // relaxed: model test total read after all shuttle threads
+            // joined
             let total = claims.load(Ordering::Relaxed);
             assert_eq!(total, 1, "the last task was claimed {total} times");
         };
@@ -823,6 +839,9 @@ mod model_tests {
                     let (p2, t2) = (p.clone(), takes.clone());
                     thread::spawn(move || {
                         if p2.take_routed(w).is_some() {
+                            // relaxed: model test take counter; fetch_add
+                            // RMW atomicity suffices, total asserted after
+                            // all shuttle threads joined
                             t2.fetch_add(1, Ordering::Relaxed);
                         }
                     })
@@ -836,6 +855,8 @@ mod model_tests {
             // drainers missed it the task is still in the queue —
             // drain it now to distinguish "lost" from "not yet".
             let leftover = u32::from(p.take_routed(1).is_some());
+            // relaxed: model test total read after all shuttle threads
+            // joined
             let total = takes.load(Ordering::Relaxed) + leftover;
             assert_eq!(total, 1, "routed task must be taken exactly once, got {total}");
         };

@@ -61,6 +61,27 @@ fn renamer_matches_the_oracle_on_every_benchmark() {
     }
 }
 
+/// The other setting of the one scan `Renamer::decode` and the
+/// streaming path share: with renaming off it must enforce exactly what
+/// the oracle *classifies* — every RaW, inout-anti, WaR and WaW pair,
+/// deduplicated.
+#[test]
+fn without_renaming_the_renamer_enforces_every_edge_the_oracle_classifies() {
+    for b in Benchmark::all() {
+        let trace = b.trace(Scale::Small, 3);
+        let oracle = DepGraph::from_trace(&trace);
+        let mut expect: Vec<(u32, u32)> = oracle.edges().iter().map(|e| (e.from, e.to)).collect();
+        expect.sort_unstable();
+        expect.dedup();
+        let graph = Renamer::new().renaming(false).decode(&trace);
+        let got: Vec<(u32, u32)> = (0..trace.len())
+            .flat_map(|t| graph.succs(t).iter().map(move |&s| (t as u32, s)))
+            .collect();
+        assert_eq!(got, expect, "{b}: enforced pairs diverge from the classified edges");
+        assert_eq!(graph.stats().removed_by_renaming, 0, "{b}");
+    }
+}
+
 #[test]
 fn every_benchmark_replays_validated_at_two_four_and_eight_threads() {
     for b in Benchmark::all() {

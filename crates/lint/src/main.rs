@@ -6,11 +6,13 @@
 //! 1. **SAFETY discipline** — every `unsafe` token must be preceded by
 //!    a `// SAFETY:` comment (same line, or the comment/attribute block
 //!    directly above; chained `unsafe impl` lines may share one).
-//! 2. **Relaxed allowlist** — every `Ordering::Relaxed` in first-party
-//!    code must appear in `ci/relaxed_allowlist.txt` with a rationale;
-//!    stale entries (pointing at lines that no longer say `Relaxed`)
-//!    are errors too, so the list cannot rot. `--print-relaxed`
-//!    regenerates it after line numbers shift.
+//! 2. **Relaxed rationales** — every `Ordering::Relaxed` in first-party
+//!    code must carry a `// relaxed: <rationale>` comment, found by the
+//!    same adjacency walk as check 1: on its own line, or in the
+//!    comment block directly above its statement (a multi-line
+//!    statement, or a run of sibling lines, shares one). A tag with no
+//!    `Relaxed` under it is an error too, so a rationale cannot outlive
+//!    its site — and moving code moves its rationale with it.
 //! 3. **Facade rule** — inside the execution core (`crates/exec/src/*`
 //!    except the facade itself, plus `crates/core/src/fabric.rs`),
 //!    atomics/Mutex/Condvar must come from `crate::sync` /
@@ -281,6 +283,39 @@ fn has_word(line: &str, word: &str) -> bool {
 // Check 1: SAFETY comments on unsafe
 // ---------------------------------------------------------------------
 
+/// The adjacency walk checks 1 and 2 share: the line whose comment
+/// `tagged` accepts and that covers line `i` — line `i` itself, or a
+/// line of the comment/attribute block directly above it, walking over
+/// code lines that `chained` says belong with line `i`. Anything else
+/// (a blank line, unrelated code) ends the walk.
+fn covering_comment(
+    raw: &[&str],
+    i: usize,
+    tagged: impl Fn(usize) -> bool,
+    chained: impl Fn(usize) -> bool,
+) -> Option<usize> {
+    if tagged(i) {
+        return Some(i);
+    }
+    let mut j = i;
+    while j > 0 {
+        j -= 1;
+        let t = raw[j].trim_start();
+        let comment = t.starts_with("//") || t.starts_with("/*") || t.starts_with('*') || t == "*/";
+        if comment {
+            if tagged(j) {
+                return Some(j);
+            }
+            continue;
+        }
+        if t.starts_with("#[") || t.starts_with("#![") || chained(j) {
+            continue;
+        }
+        break;
+    }
+    None
+}
+
 /// Every line whose *stripped* text contains the `unsafe` keyword must
 /// carry a `SAFETY:` justification: on the same raw line, or in the
 /// comment/attribute block directly above (walking over chained
@@ -291,34 +326,13 @@ fn check_unsafe_documented(file: &str, raw: &[&str], stripped: &[&str]) -> Vec<V
         if !has_word(s, "unsafe") {
             continue;
         }
-        if raw[i].contains("SAFETY:") {
-            continue;
-        }
-        let mut ok = false;
-        let mut j = i;
-        while j > 0 {
-            j -= 1;
-            let t = raw[j].trim_start();
-            let comment =
-                t.starts_with("//") || t.starts_with("/*") || t.starts_with('*') || t == "*/";
-            if comment {
-                if t.contains("SAFETY:") {
-                    ok = true;
-                    break;
-                }
-                continue;
-            }
-            if t.starts_with("#[") || t.starts_with("#![") {
-                continue;
-            }
-            if has_word(stripped[j], "unsafe") {
-                // A chained unsafe line (e.g. paired Send/Sync impls);
-                // keep walking to the shared comment above it.
-                continue;
-            }
-            break;
-        }
-        if !ok {
+        let documented = covering_comment(
+            raw,
+            i,
+            |j| raw[j].contains("SAFETY:"),
+            |j| has_word(stripped[j], "unsafe"),
+        );
+        if documented.is_none() {
             out.push(Violation {
                 file: file.to_string(),
                 line: i + 1,
@@ -330,108 +344,72 @@ fn check_unsafe_documented(file: &str, raw: &[&str], stripped: &[&str]) -> Vec<V
 }
 
 // ---------------------------------------------------------------------
-// Check 2: Ordering::Relaxed allowlist
+// Check 2: Ordering::Relaxed rationales at the site
 // ---------------------------------------------------------------------
 
-/// A parsed `ci/relaxed_allowlist.txt` entry: `path:line  rationale`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct AllowEntry {
-    file: String,
-    line: usize,
-    rationale: String,
-    /// Line *within the allowlist file* (for error reporting).
-    at: usize,
+const RELAXED_TAG: &str = "// relaxed:";
+
+/// The rationale of the `// relaxed:` tag on one line, if the line has
+/// one. `commented` is the line with string literals blanked, `code`
+/// the same line with comments blanked too: the tag must *open* a line
+/// comment (everything before it is code), so a doc sentence that
+/// quotes the syntax is not a tag.
+fn relaxed_tag<'a>(commented: &'a str, code: &str) -> Option<&'a str> {
+    let at = commented.find(RELAXED_TAG)?;
+    (commented[..at].trim() == code.trim()).then(|| commented[at + RELAXED_TAG.len()..].trim())
 }
 
-/// Parses the allowlist; `#`-lines and blank lines are comments.
-/// Malformed entries come back as violations against the list itself.
-fn parse_allowlist(list_path: &str, text: &str) -> (Vec<AllowEntry>, Vec<Violation>) {
-    let mut entries = Vec::new();
-    let mut bad = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('#') {
-            continue;
-        }
-        let mut parts = t.splitn(2, char::is_whitespace);
-        let locator = parts.next().unwrap_or("");
-        let rationale = parts.next().unwrap_or("").trim();
-        let parsed = locator
-            .rsplit_once(':')
-            .and_then(|(f, l)| l.parse::<usize>().ok().map(|l| (f.to_string(), l)));
-        match parsed {
-            Some((file, line)) if !rationale.is_empty() => {
-                entries.push(AllowEntry {
-                    file,
-                    line,
-                    rationale: rationale.to_string(),
-                    at: idx + 1,
-                });
-            }
-            Some(_) => bad.push(Violation {
-                file: list_path.to_string(),
-                line: idx + 1,
-                msg: "allowlist entry has no rationale".into(),
-            }),
-            None => bad.push(Violation {
-                file: list_path.to_string(),
-                line: idx + 1,
-                msg: "malformed allowlist entry (expected `path:line  rationale`)".into(),
-            }),
-        }
-    }
-    (entries, bad)
-}
+/// Every `Ordering::Relaxed` must be covered by a `// relaxed:` tag
+/// with a rationale, and every tag must cover one. A code line above
+/// the site belongs to the same statement (or to a run of siblings —
+/// struct fields, match arms, call arguments) unless it ends one with
+/// `;`, `{` or `}`. Returns the number of sites next to the findings.
+fn check_relaxed(
+    file: &str,
+    raw: &[&str],
+    commented: &[&str],
+    stripped: &[&str],
+) -> (usize, Vec<Violation>) {
+    let tag = |j: usize| relaxed_tag(commented[j], stripped[j]);
+    let violation = |line: usize, msg: &str| Violation {
+        file: file.to_string(),
+        line: line + 1,
+        msg: msg.into(),
+    };
 
-/// An `Ordering::Relaxed` occurrence in stripped source.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct RelaxedSite {
-    file: String,
-    line: usize,
-}
-
-fn find_relaxed(file: &str, stripped: &[&str]) -> Vec<RelaxedSite> {
-    stripped
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.contains("Ordering::Relaxed"))
-        .map(|(i, _)| RelaxedSite { file: file.to_string(), line: i + 1 })
-        .collect()
-}
-
-/// Cross-checks sites against the allowlist both ways: unallowlisted
-/// sites are violations at the source, stale entries are violations at
-/// the list.
-fn check_relaxed(list_path: &str, sites: &[RelaxedSite], entries: &[AllowEntry]) -> Vec<Violation> {
     let mut out = Vec::new();
-    let allowed: BTreeSet<(&str, usize)> =
-        entries.iter().map(|e| (e.file.as_str(), e.line)).collect();
-    let actual: BTreeSet<(&str, usize)> = sites.iter().map(|s| (s.file.as_str(), s.line)).collect();
-    for s in sites {
-        if !allowed.contains(&(s.file.as_str(), s.line)) {
-            out.push(Violation {
-                file: s.file.clone(),
-                line: s.line,
-                msg: "`Ordering::Relaxed` not in ci/relaxed_allowlist.txt \
-                      (add it with a rationale, or strengthen the ordering; \
-                      `tss-lint --print-relaxed` regenerates the list)"
-                    .into(),
-            });
+    let mut sites = 0;
+    let mut used = BTreeSet::new();
+    for i in (0..stripped.len()).filter(|&i| stripped[i].contains("Ordering::Relaxed")) {
+        sites += 1;
+        let same_statement = |j: usize| {
+            let code = stripped[j].trim_end();
+            !code.is_empty() && !code.ends_with([';', '{', '}'])
+        };
+        match covering_comment(raw, i, |j| tag(j).is_some(), same_statement) {
+            Some(j) => {
+                used.insert(j);
+            }
+            None => out.push(violation(
+                i,
+                "`Ordering::Relaxed` without a `// relaxed: <rationale>` comment on its line \
+                 or directly above its statement (say why no ordering is needed here, or \
+                 strengthen it)",
+            )),
         }
     }
-    for e in entries {
-        if !actual.contains(&(e.file.as_str(), e.line)) {
-            out.push(Violation {
-                file: list_path.to_string(),
-                line: e.at,
-                msg: format!(
-                    "stale allowlist entry: {}:{} has no `Ordering::Relaxed`",
-                    e.file, e.line
-                ),
-            });
+    for j in 0..commented.len() {
+        match tag(j) {
+            Some("") => out.push(violation(j, "`// relaxed:` tag without a rationale")),
+            Some(_) if !used.contains(&j) => out.push(violation(
+                j,
+                "`// relaxed:` tag with no `Ordering::Relaxed` under it (a rationale that \
+                 outlived its site)",
+            )),
+            _ => {}
         }
     }
-    out
+    (sites, out)
 }
 
 // ---------------------------------------------------------------------
@@ -793,11 +771,12 @@ fn rel(root: &Path, p: &Path) -> String {
     p.strip_prefix(root).unwrap_or(p).to_string_lossy().replace('\\', "/")
 }
 
-const ALLOWLIST: &str = "ci/relaxed_allowlist.txt";
-
 struct LoadedFile {
     rel: String,
     raw: String,
+    /// String literals blanked, comments kept (checks 2 and 4).
+    commented: String,
+    /// Comments blanked too: code only.
     stripped: String,
 }
 
@@ -810,41 +789,19 @@ fn load_files(root: &Path, dirs: &[&str]) -> Vec<LoadedFile> {
         .into_iter()
         .filter_map(|p| {
             let raw = fs::read_to_string(&p).ok()?;
-            let stripped = strip_code(&raw);
-            Some(LoadedFile { rel: rel(root, &p), raw, stripped })
+            let (commented, stripped) = (strip_strings(&raw), strip_code(&raw));
+            Some(LoadedFile { rel: rel(root, &p), raw, commented, stripped })
         })
         .collect()
 }
 
-fn run(root: &Path, print_relaxed: bool) -> ExitCode {
+fn run(root: &Path) -> ExitCode {
     // First-party production + test code: checks 1–4.
     let core = load_files(root, &["src", "crates"]);
     // The vendored model checker is ours too: checks 1 and 4 (its own
     // mirror-store Relaxed uses are instrumentation, not protocol, so
-    // the allowlist doesn't cover it).
+    // check 2 doesn't cover it).
     let aux = load_files(root, &["vendor/shuttle/src"]);
-
-    let mut sites = Vec::new();
-    for f in &core {
-        let stripped: Vec<&str> = f.stripped.lines().collect();
-        sites.extend(find_relaxed(&f.rel, &stripped));
-    }
-
-    if print_relaxed {
-        // Regenerate the allowlist body, keeping rationales for entries
-        // whose file:line still matches.
-        let existing = fs::read_to_string(root.join(ALLOWLIST)).unwrap_or_default();
-        let (entries, _) = parse_allowlist(ALLOWLIST, &existing);
-        for s in &sites {
-            let rationale = entries
-                .iter()
-                .find(|e| e.file == s.file && e.line == s.line)
-                .map(|e| e.rationale.as_str())
-                .unwrap_or("FIXME: justify this Relaxed or strengthen it");
-            println!("{}:{}  {}", s.file, s.line, rationale);
-        }
-        return ExitCode::SUCCESS;
-    }
 
     let mut violations = Vec::new();
 
@@ -854,21 +811,14 @@ fn run(root: &Path, print_relaxed: bool) -> ExitCode {
         violations.extend(check_unsafe_documented(&f.rel, &raw, &stripped));
     }
 
-    match fs::read_to_string(root.join(ALLOWLIST)) {
-        Ok(text) => {
-            let (entries, bad) = parse_allowlist(ALLOWLIST, &text);
-            violations.extend(bad);
-            violations.extend(check_relaxed(ALLOWLIST, &sites, &entries));
-        }
-        Err(_) => violations.push(Violation {
-            file: ALLOWLIST.to_string(),
-            line: 1,
-            msg: "missing (run `tss-lint --print-relaxed` to generate it)".into(),
-        }),
-    }
-
+    let mut relaxed_sites = 0;
     for f in &core {
+        let raw: Vec<&str> = f.raw.lines().collect();
+        let commented: Vec<&str> = f.commented.lines().collect();
         let stripped: Vec<&str> = f.stripped.lines().collect();
+        let (sites, found) = check_relaxed(&f.rel, &raw, &commented, &stripped);
+        relaxed_sites += sites;
+        violations.extend(found);
         violations.extend(check_facade(&f.rel, &stripped));
         violations.extend(check_sched_policy_facade(&f.rel, &stripped));
         violations.extend(check_join_discipline(&f.rel, &stripped));
@@ -880,7 +830,7 @@ fn run(root: &Path, print_relaxed: bool) -> ExitCode {
         Ok(design) => {
             let headings = design_headings(&design);
             for f in core.iter().chain(aux.iter()) {
-                violations.extend(check_citations(&f.rel, &strip_strings(&f.raw), &headings));
+                violations.extend(check_citations(&f.rel, &f.commented, &headings));
             }
         }
         Err(_) => violations.push(Violation {
@@ -910,9 +860,8 @@ fn run(root: &Path, print_relaxed: bool) -> ExitCode {
     }
     if violations.is_empty() {
         eprintln!(
-            "tss-lint: clean ({} files, {} Relaxed sites allowlisted)",
+            "tss-lint: clean ({} files, {relaxed_sites} Relaxed sites annotated)",
             core.len() + aux.len(),
-            sites.len()
         );
         ExitCode::SUCCESS
     } else {
@@ -923,7 +872,6 @@ fn run(root: &Path, print_relaxed: bool) -> ExitCode {
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
-    let mut print_relaxed = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -934,18 +882,18 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--print-relaxed" => print_relaxed = true,
             "--help" | "-h" => {
                 println!(
-                    "tss-lint [--root DIR] [--print-relaxed]\n\
+                    "tss-lint [--root DIR]\n\
                      Static checks for the tss execution core (DESIGN.md §10):\n\
-                     SAFETY comments, the Ordering::Relaxed allowlist, the sync\n\
-                     facade boundary, DESIGN.md citation integrity, crate\n\
-                     hygiene attributes, the JoinHandle unwrap ban (DESIGN.md\n\
-                     §11), the Instant::now timing-facade ban (DESIGN.md\n\
-                     §12.1), the SchedPolicy facade ban (DESIGN.md §13), and\n\
-                     the socket-unwrap ban in the service crates (DESIGN.md\n\
-                     §14.2). Exits nonzero on any violation."
+                     SAFETY comments, `// relaxed:` rationales on every\n\
+                     Ordering::Relaxed, the sync facade boundary, DESIGN.md\n\
+                     citation integrity, crate hygiene attributes, the\n\
+                     JoinHandle unwrap ban (DESIGN.md §11), the Instant::now\n\
+                     timing-facade ban (DESIGN.md §12.1), the SchedPolicy\n\
+                     facade ban (DESIGN.md §13), and the socket-unwrap ban in\n\
+                     the service crates (DESIGN.md §14.2). Exits nonzero on\n\
+                     any violation."
                 );
                 return ExitCode::SUCCESS;
             }
@@ -955,7 +903,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    run(&root, print_relaxed)
+    run(&root)
 }
 
 // ---------------------------------------------------------------------
@@ -1052,41 +1000,89 @@ let y = unsafe { g() };
         assert!(v.is_empty(), "{v:?}");
     }
 
+    /// Check 2 over one fixture file.
+    fn relaxed(src: &str) -> (usize, Vec<Violation>) {
+        let (commented, stripped) = (strip_strings(src), strip_code(src));
+        check_relaxed("f.rs", &lines(src), &lines(&commented), &lines(&stripped))
+    }
+
     #[test]
-    fn allowlist_round_trip() {
-        let (entries, bad) = parse_allowlist(
-            "ci/relaxed_allowlist.txt",
-            "# comment\n\ncrates/exec/src/deque.rs:84  counter only\nbad-line\nf.rs:9\n",
-        );
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].file, "crates/exec/src/deque.rs");
-        assert_eq!(entries[0].line, 84);
-        assert_eq!(bad.len(), 2, "{bad:?}");
-        assert!(bad[0].msg.contains("malformed"));
-        assert!(bad[1].msg.contains("no rationale"));
+    fn relaxed_on_a_continuation_line_is_covered_by_the_tag_above_its_statement() {
+        let src = "\
+fn f() {
+    other();
+    // relaxed: CAS failure ordering; nothing is read on a lost race
+    match self.top.compare_exchange(
+        t,
+        t + 1,
+        Ordering::SeqCst,
+        Ordering::Relaxed,
+    ) {
+        Ok(_) => {}
+    }
+    let len = b.load(Ordering::Relaxed)
+        .wrapping_sub(t.load(Ordering::Relaxed));
+}
+";
+        let (sites, v) = relaxed(src);
+        assert_eq!(sites, 3);
+        // The `len` statement sits below a `}`: nothing above covers it,
+        // and its own continuation line does not either.
+        let at: Vec<usize> = v.iter().map(|x| x.line).collect();
+        assert_eq!(at, vec![12, 13], "{v:?}");
+    }
+
+    #[test]
+    fn relaxed_tags_survive_line_shifts() {
+        let src = "\
+fn f() {
+    let a = x.load(Ordering::Relaxed); // relaxed: advisory snapshot
+    // relaxed: statistic, read after every worker joined;
+    // the join is the happens-before edge
+    #[allow(clippy::let_and_return)]
+    let b = y.load(Ordering::Relaxed);
+}
+";
+        assert_eq!(relaxed(src), (2, Vec::new()));
+        // What the path:line-keyed list could not survive.
+        let shifted = format!("\n\n\nuse a::b;\n\n{src}");
+        assert_eq!(relaxed(&shifted), (2, Vec::new()), "a rationale moves with its site");
     }
 
     #[test]
     fn relaxed_flags_both_directions() {
-        let sites = vec![
-            RelaxedSite { file: "a.rs".into(), line: 3 },
-            RelaxedSite { file: "a.rs".into(), line: 7 },
-        ];
-        let entries = vec![
-            AllowEntry { file: "a.rs".into(), line: 3, rationale: "ok".into(), at: 1 },
-            AllowEntry { file: "b.rs".into(), line: 1, rationale: "gone".into(), at: 2 },
-        ];
-        let v = check_relaxed("LIST", &sites, &entries);
-        assert_eq!(v.len(), 2, "{v:?}");
-        assert!(v.iter().any(|x| x.file == "a.rs" && x.line == 7));
-        assert!(v.iter().any(|x| x.file == "LIST" && x.msg.contains("stale")));
+        let src = "\
+fn f() {
+    // relaxed: counter only
+    n.fetch_add(1, Ordering::Relaxed);
+
+    m.fetch_add(1, Ordering::Relaxed);
+    // relaxed: the load this explained was strengthened
+    k.load(Ordering::Acquire);
+    // relaxed:
+    j.load(Ordering::Relaxed);
+}
+";
+        let (sites, v) = relaxed(src);
+        assert_eq!(sites, 3);
+        let found: Vec<String> = v.iter().map(|x| x.to_string()).collect();
+        assert_eq!(found.len(), 3, "{found:?}");
+        assert!(found[0].starts_with("f.rs:5: `Ordering::Relaxed` without"), "{found:?}");
+        assert!(found[1].starts_with("f.rs:6: `// relaxed:` tag with no"), "{found:?}");
+        assert!(found[2].starts_with("f.rs:8: `// relaxed:` tag without a rationale"), "{found:?}");
     }
 
     #[test]
     fn relaxed_in_comments_does_not_count() {
-        let src = "// Ordering::Relaxed would be wrong here\nx.load(Ordering::Acquire);\n";
-        let stripped = strip_code(src);
-        assert!(find_relaxed("f.rs", &lines(&stripped)).is_empty());
+        let src = "\
+// Ordering::Relaxed would be wrong here
+//! Sites carry a `// relaxed: <rationale>` comment.
+let fixture = \"// relaxed: in a string\";
+x.load(Ordering::Acquire);
+";
+        let (sites, v) = relaxed(src);
+        assert_eq!(sites, 0);
+        assert!(v.is_empty(), "neither a site nor a tag: {v:?}");
     }
 
     #[test]

@@ -97,7 +97,7 @@ pub const fn sampled(_task: u32) -> bool {
 
 /// High-water marks sampled on existing publish edges (Relaxed
 /// `fetch_max`; advisory, never a correctness input — each site carries
-/// an allowlist rationale per DESIGN.md §10).
+/// a `// relaxed:` rationale per DESIGN.md §10).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Gauges {
     /// Deepest local deque observed when pushing a sampled ready task.

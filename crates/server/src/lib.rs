@@ -206,7 +206,8 @@ pub(crate) struct ServerShared {
     pub counters: Arc<Counters>,
     /// Socket clones per live session, for drain-time shutdown.
     pub sessions: Mutex<HashMap<u64, TcpStream>>,
-    /// Session thread handles, joined at drain.
+    /// Handles of the session threads still running (finished ones
+    /// are reaped on accept), joined at drain.
     pub handles: Mutex<Vec<JoinHandle<()>>>,
     /// Drain request latch + the condvar `Server::wait` blocks on.
     drain: (Mutex<bool>, Condvar),
@@ -407,7 +408,14 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
                     .name(format!("tss-session-{id}"))
                     .spawn(move || session::run_session(session_shared, id, stream));
                 match spawned {
-                    Ok(h) => shared.handles.lock().expect("session handles poisoned").push(h),
+                    Ok(h) => {
+                        // Reap on accept: a finished thread keeps its
+                        // stack mapped until its handle is joined or
+                        // dropped, and drain may be days away.
+                        let mut handles = shared.handles.lock().expect("session handles poisoned");
+                        handles.retain(|h| !h.is_finished());
+                        handles.push(h);
+                    }
                     Err(_) => {
                         // Could not spawn (resource exhaustion): the
                         // stream drops, the client sees a close, the
