@@ -48,7 +48,7 @@
 
 use std::time::{Duration, Instant};
 
-use tss_bench::cli::{fail, locality_only, Flags, Parsed};
+use tss_bench::cli::{fail, locality_only, validated_run, Flags, Parsed};
 use tss_bench::{hw_threads, json};
 use tss_core::report::{fmt_count_pct, fmt_f};
 use tss_core::Table;
@@ -57,7 +57,6 @@ use tss_exec::{
     ExecConfig, ExecError, ExecReport, Executor, FailurePolicy, PayloadMode, Renamer, SchedKind,
     SCHED_MENU,
 };
-use tss_trace::DepGraph;
 use tss_workloads::{Benchmark, Scale};
 
 /// The paper's software-decoder baseline (Section II): ~700 ns/task.
@@ -69,9 +68,9 @@ const DECODE_REPS: usize = 3;
 
 struct Args {
     scale: Scale,
-    /// What every run of the session executes under. `validate` is off:
-    /// the harness checks each log itself, outside the timed runs, so
-    /// it can exit with a clear per-benchmark message.
+    /// What every run of the session executes under. `validate` stays
+    /// on: each completion log is oracle-checked by the run itself,
+    /// after its timed span.
     cfg: ExecConfig,
     json: bool,
     out: String,
@@ -85,7 +84,7 @@ struct Args {
 fn parse_args() -> Parsed<Args> {
     let mut out = Args {
         scale: Scale::Small,
-        cfg: ExecConfig { seed: 42, validate: false, ..ExecConfig::default() },
+        cfg: ExecConfig { seed: 42, ..ExecConfig::default() },
         json: false,
         out: "BENCH_exec.json".into(),
         fault_rate_ppm: 0,
@@ -467,25 +466,10 @@ fn failure_sets(r: &ExecReport) -> (Vec<u32>, Vec<u32>) {
 
 /// Unwraps one run's result and applies the post-run gates, in severity
 /// order: a structured run failure ([`ExecError`]) is a user-visible
-/// outcome and exits 2; an oracle violation or a non-reconciling
-/// accounting identity is an executor bug and exits 1.
-fn run_checked(
-    bench: Benchmark,
-    result: Result<ExecReport, ExecError>,
-    oracle: &DepGraph,
-) -> ExecReport {
-    let mut report = match result {
-        Ok(r) => r,
-        Err(e) => {
-            // A structured run failure, not a flag error: no --help hint.
-            eprintln!("error: {bench}: {e}");
-            std::process::exit(2);
-        }
-    };
-    if let Err(v) = oracle.validate_order(&report.order) {
-        eprintln!("[exec] {bench}: ORACLE VIOLATION: {v}");
-        std::process::exit(1);
-    }
+/// outcome and exits 2; an oracle violation ([`validated_run`]) or a
+/// non-reconciling accounting identity is an executor bug and exits 1.
+fn run_checked(bench: Benchmark, result: Result<ExecReport, ExecError>) -> ExecReport {
+    let report = validated_run("exec", bench, result);
     if !report.accounting_reconciles() {
         eprintln!(
             "[exec] {bench}: ACCOUNTING MISMATCH: completed {} + failed {} + poisoned {} \
@@ -498,7 +482,6 @@ fn run_checked(
         );
         std::process::exit(1);
     }
-    report.validated = true;
     report
 }
 
@@ -513,7 +496,6 @@ fn main() {
     let mut points = Vec::with_capacity(9);
     for bench in Benchmark::all() {
         let trace = bench.trace(args.scale, args.cfg.seed);
-        let oracle = DepGraph::from_trace(&trace);
 
         // Decode microbench: the renamer alone, single pass, best of N.
         let renamer = Renamer::new().renaming(args.cfg.renaming);
@@ -528,9 +510,9 @@ fn main() {
 
         let exec = Executor::new(args.cfg.clone());
         // Two-phase replay: the scheduler-only, PR-comparable number.
-        let replay = run_checked(bench, exec.run_oneshot(&trace), &oracle);
+        let replay = run_checked(bench, exec.run_oneshot(&trace));
         // Pipelined streaming run: decode overlapped with execution.
-        let stream = run_checked(bench, exec.run(&trace), &oracle);
+        let stream = run_checked(bench, exec.run(&trace));
         if args.fault_rate_ppm > 0 && failure_sets(&replay) != failure_sets(&stream) {
             eprintln!(
                 "[exec] {bench}: DETERMINISM VIOLATION: replay and streamed runs disagree \

@@ -115,18 +115,6 @@ fn parse_args() -> Parsed<Args> {
     Ok(out)
 }
 
-/// What one client thread needs to run its loop (a `Send + Clone`
-/// slice of [`Args`]).
-#[derive(Clone, Copy)]
-struct Load {
-    addr: SocketAddr,
-    graphs: u64,
-    deadline_ms: u32,
-    chunk: usize,
-    retry_max: u32,
-    chaos_seed: Option<u64>,
-}
-
 /// One client thread's tally. The chaos-mode counts (`slow_ok`,
 /// `killed`, `vanished`) and the reject counts are exact for a fixed
 /// chaos seed; latency and wall are the noisy part.
@@ -164,25 +152,25 @@ impl Row {
 }
 
 /// Healthy closed loop: submit, honor shed hints, wait for `Done`.
-fn run_healthy(load: &Load, client_idx: u64, trace: &TaskTrace) -> Result<Row, String> {
+fn run_healthy(args: &Args, client_idx: u64, trace: &TaskTrace) -> Result<Row, String> {
     let mut row = Row::default();
-    let mut client = Client::connect(load.addr)
-        .map_err(|e| format!("client {client_idx}: connect {}: {e}", load.addr))?;
-    for g in 0..load.graphs {
+    let mut client = Client::connect(args.addr)
+        .map_err(|e| format!("client {client_idx}: connect {}: {e}", args.addr))?;
+    for g in 0..args.graphs {
         let gid = client_idx * 1_000_000 + g;
         row.graphs += 1;
         let started = Instant::now();
         let mut attempts = 0u32;
         loop {
             let sub = client
-                .submit(gid, load.deadline_ms, trace, load.chunk)
+                .submit(gid, args.deadline_ms, trace, args.chunk)
                 .map_err(|e| format!("client {client_idx} graph {gid}: submit: {e}"))?;
             match sub {
                 Submission::Accepted => break,
                 Submission::Rejected(RejectReason::Overloaded { retry_after_ms }) => {
                     row.rejected_overloaded += 1;
                     attempts += 1;
-                    if attempts >= load.retry_max {
+                    if attempts >= args.retry_max {
                         return Err(format!(
                             "client {client_idx} graph {gid}: still shed after {attempts} \
                              submits (raise --retry-max or shrink the load)"
@@ -193,7 +181,7 @@ fn run_healthy(load: &Load, client_idx: u64, trace: &TaskTrace) -> Result<Row, S
                 Submission::Rejected(RejectReason::QuotaExceeded { .. }) => {
                     row.rejected_quota += 1;
                     attempts += 1;
-                    if attempts >= load.retry_max {
+                    if attempts >= args.retry_max {
                         return Err(format!(
                             "client {client_idx} graph {gid}: quota-rejected {attempts} times"
                         ));
@@ -221,16 +209,16 @@ fn run_healthy(load: &Load, client_idx: u64, trace: &TaskTrace) -> Result<Row, S
 }
 
 /// Wire-chaos loop: each pair's behaviour is the pure plan's call.
-fn run_chaotic(load: &Load, client_idx: u64, trace: &TaskTrace) -> Result<Row, String> {
-    let chaos_seed = load.chaos_seed.expect("chaos mode");
+fn run_chaotic(args: &Args, client_idx: u64, trace: &TaskTrace) -> Result<Row, String> {
+    let chaos_seed = args.chaos_seed.expect("chaos mode");
     let mut row = Row::default();
     let mut conn: Option<Client> = None;
-    for g in 0..load.graphs {
+    for g in 0..args.graphs {
         let mode = plan(chaos_seed, client_idx, g);
         let gid = client_idx * 1_000_000 + g;
         row.graphs += 1;
         let started = Instant::now();
-        let out = run_graph(load.addr, &mut conn, mode, gid, load.deadline_ms, trace, load.chunk)
+        let out = run_graph(args.addr, &mut conn, mode, gid, args.deadline_ms, trace, args.chunk)
             .map_err(|e| format!("client {client_idx} graph {gid} ({}): {e}", mode.name()))?;
         match out {
             ChaosOutcome::Done(outcome) => {
@@ -362,46 +350,42 @@ fn main() {
         },
     );
 
-    let load = Load {
-        addr: args.addr,
-        graphs: args.graphs,
-        deadline_ms: args.deadline_ms,
-        chunk: args.chunk,
-        retry_max: args.retry_max,
-        chaos_seed: args.chaos_seed,
-    };
-    let workers: Vec<_> = (0..args.clients)
-        .map(|client_idx| {
-            let trace = trace.clone();
-            std::thread::Builder::new()
-                .name(format!("loadgen-{client_idx}"))
-                .spawn(move || {
-                    let started = Instant::now();
-                    let mut row = if load.chaos_seed.is_some() {
-                        run_chaotic(&load, client_idx, &trace)?
-                    } else {
-                        run_healthy(&load, client_idx, &trace)?
-                    };
-                    row.wall = started.elapsed();
-                    Ok::<Row, String>(row)
-                })
-                .expect("spawn loadgen client")
-        })
-        .collect();
-    let mut rows = Vec::with_capacity(workers.len());
-    for w in workers {
-        match w.join() {
-            Ok(Ok(row)) => rows.push(row),
-            Ok(Err(msg)) => {
-                eprintln!("error: {msg}");
-                std::process::exit(1);
-            }
-            Err(_) => {
-                eprintln!("error: a loadgen client thread panicked");
-                std::process::exit(1);
-            }
-        }
-    }
+    // Scoped, so the client threads borrow the arguments and the one
+    // trace instead of each owning a copy.
+    let rows: Vec<Row> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..args.clients)
+            .map(|client_idx| {
+                let (args, trace) = (&args, &trace);
+                std::thread::Builder::new()
+                    .name(format!("loadgen-{client_idx}"))
+                    .spawn_scoped(scope, move || {
+                        let started = Instant::now();
+                        let mut row = if args.chaos_seed.is_some() {
+                            run_chaotic(args, client_idx, trace)?
+                        } else {
+                            run_healthy(args, client_idx, trace)?
+                        };
+                        row.wall = started.elapsed();
+                        Ok::<Row, String>(row)
+                    })
+                    .expect("spawn loadgen client")
+            })
+            .collect();
+        clients
+            .into_iter()
+            .map(|client| match client.join() {
+                Ok(Ok(row)) => row,
+                Ok(Err(msg)) => {
+                    eprintln!("error: {msg}");
+                    std::process::exit(1);
+                }
+                Err(_) => {
+                    eprintln!("error: a loadgen client thread panicked");
+                    std::process::exit(1);
+                }
+            })
+            .collect()
+    });
 
     if args.shutdown {
         match Client::connect(args.addr) {

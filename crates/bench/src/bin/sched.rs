@@ -25,13 +25,13 @@
 
 use std::time::Instant;
 
-use tss_bench::cli::{fail, locality_only, Flags, Parsed};
+use tss_bench::cli::{fail, locality_only, validated_run, Flags, Parsed};
 use tss_bench::{hw_threads, json};
 use tss_core::fabric;
 use tss_core::report::fmt_f;
 use tss_core::Table;
 use tss_exec::{ExecConfig, ExecReport, Executor, PayloadMode, SchedKind, SCHED_MENU};
-use tss_trace::{DepGraph, TaskTrace};
+use tss_trace::TaskTrace;
 use tss_workloads::{Benchmark, Scale};
 
 struct Args {
@@ -120,8 +120,9 @@ struct Row {
     report: ExecReport,
 }
 
-/// Replays one grid point and oracle-checks the completion order.
-fn run_point(args: &Args, trace: &TaskTrace, oracle: &DepGraph, p: Point) -> Row {
+/// Replays one grid point; the run oracle-checks its own completion
+/// order (`validate` is on by default).
+fn run_point(args: &Args, trace: &TaskTrace, p: Point) -> Row {
     let (_, policy, workers) = p;
     let cfg = ExecConfig {
         threads: workers,
@@ -133,22 +134,10 @@ fn run_point(args: &Args, trace: &TaskTrace, oracle: &DepGraph, p: Point) -> Row
         classes: args.classes,
         domains: args.domains,
         seed: args.seed,
-        validate: false,
         ..Default::default()
     };
-    let report = match Executor::new(cfg).run_oneshot(trace) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {} [{} x{workers}]: {e}", trace.name(), policy.name());
-            std::process::exit(2);
-        }
-    };
-    if let Err(v) = oracle.validate_order(&report.order) {
-        eprintln!("[sched] {} [{} x{workers}]: ORACLE VIOLATION: {v}", trace.name(), policy.name());
-        std::process::exit(1);
-    }
-    let mut report = report;
-    report.validated = true;
+    let run = format!("{} [{} x{workers}]", trace.name(), policy.name());
+    let report = validated_run("sched", run, Executor::new(cfg).run_oneshot(trace));
     Row { benchmark: trace.name().to_string(), policy, workers, report }
 }
 
@@ -232,14 +221,8 @@ fn main() {
     // Generate each benchmark trace once and share it across the whole
     // policy x workers grid (the grid re-runs the *executor*, not the
     // generator).
-    let traces: Vec<(TaskTrace, DepGraph)> = Benchmark::all()
-        .into_iter()
-        .map(|b| {
-            let t = b.trace(args.scale, args.seed);
-            let g = DepGraph::from_trace(&t);
-            (t, g)
-        })
-        .collect();
+    let traces: Vec<TaskTrace> =
+        Benchmark::all().into_iter().map(|b| b.trace(args.scale, args.seed)).collect();
 
     let mut points: Vec<Point> = Vec::new();
     for bi in 0..traces.len() {
@@ -263,7 +246,7 @@ fn main() {
     let t0 = Instant::now();
     let rows = fabric::sweep(args.jobs, points, |p| {
         let (bi, _, _) = p;
-        run_point(&args, &traces[bi].0, &traces[bi].1, p)
+        run_point(&args, &traces[bi], p)
     });
     let suite_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 

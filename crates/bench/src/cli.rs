@@ -11,7 +11,7 @@ use std::fmt::Display;
 use std::str::FromStr;
 use std::time::Duration;
 
-use tss_exec::SchedKind;
+use tss_exec::{ExecError, ExecReport, SchedKind};
 use tss_workloads::Scale;
 
 /// A parsed value, or the message [`fail`] should print.
@@ -21,6 +21,31 @@ pub type Parsed<T> = Result<T, String>;
 pub fn fail(msg: impl Display) -> ! {
     eprintln!("error: {msg} (try --help)");
     std::process::exit(2);
+}
+
+/// Unwraps one executor run made with `ExecConfig::validate` on, as the
+/// `exec` and `sched` harnesses gate it. An
+/// [`ExecError::OracleViolation`] is an executor bug: the `ORACLE
+/// VIOLATION` line, exit 1. Any other [`ExecError`] is a structured
+/// outcome of the run that was asked for (a fail-fast task failure, a
+/// blown run deadline): exit 2, without the `--help` hint of a flag
+/// error.
+pub fn validated_run(
+    harness: &str,
+    run: impl Display,
+    result: Result<ExecReport, ExecError>,
+) -> ExecReport {
+    match result {
+        Ok(report) => report,
+        Err(ExecError::OracleViolation { detail }) => {
+            eprintln!("[{harness}] {run}: ORACLE VIOLATION: {detail}");
+            std::process::exit(1);
+        }
+        Err(e) => {
+            eprintln!("error: {run}: {e}");
+            std::process::exit(2);
+        }
+    }
 }
 
 /// A cursor over the command line that remembers the flag it yielded

@@ -2,7 +2,7 @@
 //!
 //! PR 3 shipped a `Mutex<VecDeque>` ring here, with a module doc
 //! calling it a placeholder for Chase-Lev; that ring survives below as
-//! [`tests::MutexDeque`], the differential-test oracle (the same
+//! `tests::MutexDeque`, the differential-test oracle (the same
 //! discipline PR 2 used when the calendar queue replaced the seed's
 //! `BinaryHeap`). The live implementation is now the real thing:
 //! atomic `bottom`/`top` indices over a growable circular buffer,

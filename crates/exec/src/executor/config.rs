@@ -1,0 +1,122 @@
+//! What a run is asked to do: [`ExecConfig`] and the external
+//! [`CancelToken`] it may carry.
+
+use std::time::Duration;
+
+use crate::fault::FailurePolicy;
+use crate::payload::PayloadMode;
+use crate::sched::SchedKind;
+use crate::sync::atomic::{AtomicU32, Ordering};
+
+/// Executor configuration.
+#[derive(Debug, Clone)]
+pub struct ExecConfig {
+    /// Worker thread count (≥ 1).
+    pub threads: usize,
+    /// What each task execution does.
+    pub payload: PayloadMode,
+    /// Operand renaming in the frontend (off = WaR/WaW enforced too).
+    pub renaming: bool,
+    /// Seeds the per-worker steal-victim rotation.
+    pub seed: u64,
+    /// Check the completion log against the `DepGraph` oracle after the
+    /// run (on by default; a violating run panics — it is an executor
+    /// bug, never a workload property).
+    pub validate: bool,
+    /// Streaming decode window: tasks committed to the executor per
+    /// batch (≥ 1). Smaller windows overlap sooner but commit more
+    /// often.
+    pub window: usize,
+    /// Decode shard threads for streaming runs (≥ 1): address interning
+    /// is hash-partitioned this many ways and each shard renames its
+    /// partition on its own thread (the distributed-ORT analogy).
+    pub decode_shards: usize,
+    /// What the run does when a task fails (DESIGN.md §11).
+    pub policy: FailurePolicy,
+    /// Per-task wall-clock budget: an attempt exceeding it is cancelled
+    /// by the watchdog and counts as a
+    /// [`TaskFailure::Deadline`](crate::fault::TaskFailure::Deadline).
+    pub task_deadline: Option<Duration>,
+    /// Whole-run wall-clock budget: expiry aborts the run with
+    /// [`ExecError::RunDeadline`](crate::fault::ExecError::RunDeadline).
+    pub run_deadline: Option<Duration>,
+    /// Chaos: kill this worker's thread after its first completed task
+    /// (the survivors adopt its deque via the thief protocol). Requires
+    /// `threads >= 2`.
+    pub kill_worker: Option<usize>,
+    /// Scheduling policy (DESIGN.md §13). The default, [`SchedKind::Lifo`],
+    /// monomorphizes to the pre-§13 worker loop.
+    pub sched: SchedKind,
+    /// Worker classes for [`SchedKind::Locality`] (clamped to 1..=2;
+    /// 1 disables class routing). Ignored by the other policies.
+    pub classes: usize,
+    /// Affinity domains for [`SchedKind::Locality`] (clamped to
+    /// 1..=threads). Ignored by the other policies.
+    pub domains: usize,
+    /// External cancellation (DESIGN.md §14.3): when the token fires,
+    /// the watchdog aborts the run and it returns
+    /// [`ExecError::Cancelled`](crate::fault::ExecError::Cancelled) with
+    /// its progress counts. `None` (the default) adds no machinery at
+    /// all.
+    pub cancel: Option<CancelToken>,
+}
+
+impl Default for ExecConfig {
+    fn default() -> Self {
+        ExecConfig {
+            threads: 4,
+            payload: PayloadMode::Noop,
+            renaming: true,
+            seed: 1,
+            validate: true,
+            window: 1024,
+            decode_shards: 1,
+            policy: FailurePolicy::FailFast,
+            task_deadline: None,
+            run_deadline: None,
+            kill_worker: None,
+            sched: SchedKind::Lifo,
+            classes: 2,
+            domains: 1,
+            cancel: None,
+        }
+    }
+}
+
+/// A cloneable external-cancellation handle. The serve layer
+/// (DESIGN.md §14.3) arms one per accepted graph so a drain deadline
+/// can stop a run that is already executing; anything else that embeds
+/// the executor can do the same. The token itself is polled by the
+/// watchdog role (same 200 µs tick as the deadlines), never on the task
+/// hot path: one extra load per tick. Arming it does put every task on
+/// the guarded lane — a firing must be able to stop payloads in flight,
+/// so each attempt runs under its worker's watch slot — and that lane
+/// is not free: measured on Cholesky-paper (30,856 no-op tasks, one
+/// CPU) an armed, unfired token costs +6…14 ns/task over the
+/// 126–150 ns/task unarmed run. It cost +43…48 ns/task (a third more)
+/// while the lane also read the clock, armed the deadline slot and
+/// bumped a shared retry-histogram counter per task whether or not a
+/// task deadline or a Retry policy was there to use them (DESIGN.md
+/// §11.4). The tick bounds *cancellation* latency only — one tick plus
+/// the longest in-flight payload — never completion latency: the
+/// watchdog's wait is interrupted the moment the run stops (DESIGN.md
+/// §11.3).
+#[derive(Debug, Clone, Default)]
+pub struct CancelToken(std::sync::Arc<AtomicU32>);
+
+impl CancelToken {
+    /// A fresh, unfired token.
+    pub fn new() -> CancelToken {
+        CancelToken::default()
+    }
+
+    /// Fires the token. Idempotent; safe from any thread.
+    pub fn cancel(&self) {
+        self.0.store(1, Ordering::Release);
+    }
+
+    /// Whether [`CancelToken::cancel`] has been called.
+    pub fn is_cancelled(&self) -> bool {
+        self.0.load(Ordering::Acquire) != 0
+    }
+}

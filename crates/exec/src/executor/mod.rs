@@ -1,0 +1,655 @@
+//! The execution core: real threads replaying a task graph out of
+//! order — a *pipelined* core in which decode itself streams
+//! concurrently with execution, the way the paper's distributed
+//! ORT/OVT/TRS frontend feeds its backend without serializing it.
+//!
+//! Scheme (DESIGN.md §7 for the execution side and the map of this
+//! module, §8 for the streaming protocol and memory orderings):
+//!
+//! - **One pipeline, two front ends.** Every run is the same crew of
+//!   workers over the same release table; the entry points differ only
+//!   in where the graph comes from. [`Executor::run`] streams: decode
+//!   shard roles rename the trace window by window and commit each
+//!   window *while* workers execute the ones before it (the decode cost
+//!   overlaps execution — [`ExecReport::decode_overlap_pct`]).
+//!   [`Executor::replay`] takes a graph decoded beforehand and commits
+//!   it whole before the crew starts; [`Executor::run_oneshot`] is
+//!   decode-then-`replay` — PR 3's two phases, the apples-to-apples
+//!   replay-throughput measurement and the shape the microbenches time.
+//! - **Resident threads.** A run's decode shards, workers and watchdog
+//!   are *roles* handed to a crew of process-lifetime threads
+//!   (`runtime.rs`, DESIGN.md §15) and awaited; no thread is spawned or
+//!   joined per run.
+//! - **Lock-free scheduling.** Per-worker [`ChaseLev`](crate::ChaseLev)
+//!   deques (owner LIFO, thief FIFO, batch stealing takes half) replace
+//!   the mutexed ring; the one lock left on the task hot path is gone.
+//! - **Readiness.** Every task carries an atomic counter of producers
+//!   still to finish; whichever atomic op lands it exactly on zero owns
+//!   the push. A task no window has committed yet sits at a large
+//!   sentinel `UNPUBLISHED`: producers that finish *before* their
+//!   successor is even decoded simply decrement through the sentinel,
+//!   and the window commit adds `pred_count − UNPUBLISHED` back — early
+//!   release needs no blocking and no side lookups. A graph committed
+//!   before the run has no such tasks: its counters start at the
+//!   decoded producer counts.
+//! - **Pending-release lists.** A producer's successor set is not fully
+//!   known until later windows decode. Each task owns a lock-free
+//!   pending list (CAS-push by the window committer); completion swaps
+//!   the head with `CLOSED` and drains. A committer that observes
+//!   `CLOSED` knows the producer already completed and drained, and
+//!   counts the edge as satisfied itself — the exactly-once handshake
+//!   (§8). It is the only way a completion finds its successors: a
+//!   graph committed before the run arrives with every list already
+//!   complete, linked in the order of the graph's successor rows.
+//! - **Parking without storms.** Workers park on a condvar epoch, but
+//!   wakes are throttled: a completion wakes one thief only when it
+//!   banked *surplus* ready tasks (≥ 2), a window commit wakes
+//!   everyone once per window, and the final completion wakes everyone
+//!   once. PR 3 notified on every completion that released anything —
+//!   on an oversubscribed host that was a futex storm dominating the
+//!   replay.
+//! - **Completion tickets** are taken *before* successor release, so
+//!   the ticket sequence is a linearization of the dependency order by
+//!   construction; [`DepGraph::validate_order`](tss_trace::DepGraph::validate_order)
+//!   checks it on every validated run. The ticket counter doubles as
+//!   the termination count: ticket `n−1` means every task has executed.
+//!
+//! With one worker there is no stealing and no ticket race. For a
+//! *two-phase* replay ([`Executor::run_oneshot`]) the order is then a
+//! pure function of the queue discipline (own deque LIFO over injector
+//! FIFO, batch banking preserves root order, a drain releases
+//! successors in ascending id order) — bit-deterministic, and the
+//! determinism tests pin it, across commits too. A *streamed* 1-worker
+//! run is oracle-deterministic only: whether a task arrives via the
+//! injector or via a producer's pending list is the decode-vs-execution
+//! race itself (`tests/streaming.rs` pins that contract).
+
+mod config;
+mod decode;
+mod parker;
+mod release;
+mod report;
+mod shared;
+mod watchdog;
+mod worker;
+
+pub use config::{CancelToken, ExecConfig};
+pub use report::{ExecReport, WorkerStats};
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Duration;
+
+use tss_obs::clock::Stamp;
+use tss_obs::WorkerObs;
+use tss_trace::{OrderViolation, TaskId, TaskTrace};
+
+use self::decode::DecodeShared;
+use self::release::{StreamRelease, POISONED};
+use self::shared::Shared;
+use self::watchdog::watchdog_loop;
+use self::worker::{worker_loop, WorkerExit};
+use crate::fault::{panic_message, ExecError, FailurePolicy, FaultReport};
+use crate::payload::{build_arena, PayloadMode};
+use crate::renamer::{RenameStats, Renamer, TaskGraph};
+use crate::runtime::{self, Role};
+use crate::sched::{
+    CostAwarePolicy, FifoPolicy, LifoPolicy, LocalityPolicy, SchedKind, SchedPolicy,
+};
+use crate::sync::atomic::Ordering;
+
+/// The native out-of-order task executor.
+///
+/// ```
+/// use tss_exec::{ExecConfig, Executor};
+/// use tss_workloads::{Benchmark, Scale};
+///
+/// let trace = Benchmark::Cholesky.trace(Scale::Small, 1);
+/// let report = Executor::new(ExecConfig { threads: 2, ..ExecConfig::default() })
+///     .run(&trace)
+///     .expect("replay failed");
+/// assert_eq!(report.tasks, trace.len());
+/// assert!(report.validated);
+/// assert!(report.streaming);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct Executor {
+    config: ExecConfig,
+}
+
+/// Where a run's graph comes from — the one thing that differs between
+/// the entry points.
+#[derive(Clone, Copy)]
+enum FrontEnd<'g> {
+    /// Decode roles rename the trace and commit it window by window
+    /// while the workers already execute ([`Executor::run`]).
+    Stream,
+    /// A graph decoded beforehand (in `decode_wall`), committed whole
+    /// before the crew starts ([`Executor::replay`]).
+    Graph { graph: &'g TaskGraph, decode_wall: Duration },
+}
+
+impl Executor {
+    /// An executor with the given configuration (`window` and
+    /// `decode_shards` are clamped to ≥ 1).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.threads` is zero, or if `kill_worker` is set
+    /// with fewer than two workers / an out-of-range index (a lone
+    /// killed worker could never finish the run).
+    pub fn new(mut config: ExecConfig) -> Self {
+        assert!(config.threads >= 1, "the executor needs at least one worker");
+        if let Some(k) = config.kill_worker {
+            assert!(config.threads >= 2, "kill_worker needs at least two workers");
+            assert!(k < config.threads, "kill_worker index out of range");
+        }
+        config.window = config.window.max(1);
+        config.decode_shards = config.decode_shards.max(1);
+        config.classes = config.classes.clamp(1, crate::payload::NUM_CLASSES);
+        config.domains = config.domains.clamp(1, config.threads);
+        Executor { config }
+    }
+
+    /// The configuration.
+    pub fn config(&self) -> &ExecConfig {
+        &self.config
+    }
+
+    /// Streams `trace` through the pipelined core: decode shard threads
+    /// rename window by window while workers already execute committed
+    /// windows.
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::TaskFailed`] under `FailFast`, `RunDeadline` past
+    /// the run budget, `WorkerPanic` for a non-payload thread death,
+    /// and `OracleViolation` if validation rejects the completion log.
+    /// Task failures under `Retry`/`Quarantine` are *not* errors: they
+    /// come back inside [`ExecReport::fault`].
+    pub fn run(&self, trace: &TaskTrace) -> Result<ExecReport, ExecError> {
+        self.dispatch(trace, FrontEnd::Stream)
+    }
+
+    /// PR 3's two-phase shape: decode the whole trace first (timed as a
+    /// pure serial phase), then replay it. This is the
+    /// apples-to-apples *replay throughput* measurement — decode is
+    /// excluded from `exec_wall` — and the fixed-graph shape the
+    /// microbenches need.
+    ///
+    /// # Errors
+    ///
+    /// As [`Executor::run`].
+    pub fn run_oneshot(&self, trace: &TaskTrace) -> Result<ExecReport, ExecError> {
+        let t0 = Stamp::now();
+        let graph = Renamer::new().renaming(self.config.renaming).decode(trace);
+        let decode_wall = t0.elapsed();
+        self.replay(trace, &graph, decode_wall)
+    }
+
+    /// Replays an already-decoded graph (the two-phase shape without
+    /// paying the decode: benchmark loops hoist it). `decode_wall` is
+    /// reported as given.
+    ///
+    /// # Errors
+    ///
+    /// As [`Executor::run`].
+    pub fn replay(
+        &self,
+        trace: &TaskTrace,
+        graph: &TaskGraph,
+        decode_wall: Duration,
+    ) -> Result<ExecReport, ExecError> {
+        assert_eq!(graph.len(), trace.len(), "graph decoded from a different trace");
+        self.dispatch(trace, FrontEnd::Graph { graph, decode_wall })
+    }
+
+    /// The one policy dispatch of the crate (DESIGN.md §13.1): each arm
+    /// monomorphizes the entire pipeline — worker loop, decode commit,
+    /// finish — over its policy type. No `dyn` anywhere.
+    fn dispatch(&self, trace: &TaskTrace, front: FrontEnd<'_>) -> Result<ExecReport, ExecError> {
+        match self.config.sched {
+            SchedKind::Lifo => self.pipeline::<LifoPolicy>(trace, front),
+            SchedKind::Fifo => self.pipeline::<FifoPolicy>(trace, front),
+            SchedKind::CostAware => self.pipeline::<CostAwarePolicy>(trace, front),
+            SchedKind::Locality => self.pipeline::<LocalityPolicy>(trace, front),
+        }
+    }
+
+    /// One run, whatever its entry point: build the shared state, let
+    /// the front end put the graph into the release table — before the
+    /// crew starts, or from decode roles that are part of it — and run
+    /// the workers until the last ticket.
+    fn pipeline<P: SchedPolicy>(
+        &self,
+        trace: &TaskTrace,
+        front: FrontEnd<'_>,
+    ) -> Result<ExecReport, ExecError> {
+        let cfg = &self.config;
+        let release = match front {
+            FrontEnd::Stream => {
+                let total_ops: usize = trace.iter().map(|t| t.operands.len()).sum();
+                // Pre-dedup pair bound: ≤ 1 RaW per read + 1 WaW per
+                // write + readers cleared per write (≤ total reads) —
+                // see renamer.rs.
+                StreamRelease::new(trace.len(), 3 * total_ops + 8)
+            }
+            FrontEnd::Graph { graph, .. } => StreamRelease::from_graph(graph),
+        };
+        let shared: Shared<'_, P> = Shared::new(trace, release, cfg);
+        let arena = self.arena();
+        let (timing, crew) = match front {
+            FrontEnd::Stream => {
+                // Constructed last: `dec.started` anchors the decode
+                // span, so nothing non-decode (notably the memcpy arena
+                // build) may sit between it and the run start.
+                let dec = DecodeShared::new(trace, cfg.window, cfg.decode_shards);
+                let mut scans: Vec<_> = (0..cfg.decode_shards).map(|_| None).collect();
+                let crew =
+                    self.run_crew(&shared, &arena, dec.roles(&shared, cfg.renaming, &mut scans));
+                let exec_wall = dec.started.elapsed();
+                let (decode_wall, rename, decode_obs) = dec.finish(scans);
+                (RunTiming { decode_wall, exec_wall, streaming: true, rename, decode_obs }, crew)
+            }
+            FrontEnd::Graph { graph, decode_wall } => {
+                for r in graph.roots() {
+                    shared.injector.push(r as u32);
+                    // No Spawn events for roots: they are pushed by the
+                    // submitter before any worker role (and its ring)
+                    // exists, so their queue wait goes unmeasured —
+                    // sampling loss, not bias (DESIGN.md §12.3).
+                }
+                let t0 = Stamp::now();
+                let crew = self.run_crew(&shared, &arena, Vec::new());
+                let exec_wall = t0.elapsed();
+                let timing = RunTiming {
+                    decode_wall,
+                    exec_wall,
+                    streaming: false,
+                    rename: *graph.stats(),
+                    decode_obs: Vec::new(),
+                };
+                (timing, crew)
+            }
+        };
+        self.finish(trace, shared, timing, crew)
+    }
+
+    /// Runs one graph's roles on a crew leased from the resident
+    /// runtime (DESIGN.md §15) and returns once all of them have:
+    /// `front` (the streaming mode's decode shards) on the first
+    /// members, then one worker per configured thread, then — only when
+    /// a deadline or cancel token is armed — the watchdog, last so that
+    /// arming it does not move any other role to a different resident
+    /// thread. An empty graph has nothing to run and leases nothing.
+    fn run_crew<'r, P: SchedPolicy>(
+        &self,
+        shared: &'r Shared<'_, P>,
+        arena: &'r [u8],
+        front: Vec<Role<'r>>,
+    ) -> CrewOut {
+        let threads = self.config.threads;
+        let mut exits: Vec<Option<WorkerExit>> = (0..threads).map(|_| None).collect();
+        if shared.n > 0 {
+            let mut roles: Vec<Role<'_>> = front;
+            roles.reserve(threads + 1);
+            let seed = self.config.seed;
+            for (w, exit) in exits.iter_mut().enumerate() {
+                roles.push(Box::new(move || {
+                    *exit = catch_unwind(AssertUnwindSafe(|| worker_loop(w, shared, arena, seed)))
+                        .map_err(|p| shared.note_infra_panic(panic_message(&*p)))
+                        .ok();
+                }));
+            }
+            if shared.watchdog_armed() {
+                roles.push(Box::new(move || watchdog_loop(shared)));
+            }
+            runtime::global().run(roles);
+        }
+        let mut crew = CrewOut {
+            workers: Vec::with_capacity(threads),
+            worker_obs: Vec::with_capacity(threads),
+            workers_lost: 0,
+        };
+        for exit in exits {
+            // An empty slot after a run is a worker whose role died of
+            // an (already noted) infrastructure panic.
+            let (stats, wobs, lost) = match exit {
+                Some(WorkerExit::Finished(stats, wobs)) => (stats, wobs, false),
+                Some(WorkerExit::Killed(stats, wobs)) => (stats, wobs, true),
+                None => (WorkerStats::default(), WorkerObs::new(), shared.n > 0),
+            };
+            crew.workers.push(stats);
+            crew.worker_obs.push(wobs);
+            crew.workers_lost += usize::from(lost);
+        }
+        crew
+    }
+
+    /// Only memcpy (and mixed, whose memory class memcpys) reads the
+    /// source arena; noop/spin runs get a minimal zeroed one (building
+    /// the 4 MB pattern would dominate short replays).
+    fn arena(&self) -> Vec<u8> {
+        match self.config.payload {
+            PayloadMode::Memcpy | PayloadMode::Mixed { .. } => build_arena(),
+            _ => vec![0u8; 2 * tss_workloads::payload::CHUNK_CAP],
+        }
+    }
+
+    fn finish<P: SchedPolicy>(
+        &self,
+        trace: &TaskTrace,
+        shared: Shared<'_, P>,
+        timing: RunTiming,
+        crew: CrewOut,
+    ) -> Result<ExecReport, ExecError> {
+        let RunTiming { decode_wall, exec_wall, streaming, rename, decode_obs } = timing;
+        let CrewOut { workers, worker_obs, workers_lost } = crew;
+        // Error resolution order: infrastructure death first (nothing
+        // else is trustworthy after an executor-bug panic), then the
+        // run deadline, then a fail-fast task failure.
+        let infra = shared.infra_panic.lock().expect("infra panic slot poisoned").take();
+        if let Some(message) = infra {
+            return Err(ExecError::WorkerPanic { message });
+        }
+        let completed = shared.next_ticket.load(Ordering::Acquire).min(shared.n);
+        if shared.cancel_hit.load(Ordering::Acquire) != 0 {
+            return Err(ExecError::Cancelled { completed, tasks: shared.n });
+        }
+        if shared.run_deadline_hit.load(Ordering::Acquire) != 0 {
+            return Err(ExecError::RunDeadline {
+                deadline: self.config.run_deadline.unwrap_or_default(),
+                completed,
+                tasks: shared.n,
+            });
+        }
+        let mut failed =
+            std::mem::take(&mut *shared.failures.lock().expect("failure log poisoned"));
+        failed.sort_by_key(|f| f.task);
+        if matches!(self.config.policy, FailurePolicy::FailFast) && !failed.is_empty() {
+            return Err(ExecError::TaskFailed(failed.remove(0)));
+        }
+        if shared.aborted() {
+            // Aborted without an infra panic, deadline, or fail-fast
+            // failure: cannot happen by construction; surface it rather
+            // than fabricating a report.
+            return Err(ExecError::WorkerPanic { message: "run aborted without a cause".into() });
+        }
+        // relaxed: order slots read after all workers joined
+        let order: Vec<TaskId> =
+            shared.order.iter().map(|s| s.load(Ordering::Relaxed) as TaskId).collect();
+        assert_eq!(order.len(), trace.len(), "executor lost tasks");
+        let validated = self.config.validate;
+        if validated {
+            // The *full* log — failed and poisoned tasks included — must
+            // linearize the dependency order: every task, whatever its
+            // fate, took its ticket only after its producers took
+            // theirs.
+            let oracle = trace.dep_graph();
+            if let Err(v) = oracle.validate_order(&order) {
+                return Err(ExecError::OracleViolation { detail: v.to_string() });
+            }
+        }
+        // relaxed: final status-array scan after all workers joined
+        let poisoned: Vec<u32> = (0..shared.n as u32)
+            .filter(|&t| shared.status[t as usize].load(Ordering::Relaxed) == POISONED)
+            .collect();
+        let fault = FaultReport {
+            failed,
+            poisoned,
+            // relaxed: retried-ok read after all workers joined
+            retried_ok: shared.retried_ok.load(Ordering::Relaxed),
+            // relaxed: retry histogram read after all workers joined
+            retry_hist: shared.retry_hist.iter().map(|h| h.load(Ordering::Relaxed)).collect(),
+            workers_lost,
+        };
+        // Drain the per-worker sinks into the report (None in NoopSink
+        // builds): histograms merge across workers, rings become
+        // per-worker/per-shard tracks.
+        let obs = shared.obs.finish(worker_obs, decode_obs);
+        Ok(ExecReport {
+            benchmark: trace.name().to_string(),
+            tasks: trace.len(),
+            threads: self.config.threads,
+            payload: self.config.payload,
+            decode_wall,
+            exec_wall,
+            // A graph decoded beforehand overlapped nothing.
+            decode_overlap_pct: if streaming && exec_wall > Duration::ZERO {
+                let exec = exec_wall.as_secs_f64();
+                100.0 * decode_wall.as_secs_f64().min(exec) / exec
+            } else {
+                0.0
+            },
+            streaming,
+            decode_shards: if streaming { self.config.decode_shards } else { 1 },
+            order,
+            workers,
+            rename,
+            validated,
+            fault,
+            obs,
+        })
+    }
+}
+
+/// What a run's front end measured, handed to `finish`.
+struct RunTiming {
+    decode_wall: Duration,
+    exec_wall: Duration,
+    streaming: bool,
+    rename: RenameStats,
+    /// Per-decode-shard sinks (empty for a graph decoded beforehand).
+    decode_obs: Vec<WorkerObs>,
+}
+
+/// What a run's worker roles handed back (`Executor::run_crew`).
+struct CrewOut {
+    /// Per-worker counters, in worker order.
+    workers: Vec<WorkerStats>,
+    /// Per-worker observability sinks, in worker order.
+    worker_obs: Vec<WorkerObs>,
+    /// Workers killed by injection or dead of an infrastructure panic.
+    workers_lost: usize,
+}
+
+/// Convenience: stream with defaults, returning the report.
+///
+/// # Errors
+///
+/// As [`Executor::run`].
+pub fn run_trace(trace: &TaskTrace, threads: usize) -> Result<ExecReport, ExecError> {
+    Executor::new(ExecConfig { threads, ..ExecConfig::default() }).run(trace)
+}
+
+/// Checks a completion log against the dependency oracle without
+/// panicking and without building it for the occasion
+/// ([`TaskTrace::check_order`]). This is how the owner of a single-use
+/// trace validates a run made with `validate: false` — the server does
+/// exactly that for every graph it answers `Completed` (DESIGN.md
+/// §14.3).
+///
+/// # Errors
+///
+/// The first [`OrderViolation`] found.
+pub fn check_order(trace: &TaskTrace, order: &[TaskId]) -> Result<(), OrderViolation> {
+    trace.check_order(order)
+}
+
+/// Fixtures the unit tests of this module's files share.
+#[cfg(test)]
+mod testkit {
+    use super::ExecConfig;
+    use crate::fault::{fault_decision, FailurePolicy};
+    use crate::payload::PayloadMode;
+    use tss_trace::{OperandDesc, TaskTrace};
+
+    pub fn diamond() -> TaskTrace {
+        // 0 → {1, 2} → 3
+        let mut tr = TaskTrace::new("diamond");
+        let k = tr.add_kernel("k");
+        tr.push_task(k, 10, vec![OperandDesc::output(0xA, 64)]);
+        tr.push_task(k, 10, vec![OperandDesc::input(0xA, 64), OperandDesc::output(0xB, 64)]);
+        tr.push_task(k, 10, vec![OperandDesc::input(0xA, 64), OperandDesc::output(0xC, 64)]);
+        tr.push_task(k, 10, vec![OperandDesc::input(0xB, 64), OperandDesc::input(0xC, 64)]);
+        tr
+    }
+
+    /// The diamond plus an independent task 4 (survives any quarantine
+    /// of the diamond).
+    pub fn diamond_plus_loner() -> TaskTrace {
+        let mut tr = diamond();
+        let k = tr.add_kernel("loner");
+        tr.push_task(k, 10, vec![OperandDesc::output(0xD, 64)]);
+        tr
+    }
+
+    /// A seed where, at `rate` ppm, task 0 faults on attempt 1, is clean
+    /// on attempt 2, and tasks `1..n` are clean on attempt 1 — found by
+    /// scanning the pure `fault_decision` hash, so it is deterministic
+    /// and survives any trace change.
+    pub fn seed_failing_only_task0(rate: u32, n: u32) -> u64 {
+        (0..10_000u64)
+            .find(|&s| {
+                fault_decision(s, 0, 1, rate).is_some()
+                    && fault_decision(s, 0, 2, rate).is_none()
+                    && (1..n).all(|t| fault_decision(s, t, 1, rate).is_none())
+            })
+            .expect("no qualifying seed in 10k")
+    }
+
+    pub fn chaos_cfg(rate_ppm: u32, seed: u64, policy: FailurePolicy) -> ExecConfig {
+        ExecConfig {
+            threads: 2,
+            payload: PayloadMode::Faulty { rate_ppm, seed },
+            policy,
+            ..ExecConfig::default()
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testkit::diamond;
+    use super::*;
+    use tss_trace::OperandDesc;
+
+    #[test]
+    fn replays_a_diamond_in_dependency_order() {
+        for threads in [1, 2, 4] {
+            let report = run_trace(&diamond(), threads).expect("diamond replay failed");
+            assert_eq!(report.tasks, 4);
+            assert_eq!(report.order[0], 0);
+            assert_eq!(report.order[3], 3);
+            assert!(report.validated);
+            assert!(report.streaming);
+            let executed: u64 = report.workers.iter().map(|w| w.executed).sum();
+            assert_eq!(executed, 4);
+        }
+    }
+
+    #[test]
+    fn oneshot_replays_the_diamond_too() {
+        let cfg = ExecConfig { threads: 2, ..ExecConfig::default() };
+        let report = Executor::new(cfg).run_oneshot(&diamond()).expect("oneshot failed");
+        assert_eq!(report.tasks, 4);
+        assert_eq!(report.order[0], 0);
+        assert!(!report.streaming);
+        assert_eq!(report.decode_overlap_pct, 0.0);
+        assert!(!report.fault.any(), "clean run reported failure activity");
+        assert!(report.accounting_reconciles());
+    }
+
+    #[test]
+    fn empty_trace_is_a_clean_noop() {
+        for streaming in [true, false] {
+            let exec = Executor::new(ExecConfig { threads: 2, ..ExecConfig::default() });
+            let report = if streaming {
+                exec.run(&TaskTrace::new("empty")).expect("empty run failed")
+            } else {
+                exec.run_oneshot(&TaskTrace::new("empty")).expect("empty oneshot failed")
+            };
+            assert_eq!(report.tasks, 0);
+            assert!(report.order.is_empty());
+            assert_eq!(report.tasks_per_sec(), 0.0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one worker")]
+    fn zero_workers_rejected() {
+        let _ = Executor::new(ExecConfig { threads: 0, ..ExecConfig::default() });
+    }
+
+    #[test]
+    fn independent_tasks_all_run() {
+        let mut tr = TaskTrace::new("indep");
+        let k = tr.add_kernel("k");
+        for i in 0..200u64 {
+            tr.push_task(k, 10, vec![OperandDesc::output(0x1000 + i * 64, 64)]);
+        }
+        let report = run_trace(&tr, 4).expect("independent replay failed");
+        assert_eq!(report.tasks, 200);
+        let mut seen = report.order.clone();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..200).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn no_renaming_serializes_a_waw_chain() {
+        let mut tr = TaskTrace::new("waw");
+        let k = tr.add_kernel("k");
+        for _ in 0..8 {
+            tr.push_task(k, 10, vec![OperandDesc::output(0xA, 64)]);
+        }
+        let cfg = ExecConfig { threads: 4, renaming: false, ..ExecConfig::default() };
+        let report = Executor::new(cfg).run(&tr).expect("waw replay failed");
+        // WaW enforced: completion order must be program order.
+        assert_eq!(report.order, (0..8).collect::<Vec<_>>());
+        assert_eq!(report.rename.removed_by_renaming, 0);
+    }
+
+    #[test]
+    fn busy_frac_is_positive_for_working_workers() {
+        // ISSUE 5 satellite regression: a worker that executed > 0
+        // tasks on a non-trivial replay must report busy_frac > 0. The
+        // old per-payload accounting skipped noop entirely, so the
+        // default BENCH_exec.json printed 0.0000 for a worker that
+        // executed every task.
+        let mut tr = TaskTrace::new("busy");
+        let k = tr.add_kernel("k");
+        for i in 0..400u64 {
+            tr.push_task(k, 10, vec![OperandDesc::output(0x1000 + i * 64, 64)]);
+        }
+        for threads in [1, 2] {
+            let exec = Executor::new(ExecConfig { threads, ..ExecConfig::default() });
+            let report = exec.run_oneshot(&tr).expect("busy replay failed");
+            assert!(report.workers.iter().any(|w| w.executed > 0));
+            for (w, ws) in report.workers.iter().enumerate() {
+                if ws.executed > 0 {
+                    assert!(ws.busy > Duration::ZERO, "worker {w} executed, busy stayed zero");
+                    assert!(
+                        report.utilization(w) > 0.0,
+                        "worker {w} executed {} tasks with busy_frac 0",
+                        ws.executed
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn report_rates_are_sane() {
+        let report = run_trace(&diamond(), 2).expect("diamond replay failed");
+        assert!(report.tasks_per_sec() > 0.0);
+        assert!(report.utilization(0) >= 0.0);
+        assert!((0.0..=100.0).contains(&report.decode_overlap_pct));
+        assert_eq!(report.total_steals(), report.workers.iter().map(|w| w.steals).sum::<u64>());
+    }
+
+    #[test]
+    #[should_panic(expected = "kill_worker")]
+    fn kill_worker_requires_a_second_worker() {
+        let _ =
+            Executor::new(ExecConfig { threads: 1, kill_worker: Some(0), ..ExecConfig::default() });
+    }
+}

@@ -2,7 +2,7 @@
 //!
 //! Everything here is *policy and vocabulary*; the mechanism (the
 //! containment boundary, the POISONED readiness sentinel, the watchdog)
-//! lives in `executor.rs`. The split keeps the executor's hot path free
+//! lives in `executor/`. The split keeps the executor's hot path free
 //! of policy branching: workers consult a pre-resolved [`FaultPlan`]
 //! and report [`TaskFailure`] values; the run-level verdict
 //! ([`ExecError`] or a populated [`FaultReport`]) is assembled once at

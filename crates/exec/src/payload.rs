@@ -164,30 +164,19 @@ impl<'a> PayloadScratch<'a> {
         PayloadScratch { src: arena, dst: vec![0u8; CHUNK_CAP], sink: 0 }
     }
 
-    /// Runs one task's payload; returns the busy wall time.
+    /// Runs one task's payload to the end; returns the busy wall time.
+    /// The uncancellable run is the cancellable one entered with a flag
+    /// nobody sets.
     pub fn run(&mut self, mode: PayloadMode, task: &TaskDesc) -> Duration {
-        match mode {
-            PayloadMode::Noop | PayloadMode::Faulty { .. } => Duration::ZERO,
-            PayloadMode::Spin { time_scale } => self.run_spin(task.runtime, time_scale),
-            PayloadMode::Memcpy => self.run_memcpy(task),
-            PayloadMode::Mixed { time_scale } => self.run_mixed(task, time_scale),
-        }
+        self.run_watched(mode, task, &AtomicU32::new(0)).0
     }
 
-    /// The [`PayloadMode::Mixed`] body: dispatch on the task's class.
-    pub fn run_mixed(&mut self, task: &TaskDesc, time_scale: f64) -> Duration {
-        if task_class(PayloadMode::Mixed { time_scale }, task) == CLASS_MEMORY {
-            self.run_memcpy(task)
-        } else {
-            self.run_spin(task.runtime, time_scale)
-        }
-    }
-
-    /// [`PayloadScratch::run`] under a deadline watchdog: polls `cancel`
-    /// (a watchdog-owned flag, nonzero = stop) and returns
-    /// `(busy, cancelled)`. Spin payloads poll every iteration; memcpy
-    /// polls between operand chunks (a single chunk is ≤ 64 KB, so
-    /// cancellation latency stays in the microseconds).
+    /// Runs one task's payload under a deadline watchdog — the one
+    /// payload body there is: polls `cancel` (a watchdog-owned flag,
+    /// nonzero = stop) and returns `(busy, cancelled)`. Spin payloads
+    /// poll every iteration; memcpy polls between operand chunks (a
+    /// single chunk is ≤ 64 KB, so cancellation latency stays in the
+    /// microseconds).
     pub fn run_watched(
         &mut self,
         mode: PayloadMode,
@@ -196,36 +185,13 @@ impl<'a> PayloadScratch<'a> {
     ) -> (Duration, bool) {
         match mode {
             PayloadMode::Noop | PayloadMode::Faulty { .. } => (Duration::ZERO, false),
-            PayloadMode::Spin { time_scale } => {
-                let t0 = Stamp::now();
-                let target = cycles_to_ns(task.runtime) * time_scale;
-                let budget = Duration::from_nanos(target as u64);
-                let mut cancelled = false;
-                while t0.elapsed() < budget {
-                    if cancel.load(Ordering::Acquire) != 0 {
-                        cancelled = true;
-                        break;
-                    }
-                    std::hint::spin_loop();
-                }
-                (t0.elapsed(), cancelled)
-            }
-            PayloadMode::Memcpy => {
-                let t0 = Stamp::now();
-                for c in operand_chunks(task) {
-                    if cancel.load(Ordering::Acquire) != 0 {
-                        return (t0.elapsed(), true);
-                    }
-                    self.copy_chunk(c);
-                }
-                std::hint::black_box(self.sink);
-                (t0.elapsed(), false)
-            }
+            PayloadMode::Spin { time_scale } => self.spin(task, time_scale, cancel),
+            PayloadMode::Memcpy => self.memcpy(task, cancel),
             PayloadMode::Mixed { time_scale } => {
                 if task_class(mode, task) == CLASS_MEMORY {
-                    self.run_watched(PayloadMode::Memcpy, task, cancel)
+                    self.memcpy(task, cancel)
                 } else {
-                    self.run_watched(PayloadMode::Spin { time_scale }, task, cancel)
+                    self.spin(task, time_scale, cancel)
                 }
             }
         }
@@ -243,29 +209,35 @@ impl<'a> PayloadScratch<'a> {
         t0.elapsed()
     }
 
-    /// Busy-waits the traced `runtime` (in simulated cycles) scaled by
-    /// `time_scale`; returns the busy wall time. Split out so the
-    /// executor's hot path can feed it from a dense runtime column
-    /// instead of dereferencing the whole `TaskDesc`.
-    pub fn run_spin(&mut self, runtime: tss_sim::Cycle, time_scale: f64) -> Duration {
+    /// Busy-waits the task's traced runtime (simulated cycles → host
+    /// nanoseconds) scaled by `time_scale`, or until cancelled.
+    fn spin(&mut self, task: &TaskDesc, time_scale: f64, cancel: &AtomicU32) -> (Duration, bool) {
         let t0 = Stamp::now();
-        let target = cycles_to_ns(runtime) * time_scale;
+        let target = cycles_to_ns(task.runtime) * time_scale;
         let budget = Duration::from_nanos(target as u64);
+        let mut cancelled = false;
         while t0.elapsed() < budget {
+            if cancel.load(Ordering::Acquire) != 0 {
+                cancelled = true;
+                break;
+            }
             std::hint::spin_loop();
         }
-        t0.elapsed()
+        (t0.elapsed(), cancelled)
     }
 
     /// Moves the task's (capped) operand footprint through the worker's
-    /// scratch pair; returns the busy wall time.
-    pub fn run_memcpy(&mut self, task: &TaskDesc) -> Duration {
+    /// scratch pair, or stops between two chunks once cancelled.
+    fn memcpy(&mut self, task: &TaskDesc, cancel: &AtomicU32) -> (Duration, bool) {
         let t0 = Stamp::now();
         for c in operand_chunks(task) {
+            if cancel.load(Ordering::Acquire) != 0 {
+                return (t0.elapsed(), true);
+            }
             self.copy_chunk(c);
         }
         std::hint::black_box(self.sink);
-        t0.elapsed()
+        (t0.elapsed(), false)
     }
 
     /// Moves one operand chunk through the scratch pair.

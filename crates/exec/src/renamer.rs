@@ -25,8 +25,9 @@
 //! tracked operand — the native analog of the paper's ~700 ns/task
 //! software decoder measurement (Section II).
 //!
-//! The rename rules are stated once in this crate — `ShardState::scan`;
-//! [`Renamer::decode`] is a single unsharded window of it — and that
+//! The rename rules are stated once in this crate — `ShardState::scan`,
+//! driven by [`StreamingRenamer::decode_graph`], of which
+//! [`Renamer::decode`] is the one-window, one-shard case — and that
 //! loop deliberately does **not** share code with `tss-trace`'s
 //! `for_each_edge`, although the two walk traces the same way: the
 //! oracle check (every completion log validated against `DepGraph`) is
@@ -181,27 +182,15 @@ impl Renamer {
     }
 
     /// Decodes `trace` into a [`TaskGraph`] by one in-order pass: the
-    /// whole trace as a single window of the one unsharded
-    /// `ShardState`, so the rename rules are stated once.
+    /// [`StreamingRenamer`] with the whole trace as its single window
+    /// and one shard, so the rename rules *and* the pair merge are each
+    /// stated once.
     pub fn decode(&self, trace: &TaskTrace) -> TaskGraph {
-        let n = trace.len();
-        let total_ops: usize = trace.iter().map(|t| t.operands.len()).sum();
-        // ~2 pairs per operand upper bound in the Table-I traces.
-        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(2 * total_ops);
-        let mut state = ShardState::new(self.renaming, 0, 1);
-        state.scan(trace, 0, n, &mut pairs);
-        // The scan emits (consumer, producer); the CSR wants successors.
-        for pair in &mut pairs {
-            *pair = (pair.1, pair.0);
-        }
-
-        let (succ_off, succ_dat) = build_csr(n, &mut pairs);
-        let mut pred_count = vec![0u32; n];
-        for &s in &succ_dat {
-            pred_count[s as usize] += 1;
-        }
-        let stats = RenameStats { enforced_edges: succ_dat.len(), ..*state.stats() };
-        TaskGraph { n, succ_off, succ_dat, pred_count, stats }
+        StreamingRenamer::new()
+            .renaming(self.renaming)
+            .window(trace.len())
+            .shards(1)
+            .decode_graph(trace)
     }
 }
 
@@ -260,8 +249,7 @@ impl ShardState {
     /// producer)` pairs for operands whose address this shard owns.
     /// Pairs are emitted with `consumer` ascending (scan order); the
     /// per-consumer producer sets may hold duplicates (deduplicated at
-    /// the window merge, exactly as the one-shot decoder deduplicates
-    /// globally).
+    /// the window merge).
     ///
     /// Must be called with contiguous, in-order ranges: the rename
     /// state is sequential per shard.
@@ -328,10 +316,11 @@ impl ShardState {
 /// producers)` to `commit`. `cursors[i]` tracks consumption of
 /// `bufs[i]` across windows; `scratch` is reused storage.
 ///
-/// Per-task dedup here equals the one-shot decoder's global pair dedup
-/// (a `(p, s)` pair is unique iff it is unique within `s`'s set), which
-/// is what makes streaming output bit-identical to `Renamer::decode` —
-/// pinned by `tests/streaming.rs`.
+/// Per-task dedup here is a global pair dedup (a `(p, s)` pair is
+/// unique iff it is unique within `s`'s set), so the decoded graph does
+/// not depend on where the window boundaries fall or how many shards
+/// scanned — `tests/streaming.rs` pins every (window, shards) point
+/// bit-identical to the single-window, single-shard one.
 pub(crate) fn merge_window(
     lo: usize,
     hi: usize,
@@ -360,10 +349,10 @@ pub(crate) fn merge_window(
 /// decoded) with address interning **sharded** `shards` ways (so
 /// multiple decode threads rename disjoint address partitions).
 ///
-/// This type materializes graphs for tests and offline use; the live
-/// overlapped pipeline (decode threads feeding executing workers) is
-/// assembled in [`crate::executor`] from the same [`ShardState`] /
-/// [`merge_window`] building blocks.
+/// This type materializes graphs — for [`Renamer::decode`], tests and
+/// offline use; the live overlapped pipeline (decode threads feeding
+/// executing workers) is assembled in [`crate::executor`] from the same
+/// `ShardState` / `merge_window` building blocks.
 #[derive(Debug, Clone)]
 pub struct StreamingRenamer {
     renaming: bool,
@@ -402,9 +391,9 @@ impl StreamingRenamer {
     }
 
     /// Decodes `trace` window by window through the sharded path and
-    /// materializes the same [`TaskGraph`] the one-shot
-    /// [`Renamer::decode`] produces (bit-identical CSR, counters, and
-    /// stats — the parity proptest in `tests/streaming.rs` pins this).
+    /// materializes its [`TaskGraph`] — the same one (bit-identical
+    /// CSR, counters, and stats) at every window size and shard count;
+    /// the parity proptest in `tests/streaming.rs` pins this.
     pub fn decode_graph(&self, trace: &TaskTrace) -> TaskGraph {
         let n = trace.len();
         let mut shards: Vec<ShardState> = (0..self.shards)
@@ -441,13 +430,6 @@ impl StreamingRenamer {
         }
         TaskGraph { n, succ_off, succ_dat, pred_count, stats }
     }
-}
-
-/// Sorts `pairs` and builds a deduplicated CSR successor adjacency.
-fn build_csr(n: usize, pairs: &mut Vec<(u32, u32)>) -> (Vec<u32>, Vec<u32>) {
-    pairs.sort_unstable();
-    pairs.dedup();
-    build_csr_sorted(n, pairs)
 }
 
 /// CSR adjacency from an already-sorted, already-unique pair list.

@@ -1,12 +1,14 @@
 //! The streaming renamer's contract (ISSUE 4): decode in windows, with
 //! address interning sharded across decode threads, must be
-//! *indistinguishable* from PR 3's one-shot decode —
+//! *indistinguishable* from a one-shot decode —
 //!
 //! - **Structure parity.** For every benchmark, window size, shard
 //!   count, and renaming setting, `StreamingRenamer::decode_graph`
 //!   must produce byte-identical successor CSR, unready counters, and
-//!   stats to `Renamer::decode` (which itself is test-pinned to the
-//!   `DepGraph` oracle).
+//!   stats to `Renamer::decode` — since ISSUE 18 the same decoder at
+//!   one point of that space (a single window holding the whole trace,
+//!   one shard), and the point `determinism.rs` pins to the independent
+//!   `DepGraph` oracle. The sweep holds every other point to it.
 //! - **Replay parity.** The live pipelined executor (decode threads
 //!   racing workers, pending-release lists, sentinel counters) must
 //!   emit oracle-valid completion logs at every thread count, and a
@@ -25,7 +27,12 @@ fn streaming_graph_matches_oneshot_on_every_benchmark() {
         let trace = b.trace(Scale::Small, 5);
         for renaming in [true, false] {
             let oneshot = Renamer::new().renaming(renaming).decode(&trace);
-            for (window, shards) in [(1usize, 2usize), (97, 1), (256, 4), (1 << 20, 3)] {
+            // The last two are the `window ≥ n`, one-shard point itself,
+            // reached through the builder: exactly `n`, and past it.
+            let n = trace.len();
+            for (window, shards) in
+                [(1usize, 2usize), (97, 1), (256, 4), (1 << 20, 3), (n, 1), (n + 1, 1)]
+            {
                 let streamed = StreamingRenamer::new()
                     .renaming(renaming)
                     .window(window)

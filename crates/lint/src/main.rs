@@ -652,7 +652,7 @@ fn check_instant_discipline(file: &str, stripped: &[&str]) -> Vec<Violation> {
 // ---------------------------------------------------------------------
 
 /// Flags any `std::sync` reference in a file that implements
-/// [`SchedPolicy`]. Stricter than the facade check (which only bans
+/// `SchedPolicy`. Stricter than the facade check (which only bans
 /// the modeled primitives inside `crates/exec/src/`): policy hooks run
 /// on the worker hot path *and* under the shuttle scheduler, so a
 /// policy defined anywhere — a bench experiment, a test crate — must
@@ -1088,7 +1088,7 @@ x.load(Ordering::Acquire);
     #[test]
     fn facade_scope_is_exact() {
         assert!(facade_scoped("crates/exec/src/deque.rs"));
-        assert!(facade_scoped("crates/exec/src/executor.rs"));
+        assert!(facade_scoped("crates/exec/src/executor/mod.rs"));
         assert!(facade_scoped("crates/core/src/fabric.rs"));
         assert!(!facade_scoped("crates/exec/src/sync.rs"));
         assert!(!facade_scoped("crates/core/src/lib.rs"));
@@ -1185,7 +1185,7 @@ fn structured(h: std::thread::JoinHandle<()>) -> bool {
 }
 ";
         let stripped = strip_code(src);
-        let v = check_join_discipline("crates/exec/src/executor.rs", &lines(&stripped));
+        let v = check_join_discipline("crates/exec/src/executor/mod.rs", &lines(&stripped));
         assert_eq!(v.len(), 2, "{v:?}");
         assert_eq!((v[0].line, v[1].line), (2, 5));
         assert!(v[0].msg.contains("WorkerPanic"));
@@ -1219,7 +1219,9 @@ fn prod(h: std::thread::JoinHandle<()>) {
         // The structured fallback is the idiom we *want*; it must not match.
         let ok = "let r = h.join().unwrap_or_else(|p| handle(p));\n";
         let stripped = strip_code(ok);
-        assert!(check_join_discipline("crates/exec/src/executor.rs", &lines(&stripped)).is_empty());
+        assert!(
+            check_join_discipline("crates/exec/src/executor/mod.rs", &lines(&stripped)).is_empty()
+        );
     }
 
     #[test]
@@ -1232,7 +1234,7 @@ fn timer() {
 }
 ";
         let stripped = strip_code(src);
-        let v = check_instant_discipline("crates/exec/src/executor.rs", &lines(&stripped));
+        let v = check_instant_discipline("crates/exec/src/executor/mod.rs", &lines(&stripped));
         assert_eq!(v.len(), 2, "{v:?}");
         assert_eq!((v[0].line, v[1].line), (2, 3));
         assert!(v[0].msg.contains("Stamp"), "must point at the facade: {}", v[0].msg);
@@ -1256,9 +1258,8 @@ fn timer() {
         // #[cfg(test)] regions inside the core are exempt by mask.
         let gated = "#[cfg(test)]\nmod tests {\n    fn f() { Instant::now(); }\n}\n";
         let stripped = strip_code(gated);
-        assert!(
-            check_instant_discipline("crates/exec/src/executor.rs", &lines(&stripped)).is_empty()
-        );
+        assert!(check_instant_discipline("crates/exec/src/executor/mod.rs", &lines(&stripped))
+            .is_empty());
         // Comments and strings never count.
         let doc = "// Instant::now() is banned here\nlet s = \"Instant::now\";\n";
         let stripped = strip_code(doc);
@@ -1299,7 +1300,9 @@ fn f(s: &mut TcpStream, buf: &[u8]) {
         assert!(check_socket_unwrap("crates/server/tests/chaos.rs", &lines(&stripped)).is_empty());
         // ...and so is everything outside proto/server/client entirely.
         assert!(check_socket_unwrap("crates/bench/src/bin/serve.rs", &lines(&stripped)).is_empty());
-        assert!(check_socket_unwrap("crates/exec/src/executor.rs", &lines(&stripped)).is_empty());
+        assert!(
+            check_socket_unwrap("crates/exec/src/executor/mod.rs", &lines(&stripped)).is_empty()
+        );
 
         // #[cfg(test)] regions inside a service crate are exempt by mask.
         let gated = "#[cfg(test)]\nmod tests {\n    fn f() { s.write_all(b).unwrap(); }\n}\n";

@@ -8,7 +8,7 @@
 //!    `const false` — every recording call in the executor folds to
 //!    nothing at compile time, the same static-dispatch discipline as
 //!    the `tss_exec::sync` facade (DESIGN.md §10.1). With `ring` on
-//!    (*RingSink*), each worker owns a fixed-capacity event [`Ring`]
+//!    (*RingSink*), each worker owns a fixed-capacity event `Ring`
 //!    recording spawn/steal/park/wake/retry/poison/commit edges plus
 //!    burst and task slices; rings never allocate after construction
 //!    and are drained only at join.

@@ -4,7 +4,7 @@
 //! The **generator** models the decoupled task-generating thread: it
 //! packs one task at a time (base + per-operand cost) and writes it into
 //! the gateway's 1 KB incoming buffer, stalling when the buffer is full —
-//! "the thread is only stalled when the task window becomes [full]".
+//! "the thread is only stalled when the task window becomes \[full\]".
 //!
 //! The **gateway**:
 //!
@@ -231,7 +231,9 @@ impl Gateway {
             issuable: vec![None; trace.len()],
             trace,
             cfg: cfg.clone(),
-            trs_queue: (0..cfg.num_trs as u8).collect(),
+            // Cast per id, not on the bound: 256 TRSs (the `validate`
+            // maximum) is id 255, but `256 as u8` is an empty range.
+            trs_queue: (0..cfg.num_trs).map(|i| i as u8).collect(),
             trs_full: vec![false; cfg.num_trs],
             topo,
             server: ServerTimeline::new(),

@@ -116,7 +116,7 @@ pub enum Msg {
     // ------------------------------------------------------------------
     // ORT -> TRS
     // ------------------------------------------------------------------
-    /// Basic operand information: "operand <1,17,0> is 512B [@283]";
+    /// Basic operand information: "operand `<1,17,0>` is 512B `[@283]`";
     /// carries the data producer to register with, if any.
     OperandInfo {
         /// The operand this describes.
@@ -135,7 +135,7 @@ pub enum Msg {
     // ------------------------------------------------------------------
     // OVT/TRS -> TRS (data readiness)
     // ------------------------------------------------------------------
-    /// "data ready for <op> @buffer".
+    /// "data ready for `<op>` @buffer".
     DataReady {
         /// The operand that becomes (half-)ready.
         op: OperandRef,
@@ -148,7 +148,7 @@ pub enum Msg {
     // ------------------------------------------------------------------
     // TRS <-> TRS (consumer chaining, Figures 8 and 10)
     // ------------------------------------------------------------------
-    /// "register consumer of <producer op>".
+    /// "register consumer of `<producer op>`".
     RegisterConsumer {
         /// The operand whose data is consumed (chain predecessor).
         producer: OperandRef,

@@ -21,7 +21,7 @@
 //! message resolves to exactly one slot + one operand, so the layout is
 //! tuned for that access: the generation counter lives *inside* the
 //! entry (not a parallel array — one random access, not two), the first
-//! [`INLINE_OPS`] operands are stored inline (no heap hop behind a
+//! `INLINE_OPS` operands are stored inline (no heap hop behind a
 //! dependent pointer load), and each operand's chained consumer is an
 //! inline `Option` (a `Vec` spill exists only for the no-chaining
 //! ablation). Slots are recycled **in place**: a finished task bumps the

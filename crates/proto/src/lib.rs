@@ -6,7 +6,7 @@
 //!
 //! 1. **Decode never panics and never hangs.** Every frame arrives
 //!    from an untrusted peer. All parsing is bounds-checked through
-//!    [`wire::Cur`], every length field is capped *before* any
+//!    `wire::Cur`, every length field is capped *before* any
 //!    allocation sizes off it, and the two operand rules (count,
 //!    scalar directionality) are invariants of [`tss_trace::Operands`]
 //!    whose fallible constructor the decoder goes through, so a

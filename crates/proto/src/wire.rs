@@ -109,7 +109,7 @@ pub enum GraphOutcome {
     /// The run failed outright (fail-fast task failure, worker panic,
     /// oracle violation).
     Failed {
-        /// Stringified [`tss_exec::ExecError`]-style cause.
+        /// Stringified `tss_exec::ExecError`-style cause.
         detail: String,
     },
 }

@@ -25,6 +25,25 @@ fn usage() -> ! {
     exit(2)
 }
 
+/// Parses a count flag's value and holds it to `range`: a value the
+/// simulator would only reject by panicking deep inside a constructor
+/// exits 2 here, with one line naming the flag and what it accepts.
+fn count_in(flag: &str, value: &str, range: std::ops::RangeInclusive<usize>) -> usize {
+    match value.parse() {
+        Ok(n) if range.contains(&n) => n,
+        _ => {
+            let hi = range.end();
+            let accepts = if *hi == usize::MAX {
+                format!("at least {}", range.start())
+            } else {
+                format!("in {}..={hi}", range.start())
+            };
+            eprintln!("error: {flag} must be {accepts}, got '{value}'");
+            exit(2)
+        }
+    }
+}
+
 fn bench_by_name(name: &str) -> Benchmark {
     Benchmark::all().into_iter().find(|b| b.name().eq_ignore_ascii_case(name)).unwrap_or_else(
         || {
@@ -75,9 +94,12 @@ fn parse(args: &[String]) -> Opts {
             }
             "--seed" => o.seed = val().parse().unwrap_or_else(|_| usage()),
             "--engine" => o.engine = val(),
-            "--processors" | "-p" => o.processors = val().parse().unwrap_or_else(|_| usage()),
-            "--trs" => o.trs = Some(val().parse().unwrap_or_else(|_| usage())),
-            "--ort" => o.ort = Some(val().parse().unwrap_or_else(|_| usage())),
+            "--processors" | "-p" => {
+                o.processors = count_in("--processors", &val(), 1..=usize::MAX)
+            }
+            // Module ids are `u8` (`FrontendConfig::validate`).
+            "--trs" => o.trs = Some(count_in("--trs", &val(), 1..=256)),
+            "--ort" => o.ort = Some(count_in("--ort", &val(), 1..=256)),
             "--no-renaming" => o.renaming = false,
             "--no-chaining" => o.chaining = false,
             "--n" => o.n = val().parse().unwrap_or_else(|_| usage()),
@@ -156,6 +178,10 @@ fn main() {
         }
         "graph" => {
             let o = parse(rest);
+            if o.bench != Benchmark::Cholesky {
+                eprintln!("error: `tss graph` draws only --bench cholesky, got '{}'", o.bench);
+                exit(2)
+            }
             let trace = CholeskyGen::new(o.n).generate(o.seed);
             let graph = DepGraph::from_trace(&trace);
             let profile = parallelism_profile(&trace, &graph);
