@@ -20,8 +20,9 @@ pub struct ExecConfig {
     /// Seeds the per-worker steal-victim rotation.
     pub seed: u64,
     /// Check the completion log against the `DepGraph` oracle after the
-    /// run (on by default; a violating run panics — it is an executor
-    /// bug, never a workload property).
+    /// run (on by default). A violating run returns
+    /// [`ExecError::OracleViolation`](crate::fault::ExecError::OracleViolation)
+    /// — it is an executor bug, never a workload property.
     pub validate: bool,
     /// Streaming decode window: tasks committed to the executor per
     /// batch (≥ 1). Smaller windows overlap sooner but commit more

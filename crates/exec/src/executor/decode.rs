@@ -10,10 +10,10 @@ use tss_obs::clock::Stamp;
 use tss_obs::{SpanStamp, WorkerObs};
 use tss_trace::TaskTrace;
 
-use super::release::{mark_poisoned, EdgeFate};
+use super::release::CommitCursors;
 use super::shared::Shared;
 use crate::fault::panic_message;
-use crate::renamer::{merge_window, RenameStats, ShardState};
+use crate::renamer::{RenameStats, ShardState};
 use crate::runtime::Role;
 use crate::sched::SchedPolicy;
 use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -54,11 +54,8 @@ struct CommitState {
     /// keeps injector pushes — and thus 1-worker replays —
     /// deterministic).
     next_window: usize,
-    /// Bump cursor into the `StreamRelease` node slab.
-    node_cursor: usize,
-    /// Enforced (post-dedup) edges registered so far.
-    edges: usize,
-    scratch: Vec<u32>,
+    /// Where the release table's commits stand.
+    cursors: CommitCursors,
 }
 
 impl<'a> DecodeShared<'a> {
@@ -74,12 +71,7 @@ impl<'a> DecodeShared<'a> {
             bufs: (0..windows)
                 .map(|_| (0..shards).map(|_| Mutex::new(Vec::new())).collect())
                 .collect(),
-            commit: Mutex::new(CommitState {
-                next_window: 0,
-                node_cursor: 0,
-                edges: 0,
-                scratch: Vec::new(),
-            }),
+            commit: Mutex::new(CommitState { next_window: 0, cursors: CommitCursors::default() }),
             started: Stamp::now(),
             decode_span_ns: AtomicU64::new(0),
         }
@@ -118,7 +110,7 @@ impl<'a> DecodeShared<'a> {
         scans: Vec<Option<ShardScan>>,
     ) -> (Duration, RenameStats, Vec<WorkerObs>) {
         let mut rename = RenameStats {
-            enforced_edges: self.commit.lock().expect("commit state poisoned").edges,
+            enforced_edges: self.commit.lock().expect("commit state poisoned").cursors.edges,
             ..RenameStats::default()
         };
         let mut decode_obs = Vec::with_capacity(scans.len());
@@ -151,48 +143,18 @@ impl<'a> DecodeShared<'a> {
                 .iter()
                 .map(|m| std::mem::take(&mut *m.lock().expect("window buffer poisoned")))
                 .collect();
-            let mut cursors = vec![0usize; self.shards];
-            let mut scratch = std::mem::take(&mut st.scratch);
-            let mut node_cursor = st.node_cursor;
-            let mut edges = 0usize;
-            merge_window(lo, hi, &views, &mut cursors, &mut scratch, |s, preds| {
-                let mut satisfied = 0usize;
-                for &p in preds {
-                    let idx = node_cursor as u32;
-                    node_cursor += 1;
-                    match shared.release.register_edge(idx, p, s, &shared.status) {
-                        EdgeFate::Registered => {}
-                        EdgeFate::SatisfiedHealthy => {
-                            satisfied += 1;
-                            node_cursor -= 1; // node unused: reuse the slot
-                        }
-                        EdgeFate::SatisfiedPoisoned => {
-                            // The producer failed (or was poisoned)
-                            // before this edge existed: the committer
-                            // owns both the satisfaction *and* the
-                            // poison propagation (§11).
-                            mark_poisoned(&shared.status[s as usize]);
-                            satisfied += 1;
-                            node_cursor -= 1;
-                        }
-                    }
-                }
-                edges += preds.len();
-                if shared.release.publish(s, preds.len(), satisfied) {
-                    shared.injector.push(s);
-                    pushed_roots = true;
-                    // Injector-path Spawn event for sampled roots (the
-                    // deque-path event lives in `complete`); the
-                    // drain-time pairing in `SharedObs::finish` turns
-                    // it into the task's queue-wait anchor.
-                    if tss_obs::sampled(s) {
-                        dobs.spawn(s, &shared.obs);
-                    }
+            let cursors = &mut st.cursors;
+            shared.release.commit_window((lo, hi), &views, &shared.status, cursors, |root| {
+                shared.injector.push(root);
+                pushed_roots = true;
+                // Injector-path Spawn event for sampled roots (the
+                // deque-path event lives in `complete`); the
+                // drain-time pairing in `SharedObs::finish` turns
+                // it into the task's queue-wait anchor.
+                if tss_obs::sampled(root) {
+                    dobs.spawn(root, &shared.obs);
                 }
             });
-            st.scratch = scratch;
-            st.node_cursor = node_cursor;
-            st.edges += edges;
             st.next_window = w + 1;
             // Per-window commit event + commit-lag gauge (how far the
             // committed frontier runs ahead of completions). The whole
@@ -233,13 +195,19 @@ fn decode_loop<P: SchedPolicy>(
 ) -> ShardScan {
     let mut dobs = WorkerObs::new();
     let mut state = ShardState::new(renaming, shard as u32, dec.shards as u32);
+    // Pairs this shard found in the window before: what the next
+    // buffer is sized to, instead of doubling up from empty (a trace's
+    // neighbouring windows are alike).
+    let mut pairs_before = 0;
     for w in 0..dec.windows {
         let lo = w * dec.window;
         let hi = ((w + 1) * dec.window).min(dec.trace.len());
         let sp = SpanStamp::begin();
         {
             let mut buf = dec.bufs[w][shard].lock().expect("window buffer poisoned");
+            buf.reserve(pairs_before);
             state.scan(dec.trace, lo, hi, &mut buf);
+            pairs_before = buf.len();
         }
         dobs.scan(w as u32, sp, &shared.obs);
         if dec.scan_done[w].fetch_add(1, Ordering::AcqRel) + 1 == dec.shards {

@@ -41,6 +41,17 @@
 //!   (§8). It is the only way a completion finds its successors: a
 //!   graph committed before the run arrives with every list already
 //!   complete, linked in the order of the graph's successor rows.
+//! - **Two-phase window commits.** A window is committed privately and
+//!   published once: first every edge of the window is registered —
+//!   with plain stores when its producer is in the same, still
+//!   unpublished window (it cannot have run, so nobody else can touch
+//!   its list), through the handshake above otherwise — and only then
+//!   are the window's tasks published, in order (§8.2).
+//! - **Memory by what is committed.** The list nodes live in one slab
+//!   sized to the edges runs register (`1.25 × operands`), with the rest
+//!   of the proven `3 × operands` bound in an overflow segment nobody
+//!   allocates until a commit crosses into it; a payload that never
+//!   copies gets no arena and no copy buffers (§7).
 //! - **Parking without storms.** Workers park on a condvar epoch, but
 //!   wakes are throttled: a completion wakes one thief only when it
 //!   banked *surplus* ready tasks (≥ 2), a window commit wakes
@@ -89,7 +100,7 @@ use self::shared::Shared;
 use self::watchdog::watchdog_loop;
 use self::worker::{worker_loop, WorkerExit};
 use crate::fault::{panic_message, ExecError, FailurePolicy, FaultReport};
-use crate::payload::{build_arena, PayloadMode};
+use crate::payload::shared_arena;
 use crate::renamer::{RenameStats, Renamer, TaskGraph};
 use crate::runtime::{self, Role};
 use crate::sched::{
@@ -227,11 +238,8 @@ impl Executor {
         let cfg = &self.config;
         let release = match front {
             FrontEnd::Stream => {
-                let total_ops: usize = trace.iter().map(|t| t.operands.len()).sum();
-                // Pre-dedup pair bound: ≤ 1 RaW per read + 1 WaW per
-                // write + readers cleared per write (≤ total reads) —
-                // see renamer.rs.
-                StreamRelease::new(trace.len(), 3 * total_ops + 8)
+                let operands: usize = trace.iter().map(|t| t.operands.len()).sum();
+                StreamRelease::new(trace.len(), operands)
             }
             FrontEnd::Graph { graph, .. } => StreamRelease::from_graph(graph),
         };
@@ -245,7 +253,7 @@ impl Executor {
                 let dec = DecodeShared::new(trace, cfg.window, cfg.decode_shards);
                 let mut scans: Vec<_> = (0..cfg.decode_shards).map(|_| None).collect();
                 let crew =
-                    self.run_crew(&shared, &arena, dec.roles(&shared, cfg.renaming, &mut scans));
+                    self.run_crew(&shared, arena, dec.roles(&shared, cfg.renaming, &mut scans));
                 let exec_wall = dec.started.elapsed();
                 let (decode_wall, rename, decode_obs) = dec.finish(scans);
                 (RunTiming { decode_wall, exec_wall, streaming: true, rename, decode_obs }, crew)
@@ -259,7 +267,7 @@ impl Executor {
                     // sampling loss, not bias (DESIGN.md §12.3).
                 }
                 let t0 = Stamp::now();
-                let crew = self.run_crew(&shared, &arena, Vec::new());
+                let crew = self.run_crew(&shared, arena, Vec::new());
                 let exec_wall = t0.elapsed();
                 let timing = RunTiming {
                     decode_wall,
@@ -325,13 +333,14 @@ impl Executor {
         crew
     }
 
-    /// Only memcpy (and mixed, whose memory class memcpys) reads the
-    /// source arena; noop/spin runs get a minimal zeroed one (building
-    /// the 4 MB pattern would dominate short replays).
-    fn arena(&self) -> Vec<u8> {
-        match self.config.payload {
-            PayloadMode::Memcpy | PayloadMode::Mixed { .. } => build_arena(),
-            _ => vec![0u8; 2 * tss_workloads::payload::CHUNK_CAP],
+    /// Only a payload that copies reads the source arena, and it
+    /// borrows the process's one copy; every other run gets an empty
+    /// slice — nothing built, nothing zero-filled (DESIGN.md §7).
+    fn arena(&self) -> &'static [u8] {
+        if self.config.payload.copies() {
+            shared_arena()
+        } else {
+            &[]
         }
     }
 

@@ -3,10 +3,12 @@
 //! §11.2). The pending list is the software analogue of the paper's
 //! TRS consumer chain (Fig. 10) and the only release structure there
 //! is: a streamed run grows the lists window by window
-//! ([`StreamRelease::register_edge`]), a replay of an already-decoded
+//! ([`StreamRelease::commit_window`]), a replay of an already-decoded
 //! graph starts with every list complete ([`StreamRelease::from_graph`]).
 
-use crate::renamer::TaskGraph;
+use std::sync::OnceLock;
+
+use crate::renamer::{merge_window, TaskGraph};
 use crate::sync::atomic::{AtomicI32, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use tss_obs::SharedObs;
 
@@ -42,7 +44,7 @@ const POISON_PUBLISH: Ordering = Ordering::Relaxed;
 /// pending-close publish) that makes the task *ready* is what carries
 /// the byte to whoever pops it.
 #[inline]
-pub(super) fn mark_poisoned(status: &AtomicU8) {
+fn mark_poisoned(status: &AtomicU8) {
     // relaxed: poison byte store; carried to the consumer by the countdown
     // AcqRel RMW chain or the pending-close publish (DESIGN.md §11.2)
     status.store(POISONED, Ordering::Relaxed);
@@ -62,6 +64,35 @@ const PENDING_CLOSED: u32 = u32::MAX - 1;
 /// over the ≤ `3 × operands` edge bound.
 const UNPUBLISHED: i32 = 1 << 30;
 
+/// Whether a window commit publishes its tasks only once every edge of
+/// the window is registered — the second of its two phases
+/// ([`StreamRelease::commit_window`]). `--cfg
+/// tss_bug_private_after_publish` seeds the bug the phases exist to
+/// exclude: each task is published the moment its own edges are in,
+/// before the later tasks of its window have put theirs on its list
+/// with the plain stores only an unpublished producer's list can take,
+/// so a worker may close that list under the committer's feet and an
+/// edge is lost. `model_private_commit_never_loses_an_edge` fails when
+/// active (DESIGN.md §8.2).
+const PUBLISH_AFTER_WINDOW: bool = cfg!(not(tss_bug_private_after_publish));
+
+/// The committer's side of a run's window commits: what one commit
+/// leaves for the next. Lives under the commit lock, so whichever
+/// thread is the committer is its only user.
+#[derive(Default)]
+pub(super) struct CommitCursors {
+    /// Bump cursor into the node slab.
+    next_node: u32,
+    /// Enforced (post-dedup) edges committed so far.
+    pub(super) edges: usize,
+    /// Reused storage: the merge's per-shard positions, one task's
+    /// producers, and — per task of the window in hand — the producers
+    /// it still waits for, kept from the first phase for the second.
+    merged: Vec<usize>,
+    producers: Vec<u32>,
+    unfinished: Vec<u32>,
+}
+
 /// The release table of one run. A producer's successor set is not
 /// known until every later window has decoded, so each task owns a
 /// lock-free pending-release list that commits push onto and the
@@ -71,22 +102,67 @@ const UNPUBLISHED: i32 = 1 << 30;
 pub(super) struct StreamRelease {
     unready: Vec<AtomicI32>,
     /// Pending-list heads: `PENDING_NIL` empty, `PENDING_CLOSED` after
-    /// the owner completed and drained, else a `nodes` index.
+    /// the owner completed and drained, else a node index.
     pending: Vec<AtomicU32>,
-    /// Node slab: `(next << 32) | succ`, bump-allocated by the window
-    /// committer (the commit lock serializes allocation), capacity
-    /// fixed at the `3 × operands` edge bound so nodes never move.
+    /// Node slab, first segment: `(next << 32) | succ`, bump-allocated
+    /// by the window committer (the commit lock serializes allocation).
+    /// Sized to the edges a run registers, not to the bound on them
+    /// ([`StreamRelease::new`]); contiguous, and never grown, so nodes
+    /// never move.
     nodes: Vec<AtomicU64>,
+    /// Second segment: node indices `nodes.len()..edge_bound`, one
+    /// contiguous block the committer allocates when its cursor first
+    /// crosses into it (never, on a trace of the paper's shape).
+    /// A std `OnceLock`, not a facade type: it orders nothing the
+    /// protocol relies on — a drain learns an overflow index only from
+    /// a head or link the committer stored after the block existed.
+    overflow: OnceLock<Vec<AtomicU64>>,
+    /// The proven bound on node indices (≥ `nodes.len()`).
+    edge_bound: usize,
+}
+
+fn zeroed_nodes(len: usize) -> Vec<AtomicU64> {
+    (0..len).map(|_| AtomicU64::new(0)).collect()
+}
+
+/// Task ids and node indices share the pending heads' `u32` space with
+/// the two list sentinels: both must stay below [`PENDING_CLOSED`], or
+/// an index would be read as "closed" or "empty". Stated once, for
+/// every way a table is built.
+fn check_index_space(tasks: usize, edge_bound: usize) {
+    let limit = PENDING_CLOSED as usize;
+    assert!(
+        tasks < limit && edge_bound < limit,
+        "release table index space exhausted: {tasks} tasks and an edge bound of {edge_bound} \
+         must both stay below the pending-list sentinel {limit}"
+    );
 }
 
 impl StreamRelease {
-    /// An empty table for `n` tasks nobody has decoded yet, with room
-    /// for `edge_cap` edges.
-    pub(super) fn new(n: usize, edge_cap: usize) -> Self {
+    /// An empty table for `n` tasks nobody has decoded yet, carrying
+    /// `operands` operands between them.
+    ///
+    /// The index bound is the pre-dedup pair bound, `3 × operands` (≤ 1
+    /// RaW per read + 1 WaW per write + the readers a write clears,
+    /// ≤ total reads — see `renamer.rs`). Memory is sized to what runs
+    /// register instead: enforced edges ÷ operands is ≤ 0.98 on all nine
+    /// workloads at both scales, renaming on and off (EXPERIMENTS.md
+    /// "PR 20"), so the first segment holds `1.25 × operands` nodes and
+    /// the rest of the bound is the overflow segment's to allocate.
+    pub(super) fn new(n: usize, operands: usize) -> Self {
+        Self::with_segments(n, operands + operands / 4 + 8, 3 * operands + 8)
+    }
+
+    /// [`StreamRelease::new`] with the two node counts given: `primary`
+    /// nodes allocated now, `edge_bound` indices in all.
+    fn with_segments(n: usize, primary: usize, edge_bound: usize) -> Self {
+        check_index_space(n, edge_bound);
         StreamRelease {
             unready: (0..n).map(|_| AtomicI32::new(UNPUBLISHED)).collect(),
             pending: (0..n).map(|_| AtomicU32::new(PENDING_NIL)).collect(),
-            nodes: (0..edge_cap).map(|_| AtomicU64::new(0)).collect(),
+            nodes: zeroed_nodes(primary.min(edge_bound)),
+            overflow: OnceLock::new(),
+            edge_bound,
         }
     }
 
@@ -101,7 +177,9 @@ impl StreamRelease {
     /// digest (`tests/determinism.rs`) holds two-phase replays to.
     pub(super) fn from_graph(graph: &TaskGraph) -> Self {
         let n = graph.len();
-        let mut nodes = Vec::with_capacity(graph.stats().enforced_edges);
+        let edges = graph.stats().enforced_edges;
+        check_index_space(n, edges);
+        let mut nodes = Vec::with_capacity(edges);
         let pending = (0..n)
             .map(|p| {
                 let succs = graph.succs(p);
@@ -118,30 +196,98 @@ impl StreamRelease {
             unready: (0..n).map(|t| AtomicI32::new(graph.pred_count(t) as i32)).collect(),
             pending,
             nodes,
+            overflow: OnceLock::new(),
+            edge_bound: edges,
         }
     }
 
+    /// Reads node `i` of the slab, `nodes` being its first segment: that
+    /// one answers through the bounds check an index pays anyway, and
+    /// only an index past it takes the second, out-of-line lookup. The
+    /// access sits inside each arm so that the first is one indexed
+    /// load rather than a pointer computed for both: the drain's loads
+    /// are a dependent chain, and address arithmetic on it is latency.
     #[inline]
-    fn countdown(&self, s: u32, ready: &mut Vec<u32>) {
-        // AcqRel: release our payload writes to the successor's
-        // executor, acquire the other producers' on the 1 → 0 edge.
-        if self.unready[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-            ready.push(s);
+    fn load_node(&self, nodes: &[AtomicU64], i: u32) -> u64 {
+        match nodes.get(i as usize) {
+            // relaxed: node read after winning the swap of the pending
+            // head; the swap orders the list
+            Some(node) => node.load(Ordering::Relaxed),
+            // relaxed: as above, in the overflow segment
+            None => self.overflow_node(i as usize - nodes.len()).load(Ordering::Relaxed),
         }
     }
 
-    /// Registers edge `p → s` (committer thread, under the commit
-    /// lock), storing the list node at `node_idx`. Returns how the edge
-    /// resolved; on either `Satisfied*` fate the node slot is unused.
-    pub(super) fn register_edge(
+    /// Writes node `i` of the slab (committer only): `link` is `(next <<
+    /// 32) | succ`. Whoever links the node into a list publishes it.
+    #[inline]
+    fn store_node(&self, i: u32, link: u64) {
+        match self.nodes.get(i as usize) {
+            // relaxed: node payload write; published to the drainer by
+            // the head CAS that links it, or — on an unpublished
+            // producer's list — by that producer's publish RMW
+            Some(node) => node.store(link, Ordering::Relaxed),
+            None => {
+                let node = self.overflow_node(i as usize - self.nodes.len());
+                // relaxed: as above, in the overflow segment
+                node.store(link, Ordering::Relaxed)
+            }
+        }
+    }
+
+    /// Node `i` of the overflow segment, allocating the segment on the
+    /// committer's first store into it. Indexing past `edge_bound`
+    /// panics, as indexing past the one slab did.
+    #[cold]
+    #[inline(never)]
+    fn overflow_node(&self, i: usize) -> &AtomicU64 {
+        &self.overflow.get_or_init(|| zeroed_nodes(self.edge_bound - self.nodes.len()))[i]
+    }
+
+    /// Closes `t`'s list — with `close`, the ordering of the swap — and
+    /// counts down every successor registered on it, `visit`ing each
+    /// first; appends the ones this made ready to `ready` and returns
+    /// how many it visited. Every edge registered up to the swap is
+    /// drained here; every edge registered after sees `CLOSED` and
+    /// counts itself satisfied at the commit (§8 exactly-once
+    /// handshake).
+    #[inline]
+    fn drain(
         &self,
-        node_idx: u32,
-        p: u32,
-        s: u32,
-        status: &[AtomicU8],
-    ) -> EdgeFate {
+        t: u32,
+        close: Ordering,
+        ready: &mut Vec<u32>,
+        mut visit: impl FnMut(u32),
+    ) -> usize {
+        // The two tables the loop indexes, taken once: `self` holds a
+        // `OnceLock`, so past the (never taken) overflow call the
+        // compiler would have to reload their headers per node.
+        let (nodes, unready) = (&self.nodes[..], &self.unready[..]);
+        let mut head = self.pending[t as usize].swap(PENDING_CLOSED, close);
+        let mut drained = 0;
+        while head != PENDING_NIL {
+            let node = self.load_node(nodes, head);
+            let s = node as u32;
+            visit(s);
+            // AcqRel: release our payload writes to the successor's
+            // executor, acquire the other producers' on the 1 → 0 edge.
+            if unready[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
+                ready.push(s);
+            }
+            drained += 1;
+            head = (node >> 32) as u32;
+        }
+        drained
+    }
+
+    /// Registers edge `p → s` for a producer an earlier window
+    /// published — it may be running, or done — storing the list node at
+    /// `node_idx`. Returns how the edge resolved; on either `Satisfied*`
+    /// fate the node slot is unused.
+    fn register_edge(&self, node_idx: u32, p: u32, s: u32, status: &[AtomicU8]) -> EdgeFate {
+        let list = &self.pending[p as usize];
         loop {
-            let head = self.pending[p as usize].load(Ordering::Acquire);
+            let head = list.load(Ordering::Acquire);
             if head == PENDING_CLOSED {
                 // `p` completed and drained before this edge existed:
                 // the committer owns the satisfaction (§8). The Acquire
@@ -157,14 +303,8 @@ impl StreamRelease {
                     EdgeFate::SatisfiedPoisoned
                 };
             }
-            // relaxed: node payload write; published to the drainer by the
-            // AcqRel head CAS that links it
-            self.nodes[node_idx as usize]
-                .store(((head as u64) << 32) | s as u64, Ordering::Relaxed);
-            if self.pending[p as usize]
-                .compare_exchange(head, node_idx, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
+            self.store_node(node_idx, ((head as u64) << 32) | s as u64);
+            if list.compare_exchange(head, node_idx, Ordering::AcqRel, Ordering::Acquire).is_ok() {
                 return EdgeFate::Registered;
             }
             // Lost to the drain swap (or another commit — impossible
@@ -172,13 +312,107 @@ impl StreamRelease {
         }
     }
 
-    /// Publishes task `s` at its window's commit: folds the
-    /// [`UNPUBLISHED`] sentinel away, leaving the `preds − satisfied`
-    /// producers still to finish. Whichever atomic op lands the counter
-    /// exactly on zero owns the push — returns whether this one did.
+    /// Registers edge `p → s` for a producer `p` of the window being
+    /// committed: `p` is unpublished — its counter still carries the
+    /// sentinel — so it cannot have run, nobody can have closed its
+    /// list, and the committer (the commit lock makes it one thread at a
+    /// time) is the list's only accessor, the argument
+    /// [`StreamRelease::from_graph`] rests on too. Plain loads and
+    /// stores therefore, no CAS and no `CLOSED` check. What carries
+    /// them to the worker that later swaps the list closed is `p`'s
+    /// publish: the release half of that RMW, then either the deque
+    /// hand-off of the push it earned or the countdown RMW chain on the
+    /// same counter (DESIGN.md §8.2).
     #[inline]
-    pub(super) fn publish(&self, s: u32, preds: usize, satisfied: usize) -> bool {
-        let delta = preds as i32 - satisfied as i32 - UNPUBLISHED;
+    fn register_unpublished(&self, node_idx: u32, p: u32, s: u32) {
+        let list = &self.pending[p as usize];
+        // relaxed: head of an unpublished producer's list; only the
+        // committer touches it before the publish RMW releases it
+        let head = list.load(Ordering::Relaxed);
+        debug_assert_ne!(head, PENDING_CLOSED, "an unpublished task closed its list");
+        self.store_node(node_idx, ((head as u64) << 32) | s as u64);
+        // relaxed: head of an unpublished producer's list, as above; the
+        // publish RMW's release half orders it before any drain
+        list.store(node_idx, Ordering::Relaxed);
+    }
+
+    /// Commits the window of tasks `[lo, hi)` (committer thread, under
+    /// the commit lock): merges the shards' `(consumer, producer)`
+    /// `pairs` into each task's sorted unique producer set and puts the
+    /// window into the table in two phases (DESIGN.md §8.2).
+    ///
+    /// **Register.** Every edge of the window goes onto its producer's
+    /// list: privately when the producer is in this window
+    /// ([`StreamRelease::register_unpublished`] — it cannot have
+    /// completed, so the edge is never born satisfied), through the
+    /// [`StreamRelease::register_edge`] handshake when it was published
+    /// by an earlier one, the committer owning the satisfaction (and
+    /// the poison) of an edge whose producer already drained.
+    ///
+    /// **Publish.** Only then is each task published, in ascending
+    /// order, and `ready` called for the ones no producer holds back —
+    /// the window's roots, in program order.
+    pub(super) fn commit_window(
+        &self,
+        (lo, hi): (usize, usize),
+        pairs: &[Vec<(u32, u32)>],
+        status: &[AtomicU8],
+        at: &mut CommitCursors,
+        mut ready: impl FnMut(u32),
+    ) {
+        // The node cursor lives in a local for the length of the commit:
+        // bumped per edge, written back once.
+        let mut next_node = at.next_node;
+        let CommitCursors { edges, merged, producers, unfinished, .. } = at;
+        merged.clear();
+        merged.resize(pairs.len(), 0);
+        unfinished.clear();
+        merge_window(lo, hi, pairs, merged, producers, |s, preds| {
+            let mut satisfied = 0;
+            for &p in preds {
+                if p as usize >= lo {
+                    self.register_unpublished(next_node, p, s);
+                    next_node += 1;
+                    continue;
+                }
+                match self.register_edge(next_node, p, s, status) {
+                    EdgeFate::Registered => next_node += 1,
+                    // Either way the node slot stays free for the next edge.
+                    EdgeFate::SatisfiedHealthy => satisfied += 1,
+                    EdgeFate::SatisfiedPoisoned => {
+                        // The producer failed (or was poisoned) before
+                        // this edge existed: the committer owns both the
+                        // satisfaction *and* the poison propagation (§11).
+                        mark_poisoned(&status[s as usize]);
+                        satisfied += 1;
+                    }
+                }
+            }
+            *edges += preds.len();
+            let left = (preds.len() - satisfied) as u32;
+            if PUBLISH_AFTER_WINDOW {
+                unfinished.push(left);
+            } else if self.publish(s, left) {
+                ready(s);
+            }
+        });
+        for (s, &left) in (lo as u32..).zip(unfinished.iter()) {
+            if self.publish(s, left) {
+                ready(s);
+            }
+        }
+        at.next_node = next_node;
+    }
+
+    /// Publishes task `s`, `unfinished` of whose producers are still to
+    /// finish: folds the [`UNPUBLISHED`] sentinel away. Whichever
+    /// atomic op lands the counter exactly on zero owns the push —
+    /// returns whether this one did. The release half is also what
+    /// hands the edges registered privately on `s`'s own list to the
+    /// worker that will drain it.
+    #[inline]
+    fn publish(&self, s: u32, unfinished: u32) -> bool {
+        let delta = unfinished as i32 - UNPUBLISHED;
         self.unready[s as usize].fetch_add(delta, Ordering::AcqRel) + delta == 0
     }
 
@@ -187,24 +421,12 @@ impl StreamRelease {
     /// sampled pending-drain gauge (a no-op in NoopSink builds).
     #[inline]
     pub(super) fn release(&self, t: u32, ready: &mut Vec<u32>, obs: &SharedObs) {
-        // Close the list: every edge registered up to now is drained
-        // here; every edge registered after sees CLOSED and counts
-        // itself satisfied at the commit (§8 exactly-once handshake).
-        let mut head = self.pending[t as usize].swap(PENDING_CLOSED, Ordering::AcqRel);
-        let mut drained = 0u64;
-        while head != PENDING_NIL {
-            // relaxed: node read after winning the AcqRel swap of the
-            // pending head; the swap orders the list
-            let node = self.nodes[head as usize].load(Ordering::Relaxed);
-            self.countdown(node as u32, ready);
-            drained += 1;
-            head = (node >> 32) as u32;
-        }
+        let drained = self.drain(t, Ordering::AcqRel, ready, |_| {});
         // Sampled pending-drain gauge: folds away in NoopSink builds
         // (`sampled` is const false), and on RingSink builds only 1-in-
         // SAMPLE_EVERY completions touch the shared gauge line.
         if tss_obs::sampled(t) {
-            obs.note_pending_drain(drained as usize);
+            obs.note_pending_drain(drained);
         }
     }
 
@@ -212,28 +434,18 @@ impl StreamRelease {
     /// marks every successor POISONED in `status` *before* counting it
     /// down, so a successor that becomes ready is observed poisoned by
     /// whichever worker pops it (the countdown's AcqRel chain plus the
-    /// deque's push/steal protocol carry the byte).
+    /// deque's push/steal protocol carry the byte). The swap's ordering
+    /// is the `POISON_PUBLISH` constant: its release half is what hands
+    /// `t`'s FAILED/POISONED status byte to a committer that sees
+    /// CLOSED (the §10.3 seeded bug weakens exactly this edge).
     pub(super) fn poison_release(&self, t: u32, status: &[AtomicU8], ready: &mut Vec<u32>) {
-        // Same close as `release`, but the swap's ordering is the
-        // POISON_PUBLISH constant: its release half is what hands `t`'s
-        // FAILED/POISONED status byte to a committer that sees CLOSED
-        // (the §10.3 seeded bug weakens exactly this edge).
-        let mut head = self.pending[t as usize].swap(PENDING_CLOSED, POISON_PUBLISH);
-        while head != PENDING_NIL {
-            // relaxed: node read after winning the POISON_PUBLISH swap of
-            // the pending head; the swap orders the list
-            let node = self.nodes[head as usize].load(Ordering::Relaxed);
-            let s = node as u32;
-            mark_poisoned(&status[s as usize]);
-            self.countdown(s, ready);
-            head = (node >> 32) as u32;
-        }
+        self.drain(t, POISON_PUBLISH, ready, |s| mark_poisoned(&status[s as usize]));
     }
 }
 
 /// How a window-commit edge registration resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum EdgeFate {
+enum EdgeFate {
     /// Pushed onto the producer's pending list; the producer's drain
     /// will count it down.
     Registered,
@@ -277,6 +489,75 @@ mod tests {
             }
             let closed = |h: &AtomicU32| h.load(Ordering::Acquire) == PENDING_CLOSED;
             assert!(table.pending.iter().all(closed), "{b}: a head was left open");
+        }
+    }
+
+    /// The slab's second segment: untouched (unallocated) while the
+    /// cursor stays inside the first, allocated whole by the first
+    /// store past it, and walked by both drains exactly like the first —
+    /// a list may link across the boundary in either direction.
+    #[test]
+    fn a_list_that_crosses_into_the_overflow_segment_drains_whole() {
+        let obs = SharedObs::new();
+        for poison in [false, true] {
+            // 2 nodes now, 6 indices in all; producers 0 and 1, six
+            // consumers, edges interleaved so both lists cross over.
+            let table = StreamRelease::with_segments(8, 2, 6);
+            let status: Vec<AtomicU8> = (0..8).map(|_| AtomicU8::new(HEALTHY)).collect();
+            for idx in 0..6u32 {
+                assert_eq!(table.overflow.get().is_some(), idx > 2, "before node {idx}");
+                let (p, s) = (idx % 2, 2 + idx);
+                assert_eq!(table.register_edge(idx, p, s, &status), EdgeFate::Registered);
+                table.unready[s as usize].store(1, Ordering::Release);
+            }
+            assert_eq!(table.overflow.get().map(Vec::len), Some(4));
+            for p in 0..2u32 {
+                let mut ready = Vec::new();
+                if poison {
+                    table.poison_release(p, &status, &mut ready);
+                } else {
+                    table.release(p, &mut ready, &obs);
+                }
+                // Newest first: a commit pushes at the head.
+                assert_eq!(ready, [6 + p, 4 + p, 2 + p], "producer {p}, poison {poison}");
+                let fate = |s: u32| status[s as usize].load(Ordering::Acquire);
+                assert!(ready.iter().all(|&s| fate(s) == if poison { POISONED } else { HEALTHY }));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn a_node_index_past_the_edge_bound_still_panics() {
+        let table = StreamRelease::with_segments(2, 1, 3);
+        table.register_edge(3, 0, 1, &[AtomicU8::new(HEALTHY), AtomicU8::new(HEALTHY)]);
+    }
+
+    /// Task ids and node indices share the heads' `u32` space with the
+    /// two sentinels. The boundary, on the real constructor, with
+    /// fabricated counts: no task, no first-segment node, so nothing of
+    /// the ~34 GB such a table would really take is allocated.
+    #[test]
+    fn the_index_space_ends_just_below_the_list_sentinels() {
+        let limit = PENDING_CLOSED as usize;
+        let table = StreamRelease::with_segments(0, 0, limit - 1);
+        assert_eq!((table.nodes.len(), table.edge_bound), (0, limit - 1));
+        check_index_space(limit - 1, limit - 1);
+        for (tasks, edge_bound) in [(0, limit), (limit, 0), (0, usize::MAX)] {
+            let built = std::panic::catch_unwind(|| {
+                if tasks == 0 {
+                    StreamRelease::with_segments(0, 0, edge_bound);
+                } else {
+                    check_index_space(tasks, edge_bound);
+                }
+            });
+            let message = crate::fault::panic_message(&*built.expect_err("limit not enforced"));
+            assert!(
+                message.contains(&format!("{tasks} tasks"))
+                    && message.contains(&format!("edge bound of {edge_bound}"))
+                    && message.contains(&limit.to_string()),
+                "message names neither count: {message}"
+            );
         }
     }
 }
@@ -338,6 +619,59 @@ mod model_tests {
                     panic!("committer read a stale HEALTHY byte for a failed producer")
                 }
             }
+        });
+        assert!(report.complete, "budget too small: {} schedules", report.schedules);
+    }
+
+    /// The two-phase window commit (DESIGN.md §8.2): the committer puts
+    /// window `{p, s}` with its one edge `p → s` into the table — the
+    /// edge registered with plain stores, `p` being of the window — and
+    /// a worker runs `p` and drains its list the moment `p` is pushed.
+    /// The injector is reduced to what the protocol needs of it: a
+    /// `Release` store that the worker's `Acquire` load pairs with
+    /// (§8.1's `bottom`). In every interleaving `s` is counted down
+    /// exactly once and becomes ready exactly once — by the commit's
+    /// publish when `p` drained first, by `p`'s drain otherwise — which
+    /// holds only because `p` is published after the edge is on its
+    /// list. `--cfg tss_bug_private_after_publish` publishes each task
+    /// as soon as its own edges are in, `p` before `s` registers: the
+    /// worker can then close `p`'s list first, the private store
+    /// overwrites `CLOSED` and nobody ever counts `s` down — or the
+    /// worker's swap finds the new head with nothing ordering the node
+    /// behind it, reads the slot's initial zeros and walks node 0 for
+    /// ever, which is how the model reports it first (a livelock). The
+    /// CI negative gate proves the model keeps catching it.
+    #[test]
+    fn model_private_commit_never_loses_an_edge() {
+        let report = shuttle::check_exhaustive(300_000, || {
+            let sr = Arc::new(StreamRelease::new(2, 1));
+            let status = [AtomicU8::new(HEALTHY), AtomicU8::new(HEALTHY)];
+            let pushed = Arc::new(AtomicU32::new(0)); // bit t: task t is on the injector
+            let (sr2, pushed2) = (sr.clone(), pushed.clone());
+            let worker = thread::spawn(move || {
+                let mut released = Vec::new();
+                let ran = pushed2.load(Ordering::Acquire) & 1 != 0;
+                if ran {
+                    sr2.release(0, &mut released, &SharedObs::new());
+                }
+                (ran, released)
+            });
+            let mut roots = Vec::new();
+            let mut cursors = CommitCursors::default();
+            sr.commit_window((0, 2), &[vec![(1, 0)]], &status, &mut cursors, |root| {
+                roots.push(root);
+                pushed.fetch_add(1 << root, Ordering::Release);
+            });
+            let (ran, mut released) = worker.join().unwrap();
+            if !ran {
+                // Nobody took `p` while the commit ran: it runs now.
+                sr.release(0, &mut released, &SharedObs::new());
+            }
+            assert_eq!(cursors.edges, 1);
+            assert_eq!(roots.first(), Some(&0), "p has no producer: the commit pushes it");
+            let became_ready = roots.iter().chain(&released).filter(|&&t| t == 1).count();
+            assert_eq!(became_ready, 1, "roots {roots:?}, p's drain released {released:?}");
+            assert_eq!(sr.unready[1].load(Ordering::Acquire), 0, "s not counted down once");
         });
         assert!(report.complete, "budget too small: {} schedules", report.schedules);
     }

@@ -408,7 +408,11 @@ pub(super) fn worker_loop<P: SchedPolicy>(
     // The whole-worker span guarantees every worker track carries at
     // least one event, even for a worker that never won a task.
     let span = SpanStamp::begin();
-    let mut scratch = PayloadScratch::new(arena);
+    let mut scratch = if shared.payload.copies() {
+        PayloadScratch::new(arena)
+    } else {
+        PayloadScratch::without_buffers()
+    };
     let mut ready: Vec<u32> = Vec::with_capacity(64);
     let mut rng = seed ^ (w as u64).wrapping_mul(0xA076_1D64_78BD_642F);
     let me = &shared.deques[w];

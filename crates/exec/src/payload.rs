@@ -21,6 +21,7 @@
 //! arena, private destination buffer): the traffic is real, the
 //! aliasing is private, and the executor stays safe Rust.
 
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use tss_obs::clock::Stamp;
@@ -138,6 +139,14 @@ impl PayloadMode {
             PayloadMode::Mixed { .. } => "mixed",
         }
     }
+
+    /// Whether any task of a run in this mode moves bytes (memcpy, and
+    /// mixed's memory class). Only such a run reads the source arena or
+    /// a worker's destination buffer, so only such a run gets them
+    /// (DESIGN.md §7).
+    pub(crate) fn copies(&self) -> bool {
+        matches!(self, PayloadMode::Memcpy | PayloadMode::Mixed { .. })
+    }
 }
 
 /// Per-worker payload state. The source arena is shared read-only; the
@@ -157,11 +166,29 @@ pub fn build_arena() -> Vec<u8> {
     (0..ARENA_LEN).map(|i| (i as u32).wrapping_mul(0x9E37_79B9) as u8).collect()
 }
 
+/// The process's one source arena, built by the first run that copies
+/// and lent to every run after it: the bytes are a pure function of the
+/// index, so one read-only copy serves them all, and building it
+/// (byte by byte, ~17 per-run fixed costs) is not a per-graph expense.
+pub(crate) fn shared_arena() -> &'static [u8] {
+    static ARENA: OnceLock<Vec<u8>> = OnceLock::new();
+    ARENA.get_or_init(build_arena)
+}
+
 impl<'a> PayloadScratch<'a> {
     /// Scratch for one worker over the shared `arena`.
     pub fn new(arena: &'a [u8]) -> Self {
         assert!(arena.len() >= 2 * CHUNK_CAP, "arena too small for a capped chunk");
         PayloadScratch { src: arena, dst: vec![0u8; CHUNK_CAP], sink: 0 }
+    }
+
+    /// Scratch for a worker of a run whose payload never copies
+    /// ([`PayloadMode::copies`] is false): no arena and no destination
+    /// buffer, so nothing is allocated or zero-filled for memory no
+    /// task will read. A copy through it would index an empty slice and
+    /// panic, not read garbage.
+    pub(crate) fn without_buffers() -> PayloadScratch<'static> {
+        PayloadScratch { src: &[], dst: Vec::new(), sink: 0 }
     }
 
     /// Runs one task's payload to the end; returns the busy wall time.
@@ -293,14 +320,38 @@ mod tests {
 
     #[test]
     fn watched_memcpy_matches_unwatched_when_uncancelled() {
+        // `a` copies out of a freshly built arena, as the benchmark's
+        // serial probe does; `b` out of the one every run borrows. Same
+        // bytes, so the same sink.
         let arena = build_arena();
         let cancel = AtomicU32::new(0);
         let mut a = PayloadScratch::new(&arena);
-        let mut b = PayloadScratch::new(&arena);
+        let mut b = PayloadScratch::new(shared_arena());
         a.run(PayloadMode::Memcpy, &task());
         let (_, cancelled) = b.run_watched(PayloadMode::Memcpy, &task(), &cancel);
         assert!(!cancelled);
         assert_eq!(a.sink, b.sink, "watched memcpy must do identical work");
+    }
+
+    #[test]
+    fn the_lent_arena_is_the_built_one_and_is_built_once() {
+        assert!(shared_arena() == &build_arena()[..], "lent arena differs from build_arena()");
+        assert!(std::ptr::eq(shared_arena(), shared_arena()), "arena rebuilt per call");
+    }
+
+    #[test]
+    fn a_bufferless_scratch_runs_every_payload_that_never_copies() {
+        let mut s = PayloadScratch::without_buffers();
+        assert!(s.src.is_empty() && s.dst.capacity() == 0);
+        for mode in [
+            PayloadMode::Noop,
+            PayloadMode::Faulty { rate_ppm: 1_000_000, seed: 0 },
+            PayloadMode::Spin { time_scale: 0.001 },
+        ] {
+            assert!(!mode.copies(), "{mode:?}");
+            s.run(mode, &task());
+        }
+        assert!(PayloadMode::Memcpy.copies() && PayloadMode::Mixed { time_scale: 1.0 }.copies());
     }
 
     #[test]

@@ -25,6 +25,24 @@
 //! tracked operand — the native analog of the paper's ~700 ns/task
 //! software decoder measurement (Section II).
 //!
+//! **Table layout.** Rename state is two-level: an `AddrMap<u32>`
+//! interns an address to an index, and a dense `Vec` holds one 64-byte
+//! `ObjectVersion` per object — writer, reader count and 14 inline
+//! readers as `u32`s, hot fields first; the one version in a hundred
+//! with more readers keeps the rest in a side map, behind out-of-line
+//! calls so that the scan loop stays tight. Entries land in the `Vec`
+//! in first-touch order, which is what keeps the table cache-resident.
+//! Tried and dropped, so nobody repeats them (DESIGN.md §8.3,
+//! EXPERIMENTS.md "PR 20"): a one-level open-addressed table of
+//! cache-line entries (loses the dense order: no gain in situ), a
+//! custom probe index in place of hashbrown (slower), `align(64)`
+//! entries (the table can no longer grow by `realloc`: +2.8 ns/task),
+//! the side-map probes inlined into the loop (+11 ns/task), sizing the
+//! table from the trace length up front (scan −4, commit +2: nothing
+//! left), per-task producer rows emitted by the scan (scan +13, commit
+//! −14) and a hand-rolled insertion sort in `merge_window` (+6 ns/task
+//! over `sort_unstable` + `dedup`).
+//!
 //! The rename rules are stated once in this crate — `ShardState::scan`,
 //! driven by [`StreamingRenamer::decode_graph`], of which
 //! [`Renamer::decode`] is the one-window, one-shard case — and that
@@ -124,35 +142,72 @@ impl TaskGraph {
     }
 }
 
-/// One in-flight version of a memory object, as the ORTs track it.
-#[derive(Debug, Default, Clone)]
+/// `ObjectVersion::last_writer` of a version nobody has written. Task
+/// ids stay below it ([`ShardState::scan`] checks).
+const NO_WRITER: u32 = u32::MAX;
+
+/// Readers of one version held inside its entry: what fills the line.
+/// Consumer chains are short (Figure 10) — over the nine paper-scale
+/// traces 1.1% of versions have more readers than this (3.5% had more
+/// than the 8 an entry used to hold).
+const INLINE_READERS: usize = 14;
+
+/// One in-flight version of a memory object, as the ORTs track it: 64
+/// bytes — a cache line's worth, hot fields first — owning no heap. A
+/// version with more than [`INLINE_READERS`] readers keeps the rest in
+/// its shard's side map (`ShardState::spilled`), so the common entry
+/// pays for no `Vec` header. Deliberately *not* `align(64)`: an
+/// over-aligned `Vec` cannot grow through `realloc`, and copying the
+/// table at every doubling cost the scan more (+2.8 ns/task) than
+/// entries straddling two lines do (EXPERIMENTS.md "PR 20").
+#[derive(Debug)]
+#[repr(C)]
 struct ObjectVersion {
-    last_writer: Option<TaskId>,
-    /// Readers of the current version; short in practice (Figure 10), so
-    /// the first few live inline.
-    readers_len: usize,
-    readers: [TaskId; 8],
-    overflow: Vec<TaskId>,
+    last_writer: u32,
+    /// Readers of the current version, the spilled ones included.
+    readers_len: u32,
+    readers: [u32; INLINE_READERS],
 }
 
+const _: () = assert!(std::mem::size_of::<ObjectVersion>() == 64);
+
 impl ObjectVersion {
-    fn push_reader(&mut self, t: TaskId) {
-        if self.readers_len < self.readers.len() {
-            self.readers[self.readers_len] = t;
-        } else {
-            self.overflow.push(t);
+    const UNWRITTEN: ObjectVersion =
+        ObjectVersion { last_writer: NO_WRITER, readers_len: 0, readers: [0; INLINE_READERS] };
+
+    fn has_spilled(&self) -> bool {
+        self.readers_len as usize > INLINE_READERS
+    }
+
+    fn inline_readers(&self) -> &[u32] {
+        &self.readers[..(self.readers_len as usize).min(INLINE_READERS)]
+    }
+}
+
+/// Readers past the [`INLINE_READERS`] a version's entry holds, keyed
+/// by the entry's index. A list is emptied, not removed, when its
+/// version is overwritten: an object read that widely once usually is
+/// again. Both accessors are out of line — one version in a hundred
+/// comes here, and the scan loop is tighter without two inlined hash
+/// probes.
+#[derive(Debug, Default)]
+struct SpilledReaders(AddrMap<Vec<u32>>);
+
+impl SpilledReaders {
+    #[cold]
+    #[inline(never)]
+    fn push(&mut self, version: u32, reader: u32) {
+        self.0.entry(version as u64).or_default().push(reader);
+    }
+
+    /// Hands the spilled readers of `version` to `each` and forgets
+    /// them.
+    #[cold]
+    #[inline(never)]
+    fn drain(&mut self, version: u32, each: &mut dyn FnMut(u32)) {
+        if let Some(list) = self.0.get_mut(&(version as u64)) {
+            list.drain(..).for_each(each);
         }
-        self.readers_len += 1;
-    }
-
-    fn readers(&self) -> impl Iterator<Item = TaskId> + '_ {
-        let inline = self.readers_len.min(self.readers.len());
-        self.readers[..inline].iter().copied().chain(self.overflow.iter().copied())
-    }
-
-    fn clear_readers(&mut self) {
-        self.readers_len = 0;
-        self.overflow.clear();
     }
 }
 
@@ -224,8 +279,14 @@ pub(crate) struct ShardState {
     renaming: bool,
     shard: u32,
     shards: u32,
+    /// Address → index into `versions`. Two levels on purpose: entries
+    /// land in `versions` in first-touch order, which is what keeps the
+    /// table cache-resident on the paper traces — a one-level
+    /// open-addressed table of cache-line entries lost exactly that
+    /// (DESIGN.md §8.3).
     map: AddrMap<u32>,
     versions: Vec<ObjectVersion>,
+    spilled: SpilledReaders,
     stats: RenameStats,
 }
 
@@ -237,6 +298,7 @@ impl ShardState {
             shards,
             map: AddrMap::with_capacity_and_hasher(64, Default::default()),
             versions: Vec::with_capacity(64),
+            spilled: SpilledReaders::default(),
             stats: RenameStats::default(),
         }
     }
@@ -253,6 +315,11 @@ impl ShardState {
     ///
     /// Must be called with contiguous, in-order ranges: the rename
     /// state is sequential per shard.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a task id in the range does not fit below the `u32`
+    /// writer sentinel.
     pub(crate) fn scan(
         &mut self,
         trace: &TaskTrace,
@@ -260,53 +327,57 @@ impl ShardState {
         hi: usize,
         pairs: &mut Vec<(u32, u32)>,
     ) {
+        assert!(hi <= NO_WRITER as usize, "task ids must fit below the renamer's u32 sentinel");
+        let ShardState { renaming, shard, shards, map, versions, spilled, stats } = self;
+        let renaming = *renaming;
         for tid in lo..hi {
+            let t = tid as u32;
             for op in trace.task(tid).operands.iter().filter(|o| o.is_tracked()) {
-                if shard_of(op.addr, self.shards) != self.shard {
+                if shard_of(op.addr, *shards) != *shard {
                     continue;
                 }
-                self.stats.tracked_operands += 1;
-                let id = *self.map.entry(op.addr).or_insert_with(|| {
-                    self.versions.push(ObjectVersion::default());
-                    (self.versions.len() - 1) as u32
+                stats.tracked_operands += 1;
+                let id = *map.entry(op.addr).or_insert_with(|| {
+                    versions.push(ObjectVersion::UNWRITTEN);
+                    (versions.len() - 1) as u32
                 });
-                let st = &mut self.versions[id as usize];
-                if op.dir.reads() {
-                    if let Some(w) = st.last_writer {
-                        if w != tid {
-                            pairs.push((tid as u32, w as u32)); // RaW
-                        }
-                    }
+                let st = &mut versions[id as usize];
+                let writer = st.last_writer;
+                if op.dir.reads() && writer != NO_WRITER && writer != t {
+                    pairs.push((t, writer)); // RaW
                 }
                 if op.dir.writes() {
                     let inout = op.dir.reads();
-                    for r in st.readers() {
-                        if r != tid {
-                            if inout || !self.renaming {
-                                pairs.push((tid as u32, r as u32)); // anti / WaR
-                            } else {
-                                self.stats.removed_by_renaming += 1;
-                            }
+                    let enforced = inout || !renaming;
+                    let mut ordered_before = |r: u32| match (r != t, enforced) {
+                        (true, true) => pairs.push((t, r)), // anti / WaR
+                        (true, false) => stats.removed_by_renaming += 1,
+                        (false, _) => {}
+                    };
+                    st.inline_readers().iter().copied().for_each(&mut ordered_before);
+                    if st.has_spilled() {
+                        spilled.drain(id, &mut ordered_before);
+                    }
+                    if writer != NO_WRITER && writer != t && !inout {
+                        if renaming {
+                            stats.removed_by_renaming += 1; // WaW renamed away
+                        } else {
+                            pairs.push((t, writer));
                         }
                     }
-                    if let Some(w) = st.last_writer {
-                        if w != tid && !inout {
-                            if self.renaming {
-                                self.stats.removed_by_renaming += 1; // WaW renamed away
-                            } else {
-                                pairs.push((tid as u32, w as u32));
-                            }
-                        }
-                    }
-                    st.last_writer = Some(tid);
-                    st.clear_readers();
+                    st.last_writer = t;
+                    st.readers_len = 0;
                 }
                 if op.dir.reads() {
-                    st.push_reader(tid);
+                    match st.readers.get_mut(st.readers_len as usize) {
+                        Some(slot) => *slot = t,
+                        None => spilled.push(id, t),
+                    }
+                    st.readers_len += 1;
                 }
             }
         }
-        self.stats.objects = self.versions.len();
+        stats.objects = versions.len();
     }
 }
 
@@ -568,6 +639,68 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Versions with more readers than an entry holds inline: the
+    /// spilled readers must be ordered before an `inout` writer
+    /// (enforced either way) and before an `out` writer (renamed away,
+    /// or enforced with renaming off), and a version's spilled list
+    /// must not leak into the next version of the same object — held
+    /// to the independent `DepGraph` edge for edge, at one shard and
+    /// at three.
+    #[test]
+    fn spilled_readers_agree_with_the_oracle_under_inout_and_out_writers() {
+        let mut tr = TaskTrace::new("wide");
+        let k = tr.add_kernel("k");
+        let obj = OperandDesc::input(0x100, 64).addr;
+        let readers = |tr: &mut TaskTrace, n: usize| {
+            for _ in 0..n {
+                tr.push_task(k, 10, vec![OperandDesc::input(obj, 64)]);
+            }
+        };
+        tr.push_task(k, 10, vec![OperandDesc::output(obj, 64)]);
+        readers(&mut tr, INLINE_READERS + 6);
+        tr.push_task(k, 10, vec![OperandDesc::inout(obj, 64)]);
+        readers(&mut tr, INLINE_READERS + 3);
+        tr.push_task(k, 10, vec![OperandDesc::output(obj, 64)]);
+        readers(&mut tr, 2);
+        tr.push_task(k, 10, vec![OperandDesc::inout(obj, 64)]);
+        let oracle = DepGraph::from_trace(&tr);
+        let pairs_of = |g: &TaskGraph| -> Vec<(u32, u32)> {
+            (0..g.len()).flat_map(|t| g.succs(t).iter().map(move |&s| (t as u32, s))).collect()
+        };
+        for shards in [1, 3] {
+            let decode = |renaming| {
+                StreamingRenamer::new()
+                    .renaming(renaming)
+                    .window(7)
+                    .shards(shards)
+                    .decode_graph(&tr)
+            };
+            let on = decode(true);
+            let enforced: Vec<(u32, u32)> = oracle
+                .edges()
+                .iter()
+                .filter(|e| e.kind.enforced())
+                .map(|e| (e.from, e.to))
+                .collect();
+            let mut expect = enforced.clone();
+            expect.sort_unstable();
+            assert_eq!(pairs_of(&on), expect, "renaming on, {shards} shards");
+            assert_eq!(on.stats().removed_by_renaming, oracle.edges().len() - enforced.len());
+            // All of it is the out writer's: its WaW, and a WaR per
+            // reader of the version before it — the inout task that
+            // wrote that version (it reads it too) and the
+            // INLINE_READERS + 3 after it.
+            assert_eq!(on.stats().removed_by_renaming, 1 + 1 + INLINE_READERS + 3);
+            let off = decode(false);
+            let mut expect: Vec<(u32, u32)> =
+                oracle.edges().iter().map(|e| (e.from, e.to)).collect();
+            expect.sort_unstable();
+            expect.dedup(); // task 21 → 39 is both a WaR and a WaW
+            assert_eq!(pairs_of(&off), expect, "renaming off, {shards} shards");
+            assert_eq!(off.stats().removed_by_renaming, 0);
         }
     }
 
