@@ -21,15 +21,14 @@
 //! that catches nothing. The stack benchmark (`BENCHMARK.json`,
 //! `benchmark/`) is the one place a speed is bounded.
 //!
-//! The parser is a string- and depth-aware splitter, not a JSON
-//! library: the workspace is offline (vendor/README.md) and every
-//! artifact is emitted by a binary in this same crate, so the format is
-//! under our control and pinned by this very gate.
+//! The artifacts are read with `tss_bench::json`, the module that
+//! wrote them.
 //!
 //! Usage: `bench_check --baseline PATH --fresh PATH`. Exit codes: 0 ok,
 //! 1 mismatch, 2 usage or I/O error.
 
 use tss_bench::cli::{fail, Flags, Parsed};
+use tss_bench::json::{fields, get, rows, Object};
 
 /// Fields that must match exactly wherever both sides carry them. The
 /// failure accounting (`failed`, `poisoned`, `retried_ok`,
@@ -60,67 +59,8 @@ const EXACT_FIELDS: [&str; 16] = [
 ];
 const LABEL_FIELDS: [&str; 2] = ["benchmark", "engine"];
 
-/// Splits the inside of one JSON container (`{…}` or `[…]`) at its
-/// top-level commas.
-fn items(container: &str) -> Vec<&str> {
-    let c = container.trim();
-    let closed =
-        (c.starts_with('{') && c.ends_with('}')) || (c.starts_with('[') && c.ends_with(']'));
-    if c.len() < 2 || !closed {
-        fail(format!("malformed JSON container: {c:.40}"));
-    }
-    let inner = &c[1..c.len() - 1];
-    let mut out = Vec::new();
-    let (mut depth, mut in_string, mut escaped, mut start) = (0usize, false, false, 0);
-    for (i, ch) in inner.char_indices() {
-        match ch {
-            _ if escaped => escaped = false,
-            '\\' if in_string => escaped = true,
-            '"' => in_string = !in_string,
-            _ if in_string => {}
-            '{' | '[' => depth += 1,
-            '}' | ']' => depth = depth.saturating_sub(1),
-            ',' if depth == 0 => {
-                out.push(inner[start..i].trim());
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    let last = inner[start..].trim();
-    if !last.is_empty() {
-        out.push(last);
-    }
-    out
-}
-
-/// The `"key": value` pairs of one JSON object, in document order.
-/// Values are raw text: strings lose their quotes, nested containers
-/// come back whole.
-type Object<'a> = Vec<(&'a str, &'a str)>;
-
-/// Parses one `{…}` into its [`Object`].
-fn fields(obj: &str) -> Object<'_> {
-    items(obj)
-        .into_iter()
-        .filter_map(|item| item.split_once(':'))
-        .map(|(k, v)| (k.trim().trim_matches('"'), v.trim().trim_matches('"')))
-        .collect()
-}
-
-fn get<'a>(obj: &Object<'a>, key: &str) -> Option<&'a str> {
-    obj.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
-}
-
 fn label(row: &Object) -> String {
     LABEL_FIELDS.iter().filter_map(|k| get(row, k)).collect::<Vec<_>>().join("/")
-}
-
-/// The rows of a document's `results` array.
-fn rows<'a>(doc: &Object<'a>, path: &str) -> Vec<Object<'a>> {
-    let results =
-        get(doc, "results").unwrap_or_else(|| fail(format!("no \"results\" array in {path}")));
-    items(results).into_iter().map(fields).collect()
 }
 
 /// What one run of the gate found: mismatches, and how much it looked
@@ -168,14 +108,22 @@ fn parse_args() -> Parsed<(String, String)> {
     Ok((baseline.ok_or("--baseline is required")?, fresh.ok_or("--fresh is required")?))
 }
 
+/// An artifact the reader rejects is an input error: exit 2, naming
+/// the file.
+fn parsed<T>(read: Parsed<T>, path: &str) -> T {
+    read.unwrap_or_else(|e| fail(format!("{e} in {path}")))
+}
+
 fn main() {
     let (baseline_path, fresh_path) = parse_args().unwrap_or_else(|e| fail(e));
     let read = |path: &str| {
         std::fs::read_to_string(path).unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")))
     };
     let (baseline, fresh) = (read(&baseline_path), read(&fresh_path));
-    let (base_doc, fresh_doc) = (fields(&baseline), fields(&fresh));
-    let (base_rows, fresh_rows) = (rows(&base_doc, &baseline_path), rows(&fresh_doc, &fresh_path));
+    let (base_doc, fresh_doc) =
+        (parsed(fields(&baseline), &baseline_path), parsed(fields(&fresh), &fresh_path));
+    let (base_rows, fresh_rows) =
+        (parsed(rows(&base_doc), &baseline_path), parsed(rows(&fresh_doc), &fresh_path));
 
     let mut found = Findings::default();
     if base_rows.len() != fresh_rows.len() {
@@ -199,7 +147,11 @@ fn main() {
     // Totals: only when the baseline carries the object.
     if let Some(bt) = get(&base_doc, "totals") {
         match get(&fresh_doc, "totals") {
-            Some(ft) => found.compare("totals", &fields(bt), &fields(ft)),
+            Some(ft) => found.compare(
+                "totals",
+                &parsed(fields(bt), &baseline_path),
+                &parsed(fields(ft), &fresh_path),
+            ),
             None => {
                 found.problems.push("totals: baseline has a totals object, fresh does not".into())
             }

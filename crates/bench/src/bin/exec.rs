@@ -48,16 +48,19 @@
 
 use std::time::{Duration, Instant};
 
-use tss_bench::cli::{fail, locality_only, validated_run, Flags, Parsed};
-use tss_bench::{hw_threads, json};
+use tss_bench::cli::{fail, validated_run, Flags, Parsed, RunFlags};
+use tss_bench::hw_threads;
+use tss_bench::json::{self, Fields};
+use tss_bench::ratio;
 use tss_core::report::{fmt_count_pct, fmt_f};
 use tss_core::Table;
 use tss_exec::fault::install_quiet_hook;
 use tss_exec::{
-    ExecConfig, ExecError, ExecReport, Executor, FailurePolicy, PayloadMode, Renamer, SchedKind,
-    SCHED_MENU,
+    ConfigError, ExecConfig, ExecError, ExecReport, Executor, FailurePolicy, PayloadMode, Renamer,
+    SchedKind, SCHED_MENU,
 };
-use tss_workloads::{Benchmark, Scale};
+use tss_obs::hist::Histogram;
+use tss_workloads::Benchmark;
 
 /// The paper's software-decoder baseline (Section II): ~700 ns/task.
 const PAPER_SOFTWARE_DECODE_NS: f64 = 700.0;
@@ -67,13 +70,12 @@ const PAPER_SOFTWARE_DECODE_NS: f64 = 700.0;
 const DECODE_REPS: usize = 3;
 
 struct Args {
-    scale: Scale,
+    /// `--scale --json --out` (the rest of the group lands in `cfg`).
+    run: RunFlags,
     /// What every run of the session executes under. `validate` stays
     /// on: each completion log is oracle-checked by the run itself,
     /// after its timed span.
     cfg: ExecConfig,
-    json: bool,
-    out: String,
     fault_rate_ppm: u32,
     fault_seed: u64,
     // --- observability (DESIGN.md §12) ---
@@ -83,19 +85,14 @@ struct Args {
 
 fn parse_args() -> Parsed<Args> {
     let mut out = Args {
-        scale: Scale::Small,
-        cfg: ExecConfig { seed: 42, ..ExecConfig::default() },
-        json: false,
-        out: "BENCH_exec.json".into(),
+        run: RunFlags::new("BENCH_exec.json"),
+        cfg: ExecConfig::default(),
         fault_rate_ppm: 0,
         fault_seed: 7,
         trace_out: None,
         histogram: false,
     };
-    let mut spin_scale = 1.0f64;
     let mut payload_name = String::from("noop");
-    let mut classes_flag: Option<usize> = None;
-    let mut domains_flag: Option<usize> = None;
     let mut fault_rate: Option<f64> = None;
     let mut policy_name: Option<String> = None;
     let mut retry_max: Option<u32> = None;
@@ -112,23 +109,11 @@ fn parse_args() -> Parsed<Args> {
     ));
     while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
-            "--scale" => out.scale = flags.scale()?,
             "--threads" => out.cfg.threads = flags.positive()?,
             "--window" => out.cfg.window = flags.positive()?,
             "--decode-shards" => out.cfg.decode_shards = flags.positive()?,
             "--payload" => payload_name = flags.value()?,
-            "--policy" => {
-                let v = flags.value()?;
-                out.cfg.sched = SchedKind::parse(&v)
-                    .ok_or_else(|| format!("unknown policy '{v}' ({SCHED_MENU})"))?;
-            }
-            "--classes" => classes_flag = Some(flags.positive()?),
-            "--domains" => domains_flag = Some(flags.positive()?),
-            "--spin-scale" => spin_scale = flags.num()?,
-            "--seed" => out.cfg.seed = flags.num()?,
             "--no-renaming" => out.cfg.renaming = false,
-            "--json" => out.json = true,
-            "--out" => out.out = flags.value()?,
             "--fault-rate" => {
                 let f: f64 = flags.num()?;
                 if !(0.0..=1.0).contains(&f) {
@@ -150,21 +135,21 @@ fn parse_args() -> Parsed<Args> {
             "--kill-worker" => out.cfg.kill_worker = Some(flags.num()?),
             "--trace-out" => out.trace_out = Some(flags.value()?),
             "--histogram" => out.histogram = true,
-            _ => return Err(flags.unknown()),
+            _ => out.run.take(&mut flags)?,
         }
     }
-    out.cfg.payload = PayloadMode::parse(&payload_name, spin_scale).ok_or_else(|| {
+    let run = &out.run;
+    out.cfg.seed = run.seed;
+    out.cfg.payload = PayloadMode::parse(&payload_name, run.spin_scale).ok_or_else(|| {
         format!("unknown payload '{payload_name}' (noop|spin|memcpy|faulty|mixed)")
     })?;
-
-    locality_only(out.cfg.sched, classes_flag, domains_flag)?;
-    if let Some(n) = domains_flag {
-        if n > out.cfg.threads {
-            return Err(format!("--domains {n} cannot exceed --threads {}", out.cfg.threads));
-        }
+    if let Some(v) = &run.policy {
+        out.cfg.sched =
+            SchedKind::parse(v).ok_or_else(|| format!("unknown policy '{v}' ({SCHED_MENU})"))?;
     }
-    out.cfg.classes = classes_flag.unwrap_or(out.cfg.classes);
-    out.cfg.domains = domains_flag.unwrap_or(out.cfg.domains);
+    run.shape(Some(out.cfg.sched), out.cfg.threads, "--threads")?;
+    out.cfg.classes = run.classes.unwrap_or(out.cfg.classes);
+    out.cfg.domains = run.domains.unwrap_or(out.cfg.domains);
 
     // Flag-combination validation (all errors name the flags involved;
     // the CLI tests pin these). Injection must be paired with an
@@ -198,20 +183,17 @@ fn parse_args() -> Parsed<Args> {
     } else if retry_max.is_some() {
         return Err("--retry-max needs --failure-policy retry".into());
     }
-    if let Some(k) = out.cfg.kill_worker {
-        if out.cfg.threads < 2 {
-            return Err(
-                "--kill-worker needs --threads of at least 2 (a lone dead worker cannot finish)"
-                    .into(),
-            );
+    // The ranges are `ExecConfig::check`'s; only the wording is the
+    // flags' (`--threads 0` never gets here: `positive` refused it).
+    out.cfg.check().map_err(|e| match (e, out.cfg.kill_worker) {
+        (ConfigError::KillWorkerOutOfRange, Some(k)) => {
+            format!("--kill-worker {k} is out of range for --threads {}", out.cfg.threads)
         }
-        if k >= out.cfg.threads {
-            return Err(format!(
-                "--kill-worker {k} is out of range for --threads {}",
-                out.cfg.threads
-            ));
+        (ConfigError::KillWorkerAlone, _) => {
+            "--kill-worker needs --threads of at least 2 (a lone dead worker cannot finish)".into()
         }
-    }
+        _ => e.to_string(),
+    })?;
     if let Some(rate) = fault_rate {
         out.fault_rate_ppm = (rate * 1e6).round() as u32;
     } else if let PayloadMode::Faulty { rate_ppm, .. } = out.cfg.payload {
@@ -249,54 +231,44 @@ struct Point {
 
 impl Point {
     fn decode_ns_per_task(&self) -> f64 {
-        if self.replay.tasks == 0 {
-            return 0.0;
-        }
-        self.decode_best.as_nanos() as f64 / self.replay.tasks as f64
+        ratio(self.decode_best.as_nanos() as f64, self.replay.tasks as f64)
     }
 
     fn decode_tasks_per_sec(&self) -> f64 {
-        let ns = self.decode_ns_per_task();
-        if ns > 0.0 {
-            1e9 / ns
-        } else {
-            0.0
-        }
+        ratio(1e9, self.decode_ns_per_task())
+    }
+
+    /// Workers lost over both runs — what the `workers_lost` field and
+    /// the chaos line report.
+    fn workers_lost(&self) -> usize {
+        self.replay.fault.workers_lost + self.stream.fault.workers_lost
     }
 }
 
-/// The six latency fields for one report's obs data, ready to splice
-/// into a JSON object — empty in a NoopSink build (`bench_check`
-/// presence-gates exactly this).
-fn latency_json(obs: Option<&tss_exec::obs::ObsReport>) -> String {
-    obs.map_or_else(String::new, |o| {
-        json::quantiles("latency", &o.exec_latency) + &json::quantiles("queue", &o.queue_wait)
-    })
+/// A run's sampled histograms: `(exec latency, queue wait)`.
+type Sampled<'a> = (&'a Histogram, &'a Histogram);
+
+fn sampled(report: &ExecReport) -> Option<Sampled<'_>> {
+    report.obs.as_ref().map(|o| (&o.exec_latency, &o.queue_wait))
 }
 
-/// Merges every replay run's sampled histograms for the totals row.
-/// `None` in a NoopSink build.
-fn merged_obs(points: &[Point]) -> Option<tss_exec::obs::ObsReport> {
-    let mut merged: Option<tss_exec::obs::ObsReport> = None;
-    for p in points {
-        let Some(o) = &p.replay.obs else { continue };
-        match &mut merged {
-            Some(m) => {
-                m.exec_latency.merge(&o.exec_latency);
-                m.queue_wait.merge(&o.queue_wait);
-            }
-            None => {
-                merged = Some(tss_exec::obs::ObsReport {
-                    exec_latency: o.exec_latency.clone(),
-                    queue_wait: o.queue_wait.clone(),
-                    tracks: Vec::new(),
-                    gauges: o.gauges,
-                    sample_every: o.sample_every,
-                });
-            }
-        }
+/// The six latency fields of one run's samples — none in a NoopSink
+/// build (`bench_check` presence-gates exactly this).
+fn latency_fields(fields: Fields, obs: Option<Sampled<'_>>) -> Fields {
+    fields.quantiles("latency", obs.map(|o| o.0)).quantiles("queue", obs.map(|o| o.1))
+}
+
+/// Every replay run's samples merged, for the totals row. `None` in a
+/// NoopSink build.
+fn merged_obs(points: &[Point]) -> Option<(Histogram, Histogram)> {
+    let mut runs = points.iter().filter_map(|p| sampled(&p.replay));
+    let (exec, queue) = runs.next()?;
+    let mut merged = (exec.clone(), queue.clone());
+    for (exec, queue) in runs {
+        merged.0.merge(exec);
+        merged.1.merge(queue);
     }
-    merged
+    Some(merged)
 }
 
 /// Aggregate decode stats over all benchmarks: `(total tasks, ns/task,
@@ -305,116 +277,100 @@ fn merged_obs(points: &[Point]) -> Option<tss_exec::obs::ObsReport> {
 fn aggregate_decode(points: &[Point]) -> (usize, f64, f64, f64) {
     let tasks: usize = points.iter().map(|p| p.replay.tasks).sum();
     let decode_wall: f64 = points.iter().map(|p| p.decode_best.as_secs_f64()).sum();
-    let agg_ns = if tasks > 0 { decode_wall * 1e9 / tasks as f64 } else { 0.0 };
-    if agg_ns > 0.0 {
-        (tasks, agg_ns, 1e9 / agg_ns, PAPER_SOFTWARE_DECODE_NS / agg_ns)
-    } else {
-        (tasks, 0.0, 0.0, 0.0)
-    }
+    let agg_ns = ratio(decode_wall * 1e9, tasks as f64);
+    (tasks, agg_ns, ratio(1e9, agg_ns), ratio(PAPER_SOFTWARE_DECODE_NS, agg_ns))
 }
 
 /// Aggregate throughput over a wall-time extractor: `sum(tasks) /
 /// sum(wall)` — the headline number EXPERIMENTS.md tracks across PRs.
 fn aggregate_rate(points: &[Point], wall: impl Fn(&Point) -> f64) -> f64 {
     let tasks: usize = points.iter().map(|p| p.replay.tasks).sum();
-    let total: f64 = points.iter().map(wall).sum();
-    if total > 0.0 {
-        tasks as f64 / total
-    } else {
-        0.0
-    }
+    ratio(tasks as f64, points.iter().map(wall).sum())
 }
 
 fn to_json(args: &Args, points: &[Point]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"tss-bench-exec/v5\",\n");
-    s.push_str(&format!("  \"scale\": \"{}\",\n", args.scale.name()));
-    s.push_str(&format!("  \"threads\": {},\n", args.cfg.threads));
-    s.push_str(&format!("  \"hw_threads\": {},\n", hw_threads()));
-    s.push_str(&format!("  \"payload\": \"{}\",\n", args.cfg.payload.name()));
-    s.push_str(&format!("  \"policy\": \"{}\",\n", args.cfg.sched.name()));
-    s.push_str(&format!("  \"classes\": {},\n", args.cfg.classes));
-    s.push_str(&format!("  \"domains\": {},\n", args.cfg.domains));
-    s.push_str(&format!("  \"seed\": {},\n", args.cfg.seed));
-    s.push_str(&format!("  \"window\": {},\n", args.cfg.window));
-    s.push_str(&format!("  \"decode_shards\": {},\n", args.cfg.decode_shards));
-    s.push_str(&format!("  \"renaming\": {},\n", args.cfg.renaming));
-    s.push_str(&format!("  \"failure_policy\": \"{}\",\n", args.cfg.policy.name()));
-    s.push_str(&format!("  \"fault_rate_ppm\": {},\n", args.fault_rate_ppm));
-    s.push_str(&format!("  \"fault_seed\": {},\n", args.fault_seed));
-    s.push_str(&format!("  \"paper_software_decoder_ns_per_task\": {PAPER_SOFTWARE_DECODE_NS},\n"));
-    s.push_str("  \"results\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let r = &p.replay;
-        let workers: Vec<String> = (0..r.workers.len())
-            .map(|w| {
-                format!(
-                    "{{\"executed\": {}, \"steals\": {}, \"busy_frac\": {:.4}}}",
-                    r.workers[w].executed,
-                    r.workers[w].steals,
-                    r.utilization(w)
-                )
-            })
-            .collect();
-        s.push_str(&format!(
-            "    {{\"benchmark\": {}, \"tasks\": {}, \"enforced_edges\": {}, \
-             \"decode_ns_per_task\": {:.1}, \"decode_tasks_per_sec\": {:.0}, \
-             \"exec_wall_ms\": {:.3}, \"exec_tasks_per_sec\": {:.0}, \"steals\": {}, \
-             \"cross_steals\": {}, \
-             \"stream_wall_ms\": {:.3}, \"stream_tasks_per_sec\": {:.0}, \
-             \"decode_overlap_pct\": {:.1}, {}\
-             \"failed\": {}, \"poisoned\": {}, \"retried_ok\": {}, \"workers_lost\": {}, \
-             \"validated\": {}, \"workers\": [{}]}}{}\n",
-            json::string(&r.benchmark),
-            r.tasks,
-            r.rename.enforced_edges,
-            p.decode_ns_per_task(),
-            p.decode_tasks_per_sec(),
-            r.exec_wall.as_secs_f64() * 1e3,
-            r.tasks_per_sec(),
-            r.total_steals(),
-            r.total_cross_steals(),
-            p.stream.exec_wall.as_secs_f64() * 1e3,
-            p.stream.tasks_per_sec(),
-            p.stream.decode_overlap_pct,
-            latency_json(r.obs.as_ref()),
-            r.fault.failed.len(),
-            r.fault.poisoned.len(),
-            r.fault.retried_ok,
-            r.fault.workers_lost + p.stream.fault.workers_lost,
-            r.validated && p.stream.validated,
-            workers.join(", "),
-            if i + 1 == points.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ],\n");
+    let cfg = &args.cfg;
+    let header = Fields::new()
+        .text("schema", "tss-bench-exec/v5")
+        .text("scale", args.run.scale.name())
+        .put("threads", cfg.threads)
+        .put("hw_threads", hw_threads())
+        .text("payload", cfg.payload.name())
+        .text("policy", cfg.sched.name())
+        .put("classes", cfg.classes)
+        .put("domains", cfg.domains)
+        .put("seed", cfg.seed)
+        .put("window", cfg.window)
+        .put("decode_shards", cfg.decode_shards)
+        .put("renaming", cfg.renaming)
+        .text("failure_policy", cfg.policy.name())
+        .put("fault_rate_ppm", args.fault_rate_ppm)
+        .put("fault_seed", args.fault_seed)
+        .put("paper_software_decoder_ns_per_task", PAPER_SOFTWARE_DECODE_NS);
+    let rows: Vec<Fields> = points
+        .iter()
+        .map(|p| {
+            let r = &p.replay;
+            let workers = (0..r.workers.len()).map(|w| {
+                Fields::new()
+                    .put("executed", r.workers[w].executed)
+                    .put("steals", r.workers[w].steals)
+                    .fixed("busy_frac", r.utilization(w), 4)
+                    .object()
+            });
+            let timing = Fields::new()
+                .text("benchmark", &r.benchmark)
+                .put("tasks", r.tasks)
+                .put("enforced_edges", r.rename.enforced_edges)
+                .fixed("decode_ns_per_task", p.decode_ns_per_task(), 1)
+                .fixed("decode_tasks_per_sec", p.decode_tasks_per_sec(), 0)
+                .fixed("exec_wall_ms", r.exec_wall.as_secs_f64() * 1e3, 3)
+                .fixed("exec_tasks_per_sec", r.tasks_per_sec(), 0)
+                .put("steals", r.total_steals())
+                .put("cross_steals", r.total_cross_steals())
+                .fixed("stream_wall_ms", p.stream.exec_wall.as_secs_f64() * 1e3, 3)
+                .fixed("stream_tasks_per_sec", p.stream.tasks_per_sec(), 0)
+                .fixed("decode_overlap_pct", p.stream.decode_overlap_pct, 1);
+            latency_fields(timing, sampled(r))
+                .put("failed", r.fault.failed.len())
+                .put("poisoned", r.fault.poisoned.len())
+                .put("retried_ok", r.fault.retried_ok)
+                .put("workers_lost", p.workers_lost())
+                .put("validated", r.validated && p.stream.validated)
+                .list("workers", workers)
+        })
+        .collect();
     let (tasks, agg_ns, per_sec, headroom) = aggregate_decode(points);
-    let exec_rate = aggregate_rate(points, |p| p.replay.exec_wall.as_secs_f64());
-    let stream_rate = aggregate_rate(points, |p| p.stream.exec_wall.as_secs_f64());
     let overlap = if points.is_empty() {
         0.0
     } else {
         points.iter().map(|p| p.stream.decode_overlap_pct).sum::<f64>() / points.len() as f64
     };
-    let failed: usize = points.iter().map(|p| p.replay.fault.failed.len()).sum();
-    let poisoned: usize = points.iter().map(|p| p.replay.fault.poisoned.len()).sum();
-    let retried_ok: usize = points.iter().map(|p| p.replay.fault.retried_ok).sum();
-    let workers_lost: usize =
-        points.iter().map(|p| p.replay.fault.workers_lost + p.stream.fault.workers_lost).sum();
+    let sum = |count: fn(&Point) -> usize| points.iter().map(count).sum::<usize>();
+    let rates = Fields::new()
+        .put("tasks", tasks)
+        .put("hw_threads", hw_threads())
+        .fixed("decode_ns_per_task", agg_ns, 1)
+        .fixed("decode_tasks_per_sec", per_sec, 0)
+        .fixed("decode_headroom_vs_paper", headroom, 1)
+        .fixed(
+            "exec_tasks_per_sec",
+            aggregate_rate(points, |p| p.replay.exec_wall.as_secs_f64()),
+            0,
+        )
+        .fixed(
+            "stream_tasks_per_sec",
+            aggregate_rate(points, |p| p.stream.exec_wall.as_secs_f64()),
+            0,
+        )
+        .fixed("decode_overlap_pct_mean", overlap, 1);
     let merged = merged_obs(points);
-    s.push_str(&format!(
-        "  \"totals\": {{\"tasks\": {tasks}, \"hw_threads\": {}, \"decode_ns_per_task\": {agg_ns:.1}, \
-         \"decode_tasks_per_sec\": {per_sec:.0}, \"decode_headroom_vs_paper\": {headroom:.1}, \
-         \"exec_tasks_per_sec\": {exec_rate:.0}, \"stream_tasks_per_sec\": {stream_rate:.0}, \
-         \"decode_overlap_pct_mean\": {overlap:.1}, {}\
-         \"failed\": {failed}, \"poisoned\": {poisoned}, \"retried_ok\": {retried_ok}, \
-         \"workers_lost\": {workers_lost}}}\n",
-        hw_threads(),
-        latency_json(merged.as_ref()),
-    ));
-    s.push_str("}\n");
-    s
+    let totals = latency_fields(rates, merged.as_ref().map(|m| (&m.0, &m.1)))
+        .put("failed", sum(|p| p.replay.fault.failed.len()))
+        .put("poisoned", sum(|p| p.replay.fault.poisoned.len()))
+        .put("retried_ok", sum(|p| p.replay.fault.retried_ok))
+        .put("workers_lost", sum(Point::workers_lost));
+    json::document(header, &rows, totals)
 }
 
 /// Renders the sampled latency quantiles as a table (`--histogram`;
@@ -433,25 +389,25 @@ fn histogram_table(points: &[Point]) -> String {
             "queue p999",
         ],
     );
-    let row = |table: &mut Table, name: String, o: &tss_exec::obs::ObsReport| {
+    let row = |table: &mut Table, name: String, (exec, queue): Sampled<'_>| {
         table.row(vec![
             name,
-            o.exec_latency.count().to_string(),
-            o.exec_latency.p50().to_string(),
-            o.exec_latency.p99().to_string(),
-            o.exec_latency.p999().to_string(),
-            o.queue_wait.p50().to_string(),
-            o.queue_wait.p99().to_string(),
-            o.queue_wait.p999().to_string(),
+            exec.count().to_string(),
+            exec.p50().to_string(),
+            exec.p99().to_string(),
+            exec.p999().to_string(),
+            queue.p50().to_string(),
+            queue.p99().to_string(),
+            queue.p999().to_string(),
         ]);
     };
     for p in points {
-        if let Some(o) = &p.replay.obs {
+        if let Some(o) = sampled(&p.replay) {
             row(&mut table, p.replay.benchmark.clone(), o);
         }
     }
     if let Some(m) = merged_obs(points) {
-        row(&mut table, "TOTAL".into(), &m);
+        row(&mut table, "TOTAL".into(), (&m.0, &m.1));
     }
     table.render()
 }
@@ -495,22 +451,25 @@ fn main() {
     }
     let mut points = Vec::with_capacity(9);
     for bench in Benchmark::all() {
-        let trace = bench.trace(args.scale, args.cfg.seed);
+        let trace = bench.trace(args.run.scale, args.cfg.seed);
 
         // Decode microbench: the renamer alone, single pass, best of N.
         let renamer = Renamer::new().renaming(args.cfg.renaming);
         let mut decode_best = Duration::MAX;
+        let mut graph = None;
         for _ in 0..DECODE_REPS {
+            drop(graph.take()); // the previous pass's graph, outside the timed span
             let t0 = Instant::now();
             let g = renamer.decode(&trace);
-            let dt = t0.elapsed();
-            std::hint::black_box(g.len());
-            decode_best = decode_best.min(dt);
+            decode_best = decode_best.min(t0.elapsed());
+            graph = Some(g);
         }
+        let graph = graph.expect("DECODE_REPS is at least 1");
 
         let exec = Executor::new(args.cfg.clone());
-        // Two-phase replay: the scheduler-only, PR-comparable number.
-        let replay = run_checked(bench, exec.run_oneshot(&trace));
+        // Two-phase replay of the graph just decoded: the scheduler-only,
+        // PR-comparable number, reporting the decode time the table prints.
+        let replay = run_checked(bench, exec.replay(&trace, &graph, decode_best));
         // Pipelined streaming run: decode overlapped with execution.
         let stream = run_checked(bench, exec.run(&trace));
         if args.fault_rate_ppm > 0 && failure_sets(&replay) != failure_sets(&stream) {
@@ -534,8 +493,8 @@ fn main() {
         );
         if replay.fault.any() || stream.fault.any() {
             eprintln!(
-                "  [exec] {bench}: chaos: failed {}, poisoned {}, retried-ok {}, \
-                 workers lost {} (replay run)",
+                "  [exec] {bench}: chaos (replay run): failed {}, poisoned {}, retried-ok {}; \
+                 workers lost {} (replay + stream)",
                 fmt_count_pct(replay.fault.failed.len(), replay.tasks),
                 fmt_count_pct(replay.fault.poisoned.len(), replay.tasks),
                 replay.fault.retried_ok,
@@ -546,8 +505,8 @@ fn main() {
     }
 
     let json = to_json(&args, &points);
-    std::fs::write(&args.out, &json)
-        .unwrap_or_else(|e| fail(format!("cannot write {}: {e}", args.out)));
+    std::fs::write(&args.run.out, &json)
+        .unwrap_or_else(|e| fail(format!("cannot write {}: {e}", args.run.out)));
 
     // Timeline export (DESIGN.md §12.4): the streaming runs, which have
     // both worker and decode-shard tracks. Only reachable in an obs
@@ -562,7 +521,7 @@ fn main() {
         eprintln!("  [exec] wrote Chrome trace of {} runs to {path}", runs.len());
     }
 
-    if args.json {
+    if args.run.json {
         print!("{json}");
         if args.histogram {
             // Keep stdout parseable: the human table goes to stderr.
@@ -572,7 +531,7 @@ fn main() {
         let mut table = Table::new(
             format!(
                 "Native executor ({} scale, {} threads, {} payload, {} policy, seed {}, window {}, {} decode shards)",
-                args.scale.name(),
+                args.run.scale.name(),
                 args.cfg.threads,
                 args.cfg.payload.name(),
                 args.cfg.sched.name(),
@@ -645,6 +604,6 @@ fn main() {
                 retried,
             );
         }
-        println!("(wrote {})", args.out);
+        println!("(wrote {})", args.run.out);
     }
 }

@@ -27,7 +27,9 @@ use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use tss_bench::cli::{fail, Flags, Parsed};
-use tss_bench::{hw_threads, json};
+use tss_bench::hw_threads;
+use tss_bench::json::{self, Fields};
+use tss_bench::ratio;
 use tss_client::chaos::{plan, run_graph, ChaosMode, ChaosOutcome};
 use tss_client::{Client, Submission};
 use tss_core::report::fmt_f;
@@ -254,59 +256,48 @@ fn run_chaotic(args: &Args, client_idx: u64, trace: &TaskTrace) -> Result<Row, S
     Ok(row)
 }
 
-/// The fields a client row and `totals` share: the exact counts, the
+/// Appends what a client row and `totals` share: the exact counts, the
 /// completion-latency quantiles, and the (noisy) wall time and rate.
-fn row_fields(r: &Row) -> String {
+fn row_fields(fields: Fields, r: &Row) -> Fields {
     let wall = r.wall.as_secs_f64();
-    format!(
-        "\"graphs\": {}, \"tasks\": {}, \"completed\": {}, \"slow_ok\": {}, \"killed\": {}, \
-         \"vanished\": {}, \"cancelled\": {}, \"deadline_expired\": {}, \"failed\": {}, \
-         \"rejected_overloaded\": {}, \"rejected_quota\": {}, \"rejected_malformed\": {}, \
-         {}\"wall_ms\": {:.3}, \"graphs_per_sec\": {:.1}",
-        r.graphs,
-        r.tasks,
-        r.completed,
-        r.slow_ok,
-        r.killed,
-        r.vanished,
-        r.cancelled,
-        r.deadline_expired,
-        r.failed,
-        r.rejected_overloaded,
-        r.rejected_quota,
-        r.rejected_malformed,
-        json::quantiles("latency", &r.latency),
-        wall * 1e3,
-        if wall > 0.0 { r.completed as f64 / wall } else { 0.0 },
-    )
+    fields
+        .put("graphs", r.graphs)
+        .put("tasks", r.tasks)
+        .put("completed", r.completed)
+        .put("slow_ok", r.slow_ok)
+        .put("killed", r.killed)
+        .put("vanished", r.vanished)
+        .put("cancelled", r.cancelled)
+        .put("deadline_expired", r.deadline_expired)
+        .put("failed", r.failed)
+        .put("rejected_overloaded", r.rejected_overloaded)
+        .put("rejected_quota", r.rejected_quota)
+        .put("rejected_malformed", r.rejected_malformed)
+        .quantiles("latency", Some(&r.latency))
+        .fixed("wall_ms", wall * 1e3, 3)
+        .fixed("graphs_per_sec", ratio(r.completed as f64, wall), 1)
 }
 
 fn to_json(args: &Args, tasks_per_graph: usize, rows: &[Row]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"tss-bench-serve/v1\",\n");
-    s.push_str(&format!("  \"bench\": \"{}\",\n", args.bench.name()));
-    s.push_str(&format!("  \"scale\": \"{}\",\n", args.scale.name()));
-    s.push_str(&format!("  \"clients\": {},\n", args.clients));
-    s.push_str(&format!("  \"graphs_per_client\": {},\n", args.graphs));
-    s.push_str(&format!("  \"tasks_per_graph\": {tasks_per_graph},\n"));
-    s.push_str(&format!("  \"chunk\": {},\n", args.chunk));
-    s.push_str(&format!("  \"deadline_ms\": {},\n", args.deadline_ms));
-    s.push_str(&format!("  \"seed\": {},\n", args.seed));
-    match args.chaos_seed {
-        Some(cs) => s.push_str(&format!("  \"chaos_seed\": {cs},\n")),
-        None => s.push_str("  \"chaos_seed\": null,\n"),
-    }
-    s.push_str(&format!("  \"hw_threads\": {},\n", hw_threads()));
-    s.push_str("  \"results\": [\n");
+    let header = Fields::new()
+        .text("schema", "tss-bench-serve/v1")
+        .text("bench", args.bench.name())
+        .text("scale", args.scale.name())
+        .put("clients", args.clients)
+        .put("graphs_per_client", args.graphs)
+        .put("tasks_per_graph", tasks_per_graph)
+        .put("chunk", args.chunk)
+        .put("deadline_ms", args.deadline_ms)
+        .put("seed", args.seed)
+        .opt("chaos_seed", args.chaos_seed)
+        .put("hw_threads", hw_threads());
     let mut total = Row::default();
+    let mut results = Vec::with_capacity(rows.len());
     for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"benchmark\": \"{}\", \"engine\": \"client-{i}\", {}}}{}\n",
-            args.bench.name(),
-            row_fields(r),
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
+        let labels = Fields::new()
+            .text("benchmark", args.bench.name())
+            .text("engine", &format!("client-{i}"));
+        results.push(row_fields(labels, r));
         total.graphs += r.graphs;
         total.tasks += r.tasks;
         total.completed += r.completed;
@@ -322,14 +313,8 @@ fn to_json(args: &Args, tasks_per_graph: usize, rows: &[Row]) -> String {
         total.wall = total.wall.max(r.wall);
         total.latency.merge(&r.latency);
     }
-    s.push_str("  ],\n");
-    s.push_str(&format!(
-        "  \"totals\": {{{}, \"hw_threads\": {}}}\n",
-        row_fields(&total),
-        hw_threads()
-    ));
-    s.push_str("}\n");
-    s
+    let totals = row_fields(Fields::new(), &total).put("hw_threads", hw_threads());
+    json::document(header, &results, totals)
 }
 
 fn main() {

@@ -31,7 +31,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use tss_bench::cli::{fail, Flags, Parsed};
-use tss_bench::json;
+use tss_bench::json::{self, Fields};
+use tss_bench::ratio;
 use tss_core::report::fmt_f;
 use tss_core::{fabric, RunReport, SystemBuilder, Table};
 use tss_workloads::{Benchmark, Scale};
@@ -68,76 +69,59 @@ fn parse_args() -> Parsed<PerfArgs> {
     Ok(out)
 }
 
+/// One engine's run of one benchmark and the host time it took.
 struct PerfPoint {
-    benchmark: &'static str,
+    report: RunReport,
     engine: &'static str,
-    tasks: usize,
-    makespan: u64,
-    events: u64,
-    event_queue_peak: usize,
     wall_s: f64,
 }
 
 impl PerfPoint {
+    /// Keeps the report's counts and lets its per-task schedule go: 18
+    /// of those would otherwise sit in memory under the runs still timed.
+    fn new(report: RunReport, engine: &'static str, wall_s: f64) -> PerfPoint {
+        PerfPoint { report: RunReport { schedule: Vec::new(), ..report }, engine, wall_s }
+    }
+
     fn events_per_sec(&self) -> f64 {
-        if self.wall_s > 0.0 {
-            self.events as f64 / self.wall_s
-        } else {
-            0.0
-        }
+        ratio(self.report.events as f64, self.wall_s)
     }
 }
 
-fn measure(report: RunReport, engine: &'static str, wall_s: f64) -> PerfPoint {
-    PerfPoint {
-        benchmark: Box::leak(report.benchmark.clone().into_boxed_str()),
-        engine,
-        tasks: report.tasks,
-        makespan: report.makespan,
-        events: report.events,
-        event_queue_peak: report.event_queue_peak,
-        wall_s,
-    }
+/// `(events, wall seconds)` summed over every point.
+fn totals(points: &[PerfPoint]) -> (u64, f64) {
+    (points.iter().map(|p| p.report.events).sum(), points.iter().map(|p| p.wall_s).sum())
 }
 
 fn to_json(args: &PerfArgs, points: &[PerfPoint], suite_wall_s: f64) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"tss-bench-pipeline/v2\",\n");
-    s.push_str(&format!("  \"scale\": \"{}\",\n", args.scale.name()));
-    s.push_str(&format!("  \"seed\": {},\n", args.seed));
-    s.push_str(&format!("  \"jobs\": {},\n", args.jobs));
-    s.push_str(&format!("  \"event_core\": \"{}\",\n", tss_sim::engine::EVENT_CORE));
-    s.push_str("  \"results\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"benchmark\": {}, \"engine\": \"{}\", \"tasks\": {}, \
-             \"makespan_cycles\": {}, \"events\": {}, \"peak_event_queue\": {}, \
-             \"wall_ms\": {:.3}, \"events_per_sec\": {:.0}}}{}\n",
-            json::string(p.benchmark),
-            p.engine,
-            p.tasks,
-            p.makespan,
-            p.events,
-            p.event_queue_peak,
-            p.wall_s * 1e3,
-            p.events_per_sec(),
-            if i + 1 == points.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ],\n");
-    let events: u64 = points.iter().map(|p| p.events).sum();
-    let wall: f64 = points.iter().map(|p| p.wall_s).sum();
-    let eps = if wall > 0.0 { events as f64 / wall } else { 0.0 };
-    s.push_str(&format!(
-        "  \"totals\": {{\"events\": {events}, \"wall_ms\": {:.3}, \
-         \"events_per_sec\": {eps:.0}, \"suite_wall_ms\": {:.3}, \"jobs\": {}}}\n",
-        wall * 1e3,
-        suite_wall_s * 1e3,
-        args.jobs,
-    ));
-    s.push_str("}\n");
-    s
+    let header = Fields::new()
+        .text("schema", "tss-bench-pipeline/v2")
+        .text("scale", args.scale.name())
+        .put("seed", args.seed)
+        .put("jobs", args.jobs)
+        .text("event_core", tss_sim::engine::EVENT_CORE);
+    let rows: Vec<Fields> = points
+        .iter()
+        .map(|p| {
+            Fields::new()
+                .text("benchmark", &p.report.benchmark)
+                .text("engine", p.engine)
+                .put("tasks", p.report.tasks)
+                .put("makespan_cycles", p.report.makespan)
+                .put("events", p.report.events)
+                .put("peak_event_queue", p.report.event_queue_peak)
+                .fixed("wall_ms", p.wall_s * 1e3, 3)
+                .fixed("events_per_sec", p.events_per_sec(), 0)
+        })
+        .collect();
+    let (events, wall) = totals(points);
+    let totals = Fields::new()
+        .put("events", events)
+        .fixed("wall_ms", wall * 1e3, 3)
+        .fixed("events_per_sec", ratio(events as f64, wall), 0)
+        .fixed("suite_wall_ms", suite_wall_s * 1e3, 3)
+        .put("jobs", args.jobs);
+    json::document(header, &rows, totals)
 }
 
 fn main() {
@@ -157,7 +141,7 @@ fn main() {
         let sw = SystemBuilder::new().processors(256).skip_validation().run_software_arc(&trace);
         let sw_wall = t1.elapsed().as_secs_f64();
         eprintln!("  [perf] {bench} done (hw {:.0} ms, sw {:.0} ms)", hw_wall * 1e3, sw_wall * 1e3);
-        [measure(hw, "hardware", hw_wall), measure(sw, "software", sw_wall)]
+        [PerfPoint::new(hw, "hardware", hw_wall), PerfPoint::new(sw, "software", sw_wall)]
     });
     let points: Vec<PerfPoint> = rows.into_iter().flatten().collect();
     let suite_wall_s = suite_t0.elapsed().as_secs_f64();
@@ -180,17 +164,16 @@ fn main() {
         );
         for p in &points {
             table.row(vec![
-                p.benchmark.to_string(),
+                p.report.benchmark.clone(),
                 p.engine.to_string(),
-                p.tasks.to_string(),
-                p.events.to_string(),
-                p.event_queue_peak.to_string(),
+                p.report.tasks.to_string(),
+                p.report.events.to_string(),
+                p.report.event_queue_peak.to_string(),
                 fmt_f(p.wall_s * 1e3, 1),
                 fmt_f(p.events_per_sec(), 0),
             ]);
         }
-        let events: u64 = points.iter().map(|p| p.events).sum();
-        let wall: f64 = points.iter().map(|p| p.wall_s).sum();
+        let (events, wall) = totals(&points);
         table.row(vec![
             "Total".to_string(),
             "both".to_string(),
@@ -198,7 +181,7 @@ fn main() {
             events.to_string(),
             String::new(),
             fmt_f(wall * 1e3, 1),
-            fmt_f(if wall > 0.0 { events as f64 / wall } else { 0.0 }, 0),
+            fmt_f(ratio(events as f64, wall), 0),
         ]);
         println!("{}", table.render());
         println!(

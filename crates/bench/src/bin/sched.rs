@@ -25,44 +25,37 @@
 
 use std::time::Instant;
 
-use tss_bench::cli::{fail, locality_only, validated_run, Flags, Parsed};
-use tss_bench::{hw_threads, json};
+use tss_bench::cli::{fail, validated_run, Flags, Parsed, RunFlags};
+use tss_bench::hw_threads;
+use tss_bench::json::{self, Fields};
+use tss_bench::ratio;
 use tss_core::fabric;
 use tss_core::report::fmt_f;
 use tss_core::Table;
 use tss_exec::{ExecConfig, ExecReport, Executor, PayloadMode, SchedKind, SCHED_MENU};
 use tss_trace::TaskTrace;
-use tss_workloads::{Benchmark, Scale};
+use tss_workloads::Benchmark;
 
 struct Args {
-    scale: Scale,
+    /// `--scale --spin-scale --seed --json --out`; `--policy
+    /// --classes --domains` are resolved into the three fields below.
+    run: RunFlags,
     policies: Vec<SchedKind>,
     workers: Vec<usize>,
     classes: usize,
     domains: usize,
-    spin_scale: f64,
-    seed: u64,
     jobs: usize,
-    json: bool,
-    out: String,
 }
 
 fn parse_args() -> Parsed<Args> {
     let mut out = Args {
-        scale: Scale::Small,
+        run: RunFlags::new("BENCH_sched.json"),
         policies: SchedKind::all().to_vec(),
         workers: vec![2, 4, 8, 16, 32, 64],
         classes: 2,
         domains: 2,
-        spin_scale: 1.0,
-        seed: 42,
         jobs: fabric::default_jobs(),
-        json: false,
-        out: "BENCH_sched.json".into(),
     };
-    let mut policy_name = String::from("all");
-    let mut classes_flag: Option<usize> = None;
-    let mut domains_flag: Option<usize> = None;
     let mut flags = Flags::from_env(format!(
         "sched [--scale small|paper|large] [--policy all|{SCHED_MENU}] \
          [--workers N,N,...] [--classes N] [--domains N] [--spin-scale F] \
@@ -70,8 +63,6 @@ fn parse_args() -> Parsed<Args> {
     ));
     while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
-            "--scale" => out.scale = flags.scale()?,
-            "--policy" => policy_name = flags.value()?,
             "--workers" => {
                 let list = flags.value()?;
                 out.workers = list
@@ -84,29 +75,25 @@ fn parse_args() -> Parsed<Args> {
                     })
                     .collect::<Parsed<_>>()?;
             }
-            "--classes" => classes_flag = Some(flags.positive()?),
-            "--domains" => domains_flag = Some(flags.positive()?),
-            "--spin-scale" => out.spin_scale = flags.num()?,
-            "--seed" => out.seed = flags.num()?,
             "--jobs" => out.jobs = flags.positive()?,
-            "--json" => out.json = true,
-            "--out" => out.out = flags.value()?,
-            _ => return Err(flags.unknown()),
+            _ => out.run.take(&mut flags)?,
         }
     }
-    if policy_name != "all" {
-        let kind = SchedKind::parse(&policy_name)
-            .ok_or_else(|| format!("unknown policy '{policy_name}' (all|{SCHED_MENU})"))?;
+    let run = &out.run;
+    let single = match run.policy.as_deref() {
+        None | Some("all") => None,
+        Some(v) => Some(
+            SchedKind::parse(v)
+                .ok_or_else(|| format!("unknown policy '{v}' (all|{SCHED_MENU})"))?,
+        ),
+    };
+    if let Some(kind) = single {
         out.policies = vec![kind];
-        locality_only(kind, classes_flag, domains_flag)?;
     }
-    out.classes = classes_flag.unwrap_or(out.classes);
-    out.domains = domains_flag.unwrap_or(out.domains);
-    if let Some(d) = domains_flag {
-        if let Some(&w) = out.workers.iter().find(|&&w| w < d) {
-            return Err(format!("--domains {d} cannot exceed the smallest --workers entry {w}"));
-        }
-    }
+    let fewest = out.workers.iter().copied().min().unwrap_or(1);
+    run.shape(single, fewest, "the smallest --workers entry")?;
+    out.classes = run.classes.unwrap_or(out.classes);
+    out.domains = run.domains.unwrap_or(out.domains);
     Ok(out)
 }
 
@@ -126,14 +113,14 @@ fn run_point(args: &Args, trace: &TaskTrace, p: Point) -> Row {
     let (_, policy, workers) = p;
     let cfg = ExecConfig {
         threads: workers,
-        payload: PayloadMode::Mixed { time_scale: args.spin_scale },
+        payload: PayloadMode::Mixed { time_scale: args.run.spin_scale },
         sched: policy,
         // Executor::new clamps domains to the thread count, so the
         // locality rows at 2 workers run 2 domains even if more were
         // asked for.
         classes: args.classes,
         domains: args.domains,
-        seed: args.seed,
+        seed: args.run.seed,
         ..Default::default()
     };
     let run = format!("{} [{} x{workers}]", trace.name(), policy.name());
@@ -149,70 +136,55 @@ fn policy_totals(rows: &[Row], policy: SchedKind) -> (usize, f64, u64, u64) {
     let wall: f64 = mine.iter().map(|r| r.report.exec_wall.as_secs_f64()).sum();
     let steals: u64 = mine.iter().map(|r| r.report.total_steals()).sum();
     let cross: u64 = mine.iter().map(|r| r.report.total_cross_steals()).sum();
-    (tasks, if wall > 0.0 { tasks as f64 / wall } else { 0.0 }, steals, cross)
+    (tasks, ratio(tasks as f64, wall), steals, cross)
 }
 
 fn to_json(args: &Args, rows: &[Row], suite_wall_ms: f64) -> String {
     let hw = hw_threads();
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"tss-bench-sched/v1\",\n");
-    s.push_str(&format!("  \"scale\": \"{}\",\n", args.scale.name()));
-    s.push_str("  \"payload\": \"mixed\",\n");
-    s.push_str(&format!("  \"seed\": {},\n", args.seed));
-    s.push_str(&format!("  \"hw_threads\": {hw},\n"));
-    s.push_str(&format!("  \"classes\": {},\n", args.classes));
-    s.push_str(&format!("  \"domains\": {},\n", args.domains));
-    s.push_str(&format!(
-        "  \"workers\": [{}],\n",
-        args.workers.iter().map(|w| w.to_string()).collect::<Vec<_>>().join(", ")
-    ));
-    s.push_str(&format!(
-        "  \"policies\": [{}],\n",
-        args.policies.iter().map(|p| format!("\"{}\"", p.name())).collect::<Vec<_>>().join(", ")
-    ));
-    s.push_str("  \"results\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let r = &row.report;
-        s.push_str(&format!(
-            "    {{\"benchmark\": {}, \"policy\": \"{}\", \"workers\": {}, \
-             \"hw_threads\": {hw}, \"tasks\": {}, \"exec_wall_ms\": {:.3}, \
-             \"exec_tasks_per_sec\": {:.0}, \"steals\": {}, \"cross_steals\": {}, {}\
-             \"validated\": {}}}{}\n",
-            json::string(&row.benchmark),
-            row.policy.name(),
-            row.workers,
-            r.tasks,
-            r.exec_wall.as_secs_f64() * 1e3,
-            r.tasks_per_sec(),
-            r.total_steals(),
-            r.total_cross_steals(),
-            r.obs
-                .as_ref()
-                .map_or_else(String::new, |o| json::quantiles("latency", &o.exec_latency)),
-            r.validated,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"totals\": {\n");
-    s.push_str(&format!("    \"hw_threads\": {hw},\n"));
-    s.push_str(&format!("    \"jobs\": {},\n", args.jobs));
-    s.push_str(&format!("    \"suite_wall_ms\": {suite_wall_ms:.1},\n"));
-    s.push_str("    \"per_policy\": [\n");
-    for (i, &policy) in args.policies.iter().enumerate() {
+    let header = Fields::new()
+        .text("schema", "tss-bench-sched/v1")
+        .text("scale", args.run.scale.name())
+        .text("payload", "mixed")
+        .put("seed", args.run.seed)
+        .put("hw_threads", hw)
+        .put("classes", args.classes)
+        .put("domains", args.domains)
+        .list("workers", args.workers.iter().map(|w| w.to_string()))
+        .list("policies", args.policies.iter().map(|p| json::string(p.name())));
+    let results: Vec<Fields> = rows
+        .iter()
+        .map(|row| {
+            let r = &row.report;
+            Fields::new()
+                .text("benchmark", &row.benchmark)
+                .text("policy", row.policy.name())
+                .put("workers", row.workers)
+                .put("hw_threads", hw)
+                .put("tasks", r.tasks)
+                .fixed("exec_wall_ms", r.exec_wall.as_secs_f64() * 1e3, 3)
+                .fixed("exec_tasks_per_sec", r.tasks_per_sec(), 0)
+                .put("steals", r.total_steals())
+                .put("cross_steals", r.total_cross_steals())
+                .quantiles("latency", r.obs.as_ref().map(|o| &o.exec_latency))
+                .put("validated", r.validated)
+        })
+        .collect();
+    let per_policy = args.policies.iter().map(|&policy| {
         let (tasks, rate, steals, cross) = policy_totals(rows, policy);
-        s.push_str(&format!(
-            "      {{\"policy\": \"{}\", \"tasks\": {tasks}, \"exec_tasks_per_sec\": {rate:.0}, \
-             \"steals\": {steals}, \"cross_steals\": {cross}}}{}\n",
-            policy.name(),
-            if i + 1 == args.policies.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("    ]\n");
-    s.push_str("  }\n");
-    s.push_str("}\n");
-    s
+        Fields::new()
+            .text("policy", policy.name())
+            .put("tasks", tasks)
+            .fixed("exec_tasks_per_sec", rate, 0)
+            .put("steals", steals)
+            .put("cross_steals", cross)
+            .object()
+    });
+    let totals = Fields::new()
+        .put("hw_threads", hw)
+        .put("jobs", args.jobs)
+        .fixed("suite_wall_ms", suite_wall_ms, 1)
+        .list("per_policy", per_policy);
+    json::document(header, &results, totals)
 }
 
 fn main() {
@@ -222,7 +194,7 @@ fn main() {
     // policy x workers grid (the grid re-runs the *executor*, not the
     // generator).
     let traces: Vec<TaskTrace> =
-        Benchmark::all().into_iter().map(|b| b.trace(args.scale, args.seed)).collect();
+        Benchmark::all().into_iter().map(|b| b.trace(args.run.scale, args.run.seed)).collect();
 
     let mut points: Vec<Point> = Vec::new();
     for bi in 0..traces.len() {
@@ -251,17 +223,17 @@ fn main() {
     let suite_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let json = to_json(&args, &rows, suite_wall_ms);
-    std::fs::write(&args.out, &json)
-        .unwrap_or_else(|e| fail(format!("cannot write {}: {e}", args.out)));
+    std::fs::write(&args.run.out, &json)
+        .unwrap_or_else(|e| fail(format!("cannot write {}: {e}", args.run.out)));
 
-    if args.json {
+    if args.run.json {
         print!("{json}");
     } else {
         let mut table = Table::new(
             format!(
                 "Scheduling ablation ({} scale, mixed payload, seed {}, {} hw threads)",
-                args.scale.name(),
-                args.seed,
+                args.run.scale.name(),
+                args.run.seed,
                 hw_threads(),
             ),
             &["Benchmark", "policy", "workers", "tasks", "wall ms", "tasks/s", "steals", "cross"],
@@ -292,6 +264,6 @@ fn main() {
                 args.policies[0].name(),
             );
         }
-        println!("(wrote {})", args.out);
+        println!("(wrote {})", args.run.out);
     }
 }

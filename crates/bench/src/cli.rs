@@ -123,14 +123,82 @@ impl Flags {
     }
 }
 
-/// `--classes`/`--domains` shape the locality policy only; silently
-/// ignoring them under another policy would make an ablation artifact
-/// lie about what it ran.
-pub fn locality_only(
-    policy: SchedKind,
-    classes: Option<usize>,
-    domains: Option<usize>,
-) -> Parsed<()> {
+/// The flags `exec` and `sched` parse identically: `--scale --policy
+/// --classes --domains --spin-scale --seed --json --out`. `--policy`
+/// stays as written — the two menus differ (`sched` also takes `all`).
+pub struct RunFlags {
+    /// Trace scale (default `small`).
+    pub scale: Scale,
+    /// `--policy`, as written.
+    pub policy: Option<String>,
+    /// `--classes`, if given.
+    pub classes: Option<usize>,
+    /// `--domains`, if given.
+    pub domains: Option<usize>,
+    /// Spin-payload time scale (default 1.0).
+    pub spin_scale: f64,
+    /// Workload and steal-rotation seed (default 42).
+    pub seed: u64,
+    /// Print the JSON document to stdout instead of the table.
+    pub json: bool,
+    /// Where the artifact is written.
+    pub out: String,
+}
+
+impl RunFlags {
+    /// The defaults both harnesses start from; `out` is the artifact's
+    /// default path.
+    pub fn new(out: &str) -> RunFlags {
+        RunFlags {
+            scale: Scale::Small,
+            policy: None,
+            classes: None,
+            domains: None,
+            spin_scale: 1.0,
+            seed: 42,
+            json: false,
+            out: out.into(),
+        }
+    }
+
+    /// Reads the current flag of `flags` if it is one of the shared
+    /// group; otherwise it is unknown (a harness tries its own first).
+    pub fn take(&mut self, flags: &mut Flags) -> Parsed<()> {
+        match flags.flag.as_str() {
+            "--scale" => self.scale = flags.scale()?,
+            "--policy" => self.policy = Some(flags.value()?),
+            "--classes" => self.classes = Some(flags.positive()?),
+            "--domains" => self.domains = Some(flags.positive()?),
+            "--spin-scale" => self.spin_scale = flags.num()?,
+            "--seed" => self.seed = flags.num()?,
+            "--json" => self.json = true,
+            "--out" => self.out = flags.value()?,
+            _ => return Err(flags.unknown()),
+        }
+        Ok(())
+    }
+
+    /// Holds `--classes`/`--domains` to what will run. They shape the
+    /// locality policy only — silently ignoring them under another
+    /// single `policy` (`None`: the harness sweeps all of them) would
+    /// make an ablation artifact lie about what it ran — and
+    /// `Executor::new` clamps domains to the worker count, so an
+    /// explicit `--domains` above the `fewest` workers of any run
+    /// (worded `fewest_flag` in the error) would lie the same way.
+    pub fn shape(&self, policy: Option<SchedKind>, fewest: usize, fewest_flag: &str) -> Parsed<()> {
+        if let Some(policy) = policy {
+            locality_only(policy, self.classes, self.domains)?;
+        }
+        match self.domains {
+            Some(n) if n > fewest => {
+                Err(format!("--domains {n} cannot exceed {fewest_flag} {fewest}"))
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
+fn locality_only(policy: SchedKind, classes: Option<usize>, domains: Option<usize>) -> Parsed<()> {
     if matches!(policy, SchedKind::Locality) {
         return Ok(());
     }

@@ -32,6 +32,17 @@ pub fn hw_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
+/// `num / den`, or 0 when there is nothing to divide by (a span too
+/// short to have measured, an empty trace): a rate or per-task column
+/// never holds `inf` or `NaN`.
+pub fn ratio(num: f64, den: f64) -> f64 {
+    if den > 0.0 {
+        num / den
+    } else {
+        0.0
+    }
+}
+
 /// Parsed common command-line options.
 #[derive(Debug, Clone)]
 pub struct HarnessArgs {

@@ -5,6 +5,8 @@
 
 use std::process::Command;
 
+mod common;
+
 fn run(args: &[&str]) -> (i32, String) {
     let out =
         Command::new(env!("CARGO_BIN_EXE_exec")).args(args).output().expect("spawn exec harness");
@@ -233,4 +235,16 @@ fn obs_build_writes_a_chrome_trace_and_latency_fields() {
     }
     assert!(bj.contains("\"hw_threads\""), "artifact must stamp the real core count");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A default build carries every key of the (obs-build) baseline but
+/// the sampled quantiles; an obs build carries those too.
+#[test]
+fn exec_json_carries_the_key_set_of_its_committed_baseline() {
+    common::assert_json_carries_keys_of(
+        env!("CARGO_BIN_EXE_exec"),
+        &["--scale", "small", "--threads", "2"],
+        include_str!("../../../ci/baselines/BENCH_exec_small.json"),
+        if cfg!(feature = "obs") { None } else { Some("_ns") },
+    );
 }

@@ -5,6 +5,8 @@
 
 use std::process::Command;
 
+mod common;
+
 #[test]
 fn figure_table_and_perf_binaries_reject_bad_values_without_panicking() {
     for (exe, args) in [
@@ -18,4 +20,14 @@ fn figure_table_and_perf_binaries_reject_bad_values_without_panicking() {
         assert!(err.contains("error:"), "{exe} {args:?}: {err}");
         assert!(!err.contains("panicked"), "{exe} {args:?} panicked: {err}");
     }
+}
+
+#[test]
+fn perf_json_carries_the_key_set_of_its_committed_baseline() {
+    common::assert_json_carries_keys_of(
+        env!("CARGO_BIN_EXE_perf"),
+        &["--scale", "small", "--jobs", "1"],
+        include_str!("../../../ci/baselines/BENCH_pipeline_small.json"),
+        None,
+    );
 }

@@ -7,6 +7,8 @@
 use std::process::{Child, Command};
 use std::time::{Duration, Instant};
 
+mod common;
+
 fn run(bin: &str, args: &[&str]) -> (i32, String) {
     let exe = match bin {
         "serve" => env!("CARGO_BIN_EXE_serve"),
@@ -224,5 +226,20 @@ fn sigint_drains_serve_to_a_clean_exit() {
     assert!(status.success(), "kill -INT failed");
 
     assert_eq!(wait_bounded(&mut serve, "serve after SIGINT"), 0, "drain must exit 0");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn loadgen_json_carries_the_key_set_of_its_committed_baseline() {
+    let dir = std::env::temp_dir().join(format!("tss-serve-keys-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mk tempdir");
+    let (mut serve, addr) = start_serve(&dir, &[]);
+    common::assert_json_carries_keys_of(
+        env!("CARGO_BIN_EXE_loadgen"),
+        &["--addr", &addr, "--clients", "1", "--graphs", "2", "--bench", "knn", "--shutdown"],
+        include_str!("../../../ci/baselines/BENCH_serve_small.json"),
+        None,
+    );
+    assert_eq!(wait_bounded(&mut serve, "serve after --shutdown"), 0);
     std::fs::remove_dir_all(&dir).ok();
 }

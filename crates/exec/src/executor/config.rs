@@ -1,5 +1,5 @@
-//! What a run is asked to do: [`ExecConfig`] and the external
-//! [`CancelToken`] it may carry.
+//! What a run is asked to do: [`ExecConfig`], the [`ConfigError`] its
+//! range check returns, and the external [`CancelToken`] it may carry.
 
 use std::time::Duration;
 
@@ -84,6 +84,50 @@ impl Default for ExecConfig {
     }
 }
 
+/// Why an [`ExecConfig`] describes no run ([`ExecConfig::check`]).
+/// `Display` is the text [`Executor::new`](super::Executor::new) panics
+/// with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfigError {
+    /// `threads` is zero.
+    NoWorkers,
+    /// `kill_worker` is set with fewer than two workers: a lone killed
+    /// worker could never finish the run.
+    KillWorkerAlone,
+    /// `kill_worker` names a worker the run does not have.
+    KillWorkerOutOfRange,
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            ConfigError::NoWorkers => "the executor needs at least one worker",
+            ConfigError::KillWorkerAlone => "kill_worker needs at least two workers",
+            ConfigError::KillWorkerOutOfRange => "kill_worker index out of range",
+        })
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+impl ExecConfig {
+    /// The one statement of the ranges a run needs: at least one worker,
+    /// and a `kill_worker` that leaves a survivor and names a worker
+    /// that exists. (`window`, `decode_shards`, `classes` and `domains`
+    /// have no bad values — `Executor::new` clamps them.) Allocates
+    /// nothing: the server builds an executor per served graph.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        if self.threads == 0 {
+            return Err(ConfigError::NoWorkers);
+        }
+        match self.kill_worker {
+            Some(_) if self.threads < 2 => Err(ConfigError::KillWorkerAlone),
+            Some(k) if k >= self.threads => Err(ConfigError::KillWorkerOutOfRange),
+            _ => Ok(()),
+        }
+    }
+}
+
 /// A cloneable external-cancellation handle. The serve layer
 /// (DESIGN.md §14.3) arms one per accepted graph so a drain deadline
 /// can stop a run that is already executing; anything else that embeds
@@ -119,5 +163,31 @@ impl CancelToken {
     /// Whether [`CancelToken::cancel`] has been called.
     pub fn is_cancelled(&self) -> bool {
         self.0.load(Ordering::Acquire) != 0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn check_returns_each_range_with_the_text_new_panics_with() {
+        let cfg =
+            |threads, kill_worker| ExecConfig { threads, kill_worker, ..ExecConfig::default() };
+        assert_eq!(cfg(1, None).check(), Ok(()));
+        assert_eq!(cfg(2, Some(1)).check(), Ok(()));
+        for (bad, why, text) in [
+            (cfg(0, None), ConfigError::NoWorkers, "the executor needs at least one worker"),
+            (cfg(0, Some(0)), ConfigError::NoWorkers, "the executor needs at least one worker"),
+            (
+                cfg(1, Some(0)),
+                ConfigError::KillWorkerAlone,
+                "kill_worker needs at least two workers",
+            ),
+            (cfg(4, Some(4)), ConfigError::KillWorkerOutOfRange, "kill_worker index out of range"),
+        ] {
+            assert_eq!(bad.check(), Err(why));
+            assert_eq!(why.to_string(), text);
+        }
     }
 }

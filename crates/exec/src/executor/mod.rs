@@ -84,7 +84,7 @@ mod shared;
 mod watchdog;
 mod worker;
 
-pub use config::{CancelToken, ExecConfig};
+pub use config::{CancelToken, ConfigError, ExecConfig};
 pub use report::{ExecReport, WorkerStats};
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -149,10 +149,8 @@ impl Executor {
     /// with fewer than two workers / an out-of-range index (a lone
     /// killed worker could never finish the run).
     pub fn new(mut config: ExecConfig) -> Self {
-        assert!(config.threads >= 1, "the executor needs at least one worker");
-        if let Some(k) = config.kill_worker {
-            assert!(config.threads >= 2, "kill_worker needs at least two workers");
-            assert!(k < config.threads, "kill_worker index out of range");
+        if let Err(e) = config.check() {
+            panic!("{e}");
         }
         config.window = config.window.max(1);
         config.decode_shards = config.decode_shards.max(1);

@@ -4,7 +4,7 @@
 //! cycle by cycle; this crate *is* the pipeline, in software, at host
 //! speed: the role StarSs plays for the paper's hardware — except built
 //! the way the paper argues a task window should be (DESIGN.md §7).
-//! Three layers:
+//! Four layers:
 //!
 //! 1. **[`renamer`]** — a software ORT/OVT: decodes `in`/`out`/`inout`
 //!    operands of a [`TaskTrace`] (or of tasks spawned through
@@ -64,7 +64,9 @@ pub mod sched;
 pub mod sync;
 
 pub use deque::ChaseLev;
-pub use executor::{run_trace, CancelToken, ExecConfig, ExecReport, Executor, WorkerStats};
+pub use executor::{
+    run_trace, CancelToken, ConfigError, ExecConfig, ExecReport, Executor, WorkerStats,
+};
 pub use fault::{ExecError, FailedTask, FailurePolicy, FaultReport, InjectedFault, TaskFailure};
 pub use payload::PayloadMode;
 pub use renamer::{RenameStats, Renamer, StreamingRenamer, TaskGraph};

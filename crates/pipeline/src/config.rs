@@ -41,6 +41,36 @@ impl Default for TimingParams {
     }
 }
 
+/// A configuration value the model cannot be built with: which field,
+/// and what it must be. `Display` joins the two; an embedder with its
+/// own names for the fields (the `tss` CLI's flags) words it itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConfigError {
+    /// The offending field, e.g. `"num_trs"`.
+    pub field: &'static str,
+    /// What it accepts, reading on from "must be": `"in 1..=256"`.
+    pub must_be: &'static str,
+}
+
+impl ConfigError {
+    /// `Ok` when `holds`, else the error for `field`.
+    pub fn unless(holds: bool, field: &'static str, must_be: &'static str) -> Result<(), Self> {
+        if holds {
+            Ok(())
+        } else {
+            Err(ConfigError { field, must_be })
+        }
+    }
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} must be {}", self.field, self.must_be)
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 /// Sizing and feature configuration of the frontend.
 #[derive(Debug, Clone)]
 pub struct FrontendConfig {
@@ -132,23 +162,41 @@ impl FrontendConfig {
         self.trs_total_bytes + self.ort_total_bytes + self.ovt_total_bytes
     }
 
+    /// The one statement of what a frontend can be built with: 1..=256
+    /// modules of a kind (ids are `u8`), and capacities that hold at
+    /// least one maximal task, one ORT set and two version records.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        let unless = ConfigError::unless;
+        unless((1..=256).contains(&self.num_trs), "num_trs", "in 1..=256")?;
+        unless((1..=256).contains(&self.num_ort), "num_ort", "in 1..=256")?;
+        unless(
+            self.blocks_per_trs() >= 4,
+            "trs_total_bytes",
+            "enough for each TRS to hold at least one maximal task (4 blocks)",
+        )?;
+        unless(
+            self.entries_per_ort() >= self.ort_ways as u32,
+            "ort_total_bytes",
+            "enough for at least one set per ORT",
+        )?;
+        unless(
+            self.records_per_ovt() >= 2,
+            "ovt_total_bytes",
+            "enough for at least two version records per OVT",
+        )?;
+        unless(self.gateway_buffer_bytes >= 64, "gateway_buffer_bytes", "at least 64")
+    }
+
     /// Validates the configuration.
     ///
     /// # Panics
     ///
-    /// Panics on a degenerate setup (no TRS/ORT, zero capacities, TRS too
-    /// small to hold even one maximal task, or more than 256 modules of a
-    /// kind — ids are `u8`).
+    /// Panics with [`FrontendConfig::check`]'s error on a degenerate
+    /// setup.
     pub fn validate(&self) {
-        assert!(self.num_trs >= 1 && self.num_trs <= 256, "1..=256 TRSs required");
-        assert!(self.num_ort >= 1 && self.num_ort <= 256, "1..=256 ORTs required");
-        assert!(
-            self.blocks_per_trs() >= 4,
-            "each TRS must hold at least one maximal task (4 blocks)"
-        );
-        assert!(self.entries_per_ort() >= self.ort_ways as u32, "ORT needs at least one set");
-        assert!(self.records_per_ovt() >= 2, "OVT needs at least two version records");
-        assert!(self.gateway_buffer_bytes >= 64, "gateway buffer unrealistically small");
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
     }
 }
 
@@ -193,6 +241,18 @@ mod tests {
             ..FrontendConfig::default()
         };
         c.validate();
+    }
+
+    #[test]
+    fn check_names_the_field_and_its_range() {
+        let with = |num_trs, num_ort| FrontendConfig { num_trs, num_ort, ..Default::default() };
+        assert_eq!(with(256, 256).check(), Ok(()));
+        for (bad, field) in
+            [(with(0, 2), "num_trs"), (with(257, 2), "num_trs"), (with(8, 0), "num_ort")]
+        {
+            assert_eq!(bad.check(), Err(ConfigError { field, must_be: "in 1..=256" }));
+        }
+        assert_eq!(with(300, 2).check().unwrap_err().to_string(), "num_trs must be in 1..=256");
     }
 
     #[test]

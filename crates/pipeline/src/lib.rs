@@ -54,7 +54,7 @@ pub mod msg;
 pub mod ortovt;
 pub mod trs;
 
-pub use config::{FrontendConfig, TimingParams};
+pub use config::{ConfigError, FrontendConfig, TimingParams};
 pub use gateway::{Gateway, Generator, Topology};
 pub use ids::{OperandRef, TaskRef, VersionRef};
 pub use msg::{Msg, ReadyKind};

@@ -10,7 +10,7 @@
 
 use std::process::exit;
 
-use task_superscalar::core::SystemBuilder;
+use task_superscalar::core::{Engine, SystemBuilder};
 use task_superscalar::trace::{parallelism_profile, to_text, DepGraph};
 use task_superscalar::workloads::{cholesky::CholeskyGen, Benchmark, Scale};
 use tss_trace::TraceGenerator;
@@ -25,39 +25,31 @@ fn usage() -> ! {
     exit(2)
 }
 
-/// Parses a count flag's value and holds it to `range`: a value the
-/// simulator would only reject by panicking deep inside a constructor
-/// exits 2 here, with one line naming the flag and what it accepts.
-fn count_in(flag: &str, value: &str, range: std::ops::RangeInclusive<usize>) -> usize {
-    match value.parse() {
-        Ok(n) if range.contains(&n) => n,
-        _ => {
-            let hi = range.end();
-            let accepts = if *hi == usize::MAX {
-                format!("at least {}", range.start())
-            } else {
-                format!("in {}..={hi}", range.start())
-            };
-            eprintln!("error: {flag} must be {accepts}, got '{value}'");
-            exit(2)
-        }
-    }
+/// A bad value is a user error: one `error:` line naming the flag,
+/// exit 2, before any work is done.
+fn fail(msg: impl std::fmt::Display) -> ! {
+    eprintln!("error: {msg}");
+    exit(2)
+}
+
+/// Parses a numeric flag's value. Ranges are not restated here: `run`
+/// asks `SystemBuilder::check`, which knows them.
+fn num<T: std::str::FromStr>(flag: &str, value: &str) -> T {
+    value.parse().unwrap_or_else(|_| fail(format!("{flag} must be a number, got '{value}'")))
 }
 
 fn bench_by_name(name: &str) -> Benchmark {
-    Benchmark::all().into_iter().find(|b| b.name().eq_ignore_ascii_case(name)).unwrap_or_else(
-        || {
-            eprintln!("unknown benchmark '{name}'; try `tss list`");
-            exit(2)
-        },
-    )
+    Benchmark::parse(name).unwrap_or_else(|| {
+        eprintln!("unknown benchmark '{name}'; try `tss list`");
+        exit(2)
+    })
 }
 
 struct Opts {
     bench: Benchmark,
     scale: Scale,
     seed: u64,
-    engine: String,
+    engine: Engine,
     processors: usize,
     trs: Option<usize>,
     ort: Option<usize>,
@@ -71,7 +63,7 @@ fn parse(args: &[String]) -> Opts {
         bench: Benchmark::Cholesky,
         scale: Scale::Small,
         seed: 42,
-        engine: "hw".into(),
+        engine: Engine::Hardware,
         processors: 256,
         trs: None,
         ort: None,
@@ -85,24 +77,24 @@ fn parse(args: &[String]) -> Opts {
         match a.as_str() {
             "--bench" => o.bench = bench_by_name(&val()),
             "--scale" => {
-                o.scale = match val().as_str() {
-                    "small" => Scale::Small,
-                    "paper" => Scale::Paper,
-                    "large" => Scale::Large,
-                    _ => usage(),
+                let v = val();
+                o.scale = Scale::parse(&v)
+                    .unwrap_or_else(|| fail(format!("unknown scale '{v}' (small|paper|large)")));
+            }
+            "--seed" => o.seed = num("--seed", &val()),
+            "--engine" => {
+                o.engine = match val().as_str() {
+                    "hw" => Engine::Hardware,
+                    "sw" => Engine::Software,
+                    v => fail(format!("unknown engine '{v}' (hw|sw)")),
                 }
             }
-            "--seed" => o.seed = val().parse().unwrap_or_else(|_| usage()),
-            "--engine" => o.engine = val(),
-            "--processors" | "-p" => {
-                o.processors = count_in("--processors", &val(), 1..=usize::MAX)
-            }
-            // Module ids are `u8` (`FrontendConfig::validate`).
-            "--trs" => o.trs = Some(count_in("--trs", &val(), 1..=256)),
-            "--ort" => o.ort = Some(count_in("--ort", &val(), 1..=256)),
+            "--processors" | "-p" => o.processors = num("--processors", &val()),
+            "--trs" => o.trs = Some(num("--trs", &val())),
+            "--ort" => o.ort = Some(num("--ort", &val())),
             "--no-renaming" => o.renaming = false,
             "--no-chaining" => o.chaining = false,
-            "--n" => o.n = val().parse().unwrap_or_else(|_| usage()),
+            "--n" => o.n = num("--n", &val()),
             _ => usage(),
         }
     }
@@ -132,8 +124,6 @@ fn main() {
         }
         "run" => {
             let o = parse(rest);
-            let trace = o.bench.trace(o.scale, o.seed);
-            eprintln!("{}: {} tasks ({:?} scale)", o.bench, trace.len(), o.scale);
             let builder = SystemBuilder::new().processors(o.processors).with_frontend(|f| {
                 if let Some(t) = o.trs {
                     f.num_trs = t;
@@ -144,10 +134,23 @@ fn main() {
                 f.renaming = o.renaming;
                 f.chaining = o.chaining;
             });
-            let report = match o.engine.as_str() {
-                "hw" => builder.run_hardware(&trace),
-                "sw" => builder.run_software(&trace),
-                _ => usage(),
+            // The ranges are the model's (`FrontendConfig::check`,
+            // `BackendConfig::check`); only the field → flag wording is
+            // this driver's.
+            if let Err(e) = builder.check() {
+                let flag = match e.field {
+                    "num_trs" => "--trs",
+                    "num_ort" => "--ort",
+                    "cores" => "--processors",
+                    field => field,
+                };
+                fail(format!("{flag} must be {}", e.must_be));
+            }
+            let trace = o.bench.trace(o.scale, o.seed);
+            eprintln!("{}: {} tasks ({:?} scale)", o.bench, trace.len(), o.scale);
+            let report = match o.engine {
+                Engine::Hardware => builder.run_hardware(&trace),
+                Engine::Software => builder.run_software(&trace),
             };
             println!("engine:        {:?}", report.engine);
             println!("processors:    {}", report.processors);

@@ -18,6 +18,11 @@ fn out_of_range_counts_and_undrawable_benchmarks_exit_two_naming_the_flag() {
         (&["run", "--trs", "300"][..], "--trs must be in 1..=256"),
         (&["run", "--ort", "0"][..], "--ort must be in 1..=256"),
         (&["graph", "--bench", "h264"][..], "only --bench cholesky"),
+        // Refused at parse time, before a trace is generated: `--engine
+        // bogus` used to print "Cholesky: 220 tasks", then usage.
+        (&["run", "--engine", "bogus"][..], "error: unknown engine 'bogus' (hw|sw)"),
+        (&["run", "--scale", "tiny"][..], "error: unknown scale 'tiny' (small|paper|large)"),
+        (&["run", "--seed", "-1"][..], "error: --seed must be a number, got '-1'"),
     ] {
         let out = tss(args);
         let err = String::from_utf8_lossy(&out.stderr);
