@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use tss_noc::{Node, RingConfig, RingNetwork};
-use tss_pipeline::{ConfigError, Msg, TaskRef, Topology};
+use tss_pipeline::{Msg, TaskRef, Topology};
 use tss_sim::{Component, ComponentId, Context, Cycle};
 use tss_trace::{ScheduleRecord, TaskId, TaskTrace};
 
@@ -50,12 +50,6 @@ impl BackendConfig {
             dispatch_bytes: 64,
             completion_bytes: 16,
         }
-    }
-
-    /// The one statement of what a backend can be built with: at least
-    /// one core.
-    pub fn check(&self) -> Result<(), ConfigError> {
-        ConfigError::unless(self.cores > 0, "cores", "at least 1")
     }
 }
 
@@ -96,16 +90,14 @@ impl CorePool {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.cores == 0` ([`BackendConfig::check`]).
+    /// Panics if `cfg.cores == 0`.
     pub fn new(
         trace: Arc<TaskTrace>,
         topo: Topology,
         cfg: BackendConfig,
         sink: CompletionSink,
     ) -> Self {
-        if let Err(e) = cfg.check() {
-            panic!("a backend needs cores: {e}");
-        }
+        assert!(cfg.cores > 0, "a backend needs cores");
         // Reserve the send-path buffers up front. The schedule gets
         // exactly one record per task and never grows mid-run; the
         // ready-queue reservation is a heuristic (it can back up to the

@@ -37,8 +37,8 @@ use tss_trace::TaskTrace;
 use tss_workloads::Benchmark;
 
 struct Args {
-    /// `--scale --spin-scale --seed --json --out`; `--policy
-    /// --classes --domains` are resolved into the three fields below.
+    /// `--scale --spin-scale --seed --json --out`, and the `--policy
+    /// --classes --domains` the three fields below are resolved from.
     run: RunFlags,
     policies: Vec<SchedKind>,
     workers: Vec<usize>,
@@ -48,14 +48,9 @@ struct Args {
 }
 
 fn parse_args() -> Parsed<Args> {
-    let mut out = Args {
-        run: RunFlags::new("BENCH_sched.json"),
-        policies: SchedKind::all().to_vec(),
-        workers: vec![2, 4, 8, 16, 32, 64],
-        classes: 2,
-        domains: 2,
-        jobs: fabric::default_jobs(),
-    };
+    let mut run = RunFlags::new("BENCH_sched.json");
+    let mut workers = vec![2, 4, 8, 16, 32, 64];
+    let mut jobs = fabric::default_jobs();
     let mut flags = Flags::from_env(format!(
         "sched [--scale small|paper|large] [--policy all|{SCHED_MENU}] \
          [--workers N,N,...] [--classes N] [--domains N] [--spin-scale F] \
@@ -65,7 +60,7 @@ fn parse_args() -> Parsed<Args> {
         match flag.as_str() {
             "--workers" => {
                 let list = flags.value()?;
-                out.workers = list
+                workers = list
                     .split(',')
                     .map(|w| match w.trim().parse() {
                         Ok(n) if n >= 1 => Ok(n),
@@ -75,11 +70,10 @@ fn parse_args() -> Parsed<Args> {
                     })
                     .collect::<Parsed<_>>()?;
             }
-            "--jobs" => out.jobs = flags.positive()?,
-            _ => out.run.take(&mut flags)?,
+            "--jobs" => jobs = flags.positive()?,
+            _ => run.take(&mut flags)?,
         }
     }
-    let run = &out.run;
     let single = match run.policy.as_deref() {
         None | Some("all") => None,
         Some(v) => Some(
@@ -87,14 +81,16 @@ fn parse_args() -> Parsed<Args> {
                 .ok_or_else(|| format!("unknown policy '{v}' (all|{SCHED_MENU})"))?,
         ),
     };
-    if let Some(kind) = single {
-        out.policies = vec![kind];
-    }
-    let fewest = out.workers.iter().copied().min().unwrap_or(1);
+    let fewest = workers.iter().copied().min().unwrap_or(1);
     run.shape(single, fewest, "the smallest --workers entry")?;
-    out.classes = run.classes.unwrap_or(out.classes);
-    out.domains = run.domains.unwrap_or(out.domains);
-    Ok(out)
+    Ok(Args {
+        policies: single.map_or_else(|| SchedKind::all().to_vec(), |kind| vec![kind]),
+        workers,
+        classes: run.classes.unwrap_or(2),
+        domains: run.domains.unwrap_or(2),
+        jobs,
+        run,
+    })
 }
 
 /// One grid point: `(benchmark index, policy, worker count)`.

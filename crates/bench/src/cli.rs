@@ -123,21 +123,15 @@ impl Flags {
     }
 }
 
-/// The flags `exec` and `sched` parse identically: `--scale --policy
-/// --classes --domains --spin-scale --seed --json --out`. `--policy`
-/// stays as written — the two menus differ (`sched` also takes `all`).
+/// The flags `exec` and `sched` parse identically, at their shared
+/// defaults (`small`, spin scale 1.0, seed 42). `policy` stays as
+/// written — the two menus differ (`sched` also takes `all`).
 pub struct RunFlags {
-    /// Trace scale (default `small`).
     pub scale: Scale,
-    /// `--policy`, as written.
     pub policy: Option<String>,
-    /// `--classes`, if given.
     pub classes: Option<usize>,
-    /// `--domains`, if given.
     pub domains: Option<usize>,
-    /// Spin-payload time scale (default 1.0).
     pub spin_scale: f64,
-    /// Workload and steal-rotation seed (default 42).
     pub seed: u64,
     /// Print the JSON document to stdout instead of the table.
     pub json: bool,
@@ -146,8 +140,7 @@ pub struct RunFlags {
 }
 
 impl RunFlags {
-    /// The defaults both harnesses start from; `out` is the artifact's
-    /// default path.
+    /// The defaults; `out` is the harness's artifact path.
     pub fn new(out: &str) -> RunFlags {
         RunFlags {
             scale: Scale::Small,
@@ -161,8 +154,8 @@ impl RunFlags {
         }
     }
 
-    /// Reads the current flag of `flags` if it is one of the shared
-    /// group; otherwise it is unknown (a harness tries its own first).
+    /// Reads the current flag of `flags` if it is one of the group;
+    /// otherwise it is unknown (a harness matches its own flags first).
     pub fn take(&mut self, flags: &mut Flags) -> Parsed<()> {
         match flags.flag.as_str() {
             "--scale" => self.scale = flags.scale()?,
@@ -178,13 +171,12 @@ impl RunFlags {
         Ok(())
     }
 
-    /// Holds `--classes`/`--domains` to what will run. They shape the
-    /// locality policy only — silently ignoring them under another
-    /// single `policy` (`None`: the harness sweeps all of them) would
-    /// make an ablation artifact lie about what it ran — and
-    /// `Executor::new` clamps domains to the worker count, so an
-    /// explicit `--domains` above the `fewest` workers of any run
-    /// (worded `fewest_flag` in the error) would lie the same way.
+    /// Holds `--classes`/`--domains` to what will run: they shape the
+    /// locality policy only, and `Executor::new` clamps domains to the
+    /// worker count — ignoring them under another single `policy`
+    /// (`None`: all are swept), or an explicit `--domains` above the
+    /// `fewest` workers of any run (`fewest_flag` in the error), would
+    /// make an ablation artifact lie about what it ran.
     pub fn shape(&self, policy: Option<SchedKind>, fewest: usize, fewest_flag: &str) -> Parsed<()> {
         if let Some(policy) = policy {
             locality_only(policy, self.classes, self.domains)?;

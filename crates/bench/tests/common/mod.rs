@@ -1,27 +1,20 @@
 //! Shared by the CLI tests of the four emitting harnesses (`perf`,
 //! `exec`, `sched`, `loadgen`).
 
-use std::process::Command;
-
 use tss_bench::json::{fields, get, rows, Object};
 
-/// Runs `exe args… --json --out /dev/null`, parses its stdout with the
-/// artifact reader and asserts that the document, its first row and its
-/// `totals` carry at least the keys of `baseline` — a committed
-/// `ci/baselines/*.json`, or a fixed key list spelled as a document.
-/// (Otherwise only `bench_check`, in CI, would notice a dropped key.)
-/// Keys ending in `except` are not asked for: the obs quantiles of an
-/// obs-build baseline, in a default build.
-pub fn assert_json_carries_keys_of(exe: &str, args: &[&str], baseline: &str, except: Option<&str>) {
+/// Parses the artifact `doc` with the artifact reader and asserts that
+/// the document, its first row and its `totals` carry at least the keys
+/// of `baseline` — a committed `ci/baselines/*.json`, or a fixed key
+/// list spelled as a document. (Otherwise only `bench_check`, in CI,
+/// would notice a dropped key.) Keys ending in `except` are not asked
+/// for: the obs quantiles of an obs-build baseline, in a default build.
+pub fn assert_carries_keys_of(doc: &str, baseline: &str, except: Option<&str>) {
     fn totals<'a>(doc: &Object<'a>) -> Object<'a> {
         fields(get(doc, "totals").expect("totals")).expect("totals")
     }
-    let run = Command::new(exe).args(args).args(["--json", "--out", "/dev/null"]).output();
-    let run = run.expect("spawn harness");
-    assert!(run.status.success(), "{exe} failed: {}", String::from_utf8_lossy(&run.stderr));
-    let stdout = String::from_utf8_lossy(&run.stdout);
     let base = fields(baseline).expect("baseline parses");
-    let fresh = fields(&stdout).expect("--json stdout parses with the artifact reader");
+    let fresh = fields(doc).expect("the artifact parses with the artifact reader");
     let (base_rows, fresh_rows) = (rows(&base).expect("rows"), rows(&fresh).expect("rows"));
     for (who, want, have) in [
         ("document", &base, &fresh),

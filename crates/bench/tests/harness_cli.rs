@@ -24,10 +24,11 @@ fn figure_table_and_perf_binaries_reject_bad_values_without_panicking() {
 
 #[test]
 fn perf_json_carries_the_key_set_of_its_committed_baseline() {
-    common::assert_json_carries_keys_of(
-        env!("CARGO_BIN_EXE_perf"),
-        &["--scale", "small", "--jobs", "1"],
-        include_str!("../../../ci/baselines/BENCH_pipeline_small.json"),
-        None,
-    );
+    let out = Command::new(env!("CARGO_BIN_EXE_perf"))
+        .args(["--scale", "small", "--jobs", "1", "--json", "--out", "/dev/null"])
+        .output()
+        .expect("spawn perf harness");
+    assert!(out.status.success(), "perf failed: {}", String::from_utf8_lossy(&out.stderr));
+    let baseline = include_str!("../../../ci/baselines/BENCH_pipeline_small.json");
+    common::assert_carries_keys_of(&String::from_utf8_lossy(&out.stdout), baseline, None);
 }

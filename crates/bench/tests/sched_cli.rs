@@ -110,19 +110,14 @@ fn small_run_writes_a_schemad_artifact() {
         rows + 2,
         "hw_threads must stamp the top level, every row, and totals: {doc}"
     );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// `BENCH_sched.json` has no committed baseline (nothing in it is
-/// exact-gated), so its key set is pinned here.
-#[test]
-fn sched_json_carries_its_fixed_key_set() {
+    // `BENCH_sched.json` has no committed baseline (nothing in it is
+    // exact-gated), so its key set is pinned here.
     const KEYS: &str = r#"{"schema": 0, "scale": 0, "payload": 0, "seed": 0, "hw_threads": 0,
         "classes": 0, "domains": 0, "workers": 0, "policies": 0,
         "results": [{"benchmark": 0, "policy": 0, "workers": 0, "hw_threads": 0, "tasks": 0,
             "exec_wall_ms": 0, "exec_tasks_per_sec": 0, "steals": 0, "cross_steals": 0,
             "validated": 0}],
         "totals": {"hw_threads": 0, "jobs": 0, "suite_wall_ms": 0, "per_policy": 0}}"#;
-    let args = ["--scale", "small", "--policy", "lifo", "--workers", "2"];
-    common::assert_json_carries_keys_of(env!("CARGO_BIN_EXE_sched"), &args, KEYS, None);
+    common::assert_carries_keys_of(&doc, KEYS, None);
+    std::fs::remove_dir_all(&dir).ok();
 }

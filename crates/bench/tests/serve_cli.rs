@@ -210,6 +210,8 @@ fn serve_and_loadgen_round_trip_and_drain() {
     assert!(json.contains("\"completed\": 3"), "all graphs completed: {json}");
     assert!(json.contains("latency_p50_ns"), "latency quantiles present");
     assert!(json.contains("\"hw_threads\""), "artifact stamps the core count");
+    let baseline = include_str!("../../../ci/baselines/BENCH_serve_small.json");
+    common::assert_carries_keys_of(&json, baseline, None);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -226,20 +228,5 @@ fn sigint_drains_serve_to_a_clean_exit() {
     assert!(status.success(), "kill -INT failed");
 
     assert_eq!(wait_bounded(&mut serve, "serve after SIGINT"), 0, "drain must exit 0");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn loadgen_json_carries_the_key_set_of_its_committed_baseline() {
-    let dir = std::env::temp_dir().join(format!("tss-serve-keys-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mk tempdir");
-    let (mut serve, addr) = start_serve(&dir, &[]);
-    common::assert_json_carries_keys_of(
-        env!("CARGO_BIN_EXE_loadgen"),
-        &["--addr", &addr, "--clients", "1", "--graphs", "2", "--bench", "knn", "--shutdown"],
-        include_str!("../../../ci/baselines/BENCH_serve_small.json"),
-        None,
-    );
-    assert_eq!(wait_bounded(&mut serve, "serve after --shutdown"), 0);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -150,14 +150,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Whether this machine can be built: the frontend's and the
-    /// backend's own checks, so a caller holding user input can refuse it
-    /// before a constructor panics — without restating a range.
-    pub fn check(&self) -> Result<(), ConfigError> {
-        self.frontend.check()?;
-        BackendConfig::for_cores(self.processors).check()
-    }
-
     /// Runs `trace` through the hardware task superscalar pipeline.
     ///
     /// Clones the trace once; sweeps running the same trace repeatedly
@@ -271,7 +263,7 @@ impl SystemBuilder {
 }
 
 /// Re-exported configuration types for downstream convenience.
-pub use tss_pipeline::{ConfigError, TimingParams};
+pub use tss_pipeline::TimingParams;
 /// Alias kept for the facade's prelude.
 pub type ExperimentConfig = FrontendConfig;
 

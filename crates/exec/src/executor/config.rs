@@ -172,22 +172,17 @@ mod tests {
 
     #[test]
     fn check_returns_each_range_with_the_text_new_panics_with() {
-        let cfg =
-            |threads, kill_worker| ExecConfig { threads, kill_worker, ..ExecConfig::default() };
-        assert_eq!(cfg(1, None).check(), Ok(()));
-        assert_eq!(cfg(2, Some(1)).check(), Ok(()));
-        for (bad, why, text) in [
-            (cfg(0, None), ConfigError::NoWorkers, "the executor needs at least one worker"),
-            (cfg(0, Some(0)), ConfigError::NoWorkers, "the executor needs at least one worker"),
-            (
-                cfg(1, Some(0)),
-                ConfigError::KillWorkerAlone,
-                "kill_worker needs at least two workers",
-            ),
-            (cfg(4, Some(4)), ConfigError::KillWorkerOutOfRange, "kill_worker index out of range"),
-        ] {
-            assert_eq!(bad.check(), Err(why));
-            assert_eq!(why.to_string(), text);
-        }
+        use ConfigError::*;
+        let check = |threads, kill_worker| {
+            ExecConfig { threads, kill_worker, ..ExecConfig::default() }.check()
+        };
+        assert_eq!(check(1, None), Ok(()));
+        assert_eq!(check(2, Some(1)), Ok(()));
+        assert_eq!(check(0, Some(0)), Err(NoWorkers));
+        assert_eq!(check(1, Some(0)), Err(KillWorkerAlone));
+        assert_eq!(check(4, Some(4)), Err(KillWorkerOutOfRange));
+        assert_eq!(NoWorkers.to_string(), "the executor needs at least one worker");
+        assert_eq!(KillWorkerAlone.to_string(), "kill_worker needs at least two workers");
+        assert_eq!(KillWorkerOutOfRange.to_string(), "kill_worker index out of range");
     }
 }

@@ -41,35 +41,38 @@ impl Default for TimingParams {
     }
 }
 
-/// A configuration value the model cannot be built with: which field,
-/// and what it must be. `Display` joins the two; an embedder with its
-/// own names for the fields (the `tss` CLI's flags) words it itself.
+/// Why a [`FrontendConfig`] cannot be built ([`FrontendConfig::check`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConfigError {
-    /// The offending field, e.g. `"num_trs"`.
-    pub field: &'static str,
-    /// What it accepts, reading on from "must be": `"in 1..=256"`.
-    pub must_be: &'static str,
+pub enum ConfigError {
+    /// `num_trs` is outside 1..=256 (module ids are `u8`).
+    NumTrs,
+    /// `num_ort` is outside 1..=256.
+    NumOrt,
+    /// A capacity is below the model's minimum; the text says which.
+    TooSmall(&'static str),
 }
 
 impl ConfigError {
-    /// `Ok` when `holds`, else the error for `field`.
-    pub fn unless(holds: bool, field: &'static str, must_be: &'static str) -> Result<(), Self> {
-        if holds {
-            Ok(())
-        } else {
-            Err(ConfigError { field, must_be })
+    /// What the value must be, reading on from the field's name — or
+    /// from an embedder's own name for it (the `tss` CLI's flags).
+    pub fn must_be(self) -> &'static str {
+        match self {
+            ConfigError::NumTrs | ConfigError::NumOrt => "must be in 1..=256",
+            ConfigError::TooSmall(what) => what,
         }
     }
 }
 
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} must be {}", self.field, self.must_be)
+        let field = match self {
+            ConfigError::NumTrs => "num_trs ",
+            ConfigError::NumOrt => "num_ort ",
+            ConfigError::TooSmall(_) => "",
+        };
+        write!(f, "{field}{}", self.must_be())
     }
 }
-
-impl std::error::Error for ConfigError {}
 
 /// Sizing and feature configuration of the frontend.
 #[derive(Debug, Clone)]
@@ -163,28 +166,23 @@ impl FrontendConfig {
     }
 
     /// The one statement of what a frontend can be built with: 1..=256
-    /// modules of a kind (ids are `u8`), and capacities that hold at
-    /// least one maximal task, one ORT set and two version records.
+    /// modules of a kind, and capacities that hold at least one maximal
+    /// task, one ORT set and two version records.
     pub fn check(&self) -> Result<(), ConfigError> {
-        let unless = ConfigError::unless;
-        unless((1..=256).contains(&self.num_trs), "num_trs", "in 1..=256")?;
-        unless((1..=256).contains(&self.num_ort), "num_ort", "in 1..=256")?;
+        let unless = |holds, e| if holds { Ok(()) } else { Err(e) };
+        let small = ConfigError::TooSmall;
+        unless((1..=256).contains(&self.num_trs), ConfigError::NumTrs)?;
+        unless((1..=256).contains(&self.num_ort), ConfigError::NumOrt)?;
         unless(
             self.blocks_per_trs() >= 4,
-            "trs_total_bytes",
-            "enough for each TRS to hold at least one maximal task (4 blocks)",
+            small("each TRS must hold at least one maximal task (4 blocks)"),
         )?;
         unless(
             self.entries_per_ort() >= self.ort_ways as u32,
-            "ort_total_bytes",
-            "enough for at least one set per ORT",
+            small("ORT needs at least one set"),
         )?;
-        unless(
-            self.records_per_ovt() >= 2,
-            "ovt_total_bytes",
-            "enough for at least two version records per OVT",
-        )?;
-        unless(self.gateway_buffer_bytes >= 64, "gateway_buffer_bytes", "at least 64")
+        unless(self.records_per_ovt() >= 2, small("OVT needs at least two version records"))?;
+        unless(self.gateway_buffer_bytes >= 64, small("gateway buffer unrealistically small"))
     }
 
     /// Validates the configuration.
@@ -247,12 +245,10 @@ mod tests {
     fn check_names_the_field_and_its_range() {
         let with = |num_trs, num_ort| FrontendConfig { num_trs, num_ort, ..Default::default() };
         assert_eq!(with(256, 256).check(), Ok(()));
-        for (bad, field) in
-            [(with(0, 2), "num_trs"), (with(257, 2), "num_trs"), (with(8, 0), "num_ort")]
-        {
-            assert_eq!(bad.check(), Err(ConfigError { field, must_be: "in 1..=256" }));
-        }
-        assert_eq!(with(300, 2).check().unwrap_err().to_string(), "num_trs must be in 1..=256");
+        assert_eq!(with(0, 2).check(), Err(ConfigError::NumTrs));
+        assert_eq!(with(257, 0).check(), Err(ConfigError::NumTrs));
+        assert_eq!(with(8, 0).check(), Err(ConfigError::NumOrt));
+        assert_eq!(ConfigError::NumOrt.to_string(), "num_ort must be in 1..=256");
     }
 
     #[test]

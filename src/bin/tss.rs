@@ -11,6 +11,7 @@
 use std::process::exit;
 
 use task_superscalar::core::{Engine, SystemBuilder};
+use task_superscalar::pipeline::{ConfigError, FrontendConfig};
 use task_superscalar::trace::{parallelism_profile, to_text, DepGraph};
 use task_superscalar::workloads::{cholesky::CholeskyGen, Benchmark, Scale};
 use tss_trace::TraceGenerator;
@@ -32,8 +33,8 @@ fn fail(msg: impl std::fmt::Display) -> ! {
     exit(2)
 }
 
-/// Parses a numeric flag's value. Ranges are not restated here: `run`
-/// asks `SystemBuilder::check`, which knows them.
+/// Parses a numeric flag's value. The TRS/ORT ranges are not restated
+/// here: `parse` asks `FrontendConfig::check`, which knows them.
 fn num<T: std::str::FromStr>(flag: &str, value: &str) -> T {
     value.parse().unwrap_or_else(|_| fail(format!("{flag} must be a number, got '{value}'")))
 }
@@ -51,10 +52,7 @@ struct Opts {
     seed: u64,
     engine: Engine,
     processors: usize,
-    trs: Option<usize>,
-    ort: Option<usize>,
-    renaming: bool,
-    chaining: bool,
+    frontend: FrontendConfig,
     n: usize,
 }
 
@@ -65,10 +63,7 @@ fn parse(args: &[String]) -> Opts {
         seed: 42,
         engine: Engine::Hardware,
         processors: 256,
-        trs: None,
-        ort: None,
-        renaming: true,
-        chaining: true,
+        frontend: FrontendConfig::default(),
         n: 5,
     };
     let mut it = args.iter();
@@ -89,14 +84,29 @@ fn parse(args: &[String]) -> Opts {
                     v => fail(format!("unknown engine '{v}' (hw|sw)")),
                 }
             }
-            "--processors" | "-p" => o.processors = num("--processors", &val()),
-            "--trs" => o.trs = Some(num("--trs", &val())),
-            "--ort" => o.ort = Some(num("--ort", &val())),
-            "--no-renaming" => o.renaming = false,
-            "--no-chaining" => o.chaining = false,
+            "--processors" | "-p" => {
+                o.processors = num("--processors", &val());
+                if o.processors == 0 {
+                    fail("--processors must be at least 1");
+                }
+            }
+            "--trs" => o.frontend.num_trs = num("--trs", &val()),
+            "--ort" => o.frontend.num_ort = num("--ort", &val()),
+            "--no-renaming" => o.frontend.renaming = false,
+            "--no-chaining" => o.frontend.chaining = false,
             "--n" => o.n = num("--n", &val()),
             _ => usage(),
         }
+    }
+    // Whatever the subcommand: a frontend the model would only refuse by
+    // panicking in a constructor is refused here, in the flag's name.
+    if let Err(e) = o.frontend.check() {
+        let flag = match e {
+            ConfigError::NumTrs => "--trs ",
+            ConfigError::NumOrt => "--ort ",
+            ConfigError::TooSmall(_) => "",
+        };
+        fail(format!("{flag}{}", e.must_be()));
     }
     o
 }
@@ -124,28 +134,7 @@ fn main() {
         }
         "run" => {
             let o = parse(rest);
-            let builder = SystemBuilder::new().processors(o.processors).with_frontend(|f| {
-                if let Some(t) = o.trs {
-                    f.num_trs = t;
-                }
-                if let Some(t) = o.ort {
-                    f.num_ort = t;
-                }
-                f.renaming = o.renaming;
-                f.chaining = o.chaining;
-            });
-            // The ranges are the model's (`FrontendConfig::check`,
-            // `BackendConfig::check`); only the field → flag wording is
-            // this driver's.
-            if let Err(e) = builder.check() {
-                let flag = match e.field {
-                    "num_trs" => "--trs",
-                    "num_ort" => "--ort",
-                    "cores" => "--processors",
-                    field => field,
-                };
-                fail(format!("{flag} must be {}", e.must_be));
-            }
+            let builder = SystemBuilder::new().processors(o.processors).frontend(o.frontend);
             let trace = o.bench.trace(o.scale, o.seed);
             eprintln!("{}: {} tasks ({:?} scale)", o.bench, trace.len(), o.scale);
             let report = match o.engine {
