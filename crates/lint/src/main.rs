@@ -1293,7 +1293,7 @@ fn f(s: &mut TcpStream, buf: &[u8]) {
         // A poisoned-lock expect is a deliberate invariant, not socket I/O.
         let lock = "let st = self.state.lock().expect(\"pool state poisoned\");\n";
         let stripped = strip_code(lock);
-        assert!(check_socket_unwrap("crates/server/src/pool.rs", &lines(&stripped)).is_empty());
+        assert!(check_socket_unwrap("crates/server/src/runner.rs", &lines(&stripped)).is_empty());
 
         let bad = "s.write_all(buf).unwrap();\n";
         let stripped = strip_code(bad);

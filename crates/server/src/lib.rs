@@ -9,12 +9,13 @@
 //!   failures kill only that session, semantic failures only the
 //!   offending graph, and a vanished client never touches anyone
 //!   else's graphs.
-//! - **Admission gate** — per-session inflight-graph quotas plus
-//!   cross-session queue-depth and queued-task watermarks that shed
-//!   with a structured `Overloaded{retry_after_ms}`.
-//! - **Executor pool** (DESIGN.md §14.3) — runner threads driving
-//!   `tss-exec` with quarantine failure policy, the client's
-//!   propagated deadline on the run-deadline watchdog, a per-run
+//! - **Admission** (DESIGN.md §14.2) — a per-session inflight-graph
+//!   quota, then the one cross-session structure that counts and queues
+//!   every admitted graph and sheds past its watermarks with a
+//!   structured `Overloaded{retry_after_ms}`.
+//! - **Runners** (DESIGN.md §14.3) — threads taking graphs from it and
+//!   driving `tss-exec` with quarantine failure policy, the client's
+//!   deadline on the run-deadline watchdog, one server-lifetime
 //!   [`tss_exec::CancelToken`], and `catch_unwind` containment.
 //! - **Drain** (DESIGN.md §14.4) — stop admissions, finish what the
 //!   drain deadline allows, cancel the rest, deliver every outcome,
@@ -24,8 +25,8 @@
 
 #![forbid(unsafe_code)]
 
-mod gate;
-mod pool;
+mod admission;
+mod runner;
 mod session;
 mod writer;
 
@@ -33,15 +34,15 @@ use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use tss_exec::PayloadMode;
-use tss_proto::GraphOutcome;
+use tss_proto::{GraphOutcome, RejectReason};
 
-use gate::Gate;
-use pool::{Pool, PoolShared, RunCtx};
+use admission::Admission;
+use runner::Job;
 
 /// Everything tunable about a server instance.
 #[derive(Debug, Clone)]
@@ -125,9 +126,16 @@ pub(crate) struct Ledger {
 }
 
 impl Ledger {
+    /// Records entered so far — the next record's sequence number.
+    fn recorded(&self) -> u64 {
+        self.completed + self.cancelled + self.deadline_expired + self.failed
+    }
+
     /// Counts `record`'s outcome and keeps it, evicting the oldest
-    /// record once [`OUTCOMES_KEPT`] are held.
-    pub(crate) fn record(&mut self, record: GraphRecord) {
+    /// record once [`OUTCOMES_KEPT`] are held. Returns its sequence
+    /// number, for [`Ledger::mark_undelivered`].
+    pub(crate) fn record(&mut self, record: GraphRecord) -> u64 {
+        let seq = self.recorded();
         *match record.outcome {
             GraphOutcome::Completed { .. } => &mut self.completed,
             GraphOutcome::Cancelled { .. } => &mut self.cancelled,
@@ -138,6 +146,17 @@ impl Ledger {
             self.recent.pop_front();
         }
         self.recent.push_back(record);
+        seq
+    }
+
+    /// Corrects record `seq` after its `Done` could not be sent, if it
+    /// is still retained (the count of such misses is a counter).
+    pub(crate) fn mark_undelivered(&mut self, seq: u64) {
+        let oldest = self.recorded() - self.recent.len() as u64;
+        if let Some(record) = seq.checked_sub(oldest).and_then(|i| self.recent.get_mut(i as usize))
+        {
+            record.delivered = false;
+        }
     }
 }
 
@@ -156,6 +175,21 @@ pub(crate) struct Counters {
     pub session_errors: AtomicU64,
     /// `Done` frames that could not be delivered (client vanished).
     pub undelivered_done: AtomicU64,
+}
+
+impl Counters {
+    /// The reject counter a `Reject` frame carrying `reason` bumps.
+    pub(crate) fn rejected(&self, reason: &RejectReason) -> &AtomicU64 {
+        match reason {
+            RejectReason::Overloaded { .. } => &self.rejected_overloaded,
+            RejectReason::QuotaExceeded { .. } => &self.rejected_quota,
+            RejectReason::Malformed { .. } | RejectReason::TooLarge { .. } => {
+                &self.rejected_malformed
+            }
+            RejectReason::Draining => &self.rejected_draining,
+            RejectReason::UnknownGraph | RejectReason::DuplicateGraph => &self.rejected_graph_state,
+        }
+    }
 }
 
 /// What drain hands back: the outcome ledger plus counters.
@@ -198,34 +232,17 @@ pub struct DrainSummary {
     pub drain_deadline_hit: bool,
 }
 
-/// State shared between the accept loop, sessions, pool, and drain.
+/// State shared between the accept loop, sessions, runners and drain.
 pub(crate) struct ServerShared {
     pub cfg: ServerConfig,
-    pub gate: Arc<Gate>,
-    pub pool: Arc<PoolShared>,
-    pub counters: Arc<Counters>,
+    pub admission: Admission<Job>,
+    pub counters: Counters,
+    pub ledger: Mutex<Ledger>,
     /// Socket clones per live session, for drain-time shutdown.
     pub sessions: Mutex<HashMap<u64, TcpStream>>,
     /// Handles of the session threads still running (finished ones
     /// are reaped on accept), joined at drain.
     pub handles: Mutex<Vec<JoinHandle<()>>>,
-    /// Drain request latch + the condvar `Server::wait` blocks on.
-    drain: (Mutex<bool>, Condvar),
-}
-
-impl ServerShared {
-    /// Latches the drain request (idempotent): the gate shuts, and
-    /// whoever is blocked in [`Server::wait`] starts the drain.
-    pub(crate) fn request_drain(&self) {
-        self.gate.set_draining();
-        let mut d = self.drain.0.lock().expect("drain latch poisoned");
-        *d = true;
-        self.drain.1.notify_all();
-    }
-
-    fn drain_requested(&self) -> bool {
-        *self.drain.0.lock().expect("drain latch poisoned")
-    }
 }
 
 /// A cloneable handle that can trigger drain from outside `wait` —
@@ -236,12 +253,12 @@ pub struct DrainHandle(Arc<ServerShared>);
 impl DrainHandle {
     /// Requests drain (idempotent, callable from any thread).
     pub fn request_drain(&self) {
-        self.0.request_drain();
+        self.0.admission.set_draining();
     }
 
     /// Whether drain has been requested.
     pub fn draining(&self) -> bool {
-        self.0.gate.is_draining()
+        self.0.admission.draining()
     }
 }
 
@@ -249,10 +266,9 @@ impl DrainHandle {
 /// requested and collect the final [`DrainSummary`].
 pub struct Server {
     shared: Arc<ServerShared>,
-    ledger: Arc<Mutex<Ledger>>,
     local: SocketAddr,
-    accept: Option<JoinHandle<()>>,
-    pool: Pool,
+    accept: JoinHandle<()>,
+    runners: Vec<JoinHandle<()>>,
 }
 
 impl Server {
@@ -264,36 +280,34 @@ impl Server {
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
 
-        let gate =
-            Arc::new(Gate::new(cfg.max_queued_graphs, cfg.max_queued_tasks, cfg.retry_after_ms));
-        let counters = Arc::new(Counters::default());
-        let ledger = Arc::new(Mutex::new(Ledger::default()));
-        let ctx = Arc::new(RunCtx {
-            gate: Arc::clone(&gate),
-            counters: Arc::clone(&counters),
-            ledger: Arc::clone(&ledger),
-            exec_threads: cfg.exec_threads.max(1),
-            payload: cfg.payload,
-            seed: cfg.seed,
-        });
-        let pool = Pool::start(cfg.runners, ctx);
-
         let shared = Arc::new(ServerShared {
-            cfg,
-            gate,
-            pool: Arc::clone(&pool.shared),
-            counters,
+            admission: Admission::new(
+                cfg.max_queued_graphs,
+                cfg.max_queued_tasks,
+                cfg.retry_after_ms,
+            ),
+            counters: Counters::default(),
+            ledger: Mutex::new(Ledger::default()),
             sessions: Mutex::new(HashMap::new()),
             handles: Mutex::new(Vec::new()),
-            drain: (Mutex::new(false), Condvar::new()),
+            cfg,
         });
 
+        let runners = (0..shared.cfg.runners.max(1))
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("tss-runner-{i}"))
+                    .spawn(move || runner::runner_loop(shared))
+                    .expect("spawn runner thread")
+            })
+            .collect();
         let accept_shared = Arc::clone(&shared);
         let accept = std::thread::Builder::new()
             .name("tss-accept".into())
             .spawn(move || accept_loop(listener, accept_shared))?;
 
-        Ok(Server { shared, ledger, local, accept: Some(accept), pool })
+        Ok(Server { shared, local, accept, runners })
     }
 
     /// The bound address (port resolved when binding `:0`).
@@ -308,65 +322,56 @@ impl Server {
 
     /// Requests drain directly (tests; binaries use the handle).
     pub fn request_drain(&self) {
-        self.shared.request_drain();
+        self.shared.admission.set_draining();
     }
 
     /// Blocks until drain is requested (a `Shutdown` frame, a
     /// [`DrainHandle`], or [`Server::request_drain`]), performs it,
     /// and reports. Drain order (DESIGN.md §14.4):
     ///
-    /// 1. Admissions stop (the gate latched shut at request time).
+    /// 1. Admissions stop (`draining` set at request time).
     /// 2. The accept loop exits; no new sessions.
     /// 3. Admitted graphs get [`ServerConfig::drain_deadline`] to
-    ///    finish; past it, queued graphs are reported
-    ///    `Cancelled{0, tasks}` and running graphs are cancelled via
-    ///    their tokens.
+    ///    finish; past it the cancel token every run carries fires:
+    ///    running graphs stop, queued ones are reported
+    ///    `Cancelled{0, tasks}` without running.
     /// 4. Every outcome is delivered (or its delivery failure
     ///    counted), *then* sessions are closed.
-    pub fn wait(mut self) -> DrainSummary {
-        {
-            let (lock, cv) = &self.shared.drain;
-            let mut d = lock.lock().expect("drain latch poisoned");
-            while !*d {
-                d = cv.wait(d).expect("drain latch poisoned");
-            }
-        }
+    pub fn wait(self) -> DrainSummary {
+        let admission = &self.shared.admission;
+        admission.wait_draining();
         let t0 = Instant::now();
 
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
+        let _ = self.accept.join();
+        admission.close();
 
-        self.pool.close();
-        let deadline_hit = !self.pool.wait_idle(self.shared.cfg.drain_deadline);
+        let deadline_hit = !admission.wait_empty(self.shared.cfg.drain_deadline);
         if deadline_hit {
-            self.pool.cancel_all();
+            admission.cancel.cancel();
             // Cancellation latency is bounded (one watchdog tick to
             // notice the token plus one in-flight payload), so this
             // second wait is a formality with a generous cap, not a
             // second deadline.
-            let _ = self.pool.wait_idle(Duration::from_secs(60));
+            let _ = admission.wait_empty(Duration::from_secs(60));
         }
-        self.pool.join();
+        for h in self.runners {
+            // A panicked runner already had its job contained; losing
+            // the thread at join time is not worth tearing drain down.
+            let _ = h.join();
+        }
 
         // Done frames are all delivered (or accounted); now close.
-        let streams: Vec<TcpStream> = {
-            let mut map = self.shared.sessions.lock().expect("session registry poisoned");
-            map.drain().map(|(_, s)| s).collect()
-        };
-        for s in &streams {
+        for (_, s) in self.shared.sessions.lock().expect("session registry poisoned").drain() {
             let _ = s.shutdown(Shutdown::Both);
         }
-        let handles: Vec<JoinHandle<()>> = {
-            let mut h = self.shared.handles.lock().expect("session handles poisoned");
-            h.drain(..).collect()
-        };
-        for h in handles {
+        // The accept loop is gone: nobody else takes this lock again.
+        for h in self.shared.handles.lock().expect("session handles poisoned").drain(..) {
             let _ = h.join();
         }
 
         // Every runner and session is joined: the ledger is final.
-        let ledger = std::mem::take(&mut *self.ledger.lock().expect("outcome ledger poisoned"));
+        let ledger =
+            std::mem::take(&mut *self.shared.ledger.lock().expect("outcome ledger poisoned"));
         let c = &self.shared.counters;
         DrainSummary {
             accepted: c.accepted.load(Ordering::Acquire),
@@ -424,20 +429,40 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
                     }
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if shared.drain_requested() {
+            Err(e) => {
+                if shared.admission.draining() {
                     return;
                 }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => {
-                // Transient accept failure (e.g. EMFILE): back off and
+                // Nothing pending: poll again. Anything else is a
+                // transient accept failure (e.g. EMFILE): back off and
                 // keep serving existing sessions.
-                if shared.drain_requested() {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(10));
+                let idle = e.kind() == io::ErrorKind::WouldBlock;
+                std::thread::sleep(Duration::from_millis(if idle { 2 } else { 10 }));
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_failed_delivery_is_patched_by_sequence_number_while_retained() {
+        let mut ledger = Ledger::default();
+        let seqs: Vec<u64> = (0..OUTCOMES_KEPT as u64 + 3)
+            .map(|graph| {
+                let outcome = GraphOutcome::Cancelled { completed: 0, tasks: 1 };
+                ledger.record(GraphRecord { session: 1, graph, outcome, delivered: true })
+            })
+            .collect();
+        assert_eq!(seqs, (0..OUTCOMES_KEPT as u64 + 3).collect::<Vec<_>>());
+        ledger.mark_undelivered(2); // evicted: nothing to patch, nothing hit by mistake
+        ledger.mark_undelivered(3); // the oldest retained
+        ledger.mark_undelivered(OUTCOMES_KEPT as u64 + 2); // the newest
+        let missed: Vec<u64> =
+            ledger.recent.iter().filter(|r| !r.delivered).map(|r| r.graph).collect();
+        assert_eq!(missed, vec![3, OUTCOMES_KEPT as u64 + 2]);
+        assert_eq!((ledger.cancelled, ledger.recent.len()), (seqs.len() as u64, OUTCOMES_KEPT));
     }
 }
