@@ -44,7 +44,10 @@
 //! benchmark, one track per worker + decode shard); `--histogram`
 //! prints the sampled per-task latency quantiles. An obs build also
 //! adds `latency_p50/p99/p999_ns` and `queue_p50/p99/p999_ns` (from
-//! the replay runs) to every JSON row and to `totals`.
+//! the replay runs) to every JSON row and to `totals`, and the streamed
+//! runs' per-role thread-CPU budget (DESIGN.md §12.6) as
+//! `cpu_{setup,scan,commit,workers,finish}_ns_per_task` — printed as a
+//! table too.
 
 use std::time::{Duration, Instant};
 
@@ -60,6 +63,7 @@ use tss_exec::{
     SchedKind, SCHED_MENU,
 };
 use tss_obs::hist::Histogram;
+use tss_obs::Role;
 use tss_workloads::Benchmark;
 
 /// The paper's software-decoder baseline (Section II): ~700 ns/task.
@@ -258,6 +262,33 @@ fn latency_fields(fields: Fields, obs: Option<Sampled<'_>>) -> Fields {
     fields.quantiles("latency", obs.map(|o| o.0)).quantiles("queue", obs.map(|o| o.1))
 }
 
+/// Thread-CPU nanoseconds per task, one figure per [`Role`].
+type RoleBudget = [f64; Role::ALL.len()];
+
+/// The per-role CPU budget of the streamed `runs` (the runs with all
+/// five roles), in ns per task over all of them; `None` in a NoopSink
+/// build.
+fn role_cpu_ns_per_task<'a>(runs: impl IntoIterator<Item = &'a ExecReport>) -> Option<RoleBudget> {
+    let (mut ns, mut tasks) = ([0u64; Role::ALL.len()], 0usize);
+    for run in runs {
+        let obs = run.obs.as_ref()?;
+        tasks += run.tasks;
+        for role in Role::ALL {
+            ns[role as usize] += obs.role_cpu.ns(role);
+        }
+    }
+    Some(ns.map(|ns| ratio(ns as f64, tasks as f64)))
+}
+
+/// [`role_cpu_ns_per_task`] as `cpu_<role>_ns_per_task` fields — none
+/// when the build recorded none.
+fn role_fields(fields: Fields, budget: Option<RoleBudget>) -> Fields {
+    let Some(budget) = budget else { return fields };
+    Role::ALL.into_iter().fold(fields, |fields, role| {
+        fields.fixed(&format!("cpu_{}_ns_per_task", role.name()), budget[role as usize], 1)
+    })
+}
+
 /// Every replay run's samples merged, for the totals row. `None` in a
 /// NoopSink build.
 fn merged_obs(points: &[Point]) -> Option<(Histogram, Histogram)> {
@@ -331,7 +362,7 @@ fn to_json(args: &Args, points: &[Point]) -> String {
                 .fixed("stream_wall_ms", p.stream.exec_wall.as_secs_f64() * 1e3, 3)
                 .fixed("stream_tasks_per_sec", p.stream.tasks_per_sec(), 0)
                 .fixed("decode_overlap_pct", p.stream.decode_overlap_pct, 1);
-            latency_fields(timing, sampled(r))
+            role_fields(latency_fields(timing, sampled(r)), role_cpu_ns_per_task([&p.stream]))
                 .put("failed", r.fault.failed.len())
                 .put("poisoned", r.fault.poisoned.len())
                 .put("retried_ok", r.fault.retried_ok)
@@ -365,7 +396,8 @@ fn to_json(args: &Args, points: &[Point]) -> String {
         )
         .fixed("decode_overlap_pct_mean", overlap, 1);
     let merged = merged_obs(points);
-    let totals = latency_fields(rates, merged.as_ref().map(|m| (&m.0, &m.1)))
+    let totals = latency_fields(rates, merged.as_ref().map(|m| (&m.0, &m.1)));
+    let totals = role_fields(totals, role_cpu_ns_per_task(points.iter().map(|p| &p.stream)))
         .put("failed", sum(|p| p.replay.fault.failed.len()))
         .put("poisoned", sum(|p| p.replay.fault.poisoned.len()))
         .put("retried_ok", sum(|p| p.replay.fault.retried_ok))
@@ -410,6 +442,27 @@ fn histogram_table(points: &[Point]) -> String {
         row(&mut table, "TOTAL".into(), (&m.0, &m.1));
     }
     table.render()
+}
+
+/// Renders the streamed runs' per-role CPU budget as a table; `None`
+/// in a NoopSink build.
+fn role_table(points: &[Point]) -> Option<String> {
+    let mut columns = vec!["Benchmark"];
+    columns.extend(Role::ALL.map(Role::name));
+    columns.push("all roles");
+    let mut table =
+        Table::new("Thread CPU per role, streamed runs (ns per task)".to_string(), &columns);
+    let mut row = |name: String, budget: RoleBudget| {
+        let mut cells = vec![name];
+        cells.extend(budget.iter().map(|&ns| fmt_f(ns, 1)));
+        cells.push(fmt_f(budget.iter().sum(), 1));
+        table.row(cells);
+    };
+    for p in points {
+        row(p.stream.benchmark.clone(), role_cpu_ns_per_task([&p.stream])?);
+    }
+    row("TOTAL".into(), role_cpu_ns_per_task(points.iter().map(|p| &p.stream))?);
+    Some(table.render())
 }
 
 /// The failure identity of a run: which tasks finally failed and which
@@ -578,6 +631,9 @@ fn main() {
         println!("{}", table.render());
         if args.histogram {
             println!("{}", histogram_table(&points));
+        }
+        if let Some(roles) = role_table(&points) {
+            println!("{roles}");
         }
         let (_, agg_ns, per_sec, headroom) = aggregate_decode(&points);
         println!(

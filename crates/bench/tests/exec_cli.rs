@@ -230,9 +230,21 @@ fn obs_build_writes_a_chrome_trace_and_latency_fields() {
 
     let bj = std::fs::read_to_string(&bench).expect("bench json written");
     assert!(bj.contains("\"schema\": \"tss-bench-exec/v5\""));
-    for key in ["latency_p50_ns", "latency_p99_ns", "latency_p999_ns", "queue_p999_ns"] {
+    for key in [
+        "latency_p50_ns",
+        "latency_p99_ns",
+        "latency_p999_ns",
+        "queue_p999_ns",
+        "cpu_setup_ns_per_task",
+        "cpu_scan_ns_per_task",
+        "cpu_commit_ns_per_task",
+        "cpu_workers_ns_per_task",
+        "cpu_finish_ns_per_task",
+    ] {
         assert!(bj.contains(key), "missing {key} in BENCH json");
     }
+    let table = String::from_utf8_lossy(&out.stdout);
+    assert!(table.contains("Thread CPU per role"), "no role table on stdout: {table}");
     assert!(bj.contains("\"hw_threads\""), "artifact must stamp the real core count");
     let baseline = include_str!("../../../ci/baselines/BENCH_exec_small.json");
     common::assert_carries_keys_of(&bj, baseline, None);

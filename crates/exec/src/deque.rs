@@ -62,11 +62,26 @@
 //! `top`, and the thief's wide CAS (top still `t`) would then
 //! double-claim it. Only index `top` itself is CAS-arbitrated, so only
 //! one-index claims are sound.
+//!
+//! # The injector is a different type
+//!
+//! That argument is about an owner that pops. The run's global ready
+//! queue has none — the window committer pushes roots, workers take
+//! them — so it is not a `ChaseLev` but an [`Injector`]: the same
+//! storage with `push` and a batch claim and, by type, no `pop`. With
+//! nobody popping, `bottom` only grows, an index at or above `top`
+//! leaves the queue by a `top` CAS and no other way, and one CAS from
+//! `t` to `t + k` claims the whole range — no fence, no per-item
+//! protocol ([`Injector::claim_batch_into`] has the access-by-access
+//! argument, DESIGN.md §8.1 the table).
 
 use crate::sync::atomic::{fence, AtomicIsize, AtomicPtr, AtomicU32, Ordering};
 use crate::sync::Mutex;
 
 use tss_sim::CachePadded;
+
+mod injector;
+pub use injector::Injector;
 
 /// Largest number of tasks one `steal_batch_into` moves (the stack
 /// staging buffer's size). Victims longer than `2 * BATCH_MAX` are
@@ -128,8 +143,8 @@ impl Buffer {
 /// [`push`](ChaseLev::push) and [`pop`](ChaseLev::pop) may be called by
 /// **one thread at a time** (the owner). Ownership may migrate between
 /// threads only through a happens-before edge (the executor hands the
-/// injector's owner role along its window-commit turn, which is such an
-/// edge). [`steal`](ChaseLev::steal) and
+/// [`Injector`]'s pusher role along its window-commit turn, which is
+/// such an edge). [`steal`](ChaseLev::steal) and
 /// [`steal_batch_into`](ChaseLev::steal_batch_into) are safe from any
 /// number of threads concurrently. Violating the owner contract cannot
 /// corrupt memory (cells are atomics) but can lose or duplicate tasks —

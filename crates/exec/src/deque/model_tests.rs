@@ -195,3 +195,55 @@ fn model_worker_loss_deque_adoption() {
         assert_eq!(got, vec![1, 2], "abandoned deque lost work (owner took {owned:?})");
     });
 }
+
+/// The push-only root queue (DESIGN.md §8.1): two claimers take
+/// batches by one wide `top` CAS each — no fence, no per-item
+/// protocol — while the pusher keeps appending and grows the buffer
+/// under them. Every pushed id is claimed exactly once: a claim that
+/// lost the CAS took nothing, a claim that won it took cells it had
+/// really observed (ids start at 1, so a cell copied before its write
+/// was visible shows as a 0). `--cfg tss_bug_claim_relaxed` weakens
+/// the `bottom` load those cells hang on and this test fails.
+#[test]
+fn model_injector_claims_every_push_exactly_once() {
+    let scenario = || {
+        let q = Arc::new(Injector::with_capacity(8));
+        for v in 1..=6 {
+            q.push(v);
+        }
+        let claimers: Vec<_> = (0..2)
+            .map(|_| {
+                let q = q.clone();
+                thread::spawn(move || {
+                    let dest = ChaseLev::with_capacity(8);
+                    let mut got = Vec::new();
+                    for _ in 0..2 {
+                        got.extend(q.claim_batch_into(&dest, 4));
+                        while let Some(v) = dest.pop() {
+                            got.push(v);
+                        }
+                    }
+                    got
+                })
+            })
+            .collect();
+        for v in 7..=12 {
+            q.push(v); // 8 cells: grows unless the claimers got well ahead
+        }
+        let mut all = Vec::new();
+        for c in claimers {
+            all.extend(c.join().unwrap());
+        }
+        let dest = ChaseLev::with_capacity(8);
+        while let Some(v) = q.claim_batch_into(&dest, 4) {
+            all.push(v);
+            while let Some(v) = dest.pop() {
+                all.push(v);
+            }
+        }
+        all.sort_unstable();
+        assert_eq!(all, (1..=12).collect::<Vec<u32>>(), "lost, duplicated, or stale value");
+    };
+    shuttle::check_pct(0x1A7E_C7ED, 600, 3, scenario);
+    shuttle::check_random(0x1A7E_C7ED, 600, scenario);
+}

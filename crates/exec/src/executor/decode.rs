@@ -6,8 +6,8 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
-use tss_obs::clock::Stamp;
-use tss_obs::{SpanStamp, WorkerObs};
+use tss_obs::clock::{CpuStamp, Stamp};
+use tss_obs::{Role as CpuRole, SpanStamp, WorkerObs};
 use tss_trace::TaskTrace;
 
 use super::release::CommitCursors;
@@ -128,7 +128,7 @@ impl<'a> DecodeShared<'a> {
     /// Commits every consecutively-ready window starting at the commit
     /// cursor. Called by whichever shard thread finished a window last;
     /// the commit mutex makes the committer role migrate safely (the
-    /// injector's owner contract rides the same lock).
+    /// injector's one-pusher contract rides the same lock).
     fn commit_ready<P: SchedPolicy>(&self, shared: &Shared<'_, P>, dobs: &mut WorkerObs) {
         let mut st = self.commit.lock().expect("commit state poisoned");
         let mut pushed_roots = false;
@@ -203,15 +203,19 @@ fn decode_loop<P: SchedPolicy>(
         let lo = w * dec.window;
         let hi = ((w + 1) * dec.window).min(dec.trace.len());
         let sp = SpanStamp::begin();
+        let cpu = CpuStamp::now();
         {
             let mut buf = dec.bufs[w][shard].lock().expect("window buffer poisoned");
             buf.reserve(pairs_before);
             state.scan(dec.trace, lo, hi, &mut buf);
             pairs_before = buf.len();
         }
+        dobs.role_cpu(CpuRole::Scan, cpu);
         dobs.scan(w as u32, sp, &shared.obs);
         if dec.scan_done[w].fetch_add(1, Ordering::AcqRel) + 1 == dec.shards {
+            let cpu = CpuStamp::now();
             dec.commit_ready(shared, &mut dobs);
+            dobs.role_cpu(CpuRole::Commit, cpu);
         }
     }
     (*state.stats(), dobs)

@@ -23,6 +23,16 @@
 //! - **Lock-free scheduling.** Per-worker [`ChaseLev`](crate::ChaseLev)
 //!   deques (owner LIFO, thief FIFO, batch stealing takes half) replace
 //!   the mutexed ring; the one lock left on the task hot path is gone.
+//!   The global ready queue is push-only by type
+//!   ([`Injector`](crate::deque::Injector)): a batch of roots is
+//!   claimed by one CAS. And a completion that readies successors keeps
+//!   the last one for its own worker to run next, without a push and a
+//!   pop, when the policy would have popped it straight back (the
+//!   scheduler bypass, §13.1).
+//! - **A locked instruction only where another thread can be racing.**
+//!   A counter nobody can be counting down yet is published by a plain
+//!   store; a pending list nobody can push onto any more is read, not
+//!   swapped closed (§8.2).
 //! - **Readiness.** Every task carries an atomic counter of producers
 //!   still to finish; whichever atomic op lands it exactly on zero owns
 //!   the push. A task no window has committed yet sits at a large
@@ -40,13 +50,20 @@
 //!   counts the edge as satisfied itself — the exactly-once handshake
 //!   (§8). It is the only way a completion finds its successors: a
 //!   graph committed before the run arrives with every list already
-//!   complete, linked in the order of the graph's successor rows.
+//!   complete, linked in the order of the graph's successor rows. Once
+//!   the last window has committed — from the start, for such a graph —
+//!   the table is *sealed*: no committer is left to tell, and a drain
+//!   reads its head instead of swapping it.
 //! - **Two-phase window commits.** A window is committed privately and
 //!   published once: first every edge of the window is registered —
 //!   with plain stores when its producer is in the same, still
 //!   unpublished window (it cannot have run, so nobody else can touch
 //!   its list), through the handshake above otherwise — and only then
-//!   are the window's tasks published, in order (§8.2).
+//!   are the window's tasks published, newest first: a task that waits
+//!   only for still-unpublished producers gets its counter by a plain
+//!   store, one an earlier window's drain may be counting down keeps
+//!   the RMW. The window's roots are pushed last, in program order
+//!   (§8.2).
 //! - **Memory by what is committed.** The list nodes live in one slab
 //!   sized to the edges runs register (`1.25 × operands`), with the rest
 //!   of the proven `3 × operands` bound in an overflow segment nobody
@@ -67,8 +84,9 @@
 //!
 //! With one worker there is no stealing and no ticket race. For a
 //! *two-phase* replay ([`Executor::run_oneshot`]) the order is then a
-//! pure function of the queue discipline (own deque LIFO over injector
-//! FIFO, batch banking preserves root order, a drain releases
+//! pure function of the queue discipline (own deque LIFO — the held
+//! last task of a batch being the one a pop would have returned — over
+//! injector FIFO, batch banking preserves root order, a drain releases
 //! successors in ascending id order) — bit-deterministic, and the
 //! determinism tests pin it, across commits too. A *streamed* 1-worker
 //! run is oracle-deterministic only: whether a task arrives via the
@@ -90,8 +108,8 @@ pub use report::{ExecReport, WorkerStats};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
-use tss_obs::clock::Stamp;
-use tss_obs::WorkerObs;
+use tss_obs::clock::{CpuStamp, Stamp};
+use tss_obs::{Role as CpuRole, RoleCpu, WorkerObs};
 use tss_trace::{OrderViolation, TaskId, TaskTrace};
 
 use self::decode::DecodeShared;
@@ -234,6 +252,11 @@ impl Executor {
         front: FrontEnd<'_>,
     ) -> Result<ExecReport, ExecError> {
         let cfg = &self.config;
+        // The submitter's two role clocks (DESIGN.md §12.6): set-up runs
+        // to the crew hand-off, finish from the crew's return.
+        // Zero-sized, and never read, in a NoopSink build.
+        let mut cpu = RoleCpu::default();
+        let setup = CpuStamp::now();
         let release = match front {
             FrontEnd::Stream => {
                 let operands: usize = trace.iter().map(|t| t.operands.len()).sum();
@@ -250,8 +273,9 @@ impl Executor {
                 // build) may sit between it and the run start.
                 let dec = DecodeShared::new(trace, cfg.window, cfg.decode_shards);
                 let mut scans: Vec<_> = (0..cfg.decode_shards).map(|_| None).collect();
-                let crew =
-                    self.run_crew(&shared, arena, dec.roles(&shared, cfg.renaming, &mut scans));
+                let roles = dec.roles(&shared, cfg.renaming, &mut scans);
+                cpu.charge(CpuRole::Setup, setup);
+                let crew = self.run_crew(&shared, arena, roles);
                 let exec_wall = dec.started.elapsed();
                 let (decode_wall, rename, decode_obs) = dec.finish(scans);
                 (RunTiming { decode_wall, exec_wall, streaming: true, rename, decode_obs }, crew)
@@ -264,6 +288,7 @@ impl Executor {
                     // exists, so their queue wait goes unmeasured —
                     // sampling loss, not bias (DESIGN.md §12.3).
                 }
+                cpu.charge(CpuRole::Setup, setup);
                 let t0 = Stamp::now();
                 let crew = self.run_crew(&shared, arena, Vec::new());
                 let exec_wall = t0.elapsed();
@@ -277,7 +302,13 @@ impl Executor {
                 (timing, crew)
             }
         };
-        self.finish(trace, shared, timing, crew)
+        let finish = CpuStamp::now();
+        let mut result = self.finish(trace, shared, timing, crew);
+        if let Ok(ExecReport { obs: Some(obs), .. }) = &mut result {
+            cpu.charge(CpuRole::Finish, finish);
+            obs.role_cpu.merge(&cpu);
+        }
+        result
     }
 
     /// Runs one graph's roles on a crew leased from the resident

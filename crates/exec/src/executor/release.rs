@@ -5,6 +5,10 @@
 //! is: a streamed run grows the lists window by window
 //! ([`StreamRelease::commit_window`]), a replay of an already-decoded
 //! graph starts with every list complete ([`StreamRelease::from_graph`]).
+//! A locked instruction is spent only where another thread can be
+//! racing: a counter nobody can be counting down yet is published by a
+//! plain store, and a list nobody can push onto any more — the table is
+//! *sealed* — is read, not swapped closed.
 
 use std::sync::OnceLock;
 
@@ -76,6 +80,39 @@ const UNPUBLISHED: i32 = 1 << 30;
 /// active (DESIGN.md §8.2).
 const PUBLISH_AFTER_WINDOW: bool = cfg!(not(tss_bug_private_after_publish));
 
+/// Whether the publish phase walks the window newest task first. A
+/// task whose outstanding producers are all of its own window gets its
+/// counter by a plain store, which is sound only while none of them is
+/// published — descending order publishes every producer after its
+/// consumers. `--cfg tss_bug_plain_publish_ascending` walks the window
+/// oldest first: a producer published (and made ready by an earlier
+/// window's drain) ahead of its consumer can run and count the consumer
+/// down before the store lands on top of the countdown.
+/// `model_plain_publish_never_loses_a_countdown` fails when active
+/// (DESIGN.md §8.2).
+const PUBLISH_DESCENDING: bool = cfg!(not(tss_bug_plain_publish_ascending));
+
+/// Ordering of the seal ([`StreamRelease::commit_window`]'s last
+/// store): the `Release` a drain's `Acquire` load of the seal pairs
+/// with, which is all that orders a sealed drain's plain head read
+/// after the registrations before it. `--cfg tss_bug_seal_relaxed`
+/// weakens it, so a drain may see the seal and a stale, shorter list.
+/// `model_sealed_drain_sees_every_edge` fails when active (§8.2).
+#[cfg(not(tss_bug_seal_relaxed))]
+const SEAL_PUBLISH: Ordering = Ordering::Release;
+#[cfg(tss_bug_seal_relaxed)]
+// relaxed: deliberately-weak seeded-bug arm, compiled only under --cfg
+// tss_bug_seal_relaxed; model_sealed_drain_sees_every_edge fails when
+// active (DESIGN.md §8.2)
+const SEAL_PUBLISH: Ordering = Ordering::Relaxed;
+
+/// Flag on a [`CommitCursors::unfinished`] entry: an edge of the task
+/// went onto the list of a producer an earlier window published, whose
+/// drain may therefore be counting the task down while the commit
+/// publishes it. Producer counts stay below [`UNPUBLISHED`], let alone
+/// this bit.
+const RACED: u32 = 1 << 31;
+
 /// The committer's side of a run's window commits: what one commit
 /// leaves for the next. Lives under the commit lock, so whichever
 /// thread is the committer is its only user.
@@ -86,11 +123,13 @@ pub(super) struct CommitCursors {
     /// Enforced (post-dedup) edges committed so far.
     pub(super) edges: usize,
     /// Reused storage: the merge's per-shard positions, one task's
-    /// producers, and — per task of the window in hand — the producers
-    /// it still waits for, kept from the first phase for the second.
+    /// producers, per task of the window in hand the producers it
+    /// still waits for (and whether one of them is [`RACED`]), kept from
+    /// the first phase for the second, and the roots the second found.
     merged: Vec<usize>,
     producers: Vec<u32>,
     unfinished: Vec<u32>,
+    roots: Vec<u32>,
 }
 
 /// The release table of one run. A producer's successor set is not
@@ -102,8 +141,14 @@ pub(super) struct CommitCursors {
 pub(super) struct StreamRelease {
     unready: Vec<AtomicI32>,
     /// Pending-list heads: `PENDING_NIL` empty, `PENDING_CLOSED` after
-    /// the owner completed and drained, else a node index.
+    /// the owner completed and drained an unsealed list, else a node
+    /// index.
     pending: Vec<AtomicU32>,
+    /// Nonzero once every list is final: from construction for a graph
+    /// decoded beforehand, from the commit of the last window
+    /// otherwise. A drain that sees it reads its head and closes
+    /// nothing — there is no committer left to tell.
+    sealed: AtomicU8,
     /// Node slab, first segment: `(next << 32) | succ`, bump-allocated
     /// by the window committer (the commit lock serializes allocation).
     /// Sized to the edges a run registers, not to the bound on them
@@ -160,6 +205,7 @@ impl StreamRelease {
         StreamRelease {
             unready: (0..n).map(|_| AtomicI32::new(UNPUBLISHED)).collect(),
             pending: (0..n).map(|_| AtomicU32::new(PENDING_NIL)).collect(),
+            sealed: AtomicU8::new(0),
             nodes: zeroed_nodes(primary.min(edge_bound)),
             overflow: OnceLock::new(),
             edge_bound,
@@ -170,7 +216,8 @@ impl StreamRelease {
     /// committing before any task completed would have left it — built
     /// directly, not by replaying those commits: counters at the exact
     /// producer counts (no sentinel to fold away), every edge already
-    /// on its producer's list. The node slab is laid out in the graph's
+    /// on its producer's list, and the table sealed — the crew hand-off
+    /// publishes all of it. The node slab is laid out in the graph's
     /// CSR order, each node linking to its right-hand neighbour, so a
     /// drain visits `graph.succs(p)` front to back — the order a direct
     /// CSR walk released them in, which the one-worker determinism
@@ -195,6 +242,7 @@ impl StreamRelease {
         StreamRelease {
             unready: (0..n).map(|t| AtomicI32::new(graph.pred_count(t) as i32)).collect(),
             pending,
+            sealed: AtomicU8::new(1),
             nodes,
             overflow: OnceLock::new(),
             edge_bound: edges,
@@ -211,7 +259,8 @@ impl StreamRelease {
     fn load_node(&self, nodes: &[AtomicU64], i: u32) -> u64 {
         match nodes.get(i as usize) {
             // relaxed: node read after winning the swap of the pending
-            // head; the swap orders the list
+            // head, or after the Acquire load that saw the seal; either
+            // orders the list
             Some(node) => node.load(Ordering::Relaxed),
             // relaxed: as above, in the overflow segment
             None => self.overflow_node(i as usize - nodes.len()).load(Ordering::Relaxed),
@@ -250,7 +299,9 @@ impl StreamRelease {
     /// how many it visited. Every edge registered up to the swap is
     /// drained here; every edge registered after sees `CLOSED` and
     /// counts itself satisfied at the commit (§8 exactly-once
-    /// handshake).
+    /// handshake). On a sealed table no edge comes after: the head is
+    /// read, ordered after every registration by the seal's
+    /// release/acquire pair, and left as it is.
     #[inline]
     fn drain(
         &self,
@@ -263,7 +314,13 @@ impl StreamRelease {
         // `OnceLock`, so past the (never taken) overflow call the
         // compiler would have to reload their headers per node.
         let (nodes, unready) = (&self.nodes[..], &self.unready[..]);
-        let mut head = self.pending[t as usize].swap(PENDING_CLOSED, close);
+        let mut head = if self.sealed.load(Ordering::Acquire) != 0 {
+            // relaxed: head of a sealed list; the Acquire load of the
+            // seal just above orders it after every registration
+            self.pending[t as usize].load(Ordering::Relaxed)
+        } else {
+            self.pending[t as usize].swap(PENDING_CLOSED, close)
+        };
         let mut drained = 0;
         while head != PENDING_NIL {
             let node = self.load_node(nodes, head);
@@ -349,9 +406,18 @@ impl StreamRelease {
     /// by an earlier one, the committer owning the satisfaction (and
     /// the poison) of an edge whose producer already drained.
     ///
-    /// **Publish.** Only then is each task published, in ascending
-    /// order, and `ready` called for the ones no producer holds back —
-    /// the window's roots, in program order.
+    /// **Publish.** Only then is each task published — newest first —
+    /// and, once all are, `ready` called for the ones no producer holds
+    /// back: the window's roots, in program order. Newest first,
+    /// because a task none of whose edges went through the handshake
+    /// waits only for producers of this window, which are older and so
+    /// still unpublished when its turn comes: nobody can be counting it
+    /// down, and its counter is a plain store ([`StreamRelease::publish`]).
+    /// Roots afterwards and oldest first, because the injector is FIFO:
+    /// the order roots go in is the order a lone worker runs them, which
+    /// the committed one-worker digest pins.
+    ///
+    /// The commit of the last window seals the table.
     pub(super) fn commit_window(
         &self,
         (lo, hi): (usize, usize),
@@ -363,12 +429,12 @@ impl StreamRelease {
         // The node cursor lives in a local for the length of the commit:
         // bumped per edge, written back once.
         let mut next_node = at.next_node;
-        let CommitCursors { edges, merged, producers, unfinished, .. } = at;
+        let CommitCursors { edges, merged, producers, unfinished, roots, .. } = at;
         merged.clear();
         merged.resize(pairs.len(), 0);
         unfinished.clear();
         merge_window(lo, hi, pairs, merged, producers, |s, preds| {
-            let mut satisfied = 0;
+            let (mut satisfied, mut raced) = (0, 0);
             for &p in preds {
                 if p as usize >= lo {
                     self.register_unpublished(next_node, p, s);
@@ -376,7 +442,10 @@ impl StreamRelease {
                     continue;
                 }
                 match self.register_edge(next_node, p, s, status) {
-                    EdgeFate::Registered => next_node += 1,
+                    EdgeFate::Registered => {
+                        next_node += 1;
+                        raced = RACED;
+                    }
                     // Either way the node slot stays free for the next edge.
                     EdgeFate::SatisfiedHealthy => satisfied += 1,
                     EdgeFate::SatisfiedPoisoned => {
@@ -389,31 +458,61 @@ impl StreamRelease {
                 }
             }
             *edges += preds.len();
-            let left = (preds.len() - satisfied) as u32;
+            let left = (preds.len() - satisfied) as u32 | raced;
             if PUBLISH_AFTER_WINDOW {
                 unfinished.push(left);
             } else if self.publish(s, left) {
                 ready(s);
             }
         });
-        for (s, &left) in (lo as u32..).zip(unfinished.iter()) {
-            if self.publish(s, left) {
-                ready(s);
+        roots.clear();
+        let n = unfinished.len();
+        for k in 0..n {
+            let i = if PUBLISH_DESCENDING { n - 1 - k } else { k };
+            let s = (lo + i) as u32;
+            if self.publish(s, unfinished[i]) {
+                roots.push(s);
             }
         }
+        for &s in roots.iter().rev() {
+            ready(s);
+        }
         at.next_node = next_node;
+        if hi == self.unready.len() {
+            // No commit comes after this one: every list is final.
+            self.sealed.store(1, SEAL_PUBLISH);
+        }
     }
 
-    /// Publishes task `s`, `unfinished` of whose producers are still to
-    /// finish: folds the [`UNPUBLISHED`] sentinel away. Whichever
-    /// atomic op lands the counter exactly on zero owns the push —
-    /// returns whether this one did. The release half is also what
-    /// hands the edges registered privately on `s`'s own list to the
-    /// worker that will drain it.
+    /// Publishes task `s`, whose `unfinished` entry counts the producers
+    /// still to finish and flags whether one of them is [`RACED`]:
+    /// replaces the [`UNPUBLISHED`] sentinel by the count, and returns
+    /// whether that made `s` ready (the caller owns the push).
+    ///
+    /// A raced task may already have been counted down through the
+    /// sentinel, so the sentinel is folded away by an RMW, and whichever
+    /// atomic op lands the counter exactly on zero owns the push. A
+    /// task that is not waits only for unpublished producers — nothing
+    /// has touched its counter and nothing can until they are published,
+    /// later in this commit — so the count is stored plainly, with no
+    /// ordering of its own: every path from here to a worker that
+    /// decrements the counter, or drains `s`'s own privately registered
+    /// list, passes through a later release of this committer's — the
+    /// injector push of a root (`bottom`'s `Release` store, §8.1), or
+    /// the publish RMW of a raced producer, which an earlier window's
+    /// drain continues as an RMW chain (DESIGN.md §8.2).
     #[inline]
     fn publish(&self, s: u32, unfinished: u32) -> bool {
-        let delta = unfinished as i32 - UNPUBLISHED;
-        self.unready[s as usize].fetch_add(delta, Ordering::AcqRel) + delta == 0
+        let counter = &self.unready[s as usize];
+        if unfinished & RACED == 0 {
+            // relaxed: counter of a task all of whose outstanding
+            // producers are unpublished; carried to its first decrement
+            // by the committer's later releases (see above)
+            counter.store(unfinished as i32, Ordering::Relaxed);
+            return unfinished == 0;
+        }
+        let delta = (unfinished & !RACED) as i32 - UNPUBLISHED;
+        counter.fetch_add(delta, Ordering::AcqRel) + delta == 0
     }
 
     /// Called exactly once per completed task `t`; appends every task
@@ -463,11 +562,11 @@ mod tests {
     use crate::renamer::Renamer;
     use tss_workloads::{Benchmark, Scale};
 
-    /// A graph-seeded table is the CSR, relinked: counters at the
-    /// producer counts, and `release(p)` — the real drain, made to
-    /// report every visit by arming each successor's counter at one —
-    /// yields exactly `TaskGraph::succs(p)`, in order, and closes the
-    /// list.
+    /// A graph-seeded table is the CSR, relinked, and sealed: counters
+    /// at the producer counts, and `release(p)` — the real drain, made
+    /// to report every visit by arming each successor's counter at one
+    /// — visits exactly `TaskGraph::succs(p)`, in order, and swaps
+    /// nothing: every head reads after the drains what it read before.
     #[test]
     fn graph_seeded_table_drains_the_csr_in_order() {
         let obs = SharedObs::new();
@@ -478,6 +577,10 @@ mod tests {
             for (t, counter) in table.unready.iter().enumerate() {
                 assert_eq!(counter.load(Ordering::Acquire), graph.pred_count(t) as i32, "{b}: {t}");
             }
+            let heads = |t: &StreamRelease| -> Vec<u32> {
+                t.pending.iter().map(|h| h.load(Ordering::Acquire)).collect()
+            };
+            let before = heads(&table);
             let mut visited = Vec::new();
             for p in 0..graph.len() {
                 for &s in graph.succs(p) {
@@ -487,9 +590,44 @@ mod tests {
                 table.release(p as u32, &mut visited, &obs);
                 assert_eq!(visited, graph.succs(p), "{b}: producer {p}");
             }
-            let closed = |h: &AtomicU32| h.load(Ordering::Acquire) == PENDING_CLOSED;
-            assert!(table.pending.iter().all(closed), "{b}: a head was left open");
+            assert_eq!(heads(&table), before, "{b}: a sealed drain wrote a head");
         }
+    }
+
+    /// A streamed table seals itself with the commit of its last window
+    /// and not before: until then a drain closes its list, so that a
+    /// later commit finds out the producer is done; after, it leaves
+    /// the list as it is. And a window's roots reach `ready` in program
+    /// order although the window is published newest first.
+    #[test]
+    fn the_last_commit_seals_and_roots_come_in_program_order() {
+        let obs = SharedObs::new();
+        let table = StreamRelease::new(6, 6);
+        let status: Vec<AtomicU8> = (0..6).map(|_| AtomicU8::new(HEALTHY)).collect();
+        let mut at = CommitCursors::default();
+        let mut roots = Vec::new();
+        // Window one: 0 and 2 are roots, 0 → 1; window two: 3 and 5 are
+        // roots, 1 → 4 across the boundary.
+        table.commit_window((0, 3), &[vec![(1, 0)]], &status, &mut at, |r| roots.push(r));
+        assert_eq!(roots, [0, 2]);
+        assert_eq!(table.sealed.load(Ordering::Acquire), 0, "sealed before the last window");
+        let mut ready = Vec::new();
+        table.release(2, &mut ready, &obs);
+        assert_eq!(table.pending[2].load(Ordering::Acquire), PENDING_CLOSED);
+        table.commit_window((3, 6), &[vec![(4, 1)]], &status, &mut at, |r| roots.push(r));
+        assert_eq!(roots, [0, 2, 3, 5]);
+        assert_ne!(table.sealed.load(Ordering::Acquire), 0, "the last window did not seal");
+        table.release(0, &mut ready, &obs);
+        assert_eq!(ready, [1]);
+        assert_ne!(
+            table.pending[0].load(Ordering::Acquire),
+            PENDING_CLOSED,
+            "a sealed drain swapped"
+        );
+        table.release(1, &mut ready, &obs);
+        assert_eq!(ready, [1, 4]);
+        let left: Vec<i32> = table.unready.iter().map(|c| c.load(Ordering::Acquire)).collect();
+        assert_eq!(left, [0; 6]);
     }
 
     /// The slab's second segment: untouched (unallocated) while the
@@ -562,117 +700,8 @@ mod tests {
     }
 }
 
-/// Model-checked interleaving test for the poison publish (DESIGN.md
-/// §10.3). Compiled only under `RUSTFLAGS="--cfg tss_model_check"`.
+/// Model-checked interleaving tests of the table's handshakes
+/// (DESIGN.md §10.3), in `release/model_tests.rs`. Compiled only under
+/// `RUSTFLAGS="--cfg tss_model_check"`.
 #[cfg(all(test, tss_model_check))]
-mod model_tests {
-    use super::*;
-    use shuttle::thread;
-    use std::sync::Arc;
-
-    /// The §11 poison-publish handshake: a failing producer stores its
-    /// FAILED status byte and closes its pending list
-    /// (`poison_release`) while a window committer races to register an
-    /// edge from it (`register_edge`). In every interleaving the
-    /// successor ends up POISONED — either the producer's drain marks
-    /// it (edge registered in time) or the committer observes the
-    /// CLOSED head *and* the FAILED byte behind it
-    /// (`EdgeFate::SatisfiedPoisoned`). The release half of the
-    /// `POISON_PUBLISH` swap is what carries the byte across the second
-    /// path: `--cfg tss_bug_poison_relaxed` weakens exactly that swap
-    /// and this test fails — without the release edge the committer's
-    /// `Acquire` head loads are never forced past the stale head (the
-    /// model flags the retry loop as a livelock), and a schedule that
-    /// does observe CLOSED may still read a stale HEALTHY byte behind
-    /// it. The CI negative gate proves the model keeps catching it.
-    #[test]
-    fn model_poison_publish_reaches_the_committer() {
-        let report = shuttle::check_exhaustive(300_000, || {
-            let sr = Arc::new(StreamRelease::new(2, 4));
-            let status: Arc<Vec<AtomicU8>> =
-                Arc::new((0..2).map(|_| AtomicU8::new(HEALTHY)).collect());
-            let (sr2, st2) = (sr.clone(), status.clone());
-            let producer = thread::spawn(move || {
-                // The resolve_failure shape: FAILED first, close second.
-                // relaxed: model test: producer-side plain store; the
-                // poison_release close under test provides the publish edge
-                st2[0].store(FAILED, Ordering::Relaxed);
-                let mut ready = Vec::new();
-                sr2.poison_release(0, &st2, &mut ready);
-            });
-            let fate = sr.register_edge(0, 0, 1, &status);
-            producer.join().unwrap();
-            match fate {
-                EdgeFate::Registered => {
-                    // The drain owned the edge: it must have poisoned
-                    // the successor on its way through.
-                    // relaxed: model test: assertion read after the
-                    // producer joined
-                    assert_eq!(
-                        status[1].load(Ordering::Relaxed),
-                        POISONED,
-                        "drain missed a registered edge"
-                    );
-                }
-                EdgeFate::SatisfiedPoisoned => {} // committer poisons s
-                EdgeFate::SatisfiedHealthy => {
-                    panic!("committer read a stale HEALTHY byte for a failed producer")
-                }
-            }
-        });
-        assert!(report.complete, "budget too small: {} schedules", report.schedules);
-    }
-
-    /// The two-phase window commit (DESIGN.md §8.2): the committer puts
-    /// window `{p, s}` with its one edge `p → s` into the table — the
-    /// edge registered with plain stores, `p` being of the window — and
-    /// a worker runs `p` and drains its list the moment `p` is pushed.
-    /// The injector is reduced to what the protocol needs of it: a
-    /// `Release` store that the worker's `Acquire` load pairs with
-    /// (§8.1's `bottom`). In every interleaving `s` is counted down
-    /// exactly once and becomes ready exactly once — by the commit's
-    /// publish when `p` drained first, by `p`'s drain otherwise — which
-    /// holds only because `p` is published after the edge is on its
-    /// list. `--cfg tss_bug_private_after_publish` publishes each task
-    /// as soon as its own edges are in, `p` before `s` registers: the
-    /// worker can then close `p`'s list first, the private store
-    /// overwrites `CLOSED` and nobody ever counts `s` down — or the
-    /// worker's swap finds the new head with nothing ordering the node
-    /// behind it, reads the slot's initial zeros and walks node 0 for
-    /// ever, which is how the model reports it first (a livelock). The
-    /// CI negative gate proves the model keeps catching it.
-    #[test]
-    fn model_private_commit_never_loses_an_edge() {
-        let report = shuttle::check_exhaustive(300_000, || {
-            let sr = Arc::new(StreamRelease::new(2, 1));
-            let status = [AtomicU8::new(HEALTHY), AtomicU8::new(HEALTHY)];
-            let pushed = Arc::new(AtomicU32::new(0)); // bit t: task t is on the injector
-            let (sr2, pushed2) = (sr.clone(), pushed.clone());
-            let worker = thread::spawn(move || {
-                let mut released = Vec::new();
-                let ran = pushed2.load(Ordering::Acquire) & 1 != 0;
-                if ran {
-                    sr2.release(0, &mut released, &SharedObs::new());
-                }
-                (ran, released)
-            });
-            let mut roots = Vec::new();
-            let mut cursors = CommitCursors::default();
-            sr.commit_window((0, 2), &[vec![(1, 0)]], &status, &mut cursors, |root| {
-                roots.push(root);
-                pushed.fetch_add(1 << root, Ordering::Release);
-            });
-            let (ran, mut released) = worker.join().unwrap();
-            if !ran {
-                // Nobody took `p` while the commit ran: it runs now.
-                sr.release(0, &mut released, &SharedObs::new());
-            }
-            assert_eq!(cursors.edges, 1);
-            assert_eq!(roots.first(), Some(&0), "p has no producer: the commit pushes it");
-            let became_ready = roots.iter().chain(&released).filter(|&&t| t == 1).count();
-            assert_eq!(became_ready, 1, "roots {roots:?}, p's drain released {released:?}");
-            assert_eq!(sr.unready[1].load(Ordering::Acquire), 0, "s not counted down once");
-        });
-        assert!(report.complete, "budget too small: {} schedules", report.schedules);
-    }
-}
+mod model_tests;

@@ -12,7 +12,7 @@ use super::parker::Parker;
 use super::release::{StreamRelease, HEALTHY};
 use super::watchdog::{WatchGate, WatchSlot};
 use super::{CancelToken, ExecConfig};
-use crate::deque::ChaseLev;
+use crate::deque::{ChaseLev, Injector};
 use crate::fault::{FailedTask, FailurePolicy, FaultPlan};
 use crate::payload::PayloadMode;
 use crate::sched::SchedPolicy;
@@ -35,7 +35,8 @@ pub(super) struct Shared<'a, P: SchedPolicy> {
     /// every task has executed.
     pub(super) next_ticket: CachePadded<AtomicUsize>,
     pub(super) deques: Vec<ChaseLev>,
-    pub(super) injector: ChaseLev,
+    /// The committer's push-only root queue (DESIGN.md §8.1).
+    pub(super) injector: Injector,
     pub(super) parker: Parker,
     pub(super) payload: PayloadMode,
 
@@ -130,7 +131,7 @@ impl<P: SchedPolicy> Shared<'_, P> {
             order: (0..n).map(|_| AtomicU32::new(u32::MAX)).collect(),
             next_ticket: CachePadded::new(AtomicUsize::new(0)),
             deques: (0..threads).map(|_| ChaseLev::with_capacity(256)).collect(),
-            injector: ChaseLev::with_capacity(1024),
+            injector: Injector::with_capacity(1024),
             parker: Parker::new(),
             payload,
             status: (0..n).map(|_| AtomicU8::new(HEALTHY)).collect(),

@@ -8,8 +8,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 // All wall-clock reads go through the tss-obs timestamp facade (tss-lint
 // bans raw Instant::now() in this crate, DESIGN.md §12.1); the sinks
 // are zero-sized no-ops unless the `obs` feature is on.
-use tss_obs::clock::Stamp;
-use tss_obs::{SpanStamp, WorkerObs};
+use tss_obs::clock::{CpuStamp, Stamp};
+use tss_obs::{Role as CpuRole, SpanStamp, WorkerObs};
 use tss_trace::TaskId;
 
 use super::release::{FAILED, HEALTHY};
@@ -24,6 +24,19 @@ use crate::payload::{PayloadMode, PayloadScratch};
 use crate::sched::SchedPolicy;
 use crate::sync::atomic::{AtomicU32, Ordering};
 
+/// What a completion hands its worker's loop, beside what it pushed:
+/// the reused batch buffer, and the scheduler bypass slot (DESIGN.md
+/// §13.1) — the last task of the batch, when the policy runs it next
+/// anyway, kept here instead of pushed to the deque and popped straight
+/// back through §8.1's fence. Worker-private: nobody can steal `next`,
+/// so the loop takes it before anything else, and a worker that stops
+/// between tasks ([`worker_loop`]'s kill) puts it back on its deque
+/// first.
+struct Released {
+    batch: Vec<u32>,
+    next: Option<u32>,
+}
+
 /// Takes the completion ticket for `t` and releases its successors —
 /// healthily or (for a FAILED/POISONED `t`) with cone poisoning. Every
 /// task, whatever its fate, takes a ticket: the ticket counter is the
@@ -34,10 +47,12 @@ fn complete<P: SchedPolicy>(
     t: u32,
     w: usize,
     shared: &Shared<'_, P>,
-    ready: &mut Vec<u32>,
+    out: &mut Released,
     wobs: &mut WorkerObs,
     poisoned: bool,
 ) {
+    let Released { batch: ready, next } = out;
+    debug_assert!(next.is_none(), "the loop takes the held task before running another");
     // Policy bookkeeping (load-gauge decay) before the release: every
     // completed task — poisoned included — balances its dispatch
     // credit. A no-op for every policy without gauges.
@@ -62,6 +77,19 @@ fn complete<P: SchedPolicy>(
     // popped LIFO, so ascending cost runs the costliest first. The
     // default is the identity and folds away.
     shared.sched.prepare(ready);
+    let released = ready.len();
+    // Scheduler bypass: under a policy whose owner would pop the last
+    // task it pushes, that task is the one this worker runs next — it
+    // skips the deque. A sampled one still leaves its Spawn event, so
+    // the Task slice that follows pairs with a queue wait of ~zero.
+    if shared.sched.runs_last_ready_next() {
+        *next = ready.pop();
+        if let Some(s) = *next {
+            if tss_obs::sampled(s) {
+                wobs.spawn(s, &shared.obs);
+            }
+        }
+    }
     let mut routed = 0usize;
     for &s in ready.iter() {
         // The policy decides where the task goes: the own deque (the
@@ -96,7 +124,7 @@ fn complete<P: SchedPolicy>(
         // under policies whose `dispatch` is the baseline.
         shared.parker.wake_all();
         wobs.wake(&shared.obs);
-    } else if ready.len() >= 2 && shared.parker.has_idle() {
+    } else if released >= 2 && shared.parker.has_idle() {
         // Surplus banked beyond what this worker immediately runs: one
         // thief's worth of news, one wake — not PR 3's per-completion
         // notify_all storm.
@@ -146,7 +174,7 @@ fn run_task<P: SchedPolicy>(
     shared: &Shared<'_, P>,
     scratch: &mut PayloadScratch<'_>,
     stats: &mut WorkerStats,
-    ready: &mut Vec<u32>,
+    out: &mut Released,
     wobs: &mut WorkerObs,
 ) {
     // relaxed: tainted poll; a poisoned task's delivery carries the flag
@@ -154,7 +182,7 @@ fn run_task<P: SchedPolicy>(
     if shared.guarded || shared.tainted.load(Ordering::Relaxed) != 0 {
         // Chaos, deadlines, or an earlier failure: the guarded lane
         // owns poison checks and the containment state machine.
-        return run_task_guarded(t, w, shared, scratch, stats, ready, wobs);
+        return run_task_guarded(t, w, shared, scratch, stats, out, wobs);
     }
     // Sampled execution-latency span: a clock read only for 1-in-
     // SAMPLE_EVERY tasks on RingSink builds, nothing at all on NoopSink
@@ -163,7 +191,7 @@ fn run_task<P: SchedPolicy>(
     match run_payload(t, shared, scratch, None) {
         Ok(_) => {
             stats.executed += 1;
-            complete(t, w, shared, ready, wobs, false);
+            complete(t, w, shared, out, wobs, false);
             // After `complete`: the span covers payload + successor
             // release, the full service time a waiter observes.
             wobs.task_end(t, tb, &shared.obs);
@@ -175,7 +203,7 @@ fn run_task<P: SchedPolicy>(
             // release edges publish it with the poison (DESIGN.md §11.4)
             shared.tainted.store(1, Ordering::Relaxed);
             let failure = TaskFailure::Panicked { message: panic_message(&*payload) };
-            resolve_failure(t, w, shared, scratch, stats, ready, wobs, 1, failure);
+            resolve_failure(t, w, shared, scratch, stats, out, wobs, 1, failure);
         }
     }
 }
@@ -189,13 +217,13 @@ fn run_task_guarded<P: SchedPolicy>(
     shared: &Shared<'_, P>,
     scratch: &mut PayloadScratch<'_>,
     stats: &mut WorkerStats,
-    ready: &mut Vec<u32>,
+    out: &mut Released,
     wobs: &mut WorkerObs,
 ) {
     // The status byte was stored before the countdown/publish that made
     // `t` ready, and the deque transfer carries it here (§11).
     if shared.status[t as usize].load(Ordering::Acquire) != HEALTHY {
-        complete(t, w, shared, ready, wobs, true);
+        complete(t, w, shared, out, wobs, true);
         wobs.task_poisoned(t, &shared.obs);
         return;
     }
@@ -208,14 +236,14 @@ fn run_task_guarded<P: SchedPolicy>(
                 // workers joined
                 shared.retry_hist[0].fetch_add(1, Ordering::Relaxed);
             }
-            complete(t, w, shared, ready, wobs, false);
+            complete(t, w, shared, out, wobs, false);
             wobs.task_end(t, tb, &shared.obs);
         }
         Err(AttemptError::Failed(failure)) => {
             // relaxed: tainted set on first failure; the failing task's
             // release edges publish it with the poison (DESIGN.md §11.4)
             shared.tainted.store(1, Ordering::Relaxed);
-            resolve_failure(t, w, shared, scratch, stats, ready, wobs, 1, failure);
+            resolve_failure(t, w, shared, scratch, stats, out, wobs, 1, failure);
         }
         Err(AttemptError::Aborted) => {}
     }
@@ -323,7 +351,7 @@ fn resolve_failure<P: SchedPolicy>(
     shared: &Shared<'_, P>,
     scratch: &mut PayloadScratch<'_>,
     stats: &mut WorkerStats,
-    ready: &mut Vec<u32>,
+    out: &mut Released,
     wobs: &mut WorkerObs,
     mut attempt: u32,
     mut failure: TaskFailure,
@@ -346,7 +374,7 @@ fn resolve_failure<P: SchedPolicy>(
                     // all workers joined
                     shared.retry_hist[(attempt - 1) as usize].fetch_add(1, Ordering::Relaxed);
                 }
-                complete(t, w, shared, ready, wobs, false);
+                complete(t, w, shared, out, wobs, false);
                 return;
             }
             Err(AttemptError::Failed(f)) => failure = f,
@@ -380,7 +408,7 @@ fn resolve_failure<P: SchedPolicy>(
             // POISON_PUBLISH pending-close or countdown chain
             // (DESIGN.md §11.2)
             shared.status[t as usize].store(FAILED, Ordering::Relaxed);
-            complete(t, w, shared, ready, wobs, true);
+            complete(t, w, shared, out, wobs, true);
             wobs.task_poisoned(t, &shared.obs);
         }
     }
@@ -406,16 +434,26 @@ pub(super) fn worker_loop<P: SchedPolicy>(
     let mut stats = WorkerStats::default();
     let mut wobs = WorkerObs::new();
     // The whole-worker span guarantees every worker track carries at
-    // least one event, even for a worker that never won a task.
+    // least one event, even for a worker that never won a task; the
+    // role clock beside it charges the loop's CPU to the workers' role
+    // (DESIGN.md §12.6). Both close wherever the role returns.
     let span = SpanStamp::begin();
+    let cpu = CpuStamp::now();
+    let close_spans = |wobs: &mut WorkerObs| {
+        wobs.worker_span(w as u32, span, &shared.obs);
+        wobs.role_cpu(CpuRole::Workers, cpu);
+    };
     let mut scratch = if shared.payload.copies() {
         PayloadScratch::new(arena)
     } else {
         PayloadScratch::without_buffers()
     };
-    let mut ready: Vec<u32> = Vec::with_capacity(64);
+    let mut out = Released { batch: Vec::with_capacity(64), next: None };
     let mut rng = seed ^ (w as u64).wrapping_mul(0xA076_1D64_78BD_642F);
     let me = &shared.deques[w];
+    // What this worker runs next: the task its last completion held
+    // back (§13.1), else whatever the policy takes from its deque.
+    let take_next = |out: &mut Released| out.next.take().or_else(|| shared.sched.take_local(w, me));
     // Victim scan order, refilled by the policy each idle scan (reused
     // so the steady state allocates nothing).
     let mut victims: Vec<usize> = Vec::with_capacity(shared.deques.len());
@@ -426,21 +464,32 @@ pub(super) fn worker_loop<P: SchedPolicy>(
         Some(k) if k == w => 1,
         _ => u64::MAX,
     };
+    // What a killed role leaves behind: the task it held goes back on
+    // its deque, where the survivors' steals adopt it with the rest,
+    // and everyone is woken to rescan.
+    let abandon = |out: &mut Released| {
+        if let Some(t) = out.next.take() {
+            me.push(t);
+        }
+        shared.parker.wake_all();
+    };
 
     loop {
-        // Fast path: drain the own deque depth-first. No epoch or done
+        // Fast path: drain the held task and the own deque depth-first
+        // (a task the idle path below ran may have held one back, so the
+        // idle scans only ever start with the slot empty). No epoch or done
         // loads per task — those belong to the idle path. The burst is
         // clocked as one span: two clock reads however many tasks
         // drain, and the Burst ring event reuses exactly those two
         // stamps (zero extra reads, DESIGN.md §12.3).
-        if let Some(t) = shared.sched.take_local(w, me) {
+        if let Some(t) = take_next(&mut out) {
             let burst = Stamp::now();
             let before = stats.executed;
-            run_task(t, w, shared, &mut scratch, &mut stats, &mut ready, &mut wobs);
+            run_task(t, w, shared, &mut scratch, &mut stats, &mut out, &mut wobs);
             while stats.executed < kill_after {
-                match shared.sched.take_local(w, me) {
+                match take_next(&mut out) {
                     Some(t) => {
-                        run_task(t, w, shared, &mut scratch, &mut stats, &mut ready, &mut wobs)
+                        run_task(t, w, shared, &mut scratch, &mut stats, &mut out, &mut wobs)
                     }
                     None => break,
                 }
@@ -449,10 +498,8 @@ pub(super) fn worker_loop<P: SchedPolicy>(
             stats.busy += end.since(burst);
             wobs.burst(burst, end, stats.executed - before, &shared.obs);
             if stats.executed >= kill_after {
-                // Leave abandoned work visible: wake everyone so the
-                // survivors rescan and adopt this deque.
-                shared.parker.wake_all();
-                wobs.worker_span(w as u32, span, &shared.obs);
+                abandon(&mut out);
+                close_spans(&mut wobs);
                 return WorkerExit::Killed(stats, wobs);
             }
         }
@@ -465,7 +512,7 @@ pub(super) fn worker_loop<P: SchedPolicy>(
         let task = shared
             .sched
             .take_routed(w)
-            .or_else(|| shared.injector.steal_batch_into(me, BATCH_MAX))
+            .or_else(|| shared.injector.claim_batch_into(me, BATCH_MAX))
             .or_else(|| {
                 // The policy orders the victim scan (baseline: one
                 // random rotation over everyone else; locality: own
@@ -495,13 +542,13 @@ pub(super) fn worker_loop<P: SchedPolicy>(
                 }
                 let burst = Stamp::now();
                 let before = stats.executed;
-                run_task(t, w, shared, &mut scratch, &mut stats, &mut ready, &mut wobs);
+                run_task(t, w, shared, &mut scratch, &mut stats, &mut out, &mut wobs);
                 let end = Stamp::now();
                 stats.busy += end.since(burst);
                 wobs.burst(burst, end, stats.executed - before, &shared.obs);
                 if stats.executed >= kill_after {
-                    shared.parker.wake_all();
-                    wobs.worker_span(w as u32, span, &shared.obs);
+                    abandon(&mut out);
+                    close_spans(&mut wobs);
                     return WorkerExit::Killed(stats, wobs);
                 }
             }
@@ -515,7 +562,7 @@ pub(super) fn worker_loop<P: SchedPolicy>(
             }
         }
     }
-    wobs.worker_span(w as u32, span, &shared.obs);
+    close_spans(&mut wobs);
     WorkerExit::Finished(stats, wobs)
 }
 

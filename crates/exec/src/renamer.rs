@@ -29,8 +29,8 @@
 //! interns an address to an index, and a dense `Vec` holds one 64-byte
 //! `ObjectVersion` per object — writer, reader count and 14 inline
 //! readers as `u32`s, hot fields first; the one version in a hundred
-//! with more readers keeps the rest in a side map, behind out-of-line
-//! calls so that the scan loop stays tight. Entries land in the `Vec`
+//! with more readers keeps the rest in a list its entry indexes, behind
+//! out-of-line calls so that the scan loop stays tight. Entries land in the `Vec`
 //! in first-touch order, which is what keeps the table cache-resident.
 //! Tried and dropped, so nobody repeats them (DESIGN.md §8.3,
 //! EXPERIMENTS.md "PR 20"): a one-level open-addressed table of
@@ -155,8 +155,10 @@ const INLINE_READERS: usize = 14;
 /// One in-flight version of a memory object, as the ORTs track it: 64
 /// bytes — a cache line's worth, hot fields first — owning no heap. A
 /// version with more than [`INLINE_READERS`] readers keeps the rest in
-/// its shard's side map (`ShardState::spilled`), so the common entry
-/// pays for no `Vec` header. Deliberately *not* `align(64)`: an
+/// a list of its shard's (`ShardState::spilled`), reached from the
+/// entry: its last reader slot then holds the list's index
+/// ([`SPILL_LINK`]), so the common entry pays for no `Vec` header and
+/// the rare one for no hash probe. Deliberately *not* `align(64)`: an
 /// over-aligned `Vec` cannot grow through `realloc`, and copying the
 /// table at every doubling cost the scan more (+2.8 ns/task) than
 /// entries straddling two lines do (EXPERIMENTS.md "PR 20").
@@ -171,6 +173,10 @@ struct ObjectVersion {
 
 const _: () = assert!(std::mem::size_of::<ObjectVersion>() == 64);
 
+/// The reader slot a spilled version turns into the index of its list
+/// (the reader it held moves to the head of that list).
+const SPILL_LINK: usize = INLINE_READERS - 1;
+
 impl ObjectVersion {
     const UNWRITTEN: ObjectVersion =
         ObjectVersion { last_writer: NO_WRITER, readers_len: 0, readers: [0; INLINE_READERS] };
@@ -179,35 +185,52 @@ impl ObjectVersion {
         self.readers_len as usize > INLINE_READERS
     }
 
+    /// The readers held in the entry itself: all of them, or — once the
+    /// version has spilled — the ones before the link.
     fn inline_readers(&self) -> &[u32] {
-        &self.readers[..(self.readers_len as usize).min(INLINE_READERS)]
+        let held = if self.has_spilled() { SPILL_LINK } else { self.readers_len as usize };
+        &self.readers[..held]
     }
 }
 
-/// Readers past the [`INLINE_READERS`] a version's entry holds, keyed
-/// by the entry's index. A list is emptied, not removed, when its
-/// version is overwritten: an object read that widely once usually is
-/// again. Both accessors are out of line — one version in a hundred
-/// comes here, and the scan loop is tighter without two inlined hash
-/// probes.
+/// Reader lists of the versions with more than [`INLINE_READERS`]
+/// readers, each reached through its entry's [`SPILL_LINK`] slot — an
+/// index, where a side map keyed by the entry cost one hash probe per
+/// spilled reader (versions that spill have up to a thousand). A list
+/// outlives its version: an overwritten version's goes back to `free`,
+/// emptied, for the next one that spills. Both accessors are out of
+/// line — one version in a hundred comes here, and inlining them is
+/// what made the scan loop +11 ns/task slower (DESIGN.md §8.3).
 #[derive(Debug, Default)]
-struct SpilledReaders(AddrMap<Vec<u32>>);
+struct SpilledReaders {
+    lists: Vec<Vec<u32>>,
+    free: Vec<u32>,
+}
 
 impl SpilledReaders {
+    /// Adds `reader` to `version`, whose entry is full.
     #[cold]
     #[inline(never)]
-    fn push(&mut self, version: u32, reader: u32) {
-        self.0.entry(version as u64).or_default().push(reader);
+    fn push(&mut self, version: &mut ObjectVersion, reader: u32) {
+        if version.readers_len as usize == INLINE_READERS {
+            let list = self.free.pop().unwrap_or_else(|| {
+                self.lists.push(Vec::new());
+                (self.lists.len() - 1) as u32
+            });
+            self.lists[list as usize].push(version.readers[SPILL_LINK]);
+            version.readers[SPILL_LINK] = list;
+        }
+        self.lists[version.readers[SPILL_LINK] as usize].push(reader);
     }
 
     /// Hands the spilled readers of `version` to `each` and forgets
     /// them.
     #[cold]
     #[inline(never)]
-    fn drain(&mut self, version: u32, each: &mut dyn FnMut(u32)) {
-        if let Some(list) = self.0.get_mut(&(version as u64)) {
-            list.drain(..).for_each(each);
-        }
+    fn drain(&mut self, version: &ObjectVersion, each: &mut dyn FnMut(u32)) {
+        let list = version.readers[SPILL_LINK];
+        self.lists[list as usize].drain(..).for_each(each);
+        self.free.push(list);
     }
 }
 
@@ -356,7 +379,7 @@ impl ShardState {
                     };
                     st.inline_readers().iter().copied().for_each(&mut ordered_before);
                     if st.has_spilled() {
-                        spilled.drain(id, &mut ordered_before);
+                        spilled.drain(st, &mut ordered_before);
                     }
                     if writer != NO_WRITER && writer != t && !inout {
                         if renaming {
@@ -371,7 +394,7 @@ impl ShardState {
                 if op.dir.reads() {
                     match st.readers.get_mut(st.readers_len as usize) {
                         Some(slot) => *slot = t,
-                        None => spilled.push(id, t),
+                        None => spilled.push(st, t),
                     }
                     st.readers_len += 1;
                 }

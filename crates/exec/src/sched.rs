@@ -127,6 +127,7 @@ pub(crate) fn splitmix(state: &mut u64) -> u64 {
 /// |----------------|--------------------------|-------------------|
 /// | `prepare`      | `complete` (release)     | completing worker |
 /// | `dispatch`     | `complete` (per task)    | completing worker |
+/// | `runs_last_ready_next` | `complete` (per batch) | completing worker |
 /// | `take_local`   | own-deque drain burst    | owner only        |
 /// | `take_routed`  | idle path, before steals | any worker        |
 /// | `victims`      | idle path, before park   | the scanning worker |
@@ -160,6 +161,20 @@ pub trait SchedPolicy: Sync + Sized {
     #[inline]
     fn dispatch(&self, _w: usize, s: u32, me: &ChaseLev) -> bool {
         me.push(s);
+        true
+    }
+
+    /// Whether the worker that dispatches a ready batch to its own
+    /// deque would take the *last* task of the batch straight back with
+    /// [`SchedPolicy::take_local`] — the scheduler bypass (§13.1): if
+    /// so, `complete` keeps that task in the worker's own slot and runs
+    /// it next, with no push and no pop, and only the others are
+    /// dispatched. True of the baseline (the last pushed is the next
+    /// popped). A policy must answer `false` if its `take_local` is not
+    /// a `pop`, or if its `dispatch` does anything but push to `me` —
+    /// the held task never goes through either.
+    #[inline]
+    fn runs_last_ready_next(&self) -> bool {
         true
     }
 
@@ -254,6 +269,12 @@ impl SchedPolicy for FifoPolicy {
         _domains: usize,
     ) -> Self {
         FifoPolicy { threads }
+    }
+
+    /// The owner takes the oldest task, not the one it pushed last.
+    #[inline]
+    fn runs_last_ready_next(&self) -> bool {
+        false
     }
 
     #[inline]
@@ -356,6 +377,13 @@ impl SchedPolicy for CostAwarePolicy {
         // first, and equal-cost tasks keep their release order (which
         // is what 1-worker bit-determinism pins).
         ready.sort_by_key(|&t| self.cost[t as usize]);
+    }
+
+    /// `dispatch` credits the load gauge `note_executed` debits: a task
+    /// that skipped it would drive the gauge negative.
+    #[inline]
+    fn runs_last_ready_next(&self) -> bool {
+        false
     }
 
     #[inline]
@@ -466,6 +494,12 @@ impl SchedPolicy for LocalityPolicy {
             domain: (0..threads).map(|w| w * domains / threads).collect(),
             queues: (0..NUM_CLASSES).map(|_| Mutex::new(VecDeque::new())).collect(),
         }
+    }
+
+    /// `dispatch` may route the task to another class's queue.
+    #[inline]
+    fn runs_last_ready_next(&self) -> bool {
+        false
     }
 
     #[inline]

@@ -18,8 +18,12 @@
 //!   completion log *and* the failure sets.
 
 use proptest::prelude::*;
+use std::time::Duration;
 use tss_exec::fault::FaultPlan;
-use tss_exec::{ExecConfig, ExecError, Executor, FailurePolicy, PayloadMode, Renamer};
+use tss_exec::{
+    CancelToken, ExecConfig, ExecError, Executor, FailurePolicy, PayloadMode, Renamer,
+    TaskGraphBuilder,
+};
 use tss_trace::{DepGraph, TaskTrace};
 use tss_workloads::{Benchmark, Scale};
 
@@ -224,4 +228,173 @@ fn failure_sets_are_thread_count_invariant() {
         .collect();
     assert_eq!(sets[0], sets[1], "1 vs 2 workers disagree on the failure sets");
     assert_eq!(sets[0], sets[2], "1 vs 8 workers disagree on the failure sets");
+}
+
+// ---------------------------------------------------------------------
+// The scheduler bypass slot (DESIGN.md §13.1)
+// ---------------------------------------------------------------------
+
+/// `chains` independent chains of `len` tasks (an `inout` each on its
+/// chain's object), chain by chain; every `leaf_every`-th link also
+/// writes a buffer one leaf task, at the end of the trace, reads.
+/// Completing a link readies its successor — which the default policy
+/// keeps in the completing worker's bypass slot and runs next, so on
+/// these graphs nearly every task reaches its worker through the slot
+/// and the deques hold little but leaves. `runtime` in cycles, for the
+/// spin payload; `slow` names one task that spins a second instead.
+fn chains(chains: u64, len: u64, leaf_every: u64, runtime: u64, slow: Option<u64>) -> TaskTrace {
+    let mut b = TaskGraphBuilder::new("chains");
+    let k = b.kernel("link");
+    let mut leaves = Vec::new();
+    for c in 0..chains {
+        for i in 0..len {
+            let id = c * len + i;
+            let cycles = if slow == Some(id) { 3_200_000_000 } else { runtime };
+            let link = b.task(k).runtime_cycles(cycles).inout(0xA000 + c * 0x100, 64);
+            if leaf_every > 0 && i % leaf_every == 0 {
+                leaves.push(0x10_0000 + id * 0x100);
+                link.output(0x10_0000 + id * 0x100, 64).spawn();
+            } else {
+                link.spawn();
+            }
+        }
+    }
+    for buf in leaves {
+        b.task(k).runtime_cycles(runtime).input(buf, 64).spawn();
+    }
+    b.build()
+}
+
+/// A quarantine cone that runs down a chain passes through the slot at
+/// every link: the failed link's drain poisons its successor and holds
+/// it, the held task runs on the guarded lane, is found poisoned, and
+/// holds the next. The poisoned set is exactly the renamer's
+/// `poison_cone` of the failed set — and both sets are the ones the
+/// fault hash predicts — at one worker (where every link but the root
+/// is a held task) and at two and four, streamed and two-phase.
+#[test]
+fn a_quarantine_cone_through_held_successors_is_exactly_the_poison_cone() {
+    tss_exec::fault::install_quiet_hook();
+    let trace = chains(3, 40, 3, 10, None);
+    let oracle = DepGraph::from_trace(&trace);
+    let graph = Renamer::new().decode(&trace);
+    let rate_ppm = 30_000;
+    for fault_seed in 0..12u64 {
+        let (exp_failed, exp_poisoned, _) =
+            expected_failure_sets(&trace, &oracle, rate_ppm, fault_seed, FailurePolicy::Quarantine);
+        for threads in [1usize, 2, 4] {
+            for streamed in [true, false] {
+                let exec = Executor::new(chaos_cfg(
+                    threads,
+                    rate_ppm,
+                    fault_seed,
+                    FailurePolicy::Quarantine,
+                ));
+                let report = if streamed { exec.run(&trace) } else { exec.run_oneshot(&trace) }
+                    .expect("quarantine run");
+                let failed: Vec<u32> = report.fault.failed.iter().map(|f| f.task).collect();
+                let mut mask = vec![false; trace.len()];
+                failed.iter().for_each(|&t| mask[t as usize] = true);
+                let cone: Vec<u32> = (0..trace.len() as u32)
+                    .zip(graph.poison_cone(&mask))
+                    .filter_map(|(t, poisoned)| poisoned.then_some(t))
+                    .collect();
+                let at = format!("seed {fault_seed}, {threads} workers, streamed {streamed}");
+                assert_eq!(report.fault.poisoned, cone, "{at}: not TaskGraph::poison_cone");
+                assert_eq!(
+                    (&failed, &cone),
+                    (&exp_failed, &exp_poisoned),
+                    "{at}: not the hash's sets"
+                );
+                assert!(report.accounting_reconciles(), "{at}");
+                assert!(oracle.validate_order(&report.order).is_ok(), "{at}");
+            }
+        }
+    }
+}
+
+/// A worker killed between tasks dies holding the successor its one
+/// completion readied (its first task is a chain's root: with nothing
+/// but chains, deques hold nothing else). The slot goes back on its
+/// deque and the survivor adopts the chain: no task is lost. A run
+/// deadline is armed so that a lost task reads as an error here and not
+/// as a hung suite — which also puts the slot through the watched lane.
+#[test]
+fn a_killed_worker_hands_its_held_successor_back() {
+    let trace = chains(8, 60, 0, 3_200, None); // 1 µs a link
+    let mut fired = false;
+    for _ in 0..16 {
+        let cfg = ExecConfig {
+            threads: 2,
+            kill_worker: Some(1),
+            payload: PayloadMode::Spin { time_scale: 1.0 },
+            run_deadline: Some(Duration::from_secs(20)),
+            ..ExecConfig::default()
+        };
+        let report =
+            Executor::new(cfg).run(&trace).expect("a task was lost with the killed worker");
+        assert_eq!(report.completed(), trace.len());
+        assert!(report.accounting_reconciles());
+        if report.fault.workers_lost == 1 {
+            assert_eq!(report.workers[1].executed, 1, "killed after its first completion");
+            fired = true;
+            break;
+        }
+    }
+    assert!(fired, "the injected kill never fired in 16 runs");
+}
+
+/// Aborts with the slot in use, exact because a chain runs in one
+/// order. Fail-fast: the failure the run reports is the first link the
+/// fault hash fails — a held successor when it ran — and nothing after
+/// it ran. Cancellation: the links before the slow one complete, the
+/// slow one is stopped mid-payload and dropped with the run, so the
+/// error counts exactly the links before it; the next run on the same
+/// resident crew starts with an empty slot and completes.
+#[test]
+fn aborts_with_a_held_successor_reconcile() {
+    tss_exec::fault::install_quiet_hook();
+    let chain = chains(1, 64, 0, 10, None);
+    let rate_ppm = 60_000;
+    for fault_seed in 0..8u64 {
+        let plan = FaultPlan { rate_ppm, seed: fault_seed, kill_worker: None };
+        let first = (0..64u32).find(|&t| plan.effective(t, 1, false).is_some());
+        let result =
+            Executor::new(chaos_cfg(2, rate_ppm, fault_seed, FailurePolicy::FailFast)).run(&chain);
+        match (first, result) {
+            (None, Ok(report)) => assert_eq!(report.completed(), 64),
+            (Some(t), Err(ExecError::TaskFailed(f))) => assert_eq!((f.task, f.attempts), (t, 1)),
+            (first, other) => {
+                panic!("seed {fault_seed}: first failing link {first:?}, got {other:?}")
+            }
+        }
+    }
+
+    let slow = 5u64;
+    let stuck = chains(1, 64, 0, 3_200, Some(slow));
+    let token = CancelToken::new();
+    let cfg = ExecConfig {
+        threads: 2,
+        payload: PayloadMode::Spin { time_scale: 1.0 },
+        cancel: Some(token.clone()),
+        ..ExecConfig::default()
+    };
+    let canceller = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(30));
+        token.cancel();
+    });
+    match Executor::new(cfg.clone()).run(&stuck) {
+        Err(ExecError::Cancelled { completed, tasks }) => {
+            assert_eq!(
+                (completed, tasks),
+                (slow as usize, 64),
+                "exactly the links before the slow one"
+            );
+        }
+        other => panic!("expected Cancelled, got {other:?}"),
+    }
+    canceller.join().expect("canceller thread");
+    let clean =
+        Executor::new(ExecConfig { cancel: None, ..cfg }).run(&chains(1, 64, 0, 3_200, None));
+    assert_eq!(clean.expect("run after a cancellation").completed(), 64);
 }

@@ -4,6 +4,7 @@
 //! and cost nothing), `--features obs` exercises the RingSink (tracks,
 //! histograms, and the determinism argument of DESIGN.md §12.5).
 
+use tss_exec::obs::{EventKind, Role};
 use tss_exec::{obs_enabled, ExecConfig, Executor, TaskGraphBuilder};
 use tss_trace::TaskTrace;
 
@@ -102,4 +103,67 @@ fn streaming_runs_carry_decode_shard_tracks() {
         names.iter().any(|n| n.starts_with("decode-")),
         "streaming run lost its decode tracks: {names:?}"
     );
+}
+
+/// The scheduler bypass under observation (DESIGN.md §13.1): on a chain
+/// one worker runs every link but the root straight from its bypass
+/// slot, and each sampled one still leaves the Spawn event its Task
+/// slice pairs with — a queue wait of the few instructions between the
+/// completion and the loop, not a gap in the histogram.
+#[test]
+fn a_bypassed_task_keeps_its_spawn_and_task_pair() {
+    let mut b = TaskGraphBuilder::new("chain");
+    let link = b.kernel("link");
+    let n = 4096u32;
+    for _ in 0..n {
+        b.task(link).inout(0xA0, 64).spawn();
+    }
+    let report = exec(1).run_oneshot(&b.build()).expect("chain replay failed");
+    assert_eq!(report.order, (0..n as usize).collect::<Vec<_>>());
+    let Some(obs) = report.obs else {
+        assert!(!obs_enabled());
+        return;
+    };
+    // The root was pushed before the worker (and its ring) existed.
+    let sampled: Vec<u32> = (1..n).filter(|&t| tss_exec::obs::sampled(t)).collect();
+    assert!(sampled.len() > 32, "a chain this long samples dozens of links");
+    for kind in [EventKind::Spawn, EventKind::Task] {
+        let seen: Vec<u32> = obs.tracks[0]
+            .events
+            .iter()
+            .filter(|e| e.kind == kind && e.arg != 0)
+            .map(|e| e.arg)
+            .collect();
+        assert_eq!(seen, sampled, "{kind:?} events of the sampled links");
+    }
+    assert_eq!(obs.queue_wait.count(), sampled.len() as u64);
+    assert!(obs.queue_wait.p50() < 50_000, "a held task waited {} ns", obs.queue_wait.p50());
+}
+
+/// The per-role CPU budget (DESIGN.md §12.6): a streamed run charges
+/// all five roles, a two-phase replay has no decode roles to charge,
+/// and the workers' figure is CPU, not wall — it cannot exceed what the
+/// crew's threads could have used.
+#[test]
+fn role_clocks_cover_exactly_the_roles_a_run_has() {
+    let trace = graph(4096, 16);
+    let threads = 2;
+    let streamed = exec(threads).run(&trace).expect("streamed run failed");
+    let replayed = exec(threads).run_oneshot(&trace).expect("replay failed");
+    let (Some(s), Some(r)) = (streamed.obs, replayed.obs) else {
+        assert!(!obs_enabled());
+        return;
+    };
+    assert_eq!((r.role_cpu.ns(Role::Scan), r.role_cpu.ns(Role::Commit)), (0, 0));
+    if cfg!(all(target_os = "linux", target_pointer_width = "64")) {
+        for role in Role::ALL {
+            assert!(s.role_cpu.ns(role) > 0, "streamed run charged {} nothing", role.name());
+        }
+        for role in [Role::Setup, Role::Workers, Role::Finish] {
+            assert!(r.role_cpu.ns(role) > 0, "replay charged {} nothing", role.name());
+        }
+    }
+    let budget = (threads as u128 + 1) * streamed.exec_wall.as_nanos();
+    let crew = [Role::Scan, Role::Commit, Role::Workers].map(|role| s.role_cpu.ns(role) as u128);
+    assert!(crew.iter().sum::<u128>() <= budget, "{crew:?} ns of CPU in {budget} ns of threads");
 }

@@ -21,8 +21,9 @@
 //! 4. **Citation integrity** — every `DESIGN.md §N[.M]` reference in a
 //!    source comment must resolve to a real heading in DESIGN.md.
 //! 5. **Crate hygiene** — every crate root carries
-//!    `#![forbid(unsafe_code)]`, or (for the one crate with an audited
-//!    unsafe surface) `#![deny(unsafe_op_in_unsafe_fn)]`.
+//!    `#![forbid(unsafe_code)]`, or (for a crate with an audited unsafe
+//!    surface: `tss-exec`'s deque buffers, `tss-obs`'s one
+//!    `clock_gettime` call) `#![deny(unsafe_op_in_unsafe_fn)]`.
 //! 6. **Join discipline** — production code must not `.unwrap()` /
 //!    `.expect(` a `JoinHandle` result (`.join().unwrap()` et al.): a
 //!    panicking worker must surface as a structured failure

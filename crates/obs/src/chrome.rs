@@ -116,6 +116,7 @@ mod tests {
                 dropped: 0,
             }],
             gauges: Gauges::default(),
+            role_cpu: crate::RoleCpu::default(),
             sample_every: crate::SAMPLE_EVERY,
         }
     }

@@ -24,9 +24,16 @@
 //! configurations: the executor routes *all* of its wall-clock reads
 //! through it (tss-lint bans raw `Instant::now()` in
 //! `crates/exec/src`), so timing semantics cannot drift between the
-//! noop and ring builds.
+//! noop and ring builds. Beside it, [`clock::CpuStamp`] reads the
+//! calling thread's CPU clock for the per-role budget of a run
+//! ([`RoleCpu`], DESIGN.md §12.6) — in the RingSink build only, and
+//! through the crate's one `unsafe` block (a `clock_gettime` call).
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: `clock::thread_cpu_ns` (RingSink build only)
+// allows itself the crate's one `unsafe` block. The first attribute is
+// the marker tss-lint's crate-hygiene check accepts for such a crate.
+#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(unsafe_code)]
 
 pub mod chrome;
 pub mod clock;
@@ -109,6 +116,84 @@ pub struct Gauges {
     pub commit_lag_max: u64,
 }
 
+/// The roles of one `Executor::run` whose CPU a RingSink build clocks
+/// (DESIGN.md §12.6): what the submitter does before the crew starts
+/// and after it returns, the two halves of a decode shard's loop, and
+/// the worker loops whole.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Role {
+    /// `pipeline` entry to the crew hand-off: tables, queues, policy.
+    Setup,
+    /// `ShardState::scan`, per window and shard.
+    Scan,
+    /// `commit_ready`: merge, register, publish, push roots.
+    Commit,
+    /// The `worker_loop`s, whole (parked time is not CPU time).
+    Workers,
+    /// Crew return to `pipeline`'s return: oracle check, report, drops.
+    Finish,
+}
+
+impl Role {
+    /// Every role, in the order a run goes through them.
+    pub const ALL: [Role; 5] = [Role::Setup, Role::Scan, Role::Commit, Role::Workers, Role::Finish];
+
+    /// The role's name in reports and JSON keys.
+    pub fn name(self) -> &'static str {
+        match self {
+            Role::Setup => "setup",
+            Role::Scan => "scan",
+            Role::Commit => "commit",
+            Role::Workers => "workers",
+            Role::Finish => "finish",
+        }
+    }
+}
+
+/// Thread-CPU nanoseconds per [`Role`], summed over the threads that
+/// played it. Zero-sized — and every method a no-op, [`RoleCpu::ns`] a
+/// constant zero — in the NoopSink build.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RoleCpu(#[cfg(feature = "ring")] [u64; Role::ALL.len()]);
+
+impl RoleCpu {
+    /// Charges `role` the CPU the calling thread has used since `since`.
+    #[inline]
+    pub fn charge(&mut self, role: Role, since: clock::CpuStamp) {
+        #[cfg(feature = "ring")]
+        {
+            self.0[role as usize] += since.elapsed_ns();
+        }
+        #[cfg(not(feature = "ring"))]
+        let _ = (role, since);
+    }
+
+    /// Adds another thread's figures to these.
+    #[inline]
+    pub fn merge(&mut self, other: &RoleCpu) {
+        #[cfg(feature = "ring")]
+        for (mine, theirs) in self.0.iter_mut().zip(other.0) {
+            *mine += theirs;
+        }
+        #[cfg(not(feature = "ring"))]
+        let _ = other;
+    }
+
+    /// CPU nanoseconds charged to `role`.
+    #[inline]
+    pub fn ns(&self, role: Role) -> u64 {
+        #[cfg(feature = "ring")]
+        {
+            self.0[role as usize]
+        }
+        #[cfg(not(feature = "ring"))]
+        {
+            let _ = role;
+            0
+        }
+    }
+}
+
 /// One timeline track: the drained event ring of a worker or decode
 /// shard, in chronological order.
 #[derive(Debug, Clone)]
@@ -135,6 +220,8 @@ pub struct ObsReport {
     pub tracks: Vec<Track>,
     /// Sampled high-water marks.
     pub gauges: Gauges,
+    /// Thread-CPU time per role of the run.
+    pub role_cpu: RoleCpu,
     /// The sampling period the histograms were recorded under.
     pub sample_every: u32,
 }

@@ -19,10 +19,12 @@ use crate::hist::Histogram;
 #[cfg(feature = "ring")]
 use crate::ring::{Event, EventKind, Ring};
 #[cfg(feature = "ring")]
-use crate::{Gauges, ObsReport, Track};
+use crate::{Gauges, ObsReport, RoleCpu, Track};
 #[cfg(feature = "ring")]
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::clock::CpuStamp;
+use crate::Role;
 #[cfg(not(feature = "ring"))]
 use crate::{clock::Stamp, ObsReport};
 
@@ -111,9 +113,11 @@ impl SharedObs {
     /// bias against any particular worker.
     pub fn finish(&self, workers: Vec<WorkerObs>, decoders: Vec<WorkerObs>) -> Option<ObsReport> {
         let mut exec_latency = Histogram::new();
+        let mut role_cpu = RoleCpu::default();
         let mut tracks = Vec::with_capacity(workers.len() + decoders.len());
         let mut add = |name: String, w: WorkerObs| {
             exec_latency.merge(&w.exec);
+            role_cpu.merge(&w.roles);
             let (events, dropped) = w.ring.drain();
             tracks.push(Track { name, events, dropped });
         };
@@ -154,6 +158,7 @@ impl SharedObs {
                 pending_drain_max: self.pending_drain_max.load(Ordering::Relaxed),
                 commit_lag_max: self.commit_lag_max.load(Ordering::Relaxed),
             },
+            role_cpu,
             sample_every: crate::SAMPLE_EVERY,
         })
     }
@@ -229,6 +234,8 @@ pub struct WorkerObs {
     parks: u32,
     wakes: u32,
     bursts: u32,
+    /// Thread CPU this sink's thread spent per role ([`WorkerObs::role_cpu`]).
+    roles: RoleCpu,
 }
 
 /// NoopSink build: zero-sized, every method folds to nothing.
@@ -361,6 +368,13 @@ impl WorkerObs {
         }
     }
 
+    /// Closes a per-role CPU span opened on this thread (DESIGN.md
+    /// §12.6): one thread-clock read.
+    #[inline]
+    pub fn role_cpu(&mut self, role: Role, begin: CpuStamp) {
+        self.roles.charge(role, begin);
+    }
+
     #[inline]
     fn slice(&mut self, kind: EventKind, arg: u32, begin: Stamp, end: Stamp, shared: &SharedObs) {
         let start_ns = begin.ns_since(shared.origin);
@@ -432,6 +446,10 @@ impl WorkerObs {
     /// NoopSink: no-op (the stamps were taken for `busy` regardless).
     #[inline]
     pub fn burst(&mut self, _begin: Stamp, _end: Stamp, _tasks: u64, _shared: &SharedObs) {}
+
+    /// NoopSink: no clock read.
+    #[inline]
+    pub fn role_cpu(&mut self, _role: Role, _begin: CpuStamp) {}
 }
 
 #[cfg(test)]
@@ -486,6 +504,36 @@ mod tests {
         b.task_end(t, begin, &shared);
         let report = shared.finish(vec![a, b], vec![]).expect("ring build reports");
         assert_eq!(report.queue_wait.count(), 1, "cross-track Spawn/Task pair");
+    }
+
+    /// Role CPU spans closed on different sinks — a worker's, two
+    /// decode shards' — meet in the report, summed per role.
+    #[cfg(feature = "ring")]
+    #[test]
+    fn role_cpu_spans_are_summed_per_role_across_sinks() {
+        let burn = |sink: &mut WorkerObs, role: Role| {
+            let span = CpuStamp::now();
+            let wall = Stamp::now();
+            let mut x = 1u64;
+            while wall.elapsed() < std::time::Duration::from_millis(5) {
+                x = std::hint::black_box(x.wrapping_mul(3).wrapping_add(1));
+            }
+            sink.role_cpu(role, span);
+        };
+        let (mut w, mut d0, mut d1) = (WorkerObs::new(), WorkerObs::new(), WorkerObs::new());
+        burn(&mut w, Role::Workers);
+        burn(&mut d0, Role::Scan);
+        burn(&mut d1, Role::Scan);
+        burn(&mut d1, Role::Commit);
+        let scans = d0.roles.ns(Role::Scan) + d1.roles.ns(Role::Scan);
+        let report = SharedObs::new().finish(vec![w], vec![d0, d1]).expect("ring build reports");
+        assert_eq!(report.role_cpu.ns(Role::Scan), scans);
+        assert_eq!(report.role_cpu.ns(Role::Setup), 0, "nobody charged set-up");
+        if cfg!(all(target_os = "linux", target_pointer_width = "64")) {
+            for role in [Role::Scan, Role::Commit, Role::Workers] {
+                assert!(report.role_cpu.ns(role) > 0, "{} read no CPU", role.name());
+            }
+        }
     }
 
     #[cfg(feature = "ring")]
