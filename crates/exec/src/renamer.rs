@@ -47,15 +47,17 @@
 //! driven by [`StreamingRenamer::decode_graph`], of which
 //! [`Renamer::decode`] is the one-window, one-shard case — and that
 //! loop deliberately does **not** share code with `tss-trace`'s
-//! `for_each_edge`, although the two walk traces the same way: the
-//! oracle check (every completion log validated against `DepGraph`) is
-//! only evidence of correctness because the two decoders are
-//! independent implementations. Folding them into one shared helper
-//! would let a single decode bug pass the parity test and every
-//! validated run. A semantic change to dependency rules must be made
-//! in both — `tests/determinism.rs` pins both renaming settings to the
-//! oracle on every benchmark (and the unit parity test below) and fails
-//! loudly if they drift.
+//! `for_each_edge` or its streamed order check, although all three walk
+//! traces the same way: the oracle check (every completion log
+//! validated against `DepGraph`, or, for a served graph, by the
+//! streamed check) is only evidence of correctness because the
+//! decoders are independent implementations. Folding them into one
+//! shared helper would let a single decode bug pass the parity test and
+//! every validated run. A semantic change to dependency rules must be
+//! made in all three — `tests/determinism.rs` pins both renaming
+//! settings to the oracle on every benchmark (and the unit parity test
+//! below), and `tests/properties.rs` the streamed check to the graph;
+//! each fails loudly if they drift.
 
 use tss_trace::graph::AddrMap;
 use tss_trace::{TaskId, TaskTrace};

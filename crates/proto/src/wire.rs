@@ -786,7 +786,10 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<()> {
 /// `UnexpectedEof` — the truncated-frame signal) and from junk bytes
 /// ([`WireError::Decode`]). Blocking behavior (and thus slow-loris
 /// tolerance) is governed by the socket's read timeout, set by the
-/// caller; the decoder itself never buffers beyond one frame.
+/// caller. It takes exactly one frame's bytes from `r` and holds none
+/// back; buffering, if any, is `r`'s — the server hands it a
+/// `BufReader`, so the bytes of the next frame may already sit there,
+/// read by the same system call as this one's.
 pub fn read_frame(r: &mut impl Read) -> Result<Frame, WireError> {
     let mut len_buf = [0u8; 4];
     // First byte by hand so a close *between* frames is `Closed`, not
@@ -809,6 +812,8 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, WireError> {
     if len == 0 {
         return Err(WireError::Decode(DecodeError::EmptyFrame));
     }
+    // Zero-filled, then read over: filling an uninitialised body through
+    // `take(len).read_to_end` measured slower than the memset it saves.
     let mut body = vec![0u8; len as usize];
     r.read_exact(&mut body).map_err(WireError::Io)?;
     decode_frame(body[0], &body[1..]).map_err(WireError::Decode)
@@ -1005,5 +1010,23 @@ mod tests {
             }
             other => panic!("expected mid-frame Io error, got {other:?}"),
         }
+        // Cut inside the body, the length prefix intact: the same signal.
+        let hello = encode_frame(&Frame::Hello { version: 1 });
+        match read_frame(&mut std::io::Cursor::new(&hello[..hello.len() - 1])) {
+            Err(WireError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
+            other => panic!("expected mid-body Io error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn read_frame_takes_one_frame_from_a_buffered_stream() {
+        let frames = [Frame::Hello { version: 1 }, Frame::Shutdown, Frame::Bye];
+        let bytes: Vec<u8> = frames.iter().flat_map(encode_frame).collect();
+        // One buffer fill holds all three frames; each read takes one.
+        let mut r = std::io::BufReader::with_capacity(64 << 10, &bytes[..]);
+        for f in &frames {
+            assert_eq!(&read_frame(&mut r).expect("a whole frame"), f);
+        }
+        assert!(matches!(read_frame(&mut r), Err(WireError::Closed)));
     }
 }

@@ -218,6 +218,25 @@ mod tests {
         assert!(detail.contains("oracle violation") && detail.contains("1 -> 2"), "{detail}");
     }
 
+    /// The anti-dependence the pipeline enforces (Figure 9): an inout
+    /// writer waits for the readers of the version it overwrites.
+    #[test]
+    fn a_doctored_log_inverting_an_inout_anti_dependency_fails() {
+        let mut trace = TaskTrace::new("anti");
+        let k = trace.add_kernel("k");
+        trace.push_task(k, 10, vec![OperandDesc::output(0xA0, 64)]);
+        trace.push_task(k, 10, vec![OperandDesc::input(0xA0, 64)]);
+        trace.push_task(k, 10, vec![OperandDesc::inout(0xA0, 64)]);
+        let mut report = unvalidated_run(&trace);
+        assert_eq!(report.order, vec![0, 1, 2]);
+        report.order.swap(1, 2); // the inout "completes" before the reader of v0
+        let outcome = outcome_of(3, Ok(check_log(&trace, report)));
+        let GraphOutcome::Failed { detail } = outcome else {
+            panic!("a log the oracle rejects must not be Completed: {outcome:?}");
+        };
+        assert!(detail.contains("oracle violation") && detail.contains("1 -> 2"), "{detail}");
+    }
+
     #[test]
     fn a_short_or_padded_log_fails_too() {
         let trace = chain();

@@ -20,7 +20,7 @@
 //!   server-side and the failed `Done` delivery is counted, never lost.
 
 use std::collections::HashMap;
-use std::io::ErrorKind;
+use std::io::{BufReader, ErrorKind};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -35,6 +35,9 @@ use tss_trace::TaskTrace;
 use crate::runner::Job;
 use crate::writer::SharedWriter;
 use crate::ServerShared;
+
+/// Bytes a session reads ahead of the frame it decodes.
+const READ_BUFFER: usize = 64 << 10;
 
 /// What one [`Session::step`] asks of its driver.
 #[derive(Debug)]
@@ -198,7 +201,11 @@ pub(crate) fn run_session(shared: Arc<ServerShared>, id: u64, stream: TcpStream)
 
 /// The driver: read, step, carry out the action. Returning closes the
 /// connection.
-fn drive(shared: &ServerShared, id: u64, mut reader: TcpStream, writer: &SharedWriter) {
+fn drive(shared: &ServerShared, id: u64, stream: TcpStream, writer: &SharedWriter) {
+    // One `read` system call fetches as many frames as have arrived,
+    // where an unbuffered `read_frame` makes three a frame. The socket's
+    // read timeout still bounds every call that blocks.
+    let mut reader = BufReader::with_capacity(READ_BUFFER, stream);
     let (admission, counters) = (&shared.admission, &shared.counters);
     let mut session = Session::new(shared.cfg.quota, shared.cfg.max_graph_tasks);
     // Graphs admitted for this session and not yet finished; a runner

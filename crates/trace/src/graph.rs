@@ -16,6 +16,14 @@
 //! The enforced edge set is what any correct out-of-order execution must
 //! respect; `tss-runtime` executes directly from it, and the hardware
 //! pipeline's schedules are validated against it.
+//!
+//! The rules are stated here twice, on purpose: `for_each_edge` yields
+//! the edges [`DepGraph::from_trace`] collects, and the streamed path
+//! of [`TaskTrace::check_order`] tests the same rules on a per-object
+//! summary of the current version without naming an edge.
+//! `tests/properties.rs` holds the first to a brute-force recomputation
+//! and the second to the first, so a mistake in one is not inherited by
+//! the other (DESIGN.md §14.3).
 
 use crate::task::{TaskId, TaskTrace};
 use std::collections::HashMap;
@@ -256,12 +264,12 @@ impl ObjectTable {
     }
 }
 
-/// The dependence rules, stated once: replays `trace` in program order
-/// over `table` and yields every classified edge `from → to` (`from`
-/// earlier in program order) in discovery order, duplicates included.
-/// [`DepGraph::from_trace`] collects the edges; the streaming
-/// [`check_order`] tests each enforced one against a completion order
-/// and keeps nothing.
+/// The dependence rules as edges: replays `trace` in program order over
+/// `table` and yields every classified edge `from → to` (`from` earlier
+/// in program order) in discovery order, duplicates included.
+/// [`DepGraph::from_trace`] is the one caller; the streamed
+/// [`check_order`] states the enforced rules again without edges, and
+/// the executor's renamer a third time (DESIGN.md §14.3).
 #[inline]
 pub(crate) fn for_each_edge(
     trace: &TaskTrace,
@@ -330,29 +338,54 @@ fn positions(n: usize, order: &[TaskId]) -> Result<Vec<u32>, OrderViolation> {
     Ok(position)
 }
 
-/// [`DepGraph::validate_order`]'s predicate without the graph: replays
-/// `trace` once and tests every enforced edge against `order` as
-/// [`for_each_edge`] yields it — no edge list, no CSR, nothing
-/// memoized. [`TaskTrace::check_order`] is the only caller and says
+/// [`DepGraph::validate_order`]'s predicate without the graph, in one
+/// pass over the operands. Per object it keeps the current version in
+/// the order domain — the 1-based completion position of its writer
+/// and the latest of its readers' (0 = none) — instead of the version's
+/// tasks: a read fails if the writer finished after it (RaW), an inout
+/// if a reader did (InoutAnti, the paper's "output buffer free"); a
+/// write starts a new version and a read joins the current one. No edge
+/// list, no CSR, nothing memoized, and a table that grows with objects,
+/// not tasks. [`TaskTrace::check_order`] is the only caller and says
 /// when this beats building the oracle.
 ///
-/// Accepts and rejects exactly the orders `validate_order` does, with
-/// the same violation kind; when several dependencies are inverted it
-/// names the first in program order where `validate_order` names the
-/// first in completion order.
+/// Exact because positions are a permutation: a producer finished after
+/// its consumer iff its position is the larger, and the consumer's own
+/// earlier operands on the object compare equal, so no self-edge needs
+/// a case. Accepts and rejects exactly the orders `validate_order`
+/// does, with the same violation kind; of several inverted dependencies
+/// it names the first consumer in program order and, on that operand,
+/// its latest-finishing producer, where `validate_order` names the
+/// first consumer in completion order.
 pub(crate) fn check_order(trace: &TaskTrace, order: &[TaskId]) -> Result<(), OrderViolation> {
     let position = positions(trace.len(), order)?;
-    let mut table = ObjectTable::for_trace(trace);
-    let mut first = None;
-    for_each_edge(trace, &mut table, |from, to, kind| {
-        if kind.enforced() && position[from as usize] > position[to as usize] && first.is_none() {
-            first = Some(OrderViolation::ProducerAfterConsumer {
-                producer: from as TaskId,
-                consumer: to as TaskId,
-            });
+    // (writer, latest reader) of each object's current version.
+    let mut versions: AddrMap<(u32, u32)> = AddrMap::default();
+    for (consumer, task) in trace.iter().enumerate() {
+        let own = position[consumer] + 1;
+        for op in task.operands.iter().filter(|o| o.is_tracked()) {
+            let (writer, readers) = versions.entry(op.addr).or_default();
+            let mut latest = 0;
+            if op.dir.reads() {
+                latest = *writer;
+            }
+            #[cfg(not(tss_bug_check_skips_inout_anti))]
+            if op.dir.reads() && op.dir.writes() {
+                latest = latest.max(*readers);
+            }
+            if latest > own {
+                let producer = order[latest as usize - 1];
+                return Err(OrderViolation::ProducerAfterConsumer { producer, consumer });
+            }
+            if op.dir.writes() {
+                (*writer, *readers) = (own, 0);
+            }
+            if op.dir.reads() {
+                *readers = (*readers).max(own);
+            }
         }
-    });
-    first.map_or(Ok(()), Err)
+    }
+    Ok(())
 }
 
 impl DepGraph {
@@ -603,6 +636,7 @@ mod tests {
             trace_of(vec![vec![OperandDesc::output(0x100, 64), OperandDesc::input(0x100, 64)]]);
         let g = DepGraph::from_trace(&tr);
         assert!(g.preds(0).is_empty());
+        assert_eq!(tr.check_order(&[0]), Ok(()));
     }
 
     #[test]
@@ -676,6 +710,56 @@ mod tests {
         // Every verdict above agrees with the graph oracle's.
         let g = DepGraph::from_trace(&tr);
         for order in [[0, 1, 2, 3, 4], [4, 0, 1, 2, 3], [1, 0, 2, 3, 4], [0, 2, 1, 3, 4]] {
+            assert_eq!(tr.check_order(&order), g.validate_order(&order), "{order:?}");
+        }
+    }
+
+    /// The streamed check keeps one reader position per version, not the
+    /// readers: of several producers inverted on one operand it names
+    /// the one that finished last.
+    #[test]
+    fn streaming_check_names_the_latest_finishing_producer() {
+        let tr = trace_of(vec![
+            vec![OperandDesc::output(0x100, 64)], // 0: writes v0
+            vec![OperandDesc::input(0x100, 64)],  // 1: reads v0
+            vec![OperandDesc::input(0x100, 64)],  // 2: reads v0
+            vec![OperandDesc::inout(0x100, 64)],  // 3: waits for 0, 1 and 2
+        ]);
+        // Both readers finish after the inout; either order of the two.
+        assert_eq!(
+            tr.check_order(&[0, 3, 1, 2]),
+            Err(OrderViolation::ProducerAfterConsumer { producer: 2, consumer: 3 })
+        );
+        assert_eq!(
+            tr.check_order(&[0, 3, 2, 1]),
+            Err(OrderViolation::ProducerAfterConsumer { producer: 1, consumer: 3 })
+        );
+        // The writer last of all: it is named, not a reader.
+        assert_eq!(
+            tr.check_order(&[1, 2, 3, 0]),
+            Err(OrderViolation::ProducerAfterConsumer { producer: 0, consumer: 1 }),
+            "the first consumer in program order is 1, whose one producer is 0"
+        );
+    }
+
+    /// A task that reads an object and then updates it in place through a
+    /// second operand joins the version before it supersedes it: its own
+    /// read must not count as a reader it waits for.
+    #[test]
+    fn streaming_check_has_no_self_edge_through_read_then_inout() {
+        let tr = trace_of(vec![
+            vec![OperandDesc::output(0x100, 64)],
+            vec![OperandDesc::input(0x100, 64), OperandDesc::inout(0x100, 64)],
+            vec![OperandDesc::input(0x100, 64)],
+        ]);
+        let g = DepGraph::from_trace(&tr);
+        assert_eq!(g.preds(1), &[0], "the graph has no self-edge either");
+        assert_eq!(tr.check_order(&[0, 1, 2]), Ok(()));
+        assert_eq!(
+            tr.check_order(&[0, 2, 1]),
+            Err(OrderViolation::ProducerAfterConsumer { producer: 1, consumer: 2 })
+        );
+        for order in [[0, 1, 2], [0, 2, 1], [1, 0, 2]] {
             assert_eq!(tr.check_order(&order), g.validate_order(&order), "{order:?}");
         }
     }

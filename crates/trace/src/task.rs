@@ -240,20 +240,25 @@ impl TaskTrace {
     /// Checks a completion order against the enforced dependencies —
     /// the predicate of [`DepGraph::validate_order`](crate::graph::DepGraph::validate_order)
     /// — without building the oracle for it: a trace that already has
-    /// its memoized graph uses it, any other is replayed once with each
-    /// enforced edge tested as it is found (about half the cost of the
-    /// build), and nothing is memoized. Meant for the owner of a
-    /// single-use trace (the server checks each served graph this way,
-    /// DESIGN.md §14.3); a caller that will check or run the trace
-    /// again should take [`TaskTrace::dep_graph`] instead — streaming
-    /// twice costs more than building once.
+    /// its memoized graph uses it; any other is read once in program
+    /// order against two completion positions per object (its current
+    /// version's writer and latest reader), and nothing is memoized.
+    /// That costs 4 bytes a task plus a table that grows with objects,
+    /// not tasks, and a sixth to two thirds of the graph build's time on
+    /// the paper-scale traces (DESIGN.md §14.3). Meant for the owner of a
+    /// single-use trace (the server checks each served graph this way);
+    /// a caller that will run the trace again, or check it many times,
+    /// should take [`TaskTrace::dep_graph`] instead — each check then
+    /// costs about 5 ns a task.
     ///
     /// # Errors
     ///
     /// An [`OrderViolation`](crate::graph::OrderViolation): the same
-    /// accept/reject decision and violation kind as `validate_order`;
-    /// of several inverted dependencies the streaming path names the
-    /// first in program order.
+    /// accept/reject decision and violation kind as `validate_order`.
+    /// Of several inverted dependencies the streamed path names the
+    /// first consumer in program order and, on its first failing
+    /// operand, the producer that finished last; the graph path names
+    /// the first consumer in completion order.
     pub fn check_order(&self, order: &[TaskId]) -> Result<(), crate::graph::OrderViolation> {
         match self.graph_cache.get() {
             Some(graph) => graph.validate_order(order),
