@@ -13,8 +13,9 @@
 //! - **replay** — two-phase (decode first, then execute) threaded
 //!   replay throughput in tasks/sec with the selected payload: the
 //!   scheduler-only number, comparable across PRs.
-//! - **stream** — the pipelined end-to-end run: decode shard threads
-//!   rename window by window *while* workers execute earlier windows.
+//! - **stream** — the pipelined end-to-end run: workers with nothing to
+//!   run rename window by window *while* the others execute earlier
+//!   windows.
 //!   Reported as end-to-end tasks/sec plus `decode_overlap_pct` (share
 //!   of the run during which decode was still streaming — the paper's
 //!   "decode must not serialize the backend" claim, at native speed).
@@ -41,7 +42,7 @@
 //! Observability (DESIGN.md §12, needs a `--features obs` build —
 //! rejected up front otherwise): `--trace-out PATH` writes the
 //! streaming runs as Chrome `trace_event` JSON (one process per
-//! benchmark, one track per worker + decode shard); `--histogram`
+//! benchmark, one track per worker, decode steps included); `--histogram`
 //! prints the sampled per-task latency quantiles. An obs build also
 //! adds `latency_p50/p99/p999_ns` and `queue_p50/p99/p999_ns` (from
 //! the replay runs) to every JSON row and to `totals`, and the streamed
@@ -563,8 +564,8 @@ fn main() {
     std::fs::write(&args.run.out, &json)
         .unwrap_or_else(|e| fail(format!("cannot write {}: {e}", args.run.out)));
 
-    // Timeline export (DESIGN.md §12.4): the streaming runs, which have
-    // both worker and decode-shard tracks. Only reachable in an obs
+    // Timeline export (DESIGN.md §12.4): the streaming runs, whose
+    // worker tracks carry the decode steps too. Only reachable in an obs
     // build (parse_args rejects the flag otherwise).
     if let Some(path) = &args.trace_out {
         let runs: Vec<(String, &tss_exec::obs::ObsReport)> = points

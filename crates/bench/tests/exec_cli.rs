@@ -223,9 +223,15 @@ fn obs_build_writes_a_chrome_trace_and_latency_fields() {
 
     let tj = std::fs::read_to_string(&trace).expect("trace written");
     assert!(tj.contains("\"traceEvents\""), "not a Chrome trace: {tj:.200}");
-    for track in ["worker-0", "worker-1", "decode-0"] {
+    for track in ["worker-0", "worker-1"] {
         assert!(tj.contains(track), "missing track {track}");
     }
+    // The streamed runs decode on the workers: their tracks carry the
+    // scans and commits, and there is no other track.
+    for event in ["\"scan w0\"", "\"commit w0\""] {
+        assert!(tj.contains(event), "no {event} event on the worker tracks");
+    }
+    assert!(!tj.contains("decode-"), "a track that is not a worker's");
     assert!(tj.contains("\"ph\":\"X\""), "no slices recorded");
 
     let bj = std::fs::read_to_string(&bench).expect("bench json written");

@@ -28,9 +28,10 @@ pub struct ExecConfig {
     /// batch (≥ 1). Smaller windows overlap sooner but commit more
     /// often.
     pub window: usize,
-    /// Decode shard threads for streaming runs (≥ 1): address interning
-    /// is hash-partitioned this many ways and each shard renames its
-    /// partition on its own thread (the distributed-ORT analogy).
+    /// Decode shards for streaming runs (≥ 1): address interning is
+    /// hash-partitioned this many ways and each shard renames its
+    /// partition of a window as a step of its own, which any idle
+    /// worker may take (the distributed-ORT analogy).
     pub decode_shards: usize,
     /// What the run does when a task fails (DESIGN.md §11).
     pub policy: FailurePolicy,

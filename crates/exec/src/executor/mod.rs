@@ -8,18 +8,19 @@
 //!
 //! - **One pipeline, two front ends.** Every run is the same crew of
 //!   workers over the same release table; the entry points differ only
-//!   in where the graph comes from. [`Executor::run`] streams: decode
-//!   shard roles rename the trace window by window and commit each
-//!   window *while* workers execute the ones before it (the decode cost
-//!   overlaps execution — [`ExecReport::decode_overlap_pct`]).
+//!   in where the graph comes from. [`Executor::run`] streams: a worker
+//!   with nothing to run takes a *decode step* — renames one shard of
+//!   the next window and commits the window if that completed it —
+//!   while the other workers execute the windows before it (the decode
+//!   cost overlaps execution — [`ExecReport::decode_overlap_pct`]).
 //!   [`Executor::replay`] takes a graph decoded beforehand and commits
 //!   it whole before the crew starts; [`Executor::run_oneshot`] is
 //!   decode-then-`replay` — PR 3's two phases, the apples-to-apples
 //!   replay-throughput measurement and the shape the microbenches time.
-//! - **Resident threads.** A run's decode shards, workers and watchdog
-//!   are *roles* handed to a crew of process-lifetime threads
-//!   (`runtime.rs`, DESIGN.md §15) and awaited; no thread is spawned or
-//!   joined per run.
+//! - **Resident threads.** A run's workers and watchdog are *roles*
+//!   handed to a crew of process-lifetime threads (`runtime.rs`,
+//!   DESIGN.md §15) and awaited; no thread is spawned or joined per
+//!   run, and decoding adds none.
 //! - **Lock-free scheduling.** Per-worker [`ChaseLev`](crate::ChaseLev)
 //!   deques (owner LIFO, thief FIFO, batch stealing takes half) replace
 //!   the mutexed ring; the one lock left on the task hot path is gone.
@@ -82,16 +83,17 @@
 //!   checks it on every validated run. The ticket counter doubles as
 //!   the termination count: ticket `n−1` means every task has executed.
 //!
-//! With one worker there is no stealing and no ticket race. For a
-//! *two-phase* replay ([`Executor::run_oneshot`]) the order is then a
-//! pure function of the queue discipline (own deque LIFO — the held
-//! last task of a batch being the one a pop would have returned — over
-//! injector FIFO, batch banking preserves root order, a drain releases
-//! successors in ascending id order) — bit-deterministic, and the
-//! determinism tests pin it, across commits too. A *streamed* 1-worker
-//! run is oracle-deterministic only: whether a task arrives via the
-//! injector or via a producer's pending list is the decode-vs-execution
-//! race itself (`tests/streaming.rs` pins that contract).
+//! With one worker there is no stealing and no ticket race, and the
+//! order is a pure function of the queue discipline (own deque LIFO —
+//! the held last task of a batch being the one a pop would have
+//! returned — over injector FIFO, batch banking preserves root order,
+//! a drain releases successors in the order its list holds them) —
+//! bit-deterministic, and the determinism tests pin it across commits
+//! for both front ends. A *streamed* one-worker run decodes on that
+//! worker, only when it has nothing to run: there is no
+//! decode-vs-execution race left, so whether a task arrives via the
+//! injector or via a producer's pending list is decided by the trace
+//! and the window size alone (`tests/streaming.rs`).
 
 mod config;
 mod decode;
@@ -149,8 +151,8 @@ pub struct Executor {
 /// the entry points.
 #[derive(Clone, Copy)]
 enum FrontEnd<'g> {
-    /// Decode roles rename the trace and commit it window by window
-    /// while the workers already execute ([`Executor::run`]).
+    /// The workers rename the trace and commit it window by window, as
+    /// decode steps between the tasks they execute ([`Executor::run`]).
     Stream,
     /// A graph decoded beforehand (in `decode_wall`), committed whole
     /// before the crew starts ([`Executor::replay`]).
@@ -182,9 +184,9 @@ impl Executor {
         &self.config
     }
 
-    /// Streams `trace` through the pipelined core: decode shard threads
-    /// rename window by window while workers already execute committed
-    /// windows.
+    /// Streams `trace` through the pipelined core: workers with nothing
+    /// to run rename it window by window while the others execute the
+    /// windows already committed.
     ///
     /// # Errors
     ///
@@ -244,8 +246,8 @@ impl Executor {
 
     /// One run, whatever its entry point: build the shared state, let
     /// the front end put the graph into the release table — before the
-    /// crew starts, or from decode roles that are part of it — and run
-    /// the workers until the last ticket.
+    /// crew starts, or by decode steps its workers take — and run the
+    /// workers until the last ticket.
     fn pipeline<P: SchedPolicy>(
         &self,
         trace: &TaskTrace,
@@ -257,51 +259,35 @@ impl Executor {
         // Zero-sized, and never read, in a NoopSink build.
         let mut cpu = RoleCpu::default();
         let setup = CpuStamp::now();
-        let release = match front {
+        let (release, decode) = match front {
             FrontEnd::Stream => {
                 let operands: usize = trace.iter().map(|t| t.operands.len()).sum();
-                StreamRelease::new(trace.len(), operands)
+                let decode = DecodeShared::new(trace, cfg);
+                (StreamRelease::new(trace.len(), operands), Some(decode))
             }
-            FrontEnd::Graph { graph, .. } => StreamRelease::from_graph(graph),
+            FrontEnd::Graph { graph, .. } => (StreamRelease::from_graph(graph), None),
         };
-        let shared: Shared<'_, P> = Shared::new(trace, release, cfg);
+        let shared: Shared<'_, P> = Shared::new(trace, release, decode, cfg);
+        if let FrontEnd::Graph { graph, .. } = front {
+            for r in graph.roots() {
+                shared.injector.push(r as u32);
+                // No Spawn events for roots: they are pushed by the
+                // submitter before any worker role (and its ring)
+                // exists, so their queue wait goes unmeasured —
+                // sampling loss, not bias (DESIGN.md §12.3).
+            }
+        }
         let arena = self.arena();
-        let (timing, crew) = match front {
-            FrontEnd::Stream => {
-                // Constructed last: `dec.started` anchors the decode
-                // span, so nothing non-decode (notably the memcpy arena
-                // build) may sit between it and the run start.
-                let dec = DecodeShared::new(trace, cfg.window, cfg.decode_shards);
-                let mut scans: Vec<_> = (0..cfg.decode_shards).map(|_| None).collect();
-                let roles = dec.roles(&shared, cfg.renaming, &mut scans);
-                cpu.charge(CpuRole::Setup, setup);
-                let crew = self.run_crew(&shared, arena, roles);
-                let exec_wall = dec.started.elapsed();
-                let (decode_wall, rename, decode_obs) = dec.finish(scans);
-                (RunTiming { decode_wall, exec_wall, streaming: true, rename, decode_obs }, crew)
-            }
-            FrontEnd::Graph { graph, decode_wall } => {
-                for r in graph.roots() {
-                    shared.injector.push(r as u32);
-                    // No Spawn events for roots: they are pushed by the
-                    // submitter before any worker role (and its ring)
-                    // exists, so their queue wait goes unmeasured —
-                    // sampling loss, not bias (DESIGN.md §12.3).
-                }
-                cpu.charge(CpuRole::Setup, setup);
-                let t0 = Stamp::now();
-                let crew = self.run_crew(&shared, arena, Vec::new());
-                let exec_wall = t0.elapsed();
-                let timing = RunTiming {
-                    decode_wall,
-                    exec_wall,
-                    streaming: false,
-                    rename: *graph.stats(),
-                    decode_obs: Vec::new(),
-                };
-                (timing, crew)
-            }
+        cpu.charge(CpuRole::Setup, setup);
+        let started = Stamp::now();
+        let crew = self.run_crew(&shared, arena);
+        let exec_wall = started.elapsed();
+        let (decode_wall, rename) = match front {
+            FrontEnd::Stream => shared.front.as_ref().expect("a streamed run").finish(started),
+            FrontEnd::Graph { graph, decode_wall } => (decode_wall, *graph.stats()),
         };
+        let timing =
+            RunTiming { decode_wall, exec_wall, streaming: shared.front.is_some(), rename };
         let finish = CpuStamp::now();
         let mut result = self.finish(trace, shared, timing, crew);
         if let Ok(ExecReport { obs: Some(obs), .. }) = &mut result {
@@ -312,23 +298,16 @@ impl Executor {
     }
 
     /// Runs one graph's roles on a crew leased from the resident
-    /// runtime (DESIGN.md §15) and returns once all of them have:
-    /// `front` (the streaming mode's decode shards) on the first
-    /// members, then one worker per configured thread, then — only when
-    /// a deadline or cancel token is armed — the watchdog, last so that
-    /// arming it does not move any other role to a different resident
-    /// thread. An empty graph has nothing to run and leases nothing.
-    fn run_crew<'r, P: SchedPolicy>(
-        &self,
-        shared: &'r Shared<'_, P>,
-        arena: &'r [u8],
-        front: Vec<Role<'r>>,
-    ) -> CrewOut {
+    /// runtime (DESIGN.md §15) and returns once all of them have: one
+    /// worker per configured thread, then — only when a deadline or
+    /// cancel token is armed — the watchdog, last so that arming it
+    /// does not move any other role to a different resident thread. An
+    /// empty graph has nothing to run and leases nothing.
+    fn run_crew<'r, P: SchedPolicy>(&self, shared: &'r Shared<'_, P>, arena: &'r [u8]) -> CrewOut {
         let threads = self.config.threads;
         let mut exits: Vec<Option<WorkerExit>> = (0..threads).map(|_| None).collect();
         if shared.n > 0 {
-            let mut roles: Vec<Role<'_>> = front;
-            roles.reserve(threads + 1);
+            let mut roles: Vec<Role<'_>> = Vec::with_capacity(threads + 1);
             let seed = self.config.seed;
             for (w, exit) in exits.iter_mut().enumerate() {
                 roles.push(Box::new(move || {
@@ -380,7 +359,7 @@ impl Executor {
         timing: RunTiming,
         crew: CrewOut,
     ) -> Result<ExecReport, ExecError> {
-        let RunTiming { decode_wall, exec_wall, streaming, rename, decode_obs } = timing;
+        let RunTiming { decode_wall, exec_wall, streaming, rename } = timing;
         let CrewOut { workers, worker_obs, workers_lost } = crew;
         // Error resolution order: infrastructure death first (nothing
         // else is trustworthy after an executor-bug panic), then the
@@ -442,8 +421,8 @@ impl Executor {
         };
         // Drain the per-worker sinks into the report (None in NoopSink
         // builds): histograms merge across workers, rings become
-        // per-worker/per-shard tracks.
-        let obs = shared.obs.finish(worker_obs, decode_obs);
+        // per-worker tracks.
+        let obs = shared.obs.finish(worker_obs);
         Ok(ExecReport {
             benchmark: trace.name().to_string(),
             tasks: trace.len(),
@@ -476,8 +455,6 @@ struct RunTiming {
     exec_wall: Duration,
     streaming: bool,
     rename: RenameStats,
-    /// Per-decode-shard sinks (empty for a graph decoded beforehand).
-    decode_obs: Vec<WorkerObs>,
 }
 
 /// What a run's worker roles handed back (`Executor::run_crew`).

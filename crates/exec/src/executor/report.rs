@@ -45,7 +45,7 @@ pub struct ExecReport {
     /// Payload mode.
     pub payload: PayloadMode,
     /// Decode span. One-shot runs: the serial decode phase. Streaming
-    /// runs: from thread start to the last window commit — a *span*
+    /// runs: from the crew's start to the last window commit — a *span*
     /// that shares the host with execution, not a pure-work figure.
     pub decode_wall: Duration,
     /// Replay span. One-shot runs: the threaded replay, decode
@@ -59,7 +59,9 @@ pub struct ExecReport {
     pub decode_overlap_pct: f64,
     /// Whether this run streamed decode into execution.
     pub streaming: bool,
-    /// Decode shard threads used (1 for one-shot runs).
+    /// Decode shards used (1 for one-shot runs): address partitions of
+    /// the renamer, each scanned as its own step by whichever worker
+    /// claims it.
     pub decode_shards: usize,
     /// The completion log: task ids in global completion-ticket order.
     pub order: Vec<TaskId>,

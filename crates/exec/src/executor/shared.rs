@@ -1,5 +1,6 @@
 //! The state one run's roles share: queues, tickets, the release
-//! table, and the failure domain's flags (DESIGN.md §7, §11).
+//! table, the streaming front end, and the failure domain's flags
+//! (DESIGN.md §7, §8.2, §11).
 
 use std::time::Duration;
 
@@ -8,6 +9,7 @@ use tss_obs::SharedObs;
 use tss_sim::CachePadded;
 use tss_trace::TaskTrace;
 
+use super::decode::DecodeShared;
 use super::parker::Parker;
 use super::release::{StreamRelease, HEALTHY};
 use super::watchdog::{WatchGate, WatchSlot};
@@ -23,6 +25,9 @@ use crate::sync::Mutex;
 pub(super) struct Shared<'a, P: SchedPolicy> {
     /// How completions find their successors.
     pub(super) release: StreamRelease,
+    /// The decode steps a streamed run's workers take (§8.2); `None`
+    /// for a graph decoded beforehand.
+    pub(super) front: Option<DecodeShared<'a>>,
     /// The scheduling policy (DESIGN.md §13): statically dispatched,
     /// so the default [`LifoPolicy`] build monomorphizes every hook
     /// into the pre-§13 inline code.
@@ -98,6 +103,7 @@ impl<P: SchedPolicy> Shared<'_, P> {
     pub(super) fn new<'t>(
         trace: &'t TaskTrace,
         release: StreamRelease,
+        front: Option<DecodeShared<'t>>,
         cfg: &ExecConfig,
     ) -> Shared<'t, P> {
         let n = trace.len();
@@ -125,6 +131,7 @@ impl<P: SchedPolicy> Shared<'_, P> {
         let run_deadline_ns = cfg.run_deadline.map_or(0, |d| (d.as_nanos() as u64).max(1));
         Shared {
             release,
+            front,
             sched: P::new(trace, payload, threads, cfg.classes, cfg.domains),
             trace,
             n,

@@ -1,6 +1,7 @@
 //! The worker role: take a task, run its payload on the fast or the
 //! guarded lane, take the completion ticket, release successors, and
-//! park when there is nothing to take (DESIGN.md §7, §11, §13).
+//! when there is nothing to take, decode — on a streamed run — or park
+//! (DESIGN.md §7, §8.2, §11, §13).
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -435,13 +436,14 @@ pub(super) fn worker_loop<P: SchedPolicy>(
     let mut wobs = WorkerObs::new();
     // The whole-worker span guarantees every worker track carries at
     // least one event, even for a worker that never won a task; the
-    // role clock beside it charges the loop's CPU to the workers' role
-    // (DESIGN.md §12.6). Both close wherever the role returns.
+    // role clock beside it charges the loop's CPU, net of the decode
+    // steps it took, to the workers' role (DESIGN.md §12.6). Both
+    // close wherever the role returns.
     let span = SpanStamp::begin();
     let cpu = CpuStamp::now();
     let close_spans = |wobs: &mut WorkerObs| {
         wobs.worker_span(w as u32, span, &shared.obs);
-        wobs.role_cpu(CpuRole::Workers, cpu);
+        wobs.role_cpu_net(CpuRole::Workers, cpu);
     };
     let mut scratch = if shared.payload.copies() {
         PayloadScratch::new(arena)
@@ -555,6 +557,11 @@ pub(super) fn worker_loop<P: SchedPolicy>(
             None => {
                 if shared.stopping() {
                     break;
+                }
+                // Nothing to run: decode before parking (§8.2). A
+                // commit racing the park moves the epoch read above.
+                if shared.front.as_ref().is_some_and(|front| front.step(shared, &mut wobs)) {
+                    continue;
                 }
                 let parked = wobs.park_begin();
                 shared.parker.park(epoch, || shared.stopping());

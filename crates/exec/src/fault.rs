@@ -171,9 +171,9 @@ pub enum ExecError {
         /// Total tasks in the run.
         tasks: usize,
     },
-    /// A worker or decoder thread died from a non-payload panic (an
-    /// executor bug, or an injected worker kill under `FailFast`); the
-    /// run still joined every surviving thread.
+    /// A worker died from a non-payload panic (an executor bug, in a
+    /// decode step too, or an injected worker kill under `FailFast`);
+    /// the run still joined every surviving thread.
     WorkerPanic {
         /// Stringified panic payload from the first dead thread.
         message: String,

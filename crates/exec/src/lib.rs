@@ -10,14 +10,14 @@
 //!    operands of a [`TaskTrace`] (or of tasks spawned through
 //!    [`TaskGraphBuilder`]) into producer→consumer chains, either in
 //!    one in-order pass ([`Renamer`]) or streamed in windows with
-//!    address interning sharded across decode threads
-//!    ([`StreamingRenamer`] — the distributed-ORT analogy).
+//!    address interning sharded ([`StreamingRenamer`] — the
+//!    distributed-ORT analogy).
 //! 2. **[`executor`]** — real `std::thread` workers over lock-free
 //!    Chase-Lev work-stealing deques ([`deque`]), O(1) atomic
 //!    readiness counters, and pluggable [`payload`]s (no-op /
 //!    spin-for-runtime / memcpy-over-footprint). [`Executor::run`]
 //!    *pipelines* decode into execution: workers replay early windows
-//!    while decode threads still rename later ones.
+//!    while an idle worker renames later ones.
 //! 3. **Validation & metrics** — every run emits a completion log that
 //!    is checked against the `tss-trace::DepGraph` oracle (a violating
 //!    order fails the run), plus tasks/sec, per-worker utilization,

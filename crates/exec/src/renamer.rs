@@ -443,12 +443,12 @@ pub(crate) fn merge_window(
 /// The streaming face of the renamer: decode in **windows** (so a
 /// consumer can start executing window 0 while window 1 is still being
 /// decoded) with address interning **sharded** `shards` ways (so
-/// multiple decode threads rename disjoint address partitions).
+/// disjoint address partitions can be renamed independently).
 ///
 /// This type materializes graphs — for [`Renamer::decode`], tests and
-/// offline use; the live overlapped pipeline (decode threads feeding
-/// executing workers) is assembled in [`crate::executor`] from the same
-/// `ShardState` / `merge_window` building blocks.
+/// offline use; the live overlapped pipeline (workers decoding between
+/// the tasks they execute) is assembled in [`crate::executor`] from the
+/// same `ShardState` / `merge_window` building blocks.
 #[derive(Debug, Clone)]
 pub struct StreamingRenamer {
     renaming: bool,

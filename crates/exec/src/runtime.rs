@@ -1,23 +1,25 @@
 //! The resident runtime (DESIGN.md §15): process-lifetime worker
 //! *crews* that replace the per-run `std::thread::scope` spawn.
 //!
-//! A run is a set of *roles* — decode shards, workers, and (when a
-//! deadline or cancel token is armed) a watchdog — that borrow the
-//! run's stack-allocated state and must all have returned before the
-//! run reads its results. `std::thread::scope` gives that contract by
-//! spawning and joining one OS thread per role, per run; at one-task
-//! graphs the spawn/join is most of the run (62–95 µs against 7.5–9 µs
-//! to wake parked threads, EXPERIMENTS.md). [`Runtime::run`] gives the
-//! same contract on threads that outlive the run:
+//! A run is a set of *roles* — its workers, and (when a deadline or
+//! cancel token is armed) a watchdog — that borrow the run's
+//! stack-allocated state and must all have returned before the run
+//! reads its results. A streamed run decodes on its workers: decode is
+//! a step they take, not a role (DESIGN.md §8.2). `std::thread::scope`
+//! gives that contract by spawning and joining one OS thread per role,
+//! per run; at one-task graphs the spawn/join is most of the run
+//! (62–95 µs against 7.5–9 µs to wake parked threads, EXPERIMENTS.md).
+//! [`Runtime::run`] gives the same contract on threads that outlive the
+//! run:
 //!
 //! 1. **Lease** a whole crew from the free list (or start an empty
 //!    one), and grow it to one member per role. A crew belongs to
 //!    exactly one run at a time, so no run ever waits for a thread
-//!    another run holds — which is why concurrent runs cannot deadlock
-//!    each other here, where a shared pool of role threads could: a
-//!    run's roles wait on *each other* (workers park until the decode
-//!    role commits a window), so a run that got only some of its roles
-//!    scheduled would hold those threads while waiting for the rest.
+//!    another run holds. No role of a run waits on a role that is not a
+//!    worker: a worker parks only until another worker's completion or
+//!    commit wakes it, and the watchdog waits on nobody. Whole-crew
+//!    leasing is what keeps runs from waiting on each other's workers
+//!    (§15.2).
 //! 2. **Publish** role `k` into member `k`'s job slot. The same role
 //!    index lands on the same resident thread run after run.
 //! 3. **Wait** on the crew's completion latch until every member has

@@ -1,14 +1,14 @@
 //! Determinism boundaries of the native executor (ISSUE 3, sharpened
 //! by ISSUE 4's pipelined core):
 //!
-//! - **Single-thread two-phase replay is bit-deterministic.** One
-//!   worker over a fully decoded graph: no stealing, no ticket race,
-//!   no decode race — completion order is a pure function of the queue
-//!   discipline (own-deque LIFO over injector FIFO, with batch steals
-//!   banking roots oldest-first), so two runs must produce
-//!   byte-identical completion logs. Streamed runs trade this for
-//!   decode overlap — their 1-worker contract (oracle determinism) is
-//!   pinned in `streaming.rs`.
+//! - **Single-thread replay is bit-deterministic, streamed or
+//!   two-phase.** One worker: no stealing, no ticket race — completion
+//!   order is a pure function of the queue discipline (own-deque LIFO
+//!   over injector FIFO, with batch steals banking roots oldest-first),
+//!   so two runs must produce byte-identical completion logs. A
+//!   streamed run adds no decode race either: its one worker decodes
+//!   only when it has nothing to run (DESIGN.md §8.2). Both orders are
+//!   pinned across commits by a digest each.
 //! - **Multi-thread replay is oracle-deterministic, not bit-
 //!   deterministic.** The OS scheduler interleaves workers freely; the
 //!   contract is that *every* interleaving linearizes the dependency
@@ -42,15 +42,18 @@ fn single_thread_replay_is_bit_deterministic() {
     }
 }
 
-/// One-worker `run_oneshot` of each of the nine small traces (seed 7,
-/// `Benchmark::all()` order) under `cfg`: the FNV-1a-64 digest of the
-/// completion logs (each ticket's task id as four little-endian bytes)
-/// and how many tasks ended failed or poisoned.
-fn one_worker_two_phase_digest(cfg: ExecConfig) -> (u64, usize) {
+/// One-worker runs of each of the nine small traces (seed 7,
+/// `Benchmark::all()` order) under `cfg` — streamed (`Executor::run`)
+/// or two-phase (`run_oneshot`): the FNV-1a-64 digest of the completion
+/// logs (each ticket's task id as four little-endian bytes) and how many
+/// tasks ended failed or poisoned.
+fn one_worker_digest(cfg: ExecConfig, streamed: bool) -> (u64, usize) {
     let exec = Executor::new(ExecConfig { threads: 1, ..cfg });
     let (mut h, mut unhealthy) = (0xcbf2_9ce4_8422_2325u64, 0);
     for b in Benchmark::all() {
-        let report = exec.run_oneshot(&b.trace(Scale::Small, 7)).expect("replay failed");
+        let trace = b.trace(Scale::Small, 7);
+        let report = if streamed { exec.run(&trace) } else { exec.run_oneshot(&trace) }
+            .expect("replay failed");
         for byte in report.order.iter().flat_map(|&t| (t as u32).to_le_bytes()) {
             h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
         }
@@ -78,15 +81,40 @@ fn one_worker_two_phase_order_matches_the_committed_digest() {
     const DIGEST: u64 = 0xa40d_d81d_74f0_195d;
     install_quiet_hook();
     let base = ExecConfig::default();
-    assert_eq!(one_worker_two_phase_digest(base.clone()), (DIGEST, 0), "renaming on");
+    assert_eq!(one_worker_digest(base.clone(), false), (DIGEST, 0), "renaming on");
     let no_renaming = ExecConfig { renaming: false, ..base.clone() };
-    assert_eq!(one_worker_two_phase_digest(no_renaming), (DIGEST, 0), "renaming off");
+    assert_eq!(one_worker_digest(no_renaming, false), (DIGEST, 0), "renaming off");
     let chaos = ExecConfig {
         payload: PayloadMode::Faulty { rate_ppm: 50_000, seed: 7 },
         policy: FailurePolicy::Quarantine,
         ..base
     };
-    assert_eq!(one_worker_two_phase_digest(chaos), (DIGEST, 138 + 2_449), "5% faults, quarantine");
+    assert_eq!(one_worker_digest(chaos, false), (DIGEST, 138 + 2_449), "5% faults, quarantine");
+}
+
+/// The streamed one-worker order, pinned the same way, at 128-task
+/// windows so that every small trace (220–1.5k tasks) spans several,
+/// any shard count reading the same: roots come
+/// from the window commits and edges into already-finished producers
+/// are born satisfied, both in an order the trace alone decides. The
+/// digest was computed at the commit that made decode a step of the
+/// run's own workers; before it, a decode thread raced the worker and
+/// no digest could hold. The quarantine row's failure sets are the
+/// two-phase ones: injection is a pure function of task and attempt.
+#[test]
+fn one_worker_streamed_order_matches_the_committed_digest() {
+    const DIGEST: u64 = 0x8c57_5d22_35c0_3405;
+    install_quiet_hook();
+    let base = ExecConfig { window: 128, ..ExecConfig::default() };
+    assert_eq!(one_worker_digest(base.clone(), true), (DIGEST, 0), "renaming on");
+    let sharded = ExecConfig { decode_shards: 3, ..base.clone() };
+    assert_eq!(one_worker_digest(sharded, true), (DIGEST, 0), "three shards");
+    let chaos = ExecConfig {
+        payload: PayloadMode::Faulty { rate_ppm: 50_000, seed: 7 },
+        policy: FailurePolicy::Quarantine,
+        ..base
+    };
+    assert_eq!(one_worker_digest(chaos, true), (DIGEST, 138 + 2_449), "5% faults, quarantine");
 }
 
 #[test]

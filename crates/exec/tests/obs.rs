@@ -86,23 +86,33 @@ fn ring_report_covers_every_worker_and_respects_sampling() {
     assert!(json.contains("\"ph\":\"X\""), "no slices in a real run");
 }
 
+/// A streamed run decodes on its workers (DESIGN.md §8.2): its tracks
+/// are the workers', and every window's scans — one per shard — and its
+/// one commit are on them.
 #[test]
-fn streaming_runs_carry_decode_shard_tracks() {
+fn streaming_runs_put_decode_steps_on_the_worker_tracks() {
     let trace = graph(2048, 16);
-    let report = Executor::new(ExecConfig { threads: 2, decode_shards: 2, ..Default::default() })
-        .run(&trace)
-        .expect("streaming run failed");
+    let (window, shards) = (256, 2);
+    let cfg = ExecConfig { threads: 2, window, decode_shards: shards, ..Default::default() };
+    let report = Executor::new(cfg).run(&trace).expect("streaming run failed");
     assert!(report.validated);
     let Some(obs) = report.obs else {
         assert!(!obs_enabled());
         return;
     };
     let names: Vec<&str> = obs.tracks.iter().map(|t| t.name.as_str()).collect();
-    assert!(names.contains(&"worker-0") && names.contains(&"worker-1"), "{names:?}");
-    assert!(
-        names.iter().any(|n| n.starts_with("decode-")),
-        "streaming run lost its decode tracks: {names:?}"
-    );
+    assert_eq!(names, ["worker-0", "worker-1"]);
+    let windows = trace.len().div_ceil(window) as u32;
+    for (kind, each) in [(EventKind::Scan, shards as u32), (EventKind::Commit, 1)] {
+        let mut seen: Vec<u32> = obs
+            .tracks
+            .iter()
+            .flat_map(|t| t.events.iter().filter(|e| e.kind == kind).map(|e| e.arg))
+            .collect();
+        seen.sort_unstable();
+        let expect: Vec<u32> = (0..windows).flat_map(|w| (0..each).map(move |_| w)).collect();
+        assert_eq!(seen, expect, "{kind:?} events per window");
+    }
 }
 
 /// The scheduler bypass under observation (DESIGN.md §13.1): on a chain
@@ -141,9 +151,10 @@ fn a_bypassed_task_keeps_its_spawn_and_task_pair() {
 }
 
 /// The per-role CPU budget (DESIGN.md §12.6): a streamed run charges
-/// all five roles, a two-phase replay has no decode roles to charge,
-/// and the workers' figure is CPU, not wall — it cannot exceed what the
-/// crew's threads could have used.
+/// all five roles, a two-phase replay has no decode steps to charge,
+/// and the crew's figures are CPU, not wall, and do not overlap — the
+/// workers are charged net of the steps they took, so the three
+/// together cannot exceed what the crew's threads could have used.
 #[test]
 fn role_clocks_cover_exactly_the_roles_a_run_has() {
     let trace = graph(4096, 16);
@@ -163,7 +174,7 @@ fn role_clocks_cover_exactly_the_roles_a_run_has() {
             assert!(r.role_cpu.ns(role) > 0, "replay charged {} nothing", role.name());
         }
     }
-    let budget = (threads as u128 + 1) * streamed.exec_wall.as_nanos();
+    let budget = threads as u128 * streamed.exec_wall.as_nanos();
     let crew = [Role::Scan, Role::Commit, Role::Workers].map(|role| s.role_cpu.ns(role) as u128);
     assert!(crew.iter().sum::<u128>() <= budget, "{crew:?} ns of CPU in {budget} ns of threads");
 }

@@ -1,10 +1,11 @@
 //! The resident runtime's thread population (DESIGN.md §15): however
 //! many graphs run, and however many `Executor` values run them, a
 //! sequential caller keeps exactly one crew alive — one resident thread
-//! per role of its widest run. At the parent commit each run spawned
-//! and joined its own threads; a runtime owned per `Executor` (or one
-//! whose members raced the submitter back into the free list) would
-//! show up here as a count that grows with the number of runs.
+//! per role of its widest run, and the roles are the workers and, when
+//! armed, the watchdog: decoding adds no thread however many shards it
+//! has (§8.2). A runtime owned per `Executor` (or one whose members
+//! raced the submitter back into the free list) would show up here as a
+//! count that grows with the number of runs.
 //!
 //! This file is one test on purpose: the runtime is process-wide, and
 //! a test binary is the only scope in which nothing else leases from
@@ -28,8 +29,8 @@ fn crew_threads() -> usize {
 fn sequential_runs_keep_one_crew_however_many_executors_there_are() {
     let trace = Benchmark::Cholesky.trace(Scale::Small, 1);
     let cfg = ExecConfig { threads: 2, decode_shards: 1, ..ExecConfig::default() };
-    // One decode shard + two workers.
-    let crew = 3;
+    // Two workers, who also decode.
+    let crew = 2;
     assert_eq!(crew_threads(), 0, "the runtime starts no thread before the first run");
 
     let exec = Executor::new(cfg.clone());
@@ -51,12 +52,19 @@ fn sequential_runs_keep_one_crew_however_many_executors_there_are() {
     }
     assert_eq!(crew_threads(), crew);
 
-    // Arming the watchdog grows the same crew by its one role; the
-    // one-shot path (no decode role) fits inside it.
+    // More decode shards are more steps for the same workers, not more
+    // threads; nor is the one-shot path, which decodes before the crew.
+    let sharded = ExecConfig { decode_shards: 3, ..cfg.clone() };
+    for _ in 0..100 {
+        Executor::new(sharded.clone()).run(&trace).expect("sharded run failed");
+        Executor::new(cfg.clone()).run_oneshot(&trace).expect("oneshot run failed");
+    }
+    assert_eq!(crew_threads(), crew, "decode shards added threads");
+
+    // Arming the watchdog grows the same crew by its one role.
     let armed = ExecConfig { cancel: Some(CancelToken::new()), ..cfg.clone() };
     for _ in 0..100 {
         Executor::new(armed.clone()).run(&trace).expect("armed run failed");
-        Executor::new(cfg.clone()).run_oneshot(&trace).expect("oneshot run failed");
     }
     assert_eq!(crew_threads(), crew + 1);
 }

@@ -2,7 +2,7 @@
 //!
 //! Serializes drained [`ObsReport`]s into the JSON Array Format that
 //! `chrome://tracing` and Perfetto open directly: one *process* per
-//! benchmark run, one *thread* (track) per worker / decode shard,
+//! benchmark run, one *thread* (track) per worker,
 //! complete (`"ph":"X"`) events for slices and thread-scoped instants
 //! (`"ph":"i"`) for edges. Retry and poison events carry reserved
 //! Chrome color names (`bad` / `terrible`) so chaos runs read at a

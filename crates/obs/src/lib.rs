@@ -17,7 +17,7 @@
 //!    latency, surfaced as p50/p99/p999.
 //! 3. **A Chrome `trace_event` exporter** ([`chrome_trace`]) that turns
 //!    drained rings into a timeline `chrome://tracing`/Perfetto opens
-//!    directly: one track per worker plus decode-shard tracks, with
+//!    directly: one track per worker, decode steps included, with
 //!    retry/quarantine events on their own phase color.
 //!
 //! The [`clock::Stamp`] monotonic-timestamp facade is compiled in both
@@ -118,17 +118,18 @@ pub struct Gauges {
 
 /// The roles of one `Executor::run` whose CPU a RingSink build clocks
 /// (DESIGN.md §12.6): what the submitter does before the crew starts
-/// and after it returns, the two halves of a decode shard's loop, and
-/// the worker loops whole.
+/// and after it returns, the two halves of a decode step, and the
+/// worker loops net of the steps they took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
     /// `pipeline` entry to the crew hand-off: tables, queues, policy.
     Setup,
     /// `ShardState::scan`, per window and shard.
     Scan,
-    /// `commit_ready`: merge, register, publish, push roots.
+    /// A window's commit: merge, register, publish, push roots.
     Commit,
-    /// The `worker_loop`s, whole (parked time is not CPU time).
+    /// The `worker_loop`s, less their decode steps (parked time is not
+    /// CPU time).
     Workers,
     /// Crew return to `pipeline`'s return: oracle check, report, drops.
     Finish,
@@ -168,6 +169,21 @@ impl RoleCpu {
         let _ = (role, since);
     }
 
+    /// Charges `role` the CPU the calling thread has used since `since`
+    /// less everything these figures hold: the share of an enclosing
+    /// span once the spans nested in it — all charged here after
+    /// `since` — have taken theirs.
+    #[inline]
+    pub fn charge_net(&mut self, role: Role, since: clock::CpuStamp) {
+        #[cfg(feature = "ring")]
+        {
+            let nested: u64 = self.0.iter().sum();
+            self.0[role as usize] += since.elapsed_ns().saturating_sub(nested);
+        }
+        #[cfg(not(feature = "ring"))]
+        let _ = (role, since);
+    }
+
     /// Adds another thread's figures to these.
     #[inline]
     pub fn merge(&mut self, other: &RoleCpu) {
@@ -194,11 +210,11 @@ impl RoleCpu {
     }
 }
 
-/// One timeline track: the drained event ring of a worker or decode
-/// shard, in chronological order.
+/// One timeline track: the drained event ring of a worker, in
+/// chronological order.
 #[derive(Debug, Clone)]
 pub struct Track {
-    /// Display name (`worker-3`, `decode-0`).
+    /// Display name (`worker-3`).
     pub name: String,
     /// Events in chronological order (ring drain re-rotates the buffer).
     pub events: Vec<Event>,
@@ -216,7 +232,8 @@ pub struct ObsReport {
     /// Queue wait (task ready → task start) of sampled tasks, merged
     /// across workers.
     pub queue_wait: Histogram,
-    /// One track per worker, then one per decode shard.
+    /// One track per worker; a streamed run's decode steps are on the
+    /// tracks of the workers that took them.
     pub tracks: Vec<Track>,
     /// Sampled high-water marks.
     pub gauges: Gauges,

@@ -1,6 +1,6 @@
 //! Fixed-capacity per-worker event rings (DESIGN.md §12.1).
 //!
-//! Each worker (and each decode shard) owns one [`Ring`] exclusively —
+//! Each worker owns one [`Ring`] exclusively —
 //! no sharing, no atomics, no locks. The ring allocates once at
 //! construction; recording overwrites the oldest event when full and
 //! counts the loss, so the hot path never allocates and never blocks.
@@ -20,7 +20,8 @@ pub enum EventKind {
     Task,
     /// A worker slept in the parker (slice).
     Park,
-    /// A decode shard scanned one window; `arg` = window index (slice).
+    /// A decode step scanned one shard of a window; `arg` = window
+    /// index (slice).
     Scan,
     /// A sampled task became ready and was pushed; `arg` = task id.
     Spawn,

@@ -101,8 +101,8 @@ impl SharedObs {
     }
 
     /// Builds the run's [`ObsReport`] from the joined workers' sinks.
-    /// Called after every worker and decode thread has joined, so the
-    /// Relaxed gauge loads race nothing.
+    /// Called after every worker has joined, so the Relaxed gauge loads
+    /// race nothing.
     ///
     /// Queue wait is reconstructed here, off the hot path: the Spawn
     /// event a completer recorded when a sampled task became ready is
@@ -111,21 +111,15 @@ impl SharedObs {
     /// ring wrap just goes unmeasured, and root tasks pushed before the
     /// workers exist have no Spawn at all — both are sampling loss, not
     /// bias against any particular worker.
-    pub fn finish(&self, workers: Vec<WorkerObs>, decoders: Vec<WorkerObs>) -> Option<ObsReport> {
+    pub fn finish(&self, workers: Vec<WorkerObs>) -> Option<ObsReport> {
         let mut exec_latency = Histogram::new();
         let mut role_cpu = RoleCpu::default();
-        let mut tracks = Vec::with_capacity(workers.len() + decoders.len());
-        let mut add = |name: String, w: WorkerObs| {
+        let mut tracks = Vec::with_capacity(workers.len());
+        for (i, w) in workers.into_iter().enumerate() {
             exec_latency.merge(&w.exec);
             role_cpu.merge(&w.roles);
             let (events, dropped) = w.ring.drain();
-            tracks.push(Track { name, events, dropped });
-        };
-        for (i, w) in workers.into_iter().enumerate() {
-            add(format!("worker-{i}"), w);
-        }
-        for (i, d) in decoders.into_iter().enumerate() {
-            add(format!("decode-{i}"), d);
+            tracks.push(Track { name: format!("worker-{i}"), events, dropped });
         }
         let mut ready = std::collections::HashMap::new();
         for tr in &tracks {
@@ -152,8 +146,8 @@ impl SharedObs {
             queue_wait,
             tracks,
             gauges: Gauges {
-                // relaxed: gauge read in finish(), after every worker and
-                // decode thread joined
+                // relaxed: gauge read in finish(), after every worker
+                // joined
                 deque_depth_max: self.deque_depth_max.load(Ordering::Relaxed),
                 pending_drain_max: self.pending_drain_max.load(Ordering::Relaxed),
                 commit_lag_max: self.commit_lag_max.load(Ordering::Relaxed),
@@ -186,7 +180,7 @@ impl SharedObs {
 
     /// NoopSink: there is nothing to report.
     #[inline]
-    pub fn finish(&self, _workers: Vec<WorkerObs>, _decoders: Vec<WorkerObs>) -> Option<ObsReport> {
+    pub fn finish(&self, _workers: Vec<WorkerObs>) -> Option<ObsReport> {
         None
     }
 }
@@ -318,7 +312,7 @@ impl WorkerObs {
         self.instant(EventKind::Spawn, t, now);
     }
 
-    /// Window `window` committed on this decode shard.
+    /// This worker committed window `window`.
     #[inline]
     pub fn commit(&mut self, window: u32, shared: &SharedObs) {
         let now = shared.now_ns();
@@ -343,7 +337,7 @@ impl WorkerObs {
         }
     }
 
-    /// Closes a decode window-scan span.
+    /// Closes a decode step's window-scan span.
     #[inline]
     pub fn scan(&mut self, window: u32, begin: SpanStamp, shared: &SharedObs) {
         self.slice(EventKind::Scan, window, begin.0, Stamp::now(), shared);
@@ -373,6 +367,15 @@ impl WorkerObs {
     #[inline]
     pub fn role_cpu(&mut self, role: Role, begin: CpuStamp) {
         self.roles.charge(role, begin);
+    }
+
+    /// Closes a per-role CPU span that encloses every span this sink
+    /// has charged so far: `role` gets the thread CPU since `begin`
+    /// less theirs — a worker loop's figure, net of the decode steps it
+    /// took (DESIGN.md §12.6).
+    #[inline]
+    pub fn role_cpu_net(&mut self, role: Role, begin: CpuStamp) {
+        self.roles.charge_net(role, begin);
     }
 
     #[inline]
@@ -450,6 +453,10 @@ impl WorkerObs {
     /// NoopSink: no clock read.
     #[inline]
     pub fn role_cpu(&mut self, _role: Role, _begin: CpuStamp) {}
+
+    /// NoopSink: no clock read.
+    #[inline]
+    pub fn role_cpu_net(&mut self, _role: Role, _begin: CpuStamp) {}
 }
 
 #[cfg(test)]
@@ -459,7 +466,7 @@ mod tests {
     #[test]
     fn finish_reflects_the_feature() {
         let shared = SharedObs::new();
-        let report = shared.finish(vec![WorkerObs::new()], vec![]);
+        let report = shared.finish(vec![WorkerObs::new()]);
         assert_eq!(report.is_some(), crate::ENABLED);
     }
 
@@ -477,7 +484,7 @@ mod tests {
         shared.note_deque_depth(3);
         shared.note_pending_drain(7);
         shared.note_commit_lag(11);
-        let report = shared.finish(vec![w], vec![]).expect("ring build reports");
+        let report = shared.finish(vec![w]).expect("ring build reports");
         assert_eq!(report.exec_latency.count(), 1);
         assert!(report.exec_latency.max() >= 1_000_000, "slept a millisecond");
         assert_eq!(report.queue_wait.count(), 1, "Spawn/Task paired at drain");
@@ -502,37 +509,66 @@ mod tests {
         a.spawn(t, &shared);
         let begin = b.task_begin(t);
         b.task_end(t, begin, &shared);
-        let report = shared.finish(vec![a, b], vec![]).expect("ring build reports");
+        let report = shared.finish(vec![a, b]).expect("ring build reports");
         assert_eq!(report.queue_wait.count(), 1, "cross-track Spawn/Task pair");
     }
 
-    /// Role CPU spans closed on different sinks — a worker's, two
-    /// decode shards' — meet in the report, summed per role.
+    /// Burns ~5 ms of this thread's CPU.
+    #[cfg(feature = "ring")]
+    fn burn() {
+        let wall = Stamp::now();
+        let mut x = 1u64;
+        while wall.elapsed() < std::time::Duration::from_millis(5) {
+            x = std::hint::black_box(x.wrapping_mul(3).wrapping_add(1));
+        }
+    }
+
+    /// Role CPU spans closed on different sinks — three workers', two
+    /// of them having scanned and one committed — meet in the report,
+    /// summed per role.
     #[cfg(feature = "ring")]
     #[test]
     fn role_cpu_spans_are_summed_per_role_across_sinks() {
-        let burn = |sink: &mut WorkerObs, role: Role| {
+        let charge = |sink: &mut WorkerObs, role: Role| {
             let span = CpuStamp::now();
-            let wall = Stamp::now();
-            let mut x = 1u64;
-            while wall.elapsed() < std::time::Duration::from_millis(5) {
-                x = std::hint::black_box(x.wrapping_mul(3).wrapping_add(1));
-            }
+            burn();
             sink.role_cpu(role, span);
         };
         let (mut w, mut d0, mut d1) = (WorkerObs::new(), WorkerObs::new(), WorkerObs::new());
-        burn(&mut w, Role::Workers);
-        burn(&mut d0, Role::Scan);
-        burn(&mut d1, Role::Scan);
-        burn(&mut d1, Role::Commit);
+        charge(&mut w, Role::Workers);
+        charge(&mut d0, Role::Scan);
+        charge(&mut d1, Role::Scan);
+        charge(&mut d1, Role::Commit);
         let scans = d0.roles.ns(Role::Scan) + d1.roles.ns(Role::Scan);
-        let report = SharedObs::new().finish(vec![w], vec![d0, d1]).expect("ring build reports");
+        let report = SharedObs::new().finish(vec![w, d0, d1]).expect("ring build reports");
         assert_eq!(report.role_cpu.ns(Role::Scan), scans);
         assert_eq!(report.role_cpu.ns(Role::Setup), 0, "nobody charged set-up");
         if cfg!(all(target_os = "linux", target_pointer_width = "64")) {
             for role in [Role::Scan, Role::Commit, Role::Workers] {
                 assert!(report.role_cpu.ns(role) > 0, "{} read no CPU", role.name());
             }
+        }
+    }
+
+    /// A span closed net of the spans nested in it is charged only the
+    /// CPU they did not claim: the enclosing span and the nested ones
+    /// add up to what the thread used, never to more.
+    #[cfg(feature = "ring")]
+    #[test]
+    fn a_net_span_leaves_out_the_spans_it_encloses() {
+        let mut w = WorkerObs::new();
+        let outer = CpuStamp::now();
+        burn();
+        let scan = CpuStamp::now();
+        burn();
+        w.role_cpu(Role::Scan, scan);
+        burn();
+        w.role_cpu_net(Role::Workers, outer);
+        let used = outer.elapsed_ns();
+        let (scanned, worked) = (w.roles.ns(Role::Scan), w.roles.ns(Role::Workers));
+        assert!(scanned + worked <= used, "{scanned} + {worked} ns of {used}");
+        if cfg!(all(target_os = "linux", target_pointer_width = "64")) {
+            assert!(scanned > 0 && worked > 0, "{scanned} and {worked} ns");
         }
     }
 
@@ -544,7 +580,7 @@ mod tests {
         let mut w = WorkerObs::new();
         let begin = w.task_begin(t);
         w.task_end(t, begin, &shared);
-        let report = shared.finish(vec![w], vec![]).expect("ring build reports");
+        let report = shared.finish(vec![w]).expect("ring build reports");
         assert!(report.exec_latency.is_empty());
         assert!(report.tracks[0].events.is_empty());
     }
@@ -564,7 +600,7 @@ mod tests {
             w.wake(&shared);
         }
         assert_eq!(armed, 3, "1-in-EDGE_EVERY parks are armed");
-        let report = shared.finish(vec![w], vec![]).expect("ring build reports");
+        let report = shared.finish(vec![w]).expect("ring build reports");
         let evs = &report.tracks[0].events;
         let parks = evs.iter().filter(|e| e.kind == EventKind::Park).count();
         let wakes = evs.iter().filter(|e| e.kind == EventKind::Wake).count();
