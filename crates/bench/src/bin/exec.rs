@@ -27,10 +27,8 @@
 //! and streamed runs agreeing on the (seed-deterministic) failure sets.
 //!
 //! Flags: `--scale small|paper|large`, `--threads N`, `--payload
-//! noop|spin|memcpy|faulty|mixed`, `--policy lifo|fifo|cost|locality`
-//! (DESIGN.md §13; `--classes N`/`--domains N` shape the locality
-//! policy only — naming them with any other policy exits 2),
-//! `--spin-scale F`, `--seed N`, `--window N`,
+//! noop|spin|memcpy|faulty|mixed`, `--policy lifo|fifo` (DESIGN.md
+//! §13), `--spin-scale F`, `--seed N`, `--window N`,
 //! `--decode-shards N`, `--no-renaming`, `--json`, `--out PATH`, plus
 //! the failure domain: `--fault-rate F` (0..=1), `--fault-seed N`,
 //! `--failure-policy fail-fast|retry|quarantine`, `--retry-max N`,
@@ -105,7 +103,7 @@ fn parse_args() -> Parsed<Args> {
     let mut flags = Flags::from_env(format!(
         "exec [--scale small|paper|large] [--threads N] \
          [--payload noop|spin|memcpy|faulty|mixed] [--spin-scale F] [--seed N] \
-         [--policy {SCHED_MENU}] [--classes N --domains N (locality only)] \
+         [--policy {SCHED_MENU}] \
          [--window N] [--decode-shards N] [--no-renaming] [--json] [--out PATH] \
          [--fault-rate F --failure-policy fail-fast|retry|quarantine] \
          [--fault-seed N] [--retry-max N] [--retry-backoff-ms F] \
@@ -152,9 +150,6 @@ fn parse_args() -> Parsed<Args> {
         out.cfg.sched =
             SchedKind::parse(v).ok_or_else(|| format!("unknown policy '{v}' ({SCHED_MENU})"))?;
     }
-    run.shape(Some(out.cfg.sched), out.cfg.threads, "--threads")?;
-    out.cfg.classes = run.classes.unwrap_or(out.cfg.classes);
-    out.cfg.domains = run.domains.unwrap_or(out.cfg.domains);
 
     // Flag-combination validation (all errors name the flags involved;
     // the CLI tests pin these). Injection must be paired with an
@@ -329,8 +324,6 @@ fn to_json(args: &Args, points: &[Point]) -> String {
         .put("hw_threads", hw_threads())
         .text("payload", cfg.payload.name())
         .text("policy", cfg.sched.name())
-        .put("classes", cfg.classes)
-        .put("domains", cfg.domains)
         .put("seed", cfg.seed)
         .put("window", cfg.window)
         .put("decode_shards", cfg.decode_shards)
@@ -359,7 +352,6 @@ fn to_json(args: &Args, points: &[Point]) -> String {
                 .fixed("exec_wall_ms", r.exec_wall.as_secs_f64() * 1e3, 3)
                 .fixed("exec_tasks_per_sec", r.tasks_per_sec(), 0)
                 .put("steals", r.total_steals())
-                .put("cross_steals", r.total_cross_steals())
                 .fixed("stream_wall_ms", p.stream.exec_wall.as_secs_f64() * 1e3, 3)
                 .fixed("stream_tasks_per_sec", p.stream.tasks_per_sec(), 0)
                 .fixed("decode_overlap_pct", p.stream.decode_overlap_pct, 1);

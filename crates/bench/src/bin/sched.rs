@@ -1,8 +1,8 @@
 //! Scheduling-policy ablation harness (DESIGN.md §13): replay all nine
-//! Table-I benchmarks under every [`SchedKind`] across a worker-count
-//! grid, with the *mixed* payload (memcpy for memory-class tasks, spin
-//! for compute-class — the workload shape heterogeneous dispatch
-//! exists for), and record the policy-by-policy numbers in
+//! Table-I benchmarks under both [`SchedKind`]s — the `lifo` baseline
+//! and its `fifo` control — across a worker-count grid, with the
+//! *mixed* payload (memcpy for memory-class tasks, spin for
+//! compute-class), and record the policy-by-policy numbers in
 //! `BENCH_sched.json`.
 //!
 //! Every replay is validated against the `DepGraph` oracle — a
@@ -15,13 +15,11 @@
 //! `--workers 64` row produced on a 1-core container measures
 //! scheduler overhead, not scaling (EXPERIMENTS.md §PR 4/5 erratum).
 //!
-//! Flags: `--scale small|paper|large`, `--policy all|lifo|fifo|cost|
-//! locality` (default all), `--workers N,N,...` (default
-//! `2,4,8,16,32,64`), `--classes N` / `--domains N` (locality shaping;
-//! rejected when the selected policy set is a single non-locality
-//! policy), `--spin-scale F`, `--seed N`, `--jobs N` (sweep fan-out),
-//! `--json`, `--out PATH`. Bad values and bad combinations exit 2 with
-//! a message naming the flags; an oracle violation exits 1.
+//! Flags: `--scale small|paper|large`, `--policy all|lifo|fifo`
+//! (default all), `--workers N,N,...` (default `2,4,8,16,32,64`),
+//! `--spin-scale F`, `--seed N`, `--jobs N` (sweep fan-out), `--json`,
+//! `--out PATH`. Bad values exit 2 with a message naming the flag; an
+//! oracle violation exits 1.
 
 use std::time::Instant;
 
@@ -37,13 +35,11 @@ use tss_trace::TaskTrace;
 use tss_workloads::Benchmark;
 
 struct Args {
-    /// `--scale --spin-scale --seed --json --out`, and the `--policy
-    /// --classes --domains` the three fields below are resolved from.
+    /// `--scale --spin-scale --seed --json --out`, and the `--policy`
+    /// that `policies` is resolved from.
     run: RunFlags,
     policies: Vec<SchedKind>,
     workers: Vec<usize>,
-    classes: usize,
-    domains: usize,
     jobs: usize,
 }
 
@@ -53,8 +49,7 @@ fn parse_args() -> Parsed<Args> {
     let mut jobs = fabric::default_jobs();
     let mut flags = Flags::from_env(format!(
         "sched [--scale small|paper|large] [--policy all|{SCHED_MENU}] \
-         [--workers N,N,...] [--classes N] [--domains N] [--spin-scale F] \
-         [--seed N] [--jobs N] [--json] [--out PATH]"
+         [--workers N,N,...] [--spin-scale F] [--seed N] [--jobs N] [--json] [--out PATH]"
     ));
     while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
@@ -74,23 +69,12 @@ fn parse_args() -> Parsed<Args> {
             _ => run.take(&mut flags)?,
         }
     }
-    let single = match run.policy.as_deref() {
-        None | Some("all") => None,
-        Some(v) => Some(
-            SchedKind::parse(v)
-                .ok_or_else(|| format!("unknown policy '{v}' (all|{SCHED_MENU})"))?,
-        ),
+    let policies = match run.policy.as_deref() {
+        None | Some("all") => SchedKind::all().to_vec(),
+        Some(v) => vec![SchedKind::parse(v)
+            .ok_or_else(|| format!("unknown policy '{v}' (all|{SCHED_MENU})"))?],
     };
-    let fewest = workers.iter().copied().min().unwrap_or(1);
-    run.shape(single, fewest, "the smallest --workers entry")?;
-    Ok(Args {
-        policies: single.map_or_else(|| SchedKind::all().to_vec(), |kind| vec![kind]),
-        workers,
-        classes: run.classes.unwrap_or(2),
-        domains: run.domains.unwrap_or(2),
-        jobs,
-        run,
-    })
+    Ok(Args { policies, workers, jobs, run })
 }
 
 /// One grid point: `(benchmark index, policy, worker count)`.
@@ -111,11 +95,6 @@ fn run_point(args: &Args, trace: &TaskTrace, p: Point) -> Row {
         threads: workers,
         payload: PayloadMode::Mixed { time_scale: args.run.spin_scale },
         sched: policy,
-        // Executor::new clamps domains to the thread count, so the
-        // locality rows at 2 workers run 2 domains even if more were
-        // asked for.
-        classes: args.classes,
-        domains: args.domains,
         seed: args.run.seed,
         ..Default::default()
     };
@@ -125,14 +104,13 @@ fn run_point(args: &Args, trace: &TaskTrace, p: Point) -> Row {
 }
 
 /// Per-policy aggregate over every `(benchmark, workers)` cell:
-/// `(tasks, tasks/s, steals, cross-domain steals)`.
-fn policy_totals(rows: &[Row], policy: SchedKind) -> (usize, f64, u64, u64) {
+/// `(tasks, tasks/s, steals)`.
+fn policy_totals(rows: &[Row], policy: SchedKind) -> (usize, f64, u64) {
     let mine: Vec<&Row> = rows.iter().filter(|r| r.policy == policy).collect();
     let tasks: usize = mine.iter().map(|r| r.report.tasks).sum();
     let wall: f64 = mine.iter().map(|r| r.report.exec_wall.as_secs_f64()).sum();
     let steals: u64 = mine.iter().map(|r| r.report.total_steals()).sum();
-    let cross: u64 = mine.iter().map(|r| r.report.total_cross_steals()).sum();
-    (tasks, ratio(tasks as f64, wall), steals, cross)
+    (tasks, ratio(tasks as f64, wall), steals)
 }
 
 fn to_json(args: &Args, rows: &[Row], suite_wall_ms: f64) -> String {
@@ -143,8 +121,6 @@ fn to_json(args: &Args, rows: &[Row], suite_wall_ms: f64) -> String {
         .text("payload", "mixed")
         .put("seed", args.run.seed)
         .put("hw_threads", hw)
-        .put("classes", args.classes)
-        .put("domains", args.domains)
         .list("workers", args.workers.iter().map(|w| w.to_string()))
         .list("policies", args.policies.iter().map(|p| json::string(p.name())));
     let results: Vec<Fields> = rows
@@ -160,19 +136,17 @@ fn to_json(args: &Args, rows: &[Row], suite_wall_ms: f64) -> String {
                 .fixed("exec_wall_ms", r.exec_wall.as_secs_f64() * 1e3, 3)
                 .fixed("exec_tasks_per_sec", r.tasks_per_sec(), 0)
                 .put("steals", r.total_steals())
-                .put("cross_steals", r.total_cross_steals())
                 .quantiles("latency", r.obs.as_ref().map(|o| &o.exec_latency))
                 .put("validated", r.validated)
         })
         .collect();
     let per_policy = args.policies.iter().map(|&policy| {
-        let (tasks, rate, steals, cross) = policy_totals(rows, policy);
+        let (tasks, rate, steals) = policy_totals(rows, policy);
         Fields::new()
             .text("policy", policy.name())
             .put("tasks", tasks)
             .fixed("exec_tasks_per_sec", rate, 0)
             .put("steals", steals)
-            .put("cross_steals", cross)
             .object()
     });
     let totals = Fields::new()
@@ -232,7 +206,7 @@ fn main() {
                 args.run.seed,
                 hw_threads(),
             ),
-            &["Benchmark", "policy", "workers", "tasks", "wall ms", "tasks/s", "steals", "cross"],
+            &["Benchmark", "policy", "workers", "tasks", "wall ms", "tasks/s", "steals"],
         );
         for row in &rows {
             let r = &row.report;
@@ -244,16 +218,14 @@ fn main() {
                 fmt_f(r.exec_wall.as_secs_f64() * 1e3, 2),
                 fmt_f(r.tasks_per_sec(), 0),
                 r.total_steals().to_string(),
-                r.total_cross_steals().to_string(),
             ]);
         }
         println!("{}", table.render());
-        let (_, base_rate, _, _) = policy_totals(&rows, args.policies[0]);
+        let (_, base_rate, _) = policy_totals(&rows, args.policies[0]);
         for &policy in &args.policies {
-            let (tasks, rate, steals, cross) = policy_totals(&rows, policy);
+            let (tasks, rate, steals) = policy_totals(&rows, policy);
             println!(
-                "{:>9}: {tasks} tasks, {} tasks/s aggregate ({:+.1}% vs {}), \
-                 {steals} steals ({cross} cross-domain)",
+                "{:>9}: {tasks} tasks, {} tasks/s aggregate ({:+.1}% vs {}), {steals} steals",
                 policy.name(),
                 fmt_f(rate, 0),
                 if base_rate > 0.0 { (rate / base_rate - 1.0) * 1e2 } else { 0.0 },

@@ -11,7 +11,7 @@ use std::fmt::Display;
 use std::str::FromStr;
 use std::time::Duration;
 
-use tss_exec::{ExecError, ExecReport, SchedKind};
+use tss_exec::{ExecError, ExecReport};
 use tss_workloads::Scale;
 
 /// A parsed value, or the message [`fail`] should print.
@@ -129,8 +129,6 @@ impl Flags {
 pub struct RunFlags {
     pub scale: Scale,
     pub policy: Option<String>,
-    pub classes: Option<usize>,
-    pub domains: Option<usize>,
     pub spin_scale: f64,
     pub seed: u64,
     /// Print the JSON document to stdout instead of the table.
@@ -145,8 +143,6 @@ impl RunFlags {
         RunFlags {
             scale: Scale::Small,
             policy: None,
-            classes: None,
-            domains: None,
             spin_scale: 1.0,
             seed: 42,
             json: false,
@@ -160,8 +156,6 @@ impl RunFlags {
         match flags.flag.as_str() {
             "--scale" => self.scale = flags.scale()?,
             "--policy" => self.policy = Some(flags.value()?),
-            "--classes" => self.classes = Some(flags.positive()?),
-            "--domains" => self.domains = Some(flags.positive()?),
             "--spin-scale" => self.spin_scale = flags.num()?,
             "--seed" => self.seed = flags.num()?,
             "--json" => self.json = true,
@@ -170,39 +164,6 @@ impl RunFlags {
         }
         Ok(())
     }
-
-    /// Holds `--classes`/`--domains` to what will run: they shape the
-    /// locality policy only, and `Executor::new` clamps domains to the
-    /// worker count — ignoring them under another single `policy`
-    /// (`None`: all are swept), or an explicit `--domains` above the
-    /// `fewest` workers of any run (`fewest_flag` in the error), would
-    /// make an ablation artifact lie about what it ran.
-    pub fn shape(&self, policy: Option<SchedKind>, fewest: usize, fewest_flag: &str) -> Parsed<()> {
-        if let Some(policy) = policy {
-            locality_only(policy, self.classes, self.domains)?;
-        }
-        match self.domains {
-            Some(n) if n > fewest => {
-                Err(format!("--domains {n} cannot exceed {fewest_flag} {fewest}"))
-            }
-            _ => Ok(()),
-        }
-    }
-}
-
-fn locality_only(policy: SchedKind, classes: Option<usize>, domains: Option<usize>) -> Parsed<()> {
-    if matches!(policy, SchedKind::Locality) {
-        return Ok(());
-    }
-    for (flag, value) in [("--classes", classes), ("--domains", domains)] {
-        if let Some(n) = value {
-            return Err(format!(
-                "{flag} {n} only applies to --policy locality, not --policy {}",
-                policy.name()
-            ));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -246,19 +207,5 @@ mod tests {
             "unknown scale 'huge' (small|paper|large)"
         );
         assert_eq!(flags(&["--frobnicate"]).unknown(), "unknown flag '--frobnicate'");
-    }
-
-    #[test]
-    fn class_and_domain_shaping_needs_the_locality_policy() {
-        assert_eq!(locality_only(SchedKind::Locality, Some(2), Some(4)), Ok(()));
-        assert_eq!(locality_only(SchedKind::Fifo, None, None), Ok(()));
-        assert_eq!(
-            locality_only(SchedKind::Lifo, None, Some(4)).unwrap_err(),
-            "--domains 4 only applies to --policy locality, not --policy lifo"
-        );
-        assert_eq!(
-            locality_only(SchedKind::CostAware, Some(2), Some(4)).unwrap_err(),
-            "--classes 2 only applies to --policy locality, not --policy cost"
-        );
     }
 }

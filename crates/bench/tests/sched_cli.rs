@@ -20,29 +20,25 @@ fn unknown_policy_suggests_the_menu() {
     let (code, err) = run(&["--policy", "greedy"]);
     assert_eq!(code, 2, "stderr: {err}");
     assert!(err.contains("unknown policy 'greedy'"), "stderr: {err}");
-    assert!(err.contains("all|lifo|fifo|cost|locality"), "suggests the menu: {err}");
+    assert!(err.contains("all|lifo|fifo)"), "suggests the menu: {err}");
     assert!(!err.contains("panicked"), "panicked instead of failing cleanly: {err}");
 }
 
+/// The `cost` and `locality` policies and their shaping flags are
+/// gone: asking for them is outside input like any other unknown name.
 #[test]
-fn class_and_domain_flags_require_the_locality_policy() {
-    let (code, err) = run(&["--policy", "lifo", "--domains", "4"]);
-    assert_eq!(code, 2, "stderr: {err}");
-    assert!(err.contains("--domains 4"), "names the offending flag: {err}");
-    assert!(err.contains("--policy locality"), "names the required policy: {err}");
-
-    let (code, err) = run(&["--policy", "cost", "--classes", "2"]);
-    assert_eq!(code, 2, "stderr: {err}");
-    assert!(err.contains("--classes 2"), "stderr: {err}");
-    assert!(err.contains("--policy locality"), "stderr: {err}");
-}
-
-#[test]
-fn domains_must_fit_the_smallest_worker_count() {
-    let (code, err) = run(&["--policy", "locality", "--workers", "2,4", "--domains", "4"]);
-    assert_eq!(code, 2, "stderr: {err}");
-    assert!(err.contains("--domains 4"), "stderr: {err}");
-    assert!(err.contains("--workers entry 2"), "stderr: {err}");
+fn removed_policies_and_shaping_flags_are_rejected() {
+    for (args, names) in [
+        (&["--policy", "cost"][..], "unknown policy 'cost'"),
+        (&["--policy", "locality"][..], "unknown policy 'locality'"),
+        (&["--classes", "2"][..], "unknown flag '--classes'"),
+        (&["--domains", "4"][..], "unknown flag '--domains'"),
+    ] {
+        let (code, err) = run(args);
+        assert_eq!(code, 2, "args {args:?}, stderr: {err}");
+        assert!(err.contains(names), "args {args:?} must name the value or flag: {err}");
+        assert!(!err.contains("panicked"), "args {args:?} panicked: {err}");
+    }
 }
 
 #[test]
@@ -84,7 +80,7 @@ fn small_run_writes_a_schemad_artifact() {
             "--scale",
             "small",
             "--policy",
-            "locality",
+            "fifo",
             "--workers",
             "2",
             "--out",
@@ -98,8 +94,7 @@ fn small_run_writes_a_schemad_artifact() {
     let doc = std::fs::read_to_string(&out_path).expect("artifact written");
     assert!(doc.contains("\"schema\": \"tss-bench-sched/v1\""), "doc: {doc:.200}");
     assert!(doc.contains("\"payload\": \"mixed\""));
-    assert!(doc.contains("\"policy\": \"locality\""));
-    assert!(doc.contains("\"cross_steals\""));
+    assert!(doc.contains("\"policy\": \"fifo\""));
     assert!(doc.contains("\"per_policy\""));
     // Every results row and the totals carry the honest-scaling stamp:
     // one top-level + one per row + one in totals.
@@ -113,9 +108,9 @@ fn small_run_writes_a_schemad_artifact() {
     // `BENCH_sched.json` has no committed baseline (nothing in it is
     // exact-gated), so its key set is pinned here.
     const KEYS: &str = r#"{"schema": 0, "scale": 0, "payload": 0, "seed": 0, "hw_threads": 0,
-        "classes": 0, "domains": 0, "workers": 0, "policies": 0,
+        "workers": 0, "policies": 0,
         "results": [{"benchmark": 0, "policy": 0, "workers": 0, "hw_threads": 0, "tasks": 0,
-            "exec_wall_ms": 0, "exec_tasks_per_sec": 0, "steals": 0, "cross_steals": 0,
+            "exec_wall_ms": 0, "exec_tasks_per_sec": 0, "steals": 0,
             "validated": 0}],
         "totals": {"hw_threads": 0, "jobs": 0, "suite_wall_ms": 0, "per_policy": 0}}"#;
     common::assert_carries_keys_of(&doc, KEYS, None);

@@ -376,13 +376,12 @@ impl ChaseLev {
     }
 }
 
-/// The victim-selection seam (DESIGN.md §13.4): fills `buf` with every
+/// The steal-victim rotation (DESIGN.md §13): fills `buf` with every
 /// worker index except `me` (out of `n` workers), rotated so the scan
 /// starts at a rotation-offset derived from `r`. This is exactly the
 /// rotation the pre-§13 executor inlined — `others` ascending, scan
-/// from `r % (n-1)` — split out so scheduling policies can compose it
-/// (per-domain rotations, load-ordered scans) without re-deriving the
-/// exclude-self index arithmetic.
+/// from `r % (n-1)` — and what the worker loop's one victim scan
+/// (`sched::victims`) fills its buffer with.
 pub fn rotate_victims(me: usize, n: usize, r: u64, buf: &mut Vec<usize>) {
     buf.clear();
     if n <= 1 {

@@ -49,12 +49,6 @@ pub struct ExecConfig {
     /// Scheduling policy (DESIGN.md §13). The default, [`SchedKind::Lifo`],
     /// monomorphizes to the pre-§13 worker loop.
     pub sched: SchedKind,
-    /// Worker classes for [`SchedKind::Locality`] (clamped to 1..=2;
-    /// 1 disables class routing). Ignored by the other policies.
-    pub classes: usize,
-    /// Affinity domains for [`SchedKind::Locality`] (clamped to
-    /// 1..=threads). Ignored by the other policies.
-    pub domains: usize,
     /// External cancellation (DESIGN.md §14.3): when the token fires,
     /// the watchdog aborts the run and it returns
     /// [`ExecError::Cancelled`](crate::fault::ExecError::Cancelled) with
@@ -78,8 +72,6 @@ impl Default for ExecConfig {
             run_deadline: None,
             kill_worker: None,
             sched: SchedKind::Lifo,
-            classes: 2,
-            domains: 1,
             cancel: None,
         }
     }
@@ -114,9 +106,9 @@ impl std::error::Error for ConfigError {}
 impl ExecConfig {
     /// The one statement of the ranges a run needs: at least one worker,
     /// and a `kill_worker` that leaves a survivor and names a worker
-    /// that exists. (`window`, `decode_shards`, `classes` and `domains`
-    /// have no bad values — `Executor::new` clamps them.) Allocates
-    /// nothing: the server builds an executor per served graph.
+    /// that exists. (`window` and `decode_shards` have no bad values —
+    /// `Executor::new` clamps them.) Allocates nothing: the server
+    /// builds an executor per served graph.
     pub fn check(&self) -> Result<(), ConfigError> {
         if self.threads == 0 {
             return Err(ConfigError::NoWorkers);

@@ -123,9 +123,7 @@ use crate::fault::{panic_message, ExecError, FailurePolicy, FaultReport};
 use crate::payload::shared_arena;
 use crate::renamer::{RenameStats, Renamer, TaskGraph};
 use crate::runtime::{self, Role};
-use crate::sched::{
-    CostAwarePolicy, FifoPolicy, LifoPolicy, LocalityPolicy, SchedKind, SchedPolicy,
-};
+use crate::sched::{FifoPolicy, LifoPolicy, SchedKind, SchedPolicy};
 use crate::sync::atomic::Ordering;
 
 /// The native out-of-order task executor.
@@ -174,8 +172,6 @@ impl Executor {
         }
         config.window = config.window.max(1);
         config.decode_shards = config.decode_shards.max(1);
-        config.classes = config.classes.clamp(1, crate::payload::NUM_CLASSES);
-        config.domains = config.domains.clamp(1, config.threads);
         Executor { config }
     }
 
@@ -239,8 +235,6 @@ impl Executor {
         match self.config.sched {
             SchedKind::Lifo => self.pipeline::<LifoPolicy>(trace, front),
             SchedKind::Fifo => self.pipeline::<FifoPolicy>(trace, front),
-            SchedKind::CostAware => self.pipeline::<CostAwarePolicy>(trace, front),
-            SchedKind::Locality => self.pipeline::<LocalityPolicy>(trace, front),
         }
     }
 

@@ -19,10 +19,6 @@ pub struct WorkerStats {
     pub executed: u64,
     /// Steal *events* (a batch steal of k tasks counts once).
     pub steals: u64,
-    /// Steal events that crossed an affinity domain (always ≤ `steals`;
-    /// zero under every domain-blind policy, where the check folds to
-    /// constant `false` — DESIGN.md §13.4).
-    pub cross_steals: u64,
     /// Wall time spent executing tasks, measured per work *burst* (the
     /// span from acquiring work to going idle), not per task: noop
     /// payloads pay two clock reads per burst instead of two per task,
@@ -106,11 +102,6 @@ impl ExecReport {
     /// Total steal events across workers.
     pub fn total_steals(&self) -> u64 {
         self.workers.iter().map(|w| w.steals).sum()
-    }
-
-    /// Total cross-domain steal events across workers (§13.4).
-    pub fn total_cross_steals(&self) -> u64 {
-        self.workers.iter().map(|w| w.cross_steals).sum()
     }
 
     /// A worker's busy fraction of the replay wall time (burst-timed;

@@ -132,7 +132,7 @@ impl<P: SchedPolicy> Shared<'_, P> {
         Shared {
             release,
             front,
-            sched: P::new(trace, payload, threads, cfg.classes, cfg.domains),
+            sched: P::new(),
             trace,
             n,
             order: (0..n).map(|_| AtomicU32::new(u32::MAX)).collect(),

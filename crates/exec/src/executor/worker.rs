@@ -22,7 +22,7 @@ use crate::fault::{
     INJECTED_PANIC_MARKER,
 };
 use crate::payload::{PayloadMode, PayloadScratch};
-use crate::sched::SchedPolicy;
+use crate::sched::{victims, SchedPolicy};
 use crate::sync::atomic::{AtomicU32, Ordering};
 
 /// What a completion hands its worker's loop, beside what it pushed:
@@ -54,10 +54,6 @@ fn complete<P: SchedPolicy>(
 ) {
     let Released { batch: ready, next } = out;
     debug_assert!(next.is_none(), "the loop takes the held task before running another");
-    // Policy bookkeeping (load-gauge decay) before the release: every
-    // completed task — poisoned included — balances its dispatch
-    // credit. A no-op for every policy without gauges.
-    shared.sched.note_executed(w, t);
     // Ticket first, successor release second: any successor's ticket is
     // therefore strictly after every producer's (valid linearization).
     // Relaxed suffices: tickets on one counter are totally ordered, and
@@ -74,10 +70,6 @@ fn complete<P: SchedPolicy>(
     } else {
         shared.release.release(t, ready, &shared.obs);
     }
-    // Policy ordering of the batch (cost sort): dispatched in order,
-    // popped LIFO, so ascending cost runs the costliest first. The
-    // default is the identity and folds away.
-    shared.sched.prepare(ready);
     let released = ready.len();
     // Scheduler bypass: under a policy whose owner would pop the last
     // task it pushes, that task is the one this worker runs next — it
@@ -91,15 +83,8 @@ fn complete<P: SchedPolicy>(
             }
         }
     }
-    let mut routed = 0usize;
     for &s in ready.iter() {
-        // The policy decides where the task goes: the own deque (the
-        // baseline, `own = true`) or a routed side queue (class
-        // routing, `own = false`).
-        let own = shared.sched.dispatch(w, s, &shared.deques[w]);
-        if !own {
-            routed += 1;
-        }
+        shared.deques[w].push(s);
         // Sampled spawn instrumentation: a Spawn ring event (the
         // queue-wait anchor, paired with the Task slice at drain) and
         // the deque-depth gauge — one clock read for both. `sampled`
@@ -115,15 +100,6 @@ fn complete<P: SchedPolicy>(
         // into their done() check, and the watchdog out of its tick.
         shared.parker.wake_all();
         shared.wake_watchdog();
-        wobs.wake(&shared.obs);
-    } else if routed > 0 {
-        // Routed tasks are invisible to the deque/injector scans: only
-        // `take_routed` on the idle path finds them, so flush every
-        // parked worker — the targeted pool must get a chance to look,
-        // and a single wake_one could land on a worker of the wrong
-        // class with a full deque. Unreachable (routed is always 0)
-        // under policies whose `dispatch` is the baseline.
-        shared.parker.wake_all();
         wobs.wake(&shared.obs);
     } else if released >= 2 && shared.parker.has_idle() {
         // Surplus banked beyond what this worker immediately runs: one
@@ -455,10 +431,10 @@ pub(super) fn worker_loop<P: SchedPolicy>(
     let me = &shared.deques[w];
     // What this worker runs next: the task its last completion held
     // back (§13.1), else whatever the policy takes from its deque.
-    let take_next = |out: &mut Released| out.next.take().or_else(|| shared.sched.take_local(w, me));
-    // Victim scan order, refilled by the policy each idle scan (reused
-    // so the steady state allocates nothing).
-    let mut victims: Vec<usize> = Vec::with_capacity(shared.deques.len());
+    let take_next = |out: &mut Released| out.next.take().or_else(|| shared.sched.take_local(me));
+    // Victim scan order, refilled each idle scan (reused so the steady
+    // state allocates nothing).
+    let mut scan: Vec<usize> = Vec::with_capacity(shared.deques.len());
     // Injected worker loss: die *between* tasks after the first
     // completion — a clean kill (ticket taken, successors released), so
     // the run still terminates; only the parallelism degrades.
@@ -511,29 +487,20 @@ pub(super) fn worker_loop<P: SchedPolicy>(
         // Epoch before the scans: any push after a failed scan moves
         // the epoch and aborts the park (§8 Dekker pairing).
         let epoch = shared.parker.current_epoch();
-        let task = shared
-            .sched
-            .take_routed(w)
-            .or_else(|| shared.injector.claim_batch_into(me, BATCH_MAX))
-            .or_else(|| {
-                // The policy orders the victim scan (baseline: one
-                // random rotation over everyone else; locality: own
-                // domain first, cross-domain fallback after). The scan
-                // stays *complete* — every deque is visited — which
-                // the park/termination argument requires (§13.4).
-                shared.sched.victims(w, &mut rng, &mut victims);
-                victims.iter().find_map(|&victim| {
-                    let t = shared.deques[victim].steal_batch_into(me, BATCH_MAX);
-                    if t.is_some() {
-                        stats.steals += 1;
-                        if shared.sched.cross_domain(w, victim) {
-                            stats.cross_steals += 1;
-                        }
-                        wobs.steal(victim as u32, &shared.obs);
-                    }
-                    t
-                })
-            });
+        let task = shared.injector.claim_batch_into(me, BATCH_MAX).or_else(|| {
+            // One random rotation over everyone else, under either
+            // policy. The scan is *complete* — every deque is visited —
+            // which the park/termination argument requires.
+            victims(w, shared.deques.len(), &mut rng, &mut scan);
+            scan.iter().find_map(|&victim| {
+                let t = shared.deques[victim].steal_batch_into(me, BATCH_MAX);
+                if t.is_some() {
+                    stats.steals += 1;
+                    wobs.steal(victim as u32, &shared.obs);
+                }
+                t
+            })
+        });
         match task {
             Some(t) => {
                 // A successful batch steal banked surplus: chain one

@@ -70,9 +70,7 @@ pub use executor::{
 pub use fault::{ExecError, FailedTask, FailurePolicy, FaultReport, InjectedFault, TaskFailure};
 pub use payload::PayloadMode;
 pub use renamer::{RenameStats, Renamer, StreamingRenamer, TaskGraph};
-pub use sched::{
-    CostAwarePolicy, FifoPolicy, LifoPolicy, LocalityPolicy, SchedKind, SchedPolicy, SCHED_MENU,
-};
+pub use sched::{FifoPolicy, LifoPolicy, SchedKind, SchedPolicy, SCHED_MENU};
 
 /// The observability layer (DESIGN.md §12), re-exported so harnesses
 /// can consume [`ExecReport::obs`] (`tss_obs::ObsReport`, Chrome trace

@@ -36,7 +36,7 @@ use crate::sync::atomic::{AtomicU32, Ordering};
 pub const DEFAULT_FAULT_RATE_PPM: u32 = 50_000;
 
 // ---------------------------------------------------------------------
-// Task classes (DESIGN.md §13.3)
+// Task classes (the `mixed` payload's split, DESIGN.md §13.2)
 // ---------------------------------------------------------------------
 
 /// Compute-heavy task class: the payload is dominated by the traced
@@ -47,9 +47,6 @@ pub const CLASS_COMPUTE: u8 = 0;
 /// footprint (memcpy).
 pub const CLASS_MEMORY: u8 = 1;
 
-/// Worker/task classes the locality policy distinguishes.
-pub const NUM_CLASSES: usize = 2;
-
 /// Footprint threshold for the memory class: a task moving at least
 /// this many operand bytes is memory-bound under [`PayloadMode::Mixed`]
 /// (half the [`CHUNK_CAP`] payload cap — past it the memcpy cost
@@ -57,11 +54,11 @@ pub const NUM_CLASSES: usize = 2;
 pub const MEMORY_CLASS_BYTES: u64 = (CHUNK_CAP as u64) / 2;
 
 /// Classifies one task at spawn from the payload mode + its operand
-/// footprint (DESIGN.md §13.3). Uniform payloads pin the class (every
+/// footprint (DESIGN.md §13.2). Uniform payloads pin the class (every
 /// spin task is compute-bound, every memcpy task memory-bound); the
 /// footprint threshold only decides for modes whose per-task work is
 /// footprint-dependent ([`PayloadMode::Mixed`]) or free (`Noop`,
-/// `Faulty` — there the class is advisory routing metadata only).
+/// `Faulty` — there the class is unused).
 pub fn task_class(mode: PayloadMode, task: &TaskDesc) -> u8 {
     match mode {
         PayloadMode::Spin { .. } => CLASS_COMPUTE,
@@ -102,11 +99,10 @@ pub enum PayloadMode {
         /// Seed for the per-(task, attempt) fault rolls.
         seed: u64,
     },
-    /// Per-task heterogeneous work (DESIGN.md §13.3): memory-class
+    /// Per-task heterogeneous work (DESIGN.md §13.2): memory-class
     /// tasks ([`task_class`] = [`CLASS_MEMORY`]) run the memcpy
     /// payload, compute-class tasks spin for their traced runtime. The
-    /// workload family the class-routing and cost-aware policies are
-    /// measured on.
+    /// workload the `sched` ablation harness runs.
     Mixed {
         /// Multiplier on the traced runtime of the spinning class.
         time_scale: f64,

@@ -20,16 +20,7 @@ use tss_trace::DepGraph;
 use tss_workloads::{Benchmark, Scale};
 
 fn cfg(kind: SchedKind, threads: usize, seed: u64) -> ExecConfig {
-    ExecConfig {
-        threads,
-        sched: kind,
-        seed,
-        // Locality shaping; ignored (identity) by the other policies.
-        classes: 2,
-        domains: if threads >= 2 { 2 } else { 1 },
-        validate: false,
-        ..ExecConfig::default()
-    }
+    ExecConfig { threads, sched: kind, seed, validate: false, ..ExecConfig::default() }
 }
 
 #[test]
@@ -115,13 +106,13 @@ proptest! {
         seed in 1u32..50_000,
         thread_sel in 0u8..3,
         bench_sel in 0u8..9,
-        kind_sel in 0u8..4,
+        kind_sel in 0..SchedKind::all().len(),
         streamed_sel in 0u8..2,
     ) {
         let streamed = streamed_sel == 1;
         let threads = [2usize, 4, 8][thread_sel as usize];
         let bench = Benchmark::all()[bench_sel as usize];
-        let kind = SchedKind::all()[kind_sel as usize];
+        let kind = SchedKind::all()[kind_sel];
         let trace = bench.trace(Scale::Small, seed as u64);
         let exec = Executor::new(cfg(kind, threads, seed as u64));
         let report = if streamed {

@@ -39,8 +39,8 @@
 //!    are exempt, as in check 6.
 //! 8. **SchedPolicy facade** — any file implementing `SchedPolicy`
 //!    (wherever it lives) must take its sync primitives from the
-//!    facade, not `std::sync`, or the model tests of DESIGN.md §13.5
-//!    silently stop covering it (`Arc` alone is permitted).
+//!    facade, not `std::sync`, or the model checker of DESIGN.md §10
+//!    silently stops covering it (`Arc` alone is permitted).
 //! 9. **Socket discipline** — production code in the service crates
 //!    (`crates/proto`, `crates/server`, `crates/client`) must not
 //!    `.unwrap()` / `.expect(` a socket I/O result (read/write/flush/
@@ -658,7 +658,7 @@ fn check_instant_discipline(file: &str, stripped: &[&str]) -> Vec<Violation> {
 /// on the worker hot path *and* under the shuttle scheduler, so a
 /// policy defined anywhere — a bench experiment, a test crate — must
 /// take every primitive (including `Arc`) from the facade, or the
-/// model tests of DESIGN.md §13.5 silently stop covering it.
+/// model checker of DESIGN.md §10 silently stops covering it (§13.1).
 fn check_sched_policy_facade(file: &str, stripped: &[&str]) -> Vec<Violation> {
     // Path-qualified impls (`impl sched::SchedPolicy for ...`) count.
     let implements = stripped.iter().any(|s| s.contains("impl ") && s.contains("SchedPolicy for "));
