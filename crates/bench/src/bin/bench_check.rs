@@ -31,22 +31,21 @@ use tss_bench::cli::{fail, Flags, Parsed};
 use tss_bench::json::{fields, get, rows, Object};
 
 /// Fields that must match exactly wherever both sides carry them. The
-/// failure accounting (`failed`, `poisoned`, `retried_ok`,
-/// `workers_lost` — DESIGN.md §11) is exact because injection is a pure
-/// function of `(fault seed, task, attempt)`: at a fixed
+/// failure accounting (`failed`, `poisoned`, `workers_lost` —
+/// DESIGN.md §11) is exact because injection is a pure function of
+/// `(fault seed, task)`: at a fixed
 /// seed/rate/scale the failure sets are identical across hosts and
 /// thread counts. The serve-artifact counters (DESIGN.md §14.5) are
 /// exact for the same reason: the wire-chaos plan is a pure function
 /// of `(chaos seed, client, graph)`, so given admission headroom every
 /// completion/kill/vanish count is reproducible.
-const EXACT_FIELDS: [&str; 16] = [
+const EXACT_FIELDS: [&str; 15] = [
     "tasks",
     "events",
     "enforced_edges",
     "makespan_cycles",
     "failed",
     "poisoned",
-    "retried_ok",
     "workers_lost",
     "graphs",
     "completed",

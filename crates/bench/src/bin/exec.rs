@@ -31,9 +31,8 @@
 //! §13), `--spin-scale F`, `--seed N`, `--window N`,
 //! `--decode-shards N`, `--no-renaming`, `--json`, `--out PATH`, plus
 //! the failure domain: `--fault-rate F` (0..=1), `--fault-seed N`,
-//! `--failure-policy fail-fast|retry|quarantine`, `--retry-max N`,
-//! `--retry-backoff-ms F`, `--task-deadline-ms N`, `--run-deadline-ms
-//! N`, `--kill-worker W`. Bad flag values *and* bad flag combinations
+//! `--failure-policy fail-fast|quarantine`, `--run-deadline-ms N`,
+//! `--kill-worker W`. Bad flag values *and* bad flag combinations
 //! print a clear error naming the flags and exit 2 (they never panic);
 //! a structured run failure ([`ExecError`]) also exits 2.
 //!
@@ -98,16 +97,14 @@ fn parse_args() -> Parsed<Args> {
     let mut payload_name = String::from("noop");
     let mut fault_rate: Option<f64> = None;
     let mut policy_name: Option<String> = None;
-    let mut retry_max: Option<u32> = None;
-    let mut retry_backoff_ms = 1.0f64;
+    let policies = FailurePolicy::all().map(|p| p.name()).join("|");
     let mut flags = Flags::from_env(format!(
         "exec [--scale small|paper|large] [--threads N] \
          [--payload noop|spin|memcpy|faulty|mixed] [--spin-scale F] [--seed N] \
          [--policy {SCHED_MENU}] \
          [--window N] [--decode-shards N] [--no-renaming] [--json] [--out PATH] \
-         [--fault-rate F --failure-policy fail-fast|retry|quarantine] \
-         [--fault-seed N] [--retry-max N] [--retry-backoff-ms F] \
-         [--task-deadline-ms N] [--run-deadline-ms N] [--kill-worker W] \
+         [--fault-rate F --failure-policy {policies}] \
+         [--fault-seed N] [--run-deadline-ms N] [--kill-worker W] \
          [--trace-out PATH] [--histogram]"
     ));
     while let Some(flag) = flags.next_flag() {
@@ -126,14 +123,6 @@ fn parse_args() -> Parsed<Args> {
             }
             "--fault-seed" => out.fault_seed = flags.num()?,
             "--failure-policy" => policy_name = Some(flags.value()?),
-            "--retry-max" => retry_max = Some(flags.positive()?),
-            "--retry-backoff-ms" => {
-                retry_backoff_ms = flags.num()?;
-                if retry_backoff_ms < 0.0 {
-                    return Err("--retry-backoff-ms must be non-negative".into());
-                }
-            }
-            "--task-deadline-ms" => out.cfg.task_deadline = Some(flags.millis()?),
             "--run-deadline-ms" => out.cfg.run_deadline = Some(flags.millis()?),
             "--kill-worker" => out.cfg.kill_worker = Some(flags.num()?),
             "--trace-out" => out.trace_out = Some(flags.value()?),
@@ -166,22 +155,11 @@ fn parse_args() -> Parsed<Args> {
         ));
     }
     if injecting && policy_name.is_none() {
-        return Err(
-            "--fault-rate / --payload faulty needs --failure-policy fail-fast|retry|quarantine"
-                .into(),
-        );
+        return Err(format!("--fault-rate / --payload faulty needs --failure-policy {policies}"));
     }
     if let Some(name) = &policy_name {
-        let backoff = Duration::from_secs_f64(retry_backoff_ms / 1e3);
-        out.cfg.policy =
-            FailurePolicy::parse(name, retry_max.unwrap_or(3), backoff).ok_or_else(|| {
-                format!("unknown --failure-policy '{name}' (fail-fast|retry|quarantine)")
-            })?;
-        if retry_max.is_some() && !matches!(out.cfg.policy, FailurePolicy::Retry { .. }) {
-            return Err(format!("--retry-max only applies to --failure-policy retry, not {name}"));
-        }
-    } else if retry_max.is_some() {
-        return Err("--retry-max needs --failure-policy retry".into());
+        out.cfg.policy = FailurePolicy::parse(name)
+            .ok_or_else(|| format!("unknown --failure-policy '{name}' ({policies})"))?;
     }
     // The ranges are `ExecConfig::check`'s; only the wording is the
     // flags' (`--threads 0` never gets here: `positive` refused it).
@@ -358,7 +336,6 @@ fn to_json(args: &Args, points: &[Point]) -> String {
             role_fields(latency_fields(timing, sampled(r)), role_cpu_ns_per_task([&p.stream]))
                 .put("failed", r.fault.failed.len())
                 .put("poisoned", r.fault.poisoned.len())
-                .put("retried_ok", r.fault.retried_ok)
                 .put("workers_lost", p.workers_lost())
                 .put("validated", r.validated && p.stream.validated)
                 .list("workers", workers)
@@ -393,7 +370,6 @@ fn to_json(args: &Args, points: &[Point]) -> String {
     let totals = role_fields(totals, role_cpu_ns_per_task(points.iter().map(|p| &p.stream)))
         .put("failed", sum(|p| p.replay.fault.failed.len()))
         .put("poisoned", sum(|p| p.replay.fault.poisoned.len()))
-        .put("retried_ok", sum(|p| p.replay.fault.retried_ok))
         .put("workers_lost", sum(Point::workers_lost));
     json::document(header, &rows, totals)
 }
@@ -458,10 +434,10 @@ fn role_table(points: &[Point]) -> Option<String> {
     Some(table.render())
 }
 
-/// The failure identity of a run: which tasks finally failed and which
+/// The failure identity of a run: which tasks failed and which
 /// were cone-poisoned. Injection is a pure function of `(fault seed,
-/// task, attempt)` (DESIGN.md §11), so with `--fault-rate` armed the
-/// replay and streamed runs must agree on this exactly.
+/// task)` (DESIGN.md §11), so with `--fault-rate` armed the replay and
+/// streamed runs must agree on this exactly.
 fn failure_sets(r: &ExecReport) -> (Vec<u32>, Vec<u32>) {
     (r.fault.failed.iter().map(|f| f.task).collect(), r.fault.poisoned.clone())
 }
@@ -475,12 +451,11 @@ fn run_checked(bench: Benchmark, result: Result<ExecReport, ExecError>) -> ExecR
     if !report.accounting_reconciles() {
         eprintln!(
             "[exec] {bench}: ACCOUNTING MISMATCH: completed {} + failed {} + poisoned {} \
-             != tasks {} (retried_ok {})",
+             != tasks {}",
             report.completed(),
             report.fault.failed.len(),
             report.fault.poisoned.len(),
             report.tasks,
-            report.fault.retried_ok,
         );
         std::process::exit(1);
     }
@@ -541,11 +516,10 @@ fn main() {
         );
         if replay.fault.any() || stream.fault.any() {
             eprintln!(
-                "  [exec] {bench}: chaos (replay run): failed {}, poisoned {}, retried-ok {}; \
+                "  [exec] {bench}: chaos (replay run): failed {}, poisoned {}; \
                  workers lost {} (replay + stream)",
                 fmt_count_pct(replay.fault.failed.len(), replay.tasks),
                 fmt_count_pct(replay.fault.poisoned.len(), replay.tasks),
-                replay.fault.retried_ok,
                 replay.fault.workers_lost + stream.fault.workers_lost,
             );
         }
@@ -643,16 +617,14 @@ fn main() {
             let total: usize = points.iter().map(|p| p.replay.tasks).sum();
             let failed: usize = points.iter().map(|p| p.replay.fault.failed.len()).sum();
             let poisoned: usize = points.iter().map(|p| p.replay.fault.poisoned.len()).sum();
-            let retried: usize = points.iter().map(|p| p.replay.fault.retried_ok).sum();
             println!(
-                "Chaos ({} @ {} ppm, fault seed {}): failed {}, poisoned {}, \
-                 retried-ok {} — accounting reconciled, replay/stream failure sets agree.",
+                "Chaos ({} @ {} ppm, fault seed {}): failed {}, poisoned {} — accounting \
+                 reconciled, replay/stream failure sets agree.",
                 args.cfg.policy.name(),
                 args.fault_rate_ppm,
                 args.fault_seed,
                 fmt_count_pct(failed, total),
                 fmt_count_pct(poisoned, total),
-                retried,
             );
         }
         println!("(wrote {})", args.run.out);

@@ -35,10 +35,6 @@ pub struct ExecConfig {
     pub decode_shards: usize,
     /// What the run does when a task fails (DESIGN.md §11).
     pub policy: FailurePolicy,
-    /// Per-task wall-clock budget: an attempt exceeding it is cancelled
-    /// by the watchdog and counts as a
-    /// [`TaskFailure::Deadline`](crate::fault::TaskFailure::Deadline).
-    pub task_deadline: Option<Duration>,
     /// Whole-run wall-clock budget: expiry aborts the run with
     /// [`ExecError::RunDeadline`](crate::fault::ExecError::RunDeadline).
     pub run_deadline: Option<Duration>,
@@ -68,7 +64,6 @@ impl Default for ExecConfig {
             window: 1024,
             decode_shards: 1,
             policy: FailurePolicy::FailFast,
-            task_deadline: None,
             run_deadline: None,
             kill_worker: None,
             sched: SchedKind::Lifo,
@@ -125,20 +120,14 @@ impl ExecConfig {
 /// (DESIGN.md §14.3) arms one per accepted graph so a drain deadline
 /// can stop a run that is already executing; anything else that embeds
 /// the executor can do the same. The token itself is polled by the
-/// watchdog role (same 200 µs tick as the deadlines), never on the task
-/// hot path: one extra load per tick. Arming it does put every task on
-/// the guarded lane — a firing must be able to stop payloads in flight,
-/// so each attempt runs under its worker's watch slot — and that lane
-/// is not free: measured on Cholesky-paper (30,856 no-op tasks, one
-/// CPU) an armed, unfired token costs +6…14 ns/task over the
-/// 126–150 ns/task unarmed run. It cost +43…48 ns/task (a third more)
-/// while the lane also read the clock, armed the deadline slot and
-/// bumped a shared retry-histogram counter per task whether or not a
-/// task deadline or a Retry policy was there to use them (DESIGN.md
-/// §11.4). The tick bounds *cancellation* latency only — one tick plus
-/// the longest in-flight payload — never completion latency: the
-/// watchdog's wait is interrupted the moment the run stops (DESIGN.md
-/// §11.3).
+/// watchdog role (same 200 µs tick as the run deadline), never on the
+/// task hot path: one extra load per tick. Arming it does put every
+/// task on the guarded lane — a firing must be able to stop payloads in
+/// flight, so each payload polls the run's abort flag — and that lane
+/// is not free (DESIGN.md §11.4 has its measured cost). The tick bounds
+/// *cancellation* latency only — one tick plus one poll of the
+/// in-flight payloads — never completion latency: the watchdog's wait
+/// is interrupted the moment the run stops (DESIGN.md §11.3).
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken(std::sync::Arc<AtomicU32>);
 

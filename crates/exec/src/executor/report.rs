@@ -123,18 +123,11 @@ impl ExecReport {
         self.workers.iter().map(|w| w.executed as usize).sum()
     }
 
-    /// Tasks that completed without ever failing an attempt.
-    pub fn completed_clean(&self) -> usize {
-        self.completed() - self.fault.retried_ok
-    }
-
-    /// The §11 accounting identity: `clean + retried-into-success +
-    /// failed + poisoned = tasks`, with `clean + retried` counted by
-    /// the workers and `failed + poisoned` by the final status scan. A
-    /// report that does not reconcile is an executor bug; the harness
-    /// gates on this.
+    /// The §11 accounting identity: `completed + failed + poisoned =
+    /// tasks`, with `completed` counted by the workers and `failed +
+    /// poisoned` by the final status scan. A report that does not
+    /// reconcile is an executor bug; the harness gates on this.
     pub fn accounting_reconciles(&self) -> bool {
         self.completed() + self.fault.failed.len() + self.fault.poisoned.len() == self.tasks
-            && self.fault.retried_ok <= self.completed()
     }
 }

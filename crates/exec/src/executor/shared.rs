@@ -2,8 +2,6 @@
 //! table, the streaming front end, and the failure domain's flags
 //! (DESIGN.md §7, §8.2, §11).
 
-use std::time::Duration;
-
 use tss_obs::clock::Stamp;
 use tss_obs::SharedObs;
 use tss_sim::CachePadded;
@@ -12,13 +10,13 @@ use tss_trace::TaskTrace;
 use super::decode::DecodeShared;
 use super::parker::Parker;
 use super::release::{StreamRelease, HEALTHY};
-use super::watchdog::{WatchGate, WatchSlot};
+use super::watchdog::WatchGate;
 use super::{CancelToken, ExecConfig};
 use crate::deque::{ChaseLev, Injector};
 use crate::fault::{FailedTask, FailurePolicy, FaultPlan};
 use crate::payload::PayloadMode;
 use crate::sched::SchedPolicy;
-use crate::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use crate::sync::atomic::{AtomicU32, AtomicU8, AtomicUsize, Ordering};
 use crate::sync::Mutex;
 
 /// Shared replay state (borrowed by every role of the run's crew).
@@ -48,21 +46,18 @@ pub(super) struct Shared<'a, P: SchedPolicy> {
     // --- failure domain (DESIGN.md §11) ---
     /// Per-task status byte (HEALTHY / POISONED / FAILED).
     pub(super) status: Vec<AtomicU8>,
-    /// Nonzero = stop the run (fail-fast failure, run deadline, or an
-    /// infrastructure panic). Checked on the idle path and the park
-    /// predicate only — never per task.
+    /// Nonzero = stop the run (fail-fast failure, run deadline, fired
+    /// token, or an infrastructure panic). Checked on the idle path and
+    /// the park predicate, and polled by guarded-lane payloads — never
+    /// on the fast lane.
     pub(super) abort: CachePadded<AtomicU32>,
-    /// Nonzero once any attempt has failed: diverts subsequent tasks
+    /// Nonzero once any task has failed: diverts subsequent tasks
     /// from the fast path onto the guarded path even when no chaos is
     /// armed (a real payload panic under Quarantine must still poison).
     pub(super) tainted: CachePadded<AtomicU32>,
     /// Resolved fault-injection plan (all-zero when disarmed).
     pub(super) plan: FaultPlan,
     pub(super) policy: FailurePolicy,
-    pub(super) max_attempts: u32,
-    pub(super) backoff_base: Duration,
-    /// Per-task deadline (None = unarmed).
-    pub(super) task_deadline: Option<Duration>,
     /// Absolute run deadline, ns since `t0` (0 = unarmed).
     pub(super) run_deadline_ns: u64,
     /// Wall anchor for every deadline computation.
@@ -70,16 +65,14 @@ pub(super) struct Shared<'a, P: SchedPolicy> {
     /// Shared observability state (ready-time table + gauges); a ZST
     /// no-op unless the `obs` feature is on (DESIGN.md §12).
     pub(super) obs: SharedObs,
-    /// True when any per-task machinery (injection, task deadline, or
-    /// payload cancellation for the run deadline) must run: decided
+    /// True when any per-task machinery (injection, or payloads a run
+    /// deadline or a token must be able to stop) must run: decided
     /// once, so a fault-free run's per-task path is unchanged.
     pub(super) guarded: bool,
-    /// Per-worker watchdog slots (empty when no deadline is armed).
-    pub(super) watch: Vec<WatchSlot>,
     /// Set by the watchdog when the run deadline expired.
     pub(super) run_deadline_hit: AtomicU32,
     /// External cancellation token (DESIGN.md §14.3), polled by the
-    /// watchdog alongside the deadlines.
+    /// watchdog alongside the run deadline.
     pub(super) cancel: Option<CancelToken>,
     /// Set by the watchdog when the cancel token fired.
     pub(super) cancel_hit: AtomicU32,
@@ -90,13 +83,6 @@ pub(super) struct Shared<'a, P: SchedPolicy> {
     pub(super) failures: Mutex<Vec<FailedTask>>,
     /// First infrastructure (non-payload) panic message.
     pub(super) infra_panic: Mutex<Option<String>>,
-    /// `retry_hist[k]`: outcomes that consumed k+1 attempts. Empty
-    /// unless the policy grants more than one attempt: it is only ever
-    /// reported then, and bumping `[0]` per task on one line all workers
-    /// share was part of what an armed token used to cost (§11.4).
-    pub(super) retry_hist: Vec<AtomicU64>,
-    /// Tasks that failed an attempt but eventually completed.
-    pub(super) retried_ok: CachePadded<AtomicUsize>,
 }
 
 impl<P: SchedPolicy> Shared<'_, P> {
@@ -115,18 +101,12 @@ impl<P: SchedPolicy> Shared<'_, P> {
             }
             _ => FaultPlan { rate_ppm: 0, seed: 0, kill_worker: cfg.kill_worker },
         };
-        // An armed cancel token counts as a deadline: it needs the
-        // watch slots so a firing can stop in-flight payloads, not just
-        // idle workers (otherwise cancellation latency is a full local
-        // deque of payloads, DESIGN.md §14.3).
-        let deadline_armed =
-            cfg.task_deadline.is_some() || cfg.run_deadline.is_some() || cfg.cancel.is_some();
-        let guarded = plan.enabled() || deadline_armed;
-        let max_attempts = cfg.policy.max_attempts();
-        let backoff_base = match cfg.policy {
-            FailurePolicy::Retry { backoff, .. } => backoff,
-            _ => Duration::ZERO,
-        };
+        // A run deadline or a token puts every task on the guarded lane,
+        // whose payloads poll the abort flag: a firing must stop
+        // in-flight payloads, not just idle workers (otherwise
+        // cancellation latency is a full local deque of payloads,
+        // DESIGN.md §14.3).
+        let guarded = plan.enabled() || cfg.run_deadline.is_some() || cfg.cancel.is_some();
         let t0 = Stamp::now();
         let run_deadline_ns = cfg.run_deadline.map_or(0, |d| (d.as_nanos() as u64).max(1));
         Shared {
@@ -146,30 +126,16 @@ impl<P: SchedPolicy> Shared<'_, P> {
             tainted: CachePadded::new(AtomicU32::new(0)),
             plan,
             policy: cfg.policy,
-            max_attempts,
-            backoff_base,
-            task_deadline: cfg.task_deadline,
             run_deadline_ns,
             t0,
             obs: SharedObs::new(),
             guarded,
-            watch: if deadline_armed {
-                (0..threads).map(|_| WatchSlot::new()).collect()
-            } else {
-                Vec::new()
-            },
             run_deadline_hit: AtomicU32::new(0),
             cancel: cfg.cancel.clone(),
             cancel_hit: AtomicU32::new(0),
             watch_gate: WatchGate::new(),
             failures: Mutex::new(Vec::new()),
             infra_panic: Mutex::new(None),
-            retry_hist: if max_attempts > 1 {
-                (0..max_attempts).map(|_| AtomicU64::new(0)).collect()
-            } else {
-                Vec::new()
-            },
-            retried_ok: CachePadded::new(AtomicUsize::new(0)),
         }
     }
 
@@ -215,9 +181,10 @@ impl<P: SchedPolicy> Shared<'_, P> {
         self.request_abort();
     }
 
-    /// Whether the run needs a watchdog role.
+    /// Whether the run needs a watchdog role: a run deadline or a
+    /// token to poll.
     #[inline]
     pub(super) fn watchdog_armed(&self) -> bool {
-        !self.watch.is_empty() || self.cancel.is_some()
+        self.run_deadline_ns != 0 || self.cancel.is_some()
     }
 }

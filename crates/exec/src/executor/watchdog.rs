@@ -1,37 +1,17 @@
-//! Deadlines and external cancellation (DESIGN.md §11.3, §14.3): the
-//! per-worker watch slots, the watchdog role that polls them, and the
-//! interruptible tick it sleeps on.
+//! The run deadline and external cancellation (DESIGN.md §11.3,
+//! §14.3): the watchdog role that polls them, and the interruptible
+//! tick it sleeps on.
 
 use std::time::Duration;
 
 use super::shared::Shared;
 use crate::sched::SchedPolicy;
-use crate::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use crate::sync::atomic::Ordering;
 use crate::sync::{Condvar, Mutex};
-use tss_sim::CachePadded;
 
-/// One worker's deadline-watchdog slot. The worker arms it around each
-/// payload attempt; the watchdog thread polls armed slots and raises
-/// `cancel` past the deadline. A worker that observes `cancel` verifies
-/// the deadline really expired before failing the attempt (the arm ↔
-/// poll race can, rarely, cancel a *fresh* attempt; the verification
-/// turns that into a silent payload restart instead of a wrong
-/// failure).
-pub(super) struct WatchSlot {
-    /// Absolute attempt deadline, ns since `Shared::t0` (0 = unarmed).
-    pub(super) deadline_ns: CachePadded<AtomicU64>,
-    /// Nonzero = stop the current payload.
-    pub(super) cancel: AtomicU32,
-}
-
-impl WatchSlot {
-    pub(super) fn new() -> Self {
-        WatchSlot { deadline_ns: CachePadded::new(AtomicU64::new(0)), cancel: AtomicU32::new(0) }
-    }
-}
-
-/// The watchdog's poll period: the bound on how late a deadline or a
-/// fired [`CancelToken`](super::CancelToken) is noticed (DESIGN.md §11.3).
+/// The watchdog's poll period: the bound on how late the run deadline
+/// or a fired [`CancelToken`](super::CancelToken) is noticed (DESIGN.md
+/// §11.3).
 pub(super) const WATCHDOG_TICK: Duration = Duration::from_micros(200);
 
 /// The watchdog's interruptible tick: a timed condvar wait that the end
@@ -76,11 +56,10 @@ impl WatchGate {
     }
 }
 
-/// The deadline watchdog: a crew role that cancels expired attempts and
-/// aborts the run past its deadline or on a fired token, polling once
-/// per [`WATCHDOG_TICK`] (noise against ms-scale deadlines). Part of
-/// the run only when a deadline or token is armed; returns as soon as
-/// the run stops ([`WatchGate`]).
+/// The watchdog: a crew role that aborts the run past its deadline or
+/// on a fired token, polling once per [`WATCHDOG_TICK`] (noise against
+/// ms-scale deadlines). Part of the run only when a run deadline or a
+/// token is armed; returns as soon as the run stops ([`WatchGate`]).
 pub(super) fn watchdog_loop<P: SchedPolicy>(shared: &Shared<'_, P>) {
     loop {
         // The gate is released before the poll: `request_abort` below
@@ -89,12 +68,6 @@ pub(super) fn watchdog_loop<P: SchedPolicy>(shared: &Shared<'_, P>) {
             return;
         }
         let now = shared.t0.elapsed().as_nanos() as u64;
-        for slot in &shared.watch {
-            let dl = slot.deadline_ns.load(Ordering::Acquire);
-            if dl != 0 && now >= dl {
-                slot.cancel.store(1, Ordering::Release);
-            }
-        }
         // Past the run deadline, or the external token fired (DESIGN.md
         // §14.3): one abort protocol, reported as `RunDeadline` or as
         // `Cancelled` by the flag it raises.
@@ -107,11 +80,9 @@ pub(super) fn watchdog_loop<P: SchedPolicy>(shared: &Shared<'_, P>) {
         };
         if let Some(hit) = hit {
             hit.store(1, Ordering::Release);
-            // Cancel every in-flight payload, then abort: workers
-            // observe `Aborted` attempts and exit without completing.
-            for slot in &shared.watch {
-                slot.cancel.store(1, Ordering::Release);
-            }
+            // The abort flag is also what every in-flight guarded
+            // payload polls: workers observe `Aborted` attempts and
+            // exit without completing them.
             shared.request_abort();
             return;
         }
@@ -122,29 +93,10 @@ pub(super) fn watchdog_loop<P: SchedPolicy>(shared: &Shared<'_, P>) {
 mod tests {
     use super::super::testkit::diamond_plus_loner;
     use super::super::{CancelToken, ExecConfig, Executor};
-    use crate::fault::{ExecError, FailurePolicy, TaskFailure};
+    use crate::fault::ExecError;
     use crate::payload::PayloadMode;
     use std::time::Duration;
     use tss_trace::TaskTrace;
-
-    #[test]
-    fn task_deadline_cancels_a_stuck_payload() {
-        let mut tr = TaskTrace::new("stuck");
-        let k = tr.add_kernel("k");
-        tr.push_task(k, 32_000_000_000, vec![]); // 10 s at 3.2 GHz
-        let cfg = ExecConfig {
-            threads: 2,
-            payload: PayloadMode::Spin { time_scale: 1.0 },
-            policy: FailurePolicy::Quarantine,
-            task_deadline: Some(Duration::from_millis(20)),
-            ..ExecConfig::default()
-        };
-        let report = Executor::new(cfg).run(&tr).expect("deadline run aborted");
-        assert_eq!(report.fault.failed.len(), 1);
-        assert_eq!(report.fault.failed[0].failure, TaskFailure::Deadline);
-        assert_eq!(report.completed(), 0);
-        assert!(report.accounting_reconciles());
-    }
 
     #[test]
     fn run_deadline_aborts_a_long_run() {
@@ -216,6 +168,7 @@ mod tests {
 #[cfg(all(test, tss_model_check))]
 mod model_tests {
     use super::*;
+    use crate::sync::atomic::AtomicU32;
     use shuttle::thread;
     use std::sync::Arc;
 

@@ -17,10 +17,7 @@ use super::release::{FAILED, HEALTHY};
 use super::shared::Shared;
 use super::WorkerStats;
 use crate::deque::BATCH_MAX;
-use crate::fault::{
-    backoff_for, panic_message, FailedTask, FailurePolicy, InjectedFault, TaskFailure,
-    INJECTED_PANIC_MARKER,
-};
+use crate::fault::{panic_message, FailedTask, FailurePolicy, TaskFailure, INJECTED_PANIC_MARKER};
 use crate::payload::{PayloadMode, PayloadScratch};
 use crate::sched::{victims, SchedPolicy};
 use crate::sync::atomic::{AtomicU32, Ordering};
@@ -112,9 +109,9 @@ fn complete<P: SchedPolicy>(
 
 /// The executor's one payload dispatch: runs task `t`'s payload and
 /// returns whether `cancel` stopped it early, or the panic it died of.
-/// Unwatched callers — the fast lane, and the guarded lane with no
-/// deadline or token armed — pass `None` and enter the same
-/// cancellable body with a flag nobody ever sets.
+/// The guarded lane passes the run's abort flag; the fast lane passes
+/// `None` and enters the same cancellable body with a flag nobody ever
+/// sets.
 #[inline]
 fn run_payload<P: SchedPolicy>(
     t: u32,
@@ -157,8 +154,8 @@ fn run_task<P: SchedPolicy>(
     // relaxed: tainted poll; a poisoned task's delivery carries the flag
     // via the countdown/deque happens-before (DESIGN.md §11.4)
     if shared.guarded || shared.tainted.load(Ordering::Relaxed) != 0 {
-        // Chaos, deadlines, or an earlier failure: the guarded lane
-        // owns poison checks and the containment state machine.
+        // Chaos, a run deadline or token, or an earlier failure: the
+        // guarded lane owns poison checks, injection and the abort poll.
         return run_task_guarded(t, w, shared, scratch, stats, out, wobs);
     }
     // Sampled execution-latency span: a clock read only for 1-in-
@@ -180,14 +177,14 @@ fn run_task<P: SchedPolicy>(
             // release edges publish it with the poison (DESIGN.md §11.4)
             shared.tainted.store(1, Ordering::Relaxed);
             let failure = TaskFailure::Panicked { message: panic_message(&*payload) };
-            resolve_failure(t, w, shared, scratch, stats, out, wobs, 1, failure);
+            resolve_failure(t, w, shared, out, wobs, failure);
         }
     }
 }
 
-/// The guarded lane: poison check, fault injection, deadline watch, and
-/// the attempt loop. Split from [`run_task`] so the fault-free fast
-/// lane never pays for any of it.
+/// The guarded lane: poison check, fault injection, and a payload that
+/// stops when the run does. Split from [`run_task`] so the fault-free
+/// fast lane never pays for any of it.
 fn run_task_guarded<P: SchedPolicy>(
     t: u32,
     w: usize,
@@ -205,14 +202,9 @@ fn run_task_guarded<P: SchedPolicy>(
         return;
     }
     let tb = wobs.task_begin(t);
-    match attempt_payload(t, 1, w, shared, scratch) {
+    match attempt_payload(t, shared, scratch) {
         Ok(()) => {
             stats.executed += 1;
-            if !shared.retry_hist.is_empty() {
-                // relaxed: retry histogram counter; aggregated after all
-                // workers joined
-                shared.retry_hist[0].fetch_add(1, Ordering::Relaxed);
-            }
             complete(t, w, shared, out, wobs, false);
             wobs.task_end(t, tb, &shared.obs);
         }
@@ -220,7 +212,7 @@ fn run_task_guarded<P: SchedPolicy>(
             // relaxed: tainted set on first failure; the failing task's
             // release edges publish it with the poison (DESIGN.md §11.4)
             shared.tainted.store(1, Ordering::Relaxed);
-            resolve_failure(t, w, shared, scratch, stats, out, wobs, 1, failure);
+            resolve_failure(t, w, shared, out, wobs, failure);
         }
         Err(AttemptError::Aborted) => {}
     }
@@ -228,11 +220,12 @@ fn run_task_guarded<P: SchedPolicy>(
 
 /// A task attempt's failure modes.
 enum AttemptError {
-    /// The attempt failed (panic or deadline): the policy decides next.
+    /// The payload panicked: the policy decides next.
     Failed(TaskFailure),
-    /// The run is aborting (run deadline / fail-fast elsewhere): drop
-    /// the attempt without completing the task; the worker loop exits
-    /// on its next `stopping()` check.
+    /// The run is stopping (run deadline, fired token, fail-fast
+    /// elsewhere, infrastructure panic): drop the task without
+    /// completing or failing it; the worker loop exits on its next
+    /// `stopping()` check.
     Aborted,
 }
 
@@ -242,142 +235,57 @@ fn panicked(payload: Box<dyn Any + Send>) -> AttemptError {
     AttemptError::Failed(TaskFailure::Panicked { message: panic_message(&*payload) })
 }
 
-/// Runs one payload attempt inside the containment boundary, with
-/// injection and deadline watching. `attempt` is 1-based.
+/// Runs task `t`'s payload once inside the containment boundary, with
+/// fault injection, polling the run's abort flag: whatever stops the
+/// run raises it ([`Shared::request_abort`]), so a payload in flight
+/// stops with the run.
 fn attempt_payload<P: SchedPolicy>(
     t: u32,
-    attempt: u32,
-    w: usize,
     shared: &Shared<'_, P>,
     scratch: &mut PayloadScratch<'_>,
 ) -> Result<(), AttemptError> {
-    let injected = shared.plan.effective(t, attempt, shared.task_deadline.is_some());
-    if let Some(InjectedFault::Panic) = injected {
+    if shared.aborted() {
+        return Err(AttemptError::Aborted);
+    }
+    if shared.plan.decide(t) {
         // Containment-boundary exercise: a real panic, caught exactly
         // where a payload panic would be. The marker keeps the process
         // panic hook quiet for expected chaos (fault::install_quiet_hook).
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            panic!("{INJECTED_PANIC_MARKER} task {t} attempt {attempt}");
+            panic!("{INJECTED_PANIC_MARKER} task {t}");
         }));
         return caught.map_err(panicked);
     }
-    if shared.watch.is_empty() {
-        // No deadline armed: plain payload under the boundary.
-        // (`effective` already downgraded any Delay to a Panic.)
-        return run_payload(t, shared, scratch, None).map(|_| ()).map_err(panicked);
-    }
-    // Watched attempt: arm this worker's slot, run the cancellable
-    // payload, verify any cancellation against the clock (see
-    // `WatchSlot` for the race this closes).
-    let slot = &shared.watch[w];
-    loop {
-        if shared.aborted() {
-            return Err(AttemptError::Aborted);
-        }
-        // relaxed: cancel reset while the slot is disarmed; under a task
-        // deadline the Release deadline_ns arm store publishes it to the
-        // watchdog, otherwise the watchdog only raises it together with the
-        // abort flag
-        slot.cancel.store(0, Ordering::Relaxed);
-        // Only a task deadline needs the clock and the deadline slot: a
-        // run deadline or a cancel token stops payloads through
-        // `slot.cancel` alone and pays neither (§11.4).
-        let timed = shared.task_deadline.map(|dl| {
-            let started = Stamp::now();
-            let abs = shared.t0.elapsed() + dl;
-            slot.deadline_ns.store((abs.as_nanos() as u64).max(1), Ordering::Release);
-            (started, dl)
-        });
-        let outcome = match injected {
-            Some(InjectedFault::Delay) => {
-                // Stall until the watchdog cancels (only reachable with
-                // a task deadline armed — `effective` guarantees it).
-                scratch.stall_until_cancelled(&slot.cancel);
-                Ok(true)
-            }
-            _ => run_payload(t, shared, scratch, Some(&slot.cancel)),
-        };
-        if timed.is_some() {
-            slot.deadline_ns.store(0, Ordering::Release);
-        }
-        match outcome {
-            Ok(false) => return Ok(()),
-            Ok(true) => {
-                if shared.run_deadline_hit.load(Ordering::Acquire) != 0 || shared.aborted() {
-                    return Err(AttemptError::Aborted);
-                }
-                if timed.is_some_and(|(started, dl)| started.elapsed() >= dl) {
-                    return Err(AttemptError::Failed(TaskFailure::Deadline));
-                }
-                // Stale cancel from the previous task's expiry racing
-                // the re-arm: restart the attempt (payloads are
-                // idempotent on private scratch).
-            }
-            Err(p) => return Err(panicked(p)),
-        }
+    match run_payload(t, shared, scratch, Some(&*shared.abort)) {
+        Ok(false) => Ok(()),
+        // Stopped by the abort flag, which is never lowered: the run is
+        // ending, and the task neither completed nor failed.
+        Ok(true) => Err(AttemptError::Aborted),
+        Err(p) => Err(panicked(p)),
     }
 }
 
-/// Applies the failure policy after attempt `attempt` of task `t`
-/// failed with `failure`: retries (with seeded backoff) while attempts
-/// remain, then fail-fasts or quarantines.
-#[allow(clippy::too_many_arguments)]
+/// Applies the failure policy to task `t`, whose payload failed with
+/// `failure`: fail fast, or quarantine its successor cone.
 fn resolve_failure<P: SchedPolicy>(
     t: u32,
     w: usize,
     shared: &Shared<'_, P>,
-    scratch: &mut PayloadScratch<'_>,
-    stats: &mut WorkerStats,
     out: &mut Released,
     wobs: &mut WorkerObs,
-    mut attempt: u32,
-    mut failure: TaskFailure,
+    failure: TaskFailure,
 ) {
-    while attempt < shared.max_attempts && !shared.aborted() {
-        let wait = backoff_for(shared.plan.seed, t, attempt, shared.backoff_base);
-        if !wait.is_zero() {
-            std::thread::sleep(wait);
-        }
-        attempt += 1;
-        wobs.retry(t, &shared.obs);
-        match attempt_payload(t, attempt, w, shared, scratch) {
-            Ok(()) => {
-                stats.executed += 1;
-                // relaxed: retried-ok counter; aggregated after all workers
-                // joined
-                shared.retried_ok.fetch_add(1, Ordering::Relaxed);
-                if !shared.retry_hist.is_empty() {
-                    // relaxed: retry histogram counter; aggregated after
-                    // all workers joined
-                    shared.retry_hist[(attempt - 1) as usize].fetch_add(1, Ordering::Relaxed);
-                }
-                complete(t, w, shared, out, wobs, false);
-                return;
-            }
-            Err(AttemptError::Failed(f)) => failure = f,
-            Err(AttemptError::Aborted) => return,
-        }
-    }
     if shared.aborted() {
         return;
     }
-    // Attempts exhausted: record, then fail-fast or quarantine.
-    {
-        let mut failures = shared.failures.lock().expect("failure log poisoned");
-        failures.push(FailedTask { task: t, attempts: attempt, failure });
-    }
-    if !shared.retry_hist.is_empty() {
-        // relaxed: retry histogram counter; aggregated after all workers
-        // joined
-        shared.retry_hist[(attempt - 1) as usize].fetch_add(1, Ordering::Relaxed);
-    }
+    shared.failures.lock().expect("failure log poisoned").push(FailedTask { task: t, failure });
     match shared.policy {
         FailurePolicy::FailFast => {
             // No ticket, no release: successors starve by design; the
             // abort flag (not the ticket count) ends the run.
             shared.request_abort();
         }
-        FailurePolicy::Retry { .. } | FailurePolicy::Quarantine => {
+        FailurePolicy::Quarantine => {
             // FAILED is stored before `complete`'s poison_release
             // closes the pending list, so the §11 publish hands the
             // byte to any later window commit.
@@ -540,8 +448,8 @@ pub(super) fn worker_loop<P: SchedPolicy>(
     WorkerExit::Finished(stats, wobs)
 }
 
-/// The failure domain end to end (DESIGN.md §11): what the lanes, the
-/// attempt loop and the policy resolution above do to a run's report.
+/// The failure domain end to end (DESIGN.md §11): what the lanes and
+/// the policy resolution above do to a run's report.
 #[cfg(test)]
 mod tests {
     use super::super::testkit::{chaos_cfg, diamond, diamond_plus_loner, seed_failing_only_task0};
@@ -550,7 +458,6 @@ mod tests {
         install_quiet_hook, ExecError, FailurePolicy, TaskFailure, INJECTED_PANIC_MARKER,
     };
     use crate::payload::PayloadMode;
-    use std::time::Duration;
     use tss_trace::{OperandDesc, TaskTrace};
 
     #[test]
@@ -560,13 +467,8 @@ mod tests {
         match Executor::new(cfg).run(&diamond()) {
             Err(ExecError::TaskFailed(f)) => {
                 assert_eq!(f.task, 0, "only the root was ever ready");
-                assert_eq!(f.attempts, 1);
-                match f.failure {
-                    TaskFailure::Panicked { ref message } => {
-                        assert!(message.contains(INJECTED_PANIC_MARKER), "message: {message}")
-                    }
-                    ref other => panic!("expected an injected panic, got {other}"),
-                }
+                let TaskFailure::Panicked { ref message } = f.failure;
+                assert!(message.contains(INJECTED_PANIC_MARKER), "message: {message}");
             }
             other => panic!("expected TaskFailed, got {other:?}"),
         }
@@ -589,45 +491,10 @@ mod tests {
                 assert_eq!(report.fault.failed[0].task, 0);
                 assert_eq!(report.fault.poisoned, vec![1, 2, 3], "cone mismatch");
                 assert_eq!(report.completed(), 1, "the loner still runs");
-                assert!(report.fault.retry_hist.is_empty());
                 assert!(report.accounting_reconciles());
                 assert!(report.validated, "full log (incl. poisoned) passed the oracle");
             }
         }
-    }
-
-    #[test]
-    fn retry_turns_a_transient_fault_into_success() {
-        install_quiet_hook();
-        let rate = 500_000;
-        let seed = seed_failing_only_task0(rate, 5);
-        let policy = FailurePolicy::Retry { max_attempts: 3, backoff: Duration::ZERO };
-        let report = Executor::new(chaos_cfg(rate, seed, policy))
-            .run(&diamond_plus_loner())
-            .expect("retry run aborted");
-        assert!(report.fault.failed.is_empty());
-        assert!(report.fault.poisoned.is_empty());
-        assert_eq!(report.fault.retried_ok, 1);
-        assert_eq!(report.completed(), 5);
-        assert_eq!(report.completed_clean(), 4);
-        assert_eq!(report.fault.retry_hist, vec![4, 1, 0]);
-        assert!(report.accounting_reconciles());
-    }
-
-    #[test]
-    fn retry_exhaustion_fails_the_task_and_poisons_its_cone() {
-        install_quiet_hook();
-        let policy = FailurePolicy::Retry { max_attempts: 2, backoff: Duration::ZERO };
-        let report = Executor::new(chaos_cfg(1_000_000, 3, policy))
-            .run(&diamond())
-            .expect("retry run aborted");
-        assert_eq!(report.fault.failed.len(), 1, "poisoned tasks consume no attempts");
-        assert_eq!(report.fault.failed[0].task, 0);
-        assert_eq!(report.fault.failed[0].attempts, 2);
-        assert_eq!(report.fault.poisoned, vec![1, 2, 3]);
-        assert_eq!(report.completed(), 0);
-        assert_eq!(report.fault.retry_hist, vec![0, 1]);
-        assert!(report.accounting_reconciles());
     }
 
     #[test]

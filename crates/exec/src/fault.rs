@@ -9,22 +9,21 @@
 //! join time.
 //!
 //! Determinism contract: every injected fault is a pure function of
-//! `(fault seed, task id, attempt)` (see
-//! `tss_workloads::payload::fault_decision`), and retry backoff is a
-//! pure function of `(fault seed, task id, attempt)` too. The *set* of
-//! failed/poisoned tasks is therefore identical across thread counts;
-//! the *interleaving* (which worker hit the fault, wall times) is not.
+//! `(fault seed, task id)` (see `tss_workloads::payload::fault_decision`).
+//! The *set* of failed/poisoned tasks is therefore identical across
+//! thread counts; the *interleaving* (which worker hit the fault, wall
+//! times) is not.
 
 use std::fmt;
 use std::time::Duration;
 
-pub use tss_workloads::payload::{fault_decision, InjectedFault};
+pub use tss_workloads::payload::fault_decision;
 
 /// Marker embedded in every injected panic's payload so the process
 /// panic hook can keep chaos runs quiet without hiding real bugs.
 pub const INJECTED_PANIC_MARKER: &str = "[tss-injected-fault]";
 
-/// What the run does when a task attempt fails.
+/// What the run does when a task fails.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FailurePolicy {
     /// Stop the run at the first failure and return it as an error.
@@ -33,17 +32,6 @@ pub enum FailurePolicy {
     /// `Err(ExecError::TaskFailed)`.
     #[default]
     FailFast,
-    /// Re-run a failed task up to `max_attempts` total attempts, with a
-    /// seeded-deterministic backoff between attempts. A task that
-    /// exhausts its attempts is quarantined (cone-poisoned) like under
-    /// [`FailurePolicy::Quarantine`].
-    Retry {
-        /// Total attempts per task (first run included); >= 1.
-        max_attempts: u32,
-        /// Base backoff unit; attempt `k` waits roughly `k * backoff`
-        /// with a seeded jitter. `Duration::ZERO` disables waiting.
-        backoff: Duration,
-    },
     /// Mark the task failed, transitively poison its successor cone
     /// through the release protocol, and keep executing the rest of the
     /// graph — discard the cone, not the run.
@@ -51,35 +39,27 @@ pub enum FailurePolicy {
 }
 
 impl FailurePolicy {
-    /// CLI name → policy (`fail-fast`, `retry`, `quarantine`).
-    pub fn parse(name: &str, max_attempts: u32, backoff: Duration) -> Option<FailurePolicy> {
-        match name {
-            "fail-fast" => Some(FailurePolicy::FailFast),
-            "retry" => Some(FailurePolicy::Retry { max_attempts, backoff }),
-            "quarantine" => Some(FailurePolicy::Quarantine),
-            _ => None,
-        }
+    /// Every policy, in menu order.
+    pub fn all() -> [FailurePolicy; 2] {
+        [FailurePolicy::FailFast, FailurePolicy::Quarantine]
+    }
+
+    /// CLI name → policy: the one in [`FailurePolicy::all`] whose
+    /// [`name`](FailurePolicy::name) it is.
+    pub fn parse(name: &str) -> Option<FailurePolicy> {
+        FailurePolicy::all().into_iter().find(|p| p.name() == name)
     }
 
     /// The CLI name.
     pub fn name(&self) -> &'static str {
         match self {
             FailurePolicy::FailFast => "fail-fast",
-            FailurePolicy::Retry { .. } => "retry",
             FailurePolicy::Quarantine => "quarantine",
-        }
-    }
-
-    /// Total attempts a task gets under this policy.
-    pub fn max_attempts(&self) -> u32 {
-        match self {
-            FailurePolicy::Retry { max_attempts, .. } => (*max_attempts).max(1),
-            _ => 1,
         }
     }
 }
 
-/// Why one task (after all its attempts) failed.
+/// Why one task failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TaskFailure {
     /// The payload panicked; the message is the stringified payload.
@@ -88,15 +68,12 @@ pub enum TaskFailure {
         /// when the payload was not a string).
         message: String,
     },
-    /// The payload exceeded the per-task deadline and was cancelled.
-    Deadline,
 }
 
 impl fmt::Display for TaskFailure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TaskFailure::Panicked { message } => write!(f, "panicked: {message}"),
-            TaskFailure::Deadline => write!(f, "exceeded task deadline"),
         }
     }
 }
@@ -106,30 +83,20 @@ impl fmt::Display for TaskFailure {
 pub struct FailedTask {
     /// The failing task's id.
     pub task: u32,
-    /// Attempts consumed (1 for non-retry policies).
-    pub attempts: u32,
-    /// The last attempt's failure.
+    /// Why it failed.
     pub failure: TaskFailure,
 }
 
 /// Failure accounting for one run, carried in `ExecReport`. The
 /// reconciliation invariant (checked by the harness and the chaos
-/// tests): `clean first-try completions + retried-into-success +
-/// failed + poisoned = tasks`.
+/// tests): `completed + failed + poisoned = tasks`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultReport {
-    /// Tasks that finally failed (every attempt consumed), sorted by
-    /// task id.
+    /// Tasks whose payload failed, sorted by task id.
     pub failed: Vec<FailedTask>,
     /// Tasks transitively poisoned by a failed producer (quarantine
     /// cone, the failed tasks themselves excluded), sorted by task id.
     pub poisoned: Vec<u32>,
-    /// Tasks that failed at least one attempt but eventually completed.
-    pub retried_ok: usize,
-    /// `retry_hist[k]`: tasks whose final outcome (success or failure)
-    /// consumed `k + 1` attempts. Empty unless the policy retries;
-    /// poisoned tasks consume no attempts and are not counted.
-    pub retry_hist: Vec<u64>,
     /// Worker threads lost during the run (injected kills plus real
     /// thread deaths the survivors absorbed).
     pub workers_lost: usize,
@@ -138,10 +105,7 @@ pub struct FaultReport {
 impl FaultReport {
     /// Whether this run saw any failure activity at all.
     pub fn any(&self) -> bool {
-        !self.failed.is_empty()
-            || !self.poisoned.is_empty()
-            || self.retried_ok > 0
-            || self.workers_lost > 0
+        !self.failed.is_empty() || !self.poisoned.is_empty() || self.workers_lost > 0
     }
 }
 
@@ -189,7 +153,7 @@ impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ExecError::TaskFailed(t) => {
-                write!(f, "task {} failed after {} attempt(s): {}", t.task, t.attempts, t.failure)
+                write!(f, "task {} failed: {}", t.task, t.failure)
             }
             ExecError::RunDeadline { deadline, completed, tasks } => write!(
                 f,
@@ -215,7 +179,7 @@ impl std::error::Error for ExecError {}
 pub struct FaultPlan {
     /// Injection probability in parts-per-million (0 = no injection).
     pub rate_ppm: u32,
-    /// Seed for fault rolls and retry backoff jitter.
+    /// Seed for the fault rolls.
     pub seed: u64,
     /// Worker index whose thread is killed after its first task
     /// completes (exercises the worker-loss/deque-adoption path).
@@ -228,46 +192,11 @@ impl FaultPlan {
         self.rate_ppm > 0 || self.kill_worker.is_some()
     }
 
-    /// The deterministic fault roll for one `(task, attempt)`.
-    pub fn decide(&self, task: u32, attempt: u32) -> Option<InjectedFault> {
-        fault_decision(self.seed, task, attempt, self.rate_ppm)
+    /// The deterministic fault roll for one task: whether its payload
+    /// is made to panic.
+    pub fn decide(&self, task: u32) -> bool {
+        fault_decision(self.seed, task, self.rate_ppm)
     }
-
-    /// The fault roll as the executor applies it: a [`InjectedFault::Delay`]
-    /// stalls until the deadline watchdog cancels it, so when no
-    /// per-task deadline is armed it is deterministically downgraded to
-    /// a panic (a delay nobody cancels would hang the run). The chaos
-    /// oracle mirrors this exact rule.
-    pub fn effective(
-        &self,
-        task: u32,
-        attempt: u32,
-        deadline_armed: bool,
-    ) -> Option<InjectedFault> {
-        match self.decide(task, attempt) {
-            Some(InjectedFault::Delay) if !deadline_armed => Some(InjectedFault::Panic),
-            other => other,
-        }
-    }
-}
-
-/// Seeded-deterministic retry backoff for attempt `attempt` (1-based:
-/// the wait before attempt 2 passes `attempt = 1`). Linear base with a
-/// ±25% jitter hashed from `(seed, task, attempt)` — deterministic per
-/// task, de-synchronized across tasks so retries don't stampede.
-pub fn backoff_for(seed: u64, task: u32, attempt: u32, base: Duration) -> Duration {
-    if base.is_zero() {
-        return Duration::ZERO;
-    }
-    let mut z = seed ^ 0xD6E8_FEB8_6659_FD93u64;
-    z = z.wrapping_add((task as u64) << 32 | attempt as u64);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    let base_ns = base.as_nanos() as u64 * attempt as u64;
-    // jitter in [-25%, +25%): base/4 scaled by a hash fraction.
-    let jitter = ((z >> 32) * (base_ns / 2)) >> 32;
-    Duration::from_nanos(base_ns - base_ns / 4 + jitter)
 }
 
 /// Installs a process panic hook (once) that suppresses the default
@@ -315,37 +244,11 @@ mod tests {
 
     #[test]
     fn policy_parse_round_trips() {
-        for name in ["fail-fast", "retry", "quarantine"] {
-            let p = FailurePolicy::parse(name, 3, Duration::ZERO).unwrap();
-            assert_eq!(p.name(), name);
+        for p in FailurePolicy::all() {
+            assert_eq!(FailurePolicy::parse(p.name()), Some(p));
         }
-        assert_eq!(FailurePolicy::parse("ignore", 3, Duration::ZERO), None);
-    }
-
-    #[test]
-    fn max_attempts_respects_policy() {
-        assert_eq!(FailurePolicy::FailFast.max_attempts(), 1);
-        assert_eq!(FailurePolicy::Quarantine.max_attempts(), 1);
-        let r = FailurePolicy::Retry { max_attempts: 4, backoff: Duration::ZERO };
-        assert_eq!(r.max_attempts(), 4);
-        // A degenerate retry config still gets one attempt.
-        let r0 = FailurePolicy::Retry { max_attempts: 0, backoff: Duration::ZERO };
-        assert_eq!(r0.max_attempts(), 1);
-    }
-
-    #[test]
-    fn backoff_is_deterministic_and_bounded() {
-        let base = Duration::from_millis(10);
-        for task in 0..32u32 {
-            for attempt in 1..4u32 {
-                let a = backoff_for(5, task, attempt, base);
-                let b = backoff_for(5, task, attempt, base);
-                assert_eq!(a, b);
-                let scaled = base * attempt;
-                assert!(a >= scaled * 3 / 4 && a < scaled * 5 / 4, "backoff {a:?} out of band");
-            }
-        }
-        assert_eq!(backoff_for(5, 0, 1, Duration::ZERO), Duration::ZERO);
+        assert_eq!(FailurePolicy::parse("ignore"), None);
+        assert_eq!(FailurePolicy::parse("retry"), None);
     }
 
     #[test]
@@ -359,11 +262,10 @@ mod tests {
     fn error_messages_name_the_cause() {
         let e = ExecError::TaskFailed(FailedTask {
             task: 7,
-            attempts: 2,
-            failure: TaskFailure::Deadline,
+            failure: TaskFailure::Panicked { message: "boom".into() },
         });
         assert!(e.to_string().contains("task 7"));
-        assert!(e.to_string().contains("deadline"));
+        assert!(e.to_string().contains("panicked: boom"));
         let e =
             ExecError::RunDeadline { deadline: Duration::from_secs(1), completed: 3, tasks: 10 };
         assert!(e.to_string().contains("3/10"));

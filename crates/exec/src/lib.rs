@@ -23,11 +23,11 @@
 //!    order fails the run), plus tasks/sec, per-worker utilization,
 //!    and steal counts in the [`ExecReport`].
 //! 4. **A failure domain** ([`fault`], DESIGN.md §11) — every payload
-//!    runs inside a `catch_unwind` containment boundary; a panicking or
-//!    deadline-blown task becomes a structured [`TaskFailure`] handled
-//!    by the configured [`FailurePolicy`] (fail fast / seeded retry /
-//!    quarantine-and-continue), and [`Executor::run`] returns
-//!    `Result<ExecReport, ExecError>` instead of panicking.
+//!    runs inside a `catch_unwind` containment boundary; a panicking
+//!    task becomes a structured [`TaskFailure`] handled by the
+//!    configured [`FailurePolicy`] (fail fast / quarantine-and-continue),
+//!    and [`Executor::run`] returns `Result<ExecReport, ExecError>`
+//!    instead of panicking.
 //!
 //! ```
 //! use tss_exec::{ExecConfig, Executor, TaskGraphBuilder};
@@ -67,7 +67,7 @@ pub use deque::ChaseLev;
 pub use executor::{
     run_trace, CancelToken, ConfigError, ExecConfig, ExecReport, Executor, WorkerStats,
 };
-pub use fault::{ExecError, FailedTask, FailurePolicy, FaultReport, InjectedFault, TaskFailure};
+pub use fault::{ExecError, FailedTask, FailurePolicy, FaultReport, TaskFailure};
 pub use payload::PayloadMode;
 pub use renamer::{RenameStats, Renamer, StreamingRenamer, TaskGraph};
 pub use sched::{FifoPolicy, LifoPolicy, SchedKind, SchedPolicy, SCHED_MENU};

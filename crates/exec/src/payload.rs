@@ -87,16 +87,16 @@ pub enum PayloadMode {
     },
     /// Copy the capped operand footprint through worker-local memory.
     Memcpy,
-    /// Noop work plus seeded fault injection: each `(task, attempt)`
-    /// rolls a deterministic hash (`tss_workloads::payload::fault_decision`)
-    /// and may panic or stall instead of completing. The injection
+    /// Noop work plus seeded fault injection: each task rolls a
+    /// deterministic hash (`tss_workloads::payload::fault_decision`)
+    /// and may panic instead of completing. The injection
     /// itself happens at the executor's containment boundary, not here
     /// — as a payload the task does nothing, so chaos runs measure the
     /// failure machinery, not payload cost.
     Faulty {
         /// Injection probability in parts-per-million.
         rate_ppm: u32,
-        /// Seed for the per-(task, attempt) fault rolls.
+        /// Seed for the per-task fault rolls.
         seed: u64,
     },
     /// Per-task heterogeneous work (DESIGN.md §13.2): memory-class
@@ -194,9 +194,8 @@ impl<'a> PayloadScratch<'a> {
         self.run_watched(mode, task, &AtomicU32::new(0)).0
     }
 
-    /// Runs one task's payload under a deadline watchdog — the one
-    /// payload body there is: polls `cancel` (a watchdog-owned flag,
-    /// nonzero = stop) and returns `(busy, cancelled)`. Spin payloads
+    /// Runs one task's payload under a stop flag — the one payload body
+    /// there is: polls `cancel` (the run's abort flag, nonzero = stop) and returns `(busy, cancelled)`. Spin payloads
     /// poll every iteration; memcpy polls between operand chunks (a
     /// single chunk is ≤ 64 KB, so cancellation latency stays in the
     /// microseconds).
@@ -218,18 +217,6 @@ impl<'a> PayloadScratch<'a> {
                 }
             }
         }
-    }
-
-    /// An injected [`tss_workloads::payload::InjectedFault::Delay`]:
-    /// stall until the watchdog cancels us. Only called with a per-task
-    /// deadline armed (see `FaultPlan::effective`), so the stall always
-    /// terminates; returns the stalled wall time.
-    pub fn stall_until_cancelled(&mut self, cancel: &AtomicU32) -> Duration {
-        let t0 = Stamp::now();
-        while cancel.load(Ordering::Acquire) == 0 {
-            std::hint::spin_loop();
-        }
-        t0.elapsed()
     }
 
     /// Busy-waits the task's traced runtime (simulated cycles → host
@@ -348,15 +335,6 @@ mod tests {
             s.run(mode, &task());
         }
         assert!(PayloadMode::Memcpy.copies() && PayloadMode::Mixed { time_scale: 1.0 }.copies());
-    }
-
-    #[test]
-    fn stall_returns_once_cancelled() {
-        let arena = build_arena();
-        let mut s = PayloadScratch::new(&arena);
-        let cancel = AtomicU32::new(1);
-        let stalled = s.stall_until_cancelled(&cancel);
-        assert!(stalled < Duration::from_secs(1));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Chaos-injection contract of the failure domain (DESIGN.md §11):
 //! because every injected fault is a pure function of `(fault seed,
-//! task, attempt)`, the *failure sets* of a run are predictable from
+//! task)`, the *failure sets* of a run are predictable from
 //! the trace alone — this suite recomputes them independently (via
 //! `fault_decision` + the `DepGraph` reachability oracle) and pins the
 //! executor to them across seeds × thread counts × rates × policies:
@@ -29,23 +29,20 @@ use tss_workloads::{Benchmark, Scale};
 
 /// Recomputes the failure sets the executor must produce: walk tasks in
 /// id order (dependency edges always point forward), roll each
-/// non-poisoned task's attempts with the same pure hash the executor
-/// uses, and propagate the poison cone through the *oracle's* edges
-/// (`DepGraph`), not the executor's renamer — an independent witness.
-/// Returns `(failed, poisoned, retried_ok)` with the id vectors sorted.
+/// non-poisoned task with the same pure hash the executor uses, and
+/// propagate the poison cone through the *oracle's* edges (`DepGraph`),
+/// not the executor's renamer — an independent witness. Returns
+/// `(failed, poisoned)`, both sorted.
 fn expected_failure_sets(
     trace: &TaskTrace,
     oracle: &DepGraph,
     rate_ppm: u32,
     seed: u64,
-    policy: FailurePolicy,
-) -> (Vec<u32>, Vec<u32>, usize) {
+) -> (Vec<u32>, Vec<u32>) {
     let plan = FaultPlan { rate_ppm, seed, kill_worker: None };
-    let max_attempts = policy.max_attempts();
     let n = trace.len();
     let mut cone = vec![false; n];
     let mut failed = Vec::new();
-    let mut retried_ok = 0usize;
     for t in 0..n {
         if cone[t] {
             for &s in oracle.succs(t) {
@@ -53,21 +50,15 @@ fn expected_failure_sets(
             }
             continue;
         }
-        let t32 = t as u32;
-        // No deadline armed in this suite: injected delays are
-        // deterministically downgraded to panics (FaultPlan::effective).
-        let fails_all = (1..=max_attempts).all(|a| plan.effective(t32, a, false).is_some());
-        if fails_all {
-            failed.push(t32);
+        if plan.decide(t as u32) {
+            failed.push(t as u32);
             for &s in oracle.succs(t) {
                 cone[s] = true;
             }
-        } else if plan.effective(t32, 1, false).is_some() {
-            retried_ok += 1;
         }
     }
     let poisoned = (0..n).filter(|&t| cone[t]).map(|t| t as u32).collect();
-    (failed, poisoned, retried_ok)
+    (failed, poisoned)
 }
 
 fn chaos_cfg(threads: usize, rate_ppm: u32, fault_seed: u64, policy: FailurePolicy) -> ExecConfig {
@@ -85,14 +76,14 @@ fn chaos_cfg(threads: usize, rate_ppm: u32, fault_seed: u64, policy: FailurePoli
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The full matrix: seeds × {2,4,8} threads × rates × all three
+    /// The full matrix: seeds × {2,4,8} threads × rates × both
     /// policies × two-phase/streamed, against the independent oracle.
     #[test]
     fn chaos_runs_match_the_recomputed_failure_sets(
         fault_seed_raw in 0u32..10_000,
         thread_sel in 0u8..3,
         rate_sel in 0u8..3,
-        policy_sel in 0u8..3,
+        policy_sel in 0..FailurePolicy::all().len(),
         bench_sel in 0u8..9,
         streamed_sel in 0u8..2,
     ) {
@@ -100,24 +91,20 @@ proptest! {
         let streamed = streamed_sel == 1;
         let threads = [2usize, 4, 8][thread_sel as usize];
         let rate_ppm = [50_000u32, 200_000, 500_000][rate_sel as usize];
-        let policy = [
-            FailurePolicy::FailFast,
-            FailurePolicy::Retry { max_attempts: 3, backoff: std::time::Duration::ZERO },
-            FailurePolicy::Quarantine,
-        ][policy_sel as usize];
+        let policy = FailurePolicy::all()[policy_sel];
         let bench = Benchmark::all()[bench_sel as usize];
         let trace = bench.trace(Scale::Small, 11);
         let oracle = DepGraph::from_trace(&trace);
-        let (exp_failed, exp_poisoned, exp_retried) =
-            expected_failure_sets(&trace, &oracle, rate_ppm, fault_seed, policy);
+        let (exp_failed, exp_poisoned) =
+            expected_failure_sets(&trace, &oracle, rate_ppm, fault_seed);
 
         let exec = Executor::new(chaos_cfg(threads, rate_ppm, fault_seed, policy));
         let result = if streamed { exec.run(&trace) } else { exec.run_oneshot(&trace) };
 
         if policy == FailurePolicy::FailFast {
             // Fail-fast aborts at the first failure: with any expected
-            // failure the run must error on a task whose first roll the
-            // hash says fails; with none it must be a clean report.
+            // failure the run must error on a task whose roll the hash
+            // says fails; with none it must be a clean report.
             match result {
                 Ok(report) => {
                     prop_assert!(exp_failed.is_empty(),
@@ -129,8 +116,7 @@ proptest! {
                 Err(ExecError::TaskFailed(ft)) => {
                     prop_assert!(
                         FaultPlan { rate_ppm, seed: fault_seed, kill_worker: None }
-                            .effective(ft.task, 1, false)
-                            .is_some(),
+                            .decide(ft.task),
                         "{bench}: fail-fast surfaced task {} which the hash says succeeds",
                         ft.task
                     );
@@ -140,7 +126,7 @@ proptest! {
             return Ok(());
         }
 
-        let report = result.expect("retry/quarantine runs complete");
+        let report = result.expect("quarantine runs complete");
         let got_failed: Vec<u32> = report.fault.failed.iter().map(|f| f.task).collect();
         prop_assert_eq!(&got_failed, &exp_failed,
             "{} at {} threads rate {} seed {}: failed set diverges",
@@ -148,9 +134,6 @@ proptest! {
         prop_assert_eq!(&report.fault.poisoned, &exp_poisoned,
             "{} at {} threads rate {} seed {}: poison cone diverges from DepGraph reachability",
             bench, threads, rate_ppm, fault_seed);
-        if matches!(policy, FailurePolicy::Retry { .. }) {
-            prop_assert_eq!(report.fault.retried_ok, exp_retried);
-        }
         prop_assert!(report.accounting_reconciles(),
             "completed {} + failed {} + poisoned {} != tasks {}",
             report.completed(), report.fault.failed.len(),
@@ -189,10 +172,10 @@ fn renamer_poison_cone_matches_depgraph_reachability() {
 }
 
 /// One worker, same seed ⇒ the whole outcome is a pure function of the
-/// inputs: completion log, failed set, poisoned set, retry accounting.
+/// inputs: completion log, failed set, poisoned set.
 #[test]
 fn single_worker_chaos_is_bit_deterministic() {
-    let policy = FailurePolicy::Retry { max_attempts: 2, backoff: std::time::Duration::ZERO };
+    let policy = FailurePolicy::Quarantine;
     for fault_seed in 0..16u64 {
         let trace = Benchmark::Cholesky.trace(Scale::Small, 11);
         let run = || {
@@ -280,8 +263,8 @@ fn a_quarantine_cone_through_held_successors_is_exactly_the_poison_cone() {
     let graph = Renamer::new().decode(&trace);
     let rate_ppm = 30_000;
     for fault_seed in 0..12u64 {
-        let (exp_failed, exp_poisoned, _) =
-            expected_failure_sets(&trace, &oracle, rate_ppm, fault_seed, FailurePolicy::Quarantine);
+        let (exp_failed, exp_poisoned) =
+            expected_failure_sets(&trace, &oracle, rate_ppm, fault_seed);
         for threads in [1usize, 2, 4] {
             for streamed in [true, false] {
                 let exec = Executor::new(chaos_cfg(
@@ -358,12 +341,12 @@ fn aborts_with_a_held_successor_reconcile() {
     let rate_ppm = 60_000;
     for fault_seed in 0..8u64 {
         let plan = FaultPlan { rate_ppm, seed: fault_seed, kill_worker: None };
-        let first = (0..64u32).find(|&t| plan.effective(t, 1, false).is_some());
+        let first = (0..64u32).find(|&t| plan.decide(t));
         let result =
             Executor::new(chaos_cfg(2, rate_ppm, fault_seed, FailurePolicy::FailFast)).run(&chain);
         match (first, result) {
             (None, Ok(report)) => assert_eq!(report.completed(), 64),
-            (Some(t), Err(ExecError::TaskFailed(f))) => assert_eq!((f.task, f.attempts), (t, 1)),
+            (Some(t), Err(ExecError::TaskFailed(f))) => assert_eq!(f.task, t),
             (first, other) => {
                 panic!("seed {fault_seed}: first failing link {first:?}, got {other:?}")
             }

@@ -100,7 +100,7 @@ fn one_worker_two_phase_order_matches_the_committed_digest() {
 /// digest was computed at the commit that made decode a step of the
 /// run's own workers; before it, a decode thread raced the worker and
 /// no digest could hold. The quarantine row's failure sets are the
-/// two-phase ones: injection is a pure function of task and attempt.
+/// two-phase ones: injection is a pure function of the task.
 #[test]
 fn one_worker_streamed_order_matches_the_committed_digest() {
     const DIGEST: u64 = 0x8c57_5d22_35c0_3405;

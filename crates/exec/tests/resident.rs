@@ -9,10 +9,10 @@
 use std::sync::{Barrier, Mutex};
 use std::time::{Duration, Instant};
 
-use tss_exec::fault::{install_quiet_hook, FaultPlan};
+use tss_exec::fault::install_quiet_hook;
 use tss_exec::{
-    CancelToken, ExecConfig, ExecError, ExecReport, Executor, FailurePolicy, InjectedFault,
-    PayloadMode, TaskFailure, TaskGraphBuilder,
+    CancelToken, ExecConfig, ExecError, ExecReport, Executor, FailurePolicy, PayloadMode,
+    TaskGraphBuilder,
 };
 use tss_trace::TaskTrace;
 use tss_workloads::{Benchmark, Scale};
@@ -76,7 +76,7 @@ fn concurrent_callers_all_get_validated_reports() {
 /// Each way a run can leave through the containment boundary, followed
 /// by a clean run on the crew it just used (the tests are serialized
 /// and the free list is LIFO, so it is the same resident threads): no
-/// abort flag, deque content, watch slot or dead thread may leak.
+/// abort flag, deque content or dead thread may leak.
 #[test]
 fn the_crew_survives_every_way_a_run_can_end() {
     let _serial = serial();
@@ -135,8 +135,8 @@ fn the_crew_survives_every_way_a_run_can_end() {
     next_run_is_clean("a run-deadline abort");
 
     // A fired cancel token: same abort path, different cause. The
-    // token-only guarded lane arms no deadline slot (DESIGN.md §11.4)
-    // but must still stop payloads in flight: the run is back long
+    // token-only guarded lane's payloads poll the run's abort flag
+    // (DESIGN.md §11.4), so they stop in flight: the run is back long
     // before a one-second payload could have finished on its own, well
     // inside the documented bound of one tick plus one payload.
     let token = CancelToken::new();
@@ -210,12 +210,13 @@ fn an_armed_watchdog_is_not_a_latency_floor() {
     }
 }
 
-/// An armed, unfired token puts every task on the guarded lane; with no
-/// task deadline that lane reads no clock, touches no deadline slot and
-/// keeps no retry histogram, so a no-op Cholesky-paper run (30,856
-/// tasks, nothing but scheduling) costs about 10% more than unarmed. At
-/// the parent commit the lane did all three per task and the ratio was
-/// 1.33–1.40 (DESIGN.md §11.4). Optimized builds only: an unoptimized
+/// An armed, unfired token puts every task on the guarded lane; that
+/// lane reads no clock, arms no per-worker slot and keeps no histogram
+/// — its payloads poll the run's abort flag — so a no-op Cholesky-paper
+/// run (30,856 tasks, nothing but scheduling) costs about 10% more than
+/// unarmed. When the lane read the clock, armed a deadline slot and
+/// bumped a retry histogram per task the ratio was 1.33–1.40
+/// (DESIGN.md §11.4). Optimized builds only: an unoptimized
 /// task costs ~1.3 µs, which buries the ~50 ns in question (3–17% on
 /// either commit).
 #[test]
@@ -255,43 +256,4 @@ fn an_armed_token_costs_next_to_nothing_per_task() {
         unarmed * 1e3,
         armed * 1e3,
     );
-}
-
-/// A task deadline next to an armed token still takes the timed lane:
-/// an injected `Delay` stalls until the watchdog cancels it and is
-/// reported as a deadline failure, an injected panic as a panic, and
-/// nothing else fails.
-#[test]
-fn a_task_deadline_beside_a_token_still_times_out_injected_delays() {
-    let _serial = serial();
-    install_quiet_hook();
-    let trace = independent(200, 10);
-    let (rate_ppm, seed) = (200_000, 17);
-    let cfg = ExecConfig {
-        threads: 2,
-        payload: PayloadMode::Faulty { rate_ppm, seed },
-        policy: FailurePolicy::Quarantine,
-        task_deadline: Some(Duration::from_millis(5)),
-        cancel: Some(CancelToken::new()),
-        ..ExecConfig::default()
-    };
-    let report = Executor::new(cfg).run(&trace).expect("quarantine run aborted");
-    let plan = FaultPlan { rate_ppm, seed, kill_worker: None };
-    let injected = |t: u32| plan.effective(t, 1, true);
-    let expected: Vec<u32> = (0..200).filter(|&t| injected(t).is_some()).collect();
-    let failed: Vec<u32> = report.fault.failed.iter().map(|f| f.task).collect();
-    assert_eq!(failed, expected);
-    let mut delays = 0;
-    for f in &report.fault.failed {
-        match injected(f.task) {
-            Some(InjectedFault::Delay) => {
-                assert_eq!(f.failure, TaskFailure::Deadline, "task {}", f.task);
-                delays += 1;
-            }
-            _ => assert!(matches!(f.failure, TaskFailure::Panicked { .. }), "task {}", f.task),
-        }
-    }
-    assert!(delays > 0, "seed {seed} injects no delay; pick another");
-    assert!(report.fault.retry_hist.is_empty(), "no Retry policy, no histogram");
-    assert!(report.accounting_reconciles());
 }

@@ -7,7 +7,7 @@
 //!   {2, 4, 8} threads × {two-phase replay, pipelined stream}: every
 //!   completion log linearizes the `DepGraph`.
 //! - **Chaos determinism** — injection is a pure function of
-//!   `(fault seed, task, attempt)`, so the quarantined failure sets
+//!   `(fault seed, task)`, so the quarantined failure sets
 //!   must be identical across thread counts *and* across policies.
 //! - **1-worker bit-determinism** — with one worker there is no race
 //!   for any policy to resolve, so two oneshot runs must produce

@@ -4,11 +4,11 @@
 //! `chrome://tracing` and Perfetto open directly: one *process* per
 //! benchmark run, one *thread* (track) per worker,
 //! complete (`"ph":"X"`) events for slices and thread-scoped instants
-//! (`"ph":"i"`) for edges. Retry and poison events carry reserved
-//! Chrome color names (`bad` / `terrible`) so chaos runs read at a
-//! glance. Timestamps are microseconds (the format's unit) with ns
-//! precision kept in the fraction. No JSON library — the event grammar
-//! is flat and every name is generated, so escaping never arises.
+//! (`"ph":"i"`) for edges. Poison events carry a reserved Chrome
+//! color name (`terrible`) so chaos runs read at a glance. Timestamps
+//! are microseconds (the format's unit) with ns precision kept in the
+//! fraction. No JSON library — the event grammar is flat and every name
+//! is generated, so escaping never arises.
 
 use crate::ring::EventKind;
 use crate::ObsReport;
@@ -31,7 +31,6 @@ fn style(kind: EventKind, arg: u32) -> (String, &'static str, Option<&'static st
         EventKind::Steal => (format!("steal w{arg}"), "sched", None),
         EventKind::Wake => ("wake".into(), "sched", None),
         EventKind::Commit => (format!("commit w{arg}"), "decode", None),
-        EventKind::Retry => (format!("retry {arg}"), "chaos", Some("bad")),
         EventKind::Poison => (format!("poison {arg}"), "chaos", Some("terrible")),
     }
 }
@@ -110,7 +109,6 @@ mod tests {
                 name: "worker-0".into(),
                 events: vec![
                     Event { kind: EventKind::Burst, arg: 2, start_ns: 1_500, dur_ns: 2_000 },
-                    Event { kind: EventKind::Retry, arg: 7, start_ns: 4_000, dur_ns: 0 },
                     Event { kind: EventKind::Poison, arg: 7, start_ns: 5_000, dur_ns: 0 },
                 ],
                 dropped: 0,
@@ -130,7 +128,7 @@ mod tests {
         assert!(json.contains("\"thread_name\"") && json.contains("\"worker-0\""));
         assert!(json.contains("\"ph\":\"X\"") && json.contains("\"dur\":2.000"));
         assert!(json.contains("\"ts\":1.500"), "ns kept as fractional µs");
-        assert!(json.contains("\"cname\":\"bad\"") && json.contains("\"cname\":\"terrible\""));
+        assert!(json.contains("\"cname\":\"terrible\""));
         assert!(json.contains("\"s\":\"t\""), "instants are thread-scoped");
         // Structural sanity without a parser: balanced braces/brackets.
         let bal = |open: char, close: char| {

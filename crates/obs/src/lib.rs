@@ -9,7 +9,7 @@
 //!    nothing at compile time, the same static-dispatch discipline as
 //!    the `tss_exec::sync` facade (DESIGN.md §10.1). With `ring` on
 //!    (*RingSink*), each worker owns a fixed-capacity event `Ring`
-//!    recording spawn/steal/park/wake/retry/poison/commit edges plus
+//!    recording spawn/steal/park/wake/poison/commit edges plus
 //!    burst and task slices; rings never allocate after construction
 //!    and are drained only at join.
 //! 2. **Fixed-bucket log-scale latency [`Histogram`]s** (HDR-style,
@@ -18,7 +18,7 @@
 //! 3. **A Chrome `trace_event` exporter** ([`chrome_trace`]) that turns
 //!    drained rings into a timeline `chrome://tracing`/Perfetto opens
 //!    directly: one track per worker, decode steps included, with
-//!    retry/quarantine events on their own phase color.
+//!    quarantine events on their own phase color.
 //!
 //! The [`clock::Stamp`] monotonic-timestamp facade is compiled in both
 //! configurations: the executor routes *all* of its wall-clock reads
@@ -62,7 +62,7 @@ pub const ENABLED: bool = cfg!(feature = "ring");
 /// the A/B table there is what set this period). High-frequency ring
 /// *edge* events (burst/park/wake) are decimated separately by
 /// per-worker counters ([`EDGE_EVERY`]); rare edges
-/// (steal/retry/poison/commit) record unconditionally.
+/// (steal/poison/commit) record unconditionally.
 pub const SAMPLE_EVERY: u32 = 64;
 
 /// Decimation period for the high-frequency ring edge events: each

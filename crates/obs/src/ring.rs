@@ -29,8 +29,6 @@ pub enum EventKind {
     Steal,
     /// This worker woke sleepers after publishing work.
     Wake,
-    /// A retry attempt began; `arg` = task id.
-    Retry,
     /// A task failed or was poisoned; `arg` = task id.
     Poison,
     /// A window committed; `arg` = window index.

@@ -268,18 +268,11 @@ impl WorkerObs {
         self.ring.push(Event { kind: EventKind::Task, arg: t, start_ns, dur_ns });
     }
 
-    /// A task was poisoned or finally failed on this worker.
+    /// A task was poisoned or failed on this worker.
     #[inline]
     pub fn task_poisoned(&mut self, t: u32, shared: &SharedObs) {
         let now = shared.now_ns();
         self.instant(EventKind::Poison, t, now);
-    }
-
-    /// A retry attempt is about to run.
-    #[inline]
-    pub fn retry(&mut self, t: u32, shared: &SharedObs) {
-        let now = shared.now_ns();
-        self.instant(EventKind::Retry, t, now);
     }
 
     /// A successful steal from `victim`.
@@ -407,10 +400,6 @@ impl WorkerObs {
     /// NoopSink: no-op.
     #[inline]
     pub fn task_poisoned(&mut self, _t: u32, _shared: &SharedObs) {}
-
-    /// NoopSink: no-op.
-    #[inline]
-    pub fn retry(&mut self, _t: u32, _shared: &SharedObs) {}
 
     /// NoopSink: no-op.
     #[inline]

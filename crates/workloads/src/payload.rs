@@ -88,44 +88,27 @@ pub fn trace_footprint(trace: &TaskTrace) -> Footprint {
     f
 }
 
-/// A fault the chaos layer injects into one task attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InjectedFault {
-    /// The payload panics mid-task (containment-boundary exercise).
-    Panic,
-    /// The payload stalls long enough to trip a per-task deadline.
-    Delay,
-}
-
-/// Deterministic fault roll for one `(task, attempt)` pair.
+/// Deterministic fault roll for one task: whether the chaos layer
+/// makes its payload panic.
 ///
-/// The decision is a pure hash of `(seed, task, attempt)` — no global
-/// RNG state — so a chaos run is replayable from its seed alone and the
+/// The decision is a pure hash of `(seed, task)` — no global RNG state
+/// — so a chaos run is replayable from its seed alone and the
 /// injected-failure *set* is identical at any worker count (the chaos CI
 /// baseline pins exact counts on that guarantee). `rate_ppm` is the
-/// injection probability in parts-per-million; one roll in eight that
-/// fires is a [`InjectedFault::Delay`], the rest are panics.
-pub fn fault_decision(seed: u64, task: u32, attempt: u32, rate_ppm: u32) -> Option<InjectedFault> {
+/// injection probability in parts-per-million. The low word of the
+/// packed input is 1: the committed failure sets (the chaos baselines
+/// and the determinism digests) were rolled with it.
+pub fn fault_decision(seed: u64, task: u32, rate_ppm: u32) -> bool {
     if rate_ppm == 0 {
-        return None;
+        return false;
     }
     // SplitMix64 finalizer over the packed inputs: cheap, well mixed,
     // and stable across platforms.
-    let mut z =
-        seed.wrapping_add((task as u64) << 32 | attempt as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = seed.wrapping_add((task as u64) << 32 | 1).wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^= z >> 31;
-    if (z % 1_000_000) as u32 >= rate_ppm {
-        return None;
-    }
-    // Reuse high bits (independent of the `% 1_000_000` roll above for
-    // all practical rates) to pick the fault flavor.
-    if (z >> 61) & 7 == 0 {
-        Some(InjectedFault::Delay)
-    } else {
-        Some(InjectedFault::Panic)
-    }
+    ((z % 1_000_000) as u32) < rate_ppm
 }
 
 #[cfg(test)]
@@ -183,52 +166,23 @@ mod tests {
     fn fault_decision_is_pure_and_rate_bounded() {
         // Pure: same inputs, same answer.
         for task in 0..64u32 {
-            for attempt in 0..3u32 {
-                assert_eq!(
-                    fault_decision(42, task, attempt, 50_000),
-                    fault_decision(42, task, attempt, 50_000)
-                );
-            }
+            assert_eq!(fault_decision(42, task, 50_000), fault_decision(42, task, 50_000));
         }
         // Rate 0 never fires; rate 1_000_000 always fires.
         for task in 0..256u32 {
-            assert_eq!(fault_decision(7, task, 0, 0), None);
-            assert!(fault_decision(7, task, 0, 1_000_000).is_some());
+            assert!(!fault_decision(7, task, 0));
+            assert!(fault_decision(7, task, 1_000_000));
         }
         // A 5% rate lands in a loose band over a large sample.
-        let fired = (0..100_000u32).filter(|&t| fault_decision(1, t, 0, 50_000).is_some()).count();
+        let fired = (0..100_000u32).filter(|&t| fault_decision(1, t, 50_000)).count();
         assert!((3_000..8_000).contains(&fired), "5% rate fired {fired}/100000");
     }
 
     #[test]
-    fn fault_decision_varies_by_attempt_and_seed() {
-        // Distinct attempts re-roll: a task that faults on attempt 0
-        // should not fault on *every* attempt at a moderate rate.
-        let always = (0..10_000u32)
-            .filter(|&t| fault_decision(3, t, 0, 200_000).is_some())
-            .filter(|&t| (1..5u32).all(|a| fault_decision(3, t, a, 200_000).is_some()))
-            .count();
-        assert!(always < 100, "{always} tasks faulted on all 5 attempts at 20%");
+    fn fault_decision_varies_by_seed() {
         // Distinct seeds give distinct failure sets.
-        let a: Vec<u32> =
-            (0..1_000).filter(|&t| fault_decision(1, t, 0, 100_000).is_some()).collect();
-        let b: Vec<u32> =
-            (0..1_000).filter(|&t| fault_decision(2, t, 0, 100_000).is_some()).collect();
+        let a: Vec<u32> = (0..1_000).filter(|&t| fault_decision(1, t, 100_000)).collect();
+        let b: Vec<u32> = (0..1_000).filter(|&t| fault_decision(2, t, 100_000)).collect();
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn fault_decision_mixes_delays_and_panics() {
-        let mut delays = 0;
-        let mut panics = 0;
-        for t in 0..100_000u32 {
-            match fault_decision(9, t, 0, 1_000_000) {
-                Some(InjectedFault::Delay) => delays += 1,
-                Some(InjectedFault::Panic) => panics += 1,
-                None => unreachable!(),
-            }
-        }
-        assert!(delays > 5_000, "delays under-represented: {delays}");
-        assert!(panics > 50_000, "panics under-represented: {panics}");
     }
 }
