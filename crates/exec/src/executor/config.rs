@@ -46,7 +46,7 @@ pub struct ExecConfig {
     /// monomorphizes to the pre-§13 worker loop.
     pub sched: SchedKind,
     /// External cancellation (DESIGN.md §14.3): when the token fires,
-    /// the watchdog aborts the run and it returns
+    /// the first worker to check it aborts the run and it returns
     /// [`ExecError::Cancelled`](crate::fault::ExecError::Cancelled) with
     /// its progress counts. `None` (the default) adds no machinery at
     /// all.
@@ -119,15 +119,13 @@ impl ExecConfig {
 /// A cloneable external-cancellation handle. The serve layer
 /// (DESIGN.md §14.3) arms one per accepted graph so a drain deadline
 /// can stop a run that is already executing; anything else that embeds
-/// the executor can do the same. The token itself is polled by the
-/// watchdog role (same 200 µs tick as the run deadline), never on the
-/// task hot path: one extra load per tick. Arming it does put every
-/// task on the guarded lane — a firing must be able to stop payloads in
-/// flight, so each payload polls the run's abort flag — and that lane
-/// is not free (DESIGN.md §11.4 has its measured cost). The tick bounds
-/// *cancellation* latency only — one tick plus one poll of the
-/// in-flight payloads — never completion latency: the watchdog's wait
-/// is interrupted the moment the run stops (DESIGN.md §11.3).
+/// the executor can do the same. Arming it puts every task on the
+/// guarded lane, whose stop check — before every attempt and in every
+/// payload poll — loads the token: one load each, no thread, no timer,
+/// no clock read. That lane is not free (DESIGN.md §11.4 has its
+/// measured cost). A firing is noticed within one attempt, one payload
+/// poll or one decode step of a running worker, which wakes the parked
+/// ones (DESIGN.md §11.3); completion latency is untouched.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken(std::sync::Arc<AtomicU32>);
 

@@ -17,10 +17,11 @@
 //!   it whole before the crew starts; [`Executor::run_oneshot`] is
 //!   decode-then-`replay` — PR 3's two phases, the apples-to-apples
 //!   replay-throughput measurement and the shape the microbenches time.
-//! - **Resident threads.** A run's workers and watchdog are *roles*
-//!   handed to a crew of process-lifetime threads (`runtime.rs`,
-//!   DESIGN.md §15) and awaited; no thread is spawned or joined per
-//!   run, and decoding adds none.
+//! - **Resident threads.** A run's workers are *roles* handed to a
+//!   crew of process-lifetime threads (`runtime.rs`, DESIGN.md §15) and
+//!   awaited; no thread is spawned or joined per run, and neither
+//!   decoding nor a run deadline or cancel token adds one: the workers
+//!   notice those at the stop check they already make (§11.3).
 //! - **Lock-free scheduling.** Per-worker [`ChaseLev`](crate::ChaseLev)
 //!   deques (owner LIFO, thief FIFO, batch stealing takes half) replace
 //!   the mutexed ring; the one lock left on the task hot path is gone.
@@ -101,7 +102,6 @@ mod parker;
 mod release;
 mod report;
 mod shared;
-mod watchdog;
 mod worker;
 
 pub use config::{CancelToken, ConfigError, ExecConfig};
@@ -116,8 +116,7 @@ use tss_trace::{OrderViolation, TaskId, TaskTrace};
 
 use self::decode::DecodeShared;
 use self::release::{StreamRelease, POISONED};
-use self::shared::Shared;
-use self::watchdog::watchdog_loop;
+use self::shared::{Shared, CANCELLED, RUN_DEADLINE};
 use self::worker::{worker_loop, WorkerExit};
 use crate::fault::{panic_message, ExecError, FailurePolicy, FaultReport};
 use crate::payload::shared_arena;
@@ -291,17 +290,15 @@ impl Executor {
         result
     }
 
-    /// Runs one graph's roles on a crew leased from the resident
-    /// runtime (DESIGN.md §15) and returns once all of them have: one
-    /// worker per configured thread, then — only when a run deadline or
-    /// cancel token is armed — the watchdog, last so that arming it
-    /// does not move any other role to a different resident thread. An
-    /// empty graph has nothing to run and leases nothing.
+    /// Runs one graph's workers, one per configured thread, on a crew
+    /// leased from the resident runtime (DESIGN.md §15) and returns once
+    /// all of them have. An empty graph has nothing to run and leases
+    /// nothing.
     fn run_crew<'r, P: SchedPolicy>(&self, shared: &'r Shared<'_, P>, arena: &'r [u8]) -> CrewOut {
         let threads = self.config.threads;
         let mut exits: Vec<Option<WorkerExit>> = (0..threads).map(|_| None).collect();
         if shared.n > 0 {
-            let mut roles: Vec<Role<'_>> = Vec::with_capacity(threads + 1);
+            let mut roles: Vec<Role<'_>> = Vec::with_capacity(threads);
             let seed = self.config.seed;
             for (w, exit) in exits.iter_mut().enumerate() {
                 roles.push(Box::new(move || {
@@ -309,9 +306,6 @@ impl Executor {
                         .map_err(|p| shared.note_infra_panic(panic_message(&*p)))
                         .ok();
                 }));
-            }
-            if shared.watchdog_armed() {
-                roles.push(Box::new(move || watchdog_loop(shared)));
             }
             runtime::global().run(roles);
         }
@@ -356,34 +350,32 @@ impl Executor {
         let RunTiming { decode_wall, exec_wall, streaming, rename } = timing;
         let CrewOut { workers, worker_obs, workers_lost } = crew;
         // Error resolution order: infrastructure death first (nothing
-        // else is trustworthy after an executor-bug panic), then the
-        // run deadline, then a fail-fast task failure.
+        // else is trustworthy after an executor-bug panic, whatever
+        // cause was recorded first), then the cause that stopped the
+        // run, then a fail-fast task failure.
         let infra = shared.infra_panic.lock().expect("infra panic slot poisoned").take();
         if let Some(message) = infra {
             return Err(ExecError::WorkerPanic { message });
         }
         let completed = shared.next_ticket.load(Ordering::Acquire).min(shared.n);
-        if shared.cancel_hit.load(Ordering::Acquire) != 0 {
-            return Err(ExecError::Cancelled { completed, tasks: shared.n });
-        }
-        if shared.run_deadline_hit.load(Ordering::Acquire) != 0 {
-            return Err(ExecError::RunDeadline {
-                deadline: self.config.run_deadline.unwrap_or_default(),
-                completed,
-                tasks: shared.n,
-            });
+        match shared.abort.load(Ordering::Acquire) {
+            CANCELLED => return Err(ExecError::Cancelled { completed, tasks: shared.n }),
+            RUN_DEADLINE => {
+                return Err(ExecError::RunDeadline {
+                    deadline: self.config.run_deadline.unwrap_or_default(),
+                    completed,
+                    tasks: shared.n,
+                })
+            }
+            // Running, or a fail-fast abort, whose failure is logged
+            // below (an infrastructure panic returned above).
+            _ => {}
         }
         let mut failed =
             std::mem::take(&mut *shared.failures.lock().expect("failure log poisoned"));
         failed.sort_by_key(|f| f.task);
         if matches!(self.config.policy, FailurePolicy::FailFast) && !failed.is_empty() {
             return Err(ExecError::TaskFailed(failed.remove(0)));
-        }
-        if shared.aborted() {
-            // Aborted without an infra panic, deadline, or fail-fast
-            // failure: cannot happen by construction; surface it rather
-            // than fabricating a report.
-            return Err(ExecError::WorkerPanic { message: "run aborted without a cause".into() });
         }
         // relaxed: order slots read after all workers joined
         let order: Vec<TaskId> =

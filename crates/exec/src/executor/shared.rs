@@ -1,6 +1,8 @@
-//! The state one run's roles share: queues, tickets, the release
+//! The state one run's workers share: queues, tickets, the release
 //! table, the streaming front end, and the failure domain's flags
 //! (DESIGN.md §7, §8.2, §11).
+
+use std::time::Duration;
 
 use tss_obs::clock::Stamp;
 use tss_obs::SharedObs;
@@ -10,7 +12,6 @@ use tss_trace::TaskTrace;
 use super::decode::DecodeShared;
 use super::parker::Parker;
 use super::release::{StreamRelease, HEALTHY};
-use super::watchdog::WatchGate;
 use super::{CancelToken, ExecConfig};
 use crate::deque::{ChaseLev, Injector};
 use crate::fault::{FailedTask, FailurePolicy, FaultPlan};
@@ -19,7 +20,20 @@ use crate::sched::SchedPolicy;
 use crate::sync::atomic::{AtomicU32, AtomicU8, AtomicUsize, Ordering};
 use crate::sync::Mutex;
 
-/// Shared replay state (borrowed by every role of the run's crew).
+/// The values of [`Shared::abort`]: zero while the run runs, else the
+/// cause that stopped it early. The first cause wins
+/// ([`Shared::request_abort`]).
+pub(super) const RUNNING: u32 = 0;
+/// A task failed under `FailFast`.
+pub(super) const FAILED_FAST: u32 = 1;
+/// An executor bug: a role panicked outside any payload.
+pub(super) const INFRA_PANIC: u32 = 2;
+/// The run deadline passed.
+pub(super) const RUN_DEADLINE: u32 = 3;
+/// The external [`CancelToken`] fired.
+pub(super) const CANCELLED: u32 = 4;
+
+/// Shared replay state (borrowed by every worker of the run's crew).
 pub(super) struct Shared<'a, P: SchedPolicy> {
     /// How completions find their successors.
     pub(super) release: StreamRelease,
@@ -46,10 +60,11 @@ pub(super) struct Shared<'a, P: SchedPolicy> {
     // --- failure domain (DESIGN.md §11) ---
     /// Per-task status byte (HEALTHY / POISONED / FAILED).
     pub(super) status: Vec<AtomicU8>,
-    /// Nonzero = stop the run (fail-fast failure, run deadline, fired
-    /// token, or an infrastructure panic). Checked on the idle path and
-    /// the park predicate, and polled by guarded-lane payloads — never
-    /// on the fast lane.
+    /// [`RUNNING`], or why the run stopped early ([`FAILED_FAST`],
+    /// [`INFRA_PANIC`], [`RUN_DEADLINE`], [`CANCELLED`]). Checked on the
+    /// idle path and the park predicate, and polled before every guarded
+    /// attempt and by guarded-lane payloads ([`Shared::poll_stop`]) —
+    /// never on the fast lane.
     pub(super) abort: CachePadded<AtomicU32>,
     /// Nonzero once any task has failed: diverts subsequent tasks
     /// from the fast path onto the guarded path even when no chaos is
@@ -58,9 +73,8 @@ pub(super) struct Shared<'a, P: SchedPolicy> {
     /// Resolved fault-injection plan (all-zero when disarmed).
     pub(super) plan: FaultPlan,
     pub(super) policy: FailurePolicy,
-    /// Absolute run deadline, ns since `t0` (0 = unarmed).
-    pub(super) run_deadline_ns: u64,
-    /// Wall anchor for every deadline computation.
+    /// The run deadline, measured from `t0`, the run's start.
+    pub(super) run_deadline: Option<Duration>,
     pub(super) t0: Stamp,
     /// Shared observability state (ready-time table + gauges); a ZST
     /// no-op unless the `obs` feature is on (DESIGN.md §12).
@@ -69,16 +83,9 @@ pub(super) struct Shared<'a, P: SchedPolicy> {
     /// deadline or a token must be able to stop) must run: decided
     /// once, so a fault-free run's per-task path is unchanged.
     pub(super) guarded: bool,
-    /// Set by the watchdog when the run deadline expired.
-    pub(super) run_deadline_hit: AtomicU32,
-    /// External cancellation token (DESIGN.md §14.3), polled by the
-    /// watchdog alongside the run deadline.
+    /// External cancellation token (DESIGN.md §14.3), polled beside
+    /// the run deadline ([`Shared::poll_stop`]).
     pub(super) cancel: Option<CancelToken>,
-    /// Set by the watchdog when the cancel token fired.
-    pub(super) cancel_hit: AtomicU32,
-    /// The watchdog's interruptible tick; whatever stops the run cuts
-    /// it short ([`Shared::wake_watchdog`]).
-    pub(super) watch_gate: WatchGate,
     /// Final failure records, in completion order.
     pub(super) failures: Mutex<Vec<FailedTask>>,
     /// First infrastructure (non-payload) panic message.
@@ -102,13 +109,11 @@ impl<P: SchedPolicy> Shared<'_, P> {
             _ => FaultPlan { rate_ppm: 0, seed: 0, kill_worker: cfg.kill_worker },
         };
         // A run deadline or a token puts every task on the guarded lane,
-        // whose payloads poll the abort flag: a firing must stop
-        // in-flight payloads, not just idle workers (otherwise
-        // cancellation latency is a full local deque of payloads,
-        // DESIGN.md §14.3).
+        // whose stop check reads them (DESIGN.md §11.3): before every
+        // attempt and in every payload poll, so a firing stops in-flight
+        // payloads, not just idle workers.
         let guarded = plan.enabled() || cfg.run_deadline.is_some() || cfg.cancel.is_some();
         let t0 = Stamp::now();
-        let run_deadline_ns = cfg.run_deadline.map_or(0, |d| (d.as_nanos() as u64).max(1));
         Shared {
             release,
             front,
@@ -122,18 +127,15 @@ impl<P: SchedPolicy> Shared<'_, P> {
             parker: Parker::new(),
             payload,
             status: (0..n).map(|_| AtomicU8::new(HEALTHY)).collect(),
-            abort: CachePadded::new(AtomicU32::new(0)),
+            abort: CachePadded::new(AtomicU32::new(RUNNING)),
             tainted: CachePadded::new(AtomicU32::new(0)),
             plan,
             policy: cfg.policy,
-            run_deadline_ns,
+            run_deadline: cfg.run_deadline,
             t0,
             obs: SharedObs::new(),
             guarded,
-            run_deadline_hit: AtomicU32::new(0),
             cancel: cfg.cancel.clone(),
-            cancel_hit: AtomicU32::new(0),
-            watch_gate: WatchGate::new(),
             failures: Mutex::new(Vec::new()),
             infra_panic: Mutex::new(None),
         }
@@ -146,7 +148,7 @@ impl<P: SchedPolicy> Shared<'_, P> {
 
     #[inline]
     pub(super) fn aborted(&self) -> bool {
-        self.abort.load(Ordering::Acquire) != 0
+        self.abort.load(Ordering::Acquire) != RUNNING
     }
 
     /// Workers exit on this: normal termination *or* an abort.
@@ -155,21 +157,35 @@ impl<P: SchedPolicy> Shared<'_, P> {
         self.done() || self.aborted()
     }
 
-    /// Raises the abort flag and flushes every parked worker into its
-    /// `stopping()` check.
-    pub(super) fn request_abort(&self) {
-        self.abort.store(1, Ordering::Release);
-        self.parker.wake_all();
-        self.wake_watchdog();
+    /// Whether the run is aborting: the guarded lane's stop check,
+    /// made before every attempt and by the payload it runs (DESIGN.md
+    /// §11.3). The first check to find the token fired or the run
+    /// deadline passed records that cause and raises the abort, waking
+    /// every parked worker: the workers still running are the run's
+    /// only watch. Only a run with a deadline reads the clock here.
+    #[inline]
+    pub(super) fn poll_stop(&self) -> bool {
+        if self.aborted() {
+            return true;
+        }
+        let cause = if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+            CANCELLED
+        } else if self.run_deadline.is_some_and(|d| self.t0.elapsed() >= d) {
+            RUN_DEADLINE
+        } else {
+            return false;
+        };
+        self.request_abort(cause);
+        true
     }
 
-    /// Cuts the watchdog's tick short, so a finished run never waits
-    /// one out. Call *after* the state `stopping()` reads has been
-    /// stored (final ticket taken, or abort raised).
-    pub(super) fn wake_watchdog(&self) {
-        if self.watchdog_armed() {
-            self.watch_gate.interrupt();
-        }
+    /// Records `cause` unless an earlier one stopped the run already,
+    /// and flushes every parked worker into its `stopping()` check.
+    pub(super) fn request_abort(&self, cause: u32) {
+        // A lost race means another cause won, and its caller wakes
+        // everyone too.
+        let _ = self.abort.compare_exchange(RUNNING, cause, Ordering::AcqRel, Ordering::Acquire);
+        self.parker.wake_all();
     }
 
     /// Records a non-payload panic (an executor bug, caught at the
@@ -178,13 +194,6 @@ impl<P: SchedPolicy> Shared<'_, P> {
         let mut slot = self.infra_panic.lock().expect("infra panic slot poisoned");
         slot.get_or_insert(message);
         drop(slot);
-        self.request_abort();
-    }
-
-    /// Whether the run needs a watchdog role: a run deadline or a
-    /// token to poll.
-    #[inline]
-    pub(super) fn watchdog_armed(&self) -> bool {
-        self.run_deadline_ns != 0 || self.cancel.is_some()
+        self.request_abort(INFRA_PANIC);
     }
 }

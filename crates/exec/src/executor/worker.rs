@@ -14,13 +14,13 @@ use tss_obs::{Role as CpuRole, SpanStamp, WorkerObs};
 use tss_trace::TaskId;
 
 use super::release::{FAILED, HEALTHY};
-use super::shared::Shared;
+use super::shared::{Shared, FAILED_FAST};
 use super::WorkerStats;
 use crate::deque::BATCH_MAX;
 use crate::fault::{panic_message, FailedTask, FailurePolicy, TaskFailure, INJECTED_PANIC_MARKER};
 use crate::payload::{PayloadMode, PayloadScratch};
 use crate::sched::{victims, SchedPolicy};
-use crate::sync::atomic::{AtomicU32, Ordering};
+use crate::sync::atomic::Ordering;
 
 /// What a completion hands its worker's loop, beside what it pushed:
 /// the reused batch buffer, and the scheduler bypass slot (DESIGN.md
@@ -94,9 +94,8 @@ fn complete<P: SchedPolicy>(
     }
     if ticket + 1 == shared.n {
         // Final completion: unconditionally flush every parked worker
-        // into their done() check, and the watchdog out of its tick.
+        // into their done() check.
         shared.parker.wake_all();
-        shared.wake_watchdog();
         wobs.wake(&shared.obs);
     } else if released >= 2 && shared.parker.has_idle() {
         // Surplus banked beyond what this worker immediately runs: one
@@ -108,16 +107,16 @@ fn complete<P: SchedPolicy>(
 }
 
 /// The executor's one payload dispatch: runs task `t`'s payload and
-/// returns whether `cancel` stopped it early, or the panic it died of.
-/// The guarded lane passes the run's abort flag; the fast lane passes
-/// `None` and enters the same cancellable body with a flag nobody ever
-/// sets.
+/// returns whether `stop` stopped it early, or the panic it died of.
+/// The guarded lane passes the run's stop check
+/// ([`Shared::poll_stop`]); the fast lane enters the same stoppable
+/// body with a check that never fires.
 #[inline]
 fn run_payload<P: SchedPolicy>(
     t: u32,
     shared: &Shared<'_, P>,
     scratch: &mut PayloadScratch<'_>,
-    cancel: Option<&AtomicU32>,
+    stop: impl Fn() -> bool,
 ) -> Result<bool, Box<dyn Any + Send>> {
     match shared.payload {
         // No per-task clock reads on any path: busy time is accumulated
@@ -132,10 +131,8 @@ fn run_payload<P: SchedPolicy>(
         // against payloads that busy-work for microseconds. Listed, not
         // `_`: a new payload must decide here whether it can panic.
         mode @ (PayloadMode::Spin { .. } | PayloadMode::Memcpy | PayloadMode::Mixed { .. }) => {
-            let never = AtomicU32::new(0);
-            let cancel = cancel.unwrap_or(&never);
             let task = shared.trace.task(t as TaskId);
-            catch_unwind(AssertUnwindSafe(|| scratch.run_watched(mode, task, cancel).1))
+            catch_unwind(AssertUnwindSafe(|| scratch.run_watched(mode, task, stop).1))
         }
     }
 }
@@ -162,7 +159,7 @@ fn run_task<P: SchedPolicy>(
     // SAMPLE_EVERY tasks on RingSink builds, nothing at all on NoopSink
     // builds (TaskStamp is zero-sized there).
     let tb = wobs.task_begin(t);
-    match run_payload(t, shared, scratch, None) {
+    match run_payload(t, shared, scratch, || false) {
         Ok(_) => {
             stats.executed += 1;
             complete(t, w, shared, out, wobs, false);
@@ -236,15 +233,16 @@ fn panicked(payload: Box<dyn Any + Send>) -> AttemptError {
 }
 
 /// Runs task `t`'s payload once inside the containment boundary, with
-/// fault injection, polling the run's abort flag: whatever stops the
-/// run raises it ([`Shared::request_abort`]), so a payload in flight
-/// stops with the run.
+/// fault injection, making the run's stop check before the attempt and
+/// from inside the payload ([`Shared::poll_stop`]): a payload in flight
+/// stops with the run, and a fired token or a passed run deadline is
+/// noticed here, by the worker, with no timer role (DESIGN.md §11.3).
 fn attempt_payload<P: SchedPolicy>(
     t: u32,
     shared: &Shared<'_, P>,
     scratch: &mut PayloadScratch<'_>,
 ) -> Result<(), AttemptError> {
-    if shared.aborted() {
+    if shared.poll_stop() {
         return Err(AttemptError::Aborted);
     }
     if shared.plan.decide(t) {
@@ -256,9 +254,9 @@ fn attempt_payload<P: SchedPolicy>(
         }));
         return caught.map_err(panicked);
     }
-    match run_payload(t, shared, scratch, Some(&*shared.abort)) {
+    match run_payload(t, shared, scratch, || shared.poll_stop()) {
         Ok(false) => Ok(()),
-        // Stopped by the abort flag, which is never lowered: the run is
+        // Stopped by the abort, which is never lowered: the run is
         // ending, and the task neither completed nor failed.
         Ok(true) => Err(AttemptError::Aborted),
         Err(p) => Err(panicked(p)),
@@ -283,7 +281,7 @@ fn resolve_failure<P: SchedPolicy>(
         FailurePolicy::FailFast => {
             // No ticket, no release: successors starve by design; the
             // abort flag (not the ticket count) ends the run.
-            shared.request_abort();
+            shared.request_abort(FAILED_FAST);
         }
         FailurePolicy::Quarantine => {
             // FAILED is stored before `complete`'s poison_release
@@ -453,12 +451,15 @@ pub(super) fn worker_loop<P: SchedPolicy>(
 #[cfg(test)]
 mod tests {
     use super::super::testkit::{chaos_cfg, diamond, diamond_plus_loner, seed_failing_only_task0};
-    use super::super::{ExecConfig, Executor};
+    use super::super::{CancelToken, ExecConfig, Executor};
     use crate::fault::{
         install_quiet_hook, ExecError, FailurePolicy, TaskFailure, INJECTED_PANIC_MARKER,
     };
     use crate::payload::PayloadMode;
+    use std::time::Duration;
+    use tss_obs::clock::Stamp;
     use tss_trace::{OperandDesc, TaskTrace};
+    use tss_workloads::{Benchmark, Scale};
 
     #[test]
     fn fail_fast_surfaces_the_injected_panic_as_an_error() {
@@ -546,5 +547,137 @@ mod tests {
         for seed in 0..32u64 {
             assert_eq!(collect(seed), collect(seed), "seed {seed} not reproducible");
         }
+    }
+
+    #[test]
+    fn run_deadline_aborts_a_long_run() {
+        let mut tr = TaskTrace::new("slow");
+        let k = tr.add_kernel("k");
+        for _ in 0..64 {
+            tr.push_task(k, 3_200_000_000, vec![]); // 1 s each at 3.2 GHz
+        }
+        let cfg = ExecConfig {
+            threads: 2,
+            payload: PayloadMode::Spin { time_scale: 1.0 },
+            run_deadline: Some(Duration::from_millis(30)),
+            ..ExecConfig::default()
+        };
+        match Executor::new(cfg).run(&tr) {
+            Err(ExecError::RunDeadline { tasks, completed, .. }) => {
+                assert_eq!(tasks, 64);
+                assert!(completed < 64);
+            }
+            other => panic!("expected RunDeadline, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn cancel_token_aborts_a_long_run() {
+        let mut tr = TaskTrace::new("cancellable");
+        let k = tr.add_kernel("k");
+        for _ in 0..64 {
+            tr.push_task(k, 3_200_000_000, vec![]); // 1 s each at 3.2 GHz
+        }
+        let token = CancelToken::new();
+        let cfg = ExecConfig {
+            threads: 2,
+            payload: PayloadMode::Spin { time_scale: 1.0 },
+            cancel: Some(token.clone()),
+            ..ExecConfig::default()
+        };
+        let canceller = {
+            let token = token.clone();
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(30));
+                token.cancel();
+            })
+        };
+        match Executor::new(cfg).run(&tr) {
+            Err(ExecError::Cancelled { tasks, completed }) => {
+                assert_eq!(tasks, 64);
+                assert!(completed < 64);
+            }
+            other => panic!("expected Cancelled, got {other:?}"),
+        }
+        canceller.join().expect("canceller thread");
+        assert!(token.is_cancelled());
+    }
+
+    #[test]
+    fn unfired_cancel_token_changes_nothing() {
+        let tr = diamond_plus_loner();
+        let token = CancelToken::new();
+        let cfg = ExecConfig { threads: 2, cancel: Some(token.clone()), ..ExecConfig::default() };
+        let report = Executor::new(cfg).run(&tr).expect("armed-but-unfired run failed");
+        assert_eq!(report.completed(), tr.len());
+        assert!(!token.is_cancelled());
+    }
+
+    /// The first stop check is the first attempt's, so a token that
+    /// fired before the run stops it before any task completes — however
+    /// short the graph.
+    #[test]
+    fn a_token_fired_before_the_run_completes_nothing() {
+        let token = CancelToken::new();
+        token.cancel();
+        let cfg = ExecConfig { threads: 2, cancel: Some(token), ..ExecConfig::default() };
+        match Executor::new(cfg).run(&diamond_plus_loner()) {
+            Err(ExecError::Cancelled { completed: 0, tasks: 5 }) => {}
+            other => panic!("expected Cancelled with nothing complete, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_one_nanosecond_run_deadline_stops_a_no_op_run() {
+        let trace = Benchmark::Cholesky.trace(Scale::Small, 1);
+        let cfg = ExecConfig {
+            threads: 2,
+            run_deadline: Some(Duration::from_nanos(1)),
+            ..ExecConfig::default()
+        };
+        match Executor::new(cfg).run(&trace) {
+            Err(ExecError::RunDeadline { completed: 0, tasks, .. }) => {
+                assert_eq!(tasks, trace.len());
+            }
+            other => panic!("expected RunDeadline with nothing complete, got {other:?}"),
+        }
+    }
+
+    /// A chain of one-second payloads keeps three of four workers
+    /// parked for the whole run: the one running the chain's current
+    /// task is the only worker left to notice a stop, and it must, from
+    /// inside the payload, then wake the others (DESIGN.md §11.3).
+    #[test]
+    fn one_unparked_worker_notices_the_stop_for_the_whole_crew() {
+        let mut chain = TaskTrace::new("chain");
+        let k = chain.add_kernel("k");
+        for _ in 0..16 {
+            // 1 s each at 3.2 GHz, each reading what the last one wrote.
+            chain.push_task(k, 3_200_000_000, vec![OperandDesc::inout(0xA, 64)]);
+        }
+        let spin = ExecConfig {
+            threads: 4,
+            payload: PayloadMode::Spin { time_scale: 1.0 },
+            ..ExecConfig::default()
+        };
+        let token = CancelToken::new();
+        let cancelled = ExecConfig { cancel: Some(token.clone()), ..spin.clone() };
+        let deadline = ExecConfig { run_deadline: Some(Duration::from_millis(20)), ..spin };
+        let timed = |cfg| {
+            let t0 = Stamp::now();
+            let result = Executor::new(cfg).run(&chain);
+            (result, t0.elapsed())
+        };
+        let canceller = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            token.cancel();
+        });
+        let (result, spent) = timed(cancelled);
+        assert!(matches!(result, Err(ExecError::Cancelled { completed: 0, .. })), "{result:?}");
+        assert!(spent < Duration::from_millis(520), "the cancellation took {spent:?}");
+        canceller.join().expect("canceller thread");
+        let (result, spent) = timed(deadline);
+        assert!(matches!(result, Err(ExecError::RunDeadline { completed: 0, .. })), "{result:?}");
+        assert!(spent < Duration::from_millis(520), "the run deadline took {spent:?}");
     }
 }

@@ -1,8 +1,8 @@
 //! The failure domain of the native executor (DESIGN.md §11).
 //!
 //! Everything here is *policy and vocabulary*; the mechanism (the
-//! containment boundary, the POISONED readiness sentinel, the watchdog)
-//! lives in `executor/`. The split keeps the executor's hot path free
+//! containment boundary, the POISONED readiness sentinel, the workers'
+//! stop check) lives in `executor/`. The split keeps the executor's hot path free
 //! of policy branching: workers consult a pre-resolved [`FaultPlan`]
 //! and report [`TaskFailure`] values; the run-level verdict
 //! ([`ExecError`] or a populated [`FaultReport`]) is assembled once at

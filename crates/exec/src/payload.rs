@@ -29,8 +29,6 @@ use tss_sim::cycles_to_ns;
 use tss_trace::TaskDesc;
 use tss_workloads::payload::{operand_chunks, task_footprint, CHUNK_CAP};
 
-use crate::sync::atomic::{AtomicU32, Ordering};
-
 /// Default injection rate for the bare `faulty` payload name: 5% in
 /// parts-per-million, matching the chaos smoke configuration.
 pub const DEFAULT_FAULT_RATE_PPM: u32 = 50_000;
@@ -188,22 +186,29 @@ impl<'a> PayloadScratch<'a> {
     }
 
     /// Runs one task's payload to the end; returns the busy wall time.
-    /// The uncancellable run is the cancellable one entered with a flag
-    /// nobody sets.
+    /// The unstoppable run is the stoppable one entered with a check
+    /// that never fires.
     pub fn run(&mut self, mode: PayloadMode, task: &TaskDesc) -> Duration {
-        self.run_watched(mode, task, &AtomicU32::new(0)).0
+        self.run_watched(mode, task, || false).0
     }
 
-    /// Runs one task's payload under a stop flag — the one payload body
-    /// there is: polls `cancel` (the run's abort flag, nonzero = stop) and returns `(busy, cancelled)`. Spin payloads
-    /// poll every iteration; memcpy polls between operand chunks (a
-    /// single chunk is ≤ 64 KB, so cancellation latency stays in the
-    /// microseconds).
+    /// Runs one task's payload under a stop check — the one payload
+    /// body there is: polls `cancel` (true = stop; the executor passes
+    /// the run's stop check) and returns `(busy, cancelled)`. Spin
+    /// payloads poll every iteration; memcpy polls between operand
+    /// chunks (a single chunk is ≤ 64 KB, so cancellation latency stays
+    /// in the microseconds).
+    ///
+    /// Never inlined: inlined into the executor's lanes, the payload
+    /// loops' registers and stack frame would become the lanes' own,
+    /// and the no-op fast lane, which never enters this body, would pay
+    /// for them in spills on every task (DESIGN.md §11.4).
+    #[inline(never)]
     pub fn run_watched(
         &mut self,
         mode: PayloadMode,
         task: &TaskDesc,
-        cancel: &AtomicU32,
+        cancel: impl Fn() -> bool,
     ) -> (Duration, bool) {
         match mode {
             PayloadMode::Noop | PayloadMode::Faulty { .. } => (Duration::ZERO, false),
@@ -221,13 +226,18 @@ impl<'a> PayloadScratch<'a> {
 
     /// Busy-waits the task's traced runtime (simulated cycles → host
     /// nanoseconds) scaled by `time_scale`, or until cancelled.
-    fn spin(&mut self, task: &TaskDesc, time_scale: f64, cancel: &AtomicU32) -> (Duration, bool) {
+    fn spin(
+        &mut self,
+        task: &TaskDesc,
+        time_scale: f64,
+        cancel: impl Fn() -> bool,
+    ) -> (Duration, bool) {
         let t0 = Stamp::now();
         let target = cycles_to_ns(task.runtime) * time_scale;
         let budget = Duration::from_nanos(target as u64);
         let mut cancelled = false;
         while t0.elapsed() < budget {
-            if cancel.load(Ordering::Acquire) != 0 {
+            if cancel() {
                 cancelled = true;
                 break;
             }
@@ -238,10 +248,10 @@ impl<'a> PayloadScratch<'a> {
 
     /// Moves the task's (capped) operand footprint through the worker's
     /// scratch pair, or stops between two chunks once cancelled.
-    fn memcpy(&mut self, task: &TaskDesc, cancel: &AtomicU32) -> (Duration, bool) {
+    fn memcpy(&mut self, task: &TaskDesc, cancel: impl Fn() -> bool) -> (Duration, bool) {
         let t0 = Stamp::now();
         for c in operand_chunks(task) {
-            if cancel.load(Ordering::Acquire) != 0 {
+            if cancel() {
                 return (t0.elapsed(), true);
             }
             self.copy_chunk(c);
@@ -293,10 +303,10 @@ mod tests {
     fn watched_spin_stops_on_cancel() {
         let arena = build_arena();
         let mut s = PayloadScratch::new(&arena);
-        let cancel = AtomicU32::new(1); // pre-cancelled
         let long = TaskDesc::new(KernelId(0), 32_000_000_000, vec![]); // 10 s at 3.2 GHz
+                                                                       // Pre-cancelled.
         let (busy, cancelled) =
-            s.run_watched(PayloadMode::Spin { time_scale: 1.0 }, &long, &cancel);
+            s.run_watched(PayloadMode::Spin { time_scale: 1.0 }, &long, || true);
         assert!(cancelled);
         assert!(busy < Duration::from_secs(1), "cancelled spin still ran {busy:?}");
     }
@@ -307,11 +317,10 @@ mod tests {
         // serial probe does; `b` out of the one every run borrows. Same
         // bytes, so the same sink.
         let arena = build_arena();
-        let cancel = AtomicU32::new(0);
         let mut a = PayloadScratch::new(&arena);
         let mut b = PayloadScratch::new(shared_arena());
         a.run(PayloadMode::Memcpy, &task());
-        let (_, cancelled) = b.run_watched(PayloadMode::Memcpy, &task(), &cancel);
+        let (_, cancelled) = b.run_watched(PayloadMode::Memcpy, &task(), || false);
         assert!(!cancelled);
         assert_eq!(a.sink, b.sink, "watched memcpy must do identical work");
     }

@@ -1,11 +1,12 @@
 //! The resident runtime (DESIGN.md §15): process-lifetime worker
 //! *crews* that replace the per-run `std::thread::scope` spawn.
 //!
-//! A run is a set of *roles* — its workers, and (when a deadline or
-//! cancel token is armed) a watchdog — that borrow the run's
-//! stack-allocated state and must all have returned before the run
-//! reads its results. A streamed run decodes on its workers: decode is
-//! a step they take, not a role (DESIGN.md §8.2). `std::thread::scope`
+//! A run is a set of *roles* — its workers, one per configured thread —
+//! that borrow the run's stack-allocated state and must all have
+//! returned before the run reads its results. Nothing else is a role: a
+//! streamed run decodes on its workers (a step they take, DESIGN.md
+//! §8.2), and they notice a run deadline or a fired cancel token at the
+//! stop check they already make (§11.3). `std::thread::scope`
 //! gives that contract by spawning and joining one OS thread per role,
 //! per run; at one-task graphs the spawn/join is most of the run
 //! (62–95 µs against 7.5–9 µs to wake parked threads, EXPERIMENTS.md).
@@ -15,9 +16,9 @@
 //! 1. **Lease** a whole crew from the free list (or start an empty
 //!    one), and grow it to one member per role. A crew belongs to
 //!    exactly one run at a time, so no run ever waits for a thread
-//!    another run holds. No role of a run waits on a role that is not a
-//!    worker: a worker parks only until another worker's completion or
-//!    commit wakes it, and the watchdog waits on nobody. Whole-crew
+//!    another run holds. No role of a run waits on anything but another
+//!    of its workers: a worker parks only until another worker's
+//!    completion, commit or abort wakes it. Whole-crew
 //!    leasing is what keeps runs from waiting on each other's workers
 //!    (§15.2).
 //! 2. **Publish** role `k` into member `k`'s job slot. The same role

@@ -17,16 +17,18 @@
 //!
 //! The failure domain (DESIGN.md §11) routes its handshake state
 //! through this facade too: per-task status bytes (`AtomicU8` — added
-//! to the shuttle doubles for exactly this) and payload cancel flags
+//! to the shuttle doubles for exactly this) and the run's abort word
 //! all come from `crate::sync::atomic`, so the POISONED-sentinel
 //! publish/observe protocol is model-checked with the same fidelity as
 //! the deque and parker.
 //!
-//! The resident runtime (DESIGN.md §15) adds two things: its timed
-//! watchdog tick needs `Condvar::wait_timeout` (in the model a timeout
-//! is a scheduler choice, see `vendor/shuttle`), and its crew threads
-//! are spawned through [`thread`], so a model run owns — and can
-//! interleave — the resident threads as well.
+//! The resident runtime (DESIGN.md §15) spawns its crew threads through
+//! [`thread`], so a model run owns — and can interleave — the resident
+//! threads as well. The shuttle doubles also provide a timed
+//! `Condvar::wait_timeout` (in the model a timeout is a scheduler
+//! choice, see `vendor/shuttle`), which no executor code waits on: it
+//! is there for a model of a timed wait outside the executor, such as
+//! the server's drain wait.
 
 #[cfg(not(tss_model_check))]
 pub use std::sync::atomic;

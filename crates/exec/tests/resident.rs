@@ -2,9 +2,9 @@
 //! crews are shared by everything in the process, so what one run does
 //! to its crew — lose a worker, fail fast, blow a deadline, get
 //! cancelled — must not be visible to the next one, concurrent callers
-//! must not get in each other's way, an armed watchdog must no longer
-//! put a floor under a run's latency, and an armed-but-unfired token
-//! must cost next to nothing per task while still cancelling promptly.
+//! must not get in each other's way, an armed token must put no floor
+//! under a run's latency, and an armed-but-unfired token must cost next
+//! to nothing per task while still cancelling promptly.
 
 use std::sync::{Barrier, Mutex};
 use std::time::{Duration, Instant};
@@ -120,7 +120,7 @@ fn the_crew_survives_every_way_a_run_can_end() {
     }
     next_run_is_clean("a fail-fast abort");
 
-    // Run deadline: the watchdog role aborts the run mid-payload.
+    // Run deadline: the workers' stop check aborts the run mid-payload.
     let one_second_each = independent(64, 3_200_000_000);
     let spin = PayloadMode::Spin { time_scale: 1.0 };
     let deadline =
@@ -138,7 +138,7 @@ fn the_crew_survives_every_way_a_run_can_end() {
     // token-only guarded lane's payloads poll the run's abort flag
     // (DESIGN.md §11.4), so they stop in flight: the run is back long
     // before a one-second payload could have finished on its own, well
-    // inside the documented bound of one tick plus one payload.
+    // inside the documented bound of one payload poll.
     let token = CancelToken::new();
     let cancelled = ExecConfig { payload: spin, cancel: Some(token.clone()), ..base.clone() };
     let canceller = std::thread::spawn(move || {
@@ -161,14 +161,12 @@ fn the_crew_survives_every_way_a_run_can_end() {
     next_run_is_clean("a cancellation");
 }
 
-/// The watchdog's 200 µs tick bounds cancellation latency, not
-/// completion latency: a one-task run with an armed, unfired token is
-/// over in well under one tick, and costs barely more than the same
-/// run without a watchdog. At the parent commit the scope join waited
-/// out the watchdog's unconditional sleep, so the armed median sat a
-/// full tick above the unarmed one, over 200 µs by construction.
+/// An armed token bounds cancellation latency, never completion
+/// latency: a one-task run with an armed, unfired token is over in well
+/// under 200 µs — the tick a polling timer would put under it — and
+/// costs barely more than the same run unarmed.
 #[test]
-fn an_armed_watchdog_is_not_a_latency_floor() {
+fn an_armed_token_is_not_a_latency_floor() {
     let _serial = serial();
     let one = independent(1, 10);
     let executor = |cancel: Option<CancelToken>| {
@@ -199,14 +197,14 @@ fn an_armed_watchdog_is_not_a_latency_floor() {
     let [unarmed, armed] = us.map(median);
     assert!(
         armed - unarmed < 100.0,
-        "arming the watchdog added {:.0} µs to a one-task run ({unarmed:.0} → {armed:.0} µs)",
+        "arming a token added {:.0} µs to a one-task run ({unarmed:.0} → {armed:.0} µs)",
         armed - unarmed
     );
     // The absolute figure only means something in an optimized build
     // without the RingSink's per-run ring allocation, which dwarfs a
     // one-task graph.
     if !cfg!(debug_assertions) && !tss_exec::obs_enabled() {
-        assert!(armed < 200.0, "median armed one-task run took {armed:.0} µs (≥ one tick)");
+        assert!(armed < 200.0, "median armed one-task run took {armed:.0} µs (≥ 200 µs)");
     }
 }
 

@@ -1,9 +1,9 @@
 //! The resident runtime's thread population (DESIGN.md §15): however
 //! many graphs run, and however many `Executor` values run them, a
 //! sequential caller keeps exactly one crew alive — one resident thread
-//! per role of its widest run, and the roles are the workers and, when
-//! armed, the watchdog: decoding adds no thread however many shards it
-//! has (§8.2). A runtime owned per `Executor` (or one whose members
+//! per worker of its widest run: decoding adds no thread however many
+//! shards it has (§8.2), and neither does a run deadline or a cancel
+//! token (§11.3). A runtime owned per `Executor` (or one whose members
 //! raced the submitter back into the free list) would show up here as a
 //! count that grows with the number of runs.
 //!
@@ -12,6 +12,8 @@
 //! it.
 
 #![cfg(target_os = "linux")]
+
+use std::time::Duration;
 
 use tss_exec::{CancelToken, ExecConfig, Executor};
 use tss_workloads::{Benchmark, Scale};
@@ -61,10 +63,15 @@ fn sequential_runs_keep_one_crew_however_many_executors_there_are() {
     }
     assert_eq!(crew_threads(), crew, "decode shards added threads");
 
-    // Arming the watchdog grows the same crew by its one role.
-    let armed = ExecConfig { cancel: Some(CancelToken::new()), ..cfg.clone() };
+    // Arming a token or a run deadline adds no role: the workers notice
+    // both at the stop check they already make.
+    let armed = ExecConfig {
+        cancel: Some(CancelToken::new()),
+        run_deadline: Some(Duration::from_secs(60)),
+        ..cfg.clone()
+    };
     for _ in 0..100 {
         Executor::new(armed.clone()).run(&trace).expect("armed run failed");
     }
-    assert_eq!(crew_threads(), crew + 1);
+    assert_eq!(crew_threads(), crew, "an armed token or deadline added a thread");
 }

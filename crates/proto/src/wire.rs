@@ -158,8 +158,8 @@ pub enum Frame {
         /// Client-chosen graph id, unique among this session's open
         /// graphs.
         graph: u64,
-        /// Completion deadline propagated into the executor watchdog
-        /// (0 = none), milliseconds from admission.
+        /// Completion deadline propagated into the executor's run
+        /// deadline (0 = none), milliseconds from admission.
         deadline_ms: u32,
         /// Graph (trace) name.
         name: String,

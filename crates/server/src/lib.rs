@@ -15,7 +15,7 @@
 //!   structured `Overloaded{retry_after_ms}`.
 //! - **Runners** (DESIGN.md §14.3) — threads taking graphs from it and
 //!   driving `tss-exec` with quarantine failure policy, the client's
-//!   deadline on the run-deadline watchdog, one server-lifetime
+//!   deadline as the run deadline, one server-lifetime
 //!   [`tss_exec::CancelToken`], and `catch_unwind` containment.
 //! - **Drain** (DESIGN.md §14.4) — stop admissions, finish what the
 //!   drain deadline allows, cancel the rest, deliver every outcome,
@@ -348,8 +348,9 @@ impl Server {
         let deadline_hit = !admission.wait_empty(self.shared.cfg.drain_deadline);
         if deadline_hit {
             admission.cancel.cancel();
-            // Cancellation latency is bounded (one watchdog tick to
-            // notice the token plus one in-flight payload), so this
+            // Cancellation latency is bounded (a running worker notices
+            // the token within one attempt, payload poll or decode
+            // step, DESIGN.md §11.3), so this
             // second wait is a formality with a generous cap, not a
             // second deadline.
             let _ = admission.wait_empty(Duration::from_secs(60));

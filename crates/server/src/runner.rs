@@ -9,8 +9,8 @@
 //! 1. The executor itself quarantines failed tasks
 //!    ([`FailurePolicy::Quarantine`], DESIGN.md §11) — a faulty graph
 //!    still *completes*, reporting its casualty counts.
-//! 2. The client's propagated deadline becomes the executor's
-//!    run-deadline watchdog, minus what the graph burned in the queue.
+//! 2. The client's propagated deadline becomes the executor's run
+//!    deadline, minus what the graph burned in the queue.
 //! 3. Every run carries the server-lifetime cancel token, so drain
 //!    (DESIGN.md §14.4) can stop it after the drain deadline.
 //! 4. `catch_unwind` around the whole run *and* the oracle check that

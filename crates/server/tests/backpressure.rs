@@ -138,7 +138,7 @@ fn semantic_rejects_cost_one_graph_not_the_session() {
 }
 
 #[test]
-fn client_deadline_propagates_into_the_run_watchdog() {
+fn client_deadline_propagates_into_the_run_deadline() {
     let cfg = ServerConfig {
         runners: 1,
         exec_threads: 1,
@@ -148,8 +148,8 @@ fn client_deadline_propagates_into_the_run_watchdog() {
     let h = Harness::start(cfg);
     let mut client = Client::connect(h.addr).expect("connect");
 
-    // ~32 x 20 ms of spin against a 50 ms deadline: the watchdog must
-    // stop the run long before it drains.
+    // ~32 x 20 ms of spin against a 50 ms deadline: the run deadline
+    // must stop the run long before it drains.
     let slow = small_trace("slow", 32, ms_cycles(20));
     assert_eq!(client.submit(1, 50, &slow, 8).expect("submit"), Submission::Accepted);
     match client.wait_done(1).expect("done") {
