@@ -23,7 +23,7 @@
 use std::net::SocketAddr;
 use std::time::Duration;
 
-use tss_proto::{encode_frame, graph_frames, Frame, GraphOutcome, RejectReason};
+use tss_proto::{encode_frame, encode_frame_into, graph_frames, Frame, GraphOutcome, RejectReason};
 use tss_trace::TaskTrace;
 
 use crate::{Client, ClientError, Submission};
@@ -121,7 +121,7 @@ pub fn run_graph(
         ChaosMode::Slow => {
             let mut bytes = Vec::new();
             for f in graph_frames(graph, deadline_ms, trace, chunk) {
-                bytes.extend_from_slice(&encode_frame(&f));
+                encode_frame_into(&mut bytes, &f);
             }
             for piece in bytes.chunks(512) {
                 c.send_raw(piece)?;
@@ -135,8 +135,9 @@ pub fn run_graph(
         ChaosMode::Truncate => {
             let frames = graph_frames(graph, deadline_ms, trace, chunk);
             c.send(&frames[0])?;
-            // Cut the first Tasks frame in half, then close our write
-            // half so the server sees EOF mid-frame.
+            // Cut the first Tasks frame in half (`send_raw` writes the
+            // buffered `OpenGraph` first), then close our write half so
+            // the server sees EOF mid-frame.
             let tasks = encode_frame(&frames[1]);
             c.send_raw(&tasks[..tasks.len() / 2])?;
             c.shutdown_write()?;

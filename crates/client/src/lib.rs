@@ -8,6 +8,16 @@
 //! may interleave with the `Accepted`/`Reject` answer to a later seal;
 //! [`Client::submit`] and [`Client::wait_done`] park stray outcomes in
 //! a pending map instead of losing them.
+//!
+//! Both directions are buffered (DESIGN.md §14.1). [`Client::send`]
+//! encodes into a write buffer, and only `OpenGraph` and `Tasks` wait
+//! there: every other frame flushes it, as does reaching 64 KiB, any
+//! read, [`Client::send_raw`], [`Client::shutdown_write`] and drop. The
+//! server answers neither of those two frames unless it refuses one,
+//! so no reply can be owed for a frame still in the buffer, and a small
+//! graph leaves in one `write`. Replies are read through a buffer, so
+//! each costs at most one `read`, and none when it arrived with the
+//! one before.
 
 #![forbid(unsafe_code)]
 
@@ -15,12 +25,12 @@ pub mod chaos;
 
 use std::collections::HashMap;
 use std::io;
-use std::io::Write;
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 
 use tss_proto::{
-    graph_frames, read_frame, write_frame, Frame, GraphOutcome, RejectReason, SessionErrorKind,
-    WireError, VERSION,
+    encode_frame_into, graph_frames, read_frame, Frame, GraphOutcome, RejectReason,
+    SessionErrorKind, WireError, VERSION,
 };
 use tss_trace::TaskTrace;
 
@@ -76,9 +86,19 @@ pub enum Submission {
     Rejected(RejectReason),
 }
 
+/// Queued bytes at which `send` writes without waiting for a frame that
+/// owes a reply: a paper-scale Cholesky graph (1.5 MB) leaves in 21
+/// writes of about this size instead of being held whole.
+const WRITE_BUFFER: usize = 64 << 10;
+
 /// A connected, handshaken session.
 pub struct Client {
+    /// The write half; frames reach it through `out`.
     stream: TcpStream,
+    /// Encoded frames not yet written (see the module doc).
+    out: Vec<u8>,
+    /// The read half, a clone of `stream`'s socket.
+    reader: BufReader<TcpStream>,
     /// `Done` outcomes that arrived while waiting for something else.
     pending: HashMap<u64, GraphOutcome>,
 }
@@ -88,7 +108,8 @@ impl Client {
     pub fn connect(addr: SocketAddr) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
-        let mut client = Client { stream, pending: HashMap::new() };
+        let reader = BufReader::new(stream.try_clone()?);
+        let mut client = Client { stream, out: Vec::new(), reader, pending: HashMap::new() };
         client.send(&Frame::Hello { version: VERSION })?;
         match client.recv()? {
             Frame::HelloAck { .. } => Ok(client),
@@ -96,37 +117,62 @@ impl Client {
         }
     }
 
-    /// Sends one frame.
+    /// Queues one frame, and writes the queue unless `frame` is an
+    /// `OpenGraph` or `Tasks` under 64 KiB of queued bytes. A dead
+    /// socket is therefore reported by the call that writes, which may
+    /// be a later `send` or read than the one whose frame it lost.
     pub fn send(&mut self, frame: &Frame) -> Result<(), ClientError> {
-        write_frame(&mut self.stream, frame)?;
+        encode_frame_into(&mut self.out, frame);
+        let unanswered = matches!(frame, Frame::OpenGraph { .. } | Frame::Tasks { .. });
+        if !unanswered || self.out.len() >= WRITE_BUFFER {
+            self.flush()?;
+        }
         Ok(())
     }
 
-    /// Writes raw bytes (the chaos submitter's corruption path).
+    /// Writes every queued frame.
+    fn flush(&mut self) -> Result<(), ClientError> {
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        // After a failed write the stream position is unknown: nothing
+        // queued may be written again.
+        let wrote = self.stream.write_all(&self.out);
+        self.out.clear();
+        Ok(wrote?)
+    }
+
+    /// Writes the queued frames, then raw bytes (the chaos submitter's
+    /// corruption path), so the bytes follow the frames sent before.
     pub fn send_raw(&mut self, bytes: &[u8]) -> Result<(), ClientError> {
+        self.flush()?;
         self.stream.write_all(bytes)?;
         Ok(())
     }
 
-    /// Reads the next frame, turning a `SessionError` into the
-    /// structured [`ClientError::SessionError`].
+    /// Writes the queued frames and reads the next frame, turning a
+    /// `SessionError` into the structured [`ClientError::SessionError`].
     pub fn recv(&mut self) -> Result<Frame, ClientError> {
-        match read_frame(&mut self.stream)? {
+        self.flush()?;
+        match read_frame(&mut self.reader)? {
             Frame::SessionError { kind, detail } => Err(ClientError::SessionError { kind, detail }),
             frame => Ok(frame),
         }
     }
 
-    /// Shuts down the write half so the server sees EOF while this
-    /// side can still read (the truncation chaos shape).
+    /// Writes the queued frames, then shuts down the write half so the
+    /// server sees EOF while this side can still read (the truncation
+    /// chaos shape).
     pub fn shutdown_write(&mut self) -> Result<(), ClientError> {
+        self.flush()?;
         self.stream.shutdown(std::net::Shutdown::Write)?;
         Ok(())
     }
 
-    /// Streams a whole graph (`OpenGraph` → `Tasks`* → `Seal`) and
-    /// waits for the admission answer, parking any interleaved `Done`
-    /// frames for earlier graphs.
+    /// Streams a whole graph (`OpenGraph` → `Tasks`* → `Seal`), which
+    /// leaves in one `write` unless it passes 64 KiB, and waits for the
+    /// admission answer, parking any interleaved `Done` frames for
+    /// earlier graphs.
     pub fn submit(
         &mut self,
         graph: u64,
@@ -196,6 +242,51 @@ impl Client {
     }
 }
 
+impl Drop for Client {
+    /// Best-effort: frames of a graph left unsealed still reach the
+    /// server, which drops the open graph with the session.
+    fn drop(&mut self) {
+        let _ = self.flush();
+    }
+}
+
 fn unexpected(frame: &Frame) -> ClientError {
     ClientError::Unexpected(format!("{frame:?}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn one_read_takes_every_reply_that_has_arrived() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("local addr");
+        let peer = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().expect("accept");
+            assert!(matches!(read_frame(&mut s), Ok(Frame::Hello { .. })));
+            // The handshake answer and two replies in one segment.
+            let mut bytes = Vec::new();
+            for f in [
+                Frame::HelloAck { version: VERSION },
+                Frame::Accepted { graph: 1 },
+                Frame::Done { graph: 1, outcome: GraphOutcome::Failed { detail: "x".into() } },
+            ] {
+                encode_frame_into(&mut bytes, &f);
+            }
+            s.write_all(&bytes).expect("replies");
+            s
+        });
+        let mut client = Client::connect(addr).expect("connect");
+        let _peer = peer.join().expect("peer thread");
+        // The read that brought `HelloAck` took the other two frames
+        // with it: the socket has nothing left to read.
+        client.stream.set_nonblocking(true).expect("nonblocking");
+        let left = client.stream.peek(&mut [0u8; 1]);
+        client.stream.set_nonblocking(false).expect("blocking");
+        assert_eq!(left.expect_err("nothing left").kind(), io::ErrorKind::WouldBlock);
+        assert_eq!(client.await_admission(1).expect("accepted"), Submission::Accepted);
+        assert!(matches!(client.wait_done(1), Ok(GraphOutcome::Failed { .. })));
+    }
 }

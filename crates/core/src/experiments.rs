@@ -11,8 +11,7 @@
 use std::sync::Arc;
 
 use crate::fabric;
-use crate::{RunReport, SystemBuilder};
-use tss_pipeline::FrontendConfig;
+use crate::SystemBuilder;
 use tss_trace::TaskTrace;
 
 /// One point of the Figure 12/13 decode-rate surface.
@@ -146,12 +145,6 @@ pub fn scalability_sweep(
         let sw = SystemBuilder::new().processors(p).skip_validation().run_software_arc(&arc);
         ScalabilityPoint { processors: p, hardware: hw.speedup(), software: sw.speedup() }
     })
-}
-
-/// Runs one benchmark at the paper's chosen operating point (8 TRS,
-/// 2 ORT/OVT, 7 MB eDRAM, 256 processors) — the headline configuration.
-pub fn paper_operating_point(trace: &TaskTrace) -> RunReport {
-    SystemBuilder::new().frontend(FrontendConfig::default()).processors(256).run_hardware(trace)
 }
 
 #[cfg(test)]

@@ -137,12 +137,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Sets the software-runtime decode cost.
-    pub fn software_runtime(mut self, cfg: SoftRuntimeConfig) -> Self {
-        self.soft = cfg;
-        self
-    }
-
     /// Disables post-run oracle validation (it is O(edges); on by
     /// default because a schedule bug must never produce a figure).
     pub fn skip_validation(mut self) -> Self {

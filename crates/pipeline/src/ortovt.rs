@@ -264,16 +264,6 @@ impl OrtOvt {
         &self.stats
     }
 
-    /// ORT busy cycles.
-    pub fn ort_busy_cycles(&self) -> Cycle {
-        self.ort_server.busy_cycles()
-    }
-
-    /// OVT busy cycles.
-    pub fn ovt_busy_cycles(&self) -> Cycle {
-        self.ovt_server.busy_cycles()
-    }
-
     /// Rename-buffer allocator (for post-run inspection).
     pub fn buffers(&self) -> &BucketAlloc {
         &self.buffers

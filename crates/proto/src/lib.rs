@@ -36,8 +36,8 @@ pub mod wire;
 
 pub use graph::{graph_frames, AssembleError, AssemblerLimits, GraphAssembler};
 pub use wire::{
-    decode_frame, decode_frame_bytes, encode_frame, read_frame, write_frame, DecodeError, Frame,
-    GraphOutcome, RejectReason, SessionErrorKind, WireError,
+    decode_frame, decode_frame_bytes, encode_frame, encode_frame_into, read_frame, write_frame,
+    DecodeError, Frame, GraphOutcome, RejectReason, SessionErrorKind, WireError,
 };
 
 /// Protocol magic, carried by `Hello` only: `"TSSP"` as LE bytes.

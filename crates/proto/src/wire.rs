@@ -456,17 +456,27 @@ fn put_outcome(out: &mut Vec<u8>, o: &GraphOutcome) {
 
 /// Encodes `frame` as one length-prefixed wire frame.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_frame_into(&mut out, frame);
+    out
+}
+
+/// Appends `frame` as one length-prefixed wire frame after whatever
+/// `out` already holds, so a connection can gather several frames in
+/// one buffer and send them with one `write`.
+pub fn encode_frame_into(out: &mut Vec<u8>, frame: &Frame) {
     // A `Tasks` frame is the only big one (~12 KB at the default batch)
     // and its size is known exactly: 4 length + 1 kind + 8 graph + 4
     // count, then 11 bytes per task and 13 per operand. Reserving it
-    // replaces ~10 doublings of a 4-byte `Vec`.
+    // replaces ~10 doublings of a small `Vec`.
     let exact = match frame {
         Frame::Tasks { tasks, .. } => {
             17 + tasks.iter().map(|t| 11 + 13 * t.operands.len()).sum::<usize>()
         }
         _ => 4,
     };
-    let mut out = Vec::with_capacity(exact);
+    out.reserve(exact);
+    let start = out.len();
     out.extend_from_slice(&[0u8; 4]); // length backpatched below
     match frame {
         Frame::Hello { version } => {
@@ -482,11 +492,11 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             out.push(K_OPEN);
             out.extend_from_slice(&graph.to_le_bytes());
             out.extend_from_slice(&deadline_ms.to_le_bytes());
-            put_str(&mut out, name);
+            put_str(out, name);
             debug_assert!(kernels.len() <= MAX_KERNELS);
             out.extend_from_slice(&(kernels.len() as u16).to_le_bytes());
             for k in kernels {
-                put_str(&mut out, k);
+                put_str(out, k);
             }
         }
         Frame::Tasks { graph, tasks } => {
@@ -494,7 +504,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             out.extend_from_slice(&graph.to_le_bytes());
             out.extend_from_slice(&(tasks.len() as u32).to_le_bytes());
             for t in tasks {
-                put_task(&mut out, t);
+                put_task(out, t);
             }
         }
         Frame::Seal { graph, tasks_total } => {
@@ -511,12 +521,12 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
         Frame::Reject { graph, reason } => {
             out.push(K_REJECT);
             out.extend_from_slice(&graph.to_le_bytes());
-            put_reject(&mut out, reason);
+            put_reject(out, reason);
         }
         Frame::Done { graph, outcome } => {
             out.push(K_DONE);
             out.extend_from_slice(&graph.to_le_bytes());
-            put_outcome(&mut out, outcome);
+            put_outcome(out, outcome);
         }
         Frame::SessionError { kind, detail } => {
             out.push(K_SESSION_ERROR);
@@ -525,15 +535,14 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
                 SessionErrorKind::Protocol => 1,
                 SessionErrorKind::Draining => 2,
             });
-            put_str(&mut out, detail);
+            put_str(out, detail);
         }
         Frame::ShutdownAck => out.push(K_SHUTDOWN_ACK),
     }
-    debug_assert!(exact == 4 || out.len() == exact, "Tasks frame size formula is off");
-    let len = (out.len() - 4) as u32;
+    debug_assert!(exact == 4 || out.len() - start == exact, "Tasks frame size formula is off");
+    let len = (out.len() - start - 4) as u32;
     debug_assert!(len <= MAX_FRAME, "encoded frame exceeds MAX_FRAME");
-    out[..4].copy_from_slice(&len.to_le_bytes());
-    out
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 // ---------------------------------------------------------------------
@@ -787,9 +796,9 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<()> {
 /// ([`WireError::Decode`]). Blocking behavior (and thus slow-loris
 /// tolerance) is governed by the socket's read timeout, set by the
 /// caller. It takes exactly one frame's bytes from `r` and holds none
-/// back; buffering, if any, is `r`'s — the server hands it a
-/// `BufReader`, so the bytes of the next frame may already sit there,
-/// read by the same system call as this one's.
+/// back; buffering, if any, is `r`'s — the server and the client hand
+/// it a `BufReader`, so the bytes of the next frame may already sit
+/// there, read by the same system call as this one's.
 pub fn read_frame(r: &mut impl Read) -> Result<Frame, WireError> {
     let mut len_buf = [0u8; 4];
     // First byte by hand so a close *between* frames is `Closed`, not
@@ -828,6 +837,14 @@ mod tests {
         let (back, used) = decode_frame_bytes(&bytes).expect("decode");
         assert_eq!(back, f);
         assert_eq!(used, bytes.len());
+        // Appended after bytes already in the buffer (a frame held back
+        // by a client's write buffer), the frame is the same bytes and
+        // the prefix is untouched.
+        let prefix = encode_frame(&Frame::Seal { graph: 3, tasks_total: 9 });
+        let mut out = prefix.clone();
+        encode_frame_into(&mut out, &f);
+        assert_eq!(out[..prefix.len()], prefix[..]);
+        assert_eq!(out[prefix.len()..], bytes[..]);
     }
 
     #[test]

@@ -365,10 +365,6 @@ impl<M> CalendarQueue<M> {
         }
     }
 
-    fn len(&self) -> usize {
-        self.len
-    }
-
     fn alloc_node(&mut self, when: Cycle, dst: ComponentId, msg: M) -> u32 {
         if self.free_head != NIL {
             let idx = self.free_head;
@@ -761,11 +757,6 @@ impl<M: 'static, S: ComponentStore<M>> Simulation<M, S> {
             .unwrap_or_else(|| panic!("component {id} is not a {}", std::any::type_name::<T>()))
     }
 
-    /// Whether the event queue is empty.
-    pub fn is_idle(&self) -> bool {
-        self.queue.len() == 0
-    }
-
     /// Borrows the component store (e.g. to read counters off a
     /// delegating instrumentation store; see `examples/msg_profile.rs`).
     pub fn store(&self) -> &S {
@@ -1142,7 +1133,7 @@ mod tests {
                 payload += 1;
             }
             lockstep_drain(&mut cal, &mut heap, &followups, &DELAY_MENU, &mut payload)?;
-            prop_assert_eq!(cal.len(), 0);
+            prop_assert_eq!(cal.len, 0);
         }
 
         /// The ISSUE 5 fast-lane oracle: random handlers mix zero-delay
@@ -1170,7 +1161,7 @@ mod tests {
                 payload += 1;
             }
             lockstep_drain(&mut cal, &mut heap, &followups, &FAST_MENU, &mut payload)?;
-            prop_assert_eq!(cal.len(), 0);
+            prop_assert_eq!(cal.len, 0);
             prop_assert!(cal.fast.is_empty(), "fast lane drained");
         }
     }

@@ -50,5 +50,5 @@ pub use engine::{
 };
 pub use rng::{Rng, RuntimeDist, SplitMix64};
 pub use server::{LaneServer, ServerTimeline};
-pub use stats::{CachePadded, Histogram, OnlineStats, SampleSet, Utilization};
+pub use stats::CachePadded;
 pub use time::{cycles_to_ns, cycles_to_us, ns_to_cycles, us_to_cycles, Cycle, CLOCK_GHZ};

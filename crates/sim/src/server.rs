@@ -103,11 +103,6 @@ impl LaneServer {
         self.lanes[lane]
     }
 
-    /// Number of lanes.
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// Total lane-cycles of service performed.
     pub fn busy_cycles(&self) -> Cycle {
         self.busy_cycles

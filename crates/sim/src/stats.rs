@@ -1,8 +1,5 @@
-//! Measurement helpers: running statistics, sample sets, histograms, and
-//! busy-time utilization tracking. Used by every module that reports into
-//! the paper's tables and figures.
-
-use crate::time::Cycle;
+//! [`CachePadded`], the one measurement helper the simulator and the
+//! executor share. Histograms live in `tss-obs`.
 
 /// Pads and aligns `T` to a 128-byte boundary so two instances can
 /// never share a cache line (nor a destructive-interference pair of
@@ -41,320 +38,5 @@ impl<T> std::ops::Deref for CachePadded<T> {
 impl<T> std::ops::DerefMut for CachePadded<T> {
     fn deref_mut(&mut self) -> &mut T {
         &mut self.value
-    }
-}
-
-/// Welford online mean/variance over `u64` observations.
-#[derive(Debug, Clone, Default)]
-pub struct OnlineStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: Option<u64>,
-    max: Option<u64>,
-}
-
-impl OnlineStats {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: u64) {
-        self.count += 1;
-        let xf = x as f64;
-        let delta = xf - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (xf - self.mean);
-        self.min = Some(self.min.map_or(x, |m| m.min(x)));
-        self.max = Some(self.max.map_or(x, |m| m.max(x)));
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance (0 if fewer than 2 observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation, if any.
-    pub fn min(&self) -> Option<u64> {
-        self.min
-    }
-
-    /// Largest observation, if any.
-    pub fn max(&self) -> Option<u64> {
-        self.max
-    }
-}
-
-/// A retained sample set supporting exact percentiles.
-#[derive(Debug, Clone, Default)]
-pub struct SampleSet {
-    samples: Vec<u64>,
-    sorted: bool,
-}
-
-impl SampleSet {
-    /// An empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one sample.
-    pub fn push(&mut self, x: u64) {
-        self.samples.push(x);
-        self.sorted = false;
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            0.0
-        } else {
-            self.samples.iter().sum::<u64>() as f64 / self.samples.len() as f64
-        }
-    }
-
-    fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            self.samples.sort_unstable();
-            self.sorted = true;
-        }
-    }
-
-    /// The `p`-th percentile (nearest-rank), `0 ≤ p ≤ 100`.
-    ///
-    /// Returns `None` on an empty set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p > 100`.
-    pub fn percentile(&mut self, p: f64) -> Option<u64> {
-        assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
-        if self.samples.is_empty() {
-            return None;
-        }
-        self.ensure_sorted();
-        let rank = ((p / 100.0) * (self.samples.len() - 1) as f64).round() as usize;
-        Some(self.samples[rank])
-    }
-
-    /// Median (50th percentile).
-    pub fn median(&mut self) -> Option<u64> {
-        self.percentile(50.0)
-    }
-
-    /// Minimum sample.
-    pub fn min(&mut self) -> Option<u64> {
-        self.ensure_sorted();
-        self.samples.first().copied()
-    }
-
-    /// Maximum sample.
-    pub fn max(&mut self) -> Option<u64> {
-        self.ensure_sorted();
-        self.samples.last().copied()
-    }
-
-    /// Fraction of samples strictly greater than `threshold`.
-    pub fn fraction_above(&self, threshold: u64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().filter(|&&s| s > threshold).count() as f64 / self.samples.len() as f64
-    }
-}
-
-impl FromIterator<u64> for SampleSet {
-    fn from_iter<I: IntoIterator<Item = u64>>(iter: I) -> Self {
-        SampleSet { samples: iter.into_iter().collect(), sorted: false }
-    }
-}
-
-impl Extend<u64> for SampleSet {
-    fn extend<I: IntoIterator<Item = u64>>(&mut self, iter: I) {
-        self.samples.extend(iter);
-        self.sorted = false;
-    }
-}
-
-/// Fixed-bucket histogram over `u64` values.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    bucket_width: u64,
-    buckets: Vec<u64>,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` buckets of `bucket_width` each;
-    /// values beyond the last bucket land in an overflow bin.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket_width == 0` or `buckets == 0`.
-    pub fn new(bucket_width: u64, buckets: usize) -> Self {
-        assert!(bucket_width > 0 && buckets > 0, "histogram must have extent");
-        Histogram { bucket_width, buckets: vec![0; buckets], overflow: 0, count: 0 }
-    }
-
-    /// Records one value.
-    pub fn record(&mut self, v: u64) {
-        self.count += 1;
-        let idx = (v / self.bucket_width) as usize;
-        if idx < self.buckets.len() {
-            self.buckets[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
-
-    /// Count in bucket `i` (`[i·w, (i+1)·w)`).
-    pub fn bucket(&self, i: usize) -> u64 {
-        self.buckets[i]
-    }
-
-    /// Number of values past the last bucket.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total recorded values.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Iterates `(bucket_lower_bound, count)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets.iter().enumerate().map(move |(i, &c)| (i as u64 * self.bucket_width, c))
-    }
-}
-
-/// Tracks the busy time of a resource from explicit busy intervals.
-#[derive(Debug, Clone, Default)]
-pub struct Utilization {
-    busy: Cycle,
-}
-
-impl Utilization {
-    /// A tracker with no recorded busy time.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records `cycles` of busy time.
-    pub fn add_busy(&mut self, cycles: Cycle) {
-        self.busy += cycles;
-    }
-
-    /// Total busy cycles.
-    pub fn busy_cycles(&self) -> Cycle {
-        self.busy
-    }
-
-    /// Busy fraction of `[0, horizon]`; 0 for an empty horizon.
-    pub fn fraction(&self, horizon: Cycle) -> f64 {
-        if horizon == 0 {
-            0.0
-        } else {
-            self.busy as f64 / horizon as f64
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn online_stats_basics() {
-        let mut s = OnlineStats::new();
-        for x in [2u64, 4, 4, 4, 5, 5, 7, 9] {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2));
-        assert_eq!(s.max(), Some(9));
-    }
-
-    #[test]
-    fn empty_stats_are_safe() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), None);
-    }
-
-    #[test]
-    fn percentiles_nearest_rank() {
-        let mut s: SampleSet = (1..=100u64).collect();
-        assert_eq!(s.percentile(0.0), Some(1));
-        assert_eq!(s.median(), Some(51)); // nearest-rank on 0..=99 indices
-        assert_eq!(s.percentile(100.0), Some(100));
-        assert_eq!(s.min(), Some(1));
-        assert_eq!(s.max(), Some(100));
-    }
-
-    #[test]
-    fn fraction_above_counts_strictly() {
-        let s: SampleSet = [1u64, 2, 3, 4].into_iter().collect();
-        assert!((s.fraction_above(2) - 0.5).abs() < 1e-12);
-        assert_eq!(s.fraction_above(4), 0.0);
-    }
-
-    #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(10, 3);
-        for v in [0, 5, 9, 10, 25, 29, 30, 1000] {
-            h.record(v);
-        }
-        assert_eq!(h.bucket(0), 3);
-        assert_eq!(h.bucket(1), 1);
-        assert_eq!(h.bucket(2), 2);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.count(), 8);
-        let pairs: Vec<_> = h.iter().collect();
-        assert_eq!(pairs, vec![(0, 3), (10, 1), (20, 2)]);
-    }
-
-    #[test]
-    fn utilization_fraction() {
-        let mut u = Utilization::new();
-        u.add_busy(25);
-        u.add_busy(25);
-        assert!((u.fraction(100) - 0.5).abs() < 1e-12);
-        assert_eq!(u.fraction(0), 0.0);
     }
 }
