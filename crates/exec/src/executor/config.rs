@@ -119,13 +119,12 @@ impl ExecConfig {
 /// A cloneable external-cancellation handle. The serve layer
 /// (DESIGN.md §14.3) arms one per accepted graph so a drain deadline
 /// can stop a run that is already executing; anything else that embeds
-/// the executor can do the same. Arming it puts every task on the
-/// guarded lane, whose stop check — before every attempt and in every
-/// payload poll — loads the token: one load each, no thread, no timer,
-/// no clock read. That lane is not free (DESIGN.md §11.4 has its
-/// measured cost). A firing is noticed within one attempt, one payload
-/// poll or one decode step of a running worker, which wakes the parked
-/// ones (DESIGN.md §11.3); completion latency is untouched.
+/// the executor can do the same. Arming it changes nothing a task does:
+/// the run's stop check — made by the worker loop between bursts and
+/// by every real payload at its polls — loads the token, with no
+/// thread, no timer and no clock read. A running worker notices a
+/// firing within the stop bound of DESIGN.md §11.3 and wakes the
+/// parked ones; completion latency is untouched.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken(std::sync::Arc<AtomicU32>);
 

@@ -299,10 +299,10 @@ impl Executor {
         let mut exits: Vec<Option<WorkerExit>> = (0..threads).map(|_| None).collect();
         if shared.n > 0 {
             let mut roles: Vec<Role<'_>> = Vec::with_capacity(threads);
-            let seed = self.config.seed;
+            let cfg = &self.config;
             for (w, exit) in exits.iter_mut().enumerate() {
                 roles.push(Box::new(move || {
-                    *exit = catch_unwind(AssertUnwindSafe(|| worker_loop(w, shared, arena, seed)))
+                    *exit = catch_unwind(AssertUnwindSafe(|| worker_loop(w, shared, arena, cfg)))
                         .map_err(|p| shared.note_infra_panic(panic_message(&*p)))
                         .ok();
                 }));

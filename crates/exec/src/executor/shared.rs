@@ -14,7 +14,7 @@ use super::parker::Parker;
 use super::release::{StreamRelease, HEALTHY};
 use super::{CancelToken, ExecConfig};
 use crate::deque::{ChaseLev, Injector};
-use crate::fault::{FailedTask, FailurePolicy, FaultPlan};
+use crate::fault::{FailedTask, FailurePolicy};
 use crate::payload::PayloadMode;
 use crate::sched::SchedPolicy;
 use crate::sync::atomic::{AtomicU32, AtomicU8, AtomicUsize, Ordering};
@@ -61,17 +61,14 @@ pub(super) struct Shared<'a, P: SchedPolicy> {
     /// Per-task status byte (HEALTHY / POISONED / FAILED).
     pub(super) status: Vec<AtomicU8>,
     /// [`RUNNING`], or why the run stopped early ([`FAILED_FAST`],
-    /// [`INFRA_PANIC`], [`RUN_DEADLINE`], [`CANCELLED`]). Checked on the
-    /// idle path and the park predicate, and polled before every guarded
-    /// attempt and by guarded-lane payloads ([`Shared::poll_stop`]) —
-    /// never on the fast lane.
+    /// [`INFRA_PANIC`], [`RUN_DEADLINE`], [`CANCELLED`]). Read by the
+    /// park predicate, and by [`Shared::poll_stop`] — the worker loop's
+    /// stop checks and every real payload's polls — never per task.
     pub(super) abort: CachePadded<AtomicU32>,
-    /// Nonzero once any task has failed: diverts subsequent tasks
-    /// from the fast path onto the guarded path even when no chaos is
-    /// armed (a real payload panic under Quarantine must still poison).
+    /// Nonzero once any task has failed: from then on every task checks
+    /// its status byte before it runs (a real payload panic under
+    /// Quarantine must still poison, DESIGN.md §11.4).
     pub(super) tainted: CachePadded<AtomicU32>,
-    /// Resolved fault-injection plan (all-zero when disarmed).
-    pub(super) plan: FaultPlan,
     pub(super) policy: FailurePolicy,
     /// The run deadline, measured from `t0`, the run's start.
     pub(super) run_deadline: Option<Duration>,
@@ -79,10 +76,6 @@ pub(super) struct Shared<'a, P: SchedPolicy> {
     /// Shared observability state (ready-time table + gauges); a ZST
     /// no-op unless the `obs` feature is on (DESIGN.md §12).
     pub(super) obs: SharedObs,
-    /// True when any per-task machinery (injection, or payloads a run
-    /// deadline or a token must be able to stop) must run: decided
-    /// once, so a fault-free run's per-task path is unchanged.
-    pub(super) guarded: bool,
     /// External cancellation token (DESIGN.md §14.3), polled beside
     /// the run deadline ([`Shared::poll_stop`]).
     pub(super) cancel: Option<CancelToken>,
@@ -102,17 +95,6 @@ impl<P: SchedPolicy> Shared<'_, P> {
         let n = trace.len();
         let threads = cfg.threads;
         let payload = cfg.payload;
-        let plan = match payload {
-            PayloadMode::Faulty { rate_ppm, seed } => {
-                FaultPlan { rate_ppm, seed, kill_worker: cfg.kill_worker }
-            }
-            _ => FaultPlan { rate_ppm: 0, seed: 0, kill_worker: cfg.kill_worker },
-        };
-        // A run deadline or a token puts every task on the guarded lane,
-        // whose stop check reads them (DESIGN.md §11.3): before every
-        // attempt and in every payload poll, so a firing stops in-flight
-        // payloads, not just idle workers.
-        let guarded = plan.enabled() || cfg.run_deadline.is_some() || cfg.cancel.is_some();
         let t0 = Stamp::now();
         Shared {
             release,
@@ -129,12 +111,10 @@ impl<P: SchedPolicy> Shared<'_, P> {
             status: (0..n).map(|_| AtomicU8::new(HEALTHY)).collect(),
             abort: CachePadded::new(AtomicU32::new(RUNNING)),
             tainted: CachePadded::new(AtomicU32::new(0)),
-            plan,
             policy: cfg.policy,
             run_deadline: cfg.run_deadline,
             t0,
             obs: SharedObs::new(),
-            guarded,
             cancel: cfg.cancel.clone(),
             failures: Mutex::new(Vec::new()),
             infra_panic: Mutex::new(None),
@@ -151,18 +131,27 @@ impl<P: SchedPolicy> Shared<'_, P> {
         self.abort.load(Ordering::Acquire) != RUNNING
     }
 
-    /// Workers exit on this: normal termination *or* an abort.
+    /// The worker loop's stop check, made once per burst and before
+    /// every park, never per task (DESIGN.md §11.3): workers exit on
+    /// normal termination *or* a stop. `--cfg
+    /// tss_bug_loop_ignores_token` reads only the abort word here, so a
+    /// fired token or a passed run deadline goes unseen until a real
+    /// payload polls; `a_token_fired_before_the_run_completes_nothing`
+    /// and `a_one_nanosecond_run_deadline_stops_a_no_op_run` fail when
+    /// active (DESIGN.md §10.3).
     #[inline]
     pub(super) fn stopping(&self) -> bool {
-        self.done() || self.aborted()
+        self.done()
+            || if cfg!(tss_bug_loop_ignores_token) { self.aborted() } else { self.poll_stop() }
     }
 
-    /// Whether the run is aborting: the guarded lane's stop check,
-    /// made before every attempt and by the payload it runs (DESIGN.md
-    /// §11.3). The first check to find the token fired or the run
-    /// deadline passed records that cause and raises the abort, waking
-    /// every parked worker: the workers still running are the run's
-    /// only watch. Only a run with a deadline reads the clock here.
+    /// Whether the run is aborting: the stop check of the worker loop
+    /// ([`Shared::stopping`]) and of every real payload's polls
+    /// (DESIGN.md §11.3). It loads the abort word; the token only when
+    /// one is set; the clock only when a run deadline is set. The first
+    /// check to find the token fired or the run deadline passed records
+    /// that cause and raises the abort, waking every parked worker: the
+    /// workers still running are the run's only watch.
     #[inline]
     pub(super) fn poll_stop(&self) -> bool {
         if self.aborted() {
@@ -180,7 +169,7 @@ impl<P: SchedPolicy> Shared<'_, P> {
     }
 
     /// Records `cause` unless an earlier one stopped the run already,
-    /// and flushes every parked worker into its `stopping()` check.
+    /// and flushes every parked worker into its park predicate.
     pub(super) fn request_abort(&self, cause: u32) {
         // A lost race means another cause won, and its caller wakes
         // everyone too.

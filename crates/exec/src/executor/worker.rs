@@ -1,7 +1,7 @@
-//! The worker role: take a task, run its payload on the fast or the
-//! guarded lane, take the completion ticket, release successors, and
-//! when there is nothing to take, decode — on a streamed run — or park
-//! (DESIGN.md §7, §8.2, §11, §13).
+//! The worker role: take a task, run its payload, take the completion
+//! ticket, release successors, and when there is nothing to take,
+//! decode — on a streamed run — or park; between bursts, make the run's
+//! stop check (DESIGN.md §7, §8.2, §11, §13).
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -15,9 +15,11 @@ use tss_trace::TaskId;
 
 use super::release::{FAILED, HEALTHY};
 use super::shared::{Shared, FAILED_FAST};
-use super::WorkerStats;
+use super::{ExecConfig, WorkerStats};
 use crate::deque::BATCH_MAX;
-use crate::fault::{panic_message, FailedTask, FailurePolicy, TaskFailure, INJECTED_PANIC_MARKER};
+use crate::fault::{
+    fault_decision, panic_message, FailedTask, FailurePolicy, TaskFailure, INJECTED_PANIC_MARKER,
+};
 use crate::payload::{PayloadMode, PayloadScratch};
 use crate::sched::{victims, SchedPolicy};
 use crate::sync::atomic::Ordering;
@@ -26,7 +28,8 @@ use crate::sync::atomic::Ordering;
 /// the reused batch buffer, and the scheduler bypass slot (DESIGN.md
 /// §13.1) — the last task of the batch, when the policy runs it next
 /// anyway, kept here instead of pushed to the deque and popped straight
-/// back through §8.1's fence. Worker-private: nobody can steal `next`,
+/// back through §8.1's fence; or the task the idle path just claimed,
+/// which opens the next burst. Worker-private: nobody can steal `next`,
 /// so the loop takes it before anything else, and a worker that stops
 /// between tasks ([`worker_loop`]'s kill) puts it back on its deque
 /// first.
@@ -107,38 +110,48 @@ fn complete<P: SchedPolicy>(
 }
 
 /// The executor's one payload dispatch: runs task `t`'s payload and
-/// returns whether `stop` stopped it early, or the panic it died of.
-/// The guarded lane passes the run's stop check
-/// ([`Shared::poll_stop`]); the fast lane enters the same stoppable
-/// body with a check that never fires.
+/// returns whether the run's stop check ([`Shared::poll_stop`]) stopped
+/// it early, or the panic it died of. No per-task clock reads on any
+/// arm: busy time is accumulated per burst by `worker_loop`, so no-op
+/// runs measure pure decode + scheduling throughput.
 #[inline]
 fn run_payload<P: SchedPolicy>(
     t: u32,
     shared: &Shared<'_, P>,
     scratch: &mut PayloadScratch<'_>,
-    stop: impl Fn() -> bool,
 ) -> Result<bool, Box<dyn Any + Send>> {
     match shared.payload {
-        // No per-task clock reads on any path: busy time is accumulated
-        // per burst by `worker_loop`, so noop runs still measure pure
-        // decode + scheduling throughput. Nothing in this arm can panic
-        // or touches the task record, so the fault-free noop lane is
-        // byte-identical to the pre-§11 core.
-        PayloadMode::Noop | PayloadMode::Faulty { .. } => Ok(false),
-        // Real payloads run inside the containment boundary on every
-        // lane: a panicking payload becomes a TaskFailure, never a dead
-        // worker. catch_unwind's happy path is a few instructions
-        // against payloads that busy-work for microseconds. Listed, not
-        // `_`: a new payload must decide here whether it can panic.
+        // Nothing here can panic or touches the task record.
+        PayloadMode::Noop => Ok(false),
+        // Containment-boundary exercise: the deterministic roll, and on
+        // a hit a real panic, caught exactly where a payload panic would
+        // be. The marker keeps the process panic hook quiet for expected
+        // chaos (fault::install_quiet_hook).
+        PayloadMode::Faulty { rate_ppm, seed } => catch_unwind(|| {
+            if fault_decision(seed, t, rate_ppm) {
+                panic!("{INJECTED_PANIC_MARKER} task {t}");
+            }
+            false
+        }),
+        // Real payloads run inside the containment boundary: a panicking
+        // payload becomes a TaskFailure, never a dead worker, and one
+        // that polls a stop is dropped. catch_unwind's happy path is a
+        // few instructions against payloads that busy-work for
+        // microseconds. Listed, not `_`: a new payload must decide here
+        // whether it can panic.
         mode @ (PayloadMode::Spin { .. } | PayloadMode::Memcpy | PayloadMode::Mixed { .. }) => {
             let task = shared.trace.task(t as TaskId);
-            catch_unwind(AssertUnwindSafe(|| scratch.run_watched(mode, task, stop).1))
+            catch_unwind(AssertUnwindSafe(|| {
+                scratch.run_watched(mode, task, &|| shared.poll_stop()).1
+            }))
         }
     }
 }
 
-/// The fault-free fast lane (DESIGN.md §11.4), and the switch onto the
-/// guarded one.
+/// Runs task `t`, the one lane every task takes (DESIGN.md §11.4), and
+/// returns whether its worker's burst may go on: false once a payload
+/// was stopped by the run's stop check — dropped, neither completed nor
+/// failed, because the run is ending.
 fn run_task<P: SchedPolicy>(
     t: u32,
     w: usize,
@@ -147,119 +160,42 @@ fn run_task<P: SchedPolicy>(
     stats: &mut WorkerStats,
     out: &mut Released,
     wobs: &mut WorkerObs,
-) {
+) -> bool {
+    // Only a failure poisons, and it taints the run first; the status
+    // byte was stored before the countdown/publish that made `t` ready.
     // relaxed: tainted poll; a poisoned task's delivery carries the flag
     // via the countdown/deque happens-before (DESIGN.md §11.4)
-    if shared.guarded || shared.tainted.load(Ordering::Relaxed) != 0 {
-        // Chaos, a run deadline or token, or an earlier failure: the
-        // guarded lane owns poison checks, injection and the abort poll.
-        return run_task_guarded(t, w, shared, scratch, stats, out, wobs);
+    if shared.tainted.load(Ordering::Relaxed) != 0
+        && shared.status[t as usize].load(Ordering::Acquire) != HEALTHY
+    {
+        complete(t, w, shared, out, wobs, true);
+        wobs.task_poisoned(t, &shared.obs);
+        return true;
     }
     // Sampled execution-latency span: a clock read only for 1-in-
     // SAMPLE_EVERY tasks on RingSink builds, nothing at all on NoopSink
     // builds (TaskStamp is zero-sized there).
     let tb = wobs.task_begin(t);
-    match run_payload(t, shared, scratch, || false) {
-        Ok(_) => {
+    match run_payload(t, shared, scratch) {
+        Ok(false) => {
             stats.executed += 1;
             complete(t, w, shared, out, wobs, false);
             // After `complete`: the span covers payload + successor
             // release, the full service time a waiter observes.
             wobs.task_end(t, tb, &shared.obs);
+            true
         }
+        Ok(true) => false,
         Err(payload) => {
-            // First failure of the run: taint (diverting everyone to
-            // the guarded lane) and hand this task to the policy.
+            // First failure of the run: taint (every later task checks
+            // its status byte) and hand this task to the policy.
             // relaxed: tainted set on first failure; the failing task's
             // release edges publish it with the poison (DESIGN.md §11.4)
             shared.tainted.store(1, Ordering::Relaxed);
             let failure = TaskFailure::Panicked { message: panic_message(&*payload) };
             resolve_failure(t, w, shared, out, wobs, failure);
+            true
         }
-    }
-}
-
-/// The guarded lane: poison check, fault injection, and a payload that
-/// stops when the run does. Split from [`run_task`] so the fault-free
-/// fast lane never pays for any of it.
-fn run_task_guarded<P: SchedPolicy>(
-    t: u32,
-    w: usize,
-    shared: &Shared<'_, P>,
-    scratch: &mut PayloadScratch<'_>,
-    stats: &mut WorkerStats,
-    out: &mut Released,
-    wobs: &mut WorkerObs,
-) {
-    // The status byte was stored before the countdown/publish that made
-    // `t` ready, and the deque transfer carries it here (§11).
-    if shared.status[t as usize].load(Ordering::Acquire) != HEALTHY {
-        complete(t, w, shared, out, wobs, true);
-        wobs.task_poisoned(t, &shared.obs);
-        return;
-    }
-    let tb = wobs.task_begin(t);
-    match attempt_payload(t, shared, scratch) {
-        Ok(()) => {
-            stats.executed += 1;
-            complete(t, w, shared, out, wobs, false);
-            wobs.task_end(t, tb, &shared.obs);
-        }
-        Err(AttemptError::Failed(failure)) => {
-            // relaxed: tainted set on first failure; the failing task's
-            // release edges publish it with the poison (DESIGN.md §11.4)
-            shared.tainted.store(1, Ordering::Relaxed);
-            resolve_failure(t, w, shared, out, wobs, failure);
-        }
-        Err(AttemptError::Aborted) => {}
-    }
-}
-
-/// A task attempt's failure modes.
-enum AttemptError {
-    /// The payload panicked: the policy decides next.
-    Failed(TaskFailure),
-    /// The run is stopping (run deadline, fired token, fail-fast
-    /// elsewhere, infrastructure panic): drop the task without
-    /// completing or failing it; the worker loop exits on its next
-    /// `stopping()` check.
-    Aborted,
-}
-
-/// A payload panic caught at the containment boundary, as the failure
-/// the policy resolves.
-fn panicked(payload: Box<dyn Any + Send>) -> AttemptError {
-    AttemptError::Failed(TaskFailure::Panicked { message: panic_message(&*payload) })
-}
-
-/// Runs task `t`'s payload once inside the containment boundary, with
-/// fault injection, making the run's stop check before the attempt and
-/// from inside the payload ([`Shared::poll_stop`]): a payload in flight
-/// stops with the run, and a fired token or a passed run deadline is
-/// noticed here, by the worker, with no timer role (DESIGN.md §11.3).
-fn attempt_payload<P: SchedPolicy>(
-    t: u32,
-    shared: &Shared<'_, P>,
-    scratch: &mut PayloadScratch<'_>,
-) -> Result<(), AttemptError> {
-    if shared.poll_stop() {
-        return Err(AttemptError::Aborted);
-    }
-    if shared.plan.decide(t) {
-        // Containment-boundary exercise: a real panic, caught exactly
-        // where a payload panic would be. The marker keeps the process
-        // panic hook quiet for expected chaos (fault::install_quiet_hook).
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            panic!("{INJECTED_PANIC_MARKER} task {t}");
-        }));
-        return caught.map_err(panicked);
-    }
-    match run_payload(t, shared, scratch, || shared.poll_stop()) {
-        Ok(false) => Ok(()),
-        // Stopped by the abort, which is never lowered: the run is
-        // ending, and the task neither completed nor failed.
-        Ok(true) => Err(AttemptError::Aborted),
-        Err(p) => Err(panicked(p)),
     }
 }
 
@@ -312,7 +248,7 @@ pub(super) fn worker_loop<P: SchedPolicy>(
     w: usize,
     shared: &Shared<'_, P>,
     arena: &[u8],
-    seed: u64,
+    cfg: &ExecConfig,
 ) -> WorkerExit {
     let mut stats = WorkerStats::default();
     let mut wobs = WorkerObs::new();
@@ -333,7 +269,7 @@ pub(super) fn worker_loop<P: SchedPolicy>(
         PayloadScratch::without_buffers()
     };
     let mut out = Released { batch: Vec::with_capacity(64), next: None };
-    let mut rng = seed ^ (w as u64).wrapping_mul(0xA076_1D64_78BD_642F);
+    let mut rng = cfg.seed ^ (w as u64).wrapping_mul(0xA076_1D64_78BD_642F);
     let me = &shared.deques[w];
     // What this worker runs next: the task its last completion held
     // back (§13.1), else whatever the policy takes from its deque.
@@ -344,7 +280,7 @@ pub(super) fn worker_loop<P: SchedPolicy>(
     // Injected worker loss: die *between* tasks after the first
     // completion — a clean kill (ticket taken, successors released), so
     // the run still terminates; only the parallelism degrades.
-    let kill_after: u64 = match shared.plan.kill_worker {
+    let kill_after: u64 = match cfg.kill_worker {
         Some(k) if k == w => 1,
         _ => u64::MAX,
     };
@@ -360,20 +296,23 @@ pub(super) fn worker_loop<P: SchedPolicy>(
 
     loop {
         // Fast path: drain the held task and the own deque depth-first
-        // (a task the idle path below ran may have held one back, so the
-        // idle scans only ever start with the slot empty). No epoch or done
-        // loads per task — those belong to the idle path. The burst is
+        // (the held task is the one the last completion held back, or
+        // the one the idle path below claimed; the idle scans only ever
+        // start with the slot empty). No epoch, done or stop loads per
+        // task — those belong to the stop check after the burst. The burst is
         // clocked as one span: two clock reads however many tasks
         // drain, and the Burst ring event reuses exactly those two
-        // stamps (zero extra reads, DESIGN.md §12.3).
+        // stamps (zero extra reads, DESIGN.md §12.3). A payload the
+        // run's stop stopped ends the burst.
         if let Some(t) = take_next(&mut out) {
             let burst = Stamp::now();
             let before = stats.executed;
-            run_task(t, w, shared, &mut scratch, &mut stats, &mut out, &mut wobs);
-            while stats.executed < kill_after {
+            let mut go_on = run_task(t, w, shared, &mut scratch, &mut stats, &mut out, &mut wobs);
+            while go_on && stats.executed < kill_after {
                 match take_next(&mut out) {
                     Some(t) => {
-                        run_task(t, w, shared, &mut scratch, &mut stats, &mut out, &mut wobs)
+                        go_on =
+                            run_task(t, w, shared, &mut scratch, &mut stats, &mut out, &mut wobs)
                     }
                     None => break,
                 }
@@ -415,17 +354,9 @@ pub(super) fn worker_loop<P: SchedPolicy>(
                     shared.parker.wake_one();
                     wobs.wake(&shared.obs);
                 }
-                let burst = Stamp::now();
-                let before = stats.executed;
-                run_task(t, w, shared, &mut scratch, &mut stats, &mut out, &mut wobs);
-                let end = Stamp::now();
-                stats.busy += end.since(burst);
-                wobs.burst(burst, end, stats.executed - before, &shared.obs);
-                if stats.executed >= kill_after {
-                    abandon(&mut out);
-                    close_spans(&mut wobs);
-                    return WorkerExit::Killed(stats, wobs);
-                }
+                // The claimed task opens the next burst, which drains
+                // the batch banked with it.
+                out.next = Some(t);
             }
             None => {
                 if shared.stopping() {
@@ -436,8 +367,10 @@ pub(super) fn worker_loop<P: SchedPolicy>(
                 if shared.front.as_ref().is_some_and(|front| front.step(shared, &mut wobs)) {
                     continue;
                 }
+                // The predicate reads the abort word only: whoever
+                // raises it wakes every parked worker.
                 let parked = wobs.park_begin();
-                shared.parker.park(epoch, || shared.stopping());
+                shared.parker.park(epoch, || shared.done() || shared.aborted());
                 wobs.park(parked, &shared.obs);
             }
         }

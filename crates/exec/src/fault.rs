@@ -2,9 +2,8 @@
 //!
 //! Everything here is *policy and vocabulary*; the mechanism (the
 //! containment boundary, the POISONED readiness sentinel, the workers'
-//! stop check) lives in `executor/`. The split keeps the executor's hot path free
-//! of policy branching: workers consult a pre-resolved [`FaultPlan`]
-//! and report [`TaskFailure`] values; the run-level verdict
+//! stop check, the `Faulty` payload's roll) lives in `executor/`.
+//! Workers report [`TaskFailure`] values; the run-level verdict
 //! ([`ExecError`] or a populated [`FaultReport`]) is assembled once at
 //! join time.
 //!
@@ -172,33 +171,6 @@ impl fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// The resolved chaos configuration a run executes under. Built once by
-/// `Executor::run` from the `PayloadMode` and `ExecConfig`; workers
-/// only ever read it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FaultPlan {
-    /// Injection probability in parts-per-million (0 = no injection).
-    pub rate_ppm: u32,
-    /// Seed for the fault rolls.
-    pub seed: u64,
-    /// Worker index whose thread is killed after its first task
-    /// completes (exercises the worker-loss/deque-adoption path).
-    pub kill_worker: Option<usize>,
-}
-
-impl FaultPlan {
-    /// True when any chaos mechanism is armed.
-    pub fn enabled(&self) -> bool {
-        self.rate_ppm > 0 || self.kill_worker.is_some()
-    }
-
-    /// The deterministic fault roll for one task: whether its payload
-    /// is made to panic.
-    pub fn decide(&self, task: u32) -> bool {
-        fault_decision(self.seed, task, self.rate_ppm)
-    }
-}
-
 /// Installs a process panic hook (once) that suppresses the default
 /// backtrace spam for *injected* panics — identified by
 /// [`INJECTED_PANIC_MARKER`] in the payload — while passing every other
@@ -249,13 +221,6 @@ mod tests {
         }
         assert_eq!(FailurePolicy::parse("ignore"), None);
         assert_eq!(FailurePolicy::parse("retry"), None);
-    }
-
-    #[test]
-    fn plan_enabled_logic() {
-        assert!(!FaultPlan::default().enabled());
-        assert!(FaultPlan { rate_ppm: 1, ..Default::default() }.enabled());
-        assert!(FaultPlan { kill_worker: Some(0), ..Default::default() }.enabled());
     }
 
     #[test]

@@ -87,10 +87,10 @@ pub enum PayloadMode {
     Memcpy,
     /// Noop work plus seeded fault injection: each task rolls a
     /// deterministic hash (`tss_workloads::payload::fault_decision`)
-    /// and may panic instead of completing. The injection
-    /// itself happens at the executor's containment boundary, not here
-    /// — as a payload the task does nothing, so chaos runs measure the
-    /// failure machinery, not payload cost.
+    /// and may panic instead of completing. The roll and the panic are
+    /// the executor's own payload arm, inside its containment boundary
+    /// (DESIGN.md §11.4); [`PayloadScratch`] does nothing for it, so
+    /// chaos runs measure the failure machinery, not payload cost.
     Faulty {
         /// Injection probability in parts-per-million.
         rate_ppm: u32,
@@ -189,7 +189,7 @@ impl<'a> PayloadScratch<'a> {
     /// The unstoppable run is the stoppable one entered with a check
     /// that never fires.
     pub fn run(&mut self, mode: PayloadMode, task: &TaskDesc) -> Duration {
-        self.run_watched(mode, task, || false).0
+        self.run_watched(mode, task, &|| false).0
     }
 
     /// Runs one task's payload under a stop check — the one payload
@@ -199,16 +199,18 @@ impl<'a> PayloadScratch<'a> {
     /// chunks (a single chunk is ≤ 64 KB, so cancellation latency stays
     /// in the microseconds).
     ///
-    /// Never inlined: inlined into the executor's lanes, the payload
-    /// loops' registers and stack frame would become the lanes' own,
-    /// and the no-op fast lane, which never enters this body, would pay
-    /// for them in spills on every task (DESIGN.md §11.4).
+    /// One instance per program: the check is a `&dyn Fn`, so the
+    /// executor's stop check and [`PayloadScratch::run`]'s share this
+    /// body. Never inlined: inlined into the executor's `run_task`, the
+    /// payload loops' registers and stack frame would become its own,
+    /// and a no-op task, which never enters this body, would pay for
+    /// them in spills (DESIGN.md §11.4).
     #[inline(never)]
     pub fn run_watched(
         &mut self,
         mode: PayloadMode,
         task: &TaskDesc,
-        cancel: impl Fn() -> bool,
+        cancel: &dyn Fn() -> bool,
     ) -> (Duration, bool) {
         match mode {
             PayloadMode::Noop | PayloadMode::Faulty { .. } => (Duration::ZERO, false),
@@ -230,7 +232,7 @@ impl<'a> PayloadScratch<'a> {
         &mut self,
         task: &TaskDesc,
         time_scale: f64,
-        cancel: impl Fn() -> bool,
+        cancel: &dyn Fn() -> bool,
     ) -> (Duration, bool) {
         let t0 = Stamp::now();
         let target = cycles_to_ns(task.runtime) * time_scale;
@@ -248,7 +250,7 @@ impl<'a> PayloadScratch<'a> {
 
     /// Moves the task's (capped) operand footprint through the worker's
     /// scratch pair, or stops between two chunks once cancelled.
-    fn memcpy(&mut self, task: &TaskDesc, cancel: impl Fn() -> bool) -> (Duration, bool) {
+    fn memcpy(&mut self, task: &TaskDesc, cancel: &dyn Fn() -> bool) -> (Duration, bool) {
         let t0 = Stamp::now();
         for c in operand_chunks(task) {
             if cancel() {
@@ -306,7 +308,7 @@ mod tests {
         let long = TaskDesc::new(KernelId(0), 32_000_000_000, vec![]); // 10 s at 3.2 GHz
                                                                        // Pre-cancelled.
         let (busy, cancelled) =
-            s.run_watched(PayloadMode::Spin { time_scale: 1.0 }, &long, || true);
+            s.run_watched(PayloadMode::Spin { time_scale: 1.0 }, &long, &|| true);
         assert!(cancelled);
         assert!(busy < Duration::from_secs(1), "cancelled spin still ran {busy:?}");
     }
@@ -320,7 +322,7 @@ mod tests {
         let mut a = PayloadScratch::new(&arena);
         let mut b = PayloadScratch::new(shared_arena());
         a.run(PayloadMode::Memcpy, &task());
-        let (_, cancelled) = b.run_watched(PayloadMode::Memcpy, &task(), || false);
+        let (_, cancelled) = b.run_watched(PayloadMode::Memcpy, &task(), &|| false);
         assert!(!cancelled);
         assert_eq!(a.sink, b.sink, "watched memcpy must do identical work");
     }

@@ -19,7 +19,7 @@
 
 use proptest::prelude::*;
 use std::time::Duration;
-use tss_exec::fault::FaultPlan;
+use tss_exec::fault::fault_decision;
 use tss_exec::{
     CancelToken, ExecConfig, ExecError, Executor, FailurePolicy, PayloadMode, Renamer,
     TaskGraphBuilder,
@@ -39,7 +39,6 @@ fn expected_failure_sets(
     rate_ppm: u32,
     seed: u64,
 ) -> (Vec<u32>, Vec<u32>) {
-    let plan = FaultPlan { rate_ppm, seed, kill_worker: None };
     let n = trace.len();
     let mut cone = vec![false; n];
     let mut failed = Vec::new();
@@ -50,7 +49,7 @@ fn expected_failure_sets(
             }
             continue;
         }
-        if plan.decide(t as u32) {
+        if fault_decision(seed, t as u32, rate_ppm) {
             failed.push(t as u32);
             for &s in oracle.succs(t) {
                 cone[s] = true;
@@ -115,8 +114,7 @@ proptest! {
                 }
                 Err(ExecError::TaskFailed(ft)) => {
                     prop_assert!(
-                        FaultPlan { rate_ppm, seed: fault_seed, kill_worker: None }
-                            .decide(ft.task),
+                        fault_decision(fault_seed, ft.task, rate_ppm),
                         "{bench}: fail-fast surfaced task {} which the hash says succeeds",
                         ft.task
                     );
@@ -250,8 +248,8 @@ fn chains(chains: u64, len: u64, leaf_every: u64, runtime: u64, slow: Option<u64
 
 /// A quarantine cone that runs down a chain passes through the slot at
 /// every link: the failed link's drain poisons its successor and holds
-/// it, the held task runs on the guarded lane, is found poisoned, and
-/// holds the next. The poisoned set is exactly the renamer's
+/// it, the held task is found poisoned by its status byte (the run is
+/// tainted), and holds the next. The poisoned set is exactly the renamer's
 /// `poison_cone` of the failed set — and both sets are the ones the
 /// fault hash predicts — at one worker (where every link but the root
 /// is a held task) and at two and four, streamed and two-phase.
@@ -340,8 +338,7 @@ fn aborts_with_a_held_successor_reconcile() {
     let chain = chains(1, 64, 0, 10, None);
     let rate_ppm = 60_000;
     for fault_seed in 0..8u64 {
-        let plan = FaultPlan { rate_ppm, seed: fault_seed, kill_worker: None };
-        let first = (0..64u32).find(|&t| plan.decide(t));
+        let first = (0..64u32).find(|&t| fault_decision(fault_seed, t, rate_ppm));
         let result =
             Executor::new(chaos_cfg(2, rate_ppm, fault_seed, FailurePolicy::FailFast)).run(&chain);
         match (first, result) {

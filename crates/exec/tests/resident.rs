@@ -134,11 +134,11 @@ fn the_crew_survives_every_way_a_run_can_end() {
     }
     next_run_is_clean("a run-deadline abort");
 
-    // A fired cancel token: same abort path, different cause. The
-    // token-only guarded lane's payloads poll the run's abort flag
-    // (DESIGN.md §11.4), so they stop in flight: the run is back long
-    // before a one-second payload could have finished on its own, well
-    // inside the documented bound of one payload poll.
+    // A fired cancel token: same abort path, different cause. Every
+    // real payload polls the run's stop check (DESIGN.md §11.3), so
+    // they stop in flight: the run is back long before a one-second
+    // payload could have finished on its own, well inside the
+    // documented bound of one payload poll.
     let token = CancelToken::new();
     let cancelled = ExecConfig { payload: spin, cancel: Some(token.clone()), ..base.clone() };
     let canceller = std::thread::spawn(move || {
@@ -208,12 +208,12 @@ fn an_armed_token_is_not_a_latency_floor() {
     }
 }
 
-/// An armed, unfired token puts every task on the guarded lane; that
-/// lane reads no clock, arms no per-worker slot and keeps no histogram
-/// — its payloads poll the run's abort flag — so a no-op Cholesky-paper
-/// run (30,856 tasks, nothing but scheduling) costs about 10% more than
-/// unarmed. When the lane read the clock, armed a deadline slot and
-/// bumped a retry histogram per task the ratio was 1.33–1.40
+/// An armed, unfired token changes nothing a task does: the worker loop
+/// loads it once per burst and before each park, never per task
+/// (DESIGN.md §11.3), so a no-op Cholesky-paper run (30,856 tasks,
+/// nothing but scheduling) costs what it costs unarmed. When a token
+/// put every task on a guarded lane that read the clock, armed a
+/// deadline slot and bumped a retry histogram the ratio was 1.33–1.40
 /// (DESIGN.md §11.4). Optimized builds only: an unoptimized
 /// task costs ~1.3 µs, which buries the ~50 ns in question (3–17% on
 /// either commit).

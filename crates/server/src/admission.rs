@@ -53,9 +53,9 @@ pub(crate) struct Admission<J> {
     draining: AtomicBool,
     /// The server-lifetime token every run's `ExecConfig` carries.
     /// Drain fires it past its deadline (DESIGN.md §14.4): running
-    /// graphs stop within one attempt, payload poll or decode step of
-    /// a running worker, and a job popped from then on is stranded —
-    /// its runner reports it cancelled without running it.
+    /// graphs stop within the stop bound of DESIGN.md §11.3, and a job
+    /// popped from then on is stranded — its runner reports it
+    /// cancelled without running it.
     pub(crate) cancel: CancelToken,
     max_graphs: u64,
     max_tasks: u64,

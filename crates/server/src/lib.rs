@@ -348,11 +348,9 @@ impl Server {
         let deadline_hit = !admission.wait_empty(self.shared.cfg.drain_deadline);
         if deadline_hit {
             admission.cancel.cancel();
-            // Cancellation latency is bounded (a running worker notices
-            // the token within one attempt, payload poll or decode
-            // step, DESIGN.md §11.3), so this
-            // second wait is a formality with a generous cap, not a
-            // second deadline.
+            // Cancellation latency is bounded (the stop bound of
+            // DESIGN.md §11.3), so this second wait is a formality with
+            // a generous cap, not a second deadline.
             let _ = admission.wait_empty(Duration::from_secs(60));
         }
         for h in self.runners {

@@ -445,4 +445,73 @@ mod tests {
             Action::Close(None)
         ));
     }
+
+    /// One generated read: `kind` picks the frame (mostly graph
+    /// frames), `graph` one of four ids, `arg` a batch size or a kernel,
+    /// and `pushed` the tasks `graph` has taken, which a seal whose `arg`
+    /// is not a multiple of 8 declares.
+    fn read(kind: u8, graph: u64, arg: u8, pushed: u64) -> Result<Frame, WireError> {
+        match kind {
+            0 => Ok(Frame::Hello { version: VERSION }),
+            1 => Err(WireError::Io(io::Error::from(io::ErrorKind::ConnectionReset))),
+            2 => Err(WireError::Decode(DecodeError::UnknownKind { kind: arg })),
+            3 => Ok(Frame::Shutdown),
+            4..=23 => open(graph),
+            // Kernel 1 of the one declared is a malformed push.
+            24..=43 => tasks(graph, u16::from(arg % 16 == 0), usize::from(arg % 3) + 1),
+            _ => seal(graph, if arg % 8 == 0 { pushed + 1 } else { pushed }),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Whatever a client sends, and whatever the rest of the server
+        /// reports: no more graphs are open than the quota, an id is
+        /// never opened over one that is open, and an `Admit` closes
+        /// the id it admits.
+        #[test]
+        fn step_keeps_its_invariants_under_any_reads(
+            greet in 0u8..4,
+            reads in proptest::prop::collection::vec((0u8..64, 0u8..4, 0u8..=255, 0u8..3), 0..48),
+        ) {
+            let quota = 3;
+            let mut s = Session::new(quota, 5);
+            let mut draining = false;
+            let first = (greet != 0).then_some((0, 0, 0, 0));
+            // Tasks each id has taken since it was opened.
+            let mut pushed = [0u64; 4];
+            for (kind, graph, arg, inflight) in first.into_iter().chain(reads) {
+                let (graph, inflight) = (u64::from(graph), u64::from(inflight));
+                let was_open = s.open.contains_key(&graph);
+                let frame = read(kind, graph, arg, pushed[graph as usize]);
+                if let Ok(Frame::Tasks { tasks, .. }) = &frame {
+                    pushed[graph as usize] += tasks.len() as u64;
+                }
+                let action = s.step(frame, draining, inflight);
+                if !s.open.contains_key(&graph) {
+                    pushed[graph as usize] = 0;
+                }
+                proptest::prop_assert!(
+                    s.open.len() <= quota as usize,
+                    "{} graphs open over a quota of {quota}",
+                    s.open.len()
+                );
+                match action {
+                    Action::Nothing if (4..=23).contains(&kind) => proptest::prop_assert!(
+                        !was_open,
+                        "graph {graph} opened while it was open"
+                    ),
+                    Action::Admit { graph: admitted, .. } => proptest::prop_assert!(
+                        admitted == graph && was_open && !s.open.contains_key(&graph),
+                        "Admit of graph {admitted} left it open"
+                    ),
+                    Action::Drain => draining = true,
+                    // The driver stops at a close.
+                    Action::Close(_) => break,
+                    _ => {}
+                }
+            }
+        }
+    }
 }
