@@ -27,14 +27,14 @@
 //! and streamed runs agreeing on the (seed-deterministic) failure sets.
 //!
 //! Flags: `--scale small|paper|large`, `--threads N`, `--payload
-//! noop|spin|memcpy|faulty|mixed`, `--policy lifo|fifo` (DESIGN.md
-//! §13), `--spin-scale F`, `--seed N`, `--window N`,
-//! `--decode-shards N`, `--no-renaming`, `--json`, `--out PATH`, plus
-//! the failure domain: `--fault-rate F` (0..=1), `--fault-seed N`,
-//! `--failure-policy fail-fast|quarantine`, `--run-deadline-ms N`,
-//! `--kill-worker W`. Bad flag values *and* bad flag combinations
-//! print a clear error naming the flags and exit 2 (they never panic);
-//! a structured run failure ([`ExecError`]) also exits 2.
+//! noop|spin|memcpy|faulty|mixed`, `--spin-scale F`, `--seed N`,
+//! `--window N`, `--decode-shards N`, `--no-renaming`, `--json`, `--out
+//! PATH`, plus the failure domain: `--fault-rate F` (0..=1),
+//! `--fault-seed N`, `--failure-policy fail-fast|quarantine`,
+//! `--run-deadline-ms N`, `--kill-worker W`. Bad flag values *and* bad
+//! flag combinations print a clear error naming the flags and exit 2
+//! (they never panic); a structured run failure ([`ExecError`]) also
+//! exits 2.
 //!
 //! Observability (DESIGN.md §12, needs a `--features obs` build —
 //! rejected up front otherwise): `--trace-out PATH` writes the
@@ -49,7 +49,7 @@
 
 use std::time::{Duration, Instant};
 
-use tss_bench::cli::{fail, validated_run, Flags, Parsed, RunFlags};
+use tss_bench::cli::{fail, validated_run, Flags, Parsed};
 use tss_bench::hw_threads;
 use tss_bench::json::{self, Fields};
 use tss_bench::ratio;
@@ -58,11 +58,10 @@ use tss_core::Table;
 use tss_exec::fault::install_quiet_hook;
 use tss_exec::{
     ConfigError, ExecConfig, ExecError, ExecReport, Executor, FailurePolicy, PayloadMode, Renamer,
-    SchedKind, SCHED_MENU,
 };
 use tss_obs::hist::Histogram;
 use tss_obs::Role;
-use tss_workloads::Benchmark;
+use tss_workloads::{Benchmark, Scale};
 
 /// The paper's software-decoder baseline (Section II): ~700 ns/task.
 const PAPER_SOFTWARE_DECODE_NS: f64 = 700.0;
@@ -72,8 +71,12 @@ const PAPER_SOFTWARE_DECODE_NS: f64 = 700.0;
 const DECODE_REPS: usize = 3;
 
 struct Args {
-    /// `--scale --json --out` (the rest of the group lands in `cfg`).
-    run: RunFlags,
+    /// The trace scale of every benchmark.
+    scale: Scale,
+    /// Print the JSON document to stdout instead of the table.
+    json: bool,
+    /// Where the artifact is written.
+    out: String,
     /// What every run of the session executes under. `validate` stays
     /// on: each completion log is oracle-checked by the run itself,
     /// after its timed span.
@@ -87,21 +90,23 @@ struct Args {
 
 fn parse_args() -> Parsed<Args> {
     let mut out = Args {
-        run: RunFlags::new("BENCH_exec.json"),
-        cfg: ExecConfig::default(),
+        scale: Scale::Small,
+        json: false,
+        out: "BENCH_exec.json".into(),
+        cfg: ExecConfig { seed: 42, ..ExecConfig::default() },
         fault_rate_ppm: 0,
         fault_seed: 7,
         trace_out: None,
         histogram: false,
     };
     let mut payload_name = String::from("noop");
+    let mut spin_scale = 1.0;
     let mut fault_rate: Option<f64> = None;
     let mut policy_name: Option<String> = None;
     let policies = FailurePolicy::all().map(|p| p.name()).join("|");
     let mut flags = Flags::from_env(format!(
         "exec [--scale small|paper|large] [--threads N] \
          [--payload noop|spin|memcpy|faulty|mixed] [--spin-scale F] [--seed N] \
-         [--policy {SCHED_MENU}] \
          [--window N] [--decode-shards N] [--no-renaming] [--json] [--out PATH] \
          [--fault-rate F --failure-policy {policies}] \
          [--fault-seed N] [--run-deadline-ms N] [--kill-worker W] \
@@ -109,10 +114,15 @@ fn parse_args() -> Parsed<Args> {
     ));
     while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
+            "--scale" => out.scale = flags.scale()?,
+            "--seed" => out.cfg.seed = flags.num()?,
+            "--json" => out.json = true,
+            "--out" => out.out = flags.value()?,
             "--threads" => out.cfg.threads = flags.positive()?,
             "--window" => out.cfg.window = flags.positive()?,
             "--decode-shards" => out.cfg.decode_shards = flags.positive()?,
             "--payload" => payload_name = flags.value()?,
+            "--spin-scale" => spin_scale = flags.num()?,
             "--no-renaming" => out.cfg.renaming = false,
             "--fault-rate" => {
                 let f: f64 = flags.num()?;
@@ -127,18 +137,12 @@ fn parse_args() -> Parsed<Args> {
             "--kill-worker" => out.cfg.kill_worker = Some(flags.num()?),
             "--trace-out" => out.trace_out = Some(flags.value()?),
             "--histogram" => out.histogram = true,
-            _ => out.run.take(&mut flags)?,
+            _ => return Err(flags.unknown()),
         }
     }
-    let run = &out.run;
-    out.cfg.seed = run.seed;
-    out.cfg.payload = PayloadMode::parse(&payload_name, run.spin_scale).ok_or_else(|| {
+    out.cfg.payload = PayloadMode::parse(&payload_name, spin_scale).ok_or_else(|| {
         format!("unknown payload '{payload_name}' (noop|spin|memcpy|faulty|mixed)")
     })?;
-    if let Some(v) = &run.policy {
-        out.cfg.sched =
-            SchedKind::parse(v).ok_or_else(|| format!("unknown policy '{v}' ({SCHED_MENU})"))?;
-    }
 
     // Flag-combination validation (all errors name the flags involved;
     // the CLI tests pin these). Injection must be paired with an
@@ -297,11 +301,10 @@ fn to_json(args: &Args, points: &[Point]) -> String {
     let cfg = &args.cfg;
     let header = Fields::new()
         .text("schema", "tss-bench-exec/v5")
-        .text("scale", args.run.scale.name())
+        .text("scale", args.scale.name())
         .put("threads", cfg.threads)
         .put("hw_threads", hw_threads())
         .text("payload", cfg.payload.name())
-        .text("policy", cfg.sched.name())
         .put("seed", cfg.seed)
         .put("window", cfg.window)
         .put("decode_shards", cfg.decode_shards)
@@ -472,7 +475,7 @@ fn main() {
     }
     let mut points = Vec::with_capacity(9);
     for bench in Benchmark::all() {
-        let trace = bench.trace(args.run.scale, args.cfg.seed);
+        let trace = bench.trace(args.scale, args.cfg.seed);
 
         // Decode microbench: the renamer alone, single pass, best of N.
         let renamer = Renamer::new().renaming(args.cfg.renaming);
@@ -527,8 +530,8 @@ fn main() {
     }
 
     let json = to_json(&args, &points);
-    std::fs::write(&args.run.out, &json)
-        .unwrap_or_else(|e| fail(format!("cannot write {}: {e}", args.run.out)));
+    std::fs::write(&args.out, &json)
+        .unwrap_or_else(|e| fail(format!("cannot write {}: {e}", args.out)));
 
     // Timeline export (DESIGN.md §12.4): the streaming runs, whose
     // worker tracks carry the decode steps too. Only reachable in an obs
@@ -543,7 +546,7 @@ fn main() {
         eprintln!("  [exec] wrote Chrome trace of {} runs to {path}", runs.len());
     }
 
-    if args.run.json {
+    if args.json {
         print!("{json}");
         if args.histogram {
             // Keep stdout parseable: the human table goes to stderr.
@@ -552,11 +555,10 @@ fn main() {
     } else {
         let mut table = Table::new(
             format!(
-                "Native executor ({} scale, {} threads, {} payload, {} policy, seed {}, window {}, {} decode shards)",
-                args.run.scale.name(),
+                "Native executor ({} scale, {} threads, {} payload, seed {}, window {}, {} decode shards)",
+                args.scale.name(),
                 args.cfg.threads,
                 args.cfg.payload.name(),
-                args.cfg.sched.name(),
                 args.cfg.seed,
                 args.cfg.window,
                 args.cfg.decode_shards,
@@ -627,6 +629,6 @@ fn main() {
                 fmt_count_pct(poisoned, total),
             );
         }
-        println!("(wrote {})", args.run.out);
+        println!("(wrote {})", args.out);
     }
 }

@@ -24,7 +24,7 @@ pub fn fail(msg: impl Display) -> ! {
 }
 
 /// Unwraps one executor run made with `ExecConfig::validate` on, as the
-/// `exec` and `sched` harnesses gate it. An
+/// `exec` harness gates it. An
 /// [`ExecError::OracleViolation`] is an executor bug: the `ORACLE
 /// VIOLATION` line, exit 1. Any other [`ExecError`] is a structured
 /// outcome of the run that was asked for (a fail-fast task failure, a
@@ -123,49 +123,6 @@ impl Flags {
     }
 }
 
-/// The flags `exec` and `sched` parse identically, at their shared
-/// defaults (`small`, spin scale 1.0, seed 42). `policy` stays as
-/// written — the two menus differ (`sched` also takes `all`).
-pub struct RunFlags {
-    pub scale: Scale,
-    pub policy: Option<String>,
-    pub spin_scale: f64,
-    pub seed: u64,
-    /// Print the JSON document to stdout instead of the table.
-    pub json: bool,
-    /// Where the artifact is written.
-    pub out: String,
-}
-
-impl RunFlags {
-    /// The defaults; `out` is the harness's artifact path.
-    pub fn new(out: &str) -> RunFlags {
-        RunFlags {
-            scale: Scale::Small,
-            policy: None,
-            spin_scale: 1.0,
-            seed: 42,
-            json: false,
-            out: out.into(),
-        }
-    }
-
-    /// Reads the current flag of `flags` if it is one of the group;
-    /// otherwise it is unknown (a harness matches its own flags first).
-    pub fn take(&mut self, flags: &mut Flags) -> Parsed<()> {
-        match flags.flag.as_str() {
-            "--scale" => self.scale = flags.scale()?,
-            "--policy" => self.policy = Some(flags.value()?),
-            "--spin-scale" => self.spin_scale = flags.num()?,
-            "--seed" => self.seed = flags.num()?,
-            "--json" => self.json = true,
-            "--out" => self.out = flags.value()?,
-            _ => return Err(flags.unknown()),
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,8 +133,8 @@ mod tests {
         f
     }
 
-    /// Every string below is one the CLI tests of `exec`, `sched`,
-    /// `serve` and `loadgen` grep for.
+    /// Every string below is one the CLI tests of `exec`, `serve` and
+    /// `loadgen` grep for.
     #[test]
     fn value_errors_name_the_flag() {
         assert_eq!(flags(&["--trace-out"]).value().unwrap_err(), "--trace-out needs a value");

@@ -1,6 +1,6 @@
 //! The one writer and the one reader of the harness artifacts
-//! (`BENCH_pipeline/exec/sched/serve.json`). `perf`, `exec`, `sched`
-//! and `loadgen` fill [`Fields`] lists and [`document`] lays them out;
+//! (`BENCH_pipeline/exec/serve.json`). `perf`, `exec` and `loadgen`
+//! fill [`Fields`] lists and [`document`] lays them out;
 //! `bench_check` and the CLI tests read them back with [`fields`] and
 //! [`rows`]. Not a JSON library — the workspace is offline
 //! (vendor/README.md) and every artifact is written by this module, so

@@ -12,7 +12,7 @@
 //!   byte-identical stdout (gated in CI; DESIGN.md §9.3).
 //!
 //! Bad flags and bad values exit 2 with one `error:` line — the
-//! contract [`cli`] states once for all 17 binaries.
+//! contract [`cli`] states once for all 16 binaries.
 //!
 //! See `DESIGN.md` §4 for the experiment-to-binary index and
 //! `EXPERIMENTS.md` for recorded paper-vs-measured results.

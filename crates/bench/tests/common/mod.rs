@@ -1,5 +1,5 @@
-//! Shared by the CLI tests of the four emitting harnesses (`perf`,
-//! `exec`, `sched`, `loadgen`).
+//! Shared by the CLI tests of the three emitting harnesses (`perf`,
+//! `exec`, `loadgen`).
 
 use tss_bench::json::{fields, get, rows, Object};
 

@@ -5,7 +5,6 @@ use std::time::Duration;
 
 use crate::fault::FailurePolicy;
 use crate::payload::PayloadMode;
-use crate::sched::SchedKind;
 use crate::sync::atomic::{AtomicU32, Ordering};
 
 /// Executor configuration.
@@ -42,9 +41,6 @@ pub struct ExecConfig {
     /// (the survivors adopt its deque via the thief protocol). Requires
     /// `threads >= 2`.
     pub kill_worker: Option<usize>,
-    /// Scheduling policy (DESIGN.md §13). The default, [`SchedKind::Lifo`],
-    /// monomorphizes to the pre-§13 worker loop.
-    pub sched: SchedKind,
     /// External cancellation (DESIGN.md §14.3): when the token fires,
     /// the first worker to check it aborts the run and it returns
     /// [`ExecError::Cancelled`](crate::fault::ExecError::Cancelled) with
@@ -66,7 +62,6 @@ impl Default for ExecConfig {
             policy: FailurePolicy::FailFast,
             run_deadline: None,
             kill_worker: None,
-            sched: SchedKind::Lifo,
             cancel: None,
         }
     }

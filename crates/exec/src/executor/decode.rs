@@ -15,7 +15,6 @@ use super::release::CommitCursors;
 use super::shared::Shared;
 use super::ExecConfig;
 use crate::renamer::{RenameStats, ShardState};
-use crate::sched::SchedPolicy;
 use crate::sync::atomic::{AtomicUsize, Ordering};
 use crate::sync::Mutex;
 
@@ -119,11 +118,7 @@ impl<'a> DecodeShared<'a> {
     /// open window, scans it, and commits the window if that scan
     /// completed it. Then the worker goes back to its deques
     /// (execute-first, DESIGN.md §8.2).
-    pub(super) fn step<P: SchedPolicy>(
-        &self,
-        shared: &Shared<'_, P>,
-        wobs: &mut WorkerObs,
-    ) -> bool {
+    pub(super) fn step(&self, shared: &Shared<'_>, wobs: &mut WorkerObs) -> bool {
         self.claim().map(|(shard, w)| self.scan(shard, w, shared, wobs)).is_some()
     }
 
@@ -148,13 +143,7 @@ impl<'a> DecodeShared<'a> {
 
     /// Scans window `w` of a claimed shard, releases it, and commits
     /// the window if this was its last scan.
-    fn scan<P: SchedPolicy>(
-        &self,
-        shard: &Shard,
-        w: usize,
-        shared: &Shared<'_, P>,
-        wobs: &mut WorkerObs,
-    ) {
+    fn scan(&self, shard: &Shard, w: usize, shared: &Shared<'_>, wobs: &mut WorkerObs) {
         let lo = w * self.window;
         let hi = (lo + self.window).min(self.trace.len());
         let span = SpanStamp::begin();
@@ -187,7 +176,7 @@ impl<'a> DecodeShared<'a> {
     /// window's roots are in the injector and the next window's steps
     /// are free. The commit lock also hands the injector's one-pusher
     /// role from committer to committer.
-    fn commit<P: SchedPolicy>(&self, w: usize, shared: &Shared<'_, P>, wobs: &mut WorkerObs) {
+    fn commit(&self, w: usize, shared: &Shared<'_>, wobs: &mut WorkerObs) {
         let mut st = self.commit.lock().expect("commit state poisoned");
         let CommitState { cursors, views, ended } = &mut *st;
         // Swapped in for the commit and back after it: `views` holds
@@ -308,7 +297,6 @@ mod model_tests {
     use super::super::release::StreamRelease;
     use super::*;
     use crate::renamer::Renamer;
-    use crate::sched::LifoPolicy;
     use shuttle::thread;
     use std::sync::Arc;
     use tss_trace::OperandDesc;
@@ -368,7 +356,7 @@ mod model_tests {
                 let operands = trace.iter().map(|t| t.operands.len()).sum();
                 let release = StreamRelease::new(trace.len(), operands);
                 let front = DecodeShared::new(trace, &cfg);
-                let shared = Arc::new(Shared::<LifoPolicy>::new(trace, release, Some(front), &cfg));
+                let shared = Arc::new(Shared::new(trace, release, Some(front), &cfg));
                 let workers: Vec<_> = [false, one_leaves]
                     .into_iter()
                     .map(|leaves| {

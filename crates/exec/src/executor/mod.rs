@@ -29,7 +29,7 @@
 //!   ([`Injector`](crate::deque::Injector)): a batch of roots is
 //!   claimed by one CAS. And a completion that readies successors keeps
 //!   the last one for its own worker to run next, without a push and a
-//!   pop, when the policy would have popped it straight back (the
+//!   pop, since the owner would have popped it straight back (the
 //!   scheduler bypass, §13.1).
 //! - **A locked instruction only where another thread can be racing.**
 //!   A counter nobody can be counting down yet is published by a plain
@@ -122,7 +122,6 @@ use crate::fault::{panic_message, ExecError, FailurePolicy, FaultReport};
 use crate::payload::shared_arena;
 use crate::renamer::{RenameStats, Renamer, TaskGraph};
 use crate::runtime::{self, Role};
-use crate::sched::{FifoPolicy, LifoPolicy, SchedKind, SchedPolicy};
 use crate::sync::atomic::Ordering;
 
 /// The native out-of-order task executor.
@@ -191,7 +190,7 @@ impl Executor {
     /// Task failures under `Quarantine` are *not* errors: they
     /// come back inside [`ExecReport::fault`].
     pub fn run(&self, trace: &TaskTrace) -> Result<ExecReport, ExecError> {
-        self.dispatch(trace, FrontEnd::Stream)
+        self.pipeline(trace, FrontEnd::Stream)
     }
 
     /// PR 3's two-phase shape: decode the whole trace first (timed as a
@@ -224,28 +223,14 @@ impl Executor {
         decode_wall: Duration,
     ) -> Result<ExecReport, ExecError> {
         assert_eq!(graph.len(), trace.len(), "graph decoded from a different trace");
-        self.dispatch(trace, FrontEnd::Graph { graph, decode_wall })
-    }
-
-    /// The one policy dispatch of the crate (DESIGN.md §13.1): each arm
-    /// monomorphizes the entire pipeline — worker loop, decode commit,
-    /// finish — over its policy type. No `dyn` anywhere.
-    fn dispatch(&self, trace: &TaskTrace, front: FrontEnd<'_>) -> Result<ExecReport, ExecError> {
-        match self.config.sched {
-            SchedKind::Lifo => self.pipeline::<LifoPolicy>(trace, front),
-            SchedKind::Fifo => self.pipeline::<FifoPolicy>(trace, front),
-        }
+        self.pipeline(trace, FrontEnd::Graph { graph, decode_wall })
     }
 
     /// One run, whatever its entry point: build the shared state, let
     /// the front end put the graph into the release table — before the
     /// crew starts, or by decode steps its workers take — and run the
     /// workers until the last ticket.
-    fn pipeline<P: SchedPolicy>(
-        &self,
-        trace: &TaskTrace,
-        front: FrontEnd<'_>,
-    ) -> Result<ExecReport, ExecError> {
+    fn pipeline(&self, trace: &TaskTrace, front: FrontEnd<'_>) -> Result<ExecReport, ExecError> {
         let cfg = &self.config;
         // The submitter's two role clocks (DESIGN.md §12.6): set-up runs
         // to the crew hand-off, finish from the crew's return.
@@ -260,7 +245,7 @@ impl Executor {
             }
             FrontEnd::Graph { graph, .. } => (StreamRelease::from_graph(graph), None),
         };
-        let shared: Shared<'_, P> = Shared::new(trace, release, decode, cfg);
+        let shared = Shared::new(trace, release, decode, cfg);
         if let FrontEnd::Graph { graph, .. } = front {
             for r in graph.roots() {
                 shared.injector.push(r as u32);
@@ -294,7 +279,7 @@ impl Executor {
     /// leased from the resident runtime (DESIGN.md §15) and returns once
     /// all of them have. An empty graph has nothing to run and leases
     /// nothing.
-    fn run_crew<'r, P: SchedPolicy>(&self, shared: &'r Shared<'_, P>, arena: &'r [u8]) -> CrewOut {
+    fn run_crew<'r>(&self, shared: &'r Shared<'_>, arena: &'r [u8]) -> CrewOut {
         let threads = self.config.threads;
         let mut exits: Vec<Option<WorkerExit>> = (0..threads).map(|_| None).collect();
         if shared.n > 0 {
@@ -340,10 +325,10 @@ impl Executor {
         }
     }
 
-    fn finish<P: SchedPolicy>(
+    fn finish(
         &self,
         trace: &TaskTrace,
-        shared: Shared<'_, P>,
+        shared: Shared<'_>,
         timing: RunTiming,
         crew: CrewOut,
     ) -> Result<ExecReport, ExecError> {

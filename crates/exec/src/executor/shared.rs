@@ -16,7 +16,6 @@ use super::{CancelToken, ExecConfig};
 use crate::deque::{ChaseLev, Injector};
 use crate::fault::{FailedTask, FailurePolicy};
 use crate::payload::PayloadMode;
-use crate::sched::SchedPolicy;
 use crate::sync::atomic::{AtomicU32, AtomicU8, AtomicUsize, Ordering};
 use crate::sync::Mutex;
 
@@ -34,16 +33,12 @@ pub(super) const RUN_DEADLINE: u32 = 3;
 pub(super) const CANCELLED: u32 = 4;
 
 /// Shared replay state (borrowed by every worker of the run's crew).
-pub(super) struct Shared<'a, P: SchedPolicy> {
+pub(super) struct Shared<'a> {
     /// How completions find their successors.
     pub(super) release: StreamRelease,
     /// The decode steps a streamed run's workers take (§8.2); `None`
     /// for a graph decoded beforehand.
     pub(super) front: Option<DecodeShared<'a>>,
-    /// The scheduling policy (DESIGN.md §13): statically dispatched,
-    /// so the default [`LifoPolicy`] build monomorphizes every hook
-    /// into the pre-§13 inline code.
-    pub(super) sched: P,
     pub(super) trace: &'a TaskTrace,
     pub(super) n: usize,
     /// Completion tickets: `order[k]` is the k-th task to complete.
@@ -85,13 +80,13 @@ pub(super) struct Shared<'a, P: SchedPolicy> {
     pub(super) infra_panic: Mutex<Option<String>>,
 }
 
-impl<P: SchedPolicy> Shared<'_, P> {
+impl Shared<'_> {
     pub(super) fn new<'t>(
         trace: &'t TaskTrace,
         release: StreamRelease,
         front: Option<DecodeShared<'t>>,
         cfg: &ExecConfig,
-    ) -> Shared<'t, P> {
+    ) -> Shared<'t> {
         let n = trace.len();
         let threads = cfg.threads;
         let payload = cfg.payload;
@@ -99,7 +94,6 @@ impl<P: SchedPolicy> Shared<'_, P> {
         Shared {
             release,
             front,
-            sched: P::new(),
             trace,
             n,
             order: (0..n).map(|_| AtomicU32::new(u32::MAX)).collect(),

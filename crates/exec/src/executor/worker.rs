@@ -21,12 +21,12 @@ use crate::fault::{
     fault_decision, panic_message, FailedTask, FailurePolicy, TaskFailure, INJECTED_PANIC_MARKER,
 };
 use crate::payload::{PayloadMode, PayloadScratch};
-use crate::sched::{victims, SchedPolicy};
+use crate::sched::victims;
 use crate::sync::atomic::Ordering;
 
 /// What a completion hands its worker's loop, beside what it pushed:
 /// the reused batch buffer, and the scheduler bypass slot (DESIGN.md
-/// §13.1) — the last task of the batch, when the policy runs it next
+/// §13.1) — the last task of the batch, which the owner would pop next
 /// anyway, kept here instead of pushed to the deque and popped straight
 /// back through §8.1's fence; or the task the idle path just claimed,
 /// which opens the next burst. Worker-private: nobody can steal `next`,
@@ -44,10 +44,10 @@ struct Released {
 /// termination count, and because a failed/poisoned task still only
 /// completes after its producers, the *full* log (completed + failed +
 /// poisoned) stays a valid `DepGraph` linearization.
-fn complete<P: SchedPolicy>(
+fn complete(
     t: u32,
     w: usize,
-    shared: &Shared<'_, P>,
+    shared: &Shared<'_>,
     out: &mut Released,
     wobs: &mut WorkerObs,
     poisoned: bool,
@@ -71,16 +71,14 @@ fn complete<P: SchedPolicy>(
         shared.release.release(t, ready, &shared.obs);
     }
     let released = ready.len();
-    // Scheduler bypass: under a policy whose owner would pop the last
-    // task it pushes, that task is the one this worker runs next — it
-    // skips the deque. A sampled one still leaves its Spawn event, so
-    // the Task slice that follows pairs with a queue wait of ~zero.
-    if shared.sched.runs_last_ready_next() {
-        *next = ready.pop();
-        if let Some(s) = *next {
-            if tss_obs::sampled(s) {
-                wobs.spawn(s, &shared.obs);
-            }
+    // Scheduler bypass: the owner would pop the last task it pushes,
+    // so that task is the one this worker runs next — it skips the
+    // deque. A sampled one still leaves its Spawn event, so the Task
+    // slice that follows pairs with a queue wait of ~zero.
+    *next = ready.pop();
+    if let Some(s) = *next {
+        if tss_obs::sampled(s) {
+            wobs.spawn(s, &shared.obs);
         }
     }
     for &s in ready.iter() {
@@ -115,9 +113,9 @@ fn complete<P: SchedPolicy>(
 /// arm: busy time is accumulated per burst by `worker_loop`, so no-op
 /// runs measure pure decode + scheduling throughput.
 #[inline]
-fn run_payload<P: SchedPolicy>(
+fn run_payload(
     t: u32,
-    shared: &Shared<'_, P>,
+    shared: &Shared<'_>,
     scratch: &mut PayloadScratch<'_>,
 ) -> Result<bool, Box<dyn Any + Send>> {
     match shared.payload {
@@ -152,10 +150,10 @@ fn run_payload<P: SchedPolicy>(
 /// returns whether its worker's burst may go on: false once a payload
 /// was stopped by the run's stop check — dropped, neither completed nor
 /// failed, because the run is ending.
-fn run_task<P: SchedPolicy>(
+fn run_task(
     t: u32,
     w: usize,
-    shared: &Shared<'_, P>,
+    shared: &Shared<'_>,
     scratch: &mut PayloadScratch<'_>,
     stats: &mut WorkerStats,
     out: &mut Released,
@@ -201,10 +199,10 @@ fn run_task<P: SchedPolicy>(
 
 /// Applies the failure policy to task `t`, whose payload failed with
 /// `failure`: fail fast, or quarantine its successor cone.
-fn resolve_failure<P: SchedPolicy>(
+fn resolve_failure(
     t: u32,
     w: usize,
-    shared: &Shared<'_, P>,
+    shared: &Shared<'_>,
     out: &mut Released,
     wobs: &mut WorkerObs,
     failure: TaskFailure,
@@ -244,9 +242,9 @@ pub(super) enum WorkerExit {
     Killed(WorkerStats, WorkerObs),
 }
 
-pub(super) fn worker_loop<P: SchedPolicy>(
+pub(super) fn worker_loop(
     w: usize,
-    shared: &Shared<'_, P>,
+    shared: &Shared<'_>,
     arena: &[u8],
     cfg: &ExecConfig,
 ) -> WorkerExit {
@@ -272,8 +270,8 @@ pub(super) fn worker_loop<P: SchedPolicy>(
     let mut rng = cfg.seed ^ (w as u64).wrapping_mul(0xA076_1D64_78BD_642F);
     let me = &shared.deques[w];
     // What this worker runs next: the task its last completion held
-    // back (§13.1), else whatever the policy takes from its deque.
-    let take_next = |out: &mut Released| out.next.take().or_else(|| shared.sched.take_local(me));
+    // back (§13.1), else the newest task on its deque.
+    let take_next = |out: &mut Released| out.next.take().or_else(|| me.pop());
     // Victim scan order, refilled each idle scan (reused so the steady
     // state allocates nothing).
     let mut scan: Vec<usize> = Vec::with_capacity(shared.deques.len());
@@ -333,9 +331,9 @@ pub(super) fn worker_loop<P: SchedPolicy>(
         // the epoch and aborts the park (§8 Dekker pairing).
         let epoch = shared.parker.current_epoch();
         let task = shared.injector.claim_batch_into(me, BATCH_MAX).or_else(|| {
-            // One random rotation over everyone else, under either
-            // policy. The scan is *complete* — every deque is visited —
-            // which the park/termination argument requires.
+            // One random rotation over everyone else. The scan is
+            // *complete* — every deque is visited — which the
+            // park/termination argument requires.
             victims(w, shared.deques.len(), &mut rng, &mut scan);
             scan.iter().find_map(|&victim| {
                 let t = shared.deques[victim].steal_batch_into(me, BATCH_MAX);
@@ -560,19 +558,22 @@ mod tests {
         }
     }
 
+    /// A zero deadline is what the server passes for a graph whose
+    /// budget ran out in its queue.
     #[test]
     fn a_one_nanosecond_run_deadline_stops_a_no_op_run() {
         let trace = Benchmark::Cholesky.trace(Scale::Small, 1);
-        let cfg = ExecConfig {
-            threads: 2,
-            run_deadline: Some(Duration::from_nanos(1)),
-            ..ExecConfig::default()
-        };
-        match Executor::new(cfg).run(&trace) {
-            Err(ExecError::RunDeadline { completed: 0, tasks, .. }) => {
-                assert_eq!(tasks, trace.len());
+        for deadline in [Duration::ZERO, Duration::from_nanos(1)] {
+            let cfg =
+                ExecConfig { threads: 2, run_deadline: Some(deadline), ..ExecConfig::default() };
+            match Executor::new(cfg).run(&trace) {
+                Err(ExecError::RunDeadline { completed: 0, tasks, .. }) => {
+                    assert_eq!(tasks, trace.len());
+                }
+                other => panic!(
+                    "{deadline:?}: expected RunDeadline with nothing complete, got {other:?}"
+                ),
             }
-            other => panic!("expected RunDeadline with nothing complete, got {other:?}"),
         }
     }
 

@@ -60,7 +60,7 @@ pub mod fault;
 pub mod payload;
 pub mod renamer;
 mod runtime;
-pub mod sched;
+mod sched;
 pub mod sync;
 
 pub use deque::ChaseLev;
@@ -70,7 +70,6 @@ pub use executor::{
 pub use fault::{ExecError, FailedTask, FailurePolicy, FaultReport, TaskFailure};
 pub use payload::PayloadMode;
 pub use renamer::{RenameStats, Renamer, StreamingRenamer, TaskGraph};
-pub use sched::{FifoPolicy, LifoPolicy, SchedKind, SchedPolicy, SCHED_MENU};
 
 /// The observability layer (DESIGN.md §12), re-exported so harnesses
 /// can consume [`ExecReport::obs`] (`tss_obs::ObsReport`, Chrome trace

@@ -99,8 +99,8 @@ pub enum PayloadMode {
     },
     /// Per-task heterogeneous work (DESIGN.md §13.2): memory-class
     /// tasks ([`task_class`] = [`CLASS_MEMORY`]) run the memcpy
-    /// payload, compute-class tasks spin for their traced runtime. The
-    /// workload the `sched` ablation harness runs.
+    /// payload, compute-class tasks spin for their traced runtime
+    /// (`exec --payload mixed`).
     Mixed {
         /// Multiplier on the traced runtime of the spinning class.
         time_scale: f64,

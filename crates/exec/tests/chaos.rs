@@ -218,7 +218,7 @@ fn failure_sets_are_thread_count_invariant() {
 /// `chains` independent chains of `len` tasks (an `inout` each on its
 /// chain's object), chain by chain; every `leaf_every`-th link also
 /// writes a buffer one leaf task, at the end of the trace, reads.
-/// Completing a link readies its successor — which the default policy
+/// Completing a link readies its successor — which the executor
 /// keeps in the completing worker's bypass slot and runs next, so on
 /// these graphs nearly every task reaches its worker through the slot
 /// and the deques hold little but leaves. `runtime` in cycles, for the

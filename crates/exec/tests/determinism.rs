@@ -8,11 +8,13 @@
 //!   so two runs must produce byte-identical completion logs. A
 //!   streamed run adds no decode race either: its one worker decodes
 //!   only when it has nothing to run (DESIGN.md §8.2). Both orders are
-//!   pinned across commits by a digest each.
+//!   pinned across commits by a digest each, and a real payload (the
+//!   `mixed` one) leaves the order as it is.
 //! - **Multi-thread replay is oracle-deterministic, not bit-
 //!   deterministic.** The OS scheduler interleaves workers freely; the
 //!   contract is that *every* interleaving linearizes the dependency
-//!   order. A proptest over seeds × thread counts (2, 4, 8) pins it.
+//!   order. A proptest over seeds × thread counts (2, 4, 8) × front
+//!   ends (streamed, two-phase) pins it.
 //! - **The renamer is the oracle's twin.** With renaming on, its
 //!   pred/succ structure must equal `DepGraph`'s enforced edge set on
 //!   every benchmark.
@@ -25,20 +27,23 @@ use tss_workloads::{Benchmark, Scale};
 
 #[test]
 fn single_thread_replay_is_bit_deterministic() {
-    for b in [Benchmark::Cholesky, Benchmark::H264, Benchmark::Stap] {
-        let trace = b.trace(Scale::Small, 7);
-        let run = |seed| {
-            Executor::new(ExecConfig { threads: 1, seed, ..ExecConfig::default() })
-                .run_oneshot(&trace)
-                .expect("replay failed")
-        };
-        let first = run(1);
-        let second = run(1);
-        assert_eq!(first.order, second.order, "{b}: single-thread order drifted");
-        // Even the steal seed must be irrelevant with one worker.
-        let other_seed = run(99);
-        assert_eq!(first.order, other_seed.order, "{b}: seed leaked into 1-thread order");
-        assert_eq!(first.total_steals(), 0);
+    for payload in [PayloadMode::Noop, PayloadMode::Mixed { time_scale: 0.05 }] {
+        for b in [Benchmark::Cholesky, Benchmark::H264, Benchmark::Stap] {
+            let trace = b.trace(Scale::Small, 7);
+            let run = |seed| {
+                Executor::new(ExecConfig { threads: 1, seed, payload, ..ExecConfig::default() })
+                    .run_oneshot(&trace)
+                    .expect("replay failed")
+            };
+            let first = run(1);
+            let second = run(1);
+            let name = payload.name();
+            assert_eq!(first.order, second.order, "{b}, {name}: single-thread order drifted");
+            // Even the steal seed must be irrelevant with one worker.
+            let other_seed = run(99);
+            assert_eq!(first.order, other_seed.order, "{b}, {name}: seed leaked into the order");
+            assert_eq!(first.total_steals(), 0);
+        }
     }
 }
 
@@ -175,14 +180,16 @@ fn every_benchmark_replays_validated_at_two_four_and_eight_threads() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
     fn multithread_replay_always_linearizes_the_oracle(
         seed in 1u32..50_000,
         thread_sel in 0u8..3,
         bench_sel in 0u8..9,
+        streamed_sel in 0u8..2,
     ) {
+        let streamed = streamed_sel == 1;
         let threads = [2usize, 4, 8][thread_sel as usize];
         let bench = Benchmark::all()[bench_sel as usize];
         let trace = bench.trace(Scale::Small, seed as u64);
@@ -193,13 +200,17 @@ proptest! {
             validate: false, // validated explicitly below for a prop_assert
             ..ExecConfig::default()
         };
-        let report = Executor::new(cfg).run(&trace).expect("replay failed");
+        let exec = Executor::new(cfg);
+        let report = if streamed { exec.run(&trace) } else { exec.run_oneshot(&trace) }
+            .expect("replay failed");
         let oracle = DepGraph::from_trace(&trace);
         prop_assert!(
             oracle.validate_order(&report.order).is_ok(),
-            "{} at {} threads, seed {}: completion log violates the oracle",
-            bench, threads, seed
+            "{} at {} threads, seed {} ({}): completion log violates the oracle",
+            bench, threads, seed, if streamed { "stream" } else { "replay" }
         );
         prop_assert_eq!(report.order.len(), trace.len());
+        let executed: u64 = report.workers.iter().map(|w| w.executed).sum();
+        prop_assert_eq!(executed as usize, trace.len());
     }
 }

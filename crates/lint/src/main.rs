@@ -37,11 +37,7 @@
 //!    the observability layer sees every timestamp source and the
 //!    noop/ring builds cannot drift in timing semantics. Test regions
 //!    are exempt, as in check 6.
-//! 8. **SchedPolicy facade** — any file implementing `SchedPolicy`
-//!    (wherever it lives) must take its sync primitives from the
-//!    facade, not `std::sync`, or the model checker of DESIGN.md §10
-//!    silently stops covering it (`Arc` alone is permitted).
-//! 9. **Socket discipline** — production code in the service crates
+//! 8. **Socket discipline** — production code in the service crates
 //!    (`crates/proto`, `crates/server`, `crates/client`) must not
 //!    `.unwrap()` / `.expect(` a socket I/O result (read/write/flush/
 //!    accept/connect/shutdown and the setsockopt-style setters): a
@@ -649,45 +645,7 @@ fn check_instant_discipline(file: &str, stripped: &[&str]) -> Vec<Violation> {
 }
 
 // ---------------------------------------------------------------------
-// Check 8: SchedPolicy impls stay inside the sync facade
-// ---------------------------------------------------------------------
-
-/// Flags any `std::sync` reference in a file that implements
-/// `SchedPolicy`. Stricter than the facade check (which only bans
-/// the modeled primitives inside `crates/exec/src/`): policy hooks run
-/// on the worker hot path *and* under the shuttle scheduler, so a
-/// policy defined anywhere — a bench experiment, a test crate — must
-/// take every primitive (including `Arc`) from the facade, or the
-/// model checker of DESIGN.md §10 silently stops covering it (§13.1).
-fn check_sched_policy_facade(file: &str, stripped: &[&str]) -> Vec<Violation> {
-    // Path-qualified impls (`impl sched::SchedPolicy for ...`) count.
-    let implements = stripped.iter().any(|s| s.contains("impl ") && s.contains("SchedPolicy for "));
-    if !implements {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for (i, s) in stripped.iter().enumerate() {
-        // `std::sync::Arc` alone is permitted: it is plain refcounting,
-        // shuttle ships no double for it, and the model tests need it to
-        // share policies across shuttle threads. A grouped import that
-        // smuggles anything else alongside Arc is still flagged.
-        let arc_only = s.contains("std::sync::Arc") && !s.contains('{');
-        if s.contains("std::sync") && !arc_only {
-            out.push(Violation {
-                file: file.to_string(),
-                line: i + 1,
-                msg: "`std::sync` in a file implementing SchedPolicy — policy hooks \
-                      run under the model checker, so every sync primitive must come \
-                      from the facade (`crate::sync` / `tss_exec::sync`, DESIGN.md §13)"
-                    .into(),
-            });
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// Check 9: socket I/O results become structured errors, not panics
+// Check 8: socket I/O results become structured errors, not panics
 // ---------------------------------------------------------------------
 
 /// Socket-facing call tokens whose `Result` must never be unwrapped in
@@ -821,7 +779,6 @@ fn run(root: &Path) -> ExitCode {
         relaxed_sites += sites;
         violations.extend(found);
         violations.extend(check_facade(&f.rel, &stripped));
-        violations.extend(check_sched_policy_facade(&f.rel, &stripped));
         violations.extend(check_join_discipline(&f.rel, &stripped));
         violations.extend(check_instant_discipline(&f.rel, &stripped));
         violations.extend(check_socket_unwrap(&f.rel, &stripped));
@@ -891,9 +848,8 @@ fn main() -> ExitCode {
                      Ordering::Relaxed, the sync facade boundary, DESIGN.md\n\
                      citation integrity, crate hygiene attributes, the\n\
                      JoinHandle unwrap ban (DESIGN.md §11), the Instant::now\n\
-                     timing-facade ban (DESIGN.md §12.1), the SchedPolicy\n\
-                     facade ban (DESIGN.md §13), and the socket-unwrap ban in\n\
-                     the service crates (DESIGN.md §14.2). Exits nonzero on\n\
+                     timing-facade ban (DESIGN.md §12.1), and the socket-unwrap\n\
+                     ban in the service crates (DESIGN.md §14.2). Exits nonzero on\n\
                      any violation."
                 );
                 return ExitCode::SUCCESS;
@@ -1108,42 +1064,6 @@ use crate::sync::atomic::AtomicU32;
         let v = check_facade("crates/exec/src/deque.rs", &lines(&stripped));
         assert_eq!(v.len(), 2, "{v:?}");
         assert_eq!((v[0].line, v[1].line), (1, 2));
-    }
-
-    #[test]
-    fn sched_policy_files_must_use_the_facade_everywhere() {
-        // A policy impl outside crates/exec/src/ still gets the scan —
-        // `Arc` alone passes (no shuttle double exists), but any other
-        // `std::sync` primitive is flagged even there.
-        let src = "\
-use std::sync::Arc;
-use std::sync::RwLock;
-use tss_exec::sync::Mutex;
-struct MyPolicy;
-impl SchedPolicy for MyPolicy {}
-";
-        let stripped = strip_code(src);
-        let v = check_sched_policy_facade("crates/bench/src/bin/custom.rs", &lines(&stripped));
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].line, 2);
-        assert!(v[0].msg.contains("SchedPolicy"));
-
-        // A grouped import smuggling more than Arc is still flagged.
-        let src = "use std::sync::{Arc, Mutex};\nimpl SchedPolicy for Q {}\n";
-        let stripped = strip_code(src);
-        let v = check_sched_policy_facade("crates/bench/src/bin/custom.rs", &lines(&stripped));
-        assert_eq!(v.len(), 1, "{v:?}");
-
-        // Path-qualified impls count too.
-        let src = "use std::sync::Mutex;\nimpl sched::SchedPolicy for P {}\n";
-        let stripped = strip_code(src);
-        let v = check_sched_policy_facade("crates/exec/src/custom.rs", &lines(&stripped));
-        assert_eq!(v.len(), 1, "{v:?}");
-
-        // No impl, no scan — ordinary files are the facade check's job.
-        let src = "use std::sync::Arc;\nfn f() {}\n";
-        let stripped = strip_code(src);
-        assert!(check_sched_policy_facade("crates/bench/src/x.rs", &lines(&stripped)).is_empty());
     }
 
     #[test]

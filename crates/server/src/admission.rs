@@ -54,8 +54,8 @@ pub(crate) struct Admission<J> {
     /// The server-lifetime token every run's `ExecConfig` carries.
     /// Drain fires it past its deadline (DESIGN.md §14.4): running
     /// graphs stop within the stop bound of DESIGN.md §11.3, and a job
-    /// popped from then on is stranded — its runner reports it
-    /// cancelled without running it.
+    /// popped from then on stops at its run's first stop check, before
+    /// any task completes.
     pub(crate) cancel: CancelToken,
     max_graphs: u64,
     max_tasks: u64,

@@ -54,33 +54,25 @@ pub(crate) struct Job {
 
 /// One runner thread: run and deliver admitted graphs until admission
 /// is closed and empty. A graph popped after drain fired the cancel
-/// token is stranded: reported `Cancelled{0, tasks}` without running.
+/// token runs too: the executor's first stop check comes before its
+/// first completion, so it answers `Cancelled{0, tasks}`.
 pub(crate) fn runner_loop(shared: Arc<ServerShared>) {
     while let Some(job) = shared.admission.next() {
-        let outcome = if shared.admission.cancel.is_cancelled() {
-            GraphOutcome::Cancelled { completed: 0, tasks: job.trace.len() as u64 }
-        } else {
-            run_job(&job, &shared)
-        };
+        let outcome = run_job(&job, &shared);
         deliver(&job, outcome, &shared);
     }
 }
 
 /// Runs one admitted graph inside the full containment stack and maps
-/// the result onto the wire outcome.
+/// the result onto the wire outcome. A deadline that burned out in the
+/// queue becomes a zero run deadline, which the executor's first stop
+/// check answers `DeadlineExpired{0, tasks}` before any task completes.
 fn run_job(job: &Job, shared: &ServerShared) -> GraphOutcome {
     let total = job.trace.len() as u64;
-    let mut run_deadline = None;
-    if job.deadline_ms > 0 {
+    let run_deadline = (job.deadline_ms > 0).then(|| {
         let budget = Duration::from_millis(u64::from(job.deadline_ms));
-        let waited = job.admitted.elapsed();
-        if waited >= budget {
-            // The deadline burned out in the queue: report expiry
-            // without spinning up an executor that would only confirm.
-            return GraphOutcome::DeadlineExpired { completed: 0, tasks: total };
-        }
-        run_deadline = Some(budget - waited);
-    }
+        budget.saturating_sub(job.admitted.elapsed())
+    });
     let cfg = ExecConfig {
         threads: shared.cfg.exec_threads.max(1),
         payload: shared.cfg.payload,
@@ -148,9 +140,9 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
-/// The one exit path for an admitted graph, run or stranded: return
-/// its reservation and its session's quota slot, enter the outcome in
-/// the ledger, then attempt `Done` delivery.
+/// The one exit path for an admitted graph: return its reservation
+/// and its session's quota slot, enter the outcome in the ledger, then
+/// attempt `Done` delivery.
 fn deliver(job: &Job, outcome: GraphOutcome, shared: &ServerShared) {
     // Release capacity *before* the client can observe the outcome:
     // a client that reacts to `Done` by submitting again must find
