@@ -3,7 +3,7 @@
 //! 1. the decode-rate rule `R = T/P` (Figure 3): target decode rates for
 //!    32–256 processors against the software decoder's ~700 ns;
 //! 2. the L1 knee: task runtime and stall fraction vs working-set size
-//!    on the modeled cache hierarchy (64 KB L1) — why the paper insists
+//!    under Table II's memory costs (64 KB L1) — why the paper insists
 //!    on L1-sized blocks instead of longer tasks.
 
 use tss_bench::HarnessArgs;

@@ -9,7 +9,8 @@ use tss_pipeline::FrontendConfig;
 fn main() {
     let fe = FrontendConfig::default();
     let be = BackendConfig::for_cores(256);
-    let mem = HierarchyConfig::for_cores(256);
+    // Of the memory rows only the L1 size and L2/DRAM costs feed a figure: `motivation`'s knee.
+    let mem = HierarchyConfig::default();
 
     let mut t = Table::new("Table II: simulated system parameters", &["Component", "Setting"]);
     t.row(vec![

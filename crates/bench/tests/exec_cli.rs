@@ -7,18 +7,8 @@ use std::process::Command;
 
 mod common;
 
-/// The committed `BENCH_exec_small.json` as a key set for the artifact
-/// to carry, less its top-level `policy` key: the harness has had one
-/// scheduling discipline since that key went (DESIGN.md §13), and
-/// `bench_check` reads only rows and `totals`, so the baseline file is
-/// left as committed. The artifact must not carry the key either.
-fn exec_baseline_keys(artifact: &str) -> String {
-    assert!(!artifact.contains("\"policy\""), "the retired policy key is back");
-    let baseline = include_str!("../../../ci/baselines/BENCH_exec_small.json");
-    let keys = baseline.replace("  \"policy\": \"lifo\",\n", "");
-    assert_ne!(keys, baseline, "the baseline no longer carries the policy key");
-    keys
-}
+/// The committed baseline the artifact's key set must cover.
+const EXEC_BASELINE: &str = include_str!("../../../ci/baselines/BENCH_exec_small.json");
 
 fn run(args: &[&str]) -> (i32, String) {
     let out =
@@ -249,7 +239,7 @@ fn obs_build_writes_a_chrome_trace_and_latency_fields() {
     let table = String::from_utf8_lossy(&out.stdout);
     assert!(table.contains("Thread CPU per role"), "no role table on stdout: {table}");
     assert!(bj.contains("\"hw_threads\""), "artifact must stamp the real core count");
-    common::assert_carries_keys_of(&bj, &exec_baseline_keys(&bj), None);
+    common::assert_carries_keys_of(&bj, EXEC_BASELINE, None);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -265,5 +255,5 @@ fn exec_json_carries_the_key_set_of_its_committed_baseline() {
         .expect("spawn exec harness");
     assert!(out.status.success(), "exec failed: {}", String::from_utf8_lossy(&out.stderr));
     let doc = String::from_utf8_lossy(&out.stdout);
-    common::assert_carries_keys_of(&doc, &exec_baseline_keys(&doc), Some("_ns"));
+    common::assert_carries_keys_of(&doc, EXEC_BASELINE, Some("_ns"));
 }

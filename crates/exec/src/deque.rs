@@ -78,7 +78,7 @@
 use crate::sync::atomic::{fence, AtomicIsize, AtomicPtr, AtomicU32, Ordering};
 use crate::sync::Mutex;
 
-use tss_sim::CachePadded;
+use tss_sim::{CachePadded, SplitMix64};
 
 mod injector;
 pub use injector::Injector;
@@ -376,19 +376,20 @@ impl ChaseLev {
     }
 }
 
-/// The steal-victim rotation (DESIGN.md §13): fills `buf` with every
-/// worker index except `me` (out of `n` workers), rotated so the scan
-/// starts at a rotation-offset derived from `r`. This is exactly the
-/// rotation the pre-§13 executor inlined — `others` ascending, scan
-/// from `r % (n-1)` — and what the worker loop's one victim scan
-/// (`sched::victims`) fills its buffer with.
-pub fn rotate_victims(me: usize, n: usize, r: u64, buf: &mut Vec<usize>) {
+/// The steal scan (DESIGN.md §13): fills `buf` with every worker index
+/// except `me` (out of `n` workers), ascending and rotated to start at
+/// `r % (n-1)` for one draw `r` of the idle worker's `rng`. This is the
+/// pre-§13 inline scan *including its rng consumption* — one draw per
+/// scan, none when there is no victim — so a seeded run is
+/// schedule-identical to it. The scan is complete (every other deque,
+/// once), which the park/termination argument requires.
+pub fn rotate_victims(me: usize, n: usize, rng: &mut SplitMix64, buf: &mut Vec<usize>) {
     buf.clear();
     if n <= 1 {
         return;
     }
     let len = n - 1;
-    let start = (r as usize) % len;
+    let start = (rng.next_u64() as usize) % len;
     for i in 0..len {
         let idx = (start + i) % len;
         // The ascending all-but-`me` list, materialized lazily:
@@ -429,24 +430,32 @@ mod tests {
     use std::collections::VecDeque;
 
     #[test]
-    fn rotate_victims_is_the_baseline_rotation() {
-        // Must reproduce the pre-§13 inline scan: `others` ascending
-        // (all-but-me), visited from `r % others.len()`.
+    fn lifo_victims_match_the_baseline_scan() {
+        // Same rng stream, same order as the pre-§13 inline code:
+        // `others` ascending (all-but-me), visited from `r % others.len()`.
         let mut buf = Vec::new();
         for n in 1..6usize {
             for me in 0..n {
                 let others: Vec<usize> = (0..n).filter(|&v| v != me).collect();
-                for r in 0..8u64 {
-                    rotate_victims(me, n, r, &mut buf);
+                let mut rng_scan = SplitMix64::new(7);
+                let mut rng_base = SplitMix64::new(7);
+                for _ in 0..16 {
+                    rotate_victims(me, n, &mut rng_scan, &mut buf);
                     if others.is_empty() {
+                        // Single worker: no victims and, critically, no rng draw.
                         assert!(buf.is_empty());
                         continue;
                     }
-                    let start = (r as usize) % others.len();
+                    let start = (rng_base.next_u64() as usize) % others.len();
                     let want: Vec<usize> =
                         (0..others.len()).map(|i| others[(start + i) % others.len()]).collect();
-                    assert_eq!(buf, want, "n={n} me={me} r={r}");
+                    assert_eq!(buf, want, "n={n} me={me}");
                 }
+                assert_eq!(
+                    rng_scan.next_u64(),
+                    rng_base.next_u64(),
+                    "rng consumption diverged from the baseline"
+                );
             }
         }
     }

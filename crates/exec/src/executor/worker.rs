@@ -11,17 +11,17 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 // are zero-sized no-ops unless the `obs` feature is on.
 use tss_obs::clock::{CpuStamp, Stamp};
 use tss_obs::{Role as CpuRole, SpanStamp, WorkerObs};
+use tss_sim::SplitMix64;
 use tss_trace::TaskId;
 
 use super::release::{FAILED, HEALTHY};
 use super::shared::{Shared, FAILED_FAST};
 use super::{ExecConfig, WorkerStats};
-use crate::deque::BATCH_MAX;
+use crate::deque::{rotate_victims, BATCH_MAX};
 use crate::fault::{
     fault_decision, panic_message, FailedTask, FailurePolicy, TaskFailure, INJECTED_PANIC_MARKER,
 };
 use crate::payload::{PayloadMode, PayloadScratch};
-use crate::sched::victims;
 use crate::sync::atomic::Ordering;
 
 /// What a completion hands its worker's loop, beside what it pushed:
@@ -267,7 +267,7 @@ pub(super) fn worker_loop(
         PayloadScratch::without_buffers()
     };
     let mut out = Released { batch: Vec::with_capacity(64), next: None };
-    let mut rng = cfg.seed ^ (w as u64).wrapping_mul(0xA076_1D64_78BD_642F);
+    let mut rng = SplitMix64::new(cfg.seed ^ (w as u64).wrapping_mul(0xA076_1D64_78BD_642F));
     let me = &shared.deques[w];
     // What this worker runs next: the task its last completion held
     // back (§13.1), else the newest task on its deque.
@@ -334,7 +334,7 @@ pub(super) fn worker_loop(
             // One random rotation over everyone else. The scan is
             // *complete* — every deque is visited — which the
             // park/termination argument requires.
-            victims(w, shared.deques.len(), &mut rng, &mut scan);
+            rotate_victims(w, shared.deques.len(), &mut rng, &mut scan);
             scan.iter().find_map(|&victim| {
                 let t = shared.deques[victim].steal_batch_into(me, BATCH_MAX);
                 if t.is_some() {

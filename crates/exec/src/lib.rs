@@ -60,7 +60,6 @@ pub mod fault;
 pub mod payload;
 pub mod renamer;
 mod runtime;
-mod sched;
 pub mod sync;
 
 pub use deque::ChaseLev;

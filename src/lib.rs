@@ -11,7 +11,7 @@
 //! - [`sim`] — deterministic discrete-event simulation engine,
 //! - [`trace`] — task/operand model, traces, and the dependency oracle,
 //! - [`noc`] — segmented two-level ring interconnect (Table II),
-//! - [`mem`] — L1/L2/directory-MSI cache hierarchy model,
+//! - [`mem`] — Table II's memory parameters and the Section II L1-knee formula,
 //! - [`pipeline`] — the task superscalar frontend: Gateway, ORT, OVT, TRS,
 //! - [`backend`] — ready queue, scheduler, worker cores, DMA,
 //! - [`runtime`] — the StarSs-like software decoder baseline,
