@@ -77,9 +77,8 @@ struct Args {
     json: bool,
     /// Where the artifact is written.
     out: String,
-    /// What every run of the session executes under. `validate` stays
-    /// on: each completion log is oracle-checked by the run itself,
-    /// after its timed span.
+    /// What every run of the session executes under. Each completion log
+    /// is oracle-checked by the run itself, after its timed span.
     cfg: ExecConfig,
     fault_rate_ppm: u32,
     fault_seed: u64,

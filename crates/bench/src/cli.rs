@@ -23,8 +23,8 @@ pub fn fail(msg: impl Display) -> ! {
     std::process::exit(2);
 }
 
-/// Unwraps one executor run made with `ExecConfig::validate` on, as the
-/// `exec` harness gates it. An
+/// Unwraps one executor run, which checked its own completion log, as
+/// the `exec` harness gates it. An
 /// [`ExecError::OracleViolation`] is an executor bug: the `ORACLE
 /// VIOLATION` line, exit 1. Any other [`ExecError`] is a structured
 /// outcome of the run that was asked for (a fail-fast task failure, a

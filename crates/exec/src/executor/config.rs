@@ -18,11 +18,6 @@ pub struct ExecConfig {
     pub renaming: bool,
     /// Seeds the per-worker steal-victim rotation.
     pub seed: u64,
-    /// Check the completion log against the `DepGraph` oracle after the
-    /// run (on by default). A violating run returns
-    /// [`ExecError::OracleViolation`](crate::fault::ExecError::OracleViolation)
-    /// — it is an executor bug, never a workload property.
-    pub validate: bool,
     /// Streaming decode window: tasks committed to the executor per
     /// batch (≥ 1). Smaller windows overlap sooner but commit more
     /// often.
@@ -56,7 +51,6 @@ impl Default for ExecConfig {
             payload: PayloadMode::Noop,
             renaming: true,
             seed: 1,
-            validate: true,
             window: 1024,
             decode_shards: 1,
             policy: FailurePolicy::FailFast,

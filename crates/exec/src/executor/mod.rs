@@ -80,9 +80,9 @@
 //!   replay.
 //! - **Completion tickets** are taken *before* successor release, so
 //!   the ticket sequence is a linearization of the dependency order by
-//!   construction; [`DepGraph::validate_order`](tss_trace::DepGraph::validate_order)
-//!   checks it on every validated run. The ticket counter doubles as
-//!   the termination count: ticket `n−1` means every task has executed.
+//!   construction; [`TaskTrace::check_order`] checks it at the end of
+//!   every run. The ticket counter doubles as the termination count:
+//!   ticket `n−1` means every task has executed.
 //!
 //! With one worker there is no stealing and no ticket race, and the
 //! order is a pure function of the queue discipline (own deque LIFO —
@@ -366,16 +366,12 @@ impl Executor {
         let order: Vec<TaskId> =
             shared.order.iter().map(|s| s.load(Ordering::Relaxed) as TaskId).collect();
         assert_eq!(order.len(), trace.len(), "executor lost tasks");
-        let validated = self.config.validate;
-        if validated {
-            // The *full* log — failed and poisoned tasks included — must
-            // linearize the dependency order: every task, whatever its
-            // fate, took its ticket only after its producers took
-            // theirs.
-            let oracle = trace.dep_graph();
-            if let Err(v) = oracle.validate_order(&order) {
-                return Err(ExecError::OracleViolation { detail: v.to_string() });
-            }
+        // The *full* log — failed and poisoned tasks included — must
+        // linearize the dependency order: every task, whatever its fate,
+        // took its ticket only after its producers took theirs. The
+        // trace picks the algorithm (DESIGN.md §14.3).
+        if let Err(v) = trace.check_order(&order) {
+            return Err(ExecError::OracleViolation { detail: v.to_string() });
         }
         // relaxed: final status-array scan after all workers joined
         let poisoned: Vec<u32> = (0..shared.n as u32)
@@ -405,7 +401,7 @@ impl Executor {
             order,
             workers,
             rename,
-            validated,
+            validated: true,
             fault,
             obs,
         })
@@ -440,11 +436,9 @@ pub fn run_trace(trace: &TaskTrace, threads: usize) -> Result<ExecReport, ExecEr
 }
 
 /// Checks a completion log against the dependency oracle without
-/// panicking and without building it for the occasion
-/// ([`TaskTrace::check_order`]). This is how the owner of a single-use
-/// trace validates a run made with `validate: false` — the server does
-/// exactly that for every graph it answers `Completed` (DESIGN.md
-/// §14.3).
+/// panicking ([`TaskTrace::check_order`]). No production code calls it:
+/// every run checks its own log. It stays only because the frozen
+/// benchmark's `probes.rs` imports it (ROADMAP item 1(d)).
 ///
 /// # Errors
 ///

@@ -65,7 +65,9 @@ pub struct ExecReport {
     pub workers: Vec<WorkerStats>,
     /// Renamer decode statistics.
     pub rename: RenameStats,
-    /// Whether the completion log was checked against the oracle.
+    /// Whether the completion log was checked against the oracle:
+    /// always `true`, since every run checks its own log. Kept for the
+    /// readers that still assert it (ROADMAP item 1(d)).
     pub validated: bool,
     /// Failure accounting (all-zero for a clean run).
     pub fault: FaultReport,

@@ -19,9 +19,11 @@
 //!    *pipelines* decode into execution: workers replay early windows
 //!    while an idle worker renames later ones.
 //! 3. **Validation & metrics** — every run emits a completion log that
-//!    is checked against the `tss-trace::DepGraph` oracle (a violating
-//!    order fails the run), plus tasks/sec, per-worker utilization,
-//!    and steal counts in the [`ExecReport`].
+//!    it checks against the dependency oracle through
+//!    `TaskTrace::check_order`, which streams a trace's first check and
+//!    memoizes the `DepGraph` for the rest (a violating order fails the
+//!    run), plus tasks/sec, per-worker utilization, and steal counts in
+//!    the [`ExecReport`].
 //! 4. **A failure domain** ([`fault`], DESIGN.md §11) — every payload
 //!    runs inside a `catch_unwind` containment boundary; a panicking
 //!    task becomes a structured [`TaskFailure`] handled by the

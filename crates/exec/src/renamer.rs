@@ -49,8 +49,8 @@
 //! loop deliberately does **not** share code with `tss-trace`'s
 //! `for_each_edge` or its streamed order check, although all three walk
 //! traces the same way: the oracle check (every completion log
-//! validated against `DepGraph`, or, for a served graph, by the
-//! streamed check) is only evidence of correctness because the
+//! validated by the streamed check on a trace's first run, against
+//! `DepGraph` after that) is only evidence of correctness because the
 //! decoders are independent implementations. Folding them into one
 //! shared helper would let a single decode bug pass the parity test and
 //! every validated run. A semantic change to dependency rules must be

@@ -65,9 +65,6 @@ fn chaos_cfg(threads: usize, rate_ppm: u32, fault_seed: u64, policy: FailurePoli
         threads,
         payload: PayloadMode::Faulty { rate_ppm, seed: fault_seed },
         policy,
-        // Validated explicitly below so violations become prop_asserts
-        // with context instead of an executor error.
-        validate: false,
         ..ExecConfig::default()
     }
 }

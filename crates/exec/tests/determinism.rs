@@ -197,7 +197,6 @@ proptest! {
             threads,
             payload: PayloadMode::Noop,
             seed: seed as u64,
-            validate: false, // validated explicitly below for a prop_assert
             ..ExecConfig::default()
         };
         let exec = Executor::new(cfg);

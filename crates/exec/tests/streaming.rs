@@ -94,7 +94,6 @@ proptest! {
             seed: seed as u64,
             window,
             decode_shards: shards,
-            validate: false, // validated explicitly below for a prop_assert
             ..ExecConfig::default()
         };
         let report = Executor::new(cfg).run(&trace).expect("replay failed");
@@ -124,7 +123,6 @@ proptest! {
 fn one_worker_streaming_is_bit_deterministic() {
     for b in [Benchmark::Cholesky, Benchmark::H264, Benchmark::Specfem] {
         let trace = b.trace(Scale::Small, 7);
-        let oracle = DepGraph::from_trace(&trace);
         let oneshot = Renamer::new().decode(&trace);
         let run = |seed, decode_shards| {
             let cfg = ExecConfig {
@@ -132,13 +130,11 @@ fn one_worker_streaming_is_bit_deterministic() {
                 seed,
                 decode_shards,
                 window: 128,
-                validate: false,
                 ..ExecConfig::default()
             };
             Executor::new(cfg).run(&trace).expect("replay failed")
         };
         let first = run(1, 1);
-        assert!(oracle.validate_order(&first.order).is_ok(), "{b}: order violates the oracle");
         for (seed, shards) in [(1u64, 1usize), (7, 2), (99, 3)] {
             let again = run(seed, shards);
             assert_eq!(

@@ -13,12 +13,12 @@
 //!    deadline, minus what the graph burned in the queue.
 //! 3. Every run carries the server-lifetime cancel token, so drain
 //!    (DESIGN.md §14.4) can stop it after the drain deadline.
-//! 4. `catch_unwind` around the whole run *and* the oracle check that
-//!    follows it ([`check_log`] — the runner's, because a served trace
-//!    is single-use and the executor's own validation would build a
-//!    memoized `DepGraph` to use once): a panic or a rejected
-//!    completion log becomes a structured [`GraphOutcome::Failed`], not
-//!    a dead runner. No graph is answered `Completed` unchecked.
+//! 4. `catch_unwind` around the whole run, the run's own oracle check
+//!    included (a served trace is fresh, so its one check is the
+//!    streamed one and builds no `DepGraph`, DESIGN.md §14.3): a panic
+//!    or a rejected completion log becomes a structured
+//!    [`GraphOutcome::Failed`], not a dead runner. No graph is answered
+//!    `Completed` unchecked.
 //!
 //! Whatever happens, exactly one [`GraphRecord`] is entered in the
 //! outcome ledger and one `Done` frame is attempted per admitted graph
@@ -29,7 +29,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use tss_exec::executor::check_order;
 use tss_exec::{ExecConfig, ExecError, ExecReport, Executor, FailurePolicy};
 use tss_proto::{Frame, GraphOutcome};
 use tss_trace::TaskTrace;
@@ -82,30 +81,14 @@ fn run_job(job: &Job, shared: &ServerShared) -> GraphOutcome {
         policy: FailurePolicy::Quarantine,
         run_deadline,
         cancel: Some(shared.admission.cancel.clone()),
-        // Checked below instead, without the memoized oracle.
-        validate: false,
         ..ExecConfig::default()
     };
-    let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        Executor::new(cfg).run(&job.trace).and_then(|report| check_log(&job.trace, report))
-    }));
+    let result = std::panic::catch_unwind(AssertUnwindSafe(|| Executor::new(cfg).run(&job.trace)));
     outcome_of(total, result)
 }
 
-/// The oracle check every served graph gets before it may be reported
-/// `Completed`: the run's full completion log — failed and poisoned
-/// tasks included — must linearize the trace's enforced dependencies.
-/// Same predicate and same error as `Executor::run` with
-/// `validate: true`, minus the `DepGraph` build.
-fn check_log(trace: &TaskTrace, report: ExecReport) -> Result<ExecReport, ExecError> {
-    match check_order(trace, &report.order) {
-        Ok(()) => Ok(report),
-        Err(v) => Err(ExecError::OracleViolation { detail: v.to_string() }),
-    }
-}
-
-/// Maps what the contained run (and its check) produced onto the wire
-/// outcome for a graph of `total` tasks.
+/// Maps what the contained run (its oracle check included) produced
+/// onto the wire outcome for a graph of `total` tasks.
 fn outcome_of(
     total: u64,
     result: std::thread::Result<Result<ExecReport, ExecError>>,
@@ -170,75 +153,26 @@ fn deliver(job: &Job, outcome: GraphOutcome, shared: &ServerShared) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tss_trace::OperandDesc;
+    use tss_trace::{OperandDesc, OrderViolation};
 
-    /// 0 writes A; 1 reads A and writes B; 2 reads B.
-    fn chain() -> TaskTrace {
-        let mut tr = TaskTrace::new("chain");
-        let k = tr.add_kernel("k");
-        tr.push_task(k, 10, vec![OperandDesc::output(0xA0, 64)]);
-        tr.push_task(k, 10, vec![OperandDesc::input(0xA0, 64), OperandDesc::output(0xB0, 64)]);
-        tr.push_task(k, 10, vec![OperandDesc::input(0xB0, 64)]);
-        tr
-    }
-
-    fn unvalidated_run(trace: &TaskTrace) -> ExecReport {
-        let cfg = ExecConfig { threads: 2, validate: false, ..ExecConfig::default() };
-        let report = Executor::new(cfg).run(trace).expect("clean run");
-        assert!(!report.validated, "the runner, not the executor, checks a served graph");
-        report
-    }
-
+    /// A clean run is `Completed`; a run whose log the oracle refuses —
+    /// the run's own check, inside the `catch_unwind` — is `Failed`,
+    /// naming the violation. Which logs are refused is `tss-trace`'s to
+    /// test (`task.rs::a_fresh_traces_first_check_refuses_every_doctored_log`).
     #[test]
-    fn an_honest_log_is_completed() {
-        let trace = chain();
-        let result = check_log(&trace, unvalidated_run(&trace));
-        let outcome = outcome_of(3, Ok(result));
-        assert!(matches!(outcome, GraphOutcome::Completed { tasks: 3, failed: 0, .. }));
-    }
-
-    #[test]
-    fn a_doctored_log_fails_naming_the_inverted_dependency() {
-        let trace = chain();
-        let mut report = unvalidated_run(&trace);
-        assert_eq!(report.order, vec![0, 1, 2]);
-        report.order.swap(1, 2); // consumer 2 now "completes" before its producer 1
-        let outcome = outcome_of(3, Ok(check_log(&trace, report)));
-        let GraphOutcome::Failed { detail } = outcome else {
-            panic!("a log the oracle rejects must not be Completed: {outcome:?}");
-        };
-        assert!(detail.contains("oracle violation") && detail.contains("1 -> 2"), "{detail}");
-    }
-
-    /// The anti-dependence the pipeline enforces (Figure 9): an inout
-    /// writer waits for the readers of the version it overwrites.
-    #[test]
-    fn a_doctored_log_inverting_an_inout_anti_dependency_fails() {
-        let mut trace = TaskTrace::new("anti");
+    fn an_oracle_violation_fails_the_graph_naming_the_inverted_dependency() {
+        let mut trace = TaskTrace::new("pair");
         let k = trace.add_kernel("k");
         trace.push_task(k, 10, vec![OperandDesc::output(0xA0, 64)]);
         trace.push_task(k, 10, vec![OperandDesc::input(0xA0, 64)]);
-        trace.push_task(k, 10, vec![OperandDesc::inout(0xA0, 64)]);
-        let mut report = unvalidated_run(&trace);
-        assert_eq!(report.order, vec![0, 1, 2]);
-        report.order.swap(1, 2); // the inout "completes" before the reader of v0
-        let outcome = outcome_of(3, Ok(check_log(&trace, report)));
-        let GraphOutcome::Failed { detail } = outcome else {
-            panic!("a log the oracle rejects must not be Completed: {outcome:?}");
+        let report = Executor::new(ExecConfig::default()).run(&trace).expect("clean run");
+        let outcome = outcome_of(2, Ok(Ok(report)));
+        assert!(matches!(outcome, GraphOutcome::Completed { tasks: 2, failed: 0, .. }));
+        let v = OrderViolation::ProducerAfterConsumer { producer: 0, consumer: 1 };
+        let violation = Err(ExecError::OracleViolation { detail: v.to_string() });
+        let GraphOutcome::Failed { detail } = outcome_of(2, Ok(violation)) else {
+            panic!("a log the oracle refuses must not be Completed");
         };
-        assert!(detail.contains("oracle violation") && detail.contains("1 -> 2"), "{detail}");
-    }
-
-    #[test]
-    fn a_short_or_padded_log_fails_too() {
-        let trace = chain();
-        let mut short = unvalidated_run(&trace);
-        short.order.pop();
-        let mut padded = unvalidated_run(&trace);
-        padded.order[2] = 0;
-        for report in [short, padded] {
-            let outcome = outcome_of(3, Ok(check_log(&trace, report)));
-            assert!(matches!(outcome, GraphOutcome::Failed { .. }), "{outcome:?}");
-        }
+        assert!(detail.contains("oracle violation") && detail.contains("0 -> 1"), "{detail}");
     }
 }

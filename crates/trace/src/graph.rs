@@ -18,9 +18,9 @@
 //! pipeline's schedules are validated against it.
 //!
 //! The rules are stated here twice, on purpose: `for_each_edge` yields
-//! the edges [`DepGraph::from_trace`] collects, and the streamed path
-//! of [`TaskTrace::check_order`] tests the same rules on a per-object
-//! summary of the current version without naming an edge.
+//! the edges [`DepGraph::from_trace`] collects, and [`check_order`] (a
+//! trace's first [`TaskTrace::check_order`]) tests the same rules on a
+//! per-object summary of the current version without naming an edge.
 //! `tests/properties.rs` holds the first to a brute-force recomputation
 //! and the second to the first, so a mistake in one is not inherited by
 //! the other (DESIGN.md §14.3).
@@ -346,8 +346,9 @@ fn positions(n: usize, order: &[TaskId]) -> Result<Vec<u32>, OrderViolation> {
 /// if a reader did (InoutAnti, the paper's "output buffer free"); a
 /// write starts a new version and a read joins the current one. No edge
 /// list, no CSR, nothing memoized, and a table that grows with objects,
-/// not tasks. [`TaskTrace::check_order`] is the only caller and says
-/// when this beats building the oracle.
+/// not tasks. [`TaskTrace::check_order`] takes this path on a trace's
+/// first check and says when; it is public so that the tests of the
+/// algorithm reach it on every call.
 ///
 /// Exact because positions are a permutation: a producer finished after
 /// its consumer iff its position is the larger, and the consumer's own
@@ -357,7 +358,7 @@ fn positions(n: usize, order: &[TaskId]) -> Result<Vec<u32>, OrderViolation> {
 /// it names the first consumer in program order and, on that operand,
 /// its latest-finishing producer, where `validate_order` names the
 /// first consumer in completion order.
-pub(crate) fn check_order(trace: &TaskTrace, order: &[TaskId]) -> Result<(), OrderViolation> {
+pub fn check_order(trace: &TaskTrace, order: &[TaskId]) -> Result<(), OrderViolation> {
     let position = positions(trace.len(), order)?;
     // (writer, latest reader) of each object's current version.
     let mut versions: AddrMap<(u32, u32)> = AddrMap::default();
@@ -391,12 +392,12 @@ pub(crate) fn check_order(trace: &TaskTrace, order: &[TaskId]) -> Result<(), Ord
 impl DepGraph {
     /// Builds the graph by exact replay of `trace` in program order.
     ///
-    /// Which entry point to use: [`TaskTrace::dep_graph`] when the trace
-    /// is shared or checked more than once (sweeps, repeated
-    /// validation, the simulators) — it memoizes one `Arc<DepGraph>`
-    /// per trace; [`TaskTrace::check_order`] to check one completion
-    /// order of a trace nobody will check again; `from_trace` directly
-    /// only for a private, unshared graph.
+    /// Which entry point to use: [`TaskTrace::dep_graph`] when the graph
+    /// itself is needed on a shared trace (sweeps, the simulators) — it
+    /// memoizes one `Arc<DepGraph>` per trace; [`TaskTrace::check_order`]
+    /// to check a completion order (it builds the graph only for a
+    /// trace checked more than once); `from_trace` directly only for a
+    /// private, unshared graph.
     pub fn from_trace(trace: &TaskTrace) -> Self {
         let n = trace.len();
         // Rough upper-bound reservation: one RaW per read plus ordering
@@ -636,7 +637,7 @@ mod tests {
             trace_of(vec![vec![OperandDesc::output(0x100, 64), OperandDesc::input(0x100, 64)]]);
         let g = DepGraph::from_trace(&tr);
         assert!(g.preds(0).is_empty());
-        assert_eq!(tr.check_order(&[0]), Ok(()));
+        assert_eq!(check_order(&tr, &[0]), Ok(()));
     }
 
     #[test]
@@ -680,8 +681,7 @@ mod tests {
         assert!(msg.contains("3 -> 9"));
     }
 
-    /// The streaming check (`TaskTrace::check_order` on a trace that
-    /// never built its graph) against each edge kind.
+    /// The streamed check against each edge kind.
     #[test]
     fn streaming_check_enforces_raw_and_inout_anti_only() {
         let tr = trace_of(vec![
@@ -691,26 +691,26 @@ mod tests {
             vec![OperandDesc::input(0x100, 64)],  // 3: reads v1        (RaW 2→3)
             vec![OperandDesc::output(0x100, 64)], // 4: renamed v2      (WaR 3→4, WaW 2→4)
         ]);
-        assert_eq!(tr.check_order(&[0, 1, 2, 3, 4]), Ok(()));
+        assert_eq!(check_order(&tr, &[0, 1, 2, 3, 4]), Ok(()));
         // Only the renamed WaR/WaW edges inverted: task 4 may run first.
-        assert_eq!(tr.check_order(&[4, 0, 1, 2, 3]), Ok(()));
+        assert_eq!(check_order(&tr, &[4, 0, 1, 2, 3]), Ok(()));
         assert_eq!(
-            tr.check_order(&[1, 0, 2, 3, 4]),
+            check_order(&tr, &[1, 0, 2, 3, 4]),
             Err(OrderViolation::ProducerAfterConsumer { producer: 0, consumer: 1 }),
             "inverted RaW"
         );
         assert_eq!(
-            tr.check_order(&[0, 2, 1, 3, 4]),
+            check_order(&tr, &[0, 2, 1, 3, 4]),
             Err(OrderViolation::ProducerAfterConsumer { producer: 1, consumer: 2 }),
             "inverted InoutAnti"
         );
-        assert_eq!(tr.check_order(&[0, 1, 2, 3, 3]), Err(OrderViolation::DuplicateTask(3)));
-        assert_eq!(tr.check_order(&[0, 1, 2, 3]), Err(OrderViolation::MissingTask(4)));
-        assert_eq!(tr.check_order(&[0, 1, 2, 3, 9]), Err(OrderViolation::UnknownTask(9)));
+        assert_eq!(check_order(&tr, &[0, 1, 2, 3, 3]), Err(OrderViolation::DuplicateTask(3)));
+        assert_eq!(check_order(&tr, &[0, 1, 2, 3]), Err(OrderViolation::MissingTask(4)));
+        assert_eq!(check_order(&tr, &[0, 1, 2, 3, 9]), Err(OrderViolation::UnknownTask(9)));
         // Every verdict above agrees with the graph oracle's.
         let g = DepGraph::from_trace(&tr);
         for order in [[0, 1, 2, 3, 4], [4, 0, 1, 2, 3], [1, 0, 2, 3, 4], [0, 2, 1, 3, 4]] {
-            assert_eq!(tr.check_order(&order), g.validate_order(&order), "{order:?}");
+            assert_eq!(check_order(&tr, &order), g.validate_order(&order), "{order:?}");
         }
     }
 
@@ -727,16 +727,16 @@ mod tests {
         ]);
         // Both readers finish after the inout; either order of the two.
         assert_eq!(
-            tr.check_order(&[0, 3, 1, 2]),
+            check_order(&tr, &[0, 3, 1, 2]),
             Err(OrderViolation::ProducerAfterConsumer { producer: 2, consumer: 3 })
         );
         assert_eq!(
-            tr.check_order(&[0, 3, 2, 1]),
+            check_order(&tr, &[0, 3, 2, 1]),
             Err(OrderViolation::ProducerAfterConsumer { producer: 1, consumer: 3 })
         );
         // The writer last of all: it is named, not a reader.
         assert_eq!(
-            tr.check_order(&[1, 2, 3, 0]),
+            check_order(&tr, &[1, 2, 3, 0]),
             Err(OrderViolation::ProducerAfterConsumer { producer: 0, consumer: 1 }),
             "the first consumer in program order is 1, whose one producer is 0"
         );
@@ -754,13 +754,13 @@ mod tests {
         ]);
         let g = DepGraph::from_trace(&tr);
         assert_eq!(g.preds(1), &[0], "the graph has no self-edge either");
-        assert_eq!(tr.check_order(&[0, 1, 2]), Ok(()));
+        assert_eq!(check_order(&tr, &[0, 1, 2]), Ok(()));
         assert_eq!(
-            tr.check_order(&[0, 2, 1]),
+            check_order(&tr, &[0, 2, 1]),
             Err(OrderViolation::ProducerAfterConsumer { producer: 1, consumer: 2 })
         );
         for order in [[0, 1, 2], [0, 2, 1], [1, 0, 2]] {
-            assert_eq!(tr.check_order(&order), g.validate_order(&order), "{order:?}");
+            assert_eq!(check_order(&tr, &order), g.validate_order(&order), "{order:?}");
         }
     }
 

@@ -162,10 +162,13 @@ pub struct TaskTrace {
     name: String,
     kernel_names: Vec<String>,
     tasks: Vec<TaskDesc>,
-    /// Memoized dependency oracle (ISSUE 5): sweeps and repeated
-    /// validations over one shared trace build the graph once. Cloning
-    /// a trace shares the cached `Arc`; pushing a task invalidates it.
+    /// Memoized dependency oracle: sweeps and repeated validations over
+    /// one shared trace build the graph once. Cloning a trace shares the
+    /// cached `Arc`; pushing a task invalidates it.
     graph_cache: std::sync::OnceLock<std::sync::Arc<crate::graph::DepGraph>>,
+    /// Set by the first [`TaskTrace::check_order`] since the last push,
+    /// which streams: the next one builds `graph_cache`.
+    checked: std::sync::OnceLock<()>,
 }
 
 impl TaskTrace {
@@ -176,6 +179,7 @@ impl TaskTrace {
             kernel_names: Vec::new(),
             tasks: Vec::new(),
             graph_cache: std::sync::OnceLock::new(),
+            checked: std::sync::OnceLock::new(),
         }
     }
 
@@ -207,7 +211,9 @@ impl TaskTrace {
 
     /// Appends a task (program order) and returns its id.
     pub fn push(&mut self, task: TaskDesc) -> TaskId {
-        self.graph_cache.take(); // deps changed: drop the memoized graph
+        // Deps changed: drop the memoized graph, and count checks anew.
+        self.graph_cache.take();
+        self.checked.take();
         self.tasks.push(task);
         self.tasks.len() - 1
     }
@@ -216,7 +222,9 @@ impl TaskTrace {
     /// the wire. The first batch of an empty trace is adopted as is;
     /// later ones are one flat copy each, no per-task work.
     pub fn extend_tasks(&mut self, mut tasks: Vec<TaskDesc>) {
-        self.graph_cache.take(); // deps changed: drop the memoized graph
+        // Deps changed: drop the memoized graph, and count checks anew.
+        self.graph_cache.take();
+        self.checked.take();
         if self.tasks.is_empty() {
             self.tasks = tasks;
         } else {
@@ -226,11 +234,11 @@ impl TaskTrace {
 
     /// The memoized dependency oracle of this trace (built on first use
     /// by [`crate::graph::DepGraph::from_trace`]; shared by clones,
-    /// invalidated by [`TaskTrace::push`]). The right call for a trace
-    /// that is run, simulated or validated more than once: the build
-    /// (80–150 ns/task across the Table-I traces) is paid once and
-    /// every later use is an `Arc` clone. For a trace checked exactly
-    /// once, see [`TaskTrace::check_order`].
+    /// invalidated by [`TaskTrace::push`]). For what needs the graph
+    /// itself — the simulators' schedule checks, sweeps, poison cones:
+    /// the build is paid once and every later use is an `Arc` clone. A
+    /// completion order is checked through [`TaskTrace::check_order`],
+    /// which builds this only for a trace checked more than once.
     pub fn dep_graph(&self) -> std::sync::Arc<crate::graph::DepGraph> {
         self.graph_cache
             .get_or_init(|| std::sync::Arc::new(crate::graph::DepGraph::from_trace(self)))
@@ -239,31 +247,32 @@ impl TaskTrace {
 
     /// Checks a completion order against the enforced dependencies —
     /// the predicate of [`DepGraph::validate_order`](crate::graph::DepGraph::validate_order)
-    /// — without building the oracle for it: a trace that already has
-    /// its memoized graph uses it; any other is read once in program
-    /// order against two completion positions per object (its current
-    /// version's writer and latest reader), and nothing is memoized.
-    /// That costs 4 bytes a task plus a table that grows with objects,
-    /// not tasks, and a sixth to two thirds of the graph build's time on
-    /// the paper-scale traces (DESIGN.md §14.3). Meant for the owner of a
-    /// single-use trace (the server checks each served graph this way);
-    /// a caller that will run the trace again, or check it many times,
-    /// should take [`TaskTrace::dep_graph`] instead — each check then
-    /// costs about 5 ns a task.
+    /// — by one rule, with no knob (DESIGN.md §14.3). A trace with its
+    /// memoized graph uses it. Otherwise the first check since the last
+    /// push streams ([`crate::graph::check_order`]: the trace read once
+    /// in program order, 4 bytes a task plus a table that grows with
+    /// objects, nothing memoized), and every later one builds and
+    /// memoizes the graph ([`TaskTrace::dep_graph`]) and checks against
+    /// it. On the nine paper-scale traces the streamed check costs
+    /// 48–55 ns a task, the build 263–334 and a check against the built
+    /// graph 9 (one pinned CPU, DESIGN.md §14.3): a trace checked once —
+    /// every served graph — never pays for the build, and one run again
+    /// pays for it once. Sound from several threads at once: one caller
+    /// streams, the others share one build.
     ///
     /// # Errors
     ///
     /// An [`OrderViolation`](crate::graph::OrderViolation): the same
-    /// accept/reject decision and violation kind as `validate_order`.
-    /// Of several inverted dependencies the streamed path names the
-    /// first consumer in program order and, on its first failing
-    /// operand, the producer that finished last; the graph path names
-    /// the first consumer in completion order.
+    /// accept/reject decision and violation kind on either path. Of
+    /// several inverted dependencies the streamed path names the first
+    /// consumer in program order and, on its first failing operand, the
+    /// producer that finished last; the graph path names the first
+    /// consumer in completion order.
     pub fn check_order(&self, order: &[TaskId]) -> Result<(), crate::graph::OrderViolation> {
-        match self.graph_cache.get() {
-            Some(graph) => graph.validate_order(order),
-            None => crate::graph::check_order(self, order),
+        if self.graph_cache.get().is_none() && self.checked.set(()).is_ok() {
+            return crate::graph::check_order(self, order);
         }
+        self.dep_graph().validate_order(order)
     }
 
     /// Convenience: create and append a task.
@@ -431,31 +440,67 @@ mod tests {
     }
 
     #[test]
-    fn check_order_memoizes_nothing_and_uses_a_graph_that_is_there() {
-        use crate::graph::OrderViolation::ProducerAfterConsumer;
+    fn the_first_check_streams_the_second_builds_the_graph_and_later_ones_use_it() {
+        use crate::graph::OrderViolation::ProducerAfterConsumer as Inverted;
         let mut tr = TaskTrace::new("two-pairs");
         let k = tr.add_kernel("k");
         tr.push_task(k, 1, vec![OperandDesc::output(0xA0, 64)]);
         tr.push_task(k, 1, vec![OperandDesc::input(0xA0, 64)]);
         tr.push_task(k, 1, vec![OperandDesc::output(0xB0, 64)]);
         tr.push_task(k, 1, vec![OperandDesc::input(0xB0, 64)]);
-        // Both dependencies inverted. The streaming path meets 0→1 first
+        // Both dependencies inverted. The streamed path meets 0→1 first
         // (program order), the graph path 2→3 (completion order): which
         // one is named tells the two paths apart.
+        let streamed = Err(Inverted { producer: 0, consumer: 1 });
+        let by_graph = Err(Inverted { producer: 2, consumer: 3 });
         let backwards = [3, 2, 1, 0];
-        assert_eq!(tr.check_order(&[0, 1, 2, 3]), Ok(()));
-        assert_eq!(
-            tr.check_order(&backwards),
-            Err(ProducerAfterConsumer { producer: 0, consumer: 1 })
-        );
-        assert!(tr.graph_cache.get().is_none(), "a streamed check must not memoize");
-        let graph = tr.dep_graph();
-        assert_eq!(tr.check_order(&[0, 1, 2, 3]), Ok(()));
-        assert_eq!(
-            tr.check_order(&backwards),
-            Err(ProducerAfterConsumer { producer: 2, consumer: 3 })
-        );
-        assert_eq!(tr.check_order(&backwards), graph.validate_order(&backwards));
+        assert_eq!(tr.check_order(&backwards), streamed);
+        assert!(tr.graph_cache.get().is_none(), "the first check must not memoize");
+        assert_eq!(tr.check_order(&backwards), by_graph);
+        let graph = tr.graph_cache.get().cloned().expect("the second check memoizes");
+        assert_eq!(tr.check_order(&backwards), by_graph);
+        assert!(std::sync::Arc::ptr_eq(&graph, &tr.dep_graph()), "the third reuses it");
+        // A push starts the count over. Of two first checks at once, one
+        // wins the count and streams, the other builds the graph.
+        tr.push_task(k, 1, vec![]);
+        let backwards = [3, 2, 1, 0, 4];
+        let both = std::sync::Barrier::new(2);
+        let verdicts = std::thread::scope(|s| {
+            let check = || {
+                both.wait();
+                tr.check_order(&backwards)
+            };
+            let checks = [(); 2].map(|()| s.spawn(check));
+            checks.map(|c| c.join().expect("check panicked"))
+        });
+        assert!(verdicts.contains(&streamed) && verdicts.contains(&by_graph), "{verdicts:?}");
+        // A graph that is there is used, first check or not.
+        tr.push_task(k, 1, vec![]);
+        tr.dep_graph();
+        assert_eq!(tr.check_order(&[3, 2, 1, 0, 4, 5]), by_graph);
+    }
+
+    /// The check every served graph gets — a fresh trace's first, the
+    /// streamed one — refuses each doctored log: an inverted RaW, an
+    /// inverted InoutAnti (an inout before the reader of the version it
+    /// overwrites, Figure 9), a log short of a task and a padded one.
+    #[test]
+    fn a_fresh_traces_first_check_refuses_every_doctored_log() {
+        use crate::graph::OrderViolation::*;
+        for (order, violation) in [
+            (&[1, 0, 2][..], ProducerAfterConsumer { producer: 0, consumer: 1 }),
+            (&[0, 2, 1], ProducerAfterConsumer { producer: 1, consumer: 2 }),
+            (&[0, 1], MissingTask(2)),
+            (&[0, 1, 0], DuplicateTask(0)),
+        ] {
+            let mut tr = TaskTrace::new("anti");
+            let k = tr.add_kernel("k");
+            tr.push_task(k, 1, vec![OperandDesc::output(0xA0, 64)]);
+            tr.push_task(k, 1, vec![OperandDesc::input(0xA0, 64)]);
+            tr.push_task(k, 1, vec![OperandDesc::inout(0xA0, 64)]);
+            assert_eq!(tr.check_order(order), Err(violation), "{order:?}");
+            assert!(tr.graph_cache.get().is_none(), "{order:?}: checked through a graph");
+        }
     }
 
     #[test]

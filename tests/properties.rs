@@ -1,9 +1,9 @@
 //! Property-based tests (proptest) on the core invariants:
 //!
 //! - the dependency oracle matches a brute-force O(n²) recomputation;
-//! - the streaming order check (`TaskTrace::check_order` on a trace with
-//!   no memoized graph) and `DepGraph::validate_order` give the same
-//!   verdict on valid, perturbed and malformed completion orders;
+//! - the streamed order check (`graph::check_order`, a trace's first
+//!   `TaskTrace::check_order`) and `DepGraph::validate_order` give the
+//!   same verdict on valid, perturbed and malformed completion orders;
 //! - `Operands` (inline slots, spilling past `INLINE_OPERANDS`) is
 //!   indistinguishable from the `Vec<OperandDesc>` it was built from, at
 //!   every length the TRS layout allows;
@@ -21,6 +21,7 @@ use task_superscalar::pipeline::assembly::{
 use task_superscalar::pipeline::blocks::{blocks_for_operands, BlockStore};
 use task_superscalar::pipeline::{FrontendConfig, Msg};
 use task_superscalar::sim::Simulation;
+use task_superscalar::trace::graph::check_order;
 use task_superscalar::trace::{
     validate_schedule, DepGraph, DepKind, Direction, KernelId, OperandDesc, Operands,
     OrderViolation, TaskDesc, TaskTrace, MAX_OPERANDS,
@@ -191,10 +192,10 @@ proptest! {
         (specs, picks, swaps, (malform, at)) in arb_order_case(),
     ) {
         let tr = loose_trace(&specs);
-        let g = DepGraph::from_trace(&tr); // a private graph: `tr` memoizes nothing
+        let g = DepGraph::from_trace(&tr);
         let mut order = linearize(&g, &picks);
         prop_assert_eq!(g.validate_order(&order), Ok(()));
-        prop_assert_eq!(tr.check_order(&order), Ok(()), "valid linearization rejected");
+        prop_assert_eq!(check_order(&tr, &order), Ok(()), "valid linearization rejected");
         for &(a, b) in &swaps {
             order.swap(a, b);
         }
@@ -211,7 +212,7 @@ proptest! {
             }
             _ => {} // the random swaps only
         }
-        let streamed = tr.check_order(&order);
+        let streamed = check_order(&tr, &order);
         let oracle = g.validate_order(&order);
         match (streamed, oracle) {
             (Ok(()), Ok(())) => {}
