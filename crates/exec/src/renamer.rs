@@ -544,6 +544,7 @@ fn build_csr_sorted(n: usize, pairs: &[(u32, u32)]) -> (Vec<u32>, Vec<u32>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tss_trace::graph::classified_edges;
     use tss_trace::{DepGraph, OperandDesc, TaskTrace};
 
     fn chain() -> TaskTrace {
@@ -574,8 +575,7 @@ mod tests {
         let oracle = DepGraph::from_trace(&tr);
         let g = Renamer::new().decode(&tr);
         for t in 0..tr.len() {
-            let expect: Vec<u32> = oracle.succs(t).iter().map(|&s| s as u32).collect();
-            assert_eq!(g.succs(t), &expect[..]);
+            assert_eq!(g.succs(t), oracle.succs(t));
             assert_eq!(g.pred_count(t) as usize, oracle.preds(t).len());
         }
     }
@@ -691,7 +691,7 @@ mod tests {
         tr.push_task(k, 10, vec![OperandDesc::output(obj, 64)]);
         readers(&mut tr, 2);
         tr.push_task(k, 10, vec![OperandDesc::inout(obj, 64)]);
-        let oracle = DepGraph::from_trace(&tr);
+        let edges = classified_edges(&tr);
         let pairs_of = |g: &TaskGraph| -> Vec<(u32, u32)> {
             (0..g.len()).flat_map(|t| g.succs(t).iter().map(move |&s| (t as u32, s))).collect()
         };
@@ -704,24 +704,19 @@ mod tests {
                     .decode_graph(&tr)
             };
             let on = decode(true);
-            let enforced: Vec<(u32, u32)> = oracle
-                .edges()
-                .iter()
-                .filter(|e| e.kind.enforced())
-                .map(|e| (e.from, e.to))
-                .collect();
+            let enforced: Vec<(u32, u32)> =
+                edges.iter().filter(|e| e.kind.enforced()).map(|e| (e.from, e.to)).collect();
             let mut expect = enforced.clone();
             expect.sort_unstable();
             assert_eq!(pairs_of(&on), expect, "renaming on, {shards} shards");
-            assert_eq!(on.stats().removed_by_renaming, oracle.edges().len() - enforced.len());
+            assert_eq!(on.stats().removed_by_renaming, edges.len() - enforced.len());
             // All of it is the out writer's: its WaW, and a WaR per
             // reader of the version before it — the inout task that
             // wrote that version (it reads it too) and the
             // INLINE_READERS + 3 after it.
             assert_eq!(on.stats().removed_by_renaming, 1 + 1 + INLINE_READERS + 3);
             let off = decode(false);
-            let mut expect: Vec<(u32, u32)> =
-                oracle.edges().iter().map(|e| (e.from, e.to)).collect();
+            let mut expect: Vec<(u32, u32)> = edges.iter().map(|e| (e.from, e.to)).collect();
             expect.sort_unstable();
             expect.dedup(); // task 21 → 39 is both a WaR and a WaW
             assert_eq!(pairs_of(&off), expect, "renaming off, {shards} shards");

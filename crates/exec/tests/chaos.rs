@@ -45,14 +45,14 @@ fn expected_failure_sets(
     for t in 0..n {
         if cone[t] {
             for &s in oracle.succs(t) {
-                cone[s] = true;
+                cone[s as usize] = true;
             }
             continue;
         }
         if fault_decision(seed, t as u32, rate_ppm) {
             failed.push(t as u32);
             for &s in oracle.succs(t) {
-                cone[s] = true;
+                cone[s as usize] = true;
             }
         }
     }
@@ -158,7 +158,7 @@ fn renamer_poison_cone_matches_depgraph_reachability() {
         for t in 0..trace.len() {
             if failed[t] || expect[t] {
                 for &s in oracle.succs(t) {
-                    expect[s] = true;
+                    expect[s as usize] = true;
                 }
             }
         }

@@ -102,14 +102,11 @@ where
         // Verify the data partition: no enforced dependency may cross
         // threads (Section III.B).
         let graph = trace.dep_graph();
-        for e in graph.edges() {
-            if e.kind.enforced() {
+        for t in 0..trace.len() {
+            for &p in graph.preds(t) {
                 assert_eq!(
-                    thread_of[e.from_id()],
-                    thread_of[e.to_id()],
-                    "dependency {} -> {} crosses generating threads: data must be partitioned",
-                    e.from,
-                    e.to
+                    thread_of[p as usize], thread_of[t],
+                    "dependency {p} -> {t} crosses generating threads: data must be partitioned"
                 );
             }
         }

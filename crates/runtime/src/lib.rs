@@ -137,7 +137,7 @@ impl Component<Msg> for SoftDecoder {
                 // borrows `self` mutably): completion is once per task,
                 // but a per-task allocation here was visible in profiles.
                 for i in 0..self.graph.succs(trace_id).len() {
-                    let s = self.graph.succs(trace_id)[i];
+                    let s = self.graph.succs(trace_id)[i] as TaskId;
                     self.missing_preds[s] -= 1;
                     self.release_if_runnable(s, ctx);
                 }

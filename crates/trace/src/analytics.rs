@@ -45,6 +45,7 @@ pub fn parallelism_profile(trace: &TaskTrace, graph: &DepGraph) -> ParallelismPr
     for t in 0..n {
         let mut start: Cycle = 0;
         for &p in graph.preds(t) {
+            let p = p as TaskId;
             debug_assert!(p < t, "edges must point forward in program order");
             if finish[p] > start {
                 start = finish[p];
@@ -153,6 +154,7 @@ pub fn dataflow_bound(trace: &TaskTrace, graph: &DepGraph, processors: usize) ->
             free += 1;
             done += 1;
             for &s in graph.succs(t) {
+                let s = s as TaskId;
                 missing[s] -= 1;
                 if missing[s] == 0 {
                     ready.push(Reverse((fin, s)));

@@ -10,17 +10,19 @@
 //!   these are enforced: the inout task receives its "output buffer free"
 //!   data-ready only when the previous version drains.
 //! - **WaR** / **WaW** against a pure `out` operand — *removed by
-//!   renaming* (the OVT allocates a fresh buffer, Figure 7). Recorded for
-//!   statistics and for no-renaming ablations, but not enforced.
+//!   renaming* (the OVT allocates a fresh buffer, Figure 7). Counted
+//!   ([`DepGraph::edges_removed_by_renaming`]) and listed on demand by
+//!   [`classified_edges`] for no-renaming comparisons, but not enforced.
 //!
 //! The enforced edge set is what any correct out-of-order execution must
 //! respect; `tss-runtime` executes directly from it, and the hardware
 //! pipeline's schedules are validated against it.
 //!
 //! The rules are stated here twice, on purpose: `for_each_edge` yields
-//! the edges [`DepGraph::from_trace`] collects, and [`check_order`] (a
-//! trace's first [`TaskTrace::check_order`]) tests the same rules on a
-//! per-object summary of the current version without naming an edge.
+//! the edges [`DepGraph::from_trace`] builds its adjacency from, and
+//! [`check_order`] (a trace's first [`TaskTrace::check_order`]) tests
+//! the same rules on a per-object summary of the current version
+//! without naming an edge.
 //! `tests/properties.rs` holds the first to a brute-force recomputation
 //! and the second to the first, so a mistake in one is not inherited by
 //! the other (DESIGN.md §14.3).
@@ -116,12 +118,9 @@ impl std::fmt::Display for OrderViolation {
 
 impl std::error::Error for OrderViolation {}
 
-/// One dependency edge `from → to` (with `from` earlier in program order).
-///
-/// Endpoints are `u32` (not `TaskId = usize`): the edge list of a paper-
-/// scale trace runs to hundreds of thousands of entries and is scanned
-/// several times during CSR construction, so halving the record from 24
-/// to 12 bytes measurably shortens the graph build (ISSUE 5). Use
+/// One classified dependency edge `from → to` (with `from` earlier in
+/// program order), as [`classified_edges`] yields it. Endpoints are
+/// task ids at `u32` width, as everywhere the graph stores them; use
 /// [`DepEdge::from_id`]/[`DepEdge::to_id`] for `TaskId`-typed endpoints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DepEdge {
@@ -145,31 +144,47 @@ impl DepEdge {
     }
 }
 
-#[derive(Debug, Default, Clone)]
+/// An object's `last_writer` before its first write.
+const NO_WRITER: u32 = u32::MAX;
+
+/// One object's current version, 64 bytes: its writer and its readers
+/// as task ids at `u32` width ([`DepGraph::from_trace`] asserts that
+/// every id fits below [`NO_WRITER`]).
+#[derive(Debug, Clone)]
 struct ObjectState {
-    /// Task holding the latest version (last writer), if in flight.
-    last_writer: Option<TaskId>,
+    /// Task holding the latest version (last writer), or [`NO_WRITER`].
+    last_writer: u32,
     /// Readers of the latest version since the last write. Table-I
     /// traces rarely exceed a handful of readers per version (Figure
     /// 10), so the first 8 live inline and the replay loop allocates
     /// only for outliers.
-    readers_len: usize,
-    readers: [TaskId; 8],
-    readers_overflow: Vec<TaskId>,
+    readers_len: u32,
+    readers: [u32; 8],
+    readers_overflow: Vec<u32>,
+}
+
+impl Default for ObjectState {
+    fn default() -> Self {
+        ObjectState {
+            last_writer: NO_WRITER,
+            readers_len: 0,
+            readers: [0; 8],
+            readers_overflow: Vec::new(),
+        }
+    }
 }
 
 impl ObjectState {
-    fn push_reader(&mut self, t: TaskId) {
-        if self.readers_len < self.readers.len() {
-            self.readers[self.readers_len] = t;
-        } else {
-            self.readers_overflow.push(t);
+    fn push_reader(&mut self, t: u32) {
+        match self.readers.get_mut(self.readers_len as usize) {
+            Some(slot) => *slot = t,
+            None => self.readers_overflow.push(t),
         }
         self.readers_len += 1;
     }
 
-    fn readers(&self) -> impl Iterator<Item = TaskId> + '_ {
-        let inline = self.readers_len.min(self.readers.len());
+    fn readers(&self) -> impl Iterator<Item = u32> + '_ {
+        let inline = (self.readers_len as usize).min(self.readers.len());
         self.readers[..inline].iter().copied().chain(self.readers_overflow.iter().copied())
     }
 
@@ -179,76 +194,43 @@ impl ObjectState {
     }
 }
 
-/// The dependency graph of a trace: full classified edge list plus
-/// enforced predecessor/successor adjacency.
+/// The enforced dependency graph of a trace: predecessor and successor
+/// adjacency, deduplicated and sorted, plus the count of edges renaming
+/// removes.
 ///
 /// Adjacency is stored flat (CSR: one offsets array, one data array per
 /// direction) instead of `Vec<Vec<_>>`: graph construction runs once per
 /// software-runtime simulation, and 2·n little vectors dominated its
-/// allocator traffic.
+/// allocator traffic. Every entry is a task id or an offset at `u32`
+/// width, so a graph of `n` tasks and `E` enforced edges holds exactly
+/// 4 B × (2(n + 1) + 2E) (`tests/dep_graph_bytes.rs`). The classified
+/// edge list, non-enforced edges included, is not kept: its readers are
+/// tests, and [`classified_edges`] recomputes it.
 #[derive(Debug, Clone)]
 pub struct DepGraph {
     n: usize,
-    edges: Vec<DepEdge>,
     pred_off: Vec<u32>,
-    pred_dat: Vec<TaskId>,
+    pred_dat: Vec<u32>,
     succ_off: Vec<u32>,
-    succ_dat: Vec<TaskId>,
+    succ_dat: Vec<u32>,
     removed_by_renaming: usize,
-}
-
-/// Builds one CSR direction from `(node, neighbor)` pairs; neighbors of
-/// each node end up sorted and deduplicated.
-fn build_csr(n: usize, pairs: impl Iterator<Item = (u32, u32)> + Clone) -> (Vec<u32>, Vec<TaskId>) {
-    let mut counts = vec![0u32; n + 1];
-    for (node, _) in pairs.clone() {
-        counts[node as usize + 1] += 1;
-    }
-    for i in 0..n {
-        counts[i + 1] += counts[i];
-    }
-    let mut dat = vec![0 as TaskId; *counts.last().unwrap() as usize];
-    let mut cursor = counts.clone();
-    for (node, nb) in pairs {
-        dat[cursor[node as usize] as usize] = nb as TaskId;
-        cursor[node as usize] += 1;
-    }
-    // Sort + dedup each node's range in place, compacting as we go.
-    let mut write = 0usize;
-    let mut off = vec![0u32; n + 1];
-    for i in 0..n {
-        let (lo, hi) = (counts[i] as usize, counts[i + 1] as usize);
-        dat[lo..hi].sort_unstable();
-        let start = write;
-        let mut last: Option<TaskId> = None;
-        for k in lo..hi {
-            if last != Some(dat[k]) {
-                last = Some(dat[k]);
-                dat[write] = dat[k];
-                write += 1;
-            }
-        }
-        off[i] = start as u32;
-        off[i + 1] = write as u32;
-    }
-    dat.truncate(write);
-    (off, dat)
 }
 
 /// The replay's working set: one [`ObjectState`] per distinct base
 /// address. The caller of [`for_each_edge`] allocates it and decides
-/// when it dies — `from_trace` keeps it alive across the CSR build on
-/// purpose (freeing ~10 MB of table early moves glibc's dynamic mmap
-/// threshold, after which the CSR arrays come from the heap and stay
-/// resident: +3 MB peak RSS over the paper traces in ten runs of ten,
-/// EXPERIMENTS.md "PR 15").
+/// when it dies. Where it dies moves `replay_large`'s peak RSS, because
+/// freeing a block glibc mapped raises its dynamic mmap threshold, and
+/// later blocks then come from the heap (DESIGN.md §14.3): with 64-byte
+/// states, freeing it before the successor CSR is built reads 47.1 MB,
+/// against 48.3 MB for freeing it on return and 48.5 MB for a table
+/// grown from empty (medians of eleven runs).
 pub(crate) struct ObjectTable {
     // Declared (hence dropped) states-first but allocated index-first:
-    // the paper traces' peak RSS is sensitive to both orders (above).
+    // the order measured with the earlier 112-byte states, kept.
     states: Vec<ObjectState>,
     /// Object states live in the dense vector above; the hash map only
     /// interns addresses to indices. Keeping the map entries at 12
-    /// bytes (vs. a ~100-byte inline state) keeps the whole probe table
+    /// bytes (vs. a 64-byte inline state) keeps the whole probe table
     /// cache-resident for big traces.
     index: AddrMap<u32>,
 }
@@ -256,7 +238,7 @@ pub(crate) struct ObjectTable {
 impl ObjectTable {
     /// Sized for the common case of roughly one distinct object per
     /// task (Table-I traces all fit); a wider-fan-in trace may still
-    /// rehash once or twice.
+    /// rehash once or twice. Untouched capacity is never resident.
     pub(crate) fn for_trace(trace: &TaskTrace) -> Self {
         let n = trace.len().max(16);
         let index = AddrMap::with_capacity_and_hasher(n, BuildHasherDefault::default());
@@ -266,10 +248,11 @@ impl ObjectTable {
 
 /// The dependence rules as edges: replays `trace` in program order over
 /// `table` and yields every classified edge `from → to` (`from` earlier
-/// in program order) in discovery order, duplicates included.
-/// [`DepGraph::from_trace`] is the one caller; the streamed
-/// [`check_order`] states the enforced rules again without edges, and
-/// the executor's renamer a third time (DESIGN.md §14.3).
+/// in program order) in discovery order, duplicates included — so in
+/// ascending `to`. [`DepGraph::from_trace`] and [`classified_edges`]
+/// are its callers; the streamed [`check_order`] states the enforced
+/// rules again without edges, and the executor's renamer a third time
+/// (DESIGN.md §14.3). Task ids must fit below [`NO_WRITER`].
 #[inline]
 pub(crate) fn for_each_edge(
     trace: &TaskTrace,
@@ -278,19 +261,17 @@ pub(crate) fn for_each_edge(
 ) {
     let ObjectTable { states, index } = table;
     for (tid, task) in trace.iter().enumerate() {
+        let tid = tid as u32;
         for op in task.operands.iter().filter(|o| o.is_tracked()) {
             let id = *index.entry(op.addr).or_insert_with(|| {
                 states.push(ObjectState::default());
                 (states.len() - 1) as u32
             });
             let st = &mut states[id as usize];
-            if op.dir.reads() {
-                // RaW from the in-flight producer, if any.
-                if let Some(w) = st.last_writer {
-                    if w != tid {
-                        edge(w as u32, tid as u32, DepKind::RaW);
-                    }
-                }
+            let w = st.last_writer;
+            if op.dir.reads() && w != NO_WRITER && w != tid {
+                // RaW from the in-flight producer.
+                edge(w, tid, DepKind::RaW);
             }
             if op.dir.writes() {
                 let inout = op.dir.reads();
@@ -298,17 +279,15 @@ pub(crate) fn for_each_edge(
                 for r in st.readers() {
                     if r != tid {
                         let kind = if inout { DepKind::InoutAnti } else { DepKind::WaR };
-                        edge(r as u32, tid as u32, kind);
+                        edge(r, tid, kind);
                     }
                 }
-                // Ordering against the previous writer.
-                if let Some(w) = st.last_writer {
-                    if w != tid && !inout {
-                        // (for inout the RaW edge above already covers it)
-                        edge(w as u32, tid as u32, DepKind::WaW);
-                    }
+                // Ordering against the previous writer (for inout the
+                // RaW edge above already covers it).
+                if w != NO_WRITER && w != tid && !inout {
+                    edge(w, tid, DepKind::WaW);
                 }
-                st.last_writer = Some(tid);
+                st.last_writer = tid;
                 st.clear_readers();
             }
             if op.dir.reads() {
@@ -316,6 +295,42 @@ pub(crate) fn for_each_edge(
             }
         }
     }
+}
+
+/// Every classified edge of `trace`, non-enforced WaR/WaW included, in
+/// discovery order with duplicates — recomputed on each call, since
+/// [`DepGraph`] keeps only the enforced adjacency and a count of the
+/// rest. For tests and ablations that need the kinds.
+///
+/// # Panics
+///
+/// Panics if the trace has `u32::MAX` tasks or more.
+pub fn classified_edges(trace: &TaskTrace) -> Vec<DepEdge> {
+    assert_fits_u32(trace);
+    let mut edges = Vec::new();
+    let mut table = ObjectTable::for_trace(trace);
+    for_each_edge(trace, &mut table, |from, to, kind| edges.push(DepEdge { from, to, kind }));
+    edges
+}
+
+fn assert_fits_u32(trace: &TaskTrace) {
+    assert!(trace.len() < NO_WRITER as usize, "{} tasks: task ids must fit u32", trace.len());
+}
+
+/// Closes the open task's predecessor range (the tail of `dat` from
+/// `off`'s last entry): sorted, deduplicated, and its end appended.
+fn seal_preds(off: &mut Vec<u32>, dat: &mut Vec<u32>) {
+    let start = *off.last().expect("offsets start at [0]") as usize;
+    dat[start..].sort_unstable();
+    let mut kept = start;
+    for i in start..dat.len() {
+        if kept == start || dat[i] != dat[kept - 1] {
+            dat[kept] = dat[i];
+            kept += 1;
+        }
+    }
+    dat.truncate(kept);
+    off.push(u32::try_from(dat.len()).expect("enforced edges fit u32"));
 }
 
 /// `position[t]` = index of `t` in `order`, after checking that `order`
@@ -399,25 +414,59 @@ impl DepGraph {
     /// trace checked more than once); `from_trace` directly only for a
     /// private, unshared graph.
     pub fn from_trace(trace: &TaskTrace) -> Self {
+        assert_fits_u32(trace);
         let n = trace.len();
-        // Rough upper-bound reservation: one RaW per read plus ordering
-        // edges against prior readers — about 2 edges per operand in the
-        // Table-I traces. Growing a multi-megabyte edge list by doubling
-        // was measurable in the software-runtime build.
-        let total_ops: usize = trace.iter().map(|t| t.operands.len()).sum();
-        let mut edges = Vec::with_capacity(2 * total_ops);
-        // Allocated after `edges` and dropped when this function
-        // returns, not before the CSR build (see `ObjectTable`).
+        // Edges reach the visitor in ascending `to`, so the predecessor
+        // CSR fills as the walk goes: a task's range is sealed when the
+        // first edge of a later task arrives. No edge list is stored.
+        let mut pred_off = Vec::with_capacity(n + 1);
+        pred_off.push(0u32);
+        let mut pred_dat = Vec::new();
+        let mut removed = 0;
         let mut table = ObjectTable::for_trace(trace);
-        for_each_edge(trace, &mut table, |from, to, kind| edges.push(DepEdge { from, to, kind }));
+        for_each_edge(trace, &mut table, |from, to, kind| {
+            #[cfg(tss_bug_graph_drops_inout_anti)]
+            if kind == DepKind::InoutAnti {
+                return;
+            }
+            if !kind.enforced() {
+                removed += 1;
+                return;
+            }
+            while pred_off.len() <= to as usize {
+                seal_preds(&mut pred_off, &mut pred_dat);
+            }
+            pred_dat.push(from);
+        });
+        // Freed before the CSR build, not on return (see `ObjectTable`).
+        drop(table);
+        while pred_off.len() <= n {
+            seal_preds(&mut pred_off, &mut pred_dat);
+        }
+        pred_dat.shrink_to_fit();
 
-        let removed = edges.iter().filter(|e| !e.kind.enforced()).count();
-        let enforced: Vec<(u32, u32)> =
-            edges.iter().filter(|e| e.kind.enforced()).map(|e| (e.from, e.to)).collect();
-        let (pred_off, pred_dat) = build_csr(n, enforced.iter().map(|&(f, t)| (t, f)));
-        let (succ_off, succ_dat) = build_csr(n, enforced.iter().copied());
+        // The successor CSR is the transpose: count, take inclusive
+        // prefix sums (each entry the end of its range), then walk the
+        // consumers backwards, moving each producer's end down to its
+        // start — which leaves every range ascending.
+        let mut succ_off = vec![0u32; n + 1];
+        for &p in &pred_dat {
+            succ_off[p as usize] += 1;
+        }
+        let mut end = 0;
+        for slot in &mut succ_off {
+            end += *slot;
+            *slot = end;
+        }
+        let mut succ_dat = vec![0u32; pred_dat.len()];
+        for t in (0..n).rev() {
+            for &p in &pred_dat[pred_off[t] as usize..pred_off[t + 1] as usize] {
+                succ_off[p as usize] -= 1;
+                succ_dat[succ_off[p as usize] as usize] = t as u32;
+            }
+        }
 
-        DepGraph { n, edges, pred_off, pred_dat, succ_off, succ_dat, removed_by_renaming: removed }
+        DepGraph { n, pred_off, pred_dat, succ_off, succ_dat, removed_by_renaming: removed }
     }
 
     /// Number of tasks (graph nodes).
@@ -430,18 +479,13 @@ impl DepGraph {
         self.n == 0
     }
 
-    /// All classified edges, including the non-enforced WaR/WaW ones.
-    pub fn edges(&self) -> &[DepEdge] {
-        &self.edges
-    }
-
-    /// Enforced (deduplicated) predecessors of `t`.
-    pub fn preds(&self, t: TaskId) -> &[TaskId] {
+    /// Enforced (deduplicated, ascending) predecessors of `t`.
+    pub fn preds(&self, t: TaskId) -> &[u32] {
         &self.pred_dat[self.pred_off[t] as usize..self.pred_off[t + 1] as usize]
     }
 
-    /// Enforced (deduplicated) successors of `t`.
-    pub fn succs(&self, t: TaskId) -> &[TaskId] {
+    /// Enforced (deduplicated, ascending) successors of `t`.
+    pub fn succs(&self, t: TaskId) -> &[u32] {
         &self.succ_dat[self.succ_off[t] as usize..self.succ_off[t + 1] as usize]
     }
 
@@ -479,8 +523,9 @@ impl DepGraph {
         let position = positions(self.n, order)?;
         for (i, &t) in order.iter().enumerate() {
             for &p in self.preds(t) {
-                if position[p] > i as u32 {
-                    return Err(OrderViolation::ProducerAfterConsumer { producer: p, consumer: t });
+                if position[p as usize] > i as u32 {
+                    let producer = p as TaskId;
+                    return Err(OrderViolation::ProducerAfterConsumer { producer, consumer: t });
                 }
             }
         }
@@ -498,6 +543,7 @@ impl DepGraph {
         visited[from] = true;
         while let Some(t) = stack.pop() {
             for &s in self.succs(t) {
+                let s = s as TaskId;
                 if s == to {
                     return true;
                 }
@@ -552,8 +598,7 @@ mod tests {
         let g = DepGraph::from_trace(&tr);
         assert_eq!(g.preds(1), &[0]);
         assert_eq!(g.succs(0), &[1]);
-        assert_eq!(g.edges().len(), 1);
-        assert_eq!(g.edges()[0].kind, DepKind::RaW);
+        assert_eq!(classified_edges(&tr), [DepEdge { from: 0, to: 1, kind: DepKind::RaW }]);
     }
 
     #[test]
@@ -566,6 +611,8 @@ mod tests {
         let g = DepGraph::from_trace(&tr);
         assert!(g.preds(2).is_empty(), "renamed writer must not wait");
         assert_eq!(g.edges_removed_by_renaming(), 2);
+        let kinds: Vec<DepKind> = classified_edges(&tr).iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, [DepKind::RaW, DepKind::WaR, DepKind::WaW]);
         // Reader still depends on the first writer.
         assert_eq!(g.preds(1), &[0]);
     }
@@ -579,8 +626,8 @@ mod tests {
         ]);
         let g = DepGraph::from_trace(&tr);
         assert_eq!(g.preds(2), &[0, 1]);
-        let kinds: Vec<DepKind> = g.edges().iter().map(|e| e.kind).collect();
-        assert!(kinds.contains(&DepKind::InoutAnti));
+        let kinds: Vec<DepKind> = classified_edges(&tr).iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, [DepKind::RaW, DepKind::RaW, DepKind::InoutAnti]);
         assert_eq!(g.edges_removed_by_renaming(), 0);
     }
 
@@ -625,7 +672,8 @@ mod tests {
     fn untracked_scalars_create_no_edges() {
         let tr = trace_of(vec![vec![OperandDesc::scalar(8)], vec![OperandDesc::scalar(8)]]);
         let g = DepGraph::from_trace(&tr);
-        assert_eq!(g.edges().len(), 0);
+        assert!(classified_edges(&tr).is_empty());
+        assert_eq!(g.enforced_edge_count(), 0);
         assert_eq!(g.roots().count(), 2);
     }
 
@@ -647,7 +695,8 @@ mod tests {
             vec![OperandDesc::input(0x200, 64)],
         ]);
         let g = DepGraph::from_trace(&tr);
-        assert!(g.edges().is_empty());
+        assert!(classified_edges(&tr).is_empty());
+        assert_eq!(g.enforced_edge_count(), 0);
     }
 
     #[test]

@@ -112,6 +112,7 @@ pub fn validate_schedule(
     for t in 0..n {
         let rec = by_task[t].expect("checked above");
         for &p in graph.preds(t) {
+            let p = p as TaskId;
             let pr = by_task[p].expect("checked above");
             if pr.end > rec.start {
                 return Err(ScheduleError::DependencyViolated {

@@ -117,6 +117,7 @@ impl TraceGenerator for H264Gen {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tss_trace::graph::classified_edges;
     use tss_trace::DepGraph;
 
     #[test]
@@ -136,7 +137,7 @@ mod tests {
         // (1,1) depends on W(0,1), NW(0,0), N(1,0), NE(2,0).
         let preds = g.preds(id(1, 1));
         for p in [id(0, 1), id(0, 0), id(1, 0), id(2, 0)] {
-            assert!(preds.contains(&p), "missing wavefront pred {p}");
+            assert!(preds.contains(&(p as u32)), "missing wavefront pred {p}");
         }
         // Anti-diagonal blocks are independent: (2,0) vs (0,1)? (0,1)
         // depends on (1,0)? No: N of (0,1) is (0,0); NE is (1,0). Check
@@ -185,8 +186,7 @@ mod tests {
     fn references_never_point_forward() {
         let gen = H264Gen::new(5, 4, 3);
         let trace = gen.generate(1);
-        let g = DepGraph::from_trace(&trace);
-        for e in g.edges() {
+        for e in classified_edges(&trace) {
             assert!(e.from < e.to, "edges follow creation order");
         }
     }

@@ -121,7 +121,7 @@ mod tests {
         // Step-1 center block reads halos written by step-0 neighbours.
         let preds = graph.preds(id(1, 1, 1));
         for (nx, ny) in [(0, 1), (2, 1), (1, 0), (1, 2)] {
-            assert!(preds.contains(&id(0, nx, ny)), "missing halo ({nx},{ny})");
+            assert!(preds.contains(&(id(0, nx, ny) as u32)), "missing halo ({nx},{ny})");
         }
         // Same-step blocks are mutually independent.
         assert!(!graph.reachable(id(1, 0, 0), id(1, 3, 3)));

@@ -21,7 +21,7 @@ use task_superscalar::pipeline::assembly::{
 use task_superscalar::pipeline::blocks::{blocks_for_operands, BlockStore};
 use task_superscalar::pipeline::{FrontendConfig, Msg};
 use task_superscalar::sim::Simulation;
-use task_superscalar::trace::graph::check_order;
+use task_superscalar::trace::graph::{check_order, classified_edges, DepEdge};
 use task_superscalar::trace::{
     validate_schedule, DepGraph, DepKind, Direction, KernelId, OperandDesc, Operands,
     OrderViolation, TaskDesc, TaskTrace, MAX_OPERANDS,
@@ -77,7 +77,7 @@ fn arb_specs() -> impl Strategy<Value = (Vec<Vec<OpSpec>>, Vec<u32>)> {
 // ---------------------------------------------------------------------
 
 /// O(n²·ops²) recomputation of the enforced predecessor sets.
-fn brute_force_preds(tr: &TaskTrace) -> Vec<Vec<usize>> {
+fn brute_force_preds(tr: &TaskTrace) -> Vec<Vec<u32>> {
     let n = tr.len();
     let mut preds = vec![Vec::new(); n];
     #[allow(clippy::needless_range_loop)] // a/b index two task positions
@@ -97,14 +97,14 @@ fn brute_force_preds(tr: &TaskTrace) -> Vec<Vec<usize>> {
                             .any(|o| o.is_tracked() && o.addr == ob.addr && o.dir.writes())
                     });
                     if ob.dir.reads() && oa.dir.writes() && !intervening_writer {
-                        preds[b].push(a);
+                        preds[b].push(a as u32);
                         continue 'a_loop;
                     }
                     // InoutAnti: b is an inout writer; a read the version
                     // b supersedes (a's read not invalidated by a writer
                     // in between).
                     if ob.dir == Direction::InOut && oa.dir.reads() && !intervening_writer {
-                        preds[b].push(a);
+                        preds[b].push(a as u32);
                         continue 'a_loop;
                     }
                 }
@@ -155,6 +155,7 @@ fn linearize(g: &DepGraph, picks: &[usize]) -> Vec<usize> {
         let t = ready.swap_remove(picks[order.len()] % ready.len());
         order.push(t);
         for &s in g.succs(t) {
+            let s = s as usize;
             waiting[s] -= 1;
             if waiting[s] == 0 {
                 ready.push(s);
@@ -193,6 +194,7 @@ proptest! {
     ) {
         let tr = loose_trace(&specs);
         let g = DepGraph::from_trace(&tr);
+        let edges = classified_edges(&tr);
         let mut order = linearize(&g, &picks);
         prop_assert_eq!(g.validate_order(&order), Ok(()));
         prop_assert_eq!(check_order(&tr, &order), Ok(()), "valid linearization rejected");
@@ -203,10 +205,10 @@ proptest! {
             0 => order[at] = order[(at + 1) % order.len()], // a duplicated id (and a missing one)
             1 => drop(order.remove(at)),                    // a dropped id
             2 => order[at] = tr.len() + at,                 // an out-of-range id
-            3 if !g.edges().is_empty() => {
+            3 if !edges.is_empty() => {
                 // One classified edge inverted, whatever its kind: a
                 // renamed WaR/WaW may pass, a RaW/InoutAnti may not.
-                let e = g.edges()[picks[at] % g.edges().len()];
+                let e = edges[picks[at] % edges.len()];
                 let (from, to) = (index_of(&order, e.from_id()), index_of(&order, e.to_id()));
                 order.swap(from, to);
             }
@@ -224,7 +226,7 @@ proptest! {
                 Err(OrderViolation::ProducerAfterConsumer { producer, consumer }),
                 Err(OrderViolation::ProducerAfterConsumer { .. }),
             ) => {
-                prop_assert!(g.preds(consumer).contains(&producer), "not an enforced edge");
+                prop_assert!(g.preds(consumer).contains(&(producer as u32)), "not an enforced edge");
                 prop_assert!(
                     index_of(&order, producer) > index_of(&order, consumer),
                     "edge is not inverted"
@@ -321,13 +323,21 @@ proptest! {
         for (t, expected) in brute.iter().enumerate() {
             prop_assert_eq!(g.preds(t), &expected[..], "task {} preds mismatch", t);
         }
-        // Edge kinds are consistent: enforced edges are RaW/InoutAnti.
-        for e in g.edges() {
-            prop_assert_eq!(
-                e.kind.enforced(),
-                matches!(e.kind, DepKind::RaW | DepKind::InoutAnti)
-            );
-        }
+        // The classified edges are the graph's: the RaW/InoutAnti ones,
+        // deduplicated, are its adjacency, and the WaR/WaW ones its
+        // renaming count.
+        let edges = classified_edges(&tr);
+        let (enforced, removed): (Vec<&DepEdge>, Vec<_>) =
+            edges.iter().partition(|e| e.kind.enforced());
+        prop_assert!(enforced.iter().all(|e| matches!(e.kind, DepKind::RaW | DepKind::InoutAnti)));
+        prop_assert_eq!(removed.len(), g.edges_removed_by_renaming());
+        let mut pairs: Vec<(u32, u32)> = enforced.iter().map(|e| (e.to, e.from)).collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        let adjacency: Vec<(u32, u32)> = (0..tr.len())
+            .flat_map(|t| g.preds(t).iter().map(move |&p| (t as u32, p)))
+            .collect();
+        prop_assert_eq!(pairs, adjacency);
     }
 
     #[test]

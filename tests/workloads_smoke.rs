@@ -16,6 +16,7 @@ fn topo_orderable(g: &DepGraph) -> usize {
     while let Some(t) = ready.pop() {
         ordered += 1;
         for &s in g.succs(t) {
+            let s = s as usize;
             indegree[s] -= 1;
             if indegree[s] == 0 {
                 ready.push(s);
