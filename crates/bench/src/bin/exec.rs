@@ -28,13 +28,12 @@
 //!
 //! Flags: `--scale small|paper|large`, `--threads N`, `--payload
 //! noop|spin|memcpy|faulty|mixed`, `--spin-scale F`, `--seed N`,
-//! `--window N`, `--decode-shards N`, `--no-renaming`, `--json`, `--out
-//! PATH`, plus the failure domain: `--fault-rate F` (0..=1),
-//! `--fault-seed N`, `--failure-policy fail-fast|quarantine`,
-//! `--run-deadline-ms N`, `--kill-worker W`. Bad flag values *and* bad
-//! flag combinations print a clear error naming the flags and exit 2
-//! (they never panic); a structured run failure ([`ExecError`]) also
-//! exits 2.
+//! `--window N`, `--no-renaming`, `--json`, `--out PATH`, plus the
+//! failure domain: `--fault-rate F` (0..=1), `--fault-seed N`,
+//! `--failure-policy fail-fast|quarantine`, `--run-deadline-ms N`,
+//! `--kill-worker W`. Bad flag values *and* bad flag combinations
+//! print a clear error naming the flags and exit 2 (they never panic);
+//! a structured run failure ([`ExecError`]) also exits 2.
 //!
 //! Observability (DESIGN.md §12, needs a `--features obs` build —
 //! rejected up front otherwise): `--trace-out PATH` writes the
@@ -106,7 +105,7 @@ fn parse_args() -> Parsed<Args> {
     let mut flags = Flags::from_env(format!(
         "exec [--scale small|paper|large] [--threads N] \
          [--payload noop|spin|memcpy|faulty|mixed] [--spin-scale F] [--seed N] \
-         [--window N] [--decode-shards N] [--no-renaming] [--json] [--out PATH] \
+         [--window N] [--no-renaming] [--json] [--out PATH] \
          [--fault-rate F --failure-policy {policies}] \
          [--fault-seed N] [--run-deadline-ms N] [--kill-worker W] \
          [--trace-out PATH] [--histogram]"
@@ -119,7 +118,6 @@ fn parse_args() -> Parsed<Args> {
             "--out" => out.out = flags.value()?,
             "--threads" => out.cfg.threads = flags.positive()?,
             "--window" => out.cfg.window = flags.positive()?,
-            "--decode-shards" => out.cfg.decode_shards = flags.positive()?,
             "--payload" => payload_name = flags.value()?,
             "--spin-scale" => spin_scale = flags.num()?,
             "--no-renaming" => out.cfg.renaming = false,
@@ -306,7 +304,10 @@ fn to_json(args: &Args, points: &[Point]) -> String {
         .text("payload", cfg.payload.name())
         .put("seed", cfg.seed)
         .put("window", cfg.window)
-        .put("decode_shards", cfg.decode_shards)
+        // The renamer has one table; the key stays because the
+        // committed baselines carry it and the CLI test holds every
+        // artifact to their key set (ROADMAP item 5(d)).
+        .put("decode_shards", 1)
         .put("renaming", cfg.renaming)
         .text("failure_policy", cfg.policy.name())
         .put("fault_rate_ppm", args.fault_rate_ppm)
@@ -554,13 +555,12 @@ fn main() {
     } else {
         let mut table = Table::new(
             format!(
-                "Native executor ({} scale, {} threads, {} payload, seed {}, window {}, {} decode shards)",
+                "Native executor ({} scale, {} threads, {} payload, seed {}, window {})",
                 args.scale.name(),
                 args.cfg.threads,
                 args.cfg.payload.name(),
                 args.cfg.seed,
                 args.cfg.window,
-                args.cfg.decode_shards,
             ),
             &[
                 "Benchmark",

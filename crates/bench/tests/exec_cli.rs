@@ -42,7 +42,6 @@ fn unknown_scale_flag_value_and_missing_value_are_clean_errors() {
         &["--threads"][..],
         &["--threads", "many"][..],
         &["--window", "0"][..],
-        &["--decode-shards", "0"][..],
     ] {
         let (code, err) = run(args);
         assert_eq!(code, 2, "args {args:?}, stderr: {err}");

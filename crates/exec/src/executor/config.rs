@@ -22,11 +22,6 @@ pub struct ExecConfig {
     /// batch (≥ 1). Smaller windows overlap sooner but commit more
     /// often.
     pub window: usize,
-    /// Decode shards for streaming runs (≥ 1): address interning is
-    /// hash-partitioned this many ways and each shard renames its
-    /// partition of a window as a step of its own, which any idle
-    /// worker may take (the distributed-ORT analogy).
-    pub decode_shards: usize,
     /// What the run does when a task fails (DESIGN.md §11).
     pub policy: FailurePolicy,
     /// Whole-run wall-clock budget: expiry aborts the run with
@@ -52,7 +47,6 @@ impl Default for ExecConfig {
             renaming: true,
             seed: 1,
             window: 1024,
-            decode_shards: 1,
             policy: FailurePolicy::FailFast,
             run_deadline: None,
             kill_worker: None,
@@ -90,8 +84,8 @@ impl std::error::Error for ConfigError {}
 impl ExecConfig {
     /// The one statement of the ranges a run needs: at least one worker,
     /// and a `kill_worker` that leaves a survivor and names a worker
-    /// that exists. (`window` and `decode_shards` have no bad values —
-    /// `Executor::new` clamps them.) Allocates nothing: the server
+    /// that exists. (`window` has no bad values — `Executor::new`
+    /// clamps it.) Allocates nothing: the server
     /// builds an executor per served graph.
     pub fn check(&self) -> Result<(), ConfigError> {
         if self.threads == 0 {

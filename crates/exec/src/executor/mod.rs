@@ -9,10 +9,10 @@
 //! - **One pipeline, two front ends.** Every run is the same crew of
 //!   workers over the same release table; the entry points differ only
 //!   in where the graph comes from. [`Executor::run`] streams: a worker
-//!   with nothing to run takes a *decode step* — renames one shard of
-//!   the next window and commits the window if that completed it —
-//!   while the other workers execute the windows before it (the decode
-//!   cost overlaps execution — [`ExecReport::decode_overlap_pct`]).
+//!   with nothing to run takes a *decode step* — renames the next
+//!   window and commits it — while the other workers execute the
+//!   windows before it (the decode cost overlaps execution —
+//!   [`ExecReport::decode_overlap_pct`]).
 //!   [`Executor::replay`] takes a graph decoded beforehand and commits
 //!   it whole before the crew starts; [`Executor::run_oneshot`] is
 //!   decode-then-`replay` — PR 3's two phases, the apples-to-apples
@@ -156,8 +156,8 @@ enum FrontEnd<'g> {
 }
 
 impl Executor {
-    /// An executor with the given configuration (`window` and
-    /// `decode_shards` are clamped to ≥ 1).
+    /// An executor with the given configuration (`window` is clamped
+    /// to ≥ 1).
     ///
     /// # Panics
     ///
@@ -169,7 +169,6 @@ impl Executor {
             panic!("{e}");
         }
         config.window = config.window.max(1);
-        config.decode_shards = config.decode_shards.max(1);
         Executor { config }
     }
 
@@ -397,7 +396,6 @@ impl Executor {
                 0.0
             },
             streaming,
-            decode_shards: if streaming { self.config.decode_shards } else { 1 },
             order,
             workers,
             rename,

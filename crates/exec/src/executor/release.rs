@@ -122,11 +122,10 @@ pub(super) struct CommitCursors {
     next_node: u32,
     /// Enforced (post-dedup) edges committed so far.
     pub(super) edges: usize,
-    /// Reused storage: the merge's per-shard positions, one task's
-    /// producers, per task of the window in hand the producers it
-    /// still waits for (and whether one of them is [`RACED`]), kept from
-    /// the first phase for the second, and the roots the second found.
-    merged: Vec<usize>,
+    /// Reused storage: one task's producers, per task of the window in
+    /// hand the producers it still waits for (and whether one of them
+    /// is [`RACED`]), kept from the first phase for the second, and the
+    /// roots the second found.
     producers: Vec<u32>,
     unfinished: Vec<u32>,
     roots: Vec<u32>,
@@ -394,9 +393,10 @@ impl StreamRelease {
     }
 
     /// Commits the window of tasks `[lo, hi)` (committer thread, under
-    /// the commit lock): merges the shards' `(consumer, producer)`
-    /// `pairs` into each task's sorted unique producer set and puts the
-    /// window into the table in two phases (DESIGN.md §8.2).
+    /// the commit lock): merges the scan's consumer-ascending
+    /// `(consumer, producer)` `pairs` into each task's sorted unique
+    /// producer set and puts the window into the table in two phases
+    /// (DESIGN.md §8.2).
     ///
     /// **Register.** Every edge of the window goes onto its producer's
     /// list: privately when the producer is in this window
@@ -421,7 +421,7 @@ impl StreamRelease {
     pub(super) fn commit_window(
         &self,
         (lo, hi): (usize, usize),
-        pairs: &[Vec<(u32, u32)>],
+        pairs: &[(u32, u32)],
         status: &[AtomicU8],
         at: &mut CommitCursors,
         mut ready: impl FnMut(u32),
@@ -429,11 +429,9 @@ impl StreamRelease {
         // The node cursor lives in a local for the length of the commit:
         // bumped per edge, written back once.
         let mut next_node = at.next_node;
-        let CommitCursors { edges, merged, producers, unfinished, roots, .. } = at;
-        merged.clear();
-        merged.resize(pairs.len(), 0);
+        let CommitCursors { edges, producers, unfinished, roots, .. } = at;
         unfinished.clear();
-        merge_window(lo, hi, pairs, merged, producers, |s, preds| {
+        merge_window(lo, hi, pairs, producers, |s, preds| {
             let (mut satisfied, mut raced) = (0, 0);
             for &p in preds {
                 if p as usize >= lo {
@@ -608,13 +606,13 @@ mod tests {
         let mut roots = Vec::new();
         // Window one: 0 and 2 are roots, 0 → 1; window two: 3 and 5 are
         // roots, 1 → 4 across the boundary.
-        table.commit_window((0, 3), &[vec![(1, 0)]], &status, &mut at, |r| roots.push(r));
+        table.commit_window((0, 3), &[(1, 0)], &status, &mut at, |r| roots.push(r));
         assert_eq!(roots, [0, 2]);
         assert_eq!(table.sealed.load(Ordering::Acquire), 0, "sealed before the last window");
         let mut ready = Vec::new();
         table.release(2, &mut ready, &obs);
         assert_eq!(table.pending[2].load(Ordering::Acquire), PENDING_CLOSED);
-        table.commit_window((3, 6), &[vec![(4, 1)]], &status, &mut at, |r| roots.push(r));
+        table.commit_window((3, 6), &[(4, 1)], &status, &mut at, |r| roots.push(r));
         assert_eq!(roots, [0, 2, 3, 5]);
         assert_ne!(table.sealed.load(Ordering::Acquire), 0, "the last window did not seal");
         table.release(0, &mut ready, &obs);

@@ -93,7 +93,7 @@ fn model_private_commit_never_loses_an_edge() {
         });
         let mut roots = Vec::new();
         let mut cursors = CommitCursors::default();
-        sr.commit_window((0, 2), &[vec![(1, 0)]], &status, &mut cursors, |root| {
+        sr.commit_window((0, 2), &[(1, 0)], &status, &mut cursors, |root| {
             roots.push(root);
             pushed.fetch_add(1 << root, Ordering::Release);
         });
@@ -147,7 +147,7 @@ fn commit_against_a_worker(
     let mut roots = Vec::new();
     let mut cursors = CommitCursors::default();
     let mut commit = |(bounds, pairs): Window| {
-        sr.commit_window(bounds, &[pairs], &status, &mut cursors, |root| {
+        sr.commit_window(bounds, &pairs, &status, &mut cursors, |root| {
             roots.push(root);
             pushed.fetch_add(1 << root, Ordering::Release);
         });

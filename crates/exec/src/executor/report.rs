@@ -55,10 +55,6 @@ pub struct ExecReport {
     pub decode_overlap_pct: f64,
     /// Whether this run streamed decode into execution.
     pub streaming: bool,
-    /// Decode shards used (1 for one-shot runs): address partitions of
-    /// the renamer, each scanned as its own step by whichever worker
-    /// claims it.
-    pub decode_shards: usize,
     /// The completion log: task ids in global completion-ticket order.
     pub order: Vec<TaskId>,
     /// Per-worker counters, indexed by worker id.

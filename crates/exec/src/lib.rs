@@ -9,9 +9,8 @@
 //! 1. **[`renamer`]** — a software ORT/OVT: decodes `in`/`out`/`inout`
 //!    operands of a [`TaskTrace`] (or of tasks spawned through
 //!    [`TaskGraphBuilder`]) into producer→consumer chains, either in
-//!    one in-order pass ([`Renamer`]) or streamed in windows with
-//!    address interning sharded ([`StreamingRenamer`] — the
-//!    distributed-ORT analogy).
+//!    one in-order pass ([`Renamer`]) or streamed in windows
+//!    ([`StreamingRenamer`]), through one rename table.
 //! 2. **[`executor`]** — real `std::thread` workers over lock-free
 //!    Chase-Lev work-stealing deques ([`deque`]), O(1) atomic
 //!    readiness counters, and pluggable [`payload`]s (no-op /

@@ -43,9 +43,9 @@
 //! −14) and a hand-rolled insertion sort in `merge_window` (+6 ns/task
 //! over `sort_unstable` + `dedup`).
 //!
-//! The rename rules are stated once in this crate — `ShardState::scan`,
+//! The rename rules are stated once in this crate — `RenameState::scan`,
 //! driven by [`StreamingRenamer::decode_graph`], of which
-//! [`Renamer::decode`] is the one-window, one-shard case — and that
+//! [`Renamer::decode`] is the one-window case — and that
 //! loop deliberately does **not** share code with `tss-trace`'s
 //! `for_each_edge` or its streamed order check, although all three walk
 //! traces the same way: the oracle check (every completion log
@@ -145,7 +145,7 @@ impl TaskGraph {
 }
 
 /// `ObjectVersion::last_writer` of a version nobody has written. Task
-/// ids stay below it ([`ShardState::scan`] checks).
+/// ids stay below it ([`RenameState::scan`] checks).
 const NO_WRITER: u32 = u32::MAX;
 
 /// Readers of one version held inside its entry: what fills the line.
@@ -157,7 +157,7 @@ const INLINE_READERS: usize = 14;
 /// One in-flight version of a memory object, as the ORTs track it: 64
 /// bytes — a cache line's worth, hot fields first — owning no heap. A
 /// version with more than [`INLINE_READERS`] readers keeps the rest in
-/// a list of its shard's (`ShardState::spilled`), reached from the
+/// a list of the table's (`RenameState::spilled`), reached from the
 /// entry: its last reader slot then holds the list's index
 /// ([`SPILL_LINK`]), so the common entry pays for no `Vec` header and
 /// the rare one for no hash probe. Deliberately *not* `align(64)`: an
@@ -262,48 +262,25 @@ impl Renamer {
     }
 
     /// Decodes `trace` into a [`TaskGraph`] by one in-order pass: the
-    /// [`StreamingRenamer`] with the whole trace as its single window
-    /// and one shard, so the rename rules *and* the pair merge are each
-    /// stated once.
+    /// [`StreamingRenamer`] with the whole trace as its single window,
+    /// so the rename rules *and* the pair merge are each stated once.
     pub fn decode(&self, trace: &TaskTrace) -> TaskGraph {
-        StreamingRenamer::new()
-            .renaming(self.renaming)
-            .window(trace.len())
-            .shards(1)
-            .decode_graph(trace)
+        StreamingRenamer::new().renaming(self.renaming).window(trace.len()).decode_graph(trace)
     }
 }
 
 // ---------------------------------------------------------------------
-// Streaming sharded renamer
+// Streaming renamer
 // ---------------------------------------------------------------------
 
-/// Which address shard owns `addr` when interning is split `shards`
-/// ways. High multiplier bits so the partition is independent of the
-/// low-bit distribution `AddrMap`'s probe hash feeds on.
-#[inline]
-pub(crate) fn shard_of(addr: u64, shards: u32) -> u32 {
-    if shards <= 1 {
-        0
-    } else {
-        ((addr.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) % shards as u64) as u32
-    }
-}
-
-/// One shard's sequential rename state: the ORT/OVT slice owning every
-/// address that hashes to this shard (the paper's *distributed ORT*
-/// analogy — each hardware ORT owns an address partition and renames it
-/// independently; DESIGN.md §8).
-///
-/// A shard scans tasks in program order but touches only its own
-/// addresses, so `shards` states can run on `shards` threads with no
-/// shared rename state at all; dependency pairs meet again only at the
-/// window merge.
+/// The sequential rename state: one ORT/OVT for every address the
+/// trace touches. The paper splits its ORTs into address-interleaved
+/// modules so that their renaming rates add up; in software a split
+/// table is a pass over every operand per part, so there is one
+/// (DESIGN.md §8.3).
 #[derive(Debug)]
-pub(crate) struct ShardState {
+pub(crate) struct RenameState {
     renaming: bool,
-    shard: u32,
-    shards: u32,
     /// Address → index into `versions`. Two levels on purpose: entries
     /// land in `versions` in first-touch order, which is what keeps the
     /// table cache-resident on the paper traces — a one-level
@@ -315,12 +292,10 @@ pub(crate) struct ShardState {
     stats: RenameStats,
 }
 
-impl ShardState {
-    pub(crate) fn new(renaming: bool, shard: u32, shards: u32) -> Self {
-        ShardState {
+impl RenameState {
+    pub(crate) fn new(renaming: bool) -> Self {
+        RenameState {
             renaming,
-            shard,
-            shards,
             map: AddrMap::with_capacity_and_hasher(64, Default::default()),
             versions: Vec::with_capacity(64),
             spilled: SpilledReaders::default(),
@@ -333,13 +308,12 @@ impl ShardState {
     }
 
     /// Scans tasks `[lo, hi)` of `trace`, appending `(consumer,
-    /// producer)` pairs for operands whose address this shard owns.
-    /// Pairs are emitted with `consumer` ascending (scan order); the
-    /// per-consumer producer sets may hold duplicates (deduplicated at
-    /// the window merge).
+    /// producer)` pairs. Pairs are emitted with `consumer` ascending
+    /// (scan order); the per-consumer producer sets may hold duplicates
+    /// (deduplicated at the window merge).
     ///
     /// Must be called with contiguous, in-order ranges: the rename
-    /// state is sequential per shard.
+    /// state is sequential.
     ///
     /// # Panics
     ///
@@ -353,14 +327,11 @@ impl ShardState {
         pairs: &mut Vec<(u32, u32)>,
     ) {
         assert!(hi <= NO_WRITER as usize, "task ids must fit below the renamer's u32 sentinel");
-        let ShardState { renaming, shard, shards, map, versions, spilled, stats } = self;
+        let RenameState { renaming, map, versions, spilled, stats } = self;
         let renaming = *renaming;
         for tid in lo..hi {
             let t = tid as u32;
             for op in trace.task(tid).operands.iter().filter(|o| o.is_tracked()) {
-                if shard_of(op.addr, *shards) != *shard {
-                    continue;
-                }
                 stats.tracked_operands += 1;
                 let id = *map.entry(op.addr).or_insert_with(|| {
                     versions.push(ObjectVersion::UNWRITTEN);
@@ -406,33 +377,29 @@ impl ShardState {
     }
 }
 
-/// Merges one window's shard pair buffers: for every task in `[lo,
-/// hi)`, in program order, gathers its producers from all shards,
-/// sorts and deduplicates them, and hands `(task, sorted unique
-/// producers)` to `commit`. `cursors[i]` tracks consumption of
-/// `bufs[i]` across windows; `scratch` is reused storage.
+/// Merges one window's pair buffer, as [`RenameState::scan`] left it
+/// (consumer-ascending): for every task in `[lo, hi)`, in program
+/// order, gathers its producers, sorts and deduplicates them, and
+/// hands `(task, sorted unique producers)` to `commit`. `scratch` is
+/// reused storage.
 ///
 /// Per-task dedup here is a global pair dedup (a `(p, s)` pair is
 /// unique iff it is unique within `s`'s set), so the decoded graph does
-/// not depend on where the window boundaries fall or how many shards
-/// scanned — `tests/streaming.rs` pins every (window, shards) point
-/// bit-identical to the single-window, single-shard one.
+/// not depend on where the window boundaries fall — `tests/streaming.rs`
+/// pins every window size bit-identical to the single-window one.
 pub(crate) fn merge_window(
     lo: usize,
     hi: usize,
-    bufs: &[Vec<(u32, u32)>],
-    cursors: &mut [usize],
+    pairs: &[(u32, u32)],
     scratch: &mut Vec<u32>,
     mut commit: impl FnMut(u32, &[u32]),
 ) {
+    let mut pairs = pairs.iter().peekable();
     for s in lo..hi {
         let s = s as u32;
         scratch.clear();
-        for (buf, cur) in bufs.iter().zip(cursors.iter_mut()) {
-            while *cur < buf.len() && buf[*cur].0 == s {
-                scratch.push(buf[*cur].1);
-                *cur += 1;
-            }
+        while let Some(&(_, p)) = pairs.next_if(|&&(c, _)| c == s) {
+            scratch.push(p);
         }
         scratch.sort_unstable();
         scratch.dedup();
@@ -440,20 +407,18 @@ pub(crate) fn merge_window(
     }
 }
 
-/// The streaming face of the renamer: decode in **windows** (so a
+/// The streaming face of the renamer: decode in **windows**, so a
 /// consumer can start executing window 0 while window 1 is still being
-/// decoded) with address interning **sharded** `shards` ways (so
-/// disjoint address partitions can be renamed independently).
+/// decoded.
 ///
 /// This type materializes graphs — for [`Renamer::decode`], tests and
 /// offline use; the live overlapped pipeline (workers decoding between
 /// the tasks they execute) is assembled in [`crate::executor`] from the
-/// same `ShardState` / `merge_window` building blocks.
+/// same `RenameState` / `merge_window` building blocks.
 #[derive(Debug, Clone)]
 pub struct StreamingRenamer {
     renaming: bool,
     window: usize,
-    shards: usize,
 }
 
 impl Default for StreamingRenamer {
@@ -463,9 +428,9 @@ impl Default for StreamingRenamer {
 }
 
 impl StreamingRenamer {
-    /// Defaults: renaming on, 1024-task windows, one shard.
+    /// Defaults: renaming on, 1024-task windows.
     pub fn new() -> Self {
-        StreamingRenamer { renaming: true, window: 1024, shards: 1 }
+        StreamingRenamer { renaming: true, window: 1024 }
     }
 
     /// Enables or disables renaming (see [`Renamer::renaming`]).
@@ -480,35 +445,23 @@ impl StreamingRenamer {
         self
     }
 
-    /// Sets the interning shard count (≥ 1).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Decodes `trace` window by window through the sharded path and
-    /// materializes its [`TaskGraph`] — the same one (bit-identical
-    /// CSR, counters, and stats) at every window size and shard count;
-    /// the parity proptest in `tests/streaming.rs` pins this.
+    /// Decodes `trace` window by window and materializes its
+    /// [`TaskGraph`] — the same one (bit-identical CSR, counters, and
+    /// stats) at every window size; the parity proptest in
+    /// `tests/streaming.rs` pins this.
     pub fn decode_graph(&self, trace: &TaskTrace) -> TaskGraph {
         let n = trace.len();
-        let mut shards: Vec<ShardState> = (0..self.shards)
-            .map(|i| ShardState::new(self.renaming, i as u32, self.shards as u32))
-            .collect();
-        let mut bufs: Vec<Vec<(u32, u32)>> = vec![Vec::new(); self.shards];
-        let mut cursors = vec![0usize; self.shards];
+        let mut state = RenameState::new(self.renaming);
+        let mut buf = Vec::new();
         let mut scratch = Vec::new();
         let mut pairs: Vec<(u32, u32)> = Vec::new();
         let mut pred_count = vec![0u32; n];
         let mut lo = 0usize;
         while lo < n {
             let hi = (lo + self.window).min(n);
-            for (sh, buf) in shards.iter_mut().zip(bufs.iter_mut()) {
-                buf.clear();
-                sh.scan(trace, lo, hi, buf);
-            }
-            cursors.iter_mut().for_each(|c| *c = 0);
-            merge_window(lo, hi, &bufs, &mut cursors, &mut scratch, |s, preds| {
+            buf.clear();
+            state.scan(trace, lo, hi, &mut buf);
+            merge_window(lo, hi, &buf, &mut scratch, |s, preds| {
                 pred_count[s as usize] = preds.len() as u32;
                 for &p in preds {
                     pairs.push((p, s));
@@ -518,12 +471,7 @@ impl StreamingRenamer {
         }
         pairs.sort_unstable();
         let (succ_off, succ_dat) = build_csr_sorted(n, &pairs);
-        let mut stats = RenameStats { enforced_edges: succ_dat.len(), ..RenameStats::default() };
-        for sh in &shards {
-            stats.objects += sh.stats.objects;
-            stats.tracked_operands += sh.stats.tracked_operands;
-            stats.removed_by_renaming += sh.stats.removed_by_renaming;
-        }
+        let stats = RenameStats { enforced_edges: succ_dat.len(), ..state.stats };
         TaskGraph { n, succ_off, succ_dat, pred_count, stats }
     }
 }
@@ -652,16 +600,12 @@ mod tests {
         for trace in [chain(), waw] {
             for renaming in [true, false] {
                 let oneshot = Renamer::new().renaming(renaming).decode(&trace);
-                for (window, shards) in [(1, 1), (1, 3), (2, 2), (64, 4)] {
+                for window in [1, 2, 64] {
                     let streamed = StreamingRenamer::new()
                         .renaming(renaming)
                         .window(window)
-                        .shards(shards)
                         .decode_graph(&trace);
-                    assert_eq!(
-                        streamed, oneshot,
-                        "window {window} x shards {shards}, renaming {renaming}"
-                    );
+                    assert_eq!(streamed, oneshot, "window {window}, renaming {renaming}");
                 }
             }
         }
@@ -672,8 +616,8 @@ mod tests {
     /// (enforced either way) and before an `out` writer (renamed away,
     /// or enforced with renaming off), and a version's spilled list
     /// must not leak into the next version of the same object — held
-    /// to the independent `DepGraph` edge for edge, at one shard and
-    /// at three.
+    /// to the independent `DepGraph` edge for edge, in windows that cut
+    /// the reader runs.
     #[test]
     fn spilled_readers_agree_with_the_oracle_under_inout_and_out_writers() {
         let mut tr = TaskTrace::new("wide");
@@ -695,43 +639,25 @@ mod tests {
         let pairs_of = |g: &TaskGraph| -> Vec<(u32, u32)> {
             (0..g.len()).flat_map(|t| g.succs(t).iter().map(move |&s| (t as u32, s))).collect()
         };
-        for shards in [1, 3] {
-            let decode = |renaming| {
-                StreamingRenamer::new()
-                    .renaming(renaming)
-                    .window(7)
-                    .shards(shards)
-                    .decode_graph(&tr)
-            };
-            let on = decode(true);
-            let enforced: Vec<(u32, u32)> =
-                edges.iter().filter(|e| e.kind.enforced()).map(|e| (e.from, e.to)).collect();
-            let mut expect = enforced.clone();
-            expect.sort_unstable();
-            assert_eq!(pairs_of(&on), expect, "renaming on, {shards} shards");
-            assert_eq!(on.stats().removed_by_renaming, edges.len() - enforced.len());
-            // All of it is the out writer's: its WaW, and a WaR per
-            // reader of the version before it — the inout task that
-            // wrote that version (it reads it too) and the
-            // INLINE_READERS + 3 after it.
-            assert_eq!(on.stats().removed_by_renaming, 1 + 1 + INLINE_READERS + 3);
-            let off = decode(false);
-            let mut expect: Vec<(u32, u32)> = edges.iter().map(|e| (e.from, e.to)).collect();
-            expect.sort_unstable();
-            expect.dedup(); // task 21 → 39 is both a WaR and a WaW
-            assert_eq!(pairs_of(&off), expect, "renaming off, {shards} shards");
-            assert_eq!(off.stats().removed_by_renaming, 0);
-        }
-    }
-
-    #[test]
-    fn shard_partition_is_total_and_stable() {
-        for shards in [1u32, 2, 3, 8] {
-            for addr in [0u64, 0xA, 0x100, 0xDEAD_BEEF, u64::MAX] {
-                let s = shard_of(addr, shards);
-                assert!(s < shards);
-                assert_eq!(s, shard_of(addr, shards), "stable");
-            }
-        }
+        let decode =
+            |renaming| StreamingRenamer::new().renaming(renaming).window(7).decode_graph(&tr);
+        let on = decode(true);
+        let enforced: Vec<(u32, u32)> =
+            edges.iter().filter(|e| e.kind.enforced()).map(|e| (e.from, e.to)).collect();
+        let mut expect = enforced.clone();
+        expect.sort_unstable();
+        assert_eq!(pairs_of(&on), expect, "renaming on");
+        assert_eq!(on.stats().removed_by_renaming, edges.len() - enforced.len());
+        // All of it is the out writer's: its WaW, and a WaR per
+        // reader of the version before it — the inout task that
+        // wrote that version (it reads it too) and the
+        // INLINE_READERS + 3 after it.
+        assert_eq!(on.stats().removed_by_renaming, 1 + 1 + INLINE_READERS + 3);
+        let off = decode(false);
+        let mut expect: Vec<(u32, u32)> = edges.iter().map(|e| (e.from, e.to)).collect();
+        expect.sort_unstable();
+        expect.dedup(); // task 21 → 39 is both a WaR and a WaW
+        assert_eq!(pairs_of(&off), expect, "renaming off");
+        assert_eq!(off.stats().removed_by_renaming, 0);
     }
 }

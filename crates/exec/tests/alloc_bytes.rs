@@ -78,7 +78,7 @@ static GLOBAL: Counting = Counting;
 
 /// The committed budget of one warm no-op run, `C0 + C1 × operands`
 /// bytes. Requested at the commit that added it (2 workers, default
-/// window, one decode shard, validation on; a block that grows counts
+/// window, validation on; a block that grows counts
 /// at every size it is grown to): Cholesky-small 44,092 B for 550
 /// operands, H.264-small 441,756 B for 7,558 — 12.9 KB + 56.7 B per
 /// operand, of which the release slab is 10 B. The parent commit asked
@@ -115,34 +115,28 @@ fn a_constant_plus_bytes_per_operand() {
     }
 }
 
-/// What a larger window may ask for beyond a smaller one, per decode
-/// shard: the shard's one pair buffer and the commit's per-task
-/// scratch, grown through every size to fit one 1,024-task window of
-/// Cholesky-paper (~3.5 k pairs): 2 × 4 k × 8 B + 2 × 2 × 1,024 × 4 B =
-/// 80 KB. Requested at the commit that added it (one worker, so the
-/// counts repeat exactly): windows 1, 64 and 1,024 spread 75,648 B at
-/// one shard and 108,288 B at three. The parent commit, which gave
-/// every window a buffer of its own per shard, spread 2,487,576 B and
-/// 6,796,840 B — 6.3 MB asked for at window 1 where a window of 1,024
-/// asked 4.7.
-const PER_SHARD: u64 = 96 * 1024;
+/// What a larger window may ask for beyond a smaller one: the decoder's
+/// one pair buffer and the commit's per-task scratch, grown through
+/// every size to fit one 1,024-task window of Cholesky-paper (~3.5 k
+/// pairs): 2 × 4 k × 8 B + 2 × 2 × 1,024 × 4 B = 80 KB. Requested when
+/// the bound was set (one worker, so the counts repeat exactly): windows
+/// 1, 64 and 1,024 spread 75,648 B. A pair buffer per window spreads
+/// 2,487,576 B, which is what this catches.
+const WINDOW_SPREAD: u64 = 96 * 1024;
 
-/// A streamed run allocates nothing per window (DESIGN.md §8.2): each
-/// shard keeps one pair buffer, whose capacity persists, so the same
+/// A streamed run allocates nothing per window (DESIGN.md §8.2): the
+/// decoder keeps one pair buffer, whose capacity persists, so the same
 /// trace asks for the same bytes at any window size, up to the larger
 /// window's buffers.
 fn the_same_bytes_at_any_window() {
     let trace = Benchmark::Cholesky.trace(Scale::Paper, 42);
-    for decode_shards in [1, 3] {
-        let bytes: Vec<(usize, u64)> = [1, 64, 1024]
-            .into_iter()
-            .map(|window| {
-                let cfg = ExecConfig { threads: 1, window, decode_shards, ..ExecConfig::default() };
-                (window, run_bytes(&Executor::new(cfg), &trace, 2))
-            })
-            .collect();
-        let (lo, hi) = bytes.iter().fold((u64::MAX, 0), |(lo, hi), &(_, b)| (lo.min(b), hi.max(b)));
-        let bound = PER_SHARD * decode_shards as u64;
-        assert!(hi - lo <= bound, "{decode_shards} shards: {bytes:?} spread over {bound} B");
-    }
+    let bytes: Vec<(usize, u64)> = [1, 64, 1024]
+        .into_iter()
+        .map(|window| {
+            let cfg = ExecConfig { threads: 1, window, ..ExecConfig::default() };
+            (window, run_bytes(&Executor::new(cfg), &trace, 2))
+        })
+        .collect();
+    let (lo, hi) = bytes.iter().fold((u64::MAX, 0), |(lo, hi), &(_, b)| (lo.min(b), hi.max(b)));
+    assert!(hi - lo <= WINDOW_SPREAD, "{bytes:?} spread over {WINDOW_SPREAD} B");
 }

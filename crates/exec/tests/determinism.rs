@@ -99,10 +99,10 @@ fn one_worker_two_phase_order_matches_the_committed_digest() {
 }
 
 /// The streamed one-worker order, pinned the same way, at 128-task
-/// windows so that every small trace (220–1.5k tasks) spans several,
-/// any shard count reading the same: roots come
-/// from the window commits and edges into already-finished producers
-/// are born satisfied, both in an order the trace alone decides. The
+/// windows so that every small trace (220–1.5k tasks) spans several:
+/// roots come from the window commits and edges into already-finished
+/// producers are born satisfied, both in an order the trace alone
+/// decides. The
 /// digest was computed at the commit that made decode a step of the
 /// run's own workers; before it, a decode thread raced the worker and
 /// no digest could hold. The quarantine row's failure sets are the
@@ -113,8 +113,6 @@ fn one_worker_streamed_order_matches_the_committed_digest() {
     install_quiet_hook();
     let base = ExecConfig { window: 128, ..ExecConfig::default() };
     assert_eq!(one_worker_digest(base.clone(), true), (DIGEST, 0), "renaming on");
-    let sharded = ExecConfig { decode_shards: 3, ..base.clone() };
-    assert_eq!(one_worker_digest(sharded, true), (DIGEST, 0), "three shards");
     let chaos = ExecConfig {
         payload: PayloadMode::Faulty { rate_ppm: 50_000, seed: 7 },
         policy: FailurePolicy::Quarantine,

@@ -87,13 +87,13 @@ fn ring_report_covers_every_worker_and_respects_sampling() {
 }
 
 /// A streamed run decodes on its workers (DESIGN.md §8.2): its tracks
-/// are the workers', and every window's scans — one per shard — and its
-/// one commit are on them.
+/// are the workers', and every window's one scan and one commit are on
+/// them.
 #[test]
 fn streaming_runs_put_decode_steps_on_the_worker_tracks() {
     let trace = graph(2048, 16);
-    let (window, shards) = (256, 2);
-    let cfg = ExecConfig { threads: 2, window, decode_shards: shards, ..Default::default() };
+    let window = 256;
+    let cfg = ExecConfig { threads: 2, window, ..Default::default() };
     let report = Executor::new(cfg).run(&trace).expect("streaming run failed");
     assert!(report.validated);
     let Some(obs) = report.obs else {
@@ -103,15 +103,14 @@ fn streaming_runs_put_decode_steps_on_the_worker_tracks() {
     let names: Vec<&str> = obs.tracks.iter().map(|t| t.name.as_str()).collect();
     assert_eq!(names, ["worker-0", "worker-1"]);
     let windows = trace.len().div_ceil(window) as u32;
-    for (kind, each) in [(EventKind::Scan, shards as u32), (EventKind::Commit, 1)] {
+    for kind in [EventKind::Scan, EventKind::Commit] {
         let mut seen: Vec<u32> = obs
             .tracks
             .iter()
             .flat_map(|t| t.events.iter().filter(|e| e.kind == kind).map(|e| e.arg))
             .collect();
         seen.sort_unstable();
-        let expect: Vec<u32> = (0..windows).flat_map(|w| (0..each).map(move |_| w)).collect();
-        assert_eq!(seen, expect, "{kind:?} events per window");
+        assert_eq!(seen, (0..windows).collect::<Vec<_>>(), "{kind:?} events per window");
     }
 }
 

@@ -54,20 +54,12 @@ fn a_trace_denser_than_the_first_segment_replays_validated() {
         // running.
         assert!(edges > operands + operands / 4 + 8, "{edges} edges fit {operands} operands");
         for window in [1, 2, 64, trace.len()] {
-            for decode_shards in [1, 3] {
-                let cfg = ExecConfig {
-                    threads: 3,
-                    renaming,
-                    window,
-                    decode_shards,
-                    ..Default::default()
-                };
-                let report = Executor::new(cfg).run(&trace).expect("replay failed");
-                let at = format!("window {window} x {decode_shards} shards, renaming {renaming}");
-                assert!(report.validated, "{at}");
-                assert_eq!(report.order.len(), trace.len(), "{at}");
-                assert_eq!(&report.rename, decoded.stats(), "{at}");
-            }
+            let cfg = ExecConfig { threads: 3, renaming, window, ..Default::default() };
+            let report = Executor::new(cfg).run(&trace).expect("replay failed");
+            let at = format!("window {window}, renaming {renaming}");
+            assert!(report.validated, "{at}");
+            assert_eq!(report.order.len(), trace.len(), "{at}");
+            assert_eq!(&report.rename, decoded.stats(), "{at}");
         }
     }
 }

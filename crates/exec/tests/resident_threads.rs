@@ -1,11 +1,11 @@
 //! The resident runtime's thread population (DESIGN.md §15): however
 //! many graphs run, and however many `Executor` values run them, a
 //! sequential caller keeps exactly one crew alive — one resident thread
-//! per worker of its widest run: decoding adds no thread however many
-//! shards it has (§8.2), and neither does a run deadline or a cancel
-//! token (§11.3). A runtime owned per `Executor` (or one whose members
-//! raced the submitter back into the free list) would show up here as a
-//! count that grows with the number of runs.
+//! per worker of its widest run: decoding adds no thread (§8.2), and
+//! neither does a run deadline or a cancel token (§11.3). A runtime
+//! owned per `Executor` (or one whose members raced the submitter back
+//! into the free list) would show up here as a count that grows with
+//! the number of runs.
 //!
 //! This file is one test on purpose: the runtime is process-wide, and
 //! a test binary is the only scope in which nothing else leases from
@@ -30,7 +30,7 @@ fn crew_threads() -> usize {
 #[test]
 fn sequential_runs_keep_one_crew_however_many_executors_there_are() {
     let trace = Benchmark::Cholesky.trace(Scale::Small, 1);
-    let cfg = ExecConfig { threads: 2, decode_shards: 1, ..ExecConfig::default() };
+    let cfg = ExecConfig { threads: 2, ..ExecConfig::default() };
     // Two workers, who also decode.
     let crew = 2;
     assert_eq!(crew_threads(), 0, "the runtime starts no thread before the first run");
@@ -54,14 +54,11 @@ fn sequential_runs_keep_one_crew_however_many_executors_there_are() {
     }
     assert_eq!(crew_threads(), crew);
 
-    // More decode shards are more steps for the same workers, not more
-    // threads; nor is the one-shot path, which decodes before the crew.
-    let sharded = ExecConfig { decode_shards: 3, ..cfg.clone() };
+    // The one-shot path, which decodes before the crew, adds none either.
     for _ in 0..100 {
-        Executor::new(sharded.clone()).run(&trace).expect("sharded run failed");
         Executor::new(cfg.clone()).run_oneshot(&trace).expect("oneshot run failed");
     }
-    assert_eq!(crew_threads(), crew, "decode shards added threads");
+    assert_eq!(crew_threads(), crew, "the one-shot path added threads");
 
     // Arming a token or a run deadline adds no role: the workers notice
     // both at the stop check they already make.

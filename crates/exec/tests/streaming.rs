@@ -1,14 +1,13 @@
-//! The streaming renamer's contract (ISSUE 4): decode in windows, with
-//! address interning sharded, must be *indistinguishable* from a
-//! one-shot decode —
+//! The streaming renamer's contract: decode in windows must be
+//! *indistinguishable* from a one-shot decode —
 //!
-//! - **Structure parity.** For every benchmark, window size, shard
-//!   count, and renaming setting, `StreamingRenamer::decode_graph`
-//!   must produce byte-identical successor CSR, unready counters, and
-//!   stats to `Renamer::decode` — since ISSUE 18 the same decoder at
-//!   one point of that space (a single window holding the whole trace,
-//!   one shard), and the point `determinism.rs` pins to the independent
-//!   `DepGraph` oracle. The sweep holds every other point to it.
+//! - **Structure parity.** For every benchmark, window size and
+//!   renaming setting, `StreamingRenamer::decode_graph` must produce
+//!   byte-identical successor CSR, unready counters, and stats to
+//!   `Renamer::decode` — the same decoder at one point of that space
+//!   (a single window holding the whole trace), and the point
+//!   `determinism.rs` pins to the independent `DepGraph` oracle. The
+//!   sweep holds every other point to it.
 //! - **Replay parity.** The live pipelined executor (workers decoding
 //!   between the tasks they run, pending-release lists, sentinel
 //!   counters) must emit oracle-valid completion logs at every thread
@@ -28,21 +27,13 @@ fn streaming_graph_matches_oneshot_on_every_benchmark() {
         let trace = b.trace(Scale::Small, 5);
         for renaming in [true, false] {
             let oneshot = Renamer::new().renaming(renaming).decode(&trace);
-            // The last two are the `window ≥ n`, one-shard point itself,
-            // reached through the builder: exactly `n`, and past it.
+            // The last two are the `window ≥ n` point itself, reached
+            // through the builder: exactly `n`, and past it.
             let n = trace.len();
-            for (window, shards) in
-                [(1usize, 2usize), (97, 1), (256, 4), (1 << 20, 3), (n, 1), (n + 1, 1)]
-            {
-                let streamed = StreamingRenamer::new()
-                    .renaming(renaming)
-                    .window(window)
-                    .shards(shards)
-                    .decode_graph(&trace);
-                assert_eq!(
-                    streamed, oneshot,
-                    "{b}: window {window} x shards {shards}, renaming {renaming}"
-                );
+            for window in [1, 97, 256, 1 << 20, n, n + 1] {
+                let streamed =
+                    StreamingRenamer::new().renaming(renaming).window(window).decode_graph(&trace);
+                assert_eq!(streamed, oneshot, "{b}: window {window}, renaming {renaming}");
             }
         }
     }
@@ -51,57 +42,46 @@ fn streaming_graph_matches_oneshot_on_every_benchmark() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Window sizes and shard counts drawn freely: the successor CSR
-    /// and unready counters never depend on either.
+    /// Window sizes drawn freely, under either renaming setting: the
+    /// successor CSR and unready counters never depend on the window.
     #[test]
-    fn streaming_graph_parity_over_windows_and_shards(
+    fn streaming_graph_parity_over_windows_and_renaming(
         bench_sel in 0u8..9,
         window in 1usize..600,
-        shards in 1usize..6,
         renaming in 0u8..2,
         seed in 1u32..10_000,
     ) {
         let bench = Benchmark::all()[bench_sel as usize];
         let trace = bench.trace(Scale::Small, seed as u64);
         let oneshot = Renamer::new().renaming(renaming == 1).decode(&trace);
-        let streamed = StreamingRenamer::new()
-            .renaming(renaming == 1)
-            .window(window)
-            .shards(shards)
-            .decode_graph(&trace);
+        let streamed =
+            StreamingRenamer::new().renaming(renaming == 1).window(window).decode_graph(&trace);
         prop_assert!(
             streamed == oneshot,
-            "{} seed {}: window {} x shards {} diverged from one-shot",
-            bench, seed, window, shards
+            "{} seed {}: window {}, renaming {} diverged from one-shot",
+            bench, seed, window, renaming
         );
     }
 
-    /// The live pipelined executor: any benchmark, thread count, shard
-    /// count, and window size must linearize the oracle.
+    /// The live pipelined executor: any benchmark, thread count and
+    /// window size must linearize the oracle.
     #[test]
     fn streamed_replay_always_linearizes_the_oracle(
         bench_sel in 0u8..9,
         thread_sel in 0u8..3,
-        shards in 1usize..4,
         window in 1usize..300,
         seed in 1u32..50_000,
     ) {
         let threads = [2usize, 4, 8][thread_sel as usize];
         let bench = Benchmark::all()[bench_sel as usize];
         let trace = bench.trace(Scale::Small, seed as u64);
-        let cfg = ExecConfig {
-            threads,
-            seed: seed as u64,
-            window,
-            decode_shards: shards,
-            ..ExecConfig::default()
-        };
+        let cfg = ExecConfig { threads, seed: seed as u64, window, ..ExecConfig::default() };
         let report = Executor::new(cfg).run(&trace).expect("replay failed");
         let oracle = DepGraph::from_trace(&trace);
         prop_assert!(
             oracle.validate_order(&report.order).is_ok(),
-            "{} at {} threads / {} shards / window {}, seed {}: violates the oracle",
-            bench, threads, shards, window, seed
+            "{} at {} threads / window {}, seed {}: violates the oracle",
+            bench, threads, window, seed
         );
         prop_assert_eq!(report.order.len(), trace.len());
     }
@@ -114,38 +94,25 @@ proptest! {
 /// (ready when its window committed) or through a producer's
 /// pending-release list (the producer ran before the task's window was
 /// decoded) is decided by the trace and the window size, not by a race:
-/// every run, whatever the steal seed or the shard count, completes in
-/// the same order, that order linearizes the dependency oracle, and the
-/// shards' summed rename statistics are the one-shot decoder's (a shard
-/// scanned twice or skipped would move them). (`determinism.rs` pins
-/// the nine small traces' streamed order across commits.)
+/// every run, whatever the steal seed, completes in the same order,
+/// that order linearizes the dependency oracle, and the rename
+/// statistics are the one-shot decoder's (a window scanned twice or
+/// skipped would move them). (`determinism.rs` pins the nine small
+/// traces' streamed order across commits.)
 #[test]
 fn one_worker_streaming_is_bit_deterministic() {
     for b in [Benchmark::Cholesky, Benchmark::H264, Benchmark::Specfem] {
         let trace = b.trace(Scale::Small, 7);
         let oneshot = Renamer::new().decode(&trace);
-        let run = |seed, decode_shards| {
-            let cfg = ExecConfig {
-                threads: 1,
-                seed,
-                decode_shards,
-                window: 128,
-                ..ExecConfig::default()
-            };
+        let run = |seed| {
+            let cfg = ExecConfig { threads: 1, seed, window: 128, ..ExecConfig::default() };
             Executor::new(cfg).run(&trace).expect("replay failed")
         };
-        let first = run(1, 1);
-        for (seed, shards) in [(1u64, 1usize), (7, 2), (99, 3)] {
-            let again = run(seed, shards);
-            assert_eq!(
-                again.order, first.order,
-                "{b}: order drifted (seed {seed}, {shards} shards)"
-            );
-            assert_eq!(
-                &again.rename,
-                oneshot.stats(),
-                "{b}: rename stats (seed {seed}, {shards} shards)"
-            );
+        let first = run(1);
+        for seed in [1, 7, 99] {
+            let again = run(seed);
+            assert_eq!(again.order, first.order, "{b}: order drifted (seed {seed})");
+            assert_eq!(&again.rename, oneshot.stats(), "{b}: rename stats (seed {seed})");
             assert_eq!(again.total_steals(), 0, "{b}: no one to steal from");
         }
     }
@@ -158,10 +125,9 @@ fn streaming_overlap_is_reported() {
     // the one-shot decoder's.
     let trace = Benchmark::Cholesky.trace(Scale::Small, 3);
     let oneshot = Renamer::new().decode(&trace);
-    let cfg = ExecConfig { threads: 2, window: 64, decode_shards: 2, ..ExecConfig::default() };
+    let cfg = ExecConfig { threads: 2, window: 64, ..ExecConfig::default() };
     let report = Executor::new(cfg).run(&trace).expect("replay failed");
     assert!(report.streaming);
-    assert_eq!(report.decode_shards, 2);
     assert!((0.0..=100.0).contains(&report.decode_overlap_pct));
     assert!(report.decode_wall.as_nanos() > 0, "decode span was recorded");
     assert_eq!(&report.rename, oneshot.stats(), "streamed stats match one-shot");

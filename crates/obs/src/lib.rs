@@ -124,7 +124,7 @@ pub struct Gauges {
 pub enum Role {
     /// `pipeline` entry to the crew hand-off: tables, queues, policy.
     Setup,
-    /// `ShardState::scan`, per window and shard.
+    /// `RenameState::scan`, per window.
     Scan,
     /// A window's commit: merge, register, publish, push roots.
     Commit,

@@ -20,8 +20,7 @@ pub enum EventKind {
     Task,
     /// A worker slept in the parker (slice).
     Park,
-    /// A decode step scanned one shard of a window; `arg` = window
-    /// index (slice).
+    /// A decode step scanned a window; `arg` = window index (slice).
     Scan,
     /// A sampled task became ready and was pushed; `arg` = task id.
     Spawn,
